@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
+.PHONY: all check fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
 
 all: check
 
-check: fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck benchdelta-all racksweep connsweep kvsweep
+check: fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -38,7 +38,7 @@ race: build
 # (fast; also covered by the full `race` target, kept separate so CI can
 # run it on every push).
 race-parallel: build
-	$(GO) test -race -run 'Parallel|Adaptive|Mailbox|Static' ./internal/sim/...
+	$(GO) test -race -run 'Parallel|Adaptive|Mailbox' ./internal/sim/...
 
 # Focused race check on the tracing/metrics and fleet-control packages (the
 # observability surfaces every other subsystem calls into concurrently).
@@ -68,6 +68,29 @@ paritycheck: build
 		cmp /tmp/parity_$${e}_s.json /tmp/parity_$${e}_p.json || { echo "parity FAIL ($$e): json"; exit 1; }; \
 		cmp /tmp/parity_$${e}_s.trace /tmp/parity_$${e}_p.trace || { echo "parity FAIL ($$e): trace"; exit 1; }; \
 		echo "parity OK: $$e (stdout+metrics, json, trace)"; \
+	done
+
+# The same identity on real cores under the race detector: a race build of
+# cmd/repro runs every parity experiment on OS threads five times with
+# GOMAXPROCS=4 (one per guest shard, so shard windows truly overlap); any
+# DATA RACE report, or any stdout that differs from the serial -pcpus 4
+# run, fails.
+paritycheck-race: build
+	@$(GO) build -race -o /tmp/repro-parity-race ./cmd/repro
+	@for e in $(PARITY_EXPS); do \
+		/tmp/repro-parity-race -experiment $$e -quick -pcpus 4 -metrics \
+			> /tmp/parityrace_$${e}_s.out 2>/dev/null || exit 1; \
+		for i in 1 2 3 4 5; do \
+			GOMAXPROCS=4 /tmp/repro-parity-race -experiment $$e -quick -pcpus 4 -parallel -metrics \
+				> /tmp/parityrace_$${e}_p.out 2> /tmp/parityrace_$${e}_p.err || \
+				{ cat /tmp/parityrace_$${e}_p.err; echo "parity-race FAIL ($$e): run $$i exited non-zero"; exit 1; }; \
+			if grep -q 'DATA RACE' /tmp/parityrace_$${e}_p.err; then \
+				cat /tmp/parityrace_$${e}_p.err; echo "parity-race FAIL ($$e): data race in run $$i"; exit 1; \
+			fi; \
+			cmp /tmp/parityrace_$${e}_s.out /tmp/parityrace_$${e}_p.out || \
+				{ echo "parity-race FAIL ($$e): stdout of run $$i"; exit 1; }; \
+		done; \
+		echo "parity-race OK: $$e (5 parallel runs, no races, stdout+metrics identical)"; \
 	done
 
 # Wall-clock fast-path microbenchmarks -> BENCH_fastpath.json ("fastpath"

@@ -103,7 +103,6 @@ func main() {
 	registry := obs.NewRegistry()
 	sim.SetDefaultObs(nil, registry)
 	core.SetDefaultSharding(4, false)
-	core.SetAdaptiveLookahead(true, 0, 0)
 	if _, err := exp.Run(opts); err != nil {
 		fatal(fmt.Errorf("counters run: %w", err))
 	}

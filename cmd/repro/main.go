@@ -47,9 +47,6 @@ func main() {
 	jitter := flag.Duration("jitter", 0, "max extra per-frame delivery delay (e.g. 500us)")
 	pcpus := flag.Int("pcpus", 1, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
 	parallel := flag.Bool("parallel", false, "drive the pCPU shards on OS threads (requires -pcpus > 1); output is byte-identical to the single-threaded run")
-	adaptive := flag.Bool("adaptive", true, "adaptive epoch widths for the sharded drivers (off = static lookahead-W epochs)")
-	widthBusy := flag.Int("width-busy", 0, "adaptive width cap, in lookaheads, while cross-shard traffic flows (0 = built-in default)")
-	widthQuiet := flag.Int("width-quiet", 0, "adaptive width cap, in lookaheads, during quiet stretches (0 = built-in default)")
 	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
 	// the registry's parameter declarations; nothing is hand-registered here.
 	expOpts := experiments.BindFlags(flag.CommandLine)
@@ -61,7 +58,6 @@ func main() {
 	}
 	if *pcpus > 1 {
 		core.SetDefaultSharding(*pcpus, *parallel)
-		core.SetAdaptiveLookahead(*adaptive, *widthBusy, *widthQuiet)
 	}
 
 	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {

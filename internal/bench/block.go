@@ -104,14 +104,13 @@ func blockPointBlocks(blockBytes, requested int) int {
 // adjacent small blocks in flight together — merge into indirect
 // scatter-gather ring requests.
 func blockRunMiBs(mode blockMode, blockBytes, blocks int) (float64, []string) {
-	pl := core.NewPlatform(31)
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("fig9", 31)
 	sectorsPerBlock := (blockBytes + storage.SectorSize - 1) / storage.SectorSize
 	pagesPerBlock := (sectorsPerBlock + storage.PageSectors - 1) / storage.PageSectors
 
 	var start, finish sim.Time
 	completed := 0
-	pl.Deploy(core.Unikernel{
+	rn.pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "blkbench", Roots: []string{"btree"}},
 		Main: func(env *core.Env) int {
 			s := env.VM.S
@@ -172,17 +171,11 @@ func blockRunMiBs(mode blockMode, blockBytes, blocks int) (float64, []string) {
 		},
 	}, core.DeployOpts{Block: true})
 
-	if _, err := pl.RunFor(10 * time.Minute); err != nil {
-		panic(err)
-	}
-	if err := pl.Check(); err != nil {
-		panic(err)
-	}
+	appendix := rn.finish(10*time.Minute, "cpu_utilization", "blk_", "ring_occupancy")
 	if completed != blocks {
 		panic(fmt.Sprintf("fig9: %d/%d blocks completed (%s, %d B)",
 			completed, blocks, mode.name, blockBytes))
 	}
 	secs := finish.Sub(start).Seconds()
-	appendix := metricsAppendix(pl.K, before, "cpu_utilization", "blk_", "ring_occupancy")
 	return float64(blocks) * float64(blockBytes) / (1 << 20) / secs, appendix
 }

@@ -3,13 +3,11 @@ package bench
 import (
 	"fmt"
 	"runtime"
-	"sort"
 	"time"
 
 	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/httpd"
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
@@ -26,12 +24,6 @@ import (
 // plateau a probe session measures request latency through the VIP, and
 // (with mem stats enabled) the process heap is sampled to report simulated
 // bytes per connection across both endpoints and the fabric.
-
-var (
-	csVIP    = ipv4.AddrFrom4(10, 0, 0, 100)
-	csBaseIP = ipv4.AddrFrom4(10, 0, 0, 10)
-	csLBIP   = ipv4.AddrFrom4(10, 0, 0, 99)
-)
 
 // csConfig sizes one sweep. connGap/closeGap are the *global* spacing
 // between connection events; they pace the fleet-wide ramp so dom0's
@@ -103,28 +95,6 @@ type csClient struct {
 	st          *tcp.Stack
 }
 
-// csProbe records the per-step probe session latencies (µs).
-type csProbe struct {
-	lats [][]float64
-	fail int
-}
-
-func csPct(lats []float64, q float64) float64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), lats...)
-	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
 // csUntil sleeps p's scheduler until the absolute virtual instant at, then
 // runs fn. Chained calls keep exactly one pending timer per guest: the
 // sweep must not itself populate the event queues it is measuring, so
@@ -135,10 +105,7 @@ func csUntil(s *lwt.Scheduler, at time.Duration, fn func()) {
 	if d < 0 {
 		d = 0
 	}
-	lwt.Map(s.Sleep(d), func(struct{}) struct{} {
-		fn()
-		return struct{}{}
-	})
+	sleepThen(s, d, fn)
 }
 
 // deployConnClient deploys one connection-source guest. It opens its share
@@ -196,7 +163,7 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 				}
 				at := steps[si].start + time.Duration(k*cfg.nClients+idx)*cfg.connGap
 				csUntil(s, at, func() {
-					cn := cl.st.Connect(csVIP, 80)
+					cn := cl.st.Connect(swVIP, 80)
 					lwt.Always(cn, func() {
 						if cn.Failed() != nil {
 							cl.failed++
@@ -226,83 +193,19 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 
 // deployConnProbe deploys the probe guest: one keep-alive session per step,
 // run on the plateau, recording client-observed request latency while the
-// parked population sits underneath.
-func deployConnProbe(pl *core.Platform, pr *csProbe, cfg csConfig,
-	steps []csStep, drainEnd time.Duration) {
+// parked population sits underneath. It returns the probe's per-step
+// tallies (a failed session counts in sessFail).
+func deployConnProbe(pl *core.Platform, cfg csConfig, steps []csStep, drainEnd time.Duration) []*tally {
+	probe := make([]*tally, len(steps))
+	for si := range probe {
+		probe[si] = &tally{}
+	}
 	pl.Deploy(core.Unikernel{
 		Build:  build.Config{Name: "connprobe", Roots: []string{"http"}},
 		Memory: 64 << 20,
 		Main: func(env *core.Env) int {
 			s := env.VM.S
 			done := lwt.NewPromise[struct{}](s)
-			session := func(si int, then func()) {
-				cn := env.Net.TCP.Connect(csVIP, 80)
-				lwt.Always(cn, func() {
-					if cn.Failed() != nil {
-						pr.fail++
-						then()
-						return
-					}
-					c := cn.Value()
-					var buf []byte
-					readResp := func(next func(*httpd.Response)) {
-						var step func()
-						step = func() {
-							if resp, n, err := httpd.ParseResponse(buf); err != nil {
-								next(nil)
-								return
-							} else if resp != nil {
-								buf = buf[n:]
-								next(resp)
-								return
-							}
-							rd := c.Read(64 << 10)
-							lwt.Always(rd, func() {
-								if rd.Failed() != nil || len(rd.Value()) == 0 {
-									next(nil)
-									return
-								}
-								buf = append(buf, rd.Value()...)
-								step()
-							})
-						}
-						step()
-					}
-					var issue func(i int)
-					issue = func(i int) {
-						if i == cfg.probeReqs {
-							c.Close()
-							then()
-							return
-						}
-						start := s.K.Now()
-						wr := c.Write(httpd.EncodeRequest(&httpd.Request{Method: "GET", Path: "/"}))
-						lwt.Always(wr, func() {
-							if wr.Failed() != nil {
-								pr.fail++
-								c.Close()
-								then()
-								return
-							}
-							readResp(func(resp *httpd.Response) {
-								if resp == nil {
-									pr.fail++
-									c.Close()
-									then()
-									return
-								}
-								pr.lats[si] = append(pr.lats[si],
-									float64(s.K.Now().Sub(start).Microseconds()))
-								lwt.Map(s.Sleep(cfg.think), func(struct{}) struct{} {
-									issue(i + 1)
-									return struct{}{}
-								})
-							})
-						})
-					}
-					issue(0)
-				})
-			}
 			var run func(si int)
 			run = func(si int) {
 				if si == len(steps) {
@@ -310,7 +213,9 @@ func deployConnProbe(pl *core.Platform, pr *csProbe, cfg csConfig,
 					return
 				}
 				csUntil(s, steps[si].rampEnd+cfg.settle, func() {
-					session(si, func() { run(si + 1) })
+					httpSession(env, probe[si], cfg.probeReqs,
+						func(_ int, next func()) { sleepThen(s, cfg.think, next) },
+						func() { run(si + 1) })
 				})
 			}
 			run(0)
@@ -323,6 +228,7 @@ func deployConnProbe(pl *core.Platform, pr *csProbe, cfg csConfig,
 		},
 		PCPU: -1,
 	})
+	return probe
 }
 
 // csHeap forces a collection and returns the live heap, for the
@@ -359,8 +265,8 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 	closeBarrier := closeEnd + cfg.settle
 	drainEnd := closeEnd + cfg.timeWait + 500*time.Millisecond
 
-	pl := core.NewPlatform(seed)
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("connsweep", seed)
+	pl := rn.pl
 
 	// The fleet is fixed (Min == Max): every replica is deployed on its own
 	// fresh pCPU shard and the balancer steers statelessly by rendezvous
@@ -376,7 +282,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 			stacks[r.Index] = env.Net.TCP
 			return webMain(env, r)
 		},
-		VIP: csVIP, BaseIP: csBaseIP, Netmask: benchMask, LBIP: csLBIP,
+		VIP: swVIP, BaseIP: swBaseIP, Netmask: benchMask, LBIP: swLBIP,
 		MACBase:       0x40,
 		Min:           cfg.nReplicas,
 		Max:           cfg.nReplicas,
@@ -391,18 +297,9 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		clients[i] = &csClient{}
 		deployConnClient(pl, i, clients[i], cfg, steps, closeStart, drainEnd)
 	}
-	probe := &csProbe{lats: make([][]float64, len(steps))}
-	deployConnProbe(pl, probe, cfg, steps, drainEnd)
+	probe := deployConnProbe(pl, cfg, steps, drainEnd)
 
-	runTo := func(at time.Duration) {
-		if d := at - pl.K.Now().Duration(); d > 0 {
-			if _, err := pl.RunFor(d); err != nil {
-				panic(fmt.Sprintf("connsweep: %v", err))
-			}
-		}
-	}
-
-	runTo(warmup)
+	rn.runTo(warmup)
 	var baseHeap uint64
 	if memStats {
 		baseHeap = csHeap()
@@ -414,7 +311,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 	wheelLen := make([]int, len(steps))
 	heapAt := make([]uint64, len(steps))
 	for si := range steps {
-		runTo(steps[si].barrier)
+		rn.runTo(steps[si].barrier)
 		for _, cl := range clients {
 			estab[si] += cl.established
 			failed[si] += cl.failed
@@ -426,16 +323,16 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		}
 	}
 
-	runTo(closeBarrier)
+	rn.runTo(closeBarrier)
 	closeWheel := pl.K.WheelTimers()
 	closeQueue := pl.K.EventQueueLen()
 
-	runTo(drainEnd)
-	if err := pl.Check(); err != nil {
-		panic(fmt.Sprintf("connsweep: %v", err))
-	}
+	metrics := rn.finish(drainEnd, "tcp_", "lb_", "fleet_")
 
-	openAfter, closedTotal, portsExhausted := 0, 0, 0
+	openAfter, closedTotal, portsExhausted, probeFail := 0, 0, 0, 0
+	for _, t := range probe {
+		probeFail += t.sessFail
+	}
 	for _, cl := range clients {
 		openAfter += cl.st.Conns()
 		closedTotal += cl.closed
@@ -458,29 +355,19 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		XLabel: "target concurrent conns",
 		YLabel: "conns / events / ms",
 	}
-	series := []struct {
-		name string
-		f    func(si int) float64
-	}{
-		{"established conns", func(si int) float64 { return float64(estab[si]) }},
-		{"probe p50 ms", func(si int) float64 { return csPct(probe.lats[si], 0.50) / 1000 }},
-		{"probe p99 ms", func(si int) float64 { return csPct(probe.lats[si], 0.99) / 1000 }},
-		{"event queue len", func(si int) float64 { return float64(queueLen[si]) }},
-		{"wheel timers", func(si int) float64 { return float64(wheelLen[si]) }},
+	xs := make([]float64, len(steps))
+	for si := range steps {
+		xs[si] = float64(steps[si].target)
 	}
+	res.addSeries(xs,
+		column{"established conns", func(si int) float64 { return float64(estab[si]) }},
+		column{"probe p50 ms", func(si int) float64 { return probe[si].pct(0.50) / 1000 }},
+		column{"probe p99 ms", func(si int) float64 { return probe[si].pct(0.99) / 1000 }},
+		column{"event queue len", func(si int) float64 { return float64(queueLen[si]) }},
+		column{"wheel timers", func(si int) float64 { return float64(wheelLen[si]) }})
 	if memStats {
-		series = append(series, struct {
-			name string
-			f    func(si int) float64
-		}{"heap MiB", func(si int) float64 { return float64(heapAt[si]) / (1 << 20) }})
-	}
-	for _, sp := range series {
-		s := Series{Name: sp.name}
-		for si := range steps {
-			s.X = append(s.X, float64(steps[si].target))
-			s.Y = append(s.Y, sp.f(si))
-		}
-		res.Series = append(res.Series, s)
+		res.addSeries(xs,
+			column{"heap MiB", func(si int) float64 { return float64(heapAt[si]) / (1 << 20) }})
 	}
 
 	res.Notes = append(res.Notes, fmt.Sprintf(
@@ -490,7 +377,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"step %d conns: established %d failed %d, event queue %d, wheel timers %d, probe p99 %.3f ms",
 			steps[si].target, estab[si], failed[si], queueLen[si], wheelLen[si],
-			csPct(probe.lats[si], 0.99)/1000))
+			probe[si].pct(0.99)/1000))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"mass close: %d closed, %d TIME_WAIT timers parked on wheels, event queue %d at close barrier",
@@ -499,7 +386,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 		"run peaks: event heap %d, wheel timers %d", pl.K.EventHeapPeak(), pl.K.WheelTimerPeak()))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"after drain: client conns %d, server conns %d, ports exhausted %d, probe failures %d",
-		openAfter, serverAfter, portsExhausted, probe.fail))
+		openAfter, serverAfter, portsExhausted, probeFail))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"syn cookies: sent %d validated %d failed %d", ckSent, ckValid, ckFail))
 	if memStats {
@@ -512,6 +399,6 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 			"memory: baseline heap %.1f MiB, at %d conns %.1f MiB — %.0f bytes per conn (both endpoints + fabric; host-dependent)",
 			float64(baseHeap)/(1<<20), total, float64(heapAt[last])/(1<<20), perConn))
 	}
-	res.Metrics = metricsAppendix(pl.K, before, "tcp_", "lb_", "fleet_")
+	res.Metrics = metrics
 	return res
 }

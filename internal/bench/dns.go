@@ -104,8 +104,8 @@ func mirageDNSThroughput(zoneEntries int, memo bool, queries int) (float64, []st
 		}
 	}
 
-	pl := core.NewPlatform(int64(zoneEntries))
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("fig10", int64(zoneEntries))
+	pl := rn.pl
 	serverIP := ipv4.AddrFrom4(10, 0, 0, 53)
 
 	pl.Deploy(core.Unikernel{
@@ -170,13 +170,10 @@ func mirageDNSThroughput(zoneEntries int, memo bool, queries int) (float64, []st
 		PCPU: 1,
 	})
 
-	if _, err := pl.RunFor(5 * time.Minute); err != nil {
-		panic(err)
-	}
+	appendix := rn.finish(5*time.Minute, "cpu_", "net_", "ring_occupancy", "bridge_")
 	if answered != queries {
 		panic(fmt.Sprintf("fig10: %d/%d queries answered", answered, queries))
 	}
-	appendix := metricsAppendix(pl.K, before, "cpu_", "net_", "ring_occupancy", "bridge_")
 	return float64(queries) / elapsed.Seconds(), appendix
 }
 

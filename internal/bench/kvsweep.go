@@ -152,13 +152,12 @@ func kvSweepRun(buffered bool, qd int, seed int64, nkeys, opCount, valueBytes, r
 	}
 	key := func(i int) []byte { return []byte(fmt.Sprintf("k%06d", i)) }
 
-	pl := core.NewPlatform(seed)
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("kvsweep", seed)
 	var start, finish sim.Time
 	completed, checkpoints := 0, 0
 	var blk *blkif.Blkif
 	var wal *storage.WAL
-	pl.Deploy(core.Unikernel{
+	rn.pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "kvappliance", Roots: []string{"kv", "btree"}},
 		Main: func(env *core.Env) int {
 			s := env.VM.S
@@ -249,25 +248,19 @@ func kvSweepRun(buffered bool, qd int, seed int64, nkeys, opCount, valueBytes, r
 		},
 	}, core.DeployOpts{Block: true})
 
-	if _, err := pl.RunFor(10 * time.Minute); err != nil {
-		panic(err)
-	}
-	if err := pl.Check(); err != nil {
-		panic(err)
-	}
+	appendix := rn.finish(10*time.Minute, "cpu_utilization", "blk_", "ring_occupancy")
 	if completed != opCount {
 		panic(fmt.Sprintf("kvsweep: %d/%d ops completed (buffered=%v qd=%d)",
 			completed, opCount, buffered, qd))
 	}
 	secs := finish.Sub(start).Seconds()
-	st := kvRunStats{
+	return kvRunStats{
 		kops:        float64(opCount) / secs / 1000,
 		flushes:     wal.Flushes,
 		groupedMax:  wal.GroupedMax,
 		checkpoints: checkpoints,
 		merged:      blk.Merged,
 		indirect:    blk.Indirect,
+		appendix:    appendix,
 	}
-	st.appendix = metricsAppendix(pl.K, before, "cpu_utilization", "blk_", "ring_occupancy")
-	return st
 }

@@ -34,8 +34,8 @@ type lossRunStats struct {
 // (grant-copy TX, posted RX, ARP, IP), so every dropped frame exercises
 // the same recovery machinery a real deployment would.
 func lossSweepRun(faults netback.Faults, bytesPerFlow int) lossRunStats {
-	pl := core.NewPlatform(53)
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("losssweep", 53)
+	pl := rn.pl
 	pl.Bridge.SetFaults(faults)
 	serverIP, clientIP := ipv4.AddrFrom4(10, 0, 0, 2), ipv4.AddrFrom4(10, 0, 0, 1)
 	payload := make([]byte, bytesPerFlow)
@@ -89,15 +89,13 @@ func lossSweepRun(faults netback.Faults, bytesPerFlow int) lossRunStats {
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: clientIP, Netmask: benchMask}})
 
-	if _, err := pl.RunFor(30 * time.Minute); err != nil {
-		panic(err)
-	}
+	appendix := rn.finish(30*time.Minute, "tcp_", "bridge_")
 	if received != bytesPerFlow {
 		panic(fmt.Sprintf("losssweep: %d/%d bytes received at drop=%.3f — connection wedged",
 			received, bytesPerFlow, faults.Drop))
 	}
 	secs := doneAt.Sub(startAt).Seconds()
-	st := lossRunStats{goodput: float64(bytesPerFlow) * 8 / 1e6 / secs}
+	st := lossRunStats{goodput: float64(bytesPerFlow) * 8 / 1e6 / secs, appendix: appendix}
 	for _, c := range []*tcp.Conn{sndConn, rcvConn} {
 		if c == nil {
 			continue
@@ -108,7 +106,6 @@ func lossSweepRun(faults netback.Faults, bytesPerFlow int) lossRunStats {
 		st.persistProbes += c.PersistProbes
 	}
 	st.bridgeDrops = pl.Bridge.FaultDrops
-	st.appendix = metricsAppendix(pl.K, before, "tcp_", "bridge_")
 	return st
 }
 

@@ -28,8 +28,8 @@ func PingLatency(pings int) *Result {
 	}
 	var appendix []string
 	run := func(label string, targetParams netstack.Params) time.Duration {
-		pl := core.NewPlatform(77)
-		before := pl.K.Metrics().Snapshot()
+		rn := newRun("ping", 77)
+		pl := rn.pl
 		var total time.Duration
 		done := 0
 
@@ -65,15 +65,12 @@ func PingLatency(pings int) *Result {
 			},
 		}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: ipv4.AddrFrom4(10, 0, 0, 1), Netmask: benchMask}})
 
-		if _, err := pl.RunFor(10 * time.Minute); err != nil {
-			panic(err)
-		}
+		metrics := rn.finish(10*time.Minute, "cpu_utilization", "net_", "ring_occupancy", "hv_evtchn")
 		if done != pings {
 			panic(fmt.Sprintf("ping bench: only %d/%d replies", done, pings))
 		}
 		appendix = append(appendix, "["+label+"]")
-		appendix = append(appendix,
-			metricsAppendix(pl.K, before, "cpu_utilization", "net_", "ring_occupancy", "hv_evtchn")...)
+		appendix = append(appendix, metrics...)
 		return total / time.Duration(pings)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"repro/internal/build"
-	"repro/internal/core"
 	"repro/internal/datacenter"
 	"repro/internal/fleet"
 	"repro/internal/sim"
@@ -62,13 +61,13 @@ func rkConfigFor(quick bool) rkConfig {
 func RackSweep(seed int64, quick bool) *Result {
 	cfg := rkConfigFor(quick)
 
-	pl := core.NewPlatform(seed)
+	rn := newRun("racksweep", seed)
+	pl := rn.pl
 	pl.AddHost("h1")
 	pl.AddHost("h2")
 	// Default topology: two hosts per rack, so h0+h1 share a ToR and h2
 	// sits in the second rack — the h1->h2 migration crosses the spine.
 	dc := datacenter.New(pl, datacenter.Topology{})
-	before := pl.K.Metrics().Snapshot()
 
 	handlerCost := time.Millisecond
 	if quick {
@@ -93,26 +92,25 @@ func RackSweep(seed int64, quick bool) *Result {
 		ProbeInterval: 50 * time.Millisecond,
 	})
 
-	const warmup = 2 * time.Second
-	const nClients = 4
 	phases := []swPhase{
 		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[0]},
 		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[1]},
 		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[2]},
 	}
-	stats := []*swStats{{}, {}, {}}
-	for c := 0; c < nClients; c++ {
-		deploySweepClient(pl, c, nClients, phases, stats, warmup)
-	}
+	loads := deploySweepClients(pl, phases)
 
 	// Phase 1: live-migrate web-0 (on h1) to h2 under load.
 	var blackout time.Duration
 	var migErr error
-	tMig := warmup + cfg.durs[0] + cfg.migInto
+	tMig := swWarmup + cfg.durs[0] + cfg.migInto
 	pl.K.After(tMig, func() {
 		pl.K.Spawn("migrator", func(p *sim.Proc) {
 			r := f.ReplicaByName("web-0")
-			if r == nil || r.Host() != "h1" {
+			if r == nil {
+				migErr = fmt.Errorf("racksweep: no replica web-0 to migrate")
+				return
+			}
+			if r.Host() != "h1" {
 				migErr = fmt.Errorf("racksweep: web-0 not on h1 before migration (host %q)", r.Host())
 				return
 			}
@@ -122,46 +120,20 @@ func RackSweep(seed int64, quick bool) *Result {
 
 	// Phase 2: kill h1 outright — web-2 dies with its host; web-0 and
 	// web-1 keep serving from h2 and the fleet heals there.
-	tKill := warmup + cfg.durs[0] + cfg.durs[1] + cfg.killInto
+	tKill := swWarmup + cfg.durs[0] + cfg.durs[1] + cfg.killInto
 	pl.K.After(tKill, func() {
 		if err := dc.KillHost("h1"); err != nil {
 			panic(fmt.Sprintf("racksweep: %v", err))
 		}
 	})
 
-	// Sample the live-replica count every 100ms into a per-phase envelope:
-	// the minimum shows the kill's capacity dip, the peak the heal.
-	minLive := []int{1 << 30, 1 << 30, 1 << 30}
-	peakLive := []int{0, 0, 0}
-	end := warmup + cfg.durs[0] + cfg.durs[1] + cfg.durs[2]
-	var sample func()
-	sample = func() {
-		now := pl.K.Now().Duration()
-		base := warmup
-		for p, ph := range phases {
-			if now >= base && now < base+ph.dur {
-				live := f.Live()
-				if live < minLive[p] {
-					minLive[p] = live
-				}
-				if live > peakLive[p] {
-					peakLive[p] = live
-				}
-			}
-			base += ph.dur
-		}
-		if now < end {
-			pl.K.After(100*time.Millisecond, sample)
-		}
-	}
-	pl.K.After(warmup, sample)
+	// Per-phase live-replica envelope: the minimum shows the kill's capacity
+	// dip, the peak the heal.
+	minLive, peakLive := sampleLive(pl, f, phases)
 
-	if _, err := pl.RunFor(end + cfg.tail); err != nil {
-		panic(fmt.Sprintf("racksweep: %v", err))
-	}
-	if err := pl.Check(); err != nil {
-		panic(fmt.Sprintf("racksweep: %v", err))
-	}
+	end := swWarmup + cfg.durs[0] + cfg.durs[1] + cfg.durs[2]
+	metrics := rn.finish(end+cfg.tail, "dc_", "fleet_", "lb_")
+	stats := mergeTallies(loads)
 
 	// Hard invariants: these are what the experiment exists to show, so a
 	// run that misses them is broken, not merely slow.
@@ -189,26 +161,14 @@ func RackSweep(seed int64, quick bool) *Result {
 		XLabel: "phase",
 		YLabel: "ms / req/s / replicas",
 	}
-	series := []struct {
-		name string
-		f    func(p int) float64
-	}{
-		{"p99 ms", func(p int) float64 { return stats[p].pct(0.99) / 1000 }},
-		{"p50 ms", func(p int) float64 { return stats[p].pct(0.50) / 1000 }},
-		{"goodput req/s", func(p int) float64 {
+	res.addSeries([]float64{0, 1, 2},
+		column{"p99 ms", func(p int) float64 { return stats[p].pct(0.99) / 1000 }},
+		column{"p50 ms", func(p int) float64 { return stats[p].pct(0.50) / 1000 }},
+		column{"goodput req/s", func(p int) float64 {
 			return float64(stats[p].reqsDone) / phases[p].dur.Seconds()
 		}},
-		{"live replicas min", func(p int) float64 { return float64(minLive[p]) }},
-		{"live replicas peak", func(p int) float64 { return float64(peakLive[p]) }},
-	}
-	for _, sp := range series {
-		s := Series{Name: sp.name}
-		for p := range phases {
-			s.X = append(s.X, float64(p))
-			s.Y = append(s.Y, sp.f(p))
-		}
-		res.Series = append(res.Series, s)
-	}
+		column{"live replicas min", func(p int) float64 { return float64(minLive[p]) }},
+		column{"live replicas peak", func(p int) float64 { return float64(peakLive[p]) }})
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("hosts h0 (clients+LB), h1, h2; racks {h0,h1} {h2}; %d req/s offered; seed %d",
@@ -228,6 +188,6 @@ func RackSweep(seed int64, quick bool) *Result {
 	for _, e := range f.Events {
 		res.Notes = append(res.Notes, "fleet "+e)
 	}
-	res.Metrics = metricsAppendix(pl.K, before, "dc_", "fleet_", "lb_")
+	res.Metrics = metrics
 	return res
 }

@@ -2,13 +2,11 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/httpd"
 	"repro/internal/hypervisor"
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
@@ -38,32 +36,6 @@ type swPhase struct {
 	dur        time.Duration
 }
 
-// swStats accumulates client-observed results for one phase. reqsDone
-// counts only requests completing inside the phase window, so goodput
-// penalises an overloaded server that spills work past its step.
-type swStats struct {
-	lats     []float64 // per-request latency, µs
-	reqsDone int
-	sessOK   int
-	sessFail int
-}
-
-func (st *swStats) pct(q float64) float64 {
-	if len(st.lats) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), st.lats...)
-	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
 func swPhases(quick bool) []swPhase {
 	if quick {
 		return []swPhase{
@@ -82,20 +54,20 @@ func swPhases(quick bool) []swPhase {
 
 // swRun is the outcome of one platform run.
 type swRun struct {
-	stats   []*swStats
+	stats   []*tally
 	peak    []int // per-phase peak live replicas
 	fleet   *fleet.Fleet
 	metrics []string
 	domstat string // final per-domain accounting table
 }
 
-// sweepSession runs one keep-alive session against the VIP, recording each
-// request's client-observed latency (write to parsed response) into st.
-// span, when nonzero, samples the session for causal tracing: the trace id
-// rides the connection as descriptor metadata and the client emits the flow
-// start/end events bracketing the cross-domain arc.
-func sweepSession(env *core.Env, st *swStats, reqs int, think time.Duration,
-	phaseEnd time.Duration, span uint64, done func()) {
+// sweepSession runs one keep-alive session of phase ph against the VIP,
+// booking it into t. Requests completing after phaseEnd do not count toward
+// goodput, which penalises an overloaded server that spills work past its
+// step. span, when nonzero, samples the session for causal tracing: the
+// trace id rides the connection as descriptor metadata and the client emits
+// the flow start/end events bracketing the cross-domain arc.
+func sweepSession(env *core.Env, t *tally, ph swPhase, phaseEnd time.Duration, span uint64, done func()) {
 	s := env.VM.S
 	tr := s.K.Trace()
 	pid := env.VM.Dom.ID
@@ -104,7 +76,17 @@ func sweepSession(env *core.Env, st *swStats, reqs int, think time.Duration,
 			obs.U64("trace_id", span))
 	}
 	sessStart := s.K.Now()
-	finish := func() {
+	env.Net.TCP.NextSpan = span
+	httpSession(env, t, ph.reqs, func(i int, next func()) {
+		if s.K.Now().Duration() <= phaseEnd {
+			t.reqsDone++
+		}
+		if i+1 == ph.reqs {
+			next()
+			return
+		}
+		sleepThen(s, ph.think, next)
+	}, func() {
 		if span != 0 && tr.Enabled() {
 			tr.SpanSlice(obs.Time(sessStart), obs.Time(s.K.Now().Sub(sessStart)),
 				"client", "session", pid, 0, obs.NewRootSpan(span))
@@ -112,89 +94,30 @@ func sweepSession(env *core.Env, st *swStats, reqs int, think time.Duration,
 				obs.U64("trace_id", span))
 		}
 		done()
-	}
-	env.Net.TCP.NextSpan = span
-	cn := env.Net.TCP.Connect(swVIP, 80)
-	lwt.Always(cn, func() {
-		if cn.Failed() != nil {
-			st.sessFail++
-			finish()
-			return
-		}
-		c := cn.Value()
-		var buf []byte
-		abort := func() {
-			st.sessFail++
-			c.Close()
-			finish()
-		}
-		readResp := func(then func(*httpd.Response)) {
-			var step func()
-			step = func() {
-				if resp, n, err := httpd.ParseResponse(buf); err != nil {
-					then(nil)
-					return
-				} else if resp != nil {
-					buf = buf[n:]
-					then(resp)
-					return
-				}
-				rd := c.Read(64 << 10)
-				lwt.Always(rd, func() {
-					if rd.Failed() != nil || len(rd.Value()) == 0 {
-						then(nil)
-						return
-					}
-					buf = append(buf, rd.Value()...)
-					step()
-				})
-			}
-			step()
-		}
-		var issue func(i int)
-		issue = func(i int) {
-			if i == reqs {
-				c.Close()
-				st.sessOK++
-				finish()
-				return
-			}
-			start := s.K.Now()
-			wr := c.Write(httpd.EncodeRequest(&httpd.Request{Method: "GET", Path: "/"}))
-			lwt.Always(wr, func() {
-				if wr.Failed() != nil {
-					abort()
-					return
-				}
-				readResp(func(resp *httpd.Response) {
-					if resp == nil {
-						abort()
-						return
-					}
-					st.lats = append(st.lats, float64(s.K.Now().Sub(start).Microseconds()))
-					if s.K.Now().Duration() <= phaseEnd {
-						st.reqsDone++
-					}
-					if i+1 == reqs {
-						issue(i + 1)
-						return
-					}
-					lwt.Map(s.Sleep(think), func(struct{}) struct{} {
-						issue(i + 1)
-						return struct{}{}
-					})
-				})
-			})
-		}
-		issue(0)
 	})
 }
 
-// deploySweepClient deploys one load-generator guest. It launches its share
-// of each phase's sessions (index mod nClients) at deterministic arrival
-// offsets from warmup.
-func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
-	stats []*swStats, warmup time.Duration) {
+const (
+	swWarmup  = 2 * time.Second // fleet boot, before the first phase
+	swClients = 4               // load-generator guests
+)
+
+// deploySweepClients deploys the load-generator guests and returns their
+// tallies, [client][phase]: each guest writes only its own, and the caller
+// merges them after the run. Client idx launches its share of each phase's
+// sessions (index mod swClients) at deterministic arrival offsets from
+// swWarmup.
+func deploySweepClients(pl *core.Platform, phases []swPhase) [][]*tally {
+	perClient := make([][]*tally, swClients)
+	for idx := range perClient {
+		perClient[idx] = deploySweepClient(pl, idx, phases)
+	}
+	return perClient
+}
+
+// deploySweepClient deploys load generator idx and returns its per-phase
+// tallies.
+func deploySweepClient(pl *core.Platform, idx int, phases []swPhase) []*tally {
 	type launch struct {
 		at    time.Duration
 		end   time.Duration
@@ -202,15 +125,17 @@ func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
 		span  uint64 // nonzero samples the session for causal tracing
 	}
 	var plan []launch
-	base := warmup
+	stats := make([]*tally, len(phases))
+	base := swWarmup
 	for p, ph := range phases {
+		stats[p] = &tally{}
 		total := ph.sessPerSec * int(ph.dur/time.Second)
 		if rem := ph.dur % time.Second; rem != 0 {
 			total += ph.sessPerSec * int(rem) / int(time.Second)
 		}
 		gap := ph.dur / time.Duration(total)
 		for j := 0; j < total; j++ {
-			if j%nClients != idx {
+			if j%swClients != idx {
 				continue
 			}
 			ln := launch{at: base + time.Duration(j)*gap, end: base + ph.dur, phase: p}
@@ -238,10 +163,8 @@ func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
 			}
 			for _, ln := range plan {
 				ln := ln
-				ph := phases[ln.phase]
-				lwt.Map(env.VM.S.Sleep(ln.at), func(struct{}) struct{} {
-					sweepSession(env, stats[ln.phase], ph.reqs, ph.think, ln.end, ln.span, done)
-					return struct{}{}
+				sleepThen(env.VM.S, ln.at, func() {
+					sweepSession(env, stats[ln.phase], phases[ln.phase], ln.end, ln.span, done)
 				})
 			}
 			if pending == 0 {
@@ -256,14 +179,15 @@ func deploySweepClient(pl *core.Platform, idx, nClients int, phases []swPhase,
 		},
 		PCPU: -1,
 	})
+	return stats
 }
 
 // scalesweepRun boots one fleet (Min..Max replicas) and drives the phased
 // load at it, sampling the live-replica count through the run.
 func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 	phases []swPhase, handlerCost time.Duration) *swRun {
-	pl := core.NewPlatform(seed)
-	before := pl.K.Metrics().Snapshot()
+	rn := newRun("scalesweep", seed)
+	pl := rn.pl
 	f := fleet.New(pl, fleet.Spec{
 		Name:          "web",
 		Build:         build.WebAppliance(),
@@ -282,55 +206,22 @@ func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 		Interval:      250 * time.Millisecond,
 		ProbeInterval: 50 * time.Millisecond,
 	})
+	loads := deploySweepClients(pl, phases)
+	_, peak := sampleLive(pl, f, phases)
 
-	run := &swRun{fleet: f}
-	for range phases {
-		run.stats = append(run.stats, &swStats{})
-		run.peak = append(run.peak, 0)
-	}
-	const warmup = 2 * time.Second
-	const nClients = 4
-	for c := 0; c < nClients; c++ {
-		deploySweepClient(pl, c, nClients, phases, run.stats, warmup)
-	}
-
-	// Sample the live-replica count every 100ms, folding each sample into
-	// the phase whose window covers it.
-	end := warmup
+	// Tail: let in-flight sessions finish and the fleet scale back down.
+	end := swWarmup + 8*time.Second
 	for _, ph := range phases {
 		end += ph.dur
 	}
-	var sample func()
-	sample = func() {
-		now := pl.K.Now().Duration()
-		base := warmup
-		for p, ph := range phases {
-			if now >= base && now < base+ph.dur {
-				if live := f.Live(); live > run.peak[p] {
-					run.peak[p] = live
-				}
-			}
-			base += ph.dur
-		}
-		if now < end {
-			pl.K.After(100*time.Millisecond, sample)
-		}
-	}
-	pl.K.After(warmup, sample)
-
-	// Tail: let in-flight sessions finish and the fleet scale back down.
-	if _, err := pl.RunFor(end + 8*time.Second); err != nil {
-		panic(fmt.Sprintf("scalesweep: %v", err))
-	}
-	if err := pl.Check(); err != nil {
-		panic(fmt.Sprintf("scalesweep: %v", err))
-	}
+	run := &swRun{fleet: f, peak: peak}
+	run.metrics = rn.finish(end, "fleet_", "lb_", "httpd_")
+	run.stats = mergeTallies(loads)
 	// Per-domain accounting: publish labeled gauges and keep the table (the
 	// virtual xentop) — both derived from virtual-time state, so they are
 	// byte-identical across same-seed serial and parallel runs.
 	pl.Host.PublishDomStats(pl.K.Metrics())
 	run.domstat = hypervisor.FormatDomStats(pl.Host.DomStats())
-	run.metrics = metricsAppendix(pl.K, before, "fleet_", "lb_", "httpd_")
 	return run
 }
 
@@ -368,30 +259,22 @@ func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Poli
 		XLabel: "offered req/s",
 		YLabel: "ms / req/s / replicas",
 	}
-	series := []struct {
-		name string
-		f    func(p int) float64
-	}{
-		{"fleet p99 ms", func(p int) float64 { return auto.stats[p].pct(0.99) / 1000 }},
-		{"fixed p99 ms", func(p int) float64 { return fixed.stats[p].pct(0.99) / 1000 }},
-		{"fleet p50 ms", func(p int) float64 { return auto.stats[p].pct(0.50) / 1000 }},
-		{"fixed p50 ms", func(p int) float64 { return fixed.stats[p].pct(0.50) / 1000 }},
-		{"fleet goodput", func(p int) float64 {
+	xs := make([]float64, len(phases))
+	for p, ph := range phases {
+		xs[p] = float64(ph.sessPerSec * ph.reqs)
+	}
+	res.addSeries(xs,
+		column{"fleet p99 ms", func(p int) float64 { return auto.stats[p].pct(0.99) / 1000 }},
+		column{"fixed p99 ms", func(p int) float64 { return fixed.stats[p].pct(0.99) / 1000 }},
+		column{"fleet p50 ms", func(p int) float64 { return auto.stats[p].pct(0.50) / 1000 }},
+		column{"fixed p50 ms", func(p int) float64 { return fixed.stats[p].pct(0.50) / 1000 }},
+		column{"fleet goodput", func(p int) float64 {
 			return float64(auto.stats[p].reqsDone) / phases[p].dur.Seconds()
 		}},
-		{"fixed goodput", func(p int) float64 {
+		column{"fixed goodput", func(p int) float64 {
 			return float64(fixed.stats[p].reqsDone) / phases[p].dur.Seconds()
 		}},
-		{"fleet replicas", func(p int) float64 { return float64(auto.peak[p]) }},
-	}
-	for _, sp := range series {
-		s := Series{Name: sp.name}
-		for p, ph := range phases {
-			s.X = append(s.X, float64(ph.sessPerSec*ph.reqs))
-			s.Y = append(s.Y, sp.f(p))
-		}
-		res.Series = append(res.Series, s)
-	}
+		column{"fleet replicas", func(p int) float64 { return float64(auto.peak[p]) }})
 
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"fleet %d..%d replicas, policy %s, handler %v, seed %d; baseline fixed at 1 replica",

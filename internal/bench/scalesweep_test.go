@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fleet"
 )
 
@@ -46,5 +47,28 @@ func TestScaleSweep(t *testing.T) {
 	r2 := ScaleSweep(42, true, 1, 3, fleet.RoundRobin)
 	if r.Format() != r2.Format() {
 		t.Fatalf("same-seed runs differ:\n--- run1\n%s\n--- run2\n%s", r.Format(), r2.Format())
+	}
+}
+
+// TestSweepsShardedParity: on the 4-shard layout the sweeps must render the
+// same bytes whether the shards interleave on one thread or run on their own
+// — the load generators sit on four different shards, so anything they
+// share (a collector, a histogram read live) shows up here, and under -race.
+func TestSweepsShardedParity(t *testing.T) {
+	defer core.SetDefaultSharding(1, false)
+	for _, sw := range []struct {
+		name string
+		run  func() *Result
+	}{
+		{"scalesweep", func() *Result { return ScaleSweep(42, true, 1, 3, fleet.RoundRobin) }},
+		{"racksweep", func() *Result { return RackSweep(42, true) }},
+	} {
+		core.SetDefaultSharding(4, false)
+		serial := sw.run().Format()
+		core.SetDefaultSharding(4, true)
+		if parallel := sw.run().Format(); parallel != serial {
+			t.Errorf("%s: serial and parallel drivers differ:\n--- serial\n%s\n--- parallel\n%s",
+				sw.name, serial, parallel)
+		}
 	}
 }

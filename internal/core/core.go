@@ -104,9 +104,6 @@ func (s *Site) Alive() bool { return !s.down }
 var (
 	defaultPCPUs    = 1
 	defaultParallel bool
-	defaultAdaptive = true
-	defaultBusyCap  int
-	defaultQuietCap int
 )
 
 // SetDefaultSharding makes subsequent NewPlatform calls shard the event
@@ -117,16 +114,6 @@ var (
 func SetDefaultSharding(pcpus int, parallel bool) {
 	defaultPCPUs = pcpus
 	defaultParallel = parallel
-}
-
-// SetAdaptiveLookahead configures the width controller of clusters created
-// by subsequent NewPlatform calls: on selects adaptive epoch widths
-// (default), busyCap/quietCap override the width caps (0 keeps the sim
-// package defaults).
-func SetAdaptiveLookahead(on bool, busyCap, quietCap int) {
-	defaultAdaptive = on
-	defaultBusyCap = busyCap
-	defaultQuietCap = quietCap
 }
 
 // NewPlatform creates a host (with 4 physical CPUs for guests) and its
@@ -141,8 +128,6 @@ func NewPlatform(seed int64) *Platform {
 	if defaultPCPUs > 1 {
 		cluster = sim.NewCluster(seed, defaultPCPUs+1, netback.DefaultParams().Propagation)
 		cluster.SetParallel(defaultParallel)
-		cluster.SetAdaptive(defaultAdaptive)
-		cluster.SetWidthCaps(defaultBusyCap, defaultQuietCap)
 		k = cluster.Kernel(0)
 		if defaultPCPUs > npcpus {
 			npcpus = defaultPCPUs

@@ -11,6 +11,11 @@ import (
 // the autoscaler a machine-readable reason so each scaling action records
 // why it happened. All inputs are virtual-time histogram counts, so the
 // alert stream is byte-identical across same-seed runs.
+//
+// On a sharded platform replicas observe into the histograms from their own
+// shards while the control loop runs on shard 0, so the watchdog never reads
+// them live: it reads the cut publish took at the last round boundary, which
+// is a function of the virtual schedule and not of which thread ran first.
 type Watchdog struct {
 	f *Fleet
 	// TargetUS is the per-request latency objective in microseconds.
@@ -24,18 +29,30 @@ type Watchdog struct {
 	// Alerts counts alert instants emitted (all kinds).
 	Alerts int
 
-	fleetPrev  []int64
-	fleetPrevN int64
-	reps       []*repSLO // parallel to Fleet.replicas
+	fleet sloView
+	reps  []*sloView // parallel to Fleet.replicas
 
 	mxAlerts *obs.Counter
 }
 
-// repSLO is the watchdog's per-replica interval state.
-type repSLO struct {
-	hist  *obs.Histogram
-	prev  []int64
-	prevN int64
+// sloView is the watchdog's view of one cumulative latency histogram: the
+// published cut and the cut the previous interval ended on.
+type sloView struct {
+	hist   *obs.Histogram
+	bounds []float64
+	counts []int64
+	n      int64
+	prev   []int64
+	prevN  int64
+}
+
+// publish refreshes the cut from the histogram; call only while no shard
+// can be observing into it.
+func (v *sloView) publish() {
+	if n := v.hist.Count(); n != v.n {
+		v.bounds, v.counts = v.hist.Buckets()
+		v.n = n
+	}
 }
 
 // defaultSLOBudget allows 5% of an interval's requests over target before
@@ -43,13 +60,28 @@ type repSLO struct {
 const defaultSLOBudget = 0.05
 
 func newWatchdog(f *Fleet, targetUS float64) *Watchdog {
-	return &Watchdog{
+	w := &Watchdog{
 		f:          f,
 		TargetUS:   targetUS,
 		Budget:     defaultSLOBudget,
 		MinSamples: 10,
+		fleet:      sloView{hist: f.ReqLatency},
 		mxAlerts:   f.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f.spec.Name)),
 	}
+	if c := f.pl.Cluster; c != nil {
+		c.OnRoundEnd(w.publish)
+	}
+	return w
+}
+
+// publish refreshes every view's cut.
+func (w *Watchdog) publish() {
+	for _, v := range w.reps {
+		if v != nil {
+			v.publish()
+		}
+	}
+	w.fleet.publish()
 }
 
 // track registers a summoned replica: it gets a labeled per-replica latency
@@ -61,7 +93,7 @@ func (w *Watchdog) track(r *Replica) {
 	for len(w.reps) <= r.Index {
 		w.reps = append(w.reps, nil)
 	}
-	w.reps[r.Index] = &repSLO{hist: h}
+	w.reps[r.Index] = &sloView{hist: h}
 	r.SLOHist = h
 }
 
@@ -70,13 +102,16 @@ func (w *Watchdog) track(r *Replica) {
 // attach to a scale-up ("" = SLO healthy). Budget burn outranks a single
 // replica's p99 because it means the fleet as a whole is failing users.
 func (w *Watchdog) evaluate() string {
+	if w.f.pl.Cluster == nil {
+		w.publish() // single kernel: nothing runs beside the control loop
+	}
 	reason := ""
 	for i, rs := range w.reps {
 		if rs == nil {
 			continue
 		}
 		r := w.f.replicas[i]
-		p99, over, n := intervalDelta(rs.hist, &rs.prev, &rs.prevN, w.TargetUS)
+		p99, over, n := rs.interval(w.TargetUS)
 		if n < w.MinSamples {
 			continue
 		}
@@ -87,7 +122,7 @@ func (w *Watchdog) evaluate() string {
 			}
 		}
 	}
-	p99, over, n := intervalDelta(w.f.ReqLatency, &w.fleetPrev, &w.fleetPrevN, w.TargetUS)
+	p99, over, n := w.fleet.interval(w.TargetUS)
 	if n >= w.MinSamples && float64(over) > w.Budget*float64(n) {
 		w.alert("slo-budget-burn", "fleet", p99, over, n)
 		reason = "slo-budget-burn"
@@ -111,22 +146,20 @@ func (w *Watchdog) alert(kind, who string, p99 float64, over, n int64) {
 	}
 }
 
-// intervalDelta computes an interval's p99 and over-target sample count
-// from a cumulative histogram, updating the caller's previous-snapshot
-// state in place.
-func intervalDelta(h *obs.Histogram, prev *[]int64, prevN *int64, targetUS float64) (p99 float64, over, n int64) {
-	bounds, counts := h.Buckets()
-	d := make([]int64, len(counts))
-	for i, c := range counts {
+// interval computes the p99 and over-target sample count of the samples
+// between the previous interval's cut and the published one, then makes the
+// published cut the previous one.
+func (v *sloView) interval(targetUS float64) (p99 float64, over, n int64) {
+	d := make([]int64, len(v.counts))
+	for i, c := range v.counts {
 		p := int64(0)
-		if i < len(*prev) {
-			p = (*prev)[i]
+		if i < len(v.prev) {
+			p = v.prev[i]
 		}
 		d[i] = c - p
 	}
-	total := h.Count()
-	n = total - *prevN
-	*prev, *prevN = counts, total
+	n = v.n - v.prevN
+	v.prev, v.prevN = v.counts, v.n
 	if n <= 0 {
 		return 0, 0, 0
 	}
@@ -135,11 +168,11 @@ func intervalDelta(h *obs.Histogram, prev *[]int64, prevN *int64, targetUS float
 	for i, c := range d {
 		lower := 0.0
 		if i > 0 {
-			lower = bounds[i-1]
+			lower = v.bounds[i-1]
 		}
-		if i == len(bounds) || lower >= targetUS {
+		if i == len(v.bounds) || lower >= targetUS {
 			over += c
 		}
 	}
-	return obs.QuantileFromBuckets(bounds, d, n, 0.99), over, n
+	return obs.QuantileFromBuckets(v.bounds, d, n, 0.99), over, n
 }

@@ -451,11 +451,9 @@ func EncodeRequest(r *Request) []byte {
 
 // ParseResponse parses one complete response from b, returning the
 // response and bytes consumed. (nil, 0, nil) means more data is needed —
-// the incremental contract clients drive their read loops with.
-func ParseResponse(b []byte) (*Response, int, error) { return tryParseResponse(b) }
-
-// tryParseResponse mirrors tryParseRequest for the client side.
-func tryParseResponse(b []byte) (*Response, int, error) {
+// the incremental contract clients drive their read loops with. It mirrors
+// tryParseRequest for the client side.
+func ParseResponse(b []byte) (*Response, int, error) {
 	head := strings.Index(string(b), "\r\n\r\n")
 	if head < 0 {
 		return nil, 0, nil
@@ -491,6 +489,54 @@ func tryParseResponse(b []byte) (*Response, int, error) {
 	return resp, total, nil
 }
 
+// Client issues requests one at a time over an established keep-alive
+// connection. It is callback-style and creates no promises of its own:
+// lwt.NewPromise charges the guest heap model, so a promise per request
+// would shift virtual time. The caller places its think time by deciding
+// when to call Do again.
+type Client struct {
+	c   *tcp.Conn
+	buf []byte // bytes read past the last parsed response
+}
+
+// NewClient wraps an established connection; the caller still owns Close.
+func NewClient(c *tcp.Conn) *Client { return &Client{c: c} }
+
+// Do writes req and calls then with its response, or with nil when the
+// write fails, the response is malformed, or the peer closes or resets
+// before a whole response arrives. After nil the connection is unusable.
+func (cl *Client) Do(req *Request, then func(*Response)) {
+	wr := cl.c.Write(EncodeRequest(req))
+	lwt.Always(wr, func() {
+		if wr.Failed() != nil {
+			then(nil)
+			return
+		}
+		cl.read(then)
+	})
+}
+
+// read accumulates bytes until one complete response is buffered.
+func (cl *Client) read(then func(*Response)) {
+	if resp, n, err := ParseResponse(cl.buf); err != nil {
+		then(nil)
+		return
+	} else if resp != nil {
+		cl.buf = cl.buf[n:]
+		then(resp)
+		return
+	}
+	rd := cl.c.Read(64 << 10)
+	lwt.Always(rd, func() {
+		if rd.Failed() != nil || len(rd.Value()) == 0 {
+			then(nil)
+			return
+		}
+		cl.buf = append(cl.buf, rd.Value()...)
+		cl.read(then)
+	})
+}
+
 // Session issues reqs sequentially over one connection and resolves with
 // the responses (the httperf session shape of §4.4).
 func Session(s *lwt.Scheduler, stack *tcp.Stack, addr ipv4.Addr, port uint16, reqs []*Request) *lwt.Promise[[]*Response] {
@@ -499,59 +545,29 @@ func Session(s *lwt.Scheduler, stack *tcp.Stack, addr ipv4.Addr, port uint16, re
 	lwt.Always(cn, func() {
 		if err := cn.Failed(); err != nil {
 			out.Fail(err)
+			return
 		}
-	})
-	lwt.Map(cn, func(c *tcp.Conn) struct{} {
+		c := cn.Value()
+		cl := NewClient(c)
 		var responses []*Response
-		var buf []byte
 		var issue func(i int)
-		readResp := func(done func(*Response)) {
-			var step func()
-			step = func() {
-				if resp, n, err := tryParseResponse(buf); err != nil {
-					done(nil)
-					return
-				} else if resp != nil {
-					buf = buf[n:]
-					done(resp)
-					return
-				}
-				rd := c.Read(64 << 10)
-				lwt.Always(rd, func() {
-					if rd.Failed() != nil || len(rd.Value()) == 0 {
-						done(nil)
-						return
-					}
-					buf = append(buf, rd.Value()...)
-					step()
-				})
-			}
-			step()
-		}
 		issue = func(i int) {
 			if i == len(reqs) {
 				c.Close()
 				out.Resolve(responses)
 				return
 			}
-			lwt.Map(c.Write(EncodeRequest(reqs[i])), func(int) struct{} {
-				readResp(func(resp *Response) {
-					if resp == nil {
-						c.Close()
-						if !out.Completed() {
-							out.Fail(fmt.Errorf("httpd: session aborted at request %d", i))
-						}
-						return
-					}
-					responses = append(responses, resp)
-					issue(i + 1)
-				})
-				return struct{}{}
+			cl.Do(reqs[i], func(resp *Response) {
+				if resp == nil {
+					c.Close()
+					out.Fail(fmt.Errorf("httpd: session aborted at request %d", i))
+					return
+				}
+				responses = append(responses, resp)
+				issue(i + 1)
 			})
-			return
 		}
 		issue(0)
-		return struct{}{}
 	})
 	return out
 }

@@ -11,11 +11,10 @@ import (
 	"repro/internal/tcp"
 )
 
-// twoHosts wires two TCP stacks over an in-memory pipe (as in the tcp
-// package tests) and runs the server on b.
-func twoHosts(t *testing.T, handler Handler) (*sim.Kernel, *lwt.Scheduler, *tcp.Stack, *Server, ipv4.Addr) {
-	t.Helper()
-	k := sim.NewKernel(9)
+// twoStacks wires two TCP stacks, a (10.0.0.1) and b (10.0.0.2), over an
+// in-memory pipe (as in the tcp package tests).
+func twoStacks() (k *sim.Kernel, sa *lwt.Scheduler, sta *tcp.Stack, sb *lwt.Scheduler, stb *tcp.Stack) {
+	k = sim.NewKernel(9)
 	mk := func(name string, ip ipv4.Addr) (*lwt.Scheduler, *tcp.Stack, *sim.Signal) {
 		s := lwt.NewScheduler(k)
 		sig := k.NewSignal(name + "-rx")
@@ -36,7 +35,13 @@ func twoHosts(t *testing.T, handler Handler) (*sim.Kernel, *lwt.Scheduler, *tcp.
 	}
 	pipe(sta, stb, sigB)
 	pipe(stb, sta, sigA)
+	return k, sa, sta, sb, stb
+}
 
+// twoHosts is twoStacks with the server running on b.
+func twoHosts(t *testing.T, handler Handler) (*sim.Kernel, *lwt.Scheduler, *tcp.Stack, *Server, ipv4.Addr) {
+	t.Helper()
+	k, sa, sta, sb, stb := twoStacks()
 	srv := NewServer(sb, handler)
 	k.SpawnDaemon("server", func(p *sim.Proc) {
 		l, err := stb.Listen(80)
@@ -46,7 +51,7 @@ func twoHosts(t *testing.T, handler Handler) (*sim.Kernel, *lwt.Scheduler, *tcp.
 		}
 		sb.Run(p, srv.Serve(l))
 	})
-	return k, sa, sta, srv, ipB
+	return k, sa, sta, srv, stb.LocalIP
 }
 
 func TestGetRequestRoundTrip(t *testing.T) {
@@ -185,7 +190,7 @@ func TestParseRequestRejectsGarbage(t *testing.T) {
 
 func TestResponseEncodeParseRoundTrip(t *testing.T) {
 	in := &Response{Status: 404, Headers: map[string]string{"X-Test": "1"}, Body: []byte("missing")}
-	out, n, err := tryParseResponse(in.Encode())
+	out, n, err := ParseResponse(in.Encode())
 	if err != nil || out == nil {
 		t.Fatal(err)
 	}
@@ -207,5 +212,86 @@ func TestSessionToDeadPortFails(t *testing.T) {
 	}
 	if sawErr == nil {
 		t.Error("session to closed port did not fail")
+	}
+}
+
+// TestClientReadLoop drives the shared keep-alive client against a scripted
+// peer: each case's server answers the first request with the given chunks
+// (one TCP write each, 5ms apart), then optionally closes. want is the
+// status each successive Do must yield, 0 standing for a nil response.
+func TestClientReadLoop(t *testing.T) {
+	ok := string((&Response{Status: 200, Body: []byte("hello")}).Encode())
+	created := string((&Response{Status: 201}).Encode())
+	cases := []struct {
+		name   string
+		chunks []string
+		close  bool
+		want   []int
+	}{
+		{"split across reads", []string{ok[:9], ok[9:30], ok[30:]}, false, []int{200}},
+		{"two responses in one read", []string{ok + created}, false, []int{200, 201}},
+		{"malformed status line", []string{"HTTP/1.1 abc OK\r\n\r\n"}, false, []int{0}},
+		{"peer close mid-body", []string{"HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc"}, true, []int{0}},
+	}
+	for _, tc := range cases {
+		k, sa, sta, sb, stb := twoStacks()
+		k.SpawnDaemon("peer", func(p *sim.Proc) {
+			l, err := stb.Listen(80)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			sb.Run(p, lwt.Bind(l.Accept(), func(c *tcp.Conn) *lwt.Promise[struct{}] {
+				return lwt.Bind(c.Read(64<<10), func([]byte) *lwt.Promise[struct{}] {
+					var send func(i int) *lwt.Promise[struct{}]
+					send = func(i int) *lwt.Promise[struct{}] {
+						if i == len(tc.chunks) {
+							if tc.close {
+								c.Close()
+							}
+							return lwt.NewPromise[struct{}](sb) // park
+						}
+						c.Write([]byte(tc.chunks[i]))
+						return lwt.Bind(sb.Sleep(5*time.Millisecond), func(struct{}) *lwt.Promise[struct{}] {
+							return send(i + 1)
+						})
+					}
+					return send(0)
+				})
+			}))
+		})
+		var got []int
+		k.Spawn("client", func(p *sim.Proc) {
+			done := lwt.NewPromise[struct{}](sa)
+			lwt.Map(sta.Connect(stb.LocalIP, 80), func(c *tcp.Conn) struct{} {
+				cl := NewClient(c)
+				var issue func()
+				issue = func() {
+					if len(got) == len(tc.want) {
+						done.Resolve(struct{}{})
+						return
+					}
+					cl.Do(&Request{Method: "GET", Path: "/"}, func(resp *Response) {
+						if resp == nil {
+							got = append(got, 0)
+						} else {
+							got = append(got, resp.Status)
+						}
+						issue()
+					})
+				}
+				issue()
+				return struct{}{}
+			})
+			if err := sa.Run(p, done); err != nil {
+				t.Errorf("%s: client: %v", tc.name, err)
+			}
+		})
+		if _, err := k.RunFor(30 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("%s: statuses %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }

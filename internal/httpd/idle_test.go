@@ -25,30 +25,14 @@ func TestIdleTimeoutReapsParkedConnection(t *testing.T) {
 		cn := sta.Connect(serverIP, 80)
 		main := lwt.Bind(cn, func(c *tcp.Conn) *lwt.Promise[struct{}] {
 			done := lwt.NewPromise[struct{}](sa)
-			var buf []byte
-			lwt.Map(c.Write(EncodeRequest(&Request{Method: "GET", Path: "/"})), func(int) struct{} {
-				var step func()
-				step = func() {
-					if resp, n, err := ParseResponse(buf); err != nil {
-						t.Errorf("parse: %v", err)
-						done.Resolve(struct{}{})
-					} else if resp != nil {
-						buf = buf[n:]
-						gotStatus = resp.Status
-						// Park: never close, never send another request.
-						done.Resolve(struct{}{})
-					} else {
-						rd := c.Read(64 << 10)
-						lwt.Always(rd, func() {
-							if rd.Failed() == nil && len(rd.Value()) > 0 {
-								buf = append(buf, rd.Value()...)
-							}
-							step()
-						})
-					}
+			NewClient(c).Do(&Request{Method: "GET", Path: "/"}, func(resp *Response) {
+				if resp == nil {
+					t.Error("no response")
+				} else {
+					gotStatus = resp.Status
 				}
-				step()
-				return struct{}{}
+				// Park: never close, never send another request.
+				done.Resolve(struct{}{})
 			})
 			return done
 		})

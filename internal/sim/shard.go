@@ -9,28 +9,22 @@
 // The epoch barrier is null-message-free (Fujimoto-style conservative
 // synchronization): at each barrier the coordinator drains every mailbox in
 // a canonical order, computes each shard's next-event time, and grants
-// shard i a window
+// every shard one uniform window per epoch, anchored to a monotone horizon
 //
-//	E_i = min( min_{j!=i} next_j, next_i + width ) + width
+//	E_n = max(T, E_{n-1}) + width
 //
-// where width is the epoch width chosen by the width controller (below).
-// With width = W (the static lookahead) events strictly before E_i are
-// provably safe to run: anything another shard will ever send arrives at or
-// after its own next event time plus W, and a reply provoked by shard i's
-// own sends cannot come back before next_i + 2W. Mailbox drains sort by
-// (timestamp, source shard, source sequence) and then assign
-// destination-local sequence numbers, so the per-shard execution order —
-// and every trace, metric and experiment output — is a pure function of the
-// virtual schedule, byte-identical whether the windows execute on one
-// thread or many.
+// where T is the earliest pending event on any shard and width is chosen by
+// the width controller (below). Mailbox drains sort by (timestamp, source
+// shard, source sequence) and then assign destination-local sequence
+// numbers, so the per-shard execution order — and every trace, metric and
+// experiment output — is a pure function of the virtual schedule,
+// byte-identical whether the windows execute on one thread or many.
 //
 // # Adaptive epoch widths
 //
-// A static width of W pays one rendezvous per lookahead of virtual time
+// A width fixed at W would pay one rendezvous per lookahead of virtual time
 // even when no shard is talking to any other, and one rendezvous per
-// cross-shard hop when they are. The adaptive driver (the default) instead
-// grants every shard one uniform window per epoch, anchored to a monotone
-// horizon E_n = max(T, E_{n-1}) + width, and iterates delivery rounds
+// cross-shard hop when they are. The driver instead iterates delivery rounds
 // inside the epoch: run the granted shards, drain the sends they posted,
 // and re-grant exactly the shards that received work inside the window,
 // until none did. A request chain thus crosses shards several hops per
@@ -58,8 +52,7 @@
 // local work of its own). Such sends are delivered at the destination's
 // clock (the At clamp), deterministically, and counted in
 // sim_cluster_late_deliveries_total; rounds deliver everything else at its
-// natural timestamp. SetAdaptive(false) restores the exact static-W
-// conservative schedule, under which no send can ever be late.
+// natural timestamp.
 package sim
 
 import (
@@ -111,15 +104,16 @@ type Cluster struct {
 	parallel bool
 
 	// Width-controller state, read and written only at barriers.
-	adaptive bool
-	mult     Time // current epoch width multiplier (1 = static W)
+	mult     Time // current epoch width multiplier over W
 	quietRun int  // consecutive barriers that drained zero sends
 	busyCap  Time
 	quietCap Time
 	holdWide Time // do not widen before this instant (netback traffic hint)
-	horizon  Time // last adaptive epoch's window end (monotone)
+	horizon  Time // last epoch's window end (monotone)
 
 	xmu sync.Mutex // guards every mailbox queue and holdWide
+
+	roundEnd []func() // OnRoundEnd hooks
 
 	mxEpochs  *obs.Counter
 	mxClamped *obs.Counter
@@ -151,8 +145,7 @@ type Cluster struct {
 // shard and keeps the raw seed so single-shard behavior matches a plain
 // kernel; other shards derive their RNG seed deterministically. All shards
 // share shard 0's metrics registry and trace timeline (per-shard trace
-// buffers merged at export). Adaptive epoch widths are on by default;
-// SetAdaptive(false) restores the static-W schedule.
+// buffers merged at export).
 func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
 	if shards < 1 {
 		shards = 1
@@ -163,7 +156,6 @@ func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
 	c := &Cluster{
 		w:        Time(w),
 		windows:  make([]Time, shards),
-		adaptive: true,
 		mult:     1,
 		busyCap:  DefaultBusyCap,
 		quietCap: DefaultQuietCap,
@@ -207,31 +199,13 @@ func (c *Cluster) SetParallel(on bool) { c.parallel = on }
 // Parallel reports whether the threaded driver is selected.
 func (c *Cluster) Parallel() bool { return c.parallel }
 
-// SetAdaptive switches the adaptive width controller on or off. Off, every
-// epoch uses the static lookahead W — the exact PR-5 schedule. Call before
-// Run.
-func (c *Cluster) SetAdaptive(on bool) {
-	c.adaptive = on
-	if !on {
-		c.mult = 1
-		c.gWidth.Set(1)
-	}
-}
-
-// Adaptive reports whether the width controller is enabled.
-func (c *Cluster) Adaptive() bool { return c.adaptive }
-
-// SetWidthCaps bounds the adaptive epoch width: busy·W while cross-shard
-// traffic is flowing, quiet·W during quiet stretches. Values below 1 are
-// ignored. Call before Run.
-func (c *Cluster) SetWidthCaps(busy, quiet int) {
-	if busy >= 1 {
-		c.busyCap = Time(busy)
-	}
-	if quiet >= 1 {
-		c.quietCap = Time(quiet)
-	}
-}
+// OnRoundEnd registers fn to run on the coordinating thread each time the
+// granted shards have all finished their windows, before the next grant —
+// the one point inside Run where no shard is executing. State that one
+// shard writes and another reads mid-run (a shared histogram) is published
+// to the reader here: the cut is then a function of the virtual schedule,
+// the same under the serial and the threaded driver. Call before Run.
+func (c *Cluster) OnRoundEnd(fn func()) { c.roundEnd = append(c.roundEnd, fn) }
 
 // WidthMult returns the current epoch width multiplier. Meaningful between
 // Run calls (the controller owns it at barriers).
@@ -399,9 +373,6 @@ func (c *Cluster) mailboxesPending() bool {
 // updateWidth advances the width controller with this barrier's drain
 // count. T is the global next-event floor. Called only at barriers.
 func (c *Cluster) updateWidth(drained int, T Time) {
-	if !c.adaptive {
-		return
-	}
 	prev := c.mult
 	if drained > 0 {
 		c.quietRun = 0
@@ -488,20 +459,16 @@ func (c *Cluster) runGranted() {
 // Each epoch grants windows, then iterates delivery rounds to a fixpoint:
 // run the granted shards, drain the sends they posted, and re-grant exactly
 // the shards that received new work inside their window, until none did.
-// Under the static conservative windows no send can land inside a window
-// (arrival ≥ sender's next + W ≥ window end), so the loop runs one round —
-// the exact PR-5 schedule. Under widened adaptive windows the rounds let a
-// request chain cross shards several hops per epoch at its natural
-// timestamps instead of one hop per barrier: cheap targeted wakeups replace
-// full rendezvous, which is what lets the width controller actually shrink
-// sim_cluster_epochs_total. Rounds terminate because every mailbox trip
-// moves a send at least W past the posting shard's clock, so a chain runs
-// out of window after at most 2·width/W hops.
+// The rounds let a request chain cross shards several hops per epoch at its
+// natural timestamps instead of one hop per barrier: cheap targeted wakeups
+// replace full rendezvous, which is what lets the width controller actually
+// shrink sim_cluster_epochs_total. Rounds terminate because every mailbox
+// trip moves a send at least W past the posting shard's clock, so a chain
+// runs out of window after at most 2·width/W hops.
 func (c *Cluster) runEpochs() {
 	n := len(c.kernels)
 	next := make([]Time, n)
 	has := make([]bool, n)
-	wins := make([]Time, n)
 	if c.parallel && !c.started {
 		c.startWorkers()
 	}
@@ -526,41 +493,25 @@ func (c *Cluster) runEpochs() {
 			break
 		}
 		c.updateWidth(drained, T)
-		if c.adaptive {
-			// One uniform window per epoch, anchored to a monotone horizon:
-			// E_n = max(T, E_{n-1}) + width. The horizon advances a full
-			// width per barrier even while early arrivals drag the floor T
-			// back, so the virtual time covered per rendezvous — and hence
-			// the barrier savings — scales with the width multiplier. The
-			// shard holding the floor always satisfies next < E, so every
-			// epoch makes progress.
-			win := T
-			if c.horizon > win {
-				win = c.horizon
-			}
-			win += c.w * c.mult
-			c.horizon = win
-			for i := range c.kernels {
-				wins[i] = win
-			}
-		} else {
-			// Static schedule: the exact conservative PR-5 windows.
-			for i := range c.kernels {
-				bound := next[i] + c.w // earliest echo of our own sends
-				for j := range c.kernels {
-					if j != i && has[j] && next[j] < bound {
-						bound = next[j]
-					}
-				}
-				wins[i] = bound + c.w
-			}
+		// One uniform window per epoch, anchored to a monotone horizon:
+		// E_n = max(T, E_{n-1}) + width. The horizon advances a full
+		// width per barrier even while early arrivals drag the floor T
+		// back, so the virtual time covered per rendezvous — and hence
+		// the barrier savings — scales with the width multiplier. The
+		// shard holding the floor always satisfies next < E, so every
+		// epoch makes progress.
+		win := T
+		if c.horizon > win {
+			win = c.horizon
 		}
+		win += c.w * c.mult
+		c.horizon = win
 		for i := range c.kernels {
 			if !has[i] {
 				c.windows[i] = 0
 				continue
 			}
-			if next[i] >= wins[i] {
+			if next[i] >= win {
 				// Quiet-shard elision: every event (heap and timing wheel
 				// both feed nextWork) lies at or past the horizon, so the
 				// window would run nothing — skip the rendezvous.
@@ -568,23 +519,26 @@ func (c *Cluster) runEpochs() {
 				c.mxElided.Inc()
 				continue
 			}
-			c.windows[i] = wins[i]
+			c.windows[i] = win
 		}
 		for {
 			c.runGranted()
+			for _, fn := range c.roundEnd {
+				fn()
+			}
 			got := c.drainMailboxes()
 			carry += got
 			if got == 0 {
 				break
 			}
-			// Re-grant exactly the shards that now hold work inside their
+			// Re-grant exactly the shards that now hold work inside the
 			// window (a drained send, or a timer it re-armed). step refuses
 			// events past the cluster limit, so don't re-grant for those.
 			regrant := false
 			for i, k := range c.kernels {
 				c.windows[i] = 0
-				if nw, ok := k.nextWork(); ok && nw < wins[i] && (c.limit == 0 || nw <= c.limit) {
-					c.windows[i] = wins[i]
+				if nw, ok := k.nextWork(); ok && nw < win && (c.limit == 0 || nw <= c.limit) {
+					c.windows[i] = win
 					regrant = true
 				}
 			}

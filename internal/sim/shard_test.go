@@ -309,7 +309,7 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 		SetDefaultObs(nil, reg)
 		c := NewCluster(11, 2, 10*time.Microsecond)
 		c.SetParallel(parallel)
-		c.SetWidthCaps(4, 32)
+		c.busyCap, c.quietCap = 4, 32
 		k0, k1 := c.Kernel(0), c.Kernel(1)
 
 		ticks := 0
@@ -456,50 +456,5 @@ func TestMailboxSliceReuse(t *testing.T) {
 	}
 	if got := reg.Counter("sim_cluster_mailbox_reuse_total").Value(); got == 0 {
 		t.Error("sim_cluster_mailbox_reuse_total = 0, want recycled drains")
-	}
-}
-
-// TestStaticScheduleConservative pins the SetAdaptive(false) escape hatch:
-// the static conservative windows never produce a late delivery, never
-// widen, never need delivery rounds — and stay byte-identical between the
-// serial and parallel drivers.
-func TestStaticScheduleConservative(t *testing.T) {
-	run := func(parallel bool) (string, string) {
-		tr := obs.NewTracer(obs.DefaultCap)
-		tr.Enable()
-		reg := obs.NewRegistry()
-		SetDefaultObs(tr, reg)
-		defer SetDefaultObs(nil, nil)
-		c := NewCluster(19, 3, 10*time.Microsecond)
-		c.SetParallel(parallel)
-		c.SetAdaptive(false)
-		for i := 0; i < 3; i++ {
-			i := i
-			k := c.Kernel(i)
-			k.Spawn(fmt.Sprintf("p%d", i), func(p *Proc) {
-				for j := 0; j < 30; j++ {
-					p.Sleep(time.Duration(1+k.Rand().Intn(40)) * time.Microsecond)
-					k.Post(c.Kernel((i+1)%3), time.Duration(k.Rand().Intn(15))*time.Microsecond, func() {})
-				}
-			})
-		}
-		if _, err := c.Run(); err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		for _, name := range []string{
-			"sim_cluster_late_deliveries_total",
-			"sim_cluster_width_widenings_total",
-			"sim_cluster_rounds_total",
-		} {
-			if v := reg.Counter(name).Value(); v != 0 {
-				t.Errorf("parallel=%v: %s = %d, want 0 under the static schedule", parallel, name, v)
-			}
-		}
-		return reg.Snapshot().Format(), fmt.Sprint(c.Now())
-	}
-	sMet, sEnd := run(false)
-	pMet, pEnd := run(true)
-	if sMet != pMet || sEnd != pEnd {
-		t.Errorf("static serial/parallel diverge:\nserial end %s\n%s\nparallel end %s\n%s", sEnd, sMet, pEnd, pMet)
 	}
 }
