@@ -9,6 +9,7 @@
 //	mirage boot   [-appliance ...]     # build + boot on a simulated host
 //	mirage boot   -trace boot.json     # also write a Chrome trace of the boot
 //	mirage boot   -loss 0.01           # impair the host bridge (also -dup, -reorder, -jitter)
+//	mirage boot   -cpuprofile cpu.pb -memprofile mem.pb   # pprof profiles of the simulator
 //	mirage list                        # module registry (Table 1)
 //	mirage top    [-appliance ...]     # boot + per-domain accounting table (virtual xentop)
 //	mirage experiment -id scalesweep   # run a registered experiment (shared with cmd/repro)
@@ -74,6 +75,7 @@ func main() {
 	dup := fs.Float64("dup", 0, "boot: bridge frame duplication probability [0,1]")
 	reorder := fs.Float64("reorder", 0, "boot: bridge frame reorder probability [0,1]")
 	jitter := fs.Duration("jitter", 0, "boot: max extra per-frame delivery delay")
+	profile := experiments.BindProfileFlags(fs) // boot: the pair cmd/repro offers
 	fs.Parse(os.Args[2:])
 
 	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
@@ -130,6 +132,10 @@ func main() {
 			tracer.Enable()
 			sim.SetDefaultObs(tracer, obs.NewRegistry())
 		}
+		stopProfile, err := profile.Start()
+		if err != nil {
+			fatal(err)
+		}
 		pl := core.NewPlatform(*seed)
 		dep := pl.Deploy(core.Unikernel{
 			Build: cfg,
@@ -144,6 +150,9 @@ func main() {
 			fatal(err)
 		}
 		if err := pl.Check(); err != nil {
+			fatal(err)
+		}
+		if err := stopProfile(); err != nil {
 			fatal(err)
 		}
 		d := dep.Domain

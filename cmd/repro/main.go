@@ -17,6 +17,7 @@
 //	repro -experiment scalesweep -json BENCH_scalesweep.json
 //	repro -experiment scalesweep -domstat   # per-domain accounting (virtual xentop)
 //	repro -experiment fig10 -metrics -metrics-format prom   # Prometheus exposition
+//	repro -experiment fig8 -cpuprofile cpu.pb -memprofile mem.pb   # pprof profiles of the simulator
 package main
 
 import (
@@ -50,6 +51,7 @@ func main() {
 	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
 	// the registry's parameter declarations; nothing is hand-registered here.
 	expOpts := experiments.BindFlags(flag.CommandLine)
+	profile := experiments.BindProfileFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *parallel && *pcpus <= 1 {
@@ -88,6 +90,11 @@ func main() {
 	}
 
 	opts := expOpts()
+	stopProfile, err := profile.Start()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(1)
+	}
 
 	want := map[string]bool{}
 	for _, id := range strings.Split(*which, ",") {
@@ -121,6 +128,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n",
 			*which, strings.Join(experiments.IDs(), " "))
 		os.Exit(2)
+	}
+	if err := stopProfile(); err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(1)
 	}
 
 	if *jsonOut != "" {

@@ -39,6 +39,7 @@ type Hooks struct {
 type Table struct {
 	entries map[Ref]*Entry
 	next    Ref
+	free    []*Entry // revoked entries, reused by Grant; refs are never reused
 
 	// Statistics observed by the I/O benchmarks.
 	Grants  int // total grants issued
@@ -58,7 +59,15 @@ func NewTable() *Table { return &Table{entries: map[Ref]*Entry{}} }
 func (t *Table) Grant(v *cstruct.View, readOnly bool) Ref {
 	t.next++
 	r := t.next
-	t.entries[r] = &Entry{View: v.Retain(), ReadOnly: readOnly}
+	var e *Entry
+	if n := len(t.free); n > 0 {
+		e = t.free[n-1]
+		t.free = t.free[:n-1]
+	} else {
+		e = new(Entry)
+	}
+	e.View, e.ReadOnly = v.Retain(), readOnly
+	t.entries[r] = e
 	t.Grants++
 	if t.Hooks.OnGrant != nil {
 		t.Hooks.OnGrant(int(r))
@@ -158,6 +167,8 @@ func (t *Table) End(r Ref) error {
 	}
 	delete(t.entries, r)
 	e.View.Release()
+	*e = Entry{}
+	t.free = append(t.free, e)
 	return nil
 }
 

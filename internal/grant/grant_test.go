@@ -213,3 +213,41 @@ func TestPropGrantLifecycle(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestEntriesAreRecycled: a steady grant/revoke cycle reuses retired entries
+// instead of allocating one per grant, while references stay monotonic, a
+// recycled entry starts unmapped, and a refused End keeps its entry out of
+// the free list.
+func TestEntriesAreRecycled(t *testing.T) {
+	tbl := NewTable()
+	v := cstruct.Make(16)
+	held := tbl.Grant(v, false)
+	m, _ := tbl.Map(held)
+	if err := tbl.End(held); err == nil || tbl.Leaked != 1 {
+		t.Fatalf("End of mapped grant: err=%v Leaked=%d, want refusal and 1", err, tbl.Leaked)
+	}
+	last := held
+	cycle := func() {
+		r := tbl.Grant(v, true)
+		if r <= last {
+			t.Fatalf("ref %d reused (last %d)", r, last)
+		}
+		last = r
+		if e := tbl.entries[r]; e == tbl.entries[held] || e.mapped != 0 || !e.ReadOnly {
+			t.Fatalf("recycled entry not fresh: %+v", *e)
+		}
+		if err := tbl.End(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // fills the free list
+	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
+		t.Errorf("grant/end cycle allocates %.1f objects, want 0", avg)
+	}
+	if err := tbl.Unmap(held, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.End(held); err != nil || tbl.Active() != 0 {
+		t.Fatalf("End after unmap: err=%v Active=%d", err, tbl.Active())
+	}
+}

@@ -146,8 +146,7 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 			obs.Str("ip", localIP.String()))
 	}
 	st.TCP.Output = func(dst ipv4.Addr, seg tcp.Segment) {
-		need := tcp.HeaderLen + 40 + len(seg.Payload) // header+options upper bound
-		st.sendIPSpan(localIP, dst, ipv4.ProtoTCP, need, seg.Span, func(v *cstruct.View) int {
+		st.sendIPSpan(localIP, dst, ipv4.ProtoTCP, seg.WireLen(), seg.Span, func(v *cstruct.View) int {
 			return tcp.Encode(v, localIP, dst, seg)
 		})
 	}

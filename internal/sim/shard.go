@@ -290,12 +290,12 @@ func (k *Kernel) SpawnTo(dst *Kernel, name string, pid int, fn func(p *Proc)) {
 }
 
 // nextWork returns the shard's earliest pending work: a runnable proc runs
-// at the current instant, otherwise the earliest live event.
+// at the current instant, otherwise the earliest scheduled event.
 func (k *Kernel) nextWork() (Time, bool) {
 	if k.runqHd != len(k.runq) {
 		return k.now, true
 	}
-	if e := k.peekLive(); e != nil {
+	if e := k.peek(); e != nil {
 		return e.at, true
 	}
 	return 0, false
@@ -616,7 +616,7 @@ func (c *Cluster) Run() (Time, error) {
 	}
 	hasWork := c.mailboxesPending()
 	for _, k := range c.kernels {
-		if k.peekLive() != nil {
+		if k.peek() != nil {
 			hasWork = true
 		}
 	}

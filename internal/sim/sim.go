@@ -39,68 +39,99 @@ func (t Time) String() string { return time.Duration(t).String() }
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
 type event struct {
-	at   Time
-	seq  uint64
-	fn   func()
-	gen  uint64 // bumped each recycle; Event handles carry the matching gen
-	dead bool   // cancelled: dropped lazily when it reaches the heap top
+	at  Time
+	seq uint64
+	fn  func()
+	gen uint64 // bumped each recycle; Event handles carry the matching gen
+	idx int    // position in the kernel's event heap while queued
 }
 
-// eventHeap is a 4-ary min-heap ordered by (at, seq). The wider fan-out
-// halves tree depth versus a binary heap, so the sift cost of the timer
-// churn from reusable RTO/delayed-ACK/idle timers drops accordingly; dead
-// (cancelled) entries are not removed in place but discarded at pop.
+// eventHeap is an indexed 4-ary min-heap ordered by (at, seq). The wider
+// fan-out halves tree depth versus a binary heap, so the sift cost of the
+// timer churn from reusable RTO/delayed-ACK/idle timers drops accordingly.
+// Every queued event records its own position (idx), so an event that is
+// taken back — a cancelled timer, a park timeout whose signal won — leaves
+// the heap at once in O(log n): the heap holds exactly the events that will
+// still fire. (at, seq) is a total order, so which events are removed in
+// between never changes the order the others pop in.
 type eventHeap []*event
 
-func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func (a *event) before(b *event) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(e *event) {
-	q := append(*h, e)
-	i := len(q) - 1
+// set stores e at position i.
+func (h eventHeap) set(i int, e *event) {
+	h[i] = e
+	e.idx = i
+}
+
+// up sifts the entry at i towards the root; it reports whether it moved.
+func (h eventHeap) up(i int) bool {
+	e, start := h[i], i
 	for i > 0 {
 		p := (i - 1) / 4
-		if !q.less(i, p) {
+		if !e.before(h[p]) {
 			break
 		}
-		q[i], q[p] = q[p], q[i]
+		h.set(i, h[p])
 		i = p
 	}
-	*h = q
+	h.set(i, e)
+	return i != start
 }
 
-func (h *eventHeap) pop() *event {
-	q := *h
-	n := len(q)
-	e := q[0]
-	q[0] = q[n-1]
-	q[n-1] = nil
-	q = q[:n-1]
-	*h = q
-	n--
-	i := 0
+// down sifts the entry at i towards the leaves.
+func (h eventHeap) down(i int) {
+	e, n := h[i], len(h)
 	for {
-		min := i
 		c0 := i*4 + 1
-		for c := c0; c < c0+4 && c < n; c++ {
-			if q.less(c, min) {
+		if c0 >= n {
+			break
+		}
+		min := c0
+		for c := c0 + 1; c < c0+4 && c < n; c++ {
+			if h[c].before(h[min]) {
 				min = c
 			}
 		}
-		if min == i {
+		if !h[min].before(e) {
 			break
 		}
-		q[i], q[min] = q[min], q[i]
+		h.set(i, h[min])
 		i = min
+	}
+	h.set(i, e)
+}
+
+func (h *eventHeap) push(e *event) {
+	e.idx = len(*h)
+	*h = append(*h, e)
+	h.up(e.idx)
+}
+
+// remove takes the entry at position i out of the heap and returns it.
+func (h *eventHeap) remove(i int) *event {
+	q := *h
+	n := len(q) - 1
+	e, last := q[i], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if i != n {
+		q.set(i, last)
+		if !q.up(i) {
+			q.down(i)
+		}
 	}
 	return e
 }
 
-func (h eventHeap) peek() *event { return h[0] }
+func (h *eventHeap) pop() *event { return h.remove(0) }
 
 // Event is a cancellable handle to a scheduled callback, returned by At and
 // After. The zero value is inert.
@@ -110,24 +141,24 @@ type Event struct {
 	gen uint64
 }
 
-// Cancel marks the scheduled callback dead so the kernel discards it when
-// it reaches the front of the queue (lazy: no heap repair). It reports
-// whether the event was still pending; cancelling an already-fired,
-// already-cancelled, or zero Event is a no-op. Call only from the owning
-// shard's context.
+// Cancel takes the scheduled callback out of the event queue, so a cancelled
+// event costs nothing from then on. It reports whether the event was still
+// pending; cancelling an already-fired, already-cancelled, or zero Event is
+// a no-op. Call only from the owning shard's context.
 func (ev Event) Cancel() bool {
-	if ev.e == nil || ev.e.gen != ev.gen || ev.e.dead {
+	if !ev.Pending() {
 		return false
 	}
-	ev.e.dead = true
-	ev.e.fn = nil
+	ev.k.unschedule(ev.e)
 	ev.k.mxCancels.Inc()
 	return true
 }
 
-// Pending reports whether the event is still scheduled and live.
+// Pending reports whether the event is still scheduled. The struct behind a
+// fired or cancelled event is recycled under a new gen, which is what makes
+// an old handle inert.
 func (ev Event) Pending() bool {
-	return ev.e != nil && ev.e.gen == ev.gen && !ev.e.dead
+	return ev.e != nil && ev.e.gen == ev.gen
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel;
@@ -157,7 +188,7 @@ type Kernel struct {
 	cpus    []*CPU
 
 	wheel    *Wheel // lazily created hierarchical timing wheel (see wheel.go)
-	heapPeak int    // high-water mark of the event heap, cancelled entries included
+	heapPeak int    // high-water mark of the event heap
 
 	mxSpawns  *obs.Counter
 	mxWakes   *obs.Counter
@@ -253,7 +284,7 @@ func (k *Kernel) At(t Time, fn func()) Event {
 		e = k.evFree[n-1]
 		k.evFree[n-1] = nil
 		k.evFree = k.evFree[:n-1]
-		e.at, e.seq, e.fn, e.dead = t, k.seq, fn, false
+		e.at, e.seq, e.fn = t, k.seq, fn
 	} else {
 		e = &event{at: t, seq: k.seq, fn: fn}
 	}
@@ -264,9 +295,9 @@ func (k *Kernel) At(t Time, fn func()) Event {
 	return Event{k: k, e: e, gen: e.gen}
 }
 
-// EventQueueLen returns the current event-heap population (cancelled
-// entries included); on a sharded kernel, summed across shards. Only
-// meaningful outside the run loop — call it between Run calls.
+// EventQueueLen returns the number of scheduled events; on a sharded kernel,
+// summed across shards. Only meaningful outside the run loop — call it
+// between Run calls.
 func (k *Kernel) EventQueueLen() int {
 	if k.cluster == nil {
 		return len(k.events)
@@ -331,26 +362,27 @@ func (k *Kernel) WheelTimerPeak() int {
 // After schedules fn to run d after the current instant.
 func (k *Kernel) After(d time.Duration, fn func()) Event { return k.At(k.now.Add(d), fn) }
 
-// recycle retires a popped event struct for reuse by At. Bumping gen
-// invalidates any outstanding Event handles to it.
+// recycle retires an event struct that has left the heap for reuse by At.
+// Bumping gen invalidates any outstanding Event handles to it.
 func (k *Kernel) recycle(e *event) {
 	e.fn = nil
 	e.gen++
 	k.evFree = append(k.evFree, e)
 }
 
-// peekLive returns the earliest pending live event, discarding cancelled
-// entries that have reached the heap top. Nil when the queue is empty.
-func (k *Kernel) peekLive() *event {
-	for len(k.events) > 0 {
-		e := k.events.peek()
-		if !e.dead {
-			return e
-		}
-		k.events.pop()
-		k.recycle(e)
+// unschedule takes a still-queued event back: out of the heap and onto the
+// free list. It is the one way an event leaves the queue without firing.
+func (k *Kernel) unschedule(e *event) {
+	k.events.remove(e.idx)
+	k.recycle(e)
+}
+
+// peek returns the earliest scheduled event, nil when the queue is empty.
+func (k *Kernel) peek() *event {
+	if len(k.events) == 0 {
+		return nil
 	}
-	return nil
+	return k.events[0]
 }
 
 // Stop terminates the run loop after the currently executing step. On a
@@ -388,7 +420,7 @@ type Proc struct {
 	daemon bool   // daemon procs may remain parked at simulation end
 	parkAt string // description of the current park site, for diagnostics
 
-	parkGen uint64 // bumped around each park; stale wake timers compare it
+	wake func() // schedules the proc; the one callback every park timer uses
 
 	tracePid int // trace process the proc is attributed to (domain ID; 0 = host)
 }
@@ -426,6 +458,7 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 	// unique cluster-wide; on a plain kernel shard is 0 and IDs are 1, 2, …
 	// exactly as before.
 	p := &Proc{k: k, name: name, id: k.shard*tidStride + k.procSeq, resume: make(chan struct{})}
+	p.wake = func() { k.schedule(p) }
 	k.live[p] = struct{}{}
 	k.mxSpawns.Inc()
 	if k.trace.Enabled() {
@@ -474,7 +507,7 @@ func (k *Kernel) schedule(p *Proc) {
 // It reports whether any progress was made.
 func (k *Kernel) step() bool {
 	for k.runqHd == len(k.runq) {
-		e := k.peekLive()
+		e := k.peek()
 		if e == nil {
 			break
 		}
@@ -534,7 +567,7 @@ func (k *Kernel) Run() (Time, error) {
 			nondaemon++
 		}
 	}
-	if !k.stopped && (k.limit == 0 || k.peekLive() == nil) && nondaemon > 0 {
+	if !k.stopped && (k.limit == 0 || k.peek() == nil) && nondaemon > 0 {
 		return k.now, fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", k.now, nondaemon, k.parkedProcs())
 	}
 	return k.now, nil
@@ -599,8 +632,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		p.Yield()
 		return
 	}
-	k := p.k
-	k.After(d, func() { k.schedule(p) })
+	p.k.After(d, p.wake)
 	p.park("sleep")
 }
 
@@ -624,6 +656,7 @@ func (p *Proc) SleepUntil(t Time) {
 type Signal struct {
 	k       *Kernel
 	name    string
+	site    string // park label of a Wait on this signal, built once
 	pending bool
 	waiters []*Proc
 	// Notify hooks run in kernel context on every Set; used by pollers
@@ -632,7 +665,9 @@ type Signal struct {
 }
 
 // NewSignal creates a signal owned by k.
-func (k *Kernel) NewSignal(name string) *Signal { return &Signal{k: k, name: name} }
+func (k *Kernel) NewSignal(name string) *Signal {
+	return &Signal{k: k, name: name, site: "wait:" + name}
+}
 
 // Name returns the signal's name.
 func (s *Signal) Name() string { return s.name }
@@ -654,8 +689,7 @@ func (s *Signal) Set() {
 		if w.k == s.k {
 			s.k.schedule(w)
 		} else {
-			wp := w
-			s.k.Post(wp.k, 0, func() { wp.k.schedule(wp) })
+			s.k.Post(w.k, 0, w.wake)
 		}
 	}
 	s.waiters = s.waiters[:0]
@@ -672,7 +706,7 @@ func (p *Proc) Wait(s *Signal) {
 		return
 	}
 	s.waiters = append(s.waiters, p)
-	p.park("wait:" + s.name)
+	p.park(s.site)
 	s.pending = false
 }
 
@@ -689,17 +723,16 @@ func (p *Proc) WaitAny(timeout time.Duration, sigs ...*Signal) int {
 	for _, s := range sigs {
 		s.waiters = append(s.waiters, p)
 	}
+	var timer Event
 	if timeout > 0 {
-		p.parkGen++
-		gen := p.parkGen
-		p.k.After(timeout, func() {
-			if gen == p.parkGen {
-				p.k.schedule(p)
-			}
-		})
+		timer = p.k.After(timeout, p.wake)
 	}
 	p.park("waitany")
-	p.parkGen++ // invalidate a still-pending wake timer
+	if timer.Pending() {
+		// A signal won: take the timeout back now, or a guest that parks
+		// under a far-off timer leaves one event behind per park.
+		p.k.unschedule(timer.e)
+	}
 	result := -1
 	for i, s := range sigs {
 		// Detect which signal fired and remove p from all waiter lists.

@@ -90,7 +90,7 @@ type Conn struct {
 	sndWL1, sndWL2      uint32 // seq/ack of the segment last used to update sndWnd
 	peerWndScale        int    // -1 until negotiated
 	mss                 int
-	sendBuf             []byte
+	sendq               sendQueue // accepted, not yet segmented (see sendq.go)
 	finQueued, finSent  bool
 	inflight            []inflightSeg
 	sendGen             uint64 // invalidates stale deferred trySend events
@@ -334,11 +334,11 @@ func (c *Conn) usableWindow() int {
 
 // trySend segments and transmits buffered data within the send window,
 // then the queued FIN if the buffer has drained. Queued writer data is
-// pulled into the send buffer BEFORE segments are cut, so several small
+// pulled into the send queue BEFORE segments are cut, so several small
 // writes issued in one burst coalesce into MSS-sized segments rather than
-// one undersized segment per write. Segment payloads are capped reslices
-// of the send buffer — no per-segment copy: the consumed prefix is never
-// touched again (appends land past it) and peers never mutate payloads.
+// one undersized segment per write. Segment payloads come from the
+// append-only send queue: capped reslices of a chunk, with no per-segment
+// copy except for the rare segment that straddles two chunks.
 func (c *Conn) trySend() {
 	c.sendGen++ // this call is the flush; pending deferred sends are stale
 	if c.state != StateEstablished && c.state != StateCloseWait &&
@@ -349,23 +349,22 @@ func (c *Conn) trySend() {
 	for {
 		c.drainWriters()
 		progress := false
-		for len(c.sendBuf) > 0 {
+		for c.sendq.Len() > 0 {
 			avail := c.usableWindow()
 			if avail <= 0 {
 				break
 			}
-			n := len(c.sendBuf)
+			n := c.sendq.Len()
 			if n > c.mss {
 				n = c.mss
 			}
 			if n > avail {
 				n = avail
 			}
-			data := c.sendBuf[:n:n]
-			c.sendBuf = c.sendBuf[n:]
+			data := c.sendq.cut(n)
 			c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 			flags := uint8(FlagACK)
-			if len(c.sendBuf) == 0 && len(c.writers) == 0 {
+			if c.sendq.Len() == 0 && len(c.writers) == 0 {
 				flags |= FlagPSH
 			}
 			c.send(flags, c.sndNxt, data, false)
@@ -377,7 +376,7 @@ func (c *Conn) trySend() {
 			break
 		}
 	}
-	if c.finQueued && !c.finSent && len(c.sendBuf) == 0 && c.usableWindow() > 0 {
+	if c.finQueued && !c.finSent && c.sendq.Len() == 0 && c.usableWindow() > 0 {
 		c.finSent = true
 		c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
 		c.send(FlagFIN|FlagACK, c.sndNxt, nil, false)
@@ -391,7 +390,7 @@ func (c *Conn) trySend() {
 }
 
 // scheduleSend defers trySend to the end of the current instant, so every
-// Write issued in the same wakeup lands in the send buffer before any
+// Write issued in the same wakeup lands in the send queue before any
 // segment is cut (the write-coalescing half of §3.4.1 batching).
 func (c *Conn) scheduleSend() {
 	c.sendGen++
@@ -404,12 +403,12 @@ func (c *Conn) scheduleSend() {
 	})
 }
 
-// drainWriters moves queued user writes into the send buffer as space
+// drainWriters moves queued user writes into the send queue as space
 // frees, resolving their promises once fully buffered.
 func (c *Conn) drainWriters() {
 	for len(c.writers) > 0 {
 		w := &c.writers[0]
-		space := c.st.Params.SndBuf - len(c.sendBuf)
+		space := c.st.Params.SndBuf - c.sendq.Len()
 		if space <= 0 {
 			return
 		}
@@ -417,7 +416,7 @@ func (c *Conn) drainWriters() {
 		if take > space {
 			take = space
 		}
-		c.sendBuf = append(c.sendBuf, w.data[w.n:w.n+take]...)
+		c.sendq.write(w.data[w.n : w.n+take])
 		w.n += take
 		if w.n == len(w.data) {
 			pr := w.pr
@@ -429,7 +428,7 @@ func (c *Conn) drainWriters() {
 }
 
 // Write queues data for transmission. The promise resolves with len(data)
-// once everything is accepted into the send buffer (flow-controlled
+// once everything is accepted into the send queue (flow-controlled
 // against SndBuf). Transmission is deferred to the end of the instant so
 // that back-to-back small writes coalesce into full segments.
 func (c *Conn) Write(data []byte) *lwt.Promise[int] {
@@ -629,7 +628,7 @@ func (c *Conn) maybeArmPersist() {
 	if c.persistTimer.Pending() || c.state == StateClosed {
 		return
 	}
-	pending := len(c.sendBuf) > 0 || (c.finQueued && !c.finSent)
+	pending := c.sendq.Len() > 0 || (c.finQueued && !c.finSent)
 	if !pending || len(c.inflight) > 0 || c.usableWindow() > 0 {
 		return
 	}
@@ -656,7 +655,7 @@ func (c *Conn) onPersist() {
 		c.trySend()
 		return
 	}
-	if len(c.inflight) == 0 && len(c.sendBuf) == 0 && (!c.finQueued || c.finSent) {
+	if len(c.inflight) == 0 && c.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
 		return // nothing left to probe for
 	}
 	c.PersistProbes++
@@ -669,10 +668,9 @@ func (c *Conn) onPersist() {
 	case len(c.inflight) > 0:
 		// A previous probe is still unacknowledged: resend it.
 		c.retransmitFirst()
-	case len(c.sendBuf) > 0:
+	case c.sendq.Len() > 0:
 		// Window probe: one byte past the advertised window.
-		data := c.sendBuf[:1:1]
-		c.sendBuf = c.sendBuf[1:]
+		data := c.sendq.cut(1)
 		c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 		c.send(FlagACK|FlagPSH, c.sndNxt, data, false)
 		c.sndNxt++

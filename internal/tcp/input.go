@@ -355,7 +355,7 @@ func (c *Conn) enterTimeWait() {
 // readable: page-backed chunks are copied to the heap so their pages can
 // go back to the pool immediately instead of after 2MSL.
 func (c *Conn) releaseBuffers() {
-	c.sendBuf = nil
+	c.sendq = sendQueue{}
 	c.inflight = nil
 	c.ooo = nil
 	for i := range c.rcvChain {

@@ -382,9 +382,9 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	if c.State() != StateTimeWait {
 		t.Fatalf("client state = %v, want TimeWait", c.State())
 	}
-	if c.sendBuf != nil || c.inflight != nil || c.ooo != nil {
-		t.Errorf("TIME_WAIT retains buffers: sendBuf=%d inflight=%d ooo=%d",
-			len(c.sendBuf), len(c.inflight), len(c.ooo))
+	if c.sendq.chunks != nil || c.sendq.Len() != 0 || c.inflight != nil || c.ooo != nil {
+		t.Errorf("TIME_WAIT retains buffers: send queue %d chunks / %d bytes, inflight=%d ooo=%d",
+			len(c.sendq.chunks), c.sendq.Len(), len(c.inflight), len(c.ooo))
 	}
 }
 

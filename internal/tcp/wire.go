@@ -87,12 +87,16 @@ func (s Segment) optionsLen() int {
 	return (n + 3) &^ 3 // pad to 4-byte boundary
 }
 
+// WireLen returns exactly the number of bytes Encode writes for s: header,
+// options and payload. A caller that reserves this much builds the segment
+// in place.
+func (s Segment) WireLen() int { return HeaderLen + s.optionsLen() + len(s.Payload) }
+
 // Encode writes the segment (header, options, payload) into v and returns
 // the total length, computing the checksum over the IPv4 pseudo-header.
 func Encode(v *cstruct.View, src, dst ipv4.Addr, s Segment) int {
-	optLen := s.optionsLen()
-	dataOff := HeaderLen + optLen
-	total := dataOff + len(s.Payload)
+	total := s.WireLen()
+	dataOff := total - len(s.Payload)
 	v.PutBE16(0, s.SrcPort)
 	v.PutBE16(2, s.DstPort)
 	v.PutBE32(4, s.Seq)
