@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/blkif"
 	"repro/internal/build"
 	"repro/internal/conventional"
 	"repro/internal/core"
@@ -13,12 +14,14 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
+	"repro/internal/storage"
 )
 
 // Wall-clock microbenchmarks for the zero-copy fast path. These measure real
 // allocations and nanoseconds per operation (as opposed to the virtual-time
 // figures), and feed BENCH_fastpath.json via `make bench`. Each op covers the
-// full guest device path: netif TX ring -> netback bridge -> netif RX ring.
+// full guest device path: netif TX ring -> netback bridge -> netif RX ring for
+// the network three, blkif ring -> blkback -> SSD store for the block two.
 
 // BenchmarkFastpathFramePath: one op is a full UDP echo round trip between
 // two unikernel guests (two frames each way through grant-copy, rings and
@@ -134,5 +137,89 @@ func BenchmarkFastpathDNSServe(b *testing.B) {
 	}
 	if answered != b.N {
 		b.Fatalf("answered %d/%d queries", answered, b.N)
+	}
+}
+
+// blockGuest boots one guest with a block device and runs main in it until
+// the promise it returns completes.
+func blockGuest(b *testing.B, seed int64, main func(env *core.Env) lwt.Waiter) {
+	pl := core.NewPlatform(seed)
+	pl.Deploy(core.Unikernel{
+		Build: build.Config{Name: "blockbench", Roots: []string{"kv", "btree"}},
+		Main:  func(env *core.Env) int { return env.VM.Main(env.P, main(env)) },
+	}, core.DeployOpts{Block: true})
+	b.ReportAllocs()
+	b.ResetTimer()
+	if _, err := pl.RunFor(24 * time.Hour); err != nil {
+		b.Fatal(err)
+	}
+	if err := pl.Check(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkFastpathBlockWrite: one op is one 4 KiB page written from the
+// guest through blkif's staging copy, the ring and a grant map to the SSD
+// model's store, awaited before the next (64 pages, overwritten in turn).
+func BenchmarkFastpathBlockWrite(b *testing.B) {
+	written := 0
+	blockGuest(b, 29, func(env *core.Env) lwt.Waiter {
+		page := make([]byte, cstruct.PageSize)
+		var next func() *lwt.Promise[struct{}]
+		next = func() *lwt.Promise[struct{}] {
+			if written == b.N {
+				return lwt.Return(env.VM.S, struct{}{})
+			}
+			page[0] = byte(written)
+			sector := uint64(written%64) * blkif.SectorsPerPage
+			return lwt.Bind(env.Blk.Write(sector, page), func(*cstruct.View) *lwt.Promise[struct{}] {
+				written++
+				return next()
+			})
+		}
+		return next()
+	})
+	if written != b.N {
+		b.Fatalf("wrote %d/%d pages", written, b.N)
+	}
+}
+
+// BenchmarkFastpathKVSet: one op is one DurableKV.Set over blkif — WAL
+// append under group commit in bursts of 32 over 64 keys — with a B-tree
+// checkpoint folded in whenever 128 KiB of log is dirty.
+func BenchmarkFastpathKVSet(b *testing.B) {
+	const burst, nkeys = 32, 64
+	keys := make([][]byte, nkeys)
+	for i := range keys {
+		keys[i] = []byte(fmt.Sprintf("k%06d", i))
+	}
+	val := make([]byte, 128)
+	set := 0
+	blockGuest(b, 31, func(env *core.Env) lwt.Waiter {
+		s := env.VM.S
+		return lwt.Bind(storage.CreateDurableKV(s, env.Blk, 1<<24, kvWALSectors),
+			func(kv *storage.DurableKV) *lwt.Promise[struct{}] {
+				var next func() *lwt.Promise[struct{}]
+				next = func() *lwt.Promise[struct{}] {
+					if set == b.N {
+						return kv.W.Sync()
+					}
+					var ws []lwt.Waiter
+					for i := 0; i < burst && set < b.N; i++ {
+						ws = append(ws, kv.Set(keys[set%nkeys], val))
+						set++
+					}
+					return lwt.Bind(lwt.Join(s, ws...), func(struct{}) *lwt.Promise[struct{}] {
+						if kv.DirtyBytes() < kvCheckpointDirty {
+							return next()
+						}
+						return lwt.Bind(kv.Checkpoint(), func(struct{}) *lwt.Promise[struct{}] { return next() })
+					})
+				}
+				return next()
+			})
+	})
+	if set != b.N {
+		b.Fatalf("issued %d/%d sets", set, b.N)
 	}
 }

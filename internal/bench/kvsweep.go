@@ -24,8 +24,8 @@ type KVSweepConfig struct {
 }
 
 const (
-	// kvWALBase leaves the B-tree all sectors below 512 MiB; the appliance's
-	// collision guard trips long before the append-only tree gets near it.
+	// kvWALBase leaves the B-tree all sectors below 512 MiB; DurableKV caps
+	// the tree there (BTree.MaxPages), far above what a sweep appends.
 	kvWALBase    = 1 << 20
 	kvWALSectors = 1 << 14 // 8 MiB log region
 	// kvCacheSectors sizes the buffered mode's cache.

@@ -1,6 +1,8 @@
 package blkback
 
 import (
+	"bytes"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -139,5 +141,84 @@ func TestPropSubmitNeverBeatsLatency(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// Property: the extent store is indistinguishable from a plain per-sector
+// map under any interleaving of single-sector writes and ranged reads and
+// writes — ranges that cross extent boundaries, sit at the far-away sector
+// 2²⁶ an appliance keeps its log at, and end in a short final sector.
+func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
+	bases := []uint64{0, extentSectors - 3, 5*extentSectors - 1, 1 << 26, 1<<26 + extentSectors - 9}
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		ssd := NewSSD(sim.NewKernel(1), DefaultSSDParams())
+		model := map[uint64][SectorSize]byte{}
+		want := func(sector uint64, n int) []byte {
+			out := make([]byte, 0, n+SectorSize)
+			for s := sector; len(out) < n; s++ {
+				sec := model[s]
+				out = append(out, sec[:]...)
+			}
+			return out[:n]
+		}
+		for i := 0; i < 200; i++ {
+			sector := bases[rng.Intn(len(bases))] + uint64(rng.Intn(12))
+			buf := make([]byte, 1+rng.Intn(3*cstruct.PageSize))
+			switch rng.Intn(3) {
+			case 0: // one sector, short or over-long input
+				buf = make([]byte, 1+rng.Intn(2*SectorSize))
+				rng.Read(buf)
+				ssd.WriteSector(sector, buf)
+				var sec [SectorSize]byte
+				copy(sec[:], buf)
+				model[sector] = sec
+			case 1: // ranged write; the last sector may be short
+				rng.Read(buf)
+				ssd.WriteAt(sector, buf)
+				for o := 0; o < len(buf); o += SectorSize {
+					var sec [SectorSize]byte
+					copy(sec[:], buf[o:])
+					model[sector+uint64(o/SectorSize)] = sec
+				}
+			case 2: // ranged read over stale bytes
+				rng.Read(buf)
+				ssd.ReadAt(sector, buf)
+				if !bytes.Equal(buf, want(sector, len(buf))) {
+					t.Logf("seed %d op %d: ReadAt(%d, %d bytes) differs from the model", seed, i, sector, len(buf))
+					return false
+				}
+			}
+		}
+		for s, sec := range model {
+			if !bytes.Equal(ssd.ReadSector(s), sec[:]) {
+				t.Logf("seed %d: sector %d differs from the model at the end", seed, s)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+// Reads of never-written ranges return zeros and create nothing.
+func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
+	ssd := NewSSD(sim.NewKernel(1), DefaultSSDParams())
+	buf := make([]byte, 3*cstruct.PageSize)
+	for _, sector := range []uint64{0, extentSectors - 1, 1 << 26, 1 << 40} {
+		for i := range buf {
+			buf[i] = 0xFF
+		}
+		ssd.ReadAt(sector, buf)
+		if !bytes.Equal(buf, make([]byte, len(buf))) {
+			t.Fatalf("ReadAt(%d) of an unwritten range left stale bytes", sector)
+		}
+		ssd.ReadSector(sector)
+		ssd.ReadSectorInto(sector, buf)
+	}
+	if n := len(ssd.extents); n != 0 {
+		t.Fatalf("reading created %d extents, want 0", n)
 	}
 }

@@ -63,6 +63,12 @@ type Blkif struct {
 	unplugPending bool
 	flushPending  bool
 	batching      bool
+	// free holds write-staging buffers (page capacity) between uses: submit
+	// takes one for its copy of the payload, push hands it back once scatter
+	// has moved the bytes into the granted I/O pages. Guest-private memory,
+	// never granted, touched only in guest context; it grows to the largest
+	// number of writes ever staged or queued at once.
+	free [][]byte
 
 	// Stats
 	Reads, Writes int
@@ -84,7 +90,10 @@ type op struct {
 	write   bool
 	sectors int
 	sector  uint64
-	data    []byte // staged write payload (copied at submit)
+	// data is the write payload, copied at submit into a recycled staging
+	// buffer — so the caller may reuse its slice as soon as Write returns —
+	// and given back to the free list at push.
+	data    []byte
 	pr      *lwt.Promise[*cstruct.View]
 	started sim.Time
 }
@@ -164,8 +173,10 @@ func (b *Blkif) Read(sector uint64, sectors int) *lwt.Promise[*cstruct.View] {
 }
 
 // Write writes data (at most one page, sector-aligned length) at sector.
-// The promise resolves with nil once the device acknowledges — writes are
-// direct, so resolution means persistence (§3.5.2).
+// The payload is captured before Write returns: what reaches the device is
+// data as it was at the call, whatever the caller does to the slice
+// afterwards. The promise resolves with nil once the device acknowledges —
+// writes are direct, so resolution means persistence (§3.5.2).
 func (b *Blkif) Write(sector uint64, data []byte) *lwt.Promise[*cstruct.View] {
 	sectors := (len(data) + SectorSize - 1) / SectorSize
 	return b.submit(true, sector, sectors, data)
@@ -202,7 +213,7 @@ func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt
 		started: b.vm.S.K.Now(),
 	}
 	if write {
-		o.data = append([]byte(nil), data...)
+		o.data = append(b.stagingBuf(), data...)
 		b.Writes++
 		b.mxWrites.Inc()
 	} else {
@@ -212,6 +223,17 @@ func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt
 	b.staged = append(b.staged, o)
 	b.scheduleUnplug()
 	return pr
+}
+
+// stagingBuf returns an empty page-capacity buffer for a write payload,
+// recycled if one is free.
+func (b *Blkif) stagingBuf() []byte {
+	if n := len(b.free); n > 0 {
+		buf := b.free[n-1]
+		b.free = b.free[:n-1]
+		return buf[:0]
+	}
+	return make([]byte, 0, cstruct.PageSize)
 }
 
 // scheduleUnplug arranges an automatic unplug at the end of the current
@@ -258,6 +280,7 @@ func (b *Blkif) unplug() {
 func (b *Blkif) fill() {
 	for len(b.queue) > 0 && b.front.Free() > 0 {
 		d := b.queue[0]
+		b.queue[0] = nil // the slot outlives the pop; let the devop go
 		b.queue = b.queue[1:]
 		b.push(d)
 	}
@@ -279,6 +302,8 @@ func (b *Blkif) push(d *devop) {
 		for _, o := range d.ops {
 			b.scatter(d, off, o.data)
 			off += o.sectors * SectorSize
+			b.free = append(b.free, o.data)
+			o.data = nil
 		}
 	}
 	b.nextID++
@@ -536,6 +561,7 @@ func (q *Queue) pump() {
 		q.pumpPending = false
 		for q.inflight < q.depth && len(q.backlog) > 0 {
 			fire := q.backlog[0]
+			q.backlog[0] = nil // the slot outlives the pop; let the closure go
 			q.backlog = q.backlog[1:]
 			q.inflight++
 			fire()

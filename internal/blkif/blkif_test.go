@@ -2,6 +2,7 @@ package blkif
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 	"time"
 
@@ -402,4 +403,74 @@ func TestQueueRefillBurstsMerge(t *testing.T) {
 	if merged < 32 {
 		t.Errorf("only %d of 64 sequential QD-16 reads merged; refill bursts not merging", merged)
 	}
+}
+
+// A direct request whose grant does not map must cost the device nothing:
+// no channel occupancy, no bus time, no I/O counted. One bad request per SSD
+// channel is pushed raw onto the ring ahead of a good write; the write must
+// complete at the instant it does with the ring to itself.
+func TestBadGrefDirectRequestBooksNoDeviceTime(t *testing.T) {
+	run := func(bad int) (done sim.Time, ssd *blkback.SSD) {
+		_, ssd = withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
+			for i := 0; i < bad; i++ {
+				req := blkback.Req{Write: true, Sectors: SectorsPerPage, Segs: 1,
+					Gref: 0xFFFF00 + uint32(i), Sector: uint64(1000 + 64*i), ID: uint16(60000 + i)}
+				b.front.PushRequest(func(s *cstruct.View) { blkback.EncodeReq(s, req) })
+			}
+			if bad > 0 {
+				b.scheduleFlush()
+			}
+			main := lwt.Map(b.Write(8, make([]byte, cstruct.PageSize)), func(*cstruct.View) struct{} {
+				done = vm.S.K.Now()
+				return struct{}{}
+			})
+			return vm.Main(p, main)
+		})
+		return done, ssd
+	}
+	alone, _ := run(0)
+	behind, ssd := run(blkback.DefaultSSDParams().Channels)
+	if ssd.Writes != 1 || ssd.BytesMoved != cstruct.PageSize {
+		t.Errorf("device counted Writes=%d BytesMoved=%d, want 1 and %d: bad-gref requests were booked",
+			ssd.Writes, ssd.BytesMoved, cstruct.PageSize)
+	}
+	if behind != alone {
+		t.Errorf("write behind bad-gref requests completed at %v, alone at %v: they occupied the device", behind, alone)
+	}
+}
+
+// A steady-state page write — staging copy, ring, grant map, device store —
+// allocates no payload-sized memory: the staging buffer is recycled and the
+// extent already exists. What remains is promises, closures and the op
+// records, far below the page (let alone the page plus eight sector slices
+// the per-sector store cost).
+func TestSteadyStatePageWriteAllocatesNoPayload(t *testing.T) {
+	const n = 500
+	var perWrite uint64
+	withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
+		page := make([]byte, cstruct.PageSize)
+		var write func(i int) *lwt.Promise[struct{}]
+		write = func(i int) *lwt.Promise[struct{}] {
+			if i == 0 {
+				return lwt.Return(vm.S, struct{}{})
+			}
+			page[0] = byte(i)
+			return lwt.Bind(b.Write(uint64(i%16)*SectorsPerPage, page), func(*cstruct.View) *lwt.Promise[struct{}] {
+				return write(i - 1)
+			})
+		}
+		if code := vm.Main(p, write(32)); code != 0 { // touch the extent, fill the free lists
+			return code
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		code := vm.Main(p, write(n))
+		runtime.ReadMemStats(&after)
+		perWrite = (after.TotalAlloc - before.TotalAlloc) / n
+		return code
+	})
+	if perWrite >= 2048 {
+		t.Errorf("a steady-state page write allocates %d B, want < 2 KiB", perWrite)
+	}
+	t.Logf("%d B per page write", perWrite)
 }

@@ -12,8 +12,16 @@ import (
 // Baardskeerder port of §3.5.2/§4.4. Every update appends fresh node pages
 // and finishes by writing the superblock's root pointer, so old roots
 // remain intact on the device (historical snapshots) and a torn update is
-// invisible. Buffer management is explicit: the library keeps its own node
-// cache and the device path is always direct.
+// invisible. Buffer management is explicit and the device path is always
+// direct: the library encodes every node through one page-sized scratch
+// buffer (Device.Write captures it) and keeps its own node cache, which
+// holds the live tree only — a page superseded by a copy-on-write update
+// leaves the cache when the commit that superseded it is durable. Old roots
+// stay readable (GetAt) because load falls back to the device, which keeps
+// everything; the cache was never what made them so.
+//
+// Updates (Set, Delete) must be issued one at a time, each after the
+// previous one's promise resolved; reads may overlap anything.
 type BTree struct {
 	s   *lwt.Scheduler
 	dev Device
@@ -22,9 +30,19 @@ type BTree struct {
 	root     uint64
 	nextPage uint64
 	pending  []lwt.Waiter // outstanding node writes for the current op
+	// superseded lists the pages the current op copied (or split) — dead
+	// once its commit lands; overflow records that it ran into MaxPages.
+	superseded []uint64
+	overflow   bool
+	scratch    []byte // node encode buffer, one page
 
 	// Limits (bytes); keys and values beyond these are rejected.
 	MaxKey, MaxVal int
+	// MaxPages, when non-zero, bounds the device pages the tree may occupy
+	// (pages 0 .. MaxPages-1): an update that needs a page beyond it fails
+	// and leaves the tree as it was. Callers that put another structure
+	// above the tree on the same device set it.
+	MaxPages uint64
 
 	// Stats
 	NodesWritten int
@@ -65,8 +83,9 @@ func (n *bnode) clone() *bnode {
 func NewBTree(s *lwt.Scheduler, dev Device) (*BTree, *lwt.Promise[struct{}]) {
 	t := &BTree{
 		s: s, dev: dev,
-		cache:  map[uint64]*bnode{},
-		MaxKey: 64, MaxVal: 256,
+		cache:   map[uint64]*bnode{},
+		scratch: make([]byte, cstruct.PageSize),
+		MaxKey:  64, MaxVal: 256,
 		nextPage: 1,
 	}
 	t.root = t.appendNode(&bnode{leaf: true})
@@ -83,8 +102,9 @@ func OpenBTree(s *lwt.Scheduler, dev Device) *lwt.Promise[*BTree] {
 		}
 		t := &BTree{
 			s: s, dev: dev,
-			cache:  map[uint64]*bnode{},
-			MaxKey: 64, MaxVal: 256,
+			cache:   map[uint64]*bnode{},
+			scratch: make([]byte, cstruct.PageSize),
+			MaxKey:  64, MaxVal: 256,
 			root:     v.BE64(4),
 			nextPage: v.BE64(12),
 		}
@@ -94,36 +114,88 @@ func OpenBTree(s *lwt.Scheduler, dev Device) *lwt.Promise[*BTree] {
 
 // appendNode assigns a fresh page, caches the node, and issues the device
 // write (collected into pending for the current operation's durability).
+// The node is encoded into the tree's one scratch page, which the device
+// captures before Write returns. At MaxPages it writes nothing and marks
+// the op overflowed; the page number it returns is then never committed.
 func (t *BTree) appendNode(n *bnode) uint64 {
+	if t.MaxPages != 0 && t.nextPage >= t.MaxPages {
+		t.overflow = true
+		return 0
+	}
 	pg := t.nextPage
 	t.nextPage++
 	t.cache[pg] = n
 	t.NodesWritten++
-	buf := encodeNode(n)
-	t.pending = append(t.pending, t.dev.Write(pg*PageSectors, buf))
+	encodeNode(n, t.scratch)
+	t.pending = append(t.pending, t.dev.Write(pg*PageSectors, t.scratch))
 	return pg
+}
+
+// finish ends an update whose copied path now hangs off newRoot: commit it,
+// or, if it overflowed MaxPages, fail it with the tree unchanged — the old
+// root still stands, and the pages the op did write are orphans no root
+// reaches, exactly what a crash before the superblock write leaves.
+func (t *BTree) finish(newRoot uint64) *lwt.Promise[struct{}] {
+	if t.overflow {
+		t.abandon()
+		return lwt.FailWith[struct{}](t.s, fmt.Errorf("btree: out of space at the %d-page limit", t.MaxPages))
+	}
+	t.root = newRoot
+	return t.commit()
+}
+
+// abandon forgets a part-done update: the pages it appended leave the cache
+// and its bookkeeping is reset. Set and Delete also start with it, because an
+// update that failed under a device read never reached finish; updates run
+// one at a time, so whatever is still here then belongs to such a one.
+func (t *BTree) abandon() {
+	for i := range t.pending { // one pending write per page the op appended
+		delete(t.cache, t.nextPage-1-uint64(i))
+	}
+	t.pending = t.pending[:0]
+	t.superseded = t.superseded[:0]
+	t.overflow = false
 }
 
 // commit waits for the appended node pages to be durable and only then
 // writes the superblock's root pointer — the barrier that makes a torn
 // update invisible: a crash before the superblock lands leaves the old
-// root intact and the new pages orphaned.
+// root intact and the new pages orphaned. Once the superblock is durable
+// the pages this update superseded leave the cache. No warm traversal can be
+// holding them: one that started from the older root found every node
+// cached and so finished within the instant it began, and at least one
+// device write's latency separates that instant from this one. A traversal
+// that does straddle the two (a cold cache, or a device with no latency)
+// takes the device path for a dropped node — slower, not wrong — and load
+// keeps what it fetched out of the cache.
 func (t *BTree) commit() *lwt.Promise[struct{}] {
 	writes := t.pending
 	t.pending = nil
+	dead := t.superseded
+	t.superseded = make([]uint64, 0, len(dead)) // the next update copies about as many
 	root, next := t.root, t.nextPage
 	return lwt.Bind(lwt.Join(t.s, writes...), func(struct{}) *lwt.Promise[struct{}] {
-		sb := make([]byte, SectorSize)
+		sb := t.scratch[:SectorSize]
+		clear(sb)
 		v := cstruct.Wrap(sb)
 		v.PutBE32(0, superMagic)
 		v.PutBE64(4, root)
 		v.PutBE64(12, next)
-		return lwt.Map(t.dev.Write(0, sb), func(*cstruct.View) struct{} { return struct{}{} })
+		return lwt.Map(t.dev.Write(0, sb), func(*cstruct.View) struct{} {
+			for _, pg := range dead {
+				delete(t.cache, pg)
+			}
+			return struct{}{}
+		})
 	})
 }
 
-// load fetches a node through the cache.
-func (t *BTree) load(pg uint64) *lwt.Promise[*bnode] {
+// load fetches a node through the cache for a traversal that started at
+// root page from. A miss reads the device and caches the node only if from
+// is still the tree's root when the read completes: a read from a historical
+// root, or one an update overtook while it was in flight, may be holding a
+// superseded page, and dead pages never enter the cache.
+func (t *BTree) load(pg, from uint64) *lwt.Promise[*bnode] {
 	if n, ok := t.cache[pg]; ok {
 		return lwt.Return(t.s, n)
 	}
@@ -134,7 +206,9 @@ func (t *BTree) load(pg uint64) *lwt.Promise[*bnode] {
 		if err != nil {
 			return lwt.FailWith[*bnode](t.s, err)
 		}
-		t.cache[pg] = n
+		if from == t.root {
+			t.cache[pg] = n
+		}
 		return lwt.Return(t.s, n)
 	})
 }
@@ -142,9 +216,8 @@ func (t *BTree) load(pg uint64) *lwt.Promise[*bnode] {
 // Root returns the current root page (usable with GetAt for snapshots).
 func (t *BTree) Root() uint64 { return t.root }
 
-// Pages returns the number of pages the append-only tree has consumed —
-// callers co-locating other structures (e.g. a WAL region) on the same
-// device use it to guard against collision.
+// Pages returns the number of pages the append-only tree has consumed
+// (MaxPages bounds it).
 func (t *BTree) Pages() uint64 { return t.nextPage }
 
 // Set inserts or replaces key. The promise resolves when the update is
@@ -154,29 +227,34 @@ func (t *BTree) Set(key, value []byte) *lwt.Promise[struct{}] {
 	if len(key) == 0 || len(key) > t.MaxKey || len(value) > t.MaxVal {
 		return lwt.FailWith[struct{}](t.s, fmt.Errorf("btree: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
+	t.abandon()
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), value...)
-	return lwt.Bind(t.load(t.root), func(rn *bnode) *lwt.Promise[struct{}] {
+	return lwt.Bind(t.load(t.root, t.root), func(rn *bnode) *lwt.Promise[struct{}] {
 		rootPg := t.root
 		if rn.full() {
 			// Grow: split the root under a new internal root.
 			l, r, median := splitNode(rn)
 			lp, rp := t.appendNode(l), t.appendNode(r)
 			nr := &bnode{keys: [][]byte{median}, kids: []uint64{lp, rp}}
+			t.superseded = append(t.superseded, rootPg)
 			rootPg = t.appendNode(nr)
 		}
-		return lwt.Bind(t.insertNonFull(rootPg, k, v), func(newRoot uint64) *lwt.Promise[struct{}] {
-			t.root = newRoot
-			return t.commit()
-		})
+		return lwt.Bind(t.insertNonFull(rootPg, k, v), t.finish)
 	})
 }
 
 // insertNonFull inserts into the subtree at pg (guaranteed not full) and
-// resolves with the subtree's new (copied) root page.
+// resolves with the subtree's new (copied) root page. Once a split above has
+// overflowed MaxPages, pg may be appendNode's 0 and is not to be read: the
+// descent stops and the 0 travels up to finish.
 func (t *BTree) insertNonFull(pg uint64, k, v []byte) *lwt.Promise[uint64] {
-	return lwt.Bind(t.load(pg), func(n *bnode) *lwt.Promise[uint64] {
+	if t.overflow {
+		return lwt.Return[uint64](t.s, 0)
+	}
+	return lwt.Bind(t.load(pg, t.root), func(n *bnode) *lwt.Promise[uint64] {
 		n2 := n.clone()
+		t.superseded = append(t.superseded, pg)
 		if n2.leaf {
 			i := search(n2.keys, k)
 			if i < len(n2.keys) && bytes.Equal(n2.keys[i], k) {
@@ -191,10 +269,11 @@ func (t *BTree) insertNonFull(pg uint64, k, v []byte) *lwt.Promise[uint64] {
 		if i < len(n2.keys) && bytes.Equal(n2.keys[i], k) {
 			i++ // equal keys descend right
 		}
-		return lwt.Bind(t.load(n2.kids[i]), func(c *bnode) *lwt.Promise[uint64] {
+		return lwt.Bind(t.load(n2.kids[i], t.root), func(c *bnode) *lwt.Promise[uint64] {
 			if c.full() {
 				l, r, median := splitNode(c)
 				lp, rp := t.appendNode(l), t.appendNode(r)
+				t.superseded = append(t.superseded, n2.kids[i])
 				n2.keys = insertBytes(n2.keys, i, median)
 				n2.kids = append(n2.kids[:i], append([]uint64{lp, rp}, n2.kids[i+1:]...)...)
 				if bytes.Compare(k, median) >= 0 {
@@ -212,17 +291,19 @@ func (t *BTree) insertNonFull(pg uint64, k, v []byte) *lwt.Promise[uint64] {
 // Get resolves with the value for key, or nil if absent.
 func (t *BTree) Get(key []byte) *lwt.Promise[[]byte] {
 	t.Gets++
-	return t.getAt(t.root, key)
+	return t.getAt(t.root, t.root, key)
 }
 
 // GetAt reads from an arbitrary root page — an old root is a consistent
-// historical snapshot, a property of the append-only design.
+// historical snapshot, a property of the append-only design. Nodes the
+// current tree still shares with that snapshot come from the cache; the
+// rest are read from the device each time and not cached.
 func (t *BTree) GetAt(root uint64, key []byte) *lwt.Promise[[]byte] {
-	return t.getAt(root, key)
+	return t.getAt(root, root, key)
 }
 
-func (t *BTree) getAt(pg uint64, k []byte) *lwt.Promise[[]byte] {
-	return lwt.Bind(t.load(pg), func(n *bnode) *lwt.Promise[[]byte] {
+func (t *BTree) getAt(pg, from uint64, k []byte) *lwt.Promise[[]byte] {
+	return lwt.Bind(t.load(pg, from), func(n *bnode) *lwt.Promise[[]byte] {
 		i := search(n.keys, k)
 		if n.leaf {
 			if i < len(n.keys) && bytes.Equal(n.keys[i], k) {
@@ -233,7 +314,7 @@ func (t *BTree) getAt(pg uint64, k []byte) *lwt.Promise[[]byte] {
 		if i < len(n.keys) && bytes.Equal(n.keys[i], k) {
 			i++
 		}
-		return t.getAt(n.kids[i], k)
+		return t.getAt(n.kids[i], from, k)
 	})
 }
 
@@ -241,23 +322,24 @@ func (t *BTree) getAt(pg uint64, k []byte) *lwt.Promise[[]byte] {
 // become underfull, which an append-only tree tolerates and Baardskeerder
 // compacts offline).
 func (t *BTree) Delete(key []byte) *lwt.Promise[struct{}] {
+	t.abandon()
 	return lwt.Bind(t.deleteAt(t.root, key), func(newRoot uint64) *lwt.Promise[struct{}] {
-		if newRoot == 0 { // not found; nothing changed
+		if newRoot == 0 && !t.overflow { // not found; nothing changed
 			return lwt.Return(t.s, struct{}{})
 		}
-		t.root = newRoot
-		return t.commit()
+		return t.finish(newRoot)
 	})
 }
 
 // deleteAt resolves with the new subtree root page, or 0 if key was absent.
 func (t *BTree) deleteAt(pg uint64, k []byte) *lwt.Promise[uint64] {
-	return lwt.Bind(t.load(pg), func(n *bnode) *lwt.Promise[uint64] {
+	return lwt.Bind(t.load(pg, t.root), func(n *bnode) *lwt.Promise[uint64] {
 		i := search(n.keys, k)
 		if n.leaf {
 			if i >= len(n.keys) || !bytes.Equal(n.keys[i], k) {
 				return lwt.Return[uint64](t.s, 0)
 			}
+			t.superseded = append(t.superseded, pg)
 			n2 := n.clone()
 			n2.keys = append(n2.keys[:i], n2.keys[i+1:]...)
 			n2.vals = append(n2.vals[:i], n2.vals[i+1:]...)
@@ -271,6 +353,7 @@ func (t *BTree) deleteAt(pg uint64, k []byte) *lwt.Promise[uint64] {
 			if nk == 0 {
 				return lwt.Return[uint64](t.s, 0)
 			}
+			t.superseded = append(t.superseded, pg)
 			n2 := n.clone()
 			n2.kids[idx] = nk
 			return lwt.Return(t.s, t.appendNode(n2))
@@ -282,11 +365,11 @@ func (t *BTree) deleteAt(pg uint64, k []byte) *lwt.Promise[uint64] {
 // scan completes. fn returning false stops early.
 func (t *BTree) Range(lo, hi []byte, fn func(k, v []byte) bool) *lwt.Promise[struct{}] {
 	stop := false
-	return t.rangeAt(t.root, lo, hi, fn, &stop)
+	return t.rangeAt(t.root, t.root, lo, hi, fn, &stop)
 }
 
-func (t *BTree) rangeAt(pg uint64, lo, hi []byte, fn func(k, v []byte) bool, stop *bool) *lwt.Promise[struct{}] {
-	return lwt.Bind(t.load(pg), func(n *bnode) *lwt.Promise[struct{}] {
+func (t *BTree) rangeAt(pg, from uint64, lo, hi []byte, fn func(k, v []byte) bool, stop *bool) *lwt.Promise[struct{}] {
+	return lwt.Bind(t.load(pg, from), func(n *bnode) *lwt.Promise[struct{}] {
 		if n.leaf {
 			for i, k := range n.keys {
 				if *stop {
@@ -317,7 +400,7 @@ func (t *BTree) rangeAt(pg uint64, lo, hi []byte, fn func(k, v []byte) bool, sto
 				if *stop {
 					return lwt.Return(t.s, struct{}{})
 				}
-				return t.rangeAt(kid, lo, hi, fn, stop)
+				return t.rangeAt(kid, from, lo, hi, fn, stop)
 			})
 		}
 		return chain
@@ -362,9 +445,10 @@ func splitNode(n *bnode) (l, r *bnode, median []byte) {
 	return l, r, median
 }
 
-// encodeNode serialises a node into one page.
-func encodeNode(n *bnode) []byte {
-	buf := make([]byte, cstruct.PageSize)
+// encodeNode serialises a node into the page buf, zeroing what the node
+// does not fill.
+func encodeNode(n *bnode, buf []byte) {
+	clear(buf)
 	v := cstruct.Wrap(buf)
 	if n.leaf {
 		v.PutU8(0, 1)
@@ -392,7 +476,6 @@ func encodeNode(n *bnode) []byte {
 			off += 2 + len(k)
 		}
 	}
-	return buf
 }
 
 // decodeNode parses a node page.

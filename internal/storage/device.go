@@ -29,7 +29,14 @@ const PageSectors = cstruct.PageSize / SectorSize
 type Device interface {
 	// Read returns a view of sectors*512 bytes starting at sector.
 	Read(sector uint64, sectors int) *lwt.Promise[*cstruct.View]
-	// Write persists data at sector; the promise resolves on durability.
+	// Write persists data (at most one page) at sector; the promise
+	// resolves on durability. Write captures the payload before it returns:
+	// an implementation takes its own copy of data at the call and never
+	// reads the slice again, so the caller may overwrite or reuse it at
+	// once. The B-tree and the WAL rely on this — each encodes through one
+	// long-lived buffer — and all four implementations (blkif.Blkif,
+	// MemDevice, CrashDevice, conventional.BufferedDevice) are held to it by
+	// TestDeviceWriteCapturesPayloadAtSubmit.
 	Write(sector uint64, data []byte) *lwt.Promise[*cstruct.View]
 }
 

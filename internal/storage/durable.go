@@ -20,8 +20,6 @@ type DurableKV struct {
 	T *BTree
 	W *WAL
 
-	walBase uint64 // first WAL sector; B-tree pages must stay below it
-
 	// overlay holds un-checkpointed entries (nil = tombstone); seqOf maps
 	// each overlay key to the WAL sequence of its latest record so a
 	// checkpoint only clears entries it actually folded in.
@@ -41,12 +39,19 @@ const (
 
 // CreateDurableKV formats a fresh appliance on dev: B-tree pages grow up
 // from page 1, the WAL occupies [walBase, walBase+1+walSectors) sectors.
-// Resolves when both structures are durable.
+// The tree is capped at the pages that fit below walBase, so a checkpoint
+// that would grow it into the log fails instead. Resolves when both
+// structures are durable.
 func CreateDurableKV(s *lwt.Scheduler, dev Device, walBase uint64, walSectors int) *lwt.Promise[*DurableKV] {
 	t, tDone := NewBTree(s, dev)
 	w, wDone := NewWAL(s, dev, walBase, walSectors)
-	kv := &DurableKV{s: s, T: t, W: w, walBase: walBase, overlay: map[string][]byte{}, seqOf: map[string]uint64{}}
+	kv := newDurableKV(s, t, w, walBase)
 	return lwt.Map(lwt.Join(s, tDone, wDone), func(struct{}) *DurableKV { return kv })
+}
+
+func newDurableKV(s *lwt.Scheduler, t *BTree, w *WAL, walBase uint64) *DurableKV {
+	t.MaxPages = walBase / PageSectors
+	return &DurableKV{s: s, T: t, W: w, overlay: map[string][]byte{}, seqOf: map[string]uint64{}}
 }
 
 // OpenDurableKV recovers an appliance: attach to the B-tree, scan the WAL
@@ -56,7 +61,7 @@ func CreateDurableKV(s *lwt.Scheduler, dev Device, walBase uint64, walSectors in
 func OpenDurableKV(s *lwt.Scheduler, dev Device, walBase uint64, walSectors int) *lwt.Promise[*DurableKV] {
 	return lwt.Bind(OpenBTree(s, dev), func(t *BTree) *lwt.Promise[*DurableKV] {
 		return lwt.Map(OpenWAL(s, dev, walBase, walSectors), func(rec *WALRecovery) *DurableKV {
-			kv := &DurableKV{s: s, T: t, W: rec.W, walBase: walBase, overlay: map[string][]byte{}, seqOf: map[string]uint64{}}
+			kv := newDurableKV(s, t, rec.W, walBase)
 			for _, r := range rec.Records {
 				switch r.Kind {
 				case walKindSet:
@@ -119,12 +124,10 @@ func (kv *DurableKV) Get(key []byte) *lwt.Promise[[]byte] {
 // write sequence is deterministic) and truncates the WAL. Updates arriving
 // during the checkpoint stay in the overlay — the sequence check keeps
 // them — and land in the next one. Resolves when the truncated header is
-// durable.
+// durable; fails, with the log untouched and every entry still in the
+// overlay, if the tree runs out of pages below the WAL region part-way.
 func (kv *DurableKV) Checkpoint() *lwt.Promise[struct{}] {
 	kv.Checkpoints++
-	if (kv.T.Pages()+1)*PageSectors >= kv.walBase {
-		return lwt.FailWith[struct{}](kv.s, fmt.Errorf("durablekv: B-tree (%d pages) colliding with WAL region at sector %d", kv.T.Pages(), kv.walBase))
-	}
 	type entry struct {
 		key string
 		val []byte

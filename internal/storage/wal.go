@@ -35,7 +35,12 @@ type WAL struct {
 	nextSeq  uint64
 	tail     []byte // bytes of the current partial trailing sector
 
+	// staged collects encoded records between flushes; a flush gathers tail
+	// and staged into flushBuf and writes from there. Both buffers live as
+	// long as the log and are reused: the device captures each Write before
+	// it returns, and the next flush starts only after this one completed.
 	staged   []byte
+	flushBuf []byte
 	pending  []*lwt.Promise[struct{}]
 	flushing bool
 	flushAt  bool // end-of-instant flush scheduled
@@ -189,8 +194,11 @@ func parseRecord(region []byte, off int) (Record, int, bool) {
 	return r, off + recHdrBytes + klen + vlen, true
 }
 
-func encodeRecord(seq uint64, kind byte, key, val []byte) []byte {
-	buf := make([]byte, recHdrBytes+len(key)+len(val))
+// appendRecord encodes one record in place at the end of dst.
+func appendRecord(dst []byte, seq uint64, kind byte, key, val []byte) []byte {
+	at := len(dst)
+	dst = append(dst, make([]byte, recHdrBytes+len(key)+len(val))...)
+	buf := dst[at:]
 	v := cstruct.Wrap(buf)
 	v.PutBE16(0, recMagic)
 	v.PutU8(2, kind)
@@ -202,7 +210,7 @@ func encodeRecord(seq uint64, kind byte, key, val []byte) []byte {
 	sum := crc32.ChecksumIEEE(buf[2 : recHdrBytes-4])
 	sum = crc32.Update(sum, crc32.IEEETable, buf[recHdrBytes:])
 	v.PutBE32(17, sum)
-	return buf
+	return dst
 }
 
 // Append stages a record and resolves once it is durable on the device.
@@ -214,14 +222,13 @@ func (w *WAL) Append(kind byte, key, val []byte) *lwt.Promise[struct{}] {
 		pr.Fail(fmt.Errorf("wal: record payload too large (%d/%d)", len(key), len(val)))
 		return pr
 	}
-	rec := encodeRecord(w.nextSeq, kind, key, val)
-	if w.off+len(w.staged)+len(rec) > w.sectors*SectorSize {
+	if w.off+len(w.staged)+recHdrBytes+len(key)+len(val) > w.sectors*SectorSize {
 		pr.Fail(fmt.Errorf("wal: region full (%d bytes)", w.sectors*SectorSize))
 		return pr
 	}
+	w.staged = appendRecord(w.staged, w.nextSeq, kind, key, val)
 	w.nextSeq++
 	w.Appends++
-	w.staged = append(w.staged, rec...)
 	w.pending = append(w.pending, pr)
 	w.scheduleFlush()
 	return pr
@@ -263,8 +270,6 @@ func (w *WAL) flush() {
 		return
 	}
 	w.flushing = true
-	batch := w.staged
-	w.staged = nil
 	waiters := w.pending
 	w.pending = nil
 	w.Flushes++
@@ -274,8 +279,11 @@ func (w *WAL) flush() {
 
 	// The write starts at the sector containing off and re-covers the
 	// partial tail bytes already there.
-	buf := append(append([]byte(nil), w.tail...), batch...)
 	startSector := w.base + 1 + uint64((w.off-len(w.tail))/SectorSize)
+	buf := append(append(w.flushBuf[:0], w.tail...), w.staged...)
+	w.flushBuf = buf
+	w.off += len(w.staged)
+	w.staged = w.staged[:0]
 	var ws []lwt.Waiter
 	for o := 0; o < len(buf); o += cstruct.PageSize {
 		end := o + cstruct.PageSize
@@ -284,12 +292,7 @@ func (w *WAL) flush() {
 		}
 		ws = append(ws, w.dev.Write(startSector+uint64(o/SectorSize), buf[o:end]))
 	}
-	w.off += len(batch)
-	if t := w.off % SectorSize; t > 0 {
-		w.tail = append(w.tail[:0], buf[len(buf)-t:]...)
-	} else {
-		w.tail = nil
-	}
+	w.tail = append(w.tail[:0], buf[len(buf)-w.off%SectorSize:]...)
 
 	done := lwt.Join(w.s, ws...)
 	lwt.Always(done, func() {
@@ -318,7 +321,7 @@ func (w *WAL) Truncate() *lwt.Promise[struct{}] {
 	w.startSeq = w.nextSeq
 	if !w.flushing && len(w.staged) == 0 {
 		w.off = 0
-		w.tail = nil
+		w.tail = w.tail[:0]
 	}
 	w.startOff = w.off + len(w.staged)
 	return lwt.Map(w.writeHeader(), func(*cstruct.View) struct{} { return struct{}{} })
