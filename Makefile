@@ -1,10 +1,10 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
+.PHONY: all check fmt vet staticcheck build test fuzz race race-parallel race-obs race-storage paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
 
 all: check
 
-check: fmt vet staticcheck build test race race-parallel race-obs race-storage paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
+check: fmt vet staticcheck build test fuzz race race-parallel race-obs race-storage paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -29,6 +29,13 @@ build:
 
 test: build
 	$(GO) test ./...
+
+# Native fuzz targets, a few seconds each on top of the seed corpus every
+# plain `go test` already replays (go fuzzes one target per invocation). A
+# failing input is written under the package's testdata/fuzz.
+fuzz: build
+	$(GO) test -run '^$$' -fuzz '^FuzzParseMessage$$' -fuzztime 5s ./internal/dns
+	$(GO) test -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 5s ./internal/dns
 
 race: build
 	$(GO) test -race ./...

@@ -157,17 +157,23 @@ func BenchmarkDNSLabelCompression(b *testing.B) {
 	msg := bench.CompressionWorkload(20)
 	b.Run("tree-size-first", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dns.EncodeMessage(msg, dns.NewTreeCompressor())
+			if _, err := dns.EncodeMessage(msg, dns.NewTreeCompressor()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("hashtable", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dns.EncodeMessage(msg, dns.NewHashCompressor())
+			if _, err := dns.EncodeMessage(msg, dns.NewHashCompressor()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("uncompressed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			dns.EncodeMessage(msg, nil)
+			if _, err := dns.EncodeMessage(msg, nil); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 }

@@ -97,6 +97,17 @@ func (h *Handler) Lookup(ip ipv4.Addr) (ethernet.MAC, bool) {
 	return m, ok
 }
 
+// Cached returns ip's MAC when the cache holds it: the case Resolve answers
+// on the spot, counted as the same hit, for callers that would rather not
+// build a callback unless there is an exchange to wait for.
+func (h *Handler) Cached(ip ipv4.Addr) (ethernet.MAC, bool) {
+	mac, ok := h.cache[ip]
+	if ok {
+		h.Hits++
+	}
+	return mac, ok
+}
+
 // Learn inserts a mapping (also called for gratuitous ARP).
 func (h *Handler) Learn(ip ipv4.Addr, mac ethernet.MAC) {
 	h.cache[ip] = mac
@@ -126,8 +137,7 @@ func (h *Handler) Input(p Packet) {
 // request/reply exchange otherwise. Unanswered requests are retried
 // MaxRetries times and then fail.
 func (h *Handler) Resolve(ip ipv4.Addr, cb func(ethernet.MAC, error)) {
-	if mac, ok := h.cache[ip]; ok {
-		h.Hits++
+	if mac, ok := h.Cached(ip); ok {
 		cb(mac, nil)
 		return
 	}

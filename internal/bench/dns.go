@@ -195,9 +195,12 @@ func AblationDNSCompression(answers int) *Result {
 		})
 	}
 	tree := dns.NewTreeCompressor()
-	enc1 := dns.EncodeMessage(m, tree)
+	enc1, err1 := dns.EncodeMessage(m, tree)
 	hash := dns.NewHashCompressor()
-	enc2 := dns.EncodeMessage(m, hash)
+	enc2, err2 := dns.EncodeMessage(m, hash)
+	if err1 != nil || err2 != nil {
+		panic(fmt.Sprintf("ablation-dns-compression: encode: %v, %v", err1, err2))
+	}
 	identical := string(enc1) == string(enc2)
 
 	return &Result{

@@ -315,8 +315,8 @@ type VBDBackend struct {
 // Kind implements the device backend signature.
 func (vb *VBDBackend) Kind() string { return "vbd" }
 
-// Connect maps the single block ring published by the frontend and spawns
-// the backend worker.
+// Connect maps the single block ring published by the frontend and starts
+// the backend's event handler.
 func (vb *VBDBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruct.View, fields map[string]string, port *hypervisor.Port) error {
 	page := rings[""]
 	if page == nil {
@@ -326,19 +326,21 @@ func (vb *VBDBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 	return nil
 }
 
-// NewVBD attaches a backend over the guest's shared ring page and spawns
-// its worker.
+// NewVBD attaches a backend over the guest's shared ring page and registers
+// its handler (serve) on the event channel.
 func NewVBD(ssd *SSD, guest *hypervisor.Domain, ringPage *cstruct.View, port *hypervisor.Port) *VBD {
 	v := &VBD{ssd: ssd, guest: guest, back: ring.NewBack(ringPage), port: port}
-	ssd.K.SpawnDaemon(fmt.Sprintf("blkback-dom%d", guest.ID), v.worker)
+	ssd.K.SpawnHandler(fmt.Sprintf("blkback-dom%d", guest.ID), port.Sig, v.serve)
 	return v
 }
 
-// worker drains request batches and submits them all to the device before
-// any completes, so requests in the ring overlap on the SSD's channels.
-// Responses are pushed (possibly out of request order) as the device
-// finishes each one.
-func (v *VBD) worker(p *sim.Proc) {
+// serve is the backend's event handler (sim.Kernel.SpawnHandler on the vbd
+// event channel): it drains request batches and submits them all to the
+// device before any completes, so requests in the ring overlap on the SSD's
+// channels. Responses are pushed (possibly out of request order) as the
+// device finishes each one. It returns once the ring is empty and request
+// events are re-armed.
+func (v *VBD) serve() {
 	for {
 		progressed := false
 		for {
@@ -354,7 +356,7 @@ func (v *VBD) worker(p *sim.Proc) {
 			if raced := v.back.EnableRequestEvents(); raced {
 				continue
 			}
-			p.Wait(v.port.Sig)
+			return
 		}
 	}
 }

@@ -7,6 +7,16 @@ import (
 	"testing/quick"
 )
 
+// mustEncode is EncodeMessage for messages that must encode.
+func mustEncode(t testing.TB, m Message, comp Compressor) []byte {
+	t.Helper()
+	b, err := EncodeMessage(m, comp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
 func TestMessageRoundTripUncompressed(t *testing.T) {
 	in := Message{
 		ID:        0x1234,
@@ -15,7 +25,7 @@ func TestMessageRoundTripUncompressed(t *testing.T) {
 		Answers:   []RR{{Name: "www.example.org", Type: TypeA, Class: ClassIN, TTL: 300, Data: "10.1.2.3"}},
 		Authority: []RR{{Name: "example.org", Type: TypeNS, Class: ClassIN, TTL: 300, Data: "ns0.example.org"}},
 	}
-	out, err := ParseMessage(EncodeMessage(in, nil))
+	out, err := ParseMessage(mustEncode(t, in, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,9 +52,9 @@ func TestCompressionShrinksAndStaysParseable(t *testing.T) {
 			TTL: 60, Data: fmt.Sprintf("10.0.0.%d", i),
 		})
 	}
-	plain := EncodeMessage(m, nil)
-	hash := EncodeMessage(m, NewHashCompressor())
-	tree := EncodeMessage(m, NewTreeCompressor())
+	plain := mustEncode(t, m, nil)
+	hash := mustEncode(t, m, NewHashCompressor())
+	tree := mustEncode(t, m, NewTreeCompressor())
 	if len(hash) >= len(plain) {
 		t.Errorf("hash compression did not shrink: %d vs %d", len(hash), len(plain))
 	}
@@ -201,9 +211,7 @@ func TestTreeCompressorMatchesHashSemantics(t *testing.T) {
 			name := fmt.Sprintf("host-%d.sub.example.org", h%32)
 			m.Answers = append(m.Answers, RR{Name: name, Type: TypeA, Class: ClassIN, TTL: 60, Data: "10.0.0.1"})
 		}
-		a := EncodeMessage(m, NewHashCompressor())
-		b := EncodeMessage(m, NewTreeCompressor())
-		return string(a) == string(b)
+		return string(mustEncode(t, m, NewHashCompressor())) == string(mustEncode(t, m, NewTreeCompressor()))
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -246,5 +254,213 @@ func TestPropSyntheticZoneLookups(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// wireName is a name in wire form: labels given as length-prefixed strings.
+func wireName(labels ...string) []byte {
+	var b []byte
+	for _, l := range labels {
+		b = append(b, byte(len(l)))
+		b = append(b, l...)
+	}
+	return append(b, 0)
+}
+
+// query is a header with the given counts followed by body.
+func query(qd, an, ns, ar uint16, body ...byte) []byte {
+	b := []byte{0xAB, 0xCD, 0, 0, byte(qd >> 8), byte(qd), byte(an >> 8), byte(an), byte(ns >> 8), byte(ns), byte(ar >> 8), byte(ar)}
+	return append(b, body...)
+}
+
+// question is name + type A + class IN.
+func question(name []byte) []byte { return append(name, 0, 1, 0, 1) }
+
+// hostileQueries are the malformed datagrams the decoder must refuse, by the
+// bound each one crosses.
+func hostileQueries() map[string][]byte {
+	longest := strings.Repeat("a", 63)
+	return map[string][]byte{
+		"short header":      {0, 1, 2},
+		"over-long label":   query(1, 0, 0, 0, question(append([]byte{64}, strings.Repeat("a", 64)+"\x00"...))...),
+		"reserved type 01":  query(1, 0, 0, 0, question([]byte{0x40 | 3, 'w', 'w', 'w', 0})...),
+		"reserved type 10":  query(1, 0, 0, 0, question([]byte{0x80 | 3, 'w', 'w', 'w', 0})...),
+		"256-octet name":    query(1, 0, 0, 0, question(wireName(longest, longest, longest, longest[:62]))...),
+		"pointer loop":      query(1, 0, 0, 0, 0xC0, 12, 0, 1, 0, 1),
+		"forward pointer":   query(1, 0, 0, 0, 0xC0, 16, 0, 1, 0, 1, 3, 'w', 'w', 'w', 0),
+		"truncated pointer": query(1, 0, 0, 0, 3, 'w', 'w', 'w', 0xC0),
+		"truncated label":   query(1, 0, 0, 0, 5, 'w', 'w'),
+		"truncated name":    query(1, 0, 0, 0, 3, 'w', 'w', 'w'),
+		"truncated type":    query(1, 0, 0, 0, 3, 'w', 'w', 'w', 0, 0, 1),
+		"question count":    query(3, 0, 0, 0, question(wireName("www"))...),
+		"record count":      query(1, 0, 0, 0xFFFF, question(wireName("www"))...),
+		"no question":       query(0, 0, 0, 0),
+	}
+}
+
+func TestHostileQueriesRejectedAndCounted(t *testing.T) {
+	for name, q := range hostileQueries() {
+		if m, err := ParseMessage(q); err == nil && len(m.Questions) > 0 {
+			t.Errorf("%s: ParseMessage accepted it: %+v", name, m)
+		}
+		// Through the server, memo off and on (the memoised path must refuse
+		// exactly what the parser refuses).
+		for _, memoize := range []bool{false, true} {
+			s := NewServer(SyntheticZone("example.org", 4), memoize)
+			s.Handle(EncodeQuery(1, "host-1.example.org", TypeA))
+			resp, cost := s.Handle(q)
+			if resp != nil || cost != s.Params.ParseCost {
+				t.Errorf("%s (memo %v): response %x, cost %v", name, memoize, resp, cost)
+			}
+			if s.Queries != 2 || s.Errors != 1 {
+				t.Errorf("%s (memo %v): queries/errors = %d/%d, want 2/1", name, memoize, s.Queries, s.Errors)
+			}
+		}
+	}
+}
+
+func TestNameLimitsAreExact(t *testing.T) {
+	longest := strings.Repeat("a", 63)
+	// 255 octets on the wire — 4 length octets, 250 label octets, the root —
+	// is the longest legal name; hostileQueries holds the 256-octet one.
+	name := wireName(longest, longest, longest, longest[:61])
+	if len(name) != maxNameLen {
+		t.Fatalf("test name is %d octets", len(name))
+	}
+	m, err := ParseMessage(query(1, 0, 0, 0, question(name)...))
+	if err != nil {
+		t.Fatalf("255-octet name refused: %v", err)
+	}
+	if got := m.Questions[0].Name; len(got) != maxNameLen-2 || got != strings.Join([]string{longest, longest, longest, longest[:61]}, ".") {
+		t.Errorf("255-octet name parsed as %d characters: %q", len(got), got)
+	}
+	// Compression must not smuggle a longer name in: a 63-octet label in
+	// front of a pointer to the 255-octet name.
+	b := query(1, 1, 0, 0, question(name)...)
+	b = append(b, 63)
+	b = append(b, longest...)
+	b = append(b, 0xC0, 12, 0, 1, 0, 1, 0, 0, 0, 0, 0, 4, 1, 2, 3, 4)
+	if _, err := ParseMessage(b); err == nil {
+		t.Error("a compressed name expanding past 255 octets was accepted")
+	}
+}
+
+func TestCaseFoldingIsASCIIOnly(t *testing.T) {
+	// RFC 4343: only A–Z fold; every other octet, valid UTF-8 or not, is kept.
+	label := "Ex\xc3\x80M\xffple"
+	m, err := ParseMessage(query(1, 0, 0, 0, question(wireName("WWW", label))...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := m.Questions[0].Name, "www.ex\xc3\x80m\xffple"; got != want {
+		t.Errorf("name = %q, want %q", got, want)
+	}
+	out, err := ParseMessage(mustEncode(t, m, nil))
+	if err != nil || out.Questions[0].Name != m.Questions[0].Name {
+		t.Errorf("re-encoded name = %q (%v)", out.Questions[0].Name, err)
+	}
+}
+
+func TestARecordRoundTripsEveryOctet(t *testing.T) {
+	for pos := 0; pos < 4; pos++ {
+		for v := 0; v < 256; v++ {
+			o := [4]byte{10, 20, 30, 40}
+			o[pos] = byte(v)
+			text := formatA(o)
+			if want := fmt.Sprintf("%d.%d.%d.%d", o[0], o[1], o[2], o[3]); text != want {
+				t.Fatalf("formatA(%v) = %q, want %q", o, text, want)
+			}
+			if back, ok := parseA(text); !ok || back != o {
+				t.Fatalf("parseA(%q) = %v, %v", text, back, ok)
+			}
+			m := Message{Answers: []RR{{Name: "a.example.org", Type: TypeA, Class: ClassIN, TTL: 1, Data: text}}}
+			out, err := ParseMessage(mustEncode(t, m, nil))
+			if err != nil || out.Answers[0].Data != text {
+				t.Fatalf("A %q came back as %+v (%v)", text, out.Answers, err)
+			}
+		}
+	}
+}
+
+func TestMalformedARecordIsAnErrorNotAnAnswer(t *testing.T) {
+	for _, bad := range []string{"", "1.2.3", "1.2.3.", "1.2.3.4.5", "1.2.3.256", "1..2.3", "01.2.3.4", "1.2.3.04", "+1.2.3.4", " 1.2.3.4", "1.2.3.4 ", "a.b.c.d", "1,2,3,4", "1.2.3.-4", "1.2.3.4\n"} {
+		if o, ok := parseA(bad); ok {
+			t.Errorf("parseA(%q) accepted as %v", bad, o)
+		}
+		m := Message{Answers: []RR{{Name: "a.example.org", Type: TypeA, Class: ClassIN, Data: bad}}}
+		if b, err := EncodeMessage(m, nil); err == nil {
+			t.Errorf("EncodeMessage of A %q succeeded: %x", bad, b)
+		}
+	}
+	// Served: the query fails and is counted, first computed and then from
+	// the memo, instead of answering 1.2.3.0.
+	z := NewZone("example.org")
+	z.Add(RR{Name: "bad.example.org", Type: TypeA, Data: "1.2.3"})
+	z.Add(RR{Name: "good.example.org", Type: TypeA, Data: "1.2.3.4"})
+	for _, memoize := range []bool{false, true} {
+		s := NewServer(z, memoize)
+		for i := 1; i <= 2; i++ {
+			if resp, _ := s.Handle(EncodeQuery(7, "bad.example.org", TypeA)); resp != nil {
+				t.Errorf("memo %v: malformed A record served as %x", memoize, resp)
+			}
+			if s.Errors != i {
+				t.Errorf("memo %v: errors = %d after %d bad queries", memoize, s.Errors, i)
+			}
+		}
+		if resp, _ := s.Handle(EncodeQuery(8, "good.example.org", TypeA)); resp == nil || s.Errors != 2 {
+			t.Errorf("memo %v: good record: response %x, errors %d", memoize, resp, s.Errors)
+		}
+	}
+}
+
+func TestCountsCannotReserveMoreThanTheDatagramHolds(t *testing.T) {
+	// 65535 records promised by a 33-octet datagram: refused before the
+	// parser sizes anything by that count.
+	q := query(1, 0xFFFF, 0xFFFF, 0xFFFF, question(wireName("www", "example", "org"))...)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := ParseMessage(q); err == nil {
+			t.Fatal("accepted")
+		}
+	}); n > 2 { // the error value
+		t.Errorf("refusing inflated counts allocated %v times", n)
+	}
+}
+
+// benchResponse is the response the dns_udp workload's client parses: one
+// question, one answer, the zone's NS record and its address.
+func benchResponse(t testing.TB) []byte {
+	z := NewZone("bench.example")
+	z.Add(RR{Name: "bench.example", Type: TypeNS, Data: "ns0.bench.example"})
+	z.Add(RR{Name: "ns0.bench.example", Type: TypeA, Data: "10.0.0.53"})
+	z.Add(RR{Name: "host-1234.bench.example", Type: TypeA, Data: "10.0.4.210"})
+	resp, _ := NewServer(z, true).Handle(EncodeQuery(9, "host-1234.bench.example", TypeA))
+	m, err := ParseMessage(resp)
+	if err != nil || len(m.Questions) != 1 || len(m.Answers) != 1 || len(m.Authority) != 1 || len(m.Additional) != 1 {
+		t.Fatalf("bench response = %+v (%v)", m, err)
+	}
+	return resp
+}
+
+func TestAllocationBudgets(t *testing.T) {
+	resp := benchResponse(t)
+	// Two slices (questions, one array for the three record sections) and
+	// seven strings (four names, two addresses, one NS target).
+	if n := testing.AllocsPerRun(200, func() {
+		if _, err := ParseMessage(resp); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 9 {
+		t.Errorf("ParseMessage of a 1Q+1AN+1NS+1AR response: %v allocations, budget 9", n)
+	}
+
+	s := NewServer(SyntheticZone("example.org", 100), true)
+	q := EncodeQuery(3, "Host-42.Example.ORG", TypeA)
+	s.Handle(q)
+	if n := testing.AllocsPerRun(200, func() {
+		if resp, _ := s.Handle(q); resp == nil {
+			t.Fatal("no response")
+		}
+	}); n > 1 {
+		t.Errorf("memo-hit Handle: %v allocations, budget 1 (the response copy)", n)
 	}
 }

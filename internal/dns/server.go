@@ -65,8 +65,44 @@ func (s *Server) compressor() Compressor {
 
 // Handle processes one query datagram and returns the response bytes plus
 // the virtual CPU cost of producing it.
+//
+// A query whose answer is memoised is served from its own bytes (memoised):
+// nothing is decoded into a Message. That is a host-side shortcut only — for
+// any query bytes the response, the cost, Queries, Errors and the memo's
+// Hits, Misses and recency order are exactly what parsing the query first
+// (parsed) produces; FuzzHandle holds the two against each other.
 func (s *Server) Handle(query []byte) ([]byte, time.Duration) {
 	s.Queries++
+	if body, ok := s.memoised(query); ok {
+		return s.reply(body, query, s.Params.ParseCost+s.Params.MemoHitCost)
+	}
+	return s.parsed(query)
+}
+
+// memoised returns the memoised response body for a query that is exactly
+// one well-formed question with its answer in the memo. It declines
+// everything else, malformed queries included, so parsed stays the one place
+// that reports an error or computes an answer; it touches the memo only on a
+// hit.
+func (s *Server) memoised(query []byte) ([]byte, bool) {
+	if s.Memo == nil || len(query) < 12 ||
+		be16(query, 4) != 1 || be16(query, 6)|be16(query, 8)|be16(query, 10) != 0 {
+		return nil, false
+	}
+	// The memo key — name|type, as parsed builds it — on the stack.
+	var key [maxNameLen + len("|65535")]byte
+	n, off, err := gatherName((*[maxNameLen]byte)(key[:]), query, 12)
+	if err != nil || off+4 > len(query) {
+		return nil, false
+	}
+	k := append(key[:n], '|')
+	k = strconv.AppendUint(k, uint64(be16(query, off)), 10)
+	return s.Memo.Cached(k)
+}
+
+// parsed is Handle by way of ParseMessage: every query the memo cannot
+// answer from its bytes alone.
+func (s *Server) parsed(query []byte) ([]byte, time.Duration) {
 	cost := s.Params.ParseCost
 	m, err := ParseMessage(query)
 	if err != nil || len(m.Questions) == 0 {
@@ -75,35 +111,38 @@ func (s *Server) Handle(query []byte) ([]byte, time.Duration) {
 	}
 	q := m.Questions[0]
 
-	if s.Memo != nil {
-		memoKey := q.Name + "|" + strconv.Itoa(int(q.Type))
-		hitsBefore := s.Memo.Hits
-		body := s.Memo.Get(memoKey, func() []byte {
-			resp, c := s.answer(q)
-			cost += c
-			return resp
-		})
-		if s.Memo.Hits > hitsBefore {
-			cost += s.Params.MemoHitCost
-		}
-		// Patch the transaction ID into (a copy of) the cached response.
-		out := append([]byte(nil), body...)
-		if len(out) >= 2 {
-			out[0], out[1] = query[0], query[1]
-		}
-		return out, cost
+	if s.Memo == nil {
+		body, c := s.answer(q)
+		return s.reply(body, query, cost+c)
 	}
-	resp, c := s.answer(q)
-	cost += c
-	out := append([]byte(nil), resp...)
-	if len(out) >= 2 {
-		out[0], out[1] = query[0], query[1]
+	memoKey := q.Name + "|" + strconv.Itoa(int(q.Type))
+	hitsBefore := s.Memo.Hits
+	body := s.Memo.Get(memoKey, func() []byte {
+		resp, c := s.answer(q)
+		cost += c
+		return resp
+	})
+	if s.Memo.Hits > hitsBefore {
+		cost += s.Params.MemoHitCost
 	}
+	return s.reply(body, query, cost)
+}
+
+// reply is a copy of the response body (it may be the memo's) with the
+// query's transaction ID patched in. A nil body is an answer that could not
+// be encoded: it is counted as an error, now and on every later memo hit.
+func (s *Server) reply(body, query []byte, cost time.Duration) ([]byte, time.Duration) {
+	if body == nil {
+		s.Errors++
+		return nil, cost
+	}
+	out := append([]byte(nil), body...)
+	out[0], out[1] = query[0], query[1]
 	return out, cost
 }
 
-// answer builds the authoritative response (with zero ID; Handle patches
-// the real one in).
+// answer builds the authoritative response (with zero ID; reply patches the
+// real one in), nil when the zone holds a record that cannot be encoded.
 func (s *Server) answer(q Question) ([]byte, time.Duration) {
 	cost := s.Params.LookupCost
 	resp := Message{
@@ -131,13 +170,19 @@ func (s *Server) answer(q Question) ([]byte, time.Duration) {
 		}
 	}
 	cost += s.Params.EncodeCost
-	return EncodeMessage(resp, s.compressor()), cost
+	body, err := EncodeMessage(resp, s.compressor())
+	if err != nil {
+		return nil, cost
+	}
+	return body, cost
 }
 
 // EncodeQuery builds a query datagram for name/type.
 func EncodeQuery(id uint16, name string, typ uint16) []byte {
-	return EncodeMessage(Message{
+	// Only a record's data can fail to encode, and a query carries none.
+	b, _ := EncodeMessage(Message{
 		ID:        id,
 		Questions: []Question{{Name: name, Type: typ, Class: ClassIN}},
 	}, nil)
+	return b
 }

@@ -9,6 +9,7 @@ package dns
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -59,6 +60,22 @@ type Message struct {
 	Additional []RR
 }
 
+// Wire-format limits (RFC 1035 §2.3.4): a label is at most 63 octets — the
+// two high bits of its length octet select the label type, 00 for a plain
+// label and 11 for a compression pointer, 01 and 10 reserved (§4.1.4) — and a
+// whole name at most 255, counting every length octet and the root label.
+const (
+	maxLabelLen = 63
+	maxNameLen  = 255
+)
+
+// A question is at least a root name, a type and a class; a record at least
+// a root name and the ten fixed octets before its rdata.
+const (
+	minQuestionLen = 5
+	minRRLen       = 11
+)
+
 // ParseMessage decodes a wire-format message.
 func ParseMessage(b []byte) (Message, error) {
 	if len(b) < 12 {
@@ -68,10 +85,19 @@ func ParseMessage(b []byte) (Message, error) {
 	m.ID = be16(b, 0)
 	m.Flags = be16(b, 2)
 	qd, an, ns, ar := int(be16(b, 4)), int(be16(b, 6)), int(be16(b, 8)), int(be16(b, 10))
+	// The counts size what is reserved below, so a header that promises more
+	// than the datagram could hold is refused first.
+	rrs := an + ns + ar
+	if 12+qd*minQuestionLen+rrs*minRRLen > len(b) {
+		return Message{}, fmt.Errorf("dns: section counts exceed the message")
+	}
 	off := 12
 	var err error
-	for i := 0; i < qd; i++ {
-		var q Question
+	if qd > 0 {
+		m.Questions = make([]Question, qd)
+	}
+	for i := range m.Questions {
+		q := &m.Questions[i]
 		q.Name, off, err = parseName(b, off)
 		if err != nil {
 			return Message{}, err
@@ -81,37 +107,59 @@ func ParseMessage(b []byte) (Message, error) {
 		}
 		q.Type, q.Class = be16(b, off), be16(b, off+2)
 		off += 4
-		m.Questions = append(m.Questions, q)
 	}
-	for _, sec := range []struct {
-		n   int
-		dst *[]RR
-	}{{an, &m.Answers}, {ns, &m.Authority}, {ar, &m.Additional}} {
-		for i := 0; i < sec.n; i++ {
-			var rr RR
-			rr, off, err = parseRR(b, off)
-			if err != nil {
-				return Message{}, err
-			}
-			*sec.dst = append(*sec.dst, rr)
+	if rrs == 0 {
+		return m, nil
+	}
+	// One backing array for the three record sections, each capped so an
+	// append to one cannot reach into the next.
+	all := make([]RR, rrs)
+	for i := range all {
+		off, err = parseRR(b, off, &all[i])
+		if err != nil {
+			return Message{}, err
 		}
+	}
+	if an > 0 {
+		m.Answers = all[:an:an]
+	}
+	if ns > 0 {
+		m.Authority = all[an : an+ns : an+ns]
+	}
+	if ar > 0 {
+		m.Additional = all[an+ns:]
 	}
 	return m, nil
 }
 
 func be16(b []byte, i int) uint16 { return uint16(b[i])<<8 | uint16(b[i+1]) }
 
-// parseName decodes a possibly-compressed domain name.
+// parseName decodes a possibly-compressed domain name: lower case, labels
+// joined by dots, no trailing dot. It returns the offset just past the name
+// where it stood in the message.
 func parseName(b []byte, off int) (string, int, error) {
-	var parts []string
+	var buf [maxNameLen]byte
+	n, end, err := gatherName(&buf, b, off)
+	if err != nil {
+		return "", 0, err
+	}
+	return string(buf[:n]), end, nil
+}
+
+// gatherName is parseName into a caller's buffer, so that a name costs its
+// reader one allocation or none: it returns the name's length in dst. Case
+// is folded as RFC 4343 defines it for DNS — the ASCII letters only, every
+// other octet kept as it is.
+func gatherName(dst *[maxNameLen]byte, b []byte, off int) (n, end int, err error) {
 	jumped := false
-	end := off
+	end = off
+	wire := 1 // octets the name takes uncompressed: the root label so far
 	for hops := 0; ; hops++ {
 		if hops > 64 {
-			return "", 0, fmt.Errorf("dns: compression loop")
+			return 0, 0, fmt.Errorf("dns: compression loop")
 		}
 		if off >= len(b) {
-			return "", 0, fmt.Errorf("dns: truncated name")
+			return 0, 0, fmt.Errorf("dns: truncated name")
 		}
 		l := int(b[off])
 		switch {
@@ -119,10 +167,10 @@ func parseName(b []byte, off int) (string, int, error) {
 			if !jumped {
 				end = off + 1
 			}
-			return strings.Join(parts, "."), end, nil
+			return n, end, nil
 		case l&0xC0 == 0xC0:
 			if off+1 >= len(b) {
-				return "", 0, fmt.Errorf("dns: truncated pointer")
+				return 0, 0, fmt.Errorf("dns: truncated pointer")
 			}
 			ptr := (l&0x3F)<<8 | int(b[off+1])
 			if !jumped {
@@ -130,28 +178,40 @@ func parseName(b []byte, off int) (string, int, error) {
 				jumped = true
 			}
 			if ptr >= off {
-				return "", 0, fmt.Errorf("dns: forward pointer")
+				return 0, 0, fmt.Errorf("dns: forward pointer")
 			}
 			off = ptr
+		case l > maxLabelLen:
+			return 0, 0, fmt.Errorf("dns: reserved label type %#x", l&0xC0)
 		default:
 			if off+1+l > len(b) {
-				return "", 0, fmt.Errorf("dns: label overruns message")
+				return 0, 0, fmt.Errorf("dns: label overruns message")
 			}
-			parts = append(parts, strings.ToLower(string(b[off+1:off+1+l])))
+			if wire += 1 + l; wire > maxNameLen {
+				return 0, 0, fmt.Errorf("dns: name longer than %d octets", maxNameLen)
+			}
+			if n > 0 {
+				dst[n] = '.'
+				n++
+			}
+			for _, c := range b[off+1 : off+1+l] {
+				dst[n] = lowerASCII(c)
+				n++
+			}
 			off += 1 + l
 		}
 	}
 }
 
-func parseRR(b []byte, off int) (RR, int, error) {
-	var rr RR
+// parseRR decodes the record at off into rr and returns the offset past it.
+func parseRR(b []byte, off int, rr *RR) (int, error) {
 	var err error
 	rr.Name, off, err = parseName(b, off)
 	if err != nil {
-		return rr, 0, err
+		return 0, err
 	}
 	if off+10 > len(b) {
-		return rr, 0, fmt.Errorf("dns: truncated RR")
+		return 0, fmt.Errorf("dns: truncated RR")
 	}
 	rr.Type = be16(b, off)
 	rr.Class = be16(b, off+2)
@@ -159,33 +219,67 @@ func parseRR(b []byte, off int) (RR, int, error) {
 	rdlen := int(be16(b, off+8))
 	off += 10
 	if off+rdlen > len(b) {
-		return rr, 0, fmt.Errorf("dns: rdata overruns message")
+		return 0, fmt.Errorf("dns: rdata overruns message")
 	}
 	switch rr.Type {
 	case TypeA:
 		if rdlen != 4 {
-			return rr, 0, fmt.Errorf("dns: bad A rdata")
+			return 0, fmt.Errorf("dns: bad A rdata")
 		}
-		rr.Data = fmt.Sprintf("%d.%d.%d.%d", b[off], b[off+1], b[off+2], b[off+3])
-		off += 4
+		rr.Data = formatA([4]byte(b[off : off+4]))
 	case TypeNS, TypeCNAME:
-		var name string
-		name, _, err = parseName(b, off)
+		rr.Data, _, err = parseName(b, off)
 		if err != nil {
-			return rr, 0, err
+			return 0, err
 		}
-		rr.Data = name
-		off += rdlen
 	default:
 		rr.Data = string(b[off : off+rdlen])
-		off += rdlen
 	}
-	return rr, off, nil
+	return off + rdlen, nil
+}
+
+// formatA renders A rdata as a dotted quad.
+func formatA(o [4]byte) string {
+	var buf [len("255.255.255.255")]byte
+	s := strconv.AppendUint(buf[:0], uint64(o[0]), 10)
+	for _, v := range o[1:] {
+		s = append(s, '.')
+		s = strconv.AppendUint(s, uint64(v), 10)
+	}
+	return string(s)
+}
+
+// parseA is the inverse of formatA and accepts nothing else: four decimal
+// octets 0–255 without sign, space or leading zero, three dots between them.
+func parseA(s string) (o [4]byte, ok bool) {
+	for i := range o {
+		if i > 0 {
+			if s == "" || s[0] != '.' {
+				return o, false
+			}
+			s = s[1:]
+		}
+		digits, v := 0, 0
+		for digits < len(s) && '0' <= s[digits] && s[digits] <= '9' {
+			v = v*10 + int(s[digits]-'0')
+			if digits++; v > 255 {
+				return o, false
+			}
+		}
+		if digits == 0 || (digits > 1 && s[0] == '0') {
+			return o, false
+		}
+		o[i] = byte(v)
+		s = s[digits:]
+	}
+	return o, s == ""
 }
 
 // EncodeMessage serialises a message using the given label-compression
-// strategy (nil disables compression).
-func EncodeMessage(m Message, comp Compressor) []byte {
+// strategy (nil disables compression). It fails on a record whose Data is
+// not what its type requires — an A record that is not a dotted quad —
+// rather than put a made-up value on the wire.
+func EncodeMessage(m Message, comp Compressor) ([]byte, error) {
 	b := make([]byte, 12, 512)
 	put16 := func(i int, v uint16) { b[i], b[i+1] = byte(v>>8), byte(v) }
 	put16(0, m.ID)
@@ -201,16 +295,43 @@ func EncodeMessage(m Message, comp Compressor) []byte {
 	}
 	for _, sec := range [][]RR{m.Answers, m.Authority, m.Additional} {
 		for _, rr := range sec {
-			b = appendRR(b, rr, comp)
+			var err error
+			if b, err = appendRR(b, rr, comp); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return b
+	return b, nil
 }
 
 func append16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }
 
+// lowerASCII folds one octet of a name: A–Z to a–z, anything else as it is.
+func lowerASCII(c byte) byte {
+	if 'A' <= c && c <= 'Z' {
+		c += 'a' - 'A'
+	}
+	return c
+}
+
+// lowerName folds a name as gatherName does, so that it reads back from the
+// wire exactly as it was written to it. A name already in lower case — any
+// the parser returned, any in a Zone — is returned as it is.
+func lowerName(s string) string {
+	for i := 0; i < len(s); i++ {
+		if lowerASCII(s[i]) != s[i] {
+			b := []byte(s)
+			for j := i; j < len(b); j++ {
+				b[j] = lowerASCII(b[j])
+			}
+			return string(b)
+		}
+	}
+	return s
+}
+
 func appendName(b []byte, name string, comp Compressor) []byte {
-	name = strings.ToLower(strings.TrimSuffix(name, "."))
+	name = lowerName(strings.TrimSuffix(name, "."))
 	for name != "" {
 		if comp != nil {
 			if ptr, ok := comp.Lookup(name); ok {
@@ -233,16 +354,18 @@ func appendName(b []byte, name string, comp Compressor) []byte {
 	return append(b, 0)
 }
 
-func appendRR(b []byte, rr RR, comp Compressor) []byte {
+func appendRR(b []byte, rr RR, comp Compressor) ([]byte, error) {
 	b = appendName(b, rr.Name, comp)
 	b = append16(b, rr.Type)
 	b = append16(b, rr.Class)
 	b = append(b, byte(rr.TTL>>24), byte(rr.TTL>>16), byte(rr.TTL>>8), byte(rr.TTL))
 	switch rr.Type {
 	case TypeA:
+		o, ok := parseA(rr.Data)
+		if !ok {
+			return nil, fmt.Errorf("dns: A record %q: data %q is not a dotted quad", rr.Name, rr.Data)
+		}
 		b = append16(b, 4)
-		var o [4]byte
-		fmt.Sscanf(rr.Data, "%d.%d.%d.%d", &o[0], &o[1], &o[2], &o[3])
 		b = append(b, o[:]...)
 	case TypeNS, TypeCNAME:
 		lenAt := len(b)
@@ -255,5 +378,5 @@ func appendRR(b []byte, rr RR, comp Compressor) []byte {
 		b = append16(b, uint16(len(rr.Data)))
 		b = append(b, rr.Data...)
 	}
-	return b
+	return b, nil
 }

@@ -205,13 +205,16 @@ func (pt *PageTable) Seal() error {
 // Port is one end of an event channel (paper §3.2: Xen event channels).
 // Both ends of a channel are homed on one shard kernel (the guest's, for
 // device channels) so notification never crosses shards: the backend
-// worker is colocated with its guest.
+// handler is colocated with its guest.
 type Port struct {
 	Dom   *Domain
 	K     *sim.Kernel // home shard: Notify and Sig waits run here
 	Index int
 	Sig   *sim.Signal
 	peer  *Port
+	// deliver is the peer's receive, built once at Connect: the callback of
+	// every notification event this end sends, so a notify builds no closure.
+	deliver func()
 
 	Sends    int // notifications sent from this end
 	Receives int // notifications delivered to this end
@@ -226,11 +229,7 @@ func (pt *Port) Notify(p *sim.Proc) {
 	h.mxHypercalls.Inc()
 	pt.traceNotify()
 	p.Use(pt.Dom.VCPU, h.Params.HypercallCost)
-	peer := pt.peer
-	pt.K.After(h.Params.EventLatency, func() {
-		peer.Receives++
-		peer.Sig.Set()
-	})
+	pt.K.After(h.Params.EventLatency, pt.deliver)
 }
 
 // NotifyAsync sends an event without charging a proc (used by host-side
@@ -240,11 +239,13 @@ func (pt *Port) NotifyAsync() {
 	pt.Sends++
 	h.mxNotifies.Inc()
 	pt.traceNotify()
-	peer := pt.peer
-	pt.K.After(h.Params.EventLatency, func() {
-		peer.Receives++
-		peer.Sig.Set()
-	})
+	pt.K.After(h.Params.EventLatency, pt.deliver)
+}
+
+// receive is the arrival of one notification at this end.
+func (pt *Port) receive() {
+	pt.Receives++
+	pt.Sig.Set()
 }
 
 func (pt *Port) traceNotify() {
@@ -573,7 +574,7 @@ func (d *Domain) AllocPort() *Port {
 
 // Connect binds a fresh pair of ports between domains a and b, returning
 // (a's end, b's end). This stands in for the xenstore-mediated interdomain
-// bind. Both ends are homed on a's shard — the backend worker that holds
+// bind. Both ends are homed on a's shard — the backend handler that holds
 // b's end is colocated with the guest — and b's end floats: it mirrors a's
 // port index instead of entering b's port table, so b's (dom0's) indices
 // stay independent of the order concurrent guest handshakes complete in.
@@ -582,6 +583,7 @@ func Connect(a, b *Domain) (*Port, *Port) {
 	pb := &Port{Dom: b, K: a.K, Index: pa.Index}
 	pb.Sig = a.K.NewSignal(fmt.Sprintf("%s-evtchn%d-%s", b.Name, pa.Index, a.Name))
 	pa.peer, pb.peer = pb, pa
+	pa.deliver, pb.deliver = pb.receive, pa.receive
 	return pa, pb
 }
 

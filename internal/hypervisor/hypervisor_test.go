@@ -238,3 +238,31 @@ func TestPropSealIffWxorX(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// A notification is an event whose callback the port built once: sending
+// one allocates nothing.
+func TestNotifyAsyncAllocatesNothing(t *testing.T) {
+	k, h := newHost(t)
+	var pa, pb *Port
+	k.Spawn("toolstack", func(p *sim.Proc) {
+		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
+		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
+		pa, pb = Connect(a, b)
+	})
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	one := func() {
+		pa.NotifyAsync()
+		pb.NotifyAsync()
+		k.Run()
+	}
+	one() // warm the kernel's event free list
+	if n := testing.AllocsPerRun(100, one); n != 0 {
+		t.Errorf("NotifyAsync: %v allocations per pair of notifications, want 0", n)
+	}
+	if pa.Receives != 102 || pb.Receives != 102 || !pa.Sig.Pending() || !pb.Sig.Pending() {
+		t.Errorf("deliveries: a %d (pending %v), b %d (pending %v), want 102 each",
+			pa.Receives, pa.Sig.Pending(), pb.Receives, pb.Sig.Pending())
+	}
+}

@@ -63,7 +63,8 @@ type Endpoint interface {
 // Homed is optionally implemented by endpoints whose Deliver must run on a
 // simulation kernel other than the bridge's (a guest pinned to another
 // pCPU shard). The bridge posts deliveries into that kernel; endpoints
-// without a home receive frames on the bridge kernel as before.
+// without a home receive frames on the bridge kernel as before. Home is
+// asked once, when the endpoint is attached.
 type Homed interface {
 	Home() *sim.Kernel
 }
@@ -134,7 +135,7 @@ type Bridge struct {
 	Wire   *sim.CPU // serialisation resource (line rate)
 	Params Params
 
-	endpoints map[MAC]Endpoint
+	endpoints map[MAC]*port
 	down      map[MAC]bool // administratively-down ports: frames from them are discarded
 	uplink    Uplink       // nil unless the bridge joins a multi-host fabric
 	faults    Faults
@@ -188,7 +189,7 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		CPU:            k.NewCPU(cpuName),
 		Wire:           k.NewCPU(wireName),
 		Params:         params,
-		endpoints:      map[MAC]Endpoint{},
+		endpoints:      map[MAC]*port{},
 		down:           map[MAC]bool{},
 		faults:         defaultFaults,
 		epFaults:       map[MAC]Faults{},
@@ -215,8 +216,23 @@ func (b *Bridge) FramePool() *bufpool.Pool { return b.pool }
 // Attach connects an endpoint to the bridge (re-attaching a MAC brings a
 // previously downed port back up).
 func (b *Bridge) Attach(e Endpoint) {
-	b.endpoints[e.MAC()] = e
+	pt := &port{ep: e, home: b.K}
+	if h, ok := e.(Homed); ok {
+		pt.home = h.Home()
+	}
+	pt.deliver = func(frame any, _ uint64) { e.Deliver(frame.(*bufpool.Buf)) }
+	b.endpoints[e.MAC()] = pt
 	delete(b.down, e.MAC())
+}
+
+// port is an attached endpoint and what the bridge needs per frame toward
+// it, worked out once at Attach: the kernel its Deliver runs on and the
+// callback a delivery event (sim.Kernel.AtArg, the frame as its argument)
+// invokes — so forwarding a frame builds no closure.
+type port struct {
+	ep      Endpoint
+	home    *sim.Kernel
+	deliver func(frame any, _ uint64)
 }
 
 // Detach removes an endpoint.
@@ -224,7 +240,7 @@ func (b *Bridge) Detach(e Endpoint) { b.DetachMAC(e.MAC()) }
 
 // DetachMAC takes the port for mac down: frames toward it no longer route,
 // and frames *from* it are discarded at the bridge. This models unplugging
-// a crashed or retired guest whose domain — and backend worker — may still
+// a crashed or retired guest whose domain — and backend handler — may still
 // be running: the guest can keep transmitting into the dead port without
 // reaching anyone.
 func (b *Bridge) DetachMAC(mac MAC) {
@@ -289,7 +305,7 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 		f.Release()
 		return
 	}
-	e, ok := b.endpoints[dst]
+	pt, ok := b.endpoints[dst]
 	if !ok {
 		if b.uplink != nil {
 			u := b.uplink
@@ -306,7 +322,7 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-fwd", 0, 0,
 			obs.Str("dst", dst.String()), obs.Int("bytes", int64(len(frame))))
 	}
-	b.deliver(dst, e, at, f)
+	b.deliver(dst, pt, at, f)
 }
 
 // floodLocal delivers one broadcast reference to every local endpoint but
@@ -351,7 +367,7 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 		b.floodLocal(src, at, f)
 		return
 	}
-	e, ok := b.endpoints[dst]
+	pt, ok := b.endpoints[dst]
 	if !ok {
 		b.NoRoute++
 		f.Release()
@@ -359,14 +375,14 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 	}
 	b.Forwarded++
 	b.mxForwarded.Inc()
-	b.deliver(dst, e, at, f)
+	b.deliver(dst, pt, at, f)
 }
 
 // InjectSteer is Inject for a steered frame: deliver to the local port
 // owning dst regardless of the frame's embedded destination MAC. Returns
 // false (frame dropped) when dst is not attached here.
 func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
-	e, ok := b.endpoints[dst]
+	pt, ok := b.endpoints[dst]
 	if !ok {
 		b.NoRoute++
 		f.Release()
@@ -377,7 +393,7 @@ func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
 	b.mxBytes.Add(int64(f.Len()))
 	b.Steered++
 	b.mxSteered.Inc()
-	b.deliver(dst, e, at, f)
+	b.deliver(dst, pt, at, f)
 	return true
 }
 
@@ -389,7 +405,7 @@ func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
 // Transmit; the caller yields its frame reference. Returns false (frame
 // discarded) when no endpoint owns dst.
 func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
-	e, ok := b.endpoints[dst]
+	pt, ok := b.endpoints[dst]
 	if !ok {
 		if b.uplink != nil {
 			// Charge the local traversal, then hand the steering decision
@@ -418,7 +434,7 @@ func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-steer", 0, 0,
 			obs.Str("dst", dst.String()), obs.Int("bytes", int64(len(frame))))
 	}
-	b.deliver(dst, e, at, f)
+	b.deliver(dst, pt, at, f)
 	return true
 }
 
@@ -442,10 +458,10 @@ func (b *Bridge) TransmitBytes(src MAC, frame []byte) {
 // with faults disabled no draw is made at all. deliver consumes the
 // caller's buffer reference: a drop releases it, a duplicate delivery
 // retains a second reference to the same immutable buffer.
-func (b *Bridge) deliver(dst MAC, e Endpoint, at sim.Time, frame *bufpool.Buf) {
+func (b *Bridge) deliver(dst MAC, pt *port, at sim.Time, frame *bufpool.Buf) {
 	f := b.faultsFor(dst)
 	if !f.enabled() {
-		b.schedule(e, at, frame)
+		b.schedule(pt, at, frame)
 		return
 	}
 	rng := b.K.Rand()
@@ -488,7 +504,7 @@ func (b *Bridge) deliver(dst MAC, e Endpoint, at sim.Time, frame *bufpool.Buf) {
 			b.mxFaultJitter.Inc()
 			instant("jitter")
 		}
-		b.schedule(e, when, frame)
+		b.schedule(pt, when, frame)
 	}
 }
 
@@ -505,17 +521,16 @@ const replyHoldoff = 4
 // Each cross-shard delivery also hints the cluster's width controller that
 // reply traffic is likely until shortly after the delivery instant, keeping
 // epochs narrow across request/response think-time gaps.
-func (b *Bridge) schedule(e Endpoint, at sim.Time, frame *bufpool.Buf) {
-	if h, ok := e.(Homed); ok {
-		if dk := h.Home(); dk != b.K {
-			b.K.PostAt(dk, at, func() { e.Deliver(frame) })
-			if c := b.K.Cluster(); c != nil {
-				c.HoldWide(at.Add(replyHoldoff * b.Params.Propagation))
-			}
-			return
+func (b *Bridge) schedule(pt *port, at sim.Time, frame *bufpool.Buf) {
+	if pt.home != b.K {
+		e := pt.ep
+		b.K.PostAt(pt.home, at, func() { e.Deliver(frame) })
+		if c := b.K.Cluster(); c != nil {
+			c.HoldWide(at.Add(replyHoldoff * b.Params.Propagation))
 		}
+		return
 	}
-	b.K.At(at, func() { e.Deliver(frame) })
+	b.K.AtArg(at, pt.deliver, frame, 0)
 }
 
 // TX/RX ring slot encodings (little-endian, within a 120-byte slot).
@@ -620,10 +635,12 @@ type VIF struct {
 	rxBack *ring.Back
 	port   *hypervisor.Port // backend end of the vif event channel
 
-	pendingRx []pendingRx // RX posts consumed from the ring, awaiting frames
+	pendingRx []pendingRx  // RX posts consumed from the ring, awaiting frames
+	txFrame   *bufpool.Buf // TX frame whose later fragments are still to come
 
-	rspPending int    // RX responses pushed but not yet published
-	rspGen     uint64 // coalesces same-instant RX publishes into one notify
+	rspPending  int    // RX responses pushed but not yet published
+	rxFlushes   int    // rxFlush events scheduled and not yet fired
+	rxFlushFunc func() // v.rxFlush, built once
 
 	// Stats
 	TxFrames int
@@ -648,8 +665,8 @@ type VIFBackend struct {
 // Kind implements the device backend signature.
 func (vb *VIFBackend) Kind() string { return "vif" }
 
-// Connect maps the tx/rx rings published by the frontend and spawns the
-// backend worker.
+// Connect maps the tx/rx rings published by the frontend and starts the
+// backend's event handler.
 func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruct.View, fields map[string]string, port *hypervisor.Port) error {
 	mac, err := ParseMAC(fields["mac"])
 	if err != nil {
@@ -666,9 +683,9 @@ func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 // NewVIF attaches the backend: txPage/rxPage are the guest's shared ring
 // pages (already initialised by the frontend) and port is the backend end
 // of the event channel. The returned VIF is registered on the bridge and
-// its worker is spawned.
+// its handler (serve) is registered on the event channel.
 //
-// The worker runs on the guest's home kernel: ring drains and grant copies
+// The handler runs on the guest's home kernel: ring drains and grant copies
 // touch guest memory, so sharding them with the guest keeps every access
 // single-threaded. When that home is not the bridge shard the VIF stages
 // TX frames in its own shared pool (releases come back from other shards)
@@ -682,6 +699,7 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac MAC, txPage, rxPage *cstruc
 		rxBack: ring.NewBack(rxPage),
 		port:   port,
 	}
+	v.rxFlushFunc = v.rxFlush
 	if guest.K != b.K {
 		v.pool = bufpool.NewPool(frameBufSize)
 		v.pool.Share()
@@ -689,7 +707,7 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac MAC, txPage, rxPage *cstruc
 	} else {
 		b.Attach(v)
 	}
-	guest.K.SpawnDaemon("netback-"+mac.String(), v.worker)
+	guest.K.SpawnHandler("netback-"+mac.String(), port.Sig, v.serve)
 	return v
 }
 
@@ -712,7 +730,7 @@ func (v *VIF) stagingPool() *bufpool.Pool {
 }
 
 // transmit hands an assembled frame to the bridge, posting it into the
-// bridge kernel when the worker runs on another shard. The post is clamped
+// bridge kernel when the handler runs on another shard. The post is clamped
 // to the cluster lookahead, which core derives from the bridge propagation
 // latency — so the hop costs the same latency the bridge would charge.
 func (v *VIF) transmit(f *bufpool.Buf) {
@@ -758,26 +776,21 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 
 // scheduleRxFlush defers publishing pushed RX responses to the end of the
 // current instant: deliveries landing at the same virtual time are
-// published (and the guest notified) once. The generation counter makes
-// every flush but the last a no-op; ordering of same-instant events is
-// deterministic, so this cannot perturb same-seed reruns.
+// published (and the guest notified) once. Every delivery schedules a flush
+// event and same-instant events fire in the order they were scheduled, so
+// the one that finds no other outstanding is the last: it alone publishes.
 func (v *VIF) scheduleRxFlush() {
 	v.rspPending++
-	v.rspGen++
-	gen := v.rspGen
+	v.rxFlushes++
 	k := v.guest.K
-	k.At(k.Now(), func() {
-		if gen != v.rspGen {
-			return
-		}
-		v.flushRx()
-	})
+	k.At(k.Now(), v.rxFlushFunc)
 }
 
-// flushRx publishes pending RX responses and notifies the guest if it
-// asked for an event.
-func (v *VIF) flushRx() {
-	if v.rspPending == 0 {
+// rxFlush is the flush event: the last one outstanding publishes pending RX
+// responses and notifies the guest if it asked for an event.
+func (v *VIF) rxFlush() {
+	v.rxFlushes--
+	if v.rxFlushes > 0 {
 		return
 	}
 	v.bridge.mxBatchRx.Observe(float64(v.rspPending))
@@ -797,14 +810,14 @@ func (v *VIF) refillPending() {
 	}
 }
 
-// worker is the backend event loop: it drains TX requests in batches,
-// grant-copying frame fragments directly into one pooled staging buffer
-// per frame (a single copy, no intermediate allocation) and handing the
-// buffer to the bridge by reference. One response publish — at most one
-// notification — covers the whole drained batch. It runs as a daemon for
-// the life of the simulation.
-func (v *VIF) worker(p *sim.Proc) {
-	var frame *bufpool.Buf
+// serve is the backend's event handler (sim.Kernel.SpawnHandler on the vif
+// event channel): it drains TX requests in batches, grant-copying frame
+// fragments directly into one pooled staging buffer per frame (a single
+// copy, no intermediate allocation) and handing the buffer to the bridge by
+// reference. One response publish — at most one notification — covers the
+// whole drained batch. It returns once the ring is empty and request events
+// are re-armed; a frame still missing fragments waits in v.txFrame.
+func (v *VIF) serve() {
 	for {
 		progressed := false
 		drained := 0
@@ -820,9 +833,11 @@ func (v *VIF) worker(p *sim.Proc) {
 			}
 			progressed = true
 			drained++
+			frame := v.txFrame
 			if frame == nil {
 				frame = v.stagingPool().Get()
 				frame.Span = span // trace id rides the first fragment's descriptor
+				v.txFrame = frame
 			}
 			prev := frame.Len()
 			dst := frame.Extend(int(length))
@@ -841,7 +856,7 @@ func (v *VIF) worker(p *sim.Proc) {
 				} else {
 					frame.Release()
 				}
-				frame = nil
+				v.txFrame = nil
 			}
 			v.txBack.PushResponse(func(s *cstruct.View) { EncodeTxRsp(s, id, ok) })
 		}
@@ -857,7 +872,7 @@ func (v *VIF) worker(p *sim.Proc) {
 			if raced := v.txBack.EnableRequestEvents(); raced {
 				continue
 			}
-			p.Wait(v.port.Sig)
+			return
 		}
 	}
 }

@@ -151,6 +151,50 @@ func TestScatterGatherFrameReassembled(t *testing.T) {
 	}
 }
 
+// A frame whose fragments reach the backend on two separate notifications:
+// the half-assembled frame must survive between the backend handler's
+// activations.
+func TestFrameStraddlingTwoBackendWakeups(t *testing.T) {
+	r := newRig()
+	var got []string
+	r.k.Spawn("setup", func(tp *sim.Proc) {
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+
+		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			n.SetReceiver(func(v *cstruct.View, _ uint64) {
+				got = append(got, v.String(14, v.Len()-14))
+				v.Release()
+			})
+			return vm.Main(p, vm.S.Sleep(200*time.Millisecond))
+		})
+
+		r.spawnGuest(t, "sender", macA, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			p.Sleep(50 * time.Millisecond)
+			// Stage the two fragments by hand, publishing and notifying
+			// after each, a millisecond apart.
+			push := func(data []byte, more bool) {
+				page := vm.Dom.Pool.Get()
+				page.PutBytes(0, data)
+				gref := vm.Dom.Grants.Grant(page, true)
+				n.txFront.PushRequest(func(s *cstruct.View) {
+					netback.EncodeTxReq(s, uint32(gref), 0, uint16(len(data)), 999, more, 0)
+				})
+				n.flushTx(p)
+			}
+			push(frame(macB, macA, ""), true)
+			p.Sleep(time.Millisecond)
+			push([]byte("second wakeup"), false)
+			return vm.Main(p, vm.S.Sleep(100*time.Millisecond))
+		})
+	})
+	if _, err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "second wakeup" {
+		t.Fatalf("received %q, want one frame carrying %q", got, "second wakeup")
+	}
+}
+
 func TestTxCompletionsReleasePagesToPool(t *testing.T) {
 	r := newRig()
 	r.k.Spawn("setup", func(tp *sim.Proc) {

@@ -91,7 +91,12 @@ type Stack struct {
 	txSpare   []*cstruct.View // drained batch backing, reused by the next burst
 	txSpans   []uint64        // per-frame trace ids, parallel to txBatch
 	txSpnFree []uint64        // drained span backing, reused by the next burst
-	txGen     uint64          // invalidates stale flush events
+	txFlushes int             // txFlush events scheduled and not yet fired
+
+	// Per-frame event callbacks, built once so scheduling one allocates
+	// nothing.
+	txFlushFunc func()
+	rxEventFunc func(frame any, span uint64)
 
 	// Stats
 	RxPackets, TxPackets int
@@ -111,6 +116,7 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 		UDP:    udp.NewMux(),
 		reasm:  ipv4.NewReassembler(),
 	}
+	st.txFlushFunc, st.rxEventFunc = st.txFlush, st.rxEvent
 	st.wake = vm.S.K.NewSignal("netstack-wake")
 	vm.S.OnSignal(st.wake, func() {})
 	st.ARP = arp.NewHandler(vm.S, cfg.IP, cfg.MAC)
@@ -146,6 +152,11 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 			obs.Str("ip", localIP.String()))
 	}
 	st.TCP.Output = func(dst ipv4.Addr, seg tcp.Segment) {
+		if mac, ok := st.direct(dst, seg.WireLen()); ok {
+			page, body := st.openFrame(seg.WireLen())
+			st.sendFrame(page, body, tcp.Encode(body, localIP, dst, seg), mac, localIP, dst, ipv4.ProtoTCP, seg.Span)
+			return
+		}
 		st.sendIPSpan(localIP, dst, ipv4.ProtoTCP, seg.WireLen(), seg.Span, func(v *cstruct.View) int {
 			return tcp.Encode(v, localIP, dst, seg)
 		})
@@ -168,10 +179,11 @@ const txBatchMax = 16
 //
 // Frames built in one burst (before the vCPU finishes their construction
 // work) are batched: each frame schedules a flush at its own completion
-// instant, and the generation counter makes every flush but the last a
-// no-op — so the whole burst enters the TX ring together and costs a
-// single publish/notification. A lone frame flushes at exactly the same
-// instant as the unbatched path did.
+// instant. Those instants never decrease, so the events fire in the order
+// they were scheduled and the one that finds no other outstanding is the
+// burst's last: it alone flushes — so the whole burst enters the TX ring
+// together and costs a single publish/notification. A lone frame flushes at
+// exactly the same instant as the unbatched path did.
 func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 	at := st.VM.Dom.VCPU.Reserve(st.Params.TxCost)
 	st.TxPackets++
@@ -183,22 +195,25 @@ func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 	}
 	st.txBatch = append(st.txBatch, frame)
 	st.txSpans = append(st.txSpans, span)
-	st.txGen++
-	gen := st.txGen
 	if len(st.txBatch) >= txBatchMax {
 		batch, spans := st.txBatch, st.txSpans
 		st.txBatch, st.txSpans = nil, nil
 		st.VM.S.K.At(at, func() { st.sendBatch(batch, spans) })
 		return
 	}
-	st.VM.S.K.At(at, func() {
-		if gen != st.txGen {
-			return // a later frame joined the burst; its flush covers us
-		}
-		batch, spans := st.txBatch, st.txSpans
-		st.txBatch, st.txSpans = nil, nil
-		st.sendBatch(batch, spans)
-	})
+	st.txFlushes++
+	st.VM.S.K.At(at, st.txFlushFunc)
+}
+
+// txFlush is the flush event tx schedules per frame.
+func (st *Stack) txFlush() {
+	st.txFlushes--
+	if st.txFlushes > 0 || len(st.txBatch) == 0 {
+		return // a later frame joined the burst, or a full batch already left
+	}
+	batch, spans := st.txBatch, st.txSpans
+	st.txBatch, st.txSpans = nil, nil
+	st.sendBatch(batch, spans)
 }
 
 // sendBatch hands a drained burst to the NIC, then parks the backing arrays
@@ -229,23 +244,15 @@ func (st *Stack) sendIPSpan(src ipv4.Addr, dst ipv4.Addr, proto uint8, maxLen in
 			st.RxDropped++
 			return
 		}
-		st.ipID++
-		id := st.ipID
-		const hdr = ethernet.HeaderLen + ipv4.HeaderLen
-		if maxLen+hdr <= cstruct.PageSize && maxLen+ipv4.HeaderLen <= st.Cfg.MTU {
+		if st.fitsOneFrame(maxLen) {
 			// Fast path: single frame, payload built in place.
-			page := st.VM.Dom.Pool.Get()
-			body := page.Sub(hdr, maxLen)
-			n := build(body)
-			body.Release()
-			ethernet.Encode(page, mac, st.Cfg.MAC, ethernet.TypeIPv4)
-			iph := page.Sub(ethernet.HeaderLen, ipv4.HeaderLen)
-			ipv4.Encode(iph, ipv4.Header{ID: id, Proto: proto, Src: src, Dst: dst}, n)
-			iph.Release()
-			st.tx(page, hdr+n, span)
+			page, body := st.openFrame(maxLen)
+			st.sendFrame(page, body, build(body), mac, src, dst, proto, span)
 			return
 		}
 		// Slow path: build into scratch, then fragment.
+		st.ipID++
+		id := st.ipID
 		scratch := cstruct.Make(maxLen)
 		n := build(scratch)
 		for _, fr := range ipv4.PlanFragments(n, st.Cfg.MTU) {
@@ -255,10 +262,61 @@ func (st *Stack) sendIPSpan(src ipv4.Addr, dst ipv4.Addr, proto uint8, maxLen in
 			ipv4.Encode(iph, ipv4.Header{ID: id, Proto: proto, Src: src, Dst: dst,
 				MoreFrags: fr.More, FragOffset: fr.Offset}, fr.Len)
 			iph.Release()
-			page.PutBytes(hdr, scratch.Slice(fr.Offset, fr.Len))
-			st.tx(page, hdr+fr.Len, span)
+			page.PutBytes(frameHdr, scratch.Slice(fr.Offset, fr.Len))
+			st.tx(page, frameHdr+fr.Len, span)
 		}
 	})
+}
+
+// frameHdr is what precedes the transport payload in a frame.
+const frameHdr = ethernet.HeaderLen + ipv4.HeaderLen
+
+// fitsOneFrame reports whether maxLen transport bytes go out unfragmented,
+// built in place in one I/O page.
+func (st *Stack) fitsOneFrame(maxLen int) bool {
+	return maxLen+frameHdr <= cstruct.PageSize && maxLen+ipv4.HeaderLen <= st.Cfg.MTU
+}
+
+// direct reports whether a packet of maxLen transport bytes for dst can be
+// built and sent right now with no callback — one frame, next hop already
+// resolved — and the hop's MAC if so. It is the common case of every send;
+// the callers keep SendIP's callback form for the rest (an ARP exchange to
+// wait for, or fragmentation).
+func (st *Stack) direct(dst ipv4.Addr, maxLen int) (ethernet.MAC, bool) {
+	if !st.fitsOneFrame(maxLen) {
+		return ethernet.MAC{}, false
+	}
+	if dst == ipv4.Broadcast {
+		return ethernet.Broadcast, true
+	}
+	return st.ARP.Cached(st.nextHop(dst))
+}
+
+// openFrame takes an I/O page for a single-frame packet and returns it with
+// the window the transport payload (at most maxLen bytes) is built into.
+func (st *Stack) openFrame(maxLen int) (page, body *cstruct.View) {
+	page = st.VM.Dom.Pool.Get()
+	return page, page.Sub(frameHdr, maxLen)
+}
+
+// sendFrame completes a frame begun with openFrame — n payload bytes now
+// sit in body — with its Ethernet and IP headers and transmits it.
+func (st *Stack) sendFrame(page, body *cstruct.View, n int, mac ethernet.MAC, src, dst ipv4.Addr, proto uint8, span uint64) {
+	body.Release()
+	st.ipID++
+	ethernet.Encode(page, mac, st.Cfg.MAC, ethernet.TypeIPv4)
+	iph := page.Sub(ethernet.HeaderLen, ipv4.HeaderLen)
+	ipv4.Encode(iph, ipv4.Header{ID: st.ipID, Proto: proto, Src: src, Dst: dst}, n)
+	iph.Release()
+	st.tx(page, frameHdr+n, span)
+}
+
+// nextHop is dst itself on the local subnet, the gateway otherwise.
+func (st *Stack) nextHop(dst ipv4.Addr) ipv4.Addr {
+	if st.Cfg.Netmask != 0 && dst&st.Cfg.Netmask != st.Cfg.IP&st.Cfg.Netmask && st.Cfg.Gateway != 0 {
+		return st.Cfg.Gateway
+	}
+	return dst
 }
 
 // resolveNextHop picks dst or the gateway and resolves its MAC.
@@ -267,11 +325,7 @@ func (st *Stack) resolveNextHop(dst ipv4.Addr, cb func(ethernet.MAC, error)) {
 		cb(ethernet.Broadcast, nil)
 		return
 	}
-	hop := dst
-	if st.Cfg.Netmask != 0 && dst&st.Cfg.Netmask != st.Cfg.IP&st.Cfg.Netmask && st.Cfg.Gateway != 0 {
-		hop = st.Cfg.Gateway
-	}
-	st.ARP.Resolve(hop, cb)
+	st.ARP.Resolve(st.nextHop(dst), cb)
 }
 
 // rx is the receive upcall from the driver: parsing happens after the
@@ -279,10 +333,13 @@ func (st *Stack) resolveNextHop(dst ipv4.Addr, cb func(ethernet.MAC, error)) {
 // is the frame's trace id from the RX descriptor (0 = untraced).
 func (st *Stack) rx(v *cstruct.View, span uint64) {
 	at := st.VM.Dom.VCPU.Reserve(st.Params.RxCost)
-	st.VM.S.K.At(at, func() {
-		st.rxNow(v, span)
-		st.wake.Set()
-	})
+	st.VM.S.K.AtArg(at, st.rxEventFunc, v, span)
+}
+
+// rxEvent is the event rx schedules per frame; the event carries the frame.
+func (st *Stack) rxEvent(frame any, span uint64) {
+	st.rxNow(frame.(*cstruct.View), span)
+	st.wake.Set()
 }
 
 func (st *Stack) rxNow(v *cstruct.View, span uint64) {
@@ -363,7 +420,15 @@ func (st *Stack) rxIP(v *cstruct.View, span uint64) {
 
 // SendUDP transmits a datagram.
 func (st *Stack) SendUDP(dst ipv4.Addr, dstPort, srcPort uint16, payload []byte) {
-	st.SendIP(dst, ipv4.ProtoUDP, udp.HeaderLen+len(payload), func(v *cstruct.View) int {
+	n := udp.HeaderLen + len(payload)
+	if mac, ok := st.direct(dst, n); ok {
+		page, body := st.openFrame(n)
+		udp.Encode(body, srcPort, dstPort, len(payload))
+		body.PutBytes(udp.HeaderLen, payload)
+		st.sendFrame(page, body, n, mac, st.Cfg.IP, dst, ipv4.ProtoUDP, 0)
+		return
+	}
+	st.SendIP(dst, ipv4.ProtoUDP, n, func(v *cstruct.View) int {
 		udp.Encode(v, srcPort, dstPort, len(payload))
 		v.PutBytes(udp.HeaderLen, payload)
 		return udp.HeaderLen + len(payload)

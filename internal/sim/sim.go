@@ -4,7 +4,10 @@
 // run as Procs: goroutines that are strictly coroutine-scheduled so that at
 // most one of them (or the kernel itself) executes at any instant. Procs
 // park on timers, signals, or CPU resources; the kernel advances virtual
-// time to the next scheduled event whenever no proc is runnable.
+// time to the next scheduled event whenever no proc is runnable. An activity
+// that only ever reacts to one signal and never blocks mid-way — a device
+// backend — is a handler instead (SpawnHandler): a proc's identity and
+// run-queue slot without the goroutine.
 //
 // Determinism: the run queue is FIFO, timed events are ordered by
 // (time, insertion sequence), and all randomness flows through the kernel's
@@ -44,6 +47,11 @@ type event struct {
 	fn  func()
 	gen uint64 // bumped each recycle; Event handles carry the matching gen
 	idx int    // position in the kernel's event heap while queued
+
+	// Argument form (AtArg): argFn(arg, n) runs instead of fn.
+	argFn func(arg any, n uint64)
+	arg   any
+	n     uint64
 }
 
 // eventHeap is an indexed 4-ary min-heap ordered by (at, seq). The wider
@@ -275,6 +283,23 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 // past run at the current instant, after already-queued events. The
 // returned handle can Cancel the callback while it is still pending.
 func (k *Kernel) At(t Time, fn func()) Event {
+	e := k.newEvent(t)
+	e.fn = fn
+	return Event{k: k, e: e, gen: e.gen}
+}
+
+// AtArg is At for a callback that is built once and told by the event what
+// it is about: fn(arg, n) runs at t. A per-frame event then needs no closure,
+// and storing a pointer-shaped arg (a pointer, or an interface holding one)
+// allocates nothing; n carries a word of metadata beside it.
+func (k *Kernel) AtArg(t Time, fn func(arg any, n uint64), arg any, n uint64) Event {
+	e := k.newEvent(t)
+	e.argFn, e.arg, e.n = fn, arg, n
+	return Event{k: k, e: e, gen: e.gen}
+}
+
+// newEvent queues a recycled (or fresh) event struct at t, callback unset.
+func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		t = k.now
 	}
@@ -284,15 +309,15 @@ func (k *Kernel) At(t Time, fn func()) Event {
 		e = k.evFree[n-1]
 		k.evFree[n-1] = nil
 		k.evFree = k.evFree[:n-1]
-		e.at, e.seq, e.fn = t, k.seq, fn
+		e.at, e.seq = t, k.seq
 	} else {
-		e = &event{at: t, seq: k.seq, fn: fn}
+		e = &event{at: t, seq: k.seq}
 	}
 	k.events.push(e)
 	if len(k.events) > k.heapPeak {
 		k.heapPeak = len(k.events)
 	}
-	return Event{k: k, e: e, gen: e.gen}
+	return e
 }
 
 // EventQueueLen returns the number of scheduled events; on a sharded kernel,
@@ -365,7 +390,7 @@ func (k *Kernel) After(d time.Duration, fn func()) Event { return k.At(k.now.Add
 // recycle retires an event struct that has left the heap for reuse by At.
 // Bumping gen invalidates any outstanding Event handles to it.
 func (k *Kernel) recycle(e *event) {
-	e.fn = nil
+	e.fn, e.argFn, e.arg = nil, nil, nil
 	e.gen++
 	k.evFree = append(k.evFree, e)
 }
@@ -410,6 +435,8 @@ func (k *Kernel) StopAt(t Time) {
 }
 
 // Proc is a simulated process: a goroutine coroutine-scheduled by the kernel.
+// A handler (SpawnHandler) is a Proc without the goroutine: it owns the same
+// identity, run-queue slot and wake accounting, and step runs it inline.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -421,6 +448,9 @@ type Proc struct {
 	parkAt string // description of the current park site, for diagnostics
 
 	wake func() // schedules the proc; the one callback every park timer uses
+
+	handle func()  // handlers only: the run-to-completion body
+	sig    *Signal // handlers only: the signal the handler waits on between runs
 
 	tracePid int // trace process the proc is attributed to (domain ID; 0 = host)
 }
@@ -453,18 +483,8 @@ const tidStride = 1 << 20
 // Spawn creates a process running fn and marks it runnable. fn starts
 // executing when the kernel next schedules it.
 func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
-	k.procSeq++
-	// Shards stride their proc IDs apart so trace (pid, tid) pairs stay
-	// unique cluster-wide; on a plain kernel shard is 0 and IDs are 1, 2, …
-	// exactly as before.
-	p := &Proc{k: k, name: name, id: k.shard*tidStride + k.procSeq, resume: make(chan struct{})}
-	p.wake = func() { k.schedule(p) }
-	k.live[p] = struct{}{}
-	k.mxSpawns.Inc()
-	if k.trace.Enabled() {
-		k.trace.NameThread(0, p.id, name)
-		k.trace.Instant(k.TraceTime(), "kernel", "spawn", 0, p.id, obs.Str("proc", name))
-	}
+	p := k.newProc(name)
+	p.resume = make(chan struct{})
 	go func() {
 		<-p.resume
 		defer func() {
@@ -477,6 +497,24 @@ func (k *Kernel) Spawn(name string, fn func(p *Proc)) *Proc {
 		}()
 		fn(p)
 	}()
+	return p
+}
+
+// newProc registers a live, runnable proc (no body yet) at the back of the
+// run queue.
+func (k *Kernel) newProc(name string) *Proc {
+	k.procSeq++
+	// Shards stride their proc IDs apart so trace (pid, tid) pairs stay
+	// unique cluster-wide; on a plain kernel shard is 0 and IDs are 1, 2, …
+	// exactly as before.
+	p := &Proc{k: k, name: name, id: k.shard*tidStride + k.procSeq}
+	p.wake = func() { k.schedule(p) }
+	k.live[p] = struct{}{}
+	k.mxSpawns.Inc()
+	if k.trace.Enabled() {
+		k.trace.NameThread(0, p.id, name)
+		k.trace.Instant(k.TraceTime(), "kernel", "spawn", 0, p.id, obs.Str("proc", name))
+	}
 	p.ready = true
 	k.runq = append(k.runq, p)
 	return p
@@ -488,6 +526,53 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	p := k.Spawn(name, fn)
 	p.daemon = true
 	return p
+}
+
+// SpawnHandler creates a daemon that needs no goroutine: an event handler
+// whose every activation runs to completion. It behaves as a daemon proc
+// running `for { fn(); p.Wait(sig) }` does — fn runs once when the kernel
+// first schedules it, then once per wake-up by sig, and again at once while
+// a Set arrived during the run — and it runs in the very run-queue slot that
+// proc would have been resumed in, so which form a backend takes is invisible
+// to virtual time, event order, the wake count and the trace. fn must not
+// block: it has no Proc to park. Use a Proc for anything that sleeps, waits
+// on several signals or consumes CPU time with Use.
+func (k *Kernel) SpawnHandler(name string, sig *Signal, fn func()) {
+	p := k.newProc(name)
+	p.daemon = true
+	p.handle, p.sig = fn, sig
+}
+
+// runHandler is one activation of handler p: what resuming the equivalent
+// proc out of Wait(p.sig) does until it parks in Wait again.
+func (k *Kernel) runHandler(p *Proc) {
+	defer func() {
+		if v := recover(); v != nil {
+			k.panicVal = fmt.Sprintf("sim: handler %q panicked: %v", p.name, v)
+			k.panicked = true
+		}
+	}()
+	s := p.sig
+	traced := k.trace.Enabled()
+	if p.parkAt != "" { // woken out of its wait, which consumes the Set
+		if traced {
+			k.trace.End(k.TraceTime(), "kernel", "park:"+s.site, p.tracePid, p.id)
+		}
+		p.parkAt = ""
+		s.pending = false
+	}
+	for {
+		p.handle()
+		if !s.pending {
+			break
+		}
+		s.pending = false // a Set during the run: Wait would not have parked
+	}
+	s.waiters = append(s.waiters, p)
+	p.parkAt = s.site
+	if traced {
+		k.trace.Begin(k.TraceTime(), "kernel", "park:"+s.site, p.tracePid, p.id)
+	}
 }
 
 // schedule marks p runnable at the current instant (idempotent).
@@ -519,9 +604,14 @@ func (k *Kernel) step() bool {
 		}
 		k.events.pop()
 		k.now = e.at
-		fn := e.fn
+		fn, argFn, arg, n := e.fn, e.argFn, e.arg, e.n
 		k.recycle(e)
-		fn() // may schedule procs or more events (and reuse e)
+		// Either form may schedule procs or more events (and reuse e).
+		if argFn != nil {
+			argFn(arg, n)
+		} else {
+			fn()
+		}
 	}
 	if k.runqHd == len(k.runq) {
 		return false
@@ -536,10 +626,14 @@ func (k *Kernel) step() bool {
 	if p.done {
 		return true
 	}
-	p.resume <- struct{}{}
-	<-k.parked
-	if p.done {
-		delete(k.live, p)
+	if p.handle != nil {
+		k.runHandler(p)
+	} else {
+		p.resume <- struct{}{}
+		<-k.parked
+		if p.done {
+			delete(k.live, p)
+		}
 	}
 	if k.panicked {
 		panic(k.panicVal)

@@ -67,9 +67,7 @@ func NewMemo(cap int) *Memo {
 // compute on a miss; at capacity the least-recently-used entry makes room.
 func (mo *Memo) Get(key string, compute func() []byte) []byte {
 	if e, ok := mo.m[key]; ok {
-		mo.Hits++
-		mo.moveToFront(e)
-		return e.val
+		return mo.hit(e)
 	}
 	mo.Misses++
 	v := compute()
@@ -83,6 +81,23 @@ func (mo *Memo) Get(key string, compute func() []byte) []byte {
 	mo.m[key] = e
 	mo.pushFront(e)
 	return v
+}
+
+// Cached is the hit half of Get for a caller that holds the key as bytes (a
+// name still in its packet, say): a memoized key counts and is promoted
+// exactly as a Get hit is, and looking it up allocates nothing; an absent
+// key changes nothing — the Get that follows counts the miss.
+func (mo *Memo) Cached(key []byte) ([]byte, bool) {
+	if e, ok := mo.m[string(key)]; ok {
+		return mo.hit(e), true
+	}
+	return nil, false
+}
+
+func (mo *Memo) hit(e *memoEntry) []byte {
+	mo.Hits++
+	mo.moveToFront(e)
+	return e.val
 }
 
 func (mo *Memo) unlink(e *memoEntry) {
