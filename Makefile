@@ -4,7 +4,7 @@ GO ?= go
 
 all: check
 
-check: fmt vet staticcheck build test fuzz race race-parallel race-obs race-storage paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
+check: fmt vet staticcheck build test fuzz race paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -40,10 +40,11 @@ fuzz: build
 race: build
 	$(GO) test -race ./...
 
-# Focused race check on the parallel simulation driver — including the
-# adaptive width-controller, barrier-elision and mailbox-recycling paths
-# (fast; also covered by the full `race` target, kept separate so CI can
-# run it on every push).
+# The three focused race targets below are strict subsets of `race`, which
+# `check` runs; they stay for a quick local look at one area.
+
+# The parallel simulation driver — including the adaptive width-controller,
+# barrier-elision and mailbox-recycling paths.
 race-parallel: build
 	$(GO) test -race -run 'Parallel|Adaptive|Mailbox' ./internal/sim/...
 
@@ -178,9 +179,10 @@ connsweep: build
 	@echo "connsweep deterministic: same-seed quick runs byte-identical"
 
 # Regenerate BENCH_parallel.json: scalesweep wall clock under the three
-# drivers (medians over 4 runs each; host-dependent — the honest 1-core
-# note is part of the file) plus the deterministic sim_cluster_* barrier
-# counters from a sharded run. Re-run after changes to internal/sim.
+# drivers (medians over 4 runs each; host-dependent — the file records the
+# core count and a note derived from it) plus the deterministic
+# sim_cluster_* barrier counters from a sharded run. Re-run after changes to
+# internal/sim.
 parallelsweep: build
 	$(GO) run ./cmd/parallelsweep
 

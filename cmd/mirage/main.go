@@ -28,9 +28,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/hypervisor"
-	"repro/internal/netback"
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func applianceConfig(name string) (build.Config, error) {
@@ -70,18 +67,15 @@ func main() {
 	appliance := fs.String("appliance", "dns", "appliance configuration")
 	noDCE := fs.Bool("no-dce", false, "disable dead-code elimination")
 	seed := fs.Int64("seed", 42, "address-space randomisation seed")
-	traceOut := fs.String("trace", "", "boot: write a Chrome trace-event JSON to this file")
-	loss := fs.Float64("loss", 0, "boot: bridge frame drop probability [0,1]")
-	dup := fs.Float64("dup", 0, "boot: bridge frame duplication probability [0,1]")
-	reorder := fs.Float64("reorder", 0, "boot: bridge frame reorder probability [0,1]")
-	jitter := fs.Duration("jitter", 0, "boot: max extra per-frame delivery delay")
-	profile := experiments.BindProfileFlags(fs) // boot: the pair cmd/repro offers
+	// boot: the run flags that mean something for one appliance on one host,
+	// and the profile pair cmd/repro offers.
+	run := experiments.BindRunFlags(fs, "trace", "loss", "dup", "reorder", "jitter")
+	profile := experiments.BindProfileFlags(fs)
 	fs.Parse(os.Args[2:])
-
-	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
-		netback.SetDefaultFaults(netback.Faults{
-			Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter,
-		})
+	rc, err := run.Config()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mirage:", err)
+		os.Exit(2)
 	}
 
 	switch cmd {
@@ -126,17 +120,11 @@ func main() {
 		}
 
 	case "boot":
-		var tracer *obs.Tracer
-		if *traceOut != "" {
-			tracer = obs.NewTracer(obs.DefaultCap)
-			tracer.Enable()
-			sim.SetDefaultObs(tracer, obs.NewRegistry())
-		}
 		stopProfile, err := profile.Start()
 		if err != nil {
 			fatal(err)
 		}
-		pl := core.NewPlatform(*seed)
+		pl := rc.NewPlatform(*seed)
 		dep := pl.Deploy(core.Unikernel{
 			Build: cfg,
 			Main: func(env *core.Env) int {
@@ -160,24 +148,17 @@ func main() {
 		for _, line := range d.ConsoleLines() {
 			fmt.Println("console:", line)
 		}
-		if tracer != nil {
-			f, err := os.Create(*traceOut)
-			if err != nil {
+		if rc.Trace != nil {
+			if err := run.WriteTrace(rc.Trace); err != nil {
 				fatal(err)
 			}
-			if err := tracer.WriteJSON(f); err == nil {
-				err = f.Close()
-			}
-			if err != nil {
-				fatal(err)
-			}
-			fmt.Printf("trace: %d events written to %s\n", tracer.Len(), *traceOut)
+			fmt.Printf("trace: %d events written to %s\n", rc.Trace.Len(), run.Trace)
 		}
 
 	case "top":
 		// Virtual xentop: boot the appliance, let it run briefly, and print
 		// the hypervisor's per-domain accounting table.
-		pl := core.NewPlatform(*seed)
+		pl := rc.NewPlatform(*seed)
 		pl.Deploy(core.Unikernel{
 			Build: cfg,
 			Main: func(env *core.Env) int {

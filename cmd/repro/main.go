@@ -28,58 +28,32 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/netback"
-	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 func main() {
 	which := flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file")
-	metrics := flag.Bool("metrics", false, "print the full metrics registry after the run")
-	metricsFormat := flag.String("metrics-format", "text", "registry dump format: text or prom (Prometheus exposition)")
 	jsonOut := flag.String("json", "", "write the structured results (id -> series) as JSON to this file")
-	loss := flag.Float64("loss", 0, "bridge frame drop probability [0,1] for every platform run")
-	dup := flag.Float64("dup", 0, "bridge frame duplication probability [0,1]")
-	reorder := flag.Float64("reorder", 0, "bridge frame reorder probability [0,1]")
-	jitter := flag.Duration("jitter", 0, "max extra per-frame delivery delay (e.g. 500us)")
-	pcpus := flag.Int("pcpus", 1, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
-	parallel := flag.Bool("parallel", false, "drive the pCPU shards on OS threads (requires -pcpus > 1); output is byte-identical to the single-threaded run")
 	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
-	// the registry's parameter declarations; nothing is hand-registered here.
+	// the registry's parameter declarations, and the run flags and the
+	// profile pair from theirs; nothing is hand-registered here.
+	run := experiments.BindRunFlags(flag.CommandLine, "pcpus", "parallel",
+		"loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format")
 	expOpts := experiments.BindFlags(flag.CommandLine)
 	profile := experiments.BindProfileFlags(flag.CommandLine)
 	flag.Parse()
 
-	if *parallel && *pcpus <= 1 {
-		fmt.Fprintln(os.Stderr, "repro: -parallel requires -pcpus > 1")
+	// One configuration for the whole invocation: every platform and kernel
+	// the experiments build shares its tracer and registry, so one trace file
+	// and one dump cover the run end to end, and its impairment applies to
+	// every bridge. Some experiments (e.g. ping) assert loss-free completion
+	// and abort under aggressive impairment — that is the point.
+	cfg, err := run.Config()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(2)
 	}
-	if *pcpus > 1 {
-		core.SetDefaultSharding(*pcpus, *parallel)
-	}
-
-	if *loss > 0 || *dup > 0 || *reorder > 0 || *jitter > 0 {
-		// Applies to every bridge the experiments create. Note some
-		// experiments (e.g. ping) assert loss-free completion and will
-		// abort under aggressive impairment — that is the point.
-		netback.SetDefaultFaults(netback.Faults{
-			Drop: *loss, Dup: *dup, Reorder: *reorder, Jitter: *jitter,
-		})
-	}
-
-	var tracer *obs.Tracer
-	registry := obs.NewRegistry()
-	if *traceOut != "" {
-		tracer = obs.NewTracer(obs.DefaultCap)
-		tracer.Enable()
-	}
-	// Every kernel the experiments create shares this tracer/registry, so
-	// one trace file covers the whole invocation end to end.
-	sim.SetDefaultObs(tracer, registry)
 
 	exps := experiments.All()
 	if *list {
@@ -90,6 +64,7 @@ func main() {
 	}
 
 	opts := expOpts()
+	opts.Config = cfg
 	stopProfile, err := profile.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
@@ -116,7 +91,7 @@ func main() {
 		// Wall clock goes to stderr so stdout stays byte-comparable
 		// between serial and parallel runs.
 		fmt.Fprintf(os.Stderr, "repro: %s: wall %s (pcpus=%d parallel=%v)\n",
-			e.ID, elapsed.Round(time.Millisecond), *pcpus, *parallel)
+			e.ID, elapsed.Round(time.Millisecond), cfg.PCPUs, cfg.Parallel)
 		fmt.Print(out.Text())
 		fmt.Println()
 		if len(out.Results) > 0 {
@@ -145,32 +120,20 @@ func main() {
 		}
 		fmt.Fprintf(os.Stderr, "results written to %s\n", *jsonOut)
 	}
-	if *metrics {
-		switch *metricsFormat {
-		case "prom":
-			fmt.Print(registry.Snapshot().Prom())
-		case "text", "":
+	if run.Metrics {
+		if run.MetricsFormat == "prom" {
+			fmt.Print(cfg.Metrics.Snapshot().Prom())
+		} else {
 			fmt.Println("== metrics registry ==")
-			fmt.Print(registry.Snapshot().Format())
-		default:
-			fmt.Fprintf(os.Stderr, "repro: unknown -metrics-format %q (text or prom)\n", *metricsFormat)
-			os.Exit(2)
+			fmt.Print(cfg.Metrics.Snapshot().Format())
 		}
 	}
-	if tracer != nil {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-			os.Exit(1)
-		}
-		if err := tracer.WriteJSON(f); err == nil {
-			err = f.Close()
-		}
-		if err != nil {
+	if cfg.Trace != nil {
+		if err := run.WriteTrace(cfg.Trace); err != nil {
 			fmt.Fprintf(os.Stderr, "trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "trace: %d events written to %s (%d dropped at cap)\n",
-			tracer.Len(), *traceOut, tracer.Dropped())
+			cfg.Trace.Len(), run.Trace, cfg.Trace.Dropped())
 	}
 }

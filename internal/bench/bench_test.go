@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/conventional"
+	"repro/internal/core"
 	"repro/internal/lwt"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -14,7 +15,7 @@ import (
 func last(s *Series) float64 { return s.Y[len(s.Y)-1] }
 
 func TestFig5Shape(t *testing.T) {
-	r := Fig5BootTime([]int{64, 512, 3072})
+	r := Fig5BootTime(core.Config{}, []int{64, 512, 3072})
 	mirage, minimal, apache := r.Get("mirage"), r.Get("linux-pv-minimal"), r.Get("linux-pv-apache")
 	if mirage == nil || minimal == nil || apache == nil {
 		t.Fatal("missing series")
@@ -80,7 +81,7 @@ func TestFig7bMirageTighter(t *testing.T) {
 }
 
 func TestPingOverheadInPaperRange(t *testing.T) {
-	r := PingLatency(2_000)
+	r := PingLatency(core.Config{}, 2_000)
 	l, m := r.Get("linux-target").Y[0], r.Get("mirage-target").Y[0]
 	overhead := (m/l - 1) * 100
 	if overhead < 2 || overhead > 14 {
@@ -89,7 +90,7 @@ func TestPingOverheadInPaperRange(t *testing.T) {
 }
 
 func TestFig8Shape(t *testing.T) {
-	r := Fig8TCP(2 << 20)
+	r := Fig8TCP(core.Config{}, 2<<20)
 	ll, lm, ml := r.Get("linux-to-linux"), r.Get("linux-to-mirage"), r.Get("mirage-to-linux")
 	for i := 0; i < 2; i++ {
 		if !(lm.Y[i] > ll.Y[i]) {
@@ -113,7 +114,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r := Fig9BlockRead([]int{4, 64, 1024, 4096}, 256)
+	r := Fig9BlockRead(core.Config{}, []int{4, 64, 1024, 4096}, 256)
 	mir, unb, buf := r.Get("mirage"), r.Get("mirage-unbatched"), r.Get("linux-pv-buffered")
 	if mir == nil || unb == nil || buf == nil {
 		t.Fatal("missing series")
@@ -149,7 +150,7 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig10Shape(t *testing.T) {
-	r := Fig10DNS([]int{100, 1000, 10000}, 5_000)
+	r := Fig10DNS(core.Config{}, []int{100, 1000, 10000}, 5_000)
 	bind, nsd := r.Get("bind9-linux"), r.Get("nsd-linux")
 	noMemo, memo := r.Get("mirage-no-memo"), r.Get("mirage-memo")
 	minios := r.Get("nsd-minios-O")
@@ -281,11 +282,11 @@ func TestFig14Ratios(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	seal := AblationSeal()
+	seal := AblationSeal(core.Config{})
 	if seal.Get("boot-cost").Y[1] <= seal.Get("boot-cost").Y[0] {
 		t.Error("sealing reported as free")
 	}
-	vchan := AblationVchan()
+	vchan := AblationVchan(core.Config{})
 	ys := vchan.Get("notifications").Y
 	if ys[0] >= ys[1]/10 {
 		t.Errorf("check-before-block: %v notifications vs naive %v; want >10x reduction", ys[0], ys[1])
@@ -294,14 +295,14 @@ func TestAblations(t *testing.T) {
 	if comp.Get("tree(size-first)").Y[0] != comp.Get("hashtable").Y[0] {
 		t.Error("compression strategies disagree on output size")
 	}
-	ts := AblationToolstack(4, 256)
+	ts := AblationToolstack(core.Config{}, 4, 256)
 	if ts.Get("parallel").Y[0] >= ts.Get("synchronous").Y[0] {
 		t.Error("parallel toolstack not faster for batch creation")
 	}
 	if Table1Facilities() == "" {
 		t.Error("empty Table 1")
 	}
-	zc := AblationZeroCopy(500)
+	zc := AblationZeroCopy(core.Config{}, 500)
 	zy := zc.Get("echo-rate").Y
 	if zy[0] <= zy[1] {
 		t.Errorf("zero-copy echo rate %.0f not above copying path %.0f", zy[0], zy[1])
@@ -348,7 +349,7 @@ func TestFig7aCrossValidation(t *testing.T) {
 }
 
 func TestKVSweepShape(t *testing.T) {
-	r := KVSweep(KVSweepConfig{Quick: true})
+	r := KVSweep(core.Config{}, KVSweepConfig{Quick: true})
 	direct, buffered := r.Get("direct"), r.Get("buffered")
 	if direct == nil || buffered == nil {
 		t.Fatal("missing series")
@@ -376,7 +377,7 @@ func TestLossSweepCompletes(t *testing.T) {
 	// Small transfer, worst-case rate included: proves the stack degrades
 	// gracefully under loss instead of deadlocking (the full sweep runs the
 	// same code at more rates/bytes).
-	r := LossSweep(256<<10, []float64{0, 0.05})
+	r := LossSweep(core.Config{}, 256<<10, []float64{0, 0.05})
 	g := r.Get("goodput")
 	if g == nil || len(g.Y) != 2 {
 		t.Fatal("missing goodput series")

@@ -44,7 +44,7 @@ type blockMode struct {
 // ring slot and a device op, and "linux-pv-buffered" funnels the same
 // requests through the conventional buffer cache, whose serialized
 // management CPU is the ~300 MB/s plateau of the paper's figure.
-func Fig9BlockRead(sizesKiB []int, requestsPerPoint int) *Result {
+func Fig9BlockRead(rc core.Config, sizesKiB []int, requestsPerPoint int) *Result {
 	if sizesKiB == nil {
 		sizesKiB = DefaultBlockSizes
 	}
@@ -70,7 +70,7 @@ func Fig9BlockRead(sizesKiB []int, requestsPerPoint int) *Result {
 		s := Series{Name: mode.name}
 		for i, kib := range sizesKiB {
 			blocks := blockPointBlocks(kib<<10, requestsPerPoint)
-			mibs, appendix := blockRunMiBs(mode, kib<<10, blocks)
+			mibs, appendix := blockRunMiBs(rc, mode, kib<<10, blocks)
 			s.X = append(s.X, float64(kib))
 			s.Y = append(s.Y, mibs)
 			if i == len(sizesKiB)-1 {
@@ -103,8 +103,8 @@ func blockPointBlocks(blockBytes, requested int) int {
 // as page-sized requests in one burst; on the fast path those — and
 // adjacent small blocks in flight together — merge into indirect
 // scatter-gather ring requests.
-func blockRunMiBs(mode blockMode, blockBytes, blocks int) (float64, []string) {
-	rn := newRun("fig9", 31)
+func blockRunMiBs(rc core.Config, mode blockMode, blockBytes, blocks int) (float64, []string) {
+	rn := newRun(rc, "fig9", 31)
 	sectorsPerBlock := (blockBytes + storage.SectorSize - 1) / storage.SectorSize
 	pagesPerBlock := (sectorsPerBlock + storage.PageSectors - 1) / storage.PageSectors
 

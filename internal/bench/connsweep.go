@@ -248,7 +248,7 @@ func csHeap() uint64 {
 // between Run calls, where the sharded accessors are defined. memStats
 // additionally samples the process heap at each barrier (host-dependent;
 // off by default).
-func ConnSweep(seed int64, quick bool, memStats bool) *Result {
+func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 	cfg := csConf(quick)
 	warmup := time.Second
 
@@ -265,7 +265,7 @@ func ConnSweep(seed int64, quick bool, memStats bool) *Result {
 	closeBarrier := closeEnd + cfg.settle
 	drainEnd := closeEnd + cfg.timeWait + 500*time.Millisecond
 
-	rn := newRun("connsweep", seed)
+	rn := newRun(rc, "connsweep", seed)
 	pl := rn.pl
 
 	// The fleet is fixed (Min == Max): every replica is deployed on its own

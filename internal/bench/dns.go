@@ -24,7 +24,7 @@ var DefaultZoneSizes = []int{100, 300, 1000, 3000, 10000}
 // (wire parse, zone lookup, compression, encode) under a queryperf-style
 // random query stream; the baselines combine the same real zone lookups
 // with their measured cost profiles.
-func Fig10DNS(zoneSizes []int, queriesPerPoint int) *Result {
+func Fig10DNS(rc core.Config, zoneSizes []int, queriesPerPoint int) *Result {
 	if zoneSizes == nil {
 		zoneSizes = DefaultZoneSizes
 	}
@@ -65,7 +65,7 @@ func Fig10DNS(zoneSizes []int, queriesPerPoint int) *Result {
 		}
 		s := Series{Name: name}
 		for i, n := range zoneSizes {
-			qps, appendix := mirageDNSThroughput(n, memo, queriesPerPoint)
+			qps, appendix := mirageDNSThroughput(rc, n, memo, queriesPerPoint)
 			s.X = append(s.X, float64(n))
 			s.Y = append(s.Y, qps/1e3)
 			if i == len(zoneSizes)-1 {
@@ -90,7 +90,7 @@ const fig10MaxQueries = 2500
 // metrics appendix. The server is CPU-bound on its vCPU: each query charges
 // the measured handle cost (parse + lookup + compression/encode, or memo
 // hit), so throughput tracks the reciprocal of that cost.
-func mirageDNSThroughput(zoneEntries int, memo bool, queries int) (float64, []string) {
+func mirageDNSThroughput(rc core.Config, zoneEntries int, memo bool, queries int) (float64, []string) {
 	if queries > fig10MaxQueries {
 		queries = fig10MaxQueries
 	}
@@ -104,7 +104,7 @@ func mirageDNSThroughput(zoneEntries int, memo bool, queries int) (float64, []st
 		}
 	}
 
-	rn := newRun("fig10", int64(zoneEntries))
+	rn := newRun(rc, "fig10", int64(zoneEntries))
 	pl := rn.pl
 	serverIP := ipv4.AddrFrom4(10, 0, 0, 53)
 

@@ -80,7 +80,7 @@ func BenchmarkFastpathTCPBulk(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fig8Throughput(l, l, 1, 256<<10)
+		fig8Throughput(core.Config{}, l, l, 1, 256<<10)
 	}
 }
 

@@ -24,8 +24,9 @@ type platformRun struct {
 	before obs.Snapshot
 }
 
-func newRun(id string, seed int64) *platformRun {
-	pl := core.NewPlatform(seed)
+// newRun builds experiment id's platform from the run's configuration.
+func newRun(rc core.Config, id string, seed int64) *platformRun {
+	pl := rc.NewPlatform(seed)
 	return &platformRun{id: id, pl: pl, before: pl.K.Metrics().Snapshot()}
 }
 
@@ -38,13 +39,20 @@ func (r *platformRun) runTo(at time.Duration) {
 	}
 }
 
-// finish drives the platform to at, fails the experiment if any deployment
-// did, and renders the metrics appendix filtered to prefixes.
-func (r *platformRun) finish(at time.Duration, prefixes ...string) []string {
+// settle drives the platform to at and fails the experiment if any
+// deployment did.
+func (r *platformRun) settle(at time.Duration) {
 	r.runTo(at)
 	if err := r.pl.Check(); err != nil {
 		panic(fmt.Sprintf("%s: %v", r.id, err))
 	}
+}
+
+// finish is settle plus the metrics appendix filtered to prefixes. An
+// experiment that prints no appendix calls settle: rendering one also
+// records the per-CPU gauges in the run's registry.
+func (r *platformRun) finish(at time.Duration, prefixes ...string) []string {
+	r.settle(at)
 	return metricsAppendix(r.pl.K, r.before, prefixes...)
 }
 

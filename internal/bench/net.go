@@ -22,13 +22,13 @@ var benchMask = ipv4.AddrFrom4(255, 255, 255, 0)
 // floods echo requests at a Linux-stack target and a Mirage target over
 // the full device path; Mirage pays a 4–10% latency premium for type-safe
 // parsing. Returns mean RTTs.
-func PingLatency(pings int) *Result {
+func PingLatency(rc core.Config, pings int) *Result {
 	if pings == 0 {
 		pings = 20_000
 	}
 	var appendix []string
 	run := func(label string, targetParams netstack.Params) time.Duration {
-		rn := newRun("ping", 77)
+		rn := newRun(rc, "ping", 77)
 		pl := rn.pl
 		var total time.Duration
 		done := 0
@@ -110,8 +110,8 @@ type fig8Host struct {
 
 // fig8Throughput transfers bytesPerFlow on each of n flows from a sender
 // with sendProf to a receiver with recvProf and returns Mb/s.
-func fig8Throughput(sendProf, recvProf conventional.NetProfile, flows, bytesPerFlow int) (float64, []string) {
-	k := sim.NewKernel(8)
+func fig8Throughput(rc core.Config, sendProf, recvProf conventional.NetProfile, flows, bytesPerFlow int) (float64, []string) {
+	k := sim.NewKernelObs(8, rc.Trace, rc.Metrics)
 	before := k.Metrics().Snapshot()
 	const (
 		wireLatency = 15 * time.Microsecond
@@ -214,7 +214,7 @@ func fig8Throughput(sendProf, recvProf conventional.NetProfile, flows, bytesPerF
 // Fig8TCP regenerates the Figure 8 table: TCP throughput with all hardware
 // offload disabled, for 1 and 10 flows, across Linux->Linux, Linux->Mirage
 // and Mirage->Linux.
-func Fig8TCP(bytesPerFlow int) *Result {
+func Fig8TCP(rc core.Config, bytesPerFlow int) *Result {
 	if bytesPerFlow == 0 {
 		bytesPerFlow = 4 << 20
 	}
@@ -242,7 +242,7 @@ func Fig8TCP(bytesPerFlow int) *Result {
 		s := Series{Name: c.name}
 		for _, flows := range []int{1, 10} {
 			per := bytesPerFlow / flows
-			tput, appendix := fig8Throughput(c.snd, c.rcv, flows, per)
+			tput, appendix := fig8Throughput(rc, c.snd, c.rcv, flows, per)
 			s.X = append(s.X, float64(flows))
 			s.Y = append(s.Y, tput)
 			if flows == 10 {
@@ -259,8 +259,9 @@ func Fig8TCP(bytesPerFlow int) *Result {
 // with a 1 KB payload and returns (round trips per second of virtual time,
 // pages recycled on the echo server). copyRX selects the server's receive
 // path.
-func zeroCopyEchoRate(rounds int, copyRX bool) (float64, int) {
-	pl := core.NewPlatform(31)
+func zeroCopyEchoRate(rc core.Config, rounds int, copyRX bool) (float64, int) {
+	rn := newRun(rc, "ablation-zerocopy", 31)
+	pl := rn.pl
 	serverIP, clientIP := ipv4.AddrFrom4(10, 0, 0, 1), ipv4.AddrFrom4(10, 0, 0, 2)
 	payload := make([]byte, 1024)
 	var serverPool *cstruct.Pool
@@ -282,12 +283,12 @@ func zeroCopyEchoRate(rounds int, copyRX bool) (float64, int) {
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: serverIP, Netmask: benchMask}})
 
 	var elapsed time.Duration
+	n := 0
 	pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "pinger", Roots: []string{"udp"}},
 		Main: func(env *core.Env) int {
 			env.P.Sleep(2 * time.Second)
 			done := lwt.NewPromise[struct{}](env.VM.S)
-			n := 0
 			start := env.VM.S.K.Now()
 			env.Net.UDP.Bind(9000, func(src ipv4.Addr, sp uint16, data *cstruct.View) {
 				data.Release()
@@ -304,8 +305,11 @@ func zeroCopyEchoRate(rounds int, copyRX bool) (float64, int) {
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(2), IP: clientIP, Netmask: benchMask}})
 
-	if _, err := pl.RunFor(10 * time.Minute); err != nil {
-		panic(err)
+	// UDP has no retransmission: one lost datagram ends the ping-pong, and
+	// a rate over the rounds that did run would be a made-up number.
+	rn.settle(10 * time.Minute)
+	if n != rounds {
+		panic(fmt.Sprintf("ablation-zerocopy: only %d/%d echoes", n, rounds))
 	}
 	return float64(rounds) / elapsed.Seconds(), serverPool.Recycled
 }

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/build"
+	"repro/internal/core"
 	"repro/internal/datacenter"
 	"repro/internal/fleet"
 	"repro/internal/sim"
@@ -58,10 +59,10 @@ func rkConfigFor(quick bool) rkConfig {
 // client-observed latency and goodput, the live-replica envelope (the
 // kill's dip and the heal's recovery), the measured migration blackout and
 // the fabric's forwarding accounting.
-func RackSweep(seed int64, quick bool) *Result {
+func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 	cfg := rkConfigFor(quick)
 
-	rn := newRun("racksweep", seed)
+	rn := newRun(rc, "racksweep", seed)
 	pl := rn.pl
 	pl.AddHost("h1")
 	pl.AddHost("h2")

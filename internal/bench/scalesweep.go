@@ -184,9 +184,9 @@ func deploySweepClient(pl *core.Platform, idx int, phases []swPhase) []*tally {
 
 // scalesweepRun boots one fleet (Min..Max replicas) and drives the phased
 // load at it, sampling the live-replica count through the run.
-func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
+func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Policy,
 	phases []swPhase, handlerCost time.Duration) *swRun {
-	rn := newRun("scalesweep", seed)
+	rn := newRun(rc, "scalesweep", seed)
 	pl := rn.pl
 	f := fleet.New(pl, fleet.Spec{
 		Name:          "web",
@@ -227,14 +227,14 @@ func scalesweepRun(seed int64, minR, maxR int, policy fleet.Policy,
 
 // ScaleSweep runs the sweep against the autoscaled fleet (minR..maxR) and
 // the fixed single-replica baseline, same seed, and reports both.
-func ScaleSweep(seed int64, quick bool, minR, maxR int, policy fleet.Policy) *Result {
-	r, _ := ScaleSweepDomStat(seed, quick, minR, maxR, policy)
+func ScaleSweep(rc core.Config, seed int64, quick bool, minR, maxR int, policy fleet.Policy) *Result {
+	r, _ := ScaleSweepDomStat(rc, seed, quick, minR, maxR, policy)
 	return r
 }
 
 // ScaleSweepDomStat is ScaleSweep plus the autoscaled run's final domstat
 // table (per-domain vCPU time, runqueue wait, notifications, pool usage).
-func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
+func ScaleSweepDomStat(rc core.Config, seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
 	if minR <= 0 {
 		minR = 1
 	}
@@ -250,8 +250,8 @@ func ScaleSweepDomStat(seed int64, quick bool, minR, maxR int, policy fleet.Poli
 		handlerCost = 2 * time.Millisecond
 	}
 
-	auto := scalesweepRun(seed, minR, maxR, policy, phases, handlerCost)
-	fixed := scalesweepRun(seed, 1, 1, policy, phases, handlerCost)
+	auto := scalesweepRun(rc, seed, minR, maxR, policy, phases, handlerCost)
+	fixed := scalesweepRun(rc, seed, 1, 1, policy, phases, handlerCost)
 
 	res := &Result{
 		ID:     "scalesweep",

@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"bytes"
+	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
+	"repro/internal/netback"
+	"repro/internal/obs"
 )
 
 // TestScaleSweep (quick mode): the autoscaled fleet must summon replicas as
@@ -12,7 +17,7 @@ import (
 // baseline at the top step, and the whole rendered result must be
 // byte-identical across same-seed runs.
 func TestScaleSweep(t *testing.T) {
-	r := ScaleSweep(42, true, 1, 3, fleet.RoundRobin)
+	r := ScaleSweep(core.Config{}, 42, true, 1, 3, fleet.RoundRobin)
 
 	reps := r.Get("fleet replicas")
 	if reps == nil || len(reps.Y) == 0 {
@@ -44,7 +49,7 @@ func TestScaleSweep(t *testing.T) {
 		t.Fatalf("fleet goodput %.0f <= fixed %.0f at top load\n%s", fg.Y[top], xg.Y[top], r.Format())
 	}
 
-	r2 := ScaleSweep(42, true, 1, 3, fleet.RoundRobin)
+	r2 := ScaleSweep(core.Config{}, 42, true, 1, 3, fleet.RoundRobin)
 	if r.Format() != r2.Format() {
 		t.Fatalf("same-seed runs differ:\n--- run1\n%s\n--- run2\n%s", r.Format(), r2.Format())
 	}
@@ -54,21 +59,138 @@ func TestScaleSweep(t *testing.T) {
 // same bytes whether the shards interleave on one thread or run on their own
 // — the load generators sit on four different shards, so anything they
 // share (a collector, a histogram read live) shows up here, and under -race.
+// Each run is built from its own configuration value, so they are parallel
+// subtests; the third also traces, which must change no figure either.
 func TestSweepsShardedParity(t *testing.T) {
-	defer core.SetDefaultSharding(1, false)
-	for _, sw := range []struct {
+	configs := []struct {
 		name string
-		run  func() *Result
+		cfg  func() core.Config
 	}{
-		{"scalesweep", func() *Result { return ScaleSweep(42, true, 1, 3, fleet.RoundRobin) }},
-		{"racksweep", func() *Result { return RackSweep(42, true) }},
-	} {
-		core.SetDefaultSharding(4, false)
-		serial := sw.run().Format()
-		core.SetDefaultSharding(4, true)
-		if parallel := sw.run().Format(); parallel != serial {
-			t.Errorf("%s: serial and parallel drivers differ:\n--- serial\n%s\n--- parallel\n%s",
-				sw.name, serial, parallel)
+		{"serial", func() core.Config { return core.Config{PCPUs: 4} }},
+		{"threaded", func() core.Config { return core.Config{PCPUs: 4, Parallel: true} }},
+		{"threaded-traced", func() core.Config {
+			tr := obs.NewTracer(obs.DefaultCap)
+			tr.Enable()
+			return core.Config{PCPUs: 4, Parallel: true, Trace: tr}
+		}},
+	}
+	sweeps := []struct {
+		name string
+		run  func(core.Config) *Result
+	}{
+		{"scalesweep", func(rc core.Config) *Result { return ScaleSweep(rc, 42, true, 1, 3, fleet.RoundRobin) }},
+		{"racksweep", func(rc core.Config) *Result { return RackSweep(rc, 42, true) }},
+	}
+	out := make([][]string, len(sweeps))
+	t.Run("runs", func(t *testing.T) {
+		for si, sw := range sweeps {
+			out[si] = make([]string, len(configs))
+			for ci, c := range configs {
+				si, ci, sw, c := si, ci, sw, c
+				t.Run(sw.name+"/"+c.name, func(t *testing.T) {
+					t.Parallel()
+					out[si][ci] = sw.run(c.cfg()).Format()
+				})
+			}
 		}
+	})
+	for si, sw := range sweeps {
+		for ci, c := range configs {
+			if out[si][ci] != out[si][0] {
+				t.Errorf("%s: %s and %s runs differ:\n--- %s\n%s\n--- %s\n%s",
+					sw.name, configs[0].name, c.name, configs[0].name, out[si][0], c.name, out[si][ci])
+			}
+		}
+	}
+}
+
+// TestConfigsRunConcurrently: a run is a value, so differently configured
+// platforms share a process. Five sweeps — plain, sharded on one thread,
+// sharded on OS threads, impaired, traced — start together, each from its own
+// configuration, and each must produce the figure, registry and trace it
+// produces alone. Nothing ambient is left for them to share; under -race that
+// is also checked access by access.
+func TestConfigsRunConcurrently(t *testing.T) {
+	configs := []struct {
+		name string
+		cfg  func() core.Config
+	}{
+		{"plain", func() core.Config { return core.Config{Metrics: obs.NewRegistry()} }},
+		{"4-shards", func() core.Config { return core.Config{PCPUs: 4, Metrics: obs.NewRegistry()} }},
+		{"4-shards-threaded", func() core.Config {
+			return core.Config{PCPUs: 4, Parallel: true, Metrics: obs.NewRegistry()}
+		}},
+		{"impaired", func() core.Config {
+			return core.Config{
+				Faults:  netback.Faults{Drop: 0.01, Jitter: 200 * time.Microsecond},
+				Metrics: obs.NewRegistry(),
+			}
+		}},
+		{"traced", func() core.Config {
+			tr := obs.NewTracer(obs.DefaultCap)
+			tr.Enable()
+			return core.Config{Trace: tr, Metrics: obs.NewRegistry()}
+		}},
+	}
+	type outcome struct {
+		figure, metrics, trace string
+		faults                 int64 // bridge_faults_total, every kind
+	}
+	run := func(rc core.Config) outcome {
+		o := outcome{figure: ScaleSweep(rc, 42, true, 1, 3, fleet.RoundRobin).Format()}
+		snap := rc.Metrics.Snapshot()
+		o.metrics = snap.Format()
+		for _, row := range snap.Filter("bridge_faults_total").Rows {
+			o.faults += row.N
+		}
+		if rc.Trace != nil {
+			var b bytes.Buffer
+			if err := rc.Trace.WriteJSON(&b); err != nil {
+				t.Error(err)
+			}
+			o.trace = b.String()
+		}
+		return o
+	}
+
+	alone := make([]outcome, len(configs))
+	for i, c := range configs {
+		alone[i] = run(c.cfg())
+	}
+	together := make([]outcome, len(configs))
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i, c := range configs {
+		i, rc := i, c.cfg()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			together[i] = run(rc)
+		}()
+	}
+	close(start)
+	wg.Wait()
+
+	for i, c := range configs {
+		a, b := alone[i], together[i]
+		if a.figure != b.figure {
+			t.Errorf("%s: figure differs from the run alone:\n--- alone\n%s\n--- concurrent\n%s", c.name, a.figure, b.figure)
+		}
+		if a.metrics != b.metrics {
+			t.Errorf("%s: registry differs from the run alone:\n--- alone\n%s\n--- concurrent\n%s", c.name, a.metrics, b.metrics)
+		}
+		if a.trace != b.trace {
+			t.Errorf("%s: trace differs from the run alone (%d vs %d bytes)", c.name, len(a.trace), len(b.trace))
+		}
+	}
+	if n := together[0].faults; n != 0 {
+		t.Errorf("plain run counted %d bridge faults: another run's impairment reached it", n)
+	}
+	if together[3].faults == 0 {
+		t.Error("impaired run counted no bridge faults: its configuration never reached the bridge")
+	}
+	if together[4].trace == "" || together[0].figure != together[4].figure {
+		t.Error("traced run recorded nothing, or tracing changed the figure")
 	}
 }

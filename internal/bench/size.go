@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/build"
+	"repro/internal/core"
 	"repro/internal/cstruct"
 	"repro/internal/hypervisor"
 	"repro/internal/ring"
@@ -112,9 +113,9 @@ func Table1Facilities() string {
 
 // AblationSeal measures the cost of the seal hypercall at boot and
 // verifies the post-seal policy (§2.3.3): one hypercall, W^X frozen.
-func AblationSeal() *Result {
+func AblationSeal(rc core.Config) *Result {
 	measure := func(seal bool) (time.Duration, int) {
-		k := sim.NewKernel(1)
+		k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
 		h := hypervisor.NewHost(k, 1)
 		var boot time.Duration
 		attempts := 0
@@ -156,11 +157,11 @@ func AblationSeal() *Result {
 // AblationVchan measures hypervisor notifications per MB streamed over
 // vchan with the check-before-block optimisation (paper §3.5.1 fn.4),
 // against a naive notify-per-write transport.
-func AblationVchan() *Result {
+func AblationVchan(rc core.Config) *Result {
 	const total = 4 << 20
 	const chunk = 8192
 	run := func(suppress bool) int {
-		k := sim.NewKernel(5)
+		k := sim.NewKernelObs(5, rc.Trace, rc.Metrics)
 		a, b := ring.NewVchan(k, 64*cstruct.PageSize, 2*time.Microsecond)
 		notifies := 0
 		k.Spawn("writer", func(p *sim.Proc) {
@@ -205,12 +206,12 @@ func AblationVchan() *Result {
 // path (what a kernel/userspace boundary forces): a UDP echo ping-pong
 // over the full device path, measuring round-trip rate and page-pool
 // churn.
-func AblationZeroCopy(rounds int) *Result {
+func AblationZeroCopy(rc core.Config, rounds int) *Result {
 	if rounds == 0 {
 		rounds = 2000
 	}
-	rate, recycledZero := zeroCopyEchoRate(rounds, false)
-	rateCopy, _ := zeroCopyEchoRate(rounds, true)
+	rate, recycledZero := zeroCopyEchoRate(rc, rounds, false)
+	rateCopy, _ := zeroCopyEchoRate(rc, rounds, true)
 	return &Result{
 		ID:     "ablation-zerocopy",
 		Title:  "Zero-copy vs copying receive path (UDP echo)",

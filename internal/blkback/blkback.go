@@ -169,28 +169,6 @@ func (d *SSD) WriteAt(sector uint64, src []byte) {
 	}
 }
 
-// ReadSector returns a copy of the 512 bytes at sector (zeroes if never
-// written). A copy, not a window onto the extent: callers hold device state
-// otherwise and a stray mutation would corrupt it, exactly the aliasing
-// WriteAt already defends against on the way in.
-func (d *SSD) ReadSector(sector uint64) []byte {
-	buf := make([]byte, SectorSize)
-	d.ReadAt(sector, buf)
-	return buf
-}
-
-// ReadSectorInto copies the sector's 512 bytes into dst (zeroes if never
-// written).
-func (d *SSD) ReadSectorInto(sector uint64, dst []byte) {
-	d.ReadAt(sector, dst[:SectorSize])
-}
-
-// WriteSector stores one sector: the first 512 bytes of b, zero-filled by
-// WriteAt if b is shorter.
-func (d *SSD) WriteSector(sector uint64, b []byte) {
-	d.WriteAt(sector, b[:min(len(b), SectorSize)])
-}
-
 // MaxSegments is how many page-sized segments one indirect request carries
 // (real blkfront's BLKIF_MAX_INDIRECT_PAGES_PER_REQUEST default is 32; we
 // model its classic 11-segment request extended through one indirect page,

@@ -41,18 +41,32 @@ func TestSSDBusBoundsLargeTransfers(t *testing.T) {
 	}
 }
 
+// The one-sector forms the sector tests are written in, over the ranged
+// ReadAt/WriteAt every caller uses: a read returns a copy, never a window onto
+// the extent; a write stores the first 512 bytes of b, zero-filled by WriteAt
+// when b is shorter.
+func readSector(d *SSD, sector uint64) []byte {
+	buf := make([]byte, SectorSize)
+	d.ReadAt(sector, buf)
+	return buf
+}
+
+func readSectorInto(d *SSD, sector uint64, dst []byte) { d.ReadAt(sector, dst[:SectorSize]) }
+
+func writeSector(d *SSD, sector uint64, b []byte) { d.WriteAt(sector, b[:min(len(b), SectorSize)]) }
+
 func TestSectorStorageRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
 	ssd := NewSSD(k, DefaultSSDParams())
 	data := make([]byte, SectorSize)
 	copy(data, "sector contents")
-	ssd.WriteSector(42, data)
-	got := ssd.ReadSector(42)
+	writeSector(ssd, 42, data)
+	got := readSector(ssd, 42)
 	if string(got[:15]) != "sector contents" {
 		t.Error("sector corrupted")
 	}
 	// Unwritten sectors read zero.
-	for _, b := range ssd.ReadSector(43) {
+	for _, b := range readSector(ssd, 43) {
 		if b != 0 {
 			t.Fatal("unwritten sector not zero")
 		}
@@ -64,9 +78,9 @@ func TestWriteSectorCopiesInput(t *testing.T) {
 	ssd := NewSSD(k, DefaultSSDParams())
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
-	ssd.WriteSector(1, buf)
+	writeSector(ssd, 1, buf)
 	buf[0] = 'B'
-	if ssd.ReadSector(1)[0] != 'A' {
+	if readSector(ssd, 1)[0] != 'A' {
 		t.Error("device aliased the caller's buffer")
 	}
 }
@@ -100,21 +114,21 @@ func TestReadSectorReturnsCopy(t *testing.T) {
 	ssd := NewSSD(k, DefaultSSDParams())
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
-	ssd.WriteSector(9, buf)
-	got := ssd.ReadSector(9)
+	writeSector(ssd, 9, buf)
+	got := readSector(ssd, 9)
 	got[0] = 'Z'
-	if ssd.ReadSector(9)[0] != 'A' {
-		t.Error("ReadSector aliased device state; caller mutation corrupted the sector")
+	if readSector(ssd, 9)[0] != 'A' {
+		t.Error("a sector read aliased device state; caller mutation corrupted the sector")
 	}
 	// The into-form overwrites every byte, including stale ones.
 	dst := make([]byte, SectorSize)
 	for i := range dst {
 		dst[i] = 0xFF
 	}
-	ssd.ReadSectorInto(1234, dst) // never written: must zero
+	readSectorInto(ssd, 1234, dst) // never written: must zero
 	for _, b := range dst {
 		if b != 0 {
-			t.Fatal("ReadSectorInto left stale bytes for an unwritten sector")
+			t.Fatal("reading an unwritten sector into a buffer left stale bytes")
 		}
 	}
 }
@@ -169,7 +183,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 			case 0: // one sector, short or over-long input
 				buf = make([]byte, 1+rng.Intn(2*SectorSize))
 				rng.Read(buf)
-				ssd.WriteSector(sector, buf)
+				writeSector(ssd, sector, buf)
 				var sec [SectorSize]byte
 				copy(sec[:], buf)
 				model[sector] = sec
@@ -191,7 +205,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 			}
 		}
 		for s, sec := range model {
-			if !bytes.Equal(ssd.ReadSector(s), sec[:]) {
+			if !bytes.Equal(readSector(ssd, s), sec[:]) {
 				t.Logf("seed %d: sector %d differs from the model at the end", seed, s)
 				return false
 			}
@@ -215,8 +229,8 @@ func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
 		if !bytes.Equal(buf, make([]byte, len(buf))) {
 			t.Fatalf("ReadAt(%d) of an unwritten range left stale bytes", sector)
 		}
-		ssd.ReadSector(sector)
-		ssd.ReadSectorInto(sector, buf)
+		readSector(ssd, sector)
+		readSectorInto(ssd, sector, buf)
 	}
 	if n := len(ssd.extents); n != 0 {
 		t.Fatalf("reading created %d extents, want 0", n)

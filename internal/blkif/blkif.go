@@ -53,8 +53,7 @@ type Blkif struct {
 	inflight map[uint16]*devop
 	// staged holds requests plugged in the current instant, merged into
 	// devops at unplug time.
-	staged    []*op
-	plugDepth int
+	staged []*op
 	// queue holds merged devops waiting for ring slots.
 	queue []*devop
 	// unplugPending/flushPending defer merge and ring publish + notify to
@@ -182,23 +181,6 @@ func (b *Blkif) Write(sector uint64, data []byte) *lwt.Promise[*cstruct.View] {
 	return b.submit(true, sector, sectors, data)
 }
 
-// Plug widens the merge window: staged requests are held (and keep
-// accumulating merge candidates) until the matching Unplug, like the guest
-// block layer's plug/unplug batching. Plug/Unplug pairs nest.
-func (b *Blkif) Plug() { b.plugDepth++ }
-
-// Unplug closes a Plug window; the outermost Unplug merges and issues the
-// staged requests immediately.
-func (b *Blkif) Unplug() {
-	if b.plugDepth == 0 {
-		panic("blkif: Unplug without Plug")
-	}
-	b.plugDepth--
-	if b.plugDepth == 0 {
-		b.unplug()
-	}
-}
-
 func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt.Promise[*cstruct.View] {
 	pr := lwt.NewPromise[*cstruct.View](b.vm.S)
 	if sectors <= 0 || sectors > SectorsPerPage {
@@ -236,19 +218,17 @@ func (b *Blkif) stagingBuf() []byte {
 	return make([]byte, 0, cstruct.PageSize)
 }
 
-// scheduleUnplug arranges an automatic unplug at the end of the current
-// instant, so same-instant bursts merge without explicit Plug/Unplug.
+// scheduleUnplug arranges an unplug at the end of the current instant, so
+// same-instant bursts merge.
 func (b *Blkif) scheduleUnplug() {
-	if b.unplugPending || b.plugDepth > 0 {
+	if b.unplugPending {
 		return
 	}
 	b.unplugPending = true
 	k := b.vm.S.K
 	k.At(k.Now(), func() {
 		b.unplugPending = false
-		if b.plugDepth == 0 {
-			b.unplug()
-		}
+		b.unplug()
 	})
 }
 
@@ -469,104 +449,6 @@ func (b *Blkif) InFlight() int {
 		n += len(d.ops)
 	}
 	return n
-}
-
-// Queue is a queue-depth-N submission context over a Blkif: callers fire
-// requests with completion callbacks and the queue keeps up to depth
-// application requests outstanding, spilling the rest into a backlog.
-// Freed slots refill in end-of-instant bursts so refills stage together
-// and merge like the original burst did — sustained QD-N load keeps the
-// merge window full instead of dribbling one request at a time.
-type Queue struct {
-	b     *Blkif
-	depth int
-
-	inflight int
-	backlog  []func()
-	// pumpPending defers backlog refill to the end of the instant so all
-	// completions of the instant free their slots first.
-	pumpPending bool
-
-	// Done counts completed requests; Errors counts failed ones.
-	Done, Errors int
-}
-
-// NewQueue creates a submission queue bounded at depth outstanding
-// requests (depth >= 1).
-func (b *Blkif) NewQueue(depth int) *Queue {
-	if depth < 1 {
-		depth = 1
-	}
-	return &Queue{b: b, depth: depth}
-}
-
-// Read submits a sector read; done fires on completion with the data view
-// (owned by the callback) or an error.
-func (q *Queue) Read(sector uint64, sectors int, done func(*cstruct.View, error)) {
-	q.issue(func() {
-		pr := q.b.Read(sector, sectors)
-		lwt.Always(pr, func() {
-			q.finish(pr.Failed())
-			if err := pr.Failed(); err != nil {
-				done(nil, err)
-				return
-			}
-			done(pr.Value(), nil)
-		})
-	})
-}
-
-// Write submits a sector write; done fires once the device acknowledges.
-func (q *Queue) Write(sector uint64, data []byte, done func(error)) {
-	q.issue(func() {
-		pr := q.b.Write(sector, data)
-		lwt.Always(pr, func() {
-			q.finish(pr.Failed())
-			done(pr.Failed())
-		})
-	})
-}
-
-// Backlog returns the number of requests waiting for a queue slot.
-func (q *Queue) Backlog() int { return len(q.backlog) }
-
-// InFlight returns the number of requests holding queue slots.
-func (q *Queue) InFlight() int { return q.inflight }
-
-func (q *Queue) issue(fire func()) {
-	if q.inflight < q.depth {
-		q.inflight++
-		fire()
-		return
-	}
-	q.backlog = append(q.backlog, fire)
-}
-
-func (q *Queue) finish(err error) {
-	q.inflight--
-	q.Done++
-	if err != nil {
-		q.Errors++
-	}
-	q.pump()
-}
-
-func (q *Queue) pump() {
-	if q.pumpPending || len(q.backlog) == 0 {
-		return
-	}
-	q.pumpPending = true
-	k := q.b.vm.S.K
-	k.At(k.Now(), func() {
-		q.pumpPending = false
-		for q.inflight < q.depth && len(q.backlog) > 0 {
-			fire := q.backlog[0]
-			q.backlog[0] = nil // the slot outlives the pop; let the closure go
-			q.backlog = q.backlog[1:]
-			q.inflight++
-			fire()
-		}
-	})
 }
 
 // ReadAt is a convenience: read n bytes at byte offset off (must be

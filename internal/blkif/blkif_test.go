@@ -57,6 +57,13 @@ func withGuestSSD(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ss
 	return k, ssd
 }
 
+// readSector returns what the device holds at sector.
+func readSector(ssd *blkback.SSD, sector uint64) []byte {
+	buf := make([]byte, SectorSize)
+	ssd.ReadAt(sector, buf)
+	return buf
+}
+
 func TestWriteThenReadRoundTrip(t *testing.T) {
 	payload := make([]byte, 4096)
 	for i := range payload {
@@ -108,7 +115,7 @@ func TestWriteIsDirectToDevice(t *testing.T) {
 	if ssd.Writes != 1 {
 		t.Fatalf("SSD writes = %d, want 1", ssd.Writes)
 	}
-	if !bytes.HasPrefix(ssd.ReadSector(5), []byte("durable")) {
+	if !bytes.HasPrefix(readSector(ssd, 5), []byte("durable")) {
 		t.Fatal("data not on the device after Write resolved")
 	}
 }
@@ -203,8 +210,8 @@ func TestAdjacentReadsMergeIntoOneDeviceOp(t *testing.T) {
 			for j := range buf {
 				buf[j] = byte(i + j)
 			}
-			ssd.WriteSector(uint64(i*8), buf[:SectorSize])
-			ssd.WriteSector(uint64(i*8+7), buf[4096-SectorSize:])
+			ssd.WriteAt(uint64(i*8), buf[:SectorSize])
+			ssd.WriteAt(uint64(i*8+7), buf[4096-SectorSize:])
 		}
 		rBefore := ssd.Reads
 		var ws []lwt.Waiter
@@ -259,7 +266,7 @@ func TestMergedWritesLandCorrectly(t *testing.T) {
 	})
 	for i := 0; i < 4; i++ {
 		for s := 0; s < 8; s++ {
-			sec := ssd.ReadSector(uint64(200 + i*8 + s))
+			sec := readSector(ssd, uint64(200+i*8+s))
 			if sec[0] != byte(10*i+1) || sec[SectorSize-1] != byte(10*i+1) {
 				t.Fatalf("write %d sector %d corrupted: got %d", i, s, sec[0])
 			}
@@ -333,75 +340,6 @@ func TestNoGrantLeaksAfterMergedIO(t *testing.T) {
 	}
 	if active != 0 {
 		t.Errorf("%d grants still active after all I/O completed", active)
-	}
-}
-
-func TestQueueBoundsInFlightAndCompletesAll(t *testing.T) {
-	// A QD-4 queue over 40 requests: never more than 4 outstanding, all
-	// 40 complete, refill bursts still merge.
-	const total, depth = 40, 4
-	var maxInflight int
-	var q *Queue
-	withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
-		q = b.NewQueue(depth)
-		pr := lwt.NewPromise[struct{}](vm.S)
-		for i := 0; i < total; i++ {
-			q.Read(uint64(i), 1, func(v *cstruct.View, err error) {
-				if err != nil {
-					t.Errorf("queue read: %v", err)
-				} else {
-					v.Release()
-				}
-				if q.Done == total {
-					pr.Resolve(struct{}{})
-				}
-			})
-			if q.InFlight() > maxInflight {
-				maxInflight = q.InFlight()
-			}
-		}
-		return vm.Main(p, pr)
-	})
-	if q.Done != total {
-		t.Fatalf("queue completed %d/%d", q.Done, total)
-	}
-	if q.Errors != 0 {
-		t.Fatalf("queue saw %d errors", q.Errors)
-	}
-	if maxInflight > depth {
-		t.Errorf("in-flight reached %d, queue depth is %d", maxInflight, depth)
-	}
-	if q.Backlog() != 0 {
-		t.Errorf("backlog not drained: %d", q.Backlog())
-	}
-}
-
-func TestQueueRefillBurstsMerge(t *testing.T) {
-	// Sequential QD-16 reads: refills are pumped in bursts, so merged
-	// requests keep forming after the first window drains.
-	var merged int
-	withGuestSSD(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ssd *blkback.SSD) int {
-		q := b.NewQueue(16)
-		pr := lwt.NewPromise[struct{}](vm.S)
-		const total = 64
-		for i := 0; i < total; i++ {
-			q.Read(uint64(i*8), 8, func(v *cstruct.View, err error) {
-				if err != nil {
-					t.Errorf("queue read: %v", err)
-					return
-				}
-				v.Release()
-				if q.Done == total {
-					pr.Resolve(struct{}{})
-				}
-			})
-		}
-		code := vm.Main(p, pr)
-		merged = b.Merged
-		return code
-	})
-	if merged < 32 {
-		t.Errorf("only %d of 64 sequential QD-16 reads merged; refill bursts not merging", merged)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"repro/internal/netback"
 	"repro/internal/netif"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/pvboot"
 	"repro/internal/sim"
 	"repro/internal/xenstore"
@@ -43,7 +44,7 @@ import (
 // single-host callers are untouched by the multi-host surface.
 type Platform struct {
 	K       *sim.Kernel
-	Cluster *sim.Cluster // nil unless sharded (SetDefaultSharding pcpus > 1)
+	Cluster *sim.Cluster // nil unless sharded (Config.PCPUs > 1)
 	Host    *hypervisor.Host
 	Bridge  *netback.Bridge
 	SSD     *blkback.SSD
@@ -52,7 +53,8 @@ type Platform struct {
 
 	sites       []*Site
 	npcpus      int
-	spread      int // round-robin cursor for AffinitySpread
+	faults      netback.Faults // what every host bridge starts with (Config.Faults)
+	spread      int            // round-robin cursor for AffinitySpread
 	deployments []*Deployment
 }
 
@@ -98,22 +100,56 @@ func (s *Site) SetDown() { s.down = true }
 // Alive reports whether the site accepts placements.
 func (s *Site) Alive() bool { return !s.down }
 
-// defaultPCPUs/defaultParallel shard platforms created afterwards; a CLI
-// installs them once (mirroring netback.SetDefaultFaults) so experiments
-// that build their own platforms inherit the flags.
-var (
-	defaultPCPUs    = 1
-	defaultParallel bool
-)
+// Config says how a run is configured: how the event queue is sharded and
+// driven, what the host bridges do to frames, and where the run's trace and
+// metrics go. It is the one route configuration takes into the system: a CLI
+// builds one value from its flags (experiments.BindRunFlags) and hands it to
+// the experiments in experiments.Options, and an experiment builds every
+// platform with NewPlatform and every bare kernel with sim.NewKernelObs from
+// it. Nothing is ambient, so platforms built from different values may run
+// side by side in one process. The zero value is one kernel, no impairment,
+// and a fresh disabled tracer and fresh registry per platform.
+type Config struct {
+	// PCPUs > 1 shards the event queue across that many per-pCPU kernels
+	// (plus the dom0 shard); Parallel drives the shards on OS threads,
+	// otherwise they interleave on one thread with byte-identical results.
+	PCPUs    int
+	Parallel bool
+	// Faults is the impairment every host bridge of the platform starts
+	// with — the first host's and each host racked later with AddHost. An
+	// experiment that sweeps impairment itself overrides it per bridge
+	// (Bridge.SetFaults).
+	Faults netback.Faults
+	// Trace and Metrics are what the platform's kernels record into. The
+	// platforms an invocation builds one after another share them, so one
+	// trace file and one registry dump cover the whole run; platforms that
+	// run at the same time take a tracer each (a tracer is one timeline).
+	// Nil means a fresh disabled tracer / a fresh registry.
+	Trace   *obs.Tracer
+	Metrics *obs.Registry
+}
 
-// SetDefaultSharding makes subsequent NewPlatform calls shard the event
-// queue across pcpus per-pCPU kernels (plus the dom0 shard); parallel
-// drives the shards on OS threads, otherwise they interleave on one thread
-// with byte-identical results. pcpus <= 1 restores the classic single
-// kernel.
+// NewPlatform is the zero Config's NewPlatform: one kernel, no impairment,
+// a fresh disabled tracer and a fresh registry (but see the shim below).
+func NewPlatform(seed int64) *Platform {
+	return Config{PCPUs: shim.pcpus, Parallel: shim.parallel}.NewPlatform(seed)
+}
+
+// shim is the one piece of ambient configuration left, written only by the
+// deprecated setter below.
+var shim struct {
+	pcpus    int
+	parallel bool
+}
+
+// SetDefaultSharding makes subsequent NewPlatform(seed) calls build on pcpus
+// shards, on OS threads when parallel is set.
+//
+// Deprecated: kept for the one caller this tree cannot change, the frozen
+// benchmark/sut.go. Use Config{PCPUs, Parallel}.NewPlatform; delete this,
+// shim and their test exemption together with that call.
 func SetDefaultSharding(pcpus int, parallel bool) {
-	defaultPCPUs = pcpus
-	defaultParallel = parallel
+	shim.pcpus, shim.parallel = pcpus, parallel
 }
 
 // NewPlatform creates a host (with 4 physical CPUs for guests) and its
@@ -121,21 +157,21 @@ func SetDefaultSharding(pcpus int, parallel bool) {
 // propagation latency: it is the minimum delay on every cross-shard path
 // (frames in either direction traverse the bridge), so conservative epochs
 // of that width cannot miss a cross-shard event.
-func NewPlatform(seed int64) *Platform {
+func (c Config) NewPlatform(seed int64) *Platform {
 	var k *sim.Kernel
 	var cluster *sim.Cluster
 	npcpus := 4
-	if defaultPCPUs > 1 {
-		cluster = sim.NewCluster(seed, defaultPCPUs+1, netback.DefaultParams().Propagation)
-		cluster.SetParallel(defaultParallel)
+	if c.PCPUs > 1 {
+		cluster = sim.NewClusterObs(seed, c.PCPUs+1, netback.DefaultParams().Propagation, c.Trace, c.Metrics)
+		cluster.SetParallel(c.Parallel)
 		k = cluster.Kernel(0)
-		if defaultPCPUs > npcpus {
-			npcpus = defaultPCPUs
+		if c.PCPUs > npcpus {
+			npcpus = c.PCPUs
 		}
 	} else {
-		k = sim.NewKernel(seed)
+		k = sim.NewKernelObs(seed, c.Trace, c.Metrics)
 	}
-	pl := &Platform{K: k, Cluster: cluster, npcpus: npcpus}
+	pl := &Platform{K: k, Cluster: cluster, npcpus: npcpus, faults: c.Faults}
 	// The first host keeps the historical unprefixed process, signal and
 	// CPU names so single-host runs stay byte-identical with earlier
 	// versions of this package.
@@ -155,6 +191,7 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	s := &Site{Name: name, Index: len(pl.sites)}
 	s.Host = hypervisor.NewHostNamed(k, npcpus, prefix)
 	s.Bridge = netback.NewBridgeNamed(k, netback.DefaultParams(), prefix)
+	s.Bridge.SetFaults(pl.faults)
 	s.SSD = blkback.NewSSDNamed(k, blkback.DefaultSSDParams(), prefix)
 	s.Store = xenstore.New()
 	sigName, initName, dom0Name := "dom0-ready", "dom0-init", "dom0"

@@ -21,7 +21,7 @@ func init() {
 			if o.Quick {
 				mems = []int{64, 512, 3072}
 			}
-			return results(bench.Fig5BootTime(mems))
+			return results(bench.Fig5BootTime(o.Config, mems))
 		}})
 	Register(Experiment{ID: "fig6", Title: "VM startup, asynchronous toolstack",
 		Run: func(o Options) (Output, error) {
@@ -58,7 +58,7 @@ func init() {
 			if o.Quick {
 				n = 5_000
 			}
-			return results(bench.PingLatency(n))
+			return results(bench.PingLatency(o.Config, n))
 		}})
 	Register(Experiment{ID: "fig8", Title: "TCP throughput table",
 		Params: []string{"quick"},
@@ -67,7 +67,7 @@ func init() {
 			if o.Quick {
 				bytes = 2 << 20
 			}
-			return results(bench.Fig8TCP(bytes))
+			return results(bench.Fig8TCP(o.Config, bytes))
 		}})
 	Register(Experiment{ID: "losssweep", Title: "TCP goodput under frame loss",
 		Params: []string{"quick"},
@@ -76,7 +76,7 @@ func init() {
 			if o.Quick {
 				bytes = 1 << 20
 			}
-			return results(bench.LossSweep(bytes, nil))
+			return results(bench.LossSweep(o.Config, bytes, nil))
 		}})
 	Register(Experiment{ID: "fig9", Title: "Sequential block read throughput",
 		Params: []string{"quick"},
@@ -85,12 +85,12 @@ func init() {
 			if o.Quick {
 				sizes, reqs = []int{4, 64, 1024, 4096}, 256
 			}
-			return results(bench.Fig9BlockRead(sizes, reqs))
+			return results(bench.Fig9BlockRead(o.Config, sizes, reqs))
 		}})
 	Register(Experiment{ID: "kvsweep", Title: "Durable KV appliance vs queue depth",
 		Params: []string{"quick", "seed", "value-bytes", "read-pct", "qd-max"},
 		Run: func(o Options) (Output, error) {
-			return results(bench.KVSweep(bench.KVSweepConfig{
+			return results(bench.KVSweep(o.Config, bench.KVSweepConfig{
 				Seed:       o.Seed,
 				Quick:      o.Quick,
 				ValueBytes: o.ValueBytes,
@@ -105,7 +105,7 @@ func init() {
 			if o.Quick {
 				zones, queries = []int{100, 1000, 10000}, 5_000
 			}
-			return results(bench.Fig10DNS(zones, queries))
+			return results(bench.Fig10DNS(o.Config, zones, queries))
 		}})
 	Register(Experiment{ID: "fig11", Title: "OpenFlow controller throughput",
 		Params: []string{"quick"},
@@ -144,11 +144,11 @@ func init() {
 				n = 1000
 			}
 			return results(
-				bench.AblationSeal(),
-				bench.AblationVchan(),
+				bench.AblationSeal(o.Config),
+				bench.AblationVchan(o.Config),
 				bench.AblationDNSCompression(0),
-				bench.AblationToolstack(4, 256),
-				bench.AblationZeroCopy(n))
+				bench.AblationToolstack(o.Config, 4, 256),
+				bench.AblationZeroCopy(o.Config, n))
 		}})
 	Register(Experiment{ID: "scalesweep", Title: "Autoscaled fleet vs fixed appliance",
 		Params: []string{"quick", "seed", "replicas-min", "replicas-max", "lb-policy", "domstat"},
@@ -164,7 +164,7 @@ func init() {
 					return Output{}, err
 				}
 			}
-			r, domstat := bench.ScaleSweepDomStat(seed, o.Quick, o.ReplicasMin, o.ReplicasMax, policy)
+			r, domstat := bench.ScaleSweepDomStat(o.Config, seed, o.Quick, o.ReplicasMin, o.ReplicasMax, policy)
 			out := Output{Results: []*bench.Result{r}}
 			if o.DomStat {
 				out.Extra = append(out.Extra, strings.TrimRight(domstat, "\n"))
@@ -178,7 +178,7 @@ func init() {
 			if seed == 0 {
 				seed = 42
 			}
-			return results(bench.ConnSweep(seed, o.Quick, o.MemStats))
+			return results(bench.ConnSweep(o.Config, seed, o.Quick, o.MemStats))
 		}})
 	Register(Experiment{ID: "racksweep", Title: "Multi-host rack: live migration and whole-host failure",
 		Params: []string{"quick", "seed"},
@@ -187,6 +187,6 @@ func init() {
 			if seed == 0 {
 				seed = 42
 			}
-			return results(bench.RackSweep(seed, o.Quick))
+			return results(bench.RackSweep(o.Config, seed, o.Quick))
 		}})
 }

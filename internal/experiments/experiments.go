@@ -11,12 +11,18 @@ import (
 	"strings"
 
 	"repro/internal/bench"
+	"repro/internal/core"
 )
 
 // Options carries the CLI knobs an experiment may honour. Zero values mean
 // "use the experiment's default", so both CLIs can pass their flag set
 // straight through.
 type Options struct {
+	// Config is how the run is configured (sharding, bridge impairment,
+	// tracer and registry): every platform and bare kernel an experiment
+	// builds is built from it. The zero value is the plain serial run.
+	Config core.Config
+
 	Quick bool
 	Seed  int64
 

@@ -568,17 +568,6 @@ func (f *Fleet) DrainReplica(r *Replica) {
 	}
 }
 
-// Drain starts draining the replica at position idx in Replicas().
-//
-// Deprecated: use DrainReplica (or ReplicaByName + DrainReplica) — a
-// positional index names whatever occupies the slot, not the replica the
-// caller meant, once cross-host replacement and migration are in play.
-func (f *Fleet) Drain(idx int) {
-	if idx >= 0 && idx < len(f.replicas) {
-		f.drain(f.replicas[idx], "manual")
-	}
-}
-
 func (f *Fleet) drain(r *Replica, reason string) {
 	if r.State != Healthy && r.State != Booting {
 		return

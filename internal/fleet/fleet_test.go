@@ -175,7 +175,7 @@ func TestFleetDrainNoReset(t *testing.T) {
 		for _, r := range f.Replicas() {
 			if r.State == Healthy && f.LB.BackendActive(r.ID()) > 0 {
 				victim = r.Index
-				f.Drain(r.Index)
+				f.DrainReplica(r)
 				return
 			}
 		}

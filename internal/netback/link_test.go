@@ -72,14 +72,15 @@ func TestLinkReserveBulk(t *testing.T) {
 	}
 }
 
-// TestParamsLinkCompat pins the back-compat surface: NewParams fills the
-// embedded Link and the deprecated Latency() reads Propagation.
+// TestParamsLinkCompat pins the Params surface: the embedded Link's fields
+// are read through Params directly, and DefaultParams carries the constants
+// the cluster lookahead and the fabric reuse.
 func TestParamsLinkCompat(t *testing.T) {
-	p := NewParams(time.Microsecond, 4*time.Nanosecond, 10*time.Microsecond)
-	if p.PerPacketCost != time.Microsecond || p.PerByteCost != 4*time.Nanosecond {
-		t.Errorf("NewParams link fields = %+v", p.Link)
+	p := DefaultParams()
+	if p.PerPacketCost != 2*time.Microsecond || p.PerByteCost != 4*time.Nanosecond {
+		t.Errorf("DefaultParams link fields = %+v", p.Link)
 	}
-	if p.Latency() != p.Propagation || p.Latency() != 10*time.Microsecond {
-		t.Errorf("Latency() = %v, want Propagation %v", p.Latency(), p.Propagation)
+	if p.Propagation != p.Link.Propagation || p.Propagation != 10*time.Microsecond {
+		t.Errorf("Propagation = %v, want the Link's 10µs", p.Propagation)
 	}
 }

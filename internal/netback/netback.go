@@ -119,15 +119,6 @@ func (f Faults) enabled() bool {
 	return f.Drop > 0 || f.Dup > 0 || f.Reorder > 0 || f.Jitter > 0
 }
 
-// defaultFaults is the impairment applied to bridges created afterwards;
-// a CLI installs it once (mirroring sim.SetDefaultObs) so experiments that
-// build their own platforms inherit the flags.
-var defaultFaults Faults
-
-// SetDefaultFaults installs the impairment model that subsequent NewBridge
-// calls start with.
-func SetDefaultFaults(f Faults) { defaultFaults = f }
-
 // Bridge is the dom0 software bridge.
 type Bridge struct {
 	K      *sim.Kernel
@@ -191,7 +182,6 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		Params:         params,
 		endpoints:      map[MAC]*port{},
 		down:           map[MAC]bool{},
-		faults:         defaultFaults,
 		epFaults:       map[MAC]Faults{},
 		pool:           pool,
 		mxForwarded:    m.Counter("bridge_frames_total", obs.L("kind", "forwarded")),

@@ -23,10 +23,7 @@ func backendScenario(t *testing.T, asHandler bool) (steps []string, trace []byte
 	tr := obs.NewTracer(obs.DefaultCap)
 	tr.Enable()
 	reg := obs.NewRegistry()
-	SetDefaultObs(tr, reg)
-	defer SetDefaultObs(nil, nil)
-
-	k := NewKernel(1)
+	k := NewKernelObs(1, tr, reg)
 	step := func(format string, args ...any) {
 		steps = append(steps, fmt.Sprintf("%v %s", k.Now(), fmt.Sprintf(format, args...)))
 	}
@@ -131,17 +128,35 @@ func TestHandlerPanicNamesTheHandler(t *testing.T) {
 	}
 }
 
+// TestHandlerIsADaemonForTheDeadlockCheck: an idle handler never ends a run
+// in a deadlock, and when a real proc is stuck the report counts and names
+// that proc alone — on a plain kernel and on a cluster, which share the
+// formatter.
 func TestHandlerIsADaemonForTheDeadlockCheck(t *testing.T) {
-	k := NewKernel(1)
-	k.SpawnHandler("backend", k.NewSignal("evt"), func() {})
-	if _, err := k.Run(); err != nil {
-		t.Errorf("an idle handler ended the run with %v", err)
-	}
-	never := k.NewSignal("never")
-	k.Spawn("stuck", func(p *Proc) { p.Wait(never) })
-	_, err := k.Run()
-	if err == nil || !strings.Contains(err.Error(), "1 procs parked") {
-		t.Errorf("deadlock report = %v, want the stuck proc alone counted", err)
+	plain := NewKernel(1)
+	c := NewCluster(1, 2, 10*time.Microsecond)
+	for _, tc := range []struct {
+		name string
+		run  *Kernel // what Run is called on
+		k    *Kernel // where the handler and the stuck proc live
+	}{
+		{"plain", plain, plain},
+		{"2-shard", c.Kernel(0), c.Kernel(1)},
+	} {
+		name, run, k := tc.name, tc.run, tc.k
+		k.SpawnHandler("backend", k.NewSignal("evt"), func() {})
+		if _, err := run.Run(); err != nil {
+			t.Errorf("%s: an idle handler ended the run with %v", name, err)
+		}
+		never := k.NewSignal("never")
+		k.Spawn("stuck", func(p *Proc) { p.Wait(never) })
+		_, err := run.Run()
+		if err == nil || !strings.Contains(err.Error(), "1 procs parked: [stuck@wait:never]") {
+			t.Errorf("%s: deadlock report = %v, want the stuck proc alone counted and named", name, err)
+		}
+		if err != nil && strings.Contains(err.Error(), "backend") {
+			t.Errorf("%s: deadlock report names the daemon handler: %v", name, err)
+		}
 	}
 }
 

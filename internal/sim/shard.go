@@ -56,7 +56,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -147,6 +146,12 @@ type Cluster struct {
 // share shard 0's metrics registry and trace timeline (per-shard trace
 // buffers merged at export).
 func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
+	return NewClusterObs(seed, shards, w, nil, nil)
+}
+
+// NewClusterObs is NewCluster on the caller's tracer and registry, as
+// NewKernelObs is to NewKernel.
+func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *obs.Registry) *Cluster {
 	if shards < 1 {
 		shards = 1
 	}
@@ -160,7 +165,7 @@ func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
 		busyCap:  DefaultBusyCap,
 		quietCap: DefaultQuietCap,
 	}
-	k0 := NewKernel(seed)
+	k0 := NewKernelObs(seed, t, m)
 	k0.cluster = c
 	c.kernels = append(c.kernels, k0)
 	for i := 1; i < shards; i++ {
@@ -178,7 +183,7 @@ func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
 		k.mxCancels = k0.mxCancels
 		c.kernels = append(c.kernels, k)
 	}
-	m := k0.metrics
+	m = k0.metrics
 	c.mxEpochs = m.Counter("sim_cluster_epochs_total")
 	c.mxClamped = m.Counter("sim_cluster_clamped_sends_total")
 	c.mxElided = m.Counter("sim_cluster_barriers_elided_total")
@@ -606,14 +611,6 @@ func (c *Cluster) worker(i int) {
 // StopAt applies), mirroring Kernel.Run's deadlock semantics cluster-wide.
 func (c *Cluster) Run() (Time, error) {
 	c.runEpochs()
-	nondaemon := 0
-	for _, k := range c.kernels {
-		for p := range k.live {
-			if !p.daemon {
-				nondaemon++
-			}
-		}
-	}
 	hasWork := c.mailboxesPending()
 	for _, k := range c.kernels {
 		if k.peek() != nil {
@@ -621,20 +618,8 @@ func (c *Cluster) Run() (Time, error) {
 		}
 	}
 	now := c.Now()
-	if !c.stopped.Load() && (c.limit == 0 || !hasWork) && nondaemon > 0 {
-		var parked []string
-		for _, k := range c.kernels {
-			for p := range k.live {
-				if !p.daemon {
-					parked = append(parked, fmt.Sprintf("%s@%s", p.name, p.parkAt))
-				}
-			}
-		}
-		sort.Strings(parked)
-		if len(parked) > 8 {
-			parked = append(parked[:8], "...")
-		}
-		return now, fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", now, nondaemon, fmt.Sprint(parked))
+	if !c.stopped.Load() && (c.limit == 0 || !hasWork) {
+		return now, deadlock(now, c.kernels)
 	}
 	return now, nil
 }

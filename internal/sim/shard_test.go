@@ -24,10 +24,7 @@ func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, st
 	tr := obs.NewTracer(obs.DefaultCap)
 	tr.Enable()
 	reg := obs.NewRegistry()
-	SetDefaultObs(tr, reg)
-	defer SetDefaultObs(nil, nil)
-
-	c := NewCluster(7, shards, 10*time.Microsecond)
+	c := NewClusterObs(7, shards, 10*time.Microsecond, tr, reg)
 	c.SetParallel(parallel)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
@@ -217,9 +214,7 @@ func TestParallelStopMidRun(t *testing.T) {
 
 func TestEventCancel(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
-	k := NewKernel(1)
+	k := NewKernelObs(1, nil, reg)
 	fired := 0
 	ev := k.After(time.Millisecond, func() { fired++ })
 	if !ev.Pending() {
@@ -306,8 +301,7 @@ func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
 func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		SetDefaultObs(nil, reg)
-		c := NewCluster(11, 2, 10*time.Microsecond)
+		c := NewClusterObs(11, 2, 10*time.Microsecond, nil, reg)
 		c.SetParallel(parallel)
 		c.busyCap, c.quietCap = 4, 32
 		k0, k1 := c.Kernel(0), c.Kernel(1)
@@ -354,7 +348,6 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 		if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
 			t.Errorf("parallel=%v: no clamps recorded across a quiet->traffic transition", parallel)
 		}
-		SetDefaultObs(nil, nil)
 	}
 }
 
@@ -366,8 +359,7 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
 		reg := obs.NewRegistry()
-		SetDefaultObs(nil, reg)
-		c := NewCluster(3, 3, 10*time.Microsecond)
+		c := NewClusterObs(3, 3, 10*time.Microsecond, nil, reg)
 		c.SetParallel(parallel)
 
 		k1, k2 := c.Kernel(1), c.Kernel(2)
@@ -388,7 +380,6 @@ func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 		if el := reg.Counter("sim_cluster_barriers_elided_total").Value(); el == 0 {
 			t.Errorf("parallel=%v: quiet shard was never elided from a barrier", parallel)
 		}
-		SetDefaultObs(nil, nil)
 	}
 }
 
@@ -440,9 +431,7 @@ func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
 // sim_cluster_mailbox_reuse_total.
 func TestMailboxSliceReuse(t *testing.T) {
 	reg := obs.NewRegistry()
-	SetDefaultObs(nil, reg)
-	defer SetDefaultObs(nil, nil)
-	c := NewCluster(17, 2, 10*time.Microsecond)
+	c := NewClusterObs(17, 2, 10*time.Microsecond, nil, reg)
 	k0 := c.Kernel(0)
 	k1 := c.Kernel(1)
 	k0.Spawn("sender", func(p *Proc) {

@@ -211,30 +211,21 @@ type Kernel struct {
 	xseq    uint64  // outgoing cross-shard send sequence
 }
 
-// Package-level observability defaults: a CLI (or test) installs a shared
-// tracer/registry once and every kernel created afterwards attaches to
-// them, so multi-kernel runs land on one timeline and one metric space.
-var (
-	defaultTrace   *obs.Tracer
-	defaultMetrics *obs.Registry
-)
+// NewKernel returns a kernel with virtual time 0, an RNG seeded with seed, a
+// fresh disabled tracer and a fresh registry.
+func NewKernel(seed int64) *Kernel { return NewKernelObs(seed, nil, nil) }
 
-// SetDefaultObs installs the tracer and registry that subsequent NewKernel
-// calls attach to. Either may be nil (fresh disabled tracer / fresh
-// registry per kernel).
-func SetDefaultObs(t *obs.Tracer, m *obs.Registry) {
-	defaultTrace = t
-	defaultMetrics = m
-}
-
-// NewKernel returns a kernel with virtual time 0 and an RNG seeded with seed.
-func NewKernel(seed int64) *Kernel {
+// NewKernelObs is NewKernel attached to the caller's tracer and registry:
+// every kernel of one run is handed the same pair, so a multi-kernel run
+// lands on one timeline and one metric space. Either may be nil (fresh
+// disabled tracer / fresh registry).
+func NewKernelObs(seed int64, t *obs.Tracer, m *obs.Registry) *Kernel {
 	k := &Kernel{
 		rng:     rand.New(rand.NewSource(seed)),
 		live:    map[*Proc]struct{}{},
 		parked:  make(chan *Proc),
-		trace:   defaultTrace,
-		metrics: defaultMetrics,
+		trace:   t,
+		metrics: m,
 	}
 	if k.trace == nil {
 		k.trace = obs.NewTracer(0)
@@ -257,14 +248,20 @@ func (k *Kernel) Trace() *obs.Tracer { return k.trace }
 // Metrics returns the kernel's metrics registry (never nil).
 func (k *Kernel) Metrics() *obs.Registry { return k.metrics }
 
+// shards returns the kernels this kernel's whole-run readings range over:
+// every shard of its cluster, or just itself.
+func (k *Kernel) shards() []*Kernel {
+	if k.cluster == nil {
+		return []*Kernel{k}
+	}
+	return k.cluster.kernels
+}
+
 // CPUs returns every CPU created on this kernel — on a sharded kernel,
 // across all shards — in (shard, creation) order.
 func (k *Kernel) CPUs() []*CPU {
-	if k.cluster == nil {
-		return k.cpus
-	}
 	var out []*CPU
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		out = append(out, sk.cpus...)
 	}
 	return out
@@ -324,11 +321,8 @@ func (k *Kernel) newEvent(t Time) *event {
 // summed across shards. Only meaningful outside the run loop — call it
 // between Run calls.
 func (k *Kernel) EventQueueLen() int {
-	if k.cluster == nil {
-		return len(k.events)
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		n += len(sk.events)
 	}
 	return n
@@ -338,11 +332,8 @@ func (k *Kernel) EventQueueLen() int {
 // kernel, the sum of per-shard peaks (each tracked locally, so serial and
 // parallel runs agree). Call between Run calls.
 func (k *Kernel) EventHeapPeak() int {
-	if k.cluster == nil {
-		return k.heapPeak
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		n += sk.heapPeak
 	}
 	return n
@@ -351,14 +342,8 @@ func (k *Kernel) EventHeapPeak() int {
 // WheelTimers returns the number of pending timing-wheel timers; on a
 // sharded kernel, summed across shards. Call between Run calls.
 func (k *Kernel) WheelTimers() int {
-	if k.cluster == nil {
-		if k.wheel == nil {
-			return 0
-		}
-		return k.wheel.count
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		if sk.wheel != nil {
 			n += sk.wheel.count
 		}
@@ -369,14 +354,8 @@ func (k *Kernel) WheelTimers() int {
 // WheelTimerPeak returns the high-water mark of pending timing-wheel
 // timers, summed across shards on a sharded kernel. Call between Run calls.
 func (k *Kernel) WheelTimerPeak() int {
-	if k.cluster == nil {
-		if k.wheel == nil {
-			return 0
-		}
-		return k.wheel.peak
-	}
 	n := 0
-	for _, sk := range k.cluster.kernels {
+	for _, sk := range k.shards() {
 		if sk.wheel != nil {
 			n += sk.wheel.peak
 		}
@@ -655,14 +634,8 @@ func (k *Kernel) Run() (Time, error) {
 			break
 		}
 	}
-	nondaemon := 0
-	for p := range k.live {
-		if !p.daemon {
-			nondaemon++
-		}
-	}
-	if !k.stopped && (k.limit == 0 || k.peek() == nil) && nondaemon > 0 {
-		return k.now, fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", k.now, nondaemon, k.parkedProcs())
+	if !k.stopped && (k.limit == 0 || k.peek() == nil) {
+		return k.now, deadlock(k.now, k.shards())
 	}
 	return k.now, nil
 }
@@ -684,16 +657,28 @@ func (k *Kernel) RunFor(d time.Duration) (Time, error) {
 	return t, err
 }
 
-func (k *Kernel) parkedProcs() string {
-	var names []string
-	for p := range k.live {
-		names = append(names, fmt.Sprintf("%s@%s", p.name, p.parkAt))
+// deadlock is the one report both drivers end a run with: nil when every
+// proc still live on kernels is a daemon (backends and servers may stay
+// parked), otherwise an error naming the stuck procs — the first eight in
+// name order — and where each is parked.
+func deadlock(now Time, kernels []*Kernel) error {
+	var parked []string
+	for _, k := range kernels {
+		for p := range k.live {
+			if !p.daemon {
+				parked = append(parked, fmt.Sprintf("%s@%s", p.name, p.parkAt))
+			}
+		}
 	}
-	sort.Strings(names)
-	if len(names) > 8 {
-		names = append(names[:8], "...")
+	n := len(parked)
+	if n == 0 {
+		return nil
 	}
-	return fmt.Sprint(names)
+	sort.Strings(parked)
+	if n > 8 {
+		parked = append(parked[:8], "...")
+	}
+	return fmt.Errorf("sim: deadlock at %v: %d procs parked: %s", now, n, fmt.Sprint(parked))
 }
 
 // park blocks p until the kernel resumes it. The caller must already have

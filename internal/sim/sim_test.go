@@ -106,10 +106,7 @@ func TestKernelTraceAndMetricsDeterministic(t *testing.T) {
 		tr := obs.NewTracer(obs.DefaultCap)
 		tr.Enable()
 		reg := obs.NewRegistry()
-		SetDefaultObs(tr, reg)
-		defer SetDefaultObs(nil, nil)
-
-		k := NewKernel(7)
+		k := NewKernelObs(7, tr, reg)
 		cpu := k.NewCPU("pcpu0")
 		for _, name := range []string{"a", "b", "c"} {
 			k.Spawn(name, func(p *Proc) {

@@ -98,7 +98,11 @@ func TestDeviceWriteCapturesPayloadAtSubmit(t *testing.T) {
 		pl.Deploy(core.Unikernel{
 			Build: build.Config{Name: "writer", Roots: []string{"btree"}},
 			Main: func(env *core.Env) int {
-				return env.VM.Main(env.P, captureAtSubmit(t, env.VM.S, wrap(env), pl.SSD.ReadSector))
+				return env.VM.Main(env.P, captureAtSubmit(t, env.VM.S, wrap(env), func(sec uint64) []byte {
+					buf := make([]byte, storage.SectorSize)
+					pl.SSD.ReadAt(sec, buf)
+					return buf
+				}))
 			},
 		}, core.DeployOpts{Block: true})
 		if _, err := pl.RunFor(10 * time.Second); err != nil {

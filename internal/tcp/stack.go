@@ -107,18 +107,6 @@ type Stack struct {
 	mxCookiesFailed   *obs.Counter
 }
 
-// SegsIn returns segments received.
-func (st *Stack) SegsIn() int { return int(st.mxSegsIn.Value()) }
-
-// SegsOut returns segments sent.
-func (st *Stack) SegsOut() int { return int(st.mxSegsOut.Value()) }
-
-// BadSegs returns segments that matched no endpoint.
-func (st *Stack) BadSegs() int { return int(st.mxBadSegs.Value()) }
-
-// RstsSent returns RSTs emitted for unmatched segments.
-func (st *Stack) RstsSent() int { return int(st.mxRstsSent.Value()) }
-
 // RstsRejected returns RSTs dropped by the RFC 5961 sequence validation.
 func (st *Stack) RstsRejected() int { return int(st.mxRstsRejected.Value()) }
 
