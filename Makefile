@@ -36,6 +36,7 @@ test: build
 fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMessage$$' -fuzztime 5s ./internal/dns
 	$(GO) test -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 5s ./internal/dns
+	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/ipv4
 
 race: build
 	$(GO) test -race ./...

@@ -19,6 +19,7 @@ import (
 	"repro/internal/blkback"
 	"repro/internal/cstruct"
 	"repro/internal/device"
+	"repro/internal/fifo"
 	"repro/internal/grant"
 	"repro/internal/hypervisor"
 	"repro/internal/lwt"
@@ -55,7 +56,7 @@ type Blkif struct {
 	// devops at unplug time.
 	staged []*op
 	// queue holds merged devops waiting for ring slots.
-	queue []*devop
+	queue fifo.Queue[*devop]
 	// unplugPending/flushPending defer merge and ring publish + notify to
 	// the end of the current instant, so a burst of submits costs one merge
 	// pass and one notification.
@@ -250,7 +251,7 @@ func (b *Blkif) unplug() {
 			continue
 		}
 		cur = &devop{write: o.write, sector: o.sector, sectors: o.sectors, ops: []*op{o}}
-		b.queue = append(b.queue, cur)
+		b.queue.Push(cur)
 	}
 	b.staged = b.staged[:0]
 	b.fill()
@@ -258,11 +259,8 @@ func (b *Blkif) unplug() {
 
 // fill pushes queued devops while ring slots are free.
 func (b *Blkif) fill() {
-	for len(b.queue) > 0 && b.front.Free() > 0 {
-		d := b.queue[0]
-		b.queue[0] = nil // the slot outlives the pop; let the devop go
-		b.queue = b.queue[1:]
-		b.push(d)
+	for b.queue.Len() > 0 && b.front.Free() > 0 {
+		b.push(b.queue.Pop())
 	}
 }
 
@@ -442,8 +440,8 @@ func (b *Blkif) traceDone(d *devop, ok bool) {
 // InFlight returns the number of outstanding application requests.
 func (b *Blkif) InFlight() int {
 	n := len(b.staged)
-	for _, d := range b.queue {
-		n += len(d.ops)
+	for i := 0; i < b.queue.Len(); i++ {
+		n += len((*b.queue.At(i)).ops)
 	}
 	for _, d := range b.inflight {
 		n += len(d.ops)

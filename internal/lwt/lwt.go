@@ -44,10 +44,14 @@ type Waiter interface {
 // Promise is a lightweight thread: a heap-allocated value that is either
 // pending, resolved with a T, or failed with an error.
 type Promise[T any] struct {
-	s         *Scheduler
-	state     int
-	value     T
-	err       error
+	s     *Scheduler
+	state int
+	value T
+	err   error
+	// Continuations run in registration order: first, then callbacks. Almost
+	// every promise is awaited exactly once, so the first continuation has
+	// its own field and the slice exists only from the second on.
+	first     func()
 	callbacks []func()
 	onCancel  func()
 	// Label optionally tags the thread for debugging/statistics (§3.3:
@@ -74,10 +78,18 @@ func (p *Promise[T]) onComplete(fn func()) {
 		p.s.Defer(fn)
 		return
 	}
+	if p.first == nil {
+		p.first = fn
+		return
+	}
 	p.callbacks = append(p.callbacks, fn)
 }
 
 func (p *Promise[T]) complete() {
+	if cb := p.first; cb != nil {
+		p.first = nil
+		p.s.Defer(cb)
+	}
 	cbs := p.callbacks
 	p.callbacks = nil
 	for _, cb := range cbs {

@@ -110,3 +110,70 @@ func TestNestedBindDepthNoStackOverflow(t *testing.T) {
 		}
 	})
 }
+
+// TestAwaitedPromiseAllocations: creating a promise, awaiting it once,
+// resolving it and running the continuation allocates the promise and the
+// caller's closure — no waiter list.
+func TestAwaitedPromiseAllocations(t *testing.T) {
+	run(t, func(p *sim.Proc, s *Scheduler) {
+		sum := 0
+		const runs = 100
+		n := testing.AllocsPerRun(runs, func() {
+			pr := NewPromise[int](s)
+			Always(pr, func() { sum += pr.Value() })
+			pr.Resolve(1)
+			s.runReady(p)
+		})
+		if n != 2 {
+			t.Errorf("NewPromise + Always + Resolve + drain allocates %v objects, want 2 (the promise and the closure)", n)
+		}
+		if sum != runs+1 {
+			t.Errorf("continuation ran %d times over %d cycles", sum, runs+1)
+		}
+	})
+}
+
+// TestContinuationsRunInRegistrationOrder: the inline slot and the overflow
+// slice together behave as one list.
+func TestContinuationsRunInRegistrationOrder(t *testing.T) {
+	run(t, func(p *sim.Proc, s *Scheduler) {
+		for name, complete := range map[string]func(*Promise[int]){
+			"resolve": func(pr *Promise[int]) { pr.Resolve(1) },
+			"fail":    func(pr *Promise[int]) { pr.Fail(errors.New("x")) },
+		} {
+			pr := NewPromise[int](s)
+			var order []int
+			for i := 1; i <= 3; i++ {
+				i := i
+				Always(pr, func() { order = append(order, i) })
+			}
+			complete(pr)
+			s.runReady(p)
+			if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
+				t.Errorf("%s: continuations ran in order %v, want [1 2 3]", name, order)
+			}
+		}
+	})
+}
+
+// TestContinuationRegisteredDuringCompletionRunsOnce: a continuation added
+// by another continuation of the same, now completed, promise is deferred
+// like any registration on a completed promise — once, after the ones
+// already queued, and never again.
+func TestContinuationRegisteredDuringCompletionRunsOnce(t *testing.T) {
+	run(t, func(p *sim.Proc, s *Scheduler) {
+		pr := NewPromise[int](s)
+		var order []string
+		Always(pr, func() {
+			order = append(order, "first")
+			Always(pr, func() { order = append(order, "nested") })
+		})
+		Always(pr, func() { order = append(order, "second") })
+		pr.Resolve(1)
+		s.runReady(p)
+		s.runReady(p)
+		if want := []string{"first", "second", "nested"}; len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
+			t.Errorf("continuations ran as %v, want %v", order, want)
+		}
+	})
+}

@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/cstruct"
 	"repro/internal/device"
+	"repro/internal/fifo"
 	"repro/internal/grant"
 	"repro/internal/hypervisor"
 	"repro/internal/netback"
@@ -48,9 +49,9 @@ type Netif struct {
 
 	nextID     uint16
 	txInflight map[uint16][]txFrag
-	txQueue    [][]txFrag // waiting for ring slots
-	tfFree     [][]txFrag // retired fragment slices recycled by enqueue
-	doneIDs    []uint16   // completion-drain scratch, reused across wakes
+	txQueue    fifo.Queue[[]txFrag] // waiting for ring slots
+	tfFree     [][]txFrag           // retired fragment slices recycled by enqueue
+	doneIDs    []uint16             // completion-drain scratch, reused across wakes
 	rxPosted   map[uint16]rxPost
 
 	// Stats live on the kernel's metrics registry; see Attach.
@@ -213,7 +214,7 @@ func (n *Netif) enqueue(frags []*cstruct.View, span uint64) bool {
 	}
 	tf[0].span = span
 	if n.txFront.Free() < len(tf) {
-		n.txQueue = append(n.txQueue, tf)
+		n.txQueue.Push(tf)
 		n.mxTxQueued.Inc()
 		return false
 	}
@@ -307,10 +308,8 @@ func (n *Netif) drainCompletions() {
 	}
 	// Drain queued frames into freed slots, publishing once for the batch.
 	drained := false
-	for len(n.txQueue) > 0 && n.txFront.Free() >= len(n.txQueue[0]) {
-		tf := n.txQueue[0]
-		n.txQueue = n.txQueue[1:]
-		n.stageTx(tf)
+	for n.txQueue.Len() > 0 && n.txFront.Free() >= len(*n.txQueue.At(0)) {
+		n.stageTx(n.txQueue.Pop())
 		drained = true
 	}
 	if drained {

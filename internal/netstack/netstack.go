@@ -87,15 +87,13 @@ type Stack struct {
 	ipID  uint16
 	wake  *sim.Signal // re-enters the run loop after deferred processing
 
-	txBatch   []*cstruct.View // frames built this burst, awaiting one flush
-	txSpare   []*cstruct.View // drained batch backing, reused by the next burst
-	txSpans   []uint64        // per-frame trace ids, parallel to txBatch
-	txSpnFree []uint64        // drained span backing, reused by the next burst
-	txFlushes int             // txFlush events scheduled and not yet fired
+	txCur     *txBurst   // frames built this burst, awaiting one flush
+	txFree    []*txBurst // drained bursts, reused with their backing arrays
+	txFlushes int        // txFlush events scheduled and not yet fired
 
-	// Per-frame event callbacks, built once so scheduling one allocates
-	// nothing.
+	// Event callbacks, built once so scheduling one allocates nothing.
 	txFlushFunc func()
+	txFullFunc  func(burst any, _ uint64)
 	rxEventFunc func(frame any, span uint64)
 
 	// Stats
@@ -116,7 +114,7 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 		UDP:    udp.NewMux(),
 		reasm:  ipv4.NewReassembler(),
 	}
-	st.txFlushFunc, st.rxEventFunc = st.txFlush, st.rxEvent
+	st.txFlushFunc, st.txFullFunc, st.rxEventFunc = st.txFlush, st.txFull, st.rxEvent
 	st.wake = vm.S.K.NewSignal("netstack-wake")
 	vm.S.OnSignal(st.wake, func() {})
 	st.ARP = arp.NewHandler(vm.S, cfg.IP, cfg.MAC)
@@ -189,44 +187,54 @@ func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 	st.TxPackets++
 	frame := page.Sub(0, n)
 	page.Release()
-	if st.txBatch == nil && st.txSpare != nil {
-		st.txBatch, st.txSpare = st.txSpare, nil
-		st.txSpans, st.txSpnFree = st.txSpnFree, nil
+	b := st.txCur
+	if b == nil {
+		if last := len(st.txFree) - 1; last >= 0 {
+			b, st.txFree = st.txFree[last], st.txFree[:last]
+		} else {
+			b = &txBurst{frames: make([]*cstruct.View, 0, txBatchMax), spans: make([]uint64, 0, txBatchMax)}
+		}
+		st.txCur = b
 	}
-	st.txBatch = append(st.txBatch, frame)
-	st.txSpans = append(st.txSpans, span)
-	if len(st.txBatch) >= txBatchMax {
-		batch, spans := st.txBatch, st.txSpans
-		st.txBatch, st.txSpans = nil, nil
-		st.VM.S.K.At(at, func() { st.sendBatch(batch, spans) })
+	b.frames = append(b.frames, frame)
+	b.spans = append(b.spans, span)
+	if len(b.frames) >= txBatchMax {
+		st.txCur = nil
+		st.VM.S.K.AtArg(at, st.txFullFunc, b, 0)
 		return
 	}
 	st.txFlushes++
 	st.VM.S.K.At(at, st.txFlushFunc)
 }
 
+// txBurst is the frames of one burst with their trace ids, in parallel.
+type txBurst struct {
+	frames []*cstruct.View
+	spans  []uint64
+}
+
 // txFlush is the flush event tx schedules per frame.
 func (st *Stack) txFlush() {
 	st.txFlushes--
-	if st.txFlushes > 0 || len(st.txBatch) == 0 {
+	if st.txFlushes > 0 || st.txCur == nil {
 		return // a later frame joined the burst, or a full batch already left
 	}
-	batch, spans := st.txBatch, st.txSpans
-	st.txBatch, st.txSpans = nil, nil
-	st.sendBatch(batch, spans)
+	b := st.txCur
+	st.txCur = nil
+	st.sendBurst(b)
 }
 
-// sendBatch hands a drained burst to the NIC, then parks the backing arrays
-// for the next burst (SendFrames does not retain the slices).
-func (st *Stack) sendBatch(batch []*cstruct.View, spans []uint64) {
-	st.NIC.SendFrames(nil, batch, spans)
-	for i := range batch {
-		batch[i] = nil
-	}
-	if st.txSpare == nil || cap(batch) > cap(st.txSpare) {
-		st.txSpare = batch[:0]
-		st.txSpnFree = spans[:0]
-	}
+// txFull is the event tx schedules for a burst that reached txBatchMax; the
+// event carries the burst.
+func (st *Stack) txFull(burst any, _ uint64) { st.sendBurst(burst.(*txBurst)) }
+
+// sendBurst hands a drained burst to the NIC, then parks it for reuse
+// (SendFrames does not retain the slices).
+func (st *Stack) sendBurst(b *txBurst) {
+	st.NIC.SendFrames(nil, b.frames, b.spans)
+	clear(b.frames)
+	b.frames, b.spans = b.frames[:0], b.spans[:0]
+	st.txFree = append(st.txFree, b)
 }
 
 // SendIP sends one IP packet: build writes the transport payload (at most

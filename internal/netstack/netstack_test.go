@@ -386,3 +386,77 @@ func TestDatagramPathAllocationBudget(t *testing.T) {
 		t.Errorf("delivered %d of 201 datagrams", got-before)
 	}
 }
+
+// A burst of 64 frames built in one instant leaves in four SendFrames calls
+// of txBatchMax frames, each at the instant the vCPU finishes building its
+// sixteenth frame — and once the burst records have been through the free
+// list, handing the bursts over allocates nothing.
+func TestTxBurstBatchesAndAllocatesNothing(t *testing.T) {
+	r := newRig(t)
+	const frames = 64
+	var st *Stack
+	r.guest("source", Config{MAC: mac(1), IP: ip(1), Netmask: mask}, func(s *Stack, p *sim.Proc) int {
+		st = s
+		return s.VM.Main(p, s.VM.S.Sleep(time.Hour))
+	})
+	if _, err := r.k.RunFor(time.Second); err != nil { // boot
+		t.Fatal(err)
+	}
+	// The next hop is in the ARP cache and on no bridge port: the frames
+	// take the whole transmit path and the bridge then drops them.
+	st.ARP.Learn(ip(9), mac(9))
+	payload := make([]byte, 1000)
+	send := func() {
+		for i := 0; i < frames; i++ {
+			st.SendUDP(ip(9), 9, 9000, payload)
+		}
+	}
+	burst := func() {
+		r.k.After(0, send)
+		if _, err := r.k.RunFor(time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 10; i++ { // warm the page pool, the ring free lists, the burst records
+		burst()
+	}
+	if n := testing.AllocsPerRun(20, burst); n != 0 {
+		t.Errorf("a %d-frame burst allocates %v objects after warm-up, want 0", frames, n)
+	}
+
+	// Probes queued after the burst's own events sample the NIC at every
+	// instant a frame's construction completes.
+	type flush struct {
+		after  time.Duration
+		frames int
+	}
+	var got []flush
+	t0, sent := r.k.Now(), st.NIC.TxPackets()
+	probe := func() {
+		if n := st.NIC.TxPackets(); n != sent {
+			got = append(got, flush{r.k.Now().Sub(t0), n - sent})
+			sent = n
+		}
+	}
+	r.k.After(0, func() {
+		send()
+		for i := 1; i <= frames; i++ {
+			r.k.After(time.Duration(i)*st.Params.TxCost, probe)
+		}
+	})
+	if _, err := r.k.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	var want []flush
+	for i := 1; i <= frames/txBatchMax; i++ {
+		want = append(want, flush{time.Duration(i*txBatchMax) * st.Params.TxCost, txBatchMax})
+	}
+	if len(got) != len(want) {
+		t.Fatalf("burst reached the NIC as %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("burst reached the NIC as %v, want %v", got, want)
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cstruct"
+	"repro/internal/fifo"
 	"repro/internal/lwt"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -92,7 +93,7 @@ type Conn struct {
 	mss                 int
 	sendq               sendQueue // accepted, not yet segmented (see sendq.go)
 	finQueued, finSent  bool
-	inflight            []inflightSeg
+	inflight            fifo.Queue[inflightSeg]
 	sendGen             uint64 // invalidates stale deferred trySend events
 
 	// Zero-window persist (RFC 1122 §4.2.2.17).
@@ -126,8 +127,8 @@ type Conn struct {
 	// Receive sequence space.
 	irs, rcvNxt  uint32
 	myWndScale   int
-	rcvChain     []rcvChunk // in-order payload spans awaiting the application
-	rcvLen       int        // total bytes across rcvChain
+	rcvChain     fifo.Queue[rcvChunk] // in-order payload spans awaiting the application
+	rcvLen       int                  // total bytes across rcvChain
 	finRcvd      bool
 	ooo          map[uint32][]byte // allocated lazily on first out-of-order segment
 	segsSinceAck int
@@ -135,8 +136,8 @@ type Conn struct {
 	ackGen       uint64 // invalidates stale same-instant ACK flushes
 	ackPending   bool
 
-	readers []pendingRead
-	writers []pendingWrite
+	readers fifo.Queue[pendingRead]
+	writers fifo.Queue[pendingWrite]
 
 	connectP *lwt.Promise[*Conn]
 	doneP    *lwt.Promise[struct{}]
@@ -221,7 +222,7 @@ func (c *Conn) onTimerRTO() {
 	case StateTimeWait:
 		c.teardown(nil)
 	default:
-		if len(c.inflight) > 0 {
+		if c.inflight.Len() > 0 {
 			c.onTimeout()
 		}
 	}
@@ -302,13 +303,18 @@ func (c *Conn) scheduleAckFlush() {
 	}
 	c.ackPending = true
 	c.ackGen++
-	gen := c.ackGen
 	k := c.st.S.K
-	k.At(k.Now(), func() {
-		if gen == c.ackGen && c.ackPending && c.state != StateClosed {
-			c.sendAck()
-		}
-	})
+	k.AtArg(k.Now(), ackFlushEvent, c, c.ackGen)
+}
+
+// ackFlushEvent is the event scheduleAckFlush queues: the connection rides
+// the event with the generation it was queued under, so no closure is built
+// per flush.
+func ackFlushEvent(conn any, gen uint64) {
+	c := conn.(*Conn)
+	if gen == c.ackGen && c.ackPending && c.state != StateClosed {
+		c.sendAck()
+	}
 }
 
 // scheduleDelayedAck arms the delayed-ACK timer (every-second-segment
@@ -362,9 +368,9 @@ func (c *Conn) trySend() {
 				n = avail
 			}
 			data := c.sendq.cut(n)
-			c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
+			c.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 			flags := uint8(FlagACK)
-			if c.sendq.Len() == 0 && len(c.writers) == 0 {
+			if c.sendq.Len() == 0 && c.writers.Len() == 0 {
 				flags |= FlagPSH
 			}
 			c.send(flags, c.sndNxt, data, false)
@@ -378,7 +384,7 @@ func (c *Conn) trySend() {
 	}
 	if c.finQueued && !c.finSent && c.sendq.Len() == 0 && c.usableWindow() > 0 {
 		c.finSent = true
-		c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
+		c.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
 		c.send(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.sndNxt++
 		sent = true
@@ -394,20 +400,23 @@ func (c *Conn) trySend() {
 // segment is cut (the write-coalescing half of §3.4.1 batching).
 func (c *Conn) scheduleSend() {
 	c.sendGen++
-	gen := c.sendGen
 	k := c.st.S.K
-	k.At(k.Now(), func() {
-		if gen == c.sendGen && c.state != StateClosed {
-			c.trySend()
-		}
-	})
+	k.AtArg(k.Now(), sendEvent, c, c.sendGen)
+}
+
+// sendEvent is the event scheduleSend queues (see ackFlushEvent).
+func sendEvent(conn any, gen uint64) {
+	c := conn.(*Conn)
+	if gen == c.sendGen && c.state != StateClosed {
+		c.trySend()
+	}
 }
 
 // drainWriters moves queued user writes into the send queue as space
 // frees, resolving their promises once fully buffered.
 func (c *Conn) drainWriters() {
-	for len(c.writers) > 0 {
-		w := &c.writers[0]
+	for c.writers.Len() > 0 {
+		w := c.writers.At(0)
 		space := c.st.Params.SndBuf - c.sendq.Len()
 		if space <= 0 {
 			return
@@ -419,10 +428,8 @@ func (c *Conn) drainWriters() {
 		c.sendq.write(w.data[w.n : w.n+take])
 		w.n += take
 		if w.n == len(w.data) {
-			pr := w.pr
-			n := w.n
-			c.writers = c.writers[1:]
-			pr.Resolve(n)
+			done := c.writers.Pop()
+			done.pr.Resolve(done.n)
 		}
 	}
 }
@@ -441,7 +448,7 @@ func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 		pr.Fail(errors.New("tcp: write after close"))
 		return pr
 	}
-	c.writers = append(c.writers, pendingWrite{data: data, pr: pr})
+	c.writers.Push(pendingWrite{data: data, pr: pr})
 	c.drainWriters()
 	c.scheduleSend()
 	return pr
@@ -451,8 +458,13 @@ func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 // empty slice at EOF (peer closed), or fails after a reset.
 func (c *Conn) Read(max int) *lwt.Promise[[]byte] {
 	pr := lwt.NewPromise[[]byte](c.st.S)
-	r := pendingRead{max: max, pr: pr}
-	c.readers = append(c.readers, r)
+	if max <= 0 {
+		// An empty slice means EOF; a read that can carry no bytes must not
+		// resolve with one while the peer is still open.
+		pr.Fail(fmt.Errorf("tcp: read of %d bytes", max))
+		return pr
+	}
+	c.readers.Push(pendingRead{max: max, pr: pr})
 	c.wakeReaders()
 	return pr
 }
@@ -469,26 +481,18 @@ func (c *Conn) wakeReaders() {
 			}
 		}
 	}()
-	for len(c.readers) > 0 {
-		if c.rcvLen > 0 {
-			r := c.readers[0]
-			c.readers = c.readers[1:]
+	for c.readers.Len() > 0 {
+		switch {
+		case c.rcvLen > 0:
+			r := c.readers.Pop()
 			r.pr.Resolve(c.takeRcv(r.max))
-			continue
+		case c.finRcvd:
+			c.readers.Pop().pr.Resolve(nil) // EOF
+		case c.err != nil:
+			c.readers.Pop().pr.Fail(c.err)
+		default:
+			return
 		}
-		if c.finRcvd {
-			r := c.readers[0]
-			c.readers = c.readers[1:]
-			r.pr.Resolve(nil) // EOF
-			continue
-		}
-		if c.err != nil {
-			r := c.readers[0]
-			c.readers = c.readers[1:]
-			r.pr.Fail(c.err)
-			continue
-		}
-		return
 	}
 }
 
@@ -502,32 +506,34 @@ func (c *Conn) takeRcv(max int) []byte {
 	if n > max {
 		n = max
 	}
-	first := &c.rcvChain[0]
-	if first.view == nil && len(first.data) == n {
-		out := first.data
-		c.rcvChain[0] = rcvChunk{}
-		c.rcvChain = c.rcvChain[1:]
-		c.rcvLen -= n
-		return out
-	}
-	out := make([]byte, n)
-	got := 0
-	for got < n {
-		ch := &c.rcvChain[0]
-		take := copy(out[got:], ch.data)
-		got += take
-		if take == len(ch.data) {
-			if ch.view != nil {
-				ch.view.Release()
-			}
-			c.rcvChain[0] = rcvChunk{}
-			c.rcvChain = c.rcvChain[1:]
-		} else {
-			ch.data = ch.data[take:]
-		}
-	}
+	first := c.rcvChain.At(0)
 	c.rcvLen -= n
+	if first.view == nil && len(first.data) == n {
+		return c.rcvChain.Pop().data
+	}
+	src := first.data
+	out := make([]byte, n)
+	copy(out, src) // adjacent to make, from a plain variable: the bytes this writes are not zeroed first
+	for got := c.consumeRcv(n); got < n; {
+		copy(out[got:], c.rcvChain.At(0).data)
+		got += c.consumeRcv(n - got)
+	}
 	return out
+}
+
+// consumeRcv drops up to want bytes from the head chunk of the receive
+// chain — the whole chunk, page reference included, once none of it is left
+// — and returns how many it dropped.
+func (c *Conn) consumeRcv(want int) int {
+	ch := c.rcvChain.At(0)
+	if want < len(ch.data) {
+		ch.data = ch.data[want:]
+		return want
+	}
+	if ch.view != nil {
+		ch.view.Release()
+	}
+	return len(c.rcvChain.Pop().data)
 }
 
 // Close queues a FIN after buffered data drains (active/passive close).
@@ -583,13 +589,12 @@ func (c *Conn) teardown(err error) {
 	c.ackPending = false
 	c.sendGen++
 	// Unconsumed receive data still pins pages; let them go.
-	for i := range c.rcvChain {
-		if c.rcvChain[i].view != nil {
-			c.rcvChain[i].view.Release()
+	for c.rcvChain.Len() > 0 {
+		if v := c.rcvChain.Pop().view; v != nil {
+			v.Release()
 		}
-		c.rcvChain[i] = rcvChunk{}
 	}
-	c.rcvChain = nil
+	c.rcvChain.Reset()
 	c.rcvLen = 0
 	c.st.remove(c.key)
 	if c.doneP != nil && !c.doneP.Completed() {
@@ -598,18 +603,18 @@ func (c *Conn) teardown(err error) {
 	if c.connectP != nil && !c.connectP.Completed() {
 		c.connectP.Fail(err)
 	}
-	for _, r := range c.readers {
-		if err != nil {
+	for c.readers.Len() > 0 {
+		if r := c.readers.Pop(); err != nil {
 			r.pr.Fail(err)
 		} else {
 			r.pr.Resolve(nil)
 		}
 	}
-	c.readers = nil
-	for _, w := range c.writers {
-		w.pr.Fail(fmt.Errorf("tcp: connection closed"))
+	c.readers.Reset()
+	for c.writers.Len() > 0 {
+		c.writers.Pop().pr.Fail(fmt.Errorf("tcp: connection closed"))
 	}
-	c.writers = nil
+	c.writers.Reset()
 }
 
 // --- Timers ---
@@ -629,7 +634,7 @@ func (c *Conn) maybeArmPersist() {
 		return
 	}
 	pending := c.sendq.Len() > 0 || (c.finQueued && !c.finSent)
-	if !pending || len(c.inflight) > 0 || c.usableWindow() > 0 {
+	if !pending || c.inflight.Len() > 0 || c.usableWindow() > 0 {
 		return
 	}
 	if c.persistBackoff == 0 {
@@ -649,13 +654,13 @@ func (c *Conn) onPersist() {
 	if c.sndWnd > 0 {
 		// The window reopened while the timer was pending; the normal
 		// send path owns any inflight probe again.
-		if len(c.inflight) > 0 {
+		if c.inflight.Len() > 0 {
 			c.armRTO()
 		}
 		c.trySend()
 		return
 	}
-	if len(c.inflight) == 0 && c.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
+	if c.inflight.Len() == 0 && c.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
 		return // nothing left to probe for
 	}
 	c.PersistProbes++
@@ -665,19 +670,19 @@ func (c *Conn) onPersist() {
 			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("backoff_us", int64(c.persistBackoff.Microseconds())))...)
 	}
 	switch {
-	case len(c.inflight) > 0:
+	case c.inflight.Len() > 0:
 		// A previous probe is still unacknowledged: resend it.
 		c.retransmitFirst()
 	case c.sendq.Len() > 0:
 		// Window probe: one byte past the advertised window.
 		data := c.sendq.cut(1)
-		c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
+		c.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 		c.send(FlagACK|FlagPSH, c.sndNxt, data, false)
 		c.sndNxt++
 		c.BytesOut++
 	default: // queued FIN blocked by the window
 		c.finSent = true
-		c.inflight = append(c.inflight, inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
+		c.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
 		c.send(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.sndNxt++
 	}
@@ -714,16 +719,16 @@ func (c *Conn) onTimeout() {
 }
 
 func (c *Conn) retransmitFirst() {
-	if len(c.inflight) == 0 {
+	if c.inflight.Len() == 0 {
 		return
 	}
 	c.Retransmits++
 	c.st.mxRetransmits.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "retransmit", c.st.TracePid, 0,
-			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("seq", int64(c.inflight[0].seq)))...)
+			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("seq", int64(c.inflight.At(0).seq)))...)
 	}
-	seg := &c.inflight[0]
+	seg := c.inflight.At(0)
 	seg.rexmit = true
 	switch {
 	case seg.syn && c.state == StateSynSent:

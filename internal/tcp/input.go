@@ -72,7 +72,7 @@ func (c *Conn) inputSynSent(seg Segment) {
 	c.irs = seg.Seq
 	c.rcvNxt = seg.Seq + 1
 	c.sndUna = seg.Ack
-	c.inflight = nil
+	c.inflight.Reset()
 	c.disarmRTO()
 	c.negotiate(seg)
 	c.setState(StateEstablished)
@@ -95,7 +95,7 @@ func (c *Conn) inputSynRcvd(seg Segment) {
 		return
 	}
 	c.sndUna = seg.Ack
-	c.inflight = nil
+	c.inflight.Reset()
 	c.disarmRTO()
 	c.setState(StateEstablished)
 	if l := c.listener; l != nil {
@@ -169,13 +169,11 @@ func (c *Conn) processAck(seg Segment) {
 		acked := int(ack - c.sndUna)
 		c.sndUna = ack
 		// Drop fully-acked inflight segments; sample RTT from the newest.
-		for len(c.inflight) > 0 {
-			s := c.inflight[0]
-			if !seqLEQ(s.seq+s.seqLen(), ack) {
+		for c.inflight.Len() > 0 {
+			if s := c.inflight.At(0); !seqLEQ(s.seq+s.seqLen(), ack) {
 				break
 			}
-			c.sampleRTT(s)
-			c.inflight = c.inflight[1:]
+			c.sampleRTT(c.inflight.Pop())
 		}
 		if c.fastRecovery {
 			if seqLT(ack, c.recover) {
@@ -204,7 +202,7 @@ func (c *Conn) processAck(seg Segment) {
 				c.cwnd += max2(c.mss*acked/c.cwnd, 1) // congestion avoidance
 			}
 		}
-		if len(c.inflight) > 0 {
+		if c.inflight.Len() > 0 {
 			c.armRTO()
 		} else {
 			c.disarmRTO()
@@ -213,7 +211,7 @@ func (c *Conn) processAck(seg Segment) {
 		c.trySend()
 
 	case ack == c.sndUna && len(seg.Payload) == 0 && seg.Flags&(FlagSYN|FlagFIN) == 0 &&
-		len(c.inflight) > 0 && !wndChanged:
+		c.inflight.Len() > 0 && !wndChanged:
 		// Duplicate ACK (RFC 5681: same ack, no data, unchanged window).
 		c.dupAcks++
 		if c.fastRecovery {
@@ -263,7 +261,7 @@ func (c *Conn) processPayload(seg Segment) {
 		}
 		// Zero-copy enqueue: the chain takes ownership of the payload
 		// view (or aliases the heap slice on direct-injection paths).
-		c.rcvChain = append(c.rcvChain, rcvChunk{data: seg.Payload, view: seg.view})
+		c.rcvChain.Push(rcvChunk{data: seg.Payload, view: seg.view})
 		c.rcvLen += len(seg.Payload)
 		c.rcvNxt += uint32(len(seg.Payload))
 		c.BytesIn += len(seg.Payload)
@@ -274,7 +272,7 @@ func (c *Conn) processPayload(seg Segment) {
 				break
 			}
 			delete(c.ooo, c.rcvNxt)
-			c.rcvChain = append(c.rcvChain, rcvChunk{data: data})
+			c.rcvChain.Push(rcvChunk{data: data})
 			c.rcvLen += len(data)
 			c.rcvNxt += uint32(len(data))
 			c.BytesIn += len(data)
@@ -356,13 +354,13 @@ func (c *Conn) enterTimeWait() {
 // go back to the pool immediately instead of after 2MSL.
 func (c *Conn) releaseBuffers() {
 	c.sendq = sendQueue{}
-	c.inflight = nil
+	c.inflight.Reset()
 	c.ooo = nil
-	for i := range c.rcvChain {
-		if v := c.rcvChain[i].view; v != nil {
-			c.rcvChain[i].data = append([]byte(nil), c.rcvChain[i].data...)
-			c.rcvChain[i].view = nil
-			v.Release()
+	for i := 0; i < c.rcvChain.Len(); i++ {
+		if ch := c.rcvChain.At(i); ch.view != nil {
+			ch.data = append([]byte(nil), ch.data...)
+			ch.view.Release()
+			ch.view = nil
 		}
 	}
 }

@@ -382,9 +382,9 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	if c.State() != StateTimeWait {
 		t.Fatalf("client state = %v, want TimeWait", c.State())
 	}
-	if c.sendq.chunks != nil || c.sendq.Len() != 0 || c.inflight != nil || c.ooo != nil {
-		t.Errorf("TIME_WAIT retains buffers: send queue %d chunks / %d bytes, inflight=%d ooo=%d",
-			len(c.sendq.chunks), c.sendq.Len(), len(c.inflight), len(c.ooo))
+	if c.sendq.chunks.Cap() != 0 || c.sendq.Len() != 0 || c.inflight.Cap() != 0 || c.ooo != nil {
+		t.Errorf("TIME_WAIT retains buffers: send queue %d chunk slots / %d bytes, inflight=%d slots, ooo=%d",
+			c.sendq.chunks.Cap(), c.sendq.Len(), c.inflight.Cap(), len(c.ooo))
 	}
 }
 

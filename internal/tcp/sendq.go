@@ -1,5 +1,7 @@
 package tcp
 
+import "repro/internal/fifo"
+
 // maxSendChunk bounds one send-queue chunk: large enough that a bulk
 // writer's MSS segments rarely straddle two chunks, small enough that a
 // chunk is released soon after its last segment is acknowledged.
@@ -19,9 +21,9 @@ const maxSendChunk = 64 << 10
 // for that request; a burst of small writes grows geometrically; a bulk
 // writer gets full-size chunks at once.
 type sendQueue struct {
-	chunks [][]byte // oldest first; only the newest has spare capacity
-	off    int      // bytes of chunks[0] already cut into segments
-	n      int      // queued, uncut bytes
+	chunks fifo.Queue[[]byte] // oldest first; only the newest has spare capacity
+	off    int                // bytes of the oldest chunk already cut into segments
+	n      int                // queued, uncut bytes
 }
 
 // Len returns the number of queued bytes not yet cut into segments.
@@ -31,12 +33,12 @@ func (q *sendQueue) Len() int { return q.n }
 func (q *sendQueue) write(data []byte) {
 	q.n += len(data)
 	prev := 0
-	if k := len(q.chunks); k > 0 {
-		tail := q.chunks[k-1]
-		m := copy(tail[len(tail):cap(tail)], data)
-		q.chunks[k-1] = tail[:len(tail)+m]
+	if k := q.chunks.Len(); k > 0 {
+		tail := q.chunks.At(k - 1)
+		m := copy((*tail)[len(*tail):cap(*tail)], data)
+		*tail = (*tail)[:len(*tail)+m]
 		data = data[m:]
-		prev = cap(tail)
+		prev = cap(*tail)
 	}
 	for len(data) > 0 {
 		size := 2 * prev
@@ -52,7 +54,7 @@ func (q *sendQueue) write(data []byte) {
 		}
 		chunk := make([]byte, size)
 		copy(chunk, data) // adjacent to make: only the spare tail is zeroed
-		q.chunks = append(q.chunks, chunk[:m])
+		q.chunks.Push(chunk[:m])
 		prev = size
 		data = data[m:]
 	}
@@ -63,7 +65,7 @@ func (q *sendQueue) write(data []byte) {
 // for the rare span that straddles chunks, a gathered copy.
 func (q *sendQueue) cut(n int) []byte {
 	q.n -= n
-	head := q.chunks[0]
+	head := *q.chunks.At(0)
 	if q.off+n <= len(head) {
 		out := head[q.off : q.off+n : q.off+n]
 		q.off += n
@@ -72,7 +74,7 @@ func (q *sendQueue) cut(n int) []byte {
 	}
 	out := make([]byte, 0, n)
 	for len(out) < n {
-		head = q.chunks[0]
+		head = *q.chunks.At(0)
 		take := len(head) - q.off
 		if rest := n - len(out); take > rest {
 			take = rest
@@ -87,11 +89,10 @@ func (q *sendQueue) cut(n int) []byte {
 // dropDrained forgets the head chunk once every byte of it has been cut and
 // no write can land in it any more.
 func (q *sendQueue) dropDrained() {
-	head := q.chunks[0]
-	if q.off < len(head) || (len(q.chunks) == 1 && len(head) < cap(head)) {
+	head := *q.chunks.At(0)
+	if q.off < len(head) || (q.chunks.Len() == 1 && len(head) < cap(head)) {
 		return
 	}
-	q.chunks[0] = nil
-	q.chunks = q.chunks[1:]
+	q.chunks.Pop()
 	q.off = 0
 }

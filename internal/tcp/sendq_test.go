@@ -15,8 +15,8 @@ import (
 // queuedCap sums the capacity of the chunks a send queue currently holds.
 func queuedCap(q *sendQueue) int {
 	n := 0
-	for _, ch := range q.chunks {
-		n += cap(ch)
+	for i := 0; i < q.chunks.Len(); i++ {
+		n += cap(*q.chunks.At(i))
 	}
 	return n
 }
@@ -84,9 +84,9 @@ func TestSendQueueSizedByData(t *testing.T) {
 		t.Errorf("drained queue keeps %d bytes of full chunks", c)
 	}
 	q.write(make([]byte, 1<<20))
-	for _, ch := range q.chunks {
-		if cap(ch) > maxSendChunk {
-			t.Errorf("chunk of %d bytes exceeds the %d cap", cap(ch), maxSendChunk)
+	for i := 0; i < q.chunks.Len(); i++ {
+		if c := cap(*q.chunks.At(i)); c > maxSendChunk {
+			t.Errorf("chunk of %d bytes exceeds the %d cap", c, maxSendChunk)
 		}
 	}
 }
@@ -140,9 +140,9 @@ func TestBulkSendAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if acked != total || conn.sendq.Len() != 0 || len(conn.inflight) != 0 {
+	if acked != total || conn.sendq.Len() != 0 || conn.inflight.Len() != 0 {
 		t.Fatalf("peer acknowledged %d of %d bytes; sender holds %d queued bytes, %d segments",
-			acked, total, conn.sendq.Len(), len(conn.inflight))
+			acked, total, conn.sendq.Len(), conn.inflight.Len())
 	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / total
 	t.Logf("sender allocated %.2f × the payload", ratio)

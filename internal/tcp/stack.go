@@ -6,6 +6,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/fifo"
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/obs"
@@ -262,7 +263,7 @@ func (st *Stack) accept(l *Listener, src ipv4.Addr, seg Segment) {
 	c.sndNxt = c.iss + 1
 	c.negotiate(seg)
 	st.conns[key] = c
-	c.inflight = append(c.inflight, inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
+	c.inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
 	c.send(FlagSYN|FlagACK, c.iss, nil, true)
 	c.armRTO()
 }
@@ -305,7 +306,7 @@ func (st *Stack) Connect(dst ipv4.Addr, port uint16) *lwt.Promise[*Conn] {
 	c.sndNxt = c.iss + 1
 	c.connectP = pr
 	st.conns[key] = c
-	c.inflight = append(c.inflight, inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
+	c.inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
 	c.send(FlagSYN, c.iss, nil, true)
 	c.armRTO()
 	return pr
@@ -323,8 +324,8 @@ type Listener struct {
 	// check and Close cost O(backlog) — never a scan of the whole
 	// connection table.
 	synRcvd map[connKey]*Conn
-	backlog []*Conn
-	waiters []*lwt.Promise[*Conn]
+	backlog fifo.Queue[*Conn]
+	waiters fifo.Queue[*lwt.Promise[*Conn]]
 	// Accepted counts connections handed to the application.
 	Accepted int
 }
@@ -353,14 +354,14 @@ func (l *Listener) Close() {
 	}
 	l.closed = true
 	delete(l.st.listeners, l.port)
-	for _, pr := range l.waiters {
-		pr.Fail(ErrListenerClosed)
+	for l.waiters.Len() > 0 {
+		l.waiters.Pop().Fail(ErrListenerClosed)
 	}
-	l.waiters = nil
-	for _, c := range l.backlog {
-		c.Abort()
+	l.waiters.Reset()
+	for l.backlog.Len() > 0 {
+		l.backlog.Pop().Abort()
 	}
-	l.backlog = nil
+	l.backlog.Reset()
 	// Abort half-open connections still handshaking toward this listener,
 	// in deterministic peer order (map iteration would scramble the RST
 	// sequence between same-seed runs). The per-listener set makes this
@@ -387,27 +388,23 @@ func (l *Listener) Accept() *lwt.Promise[*Conn] {
 		pr.Fail(ErrListenerClosed)
 		return pr
 	}
-	if len(l.backlog) > 0 {
-		c := l.backlog[0]
-		l.backlog = l.backlog[1:]
+	if l.backlog.Len() > 0 {
 		l.Accepted++
-		pr.Resolve(c)
+		pr.Resolve(l.backlog.Pop())
 		return pr
 	}
-	l.waiters = append(l.waiters, pr)
+	l.waiters.Push(pr)
 	return pr
 }
 
 // deliver hands a newly-established connection to an acceptor.
 func (l *Listener) deliver(c *Conn) {
-	if len(l.waiters) > 0 {
-		pr := l.waiters[0]
-		l.waiters = l.waiters[1:]
+	if l.waiters.Len() > 0 {
 		l.Accepted++
-		pr.Resolve(c)
+		l.waiters.Pop().Resolve(c)
 		return
 	}
-	l.backlog = append(l.backlog, c)
+	l.backlog.Push(c)
 }
 
 // lwtMapUnit runs fn after d (timer helper shared by the state machine).

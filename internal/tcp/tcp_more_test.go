@@ -229,8 +229,8 @@ func TestRetransmitQueueDrainsAfterRecovery(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted")
 	}
-	if len(c.inflight) != 0 || c.sendq.Len() != 0 {
-		t.Errorf("sender left %d inflight segs, %d buffered bytes", len(c.inflight), c.sendq.Len())
+	if c.inflight.Len() != 0 || c.sendq.Len() != 0 {
+		t.Errorf("sender left %d inflight segs, %d buffered bytes", c.inflight.Len(), c.sendq.Len())
 	}
 	if c.Retransmits == 0 {
 		t.Error("lossy link produced no retransmissions")

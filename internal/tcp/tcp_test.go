@@ -375,13 +375,28 @@ func TestSegmentWireRoundTrip(t *testing.T) {
 	}
 }
 
+// Every single-bit error anywhere in a segment — header, options, payload,
+// the checksum field itself — is caught: a one-bit change moves the
+// one's-complement sum by a power of two, never by a multiple of 0xffff.
 func TestParseRejectsCorruptedChecksum(t *testing.T) {
 	src, dst := ipv4.AddrFrom4(1, 2, 3, 4), ipv4.AddrFrom4(5, 6, 7, 8)
-	v := cstructMake(256)
-	n := Encode(v, src, dst, Segment{SrcPort: 1, DstPort: 2, WndScale: -1, Payload: []byte("x")})
-	v.PutU8(n-1, v.U8(n-1)^0xff)
-	if _, err := Parse(src, dst, v.Sub(0, n)); err == nil {
-		t.Error("corrupted segment parsed successfully")
+	for _, seg := range []Segment{
+		{SrcPort: 1, DstPort: 2, WndScale: -1, Payload: []byte("x")},
+		{SrcPort: 4000, DstPort: 80, Seq: 1 << 31, Flags: FlagSYN, MSS: 1460, WndScale: 7},
+		{SrcPort: 4000, DstPort: 80, Seq: 77, Ack: 99, Flags: FlagACK | FlagPSH, Window: 0xffff, WndScale: -1, Payload: mkPayload(1460)},
+	} {
+		v := cstructMake(seg.WireLen())
+		n := Encode(v, src, dst, seg)
+		if _, err := Parse(src, dst, v.Sub(0, n)); err != nil {
+			t.Fatalf("intact %d-byte segment rejected: %v", n, err)
+		}
+		for bit := 0; bit < 8*n; bit++ {
+			v.PutU8(bit/8, v.U8(bit/8)^(1<<(bit%8)))
+			if _, err := Parse(src, dst, v.Sub(0, n)); err == nil {
+				t.Errorf("%d-byte segment with bit %d flipped parsed successfully", n, bit)
+			}
+			v.PutU8(bit/8, v.U8(bit/8)^(1<<(bit%8)))
+		}
 	}
 }
 
