@@ -1,10 +1,13 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test fuzz race race-parallel race-obs race-storage paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
+.PHONY: all check fmt vet staticcheck build test fuzz race reach paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
 
 all: check
 
-check: fmt vet staticcheck build test fuzz race paritycheck paritycheck-race benchdelta-all racksweep connsweep kvsweep
+# benchdelta-all re-runs racksweep and kvsweep and diffs them exactly against
+# the committed JSON, so their own targets (which regenerate the files) are
+# not prerequisites here.
+check: fmt vet staticcheck build test fuzz race reach paritycheck paritycheck-race benchdelta-all connsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -41,24 +44,14 @@ fuzz: build
 race: build
 	$(GO) test -race ./...
 
-# The three focused race targets below are strict subsets of `race`, which
-# `check` runs; they stay for a quick local look at one area.
-
-# The parallel simulation driver — including the adaptive width-controller,
-# barrier-elision and mailbox-recycling paths.
-race-parallel: build
-	$(GO) test -race -run 'Parallel|Adaptive|Mailbox' ./internal/sim/...
-
-# Focused race check on the tracing/metrics and fleet-control packages (the
-# observability surfaces every other subsystem calls into concurrently).
-race-obs: build
-	$(GO) test -race ./internal/obs/... ./internal/fleet/...
-
-# Focused race check on the storage fast path (blkif merging/indirect
-# descriptors, blkback, the WAL/B-tree appliance and the buffer-cache
-# baseline).
-race-storage: build
-	$(GO) test -race ./internal/storage/... ./internal/blkif/... ./internal/blkback/... ./internal/conventional/...
+# Reachability: cover builds of every entry point (cmd/repro, cmd/mirage,
+# cmd/parallelsweep, the six examples, benchmark) run in every mode they have
+# at quick sizes (cmd/reach/run.sh, ~3 min); then every function under
+# internal/ that none of them called must be on cmd/reach/keep.txt with a
+# reason, and every line there must still name such a function.
+reach: build
+	@GO="$(GO)" bash cmd/reach/run.sh /tmp/reach
+	@$(GO) tool covdata func -i /tmp/reach/cov | $(GO) run ./cmd/reach cmd/reach/keep.txt
 
 # Serial-vs-parallel byte-identity: the same sharded layout (-pcpus 4)
 # driven single-threaded and multi-threaded must produce identical stdout,

@@ -187,13 +187,7 @@ func AblationDNSCompression(answers int) *Result {
 	if answers == 0 {
 		answers = 20
 	}
-	m := dns.Message{ID: 1, Flags: dns.FlagResponse}
-	for i := 0; i < answers; i++ {
-		m.Answers = append(m.Answers, dns.RR{
-			Name: fmt.Sprintf("host-%04d.sub.bench.local", i),
-			Type: dns.TypeA, Class: dns.ClassIN, TTL: 60, Data: "10.0.0.1",
-		})
-	}
+	m := CompressionWorkload(answers)
 	tree := dns.NewTreeCompressor()
 	enc1, err1 := dns.EncodeMessage(m, tree)
 	hash := dns.NewHashCompressor()
@@ -220,7 +214,8 @@ func AblationDNSCompression(answers int) *Result {
 }
 
 // CompressionWorkload builds the message used by the label-compression
-// benchmarks: many answers sharing suffixes, as a zone transfer would.
+// ablation and benchmarks: many answers sharing suffixes, as a zone transfer
+// would.
 func CompressionWorkload(answers int) dns.Message {
 	m := dns.Message{ID: 1, Flags: dns.FlagResponse}
 	for i := 0; i < answers; i++ {

@@ -225,15 +225,10 @@ func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Poli
 	return run
 }
 
-// ScaleSweep runs the sweep against the autoscaled fleet (minR..maxR) and
-// the fixed single-replica baseline, same seed, and reports both.
-func ScaleSweep(rc core.Config, seed int64, quick bool, minR, maxR int, policy fleet.Policy) *Result {
-	r, _ := ScaleSweepDomStat(rc, seed, quick, minR, maxR, policy)
-	return r
-}
-
-// ScaleSweepDomStat is ScaleSweep plus the autoscaled run's final domstat
-// table (per-domain vCPU time, runqueue wait, notifications, pool usage).
+// ScaleSweepDomStat runs the sweep against the autoscaled fleet (minR..maxR)
+// and the fixed single-replica baseline, same seed, and reports both, plus
+// the autoscaled run's final domstat table (per-domain vCPU time, runqueue
+// wait, notifications, pool usage).
 func ScaleSweepDomStat(rc core.Config, seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
 	if minR <= 0 {
 		minR = 1

@@ -16,8 +16,14 @@ import (
 // the load steps up and hold tail latency well under the overloaded fixed
 // baseline at the top step, and the whole rendered result must be
 // byte-identical across same-seed runs.
+// scaleSweep is the quick sweep every test here runs: seed 42, 1..3 replicas.
+func scaleSweep(rc core.Config) *Result {
+	r, _ := ScaleSweepDomStat(rc, 42, true, 1, 3, fleet.RoundRobin)
+	return r
+}
+
 func TestScaleSweep(t *testing.T) {
-	r := ScaleSweep(core.Config{}, 42, true, 1, 3, fleet.RoundRobin)
+	r := scaleSweep(core.Config{})
 
 	reps := r.Get("fleet replicas")
 	if reps == nil || len(reps.Y) == 0 {
@@ -49,7 +55,7 @@ func TestScaleSweep(t *testing.T) {
 		t.Fatalf("fleet goodput %.0f <= fixed %.0f at top load\n%s", fg.Y[top], xg.Y[top], r.Format())
 	}
 
-	r2 := ScaleSweep(core.Config{}, 42, true, 1, 3, fleet.RoundRobin)
+	r2 := scaleSweep(core.Config{})
 	if r.Format() != r2.Format() {
 		t.Fatalf("same-seed runs differ:\n--- run1\n%s\n--- run2\n%s", r.Format(), r2.Format())
 	}
@@ -78,7 +84,7 @@ func TestSweepsShardedParity(t *testing.T) {
 		name string
 		run  func(core.Config) *Result
 	}{
-		{"scalesweep", func(rc core.Config) *Result { return ScaleSweep(rc, 42, true, 1, 3, fleet.RoundRobin) }},
+		{"scalesweep", func(rc core.Config) *Result { return scaleSweep(rc) }},
 		{"racksweep", func(rc core.Config) *Result { return RackSweep(rc, 42, true) }},
 	}
 	out := make([][]string, len(sweeps))
@@ -137,7 +143,7 @@ func TestConfigsRunConcurrently(t *testing.T) {
 		faults                 int64 // bridge_faults_total, every kind
 	}
 	run := func(rc core.Config) outcome {
-		o := outcome{figure: ScaleSweep(rc, 42, true, 1, 3, fleet.RoundRobin).Format()}
+		o := outcome{figure: scaleSweep(rc).Format()}
 		snap := rc.Metrics.Snapshot()
 		o.metrics = snap.Format()
 		for _, row := range snap.Filter("bridge_faults_total").Rows {

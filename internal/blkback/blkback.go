@@ -73,14 +73,9 @@ type SSD struct {
 	BytesMoved    int
 }
 
-// NewSSD creates an SSD with the given parameters.
-func NewSSD(k *sim.Kernel, p SSDParams) *SSD {
-	return NewSSDNamed(k, p, "")
-}
-
-// NewSSDNamed creates an SSD whose bus CPU carries the given prefix, so
-// multi-host platforms keep per-host device gauges apart. The empty prefix
-// preserves the historical CPU name.
+// NewSSDNamed creates an SSD with the given parameters. Its bus CPU carries
+// the given prefix, so multi-host platforms keep per-host device gauges
+// apart; the empty prefix preserves the historical CPU name.
 func NewSSDNamed(k *sim.Kernel, p SSDParams, prefix string) *SSD {
 	if p.Channels <= 0 {
 		p.Channels = 1

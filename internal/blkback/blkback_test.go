@@ -14,7 +14,7 @@ import (
 func TestSSDChannelParallelism(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := DefaultSSDParams()
-	ssd := NewSSD(k, p)
+	ssd := NewSSDNamed(k, p, "")
 	// Channels-many small requests at once complete together; one more
 	// queues behind.
 	var last sim.Time
@@ -32,7 +32,7 @@ func TestSSDChannelParallelism(t *testing.T) {
 func TestSSDBusBoundsLargeTransfers(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := DefaultSSDParams()
-	ssd := NewSSD(k, p)
+	ssd := NewSSDNamed(k, p, "")
 	n := 16 << 20 // 16 MiB: bus time dominates channel latency
 	done := ssd.Submit(0, n, false)
 	wantBus := time.Duration(float64(n) / p.BusGBps)
@@ -57,7 +57,7 @@ func writeSector(d *SSD, sector uint64, b []byte) { d.WriteAt(sector, b[:min(len
 
 func TestSectorStorageRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSD(k, DefaultSSDParams())
+	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
 	data := make([]byte, SectorSize)
 	copy(data, "sector contents")
 	writeSector(ssd, 42, data)
@@ -75,7 +75,7 @@ func TestSectorStorageRoundTrip(t *testing.T) {
 
 func TestWriteSectorCopiesInput(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSD(k, DefaultSSDParams())
+	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
 	writeSector(ssd, 1, buf)
@@ -111,7 +111,7 @@ func TestReqRspSlotRoundTrip(t *testing.T) {
 
 func TestReadSectorReturnsCopy(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSD(k, DefaultSSDParams())
+	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
 	writeSector(ssd, 9, buf)
@@ -139,7 +139,7 @@ func TestPropSubmitNeverBeatsLatency(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		k := sim.NewKernel(2)
 		p := DefaultSSDParams()
-		ssd := NewSSD(k, p)
+		ssd := NewSSDNamed(k, p, "")
 		for _, sz := range sizes {
 			n := int(sz)%65536 + 1
 			done := ssd.Submit(0, n, sz%2 == 0)
@@ -166,7 +166,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 	bases := []uint64{0, extentSectors - 3, 5*extentSectors - 1, 1 << 26, 1<<26 + extentSectors - 9}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ssd := NewSSD(sim.NewKernel(1), DefaultSSDParams())
+		ssd := NewSSDNamed(sim.NewKernel(1), DefaultSSDParams(), "")
 		model := map[uint64][SectorSize]byte{}
 		want := func(sector uint64, n int) []byte {
 			out := make([]byte, 0, n+SectorSize)
@@ -219,7 +219,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 
 // Reads of never-written ranges return zeros and create nothing.
 func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
-	ssd := NewSSD(sim.NewKernel(1), DefaultSSDParams())
+	ssd := NewSSDNamed(sim.NewKernel(1), DefaultSSDParams(), "")
 	buf := make([]byte, 3*cstruct.PageSize)
 	for _, sector := range []uint64{0, extentSectors - 1, 1 << 26, 1 << 40} {
 		for i := range buf {

@@ -436,35 +436,3 @@ func (b *Blkif) traceDone(d *devop, ok bool) {
 		obs.Int("sector", int64(d.sector)), obs.Int("sectors", int64(d.sectors)),
 		obs.Int("reqs", int64(len(d.ops))))
 }
-
-// InFlight returns the number of outstanding application requests.
-func (b *Blkif) InFlight() int {
-	n := len(b.staged)
-	for i := 0; i < b.queue.Len(); i++ {
-		n += len((*b.queue.At(i)).ops)
-	}
-	for _, d := range b.inflight {
-		n += len(d.ops)
-	}
-	return n
-}
-
-// ReadAt is a convenience: read n bytes at byte offset off (must be
-// sector-aligned ranges internally; n <= one page).
-func (b *Blkif) ReadAt(off uint64, n int) *lwt.Promise[*cstruct.View] {
-	if off%SectorSize != 0 {
-		pr := lwt.NewPromise[*cstruct.View](b.vm.S)
-		pr.Fail(fmt.Errorf("blkif: unaligned offset %d", off))
-		return pr
-	}
-	sectors := (n + SectorSize - 1) / SectorSize
-	res := b.Read(off/SectorSize, sectors)
-	return lwt.Map(res, func(v *cstruct.View) *cstruct.View {
-		if v.Len() > n {
-			out := v.Sub(0, n)
-			v.Release()
-			return out
-		}
-		return v
-	})
-}

@@ -63,9 +63,6 @@ func NewPool(size int) *Pool {
 // Call during setup, before the pool is used.
 func (p *Pool) Share() { p.shared = true }
 
-// BufSize returns the fixed capacity of this pool's buffers.
-func (p *Pool) BufSize() int { return p.size }
-
 // InUse returns how many buffers are currently live (referenced by at
 // least one holder). A quiesced system should report zero — anything else
 // is a leak.
@@ -75,15 +72,6 @@ func (p *Pool) InUse() int {
 		defer p.mu.Unlock()
 	}
 	return p.inUse
-}
-
-// FreeBufs returns how many buffers sit on the free list.
-func (p *Pool) FreeBufs() int {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	return len(p.free)
 }
 
 // Get returns an empty buffer with reference count 1. Contents are not
@@ -128,9 +116,6 @@ func (b *Buf) Bytes() []byte { return b.data[:b.n] }
 // Len returns the logical length.
 func (b *Buf) Len() int { return b.n }
 
-// Cap returns the buffer capacity.
-func (b *Buf) Cap() int { return len(b.data) }
-
 // Extend grows the logical length by n and returns the newly exposed
 // region for the caller to fill in place (e.g. a grant copy target).
 // It returns nil if the buffer cannot hold n more bytes.
@@ -153,9 +138,6 @@ func (b *Buf) Append(p []byte) {
 	}
 	copy(dst, p)
 }
-
-// Reset clears the logical length, keeping the reference count.
-func (b *Buf) Reset() { b.n = 0 }
 
 // Truncate shortens the logical length to n (rolls back a failed Extend).
 func (b *Buf) Truncate(n int) {

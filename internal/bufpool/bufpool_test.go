@@ -11,8 +11,8 @@ func TestGetRecycleAccounting(t *testing.T) {
 	}
 	a.Release()
 	b.Release()
-	if p.InUse() != 0 || p.Recycled != 2 || p.FreeBufs() != 2 {
-		t.Fatalf("InUse=%d Recycled=%d Free=%d after releases", p.InUse(), p.Recycled, p.FreeBufs())
+	if p.InUse() != 0 || p.Recycled != 2 || len(p.free) != 2 {
+		t.Fatalf("InUse=%d Recycled=%d Free=%d after releases", p.InUse(), p.Recycled, len(p.free))
 	}
 	c := p.Get()
 	if p.Allocated != 2 {

@@ -14,18 +14,11 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/netstack"
-	"repro/internal/sim"
 )
 
-// OSParams capture the per-operation costs of a conventional kernel.
+// OSParams capture the scheduling costs of a conventional kernel.
 type OSParams struct {
-	Name        string
-	SyscallCost time.Duration // one user/kernel crossing
-	CopyPerKB   time.Duration // kernel<->user copy
-	// PVExtra is added to memory-management operations under Xen PV
-	// (page-table updates become hypercalls).
-	PVExtra time.Duration
+	Name string
 	// WakeupBase/WakeupJitterMax model scheduler wakeup latency: a fixed
 	// syscall-return cost plus a uniformly distributed queueing delay
 	// (Figure 7b's CDF spread).
@@ -37,8 +30,6 @@ type OSParams struct {
 func LinuxNative() OSParams {
 	return OSParams{
 		Name:            "linux-native",
-		SyscallCost:     300 * time.Nanosecond,
-		CopyPerKB:       80 * time.Nanosecond,
 		WakeupBase:      2 * time.Microsecond,
 		WakeupJitterMax: 60 * time.Microsecond,
 	}
@@ -48,8 +39,6 @@ func LinuxNative() OSParams {
 func LinuxPV() OSParams {
 	p := LinuxNative()
 	p.Name = "linux-pv"
-	p.SyscallCost = 450 * time.Nanosecond
-	p.PVExtra = 2 * time.Microsecond
 	p.WakeupBase = 5 * time.Microsecond
 	p.WakeupJitterMax = 110 * time.Microsecond
 	return p
@@ -174,20 +163,6 @@ func JitterSample(p OSParams, rng interface{ Float64() float64 }) time.Duration 
 }
 
 // --- Network stack profiles (Figure 8, §4.1.3) ---
-
-// LinuxNetParams are the per-packet/per-KB costs of the Linux 3.7 stack
-// with all hardware offload disabled. The Linux receive path pays a
-// kernel-to-userspace copy the unikernel does not (Fig 8: Linux-to-Mirage
-// receive throughput is higher than Linux-to-Linux); the Linux transmit
-// path is cheaper than OCaml's (Mirage-to-Linux is lower).
-func LinuxNetParams() netstack.Params {
-	return netstack.Params{
-		RxCost: 600 * time.Nanosecond,
-		TxCost: 600 * time.Nanosecond,
-		// Per-KB costs are configured by the Figure 8 harness via
-		// PerKB fields below.
-	}
-}
 
 // NetProfile extends the stack params with per-KB stream costs for the
 // iperf experiment.
@@ -342,23 +317,3 @@ func (w WebProfile) Throughput(vcpus int) float64 {
 }
 
 func pow(x, e float64) float64 { return math.Pow(x, e) }
-
-// Guest wraps a sim CPU to act as a conventional appliance's processor.
-type Guest struct {
-	Name string
-	OS   OSParams
-	CPU  *sim.CPU
-}
-
-// NewGuest creates a conventional guest with its own CPU.
-func NewGuest(k *sim.Kernel, name string, os OSParams) *Guest {
-	return &Guest{Name: name, OS: os, CPU: k.NewCPU(name + "-cpu")}
-}
-
-// Syscall charges one syscall.
-func (g *Guest) Syscall() sim.Time { return g.CPU.Reserve(g.OS.SyscallCost) }
-
-// CopyToUser charges a kernel-to-user copy of n bytes.
-func (g *Guest) CopyToUser(n int) sim.Time {
-	return g.CPU.Reserve(time.Duration(n/1024+1) * g.OS.CopyPerKB)
-}

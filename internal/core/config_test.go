@@ -13,16 +13,17 @@ import (
 	"testing"
 
 	"repro/internal/bufpool"
+	"repro/internal/ethernet"
 	"repro/internal/netback"
 	"repro/internal/obs"
 )
 
 type sinkEndpoint struct {
-	mac netback.MAC
+	mac ethernet.MAC
 	got int
 }
 
-func (e *sinkEndpoint) MAC() netback.MAC { return e.mac }
+func (e *sinkEndpoint) MAC() ethernet.MAC { return e.mac }
 func (e *sinkEndpoint) Deliver(f *bufpool.Buf) {
 	f.Release()
 	e.got++
@@ -40,11 +41,11 @@ func TestConfigReachesEveryHost(t *testing.T) {
 
 	send := func(pl *Platform) (delivered, dropped int) {
 		for _, s := range pl.Sites() {
-			dst := &sinkEndpoint{mac: netback.MAC{2}}
+			dst := &sinkEndpoint{mac: ethernet.MAC{2}}
 			s.Bridge.Attach(dst)
 			frame := make([]byte, 64)
 			copy(frame, dst.mac[:])
-			s.Bridge.TransmitBytes(netback.MAC{1}, frame)
+			s.Bridge.TransmitBytes(ethernet.MAC{1}, frame)
 			if _, err := pl.RunFor(1e6); err != nil {
 				t.Fatal(err)
 			}

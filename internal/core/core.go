@@ -54,15 +54,12 @@ type Platform struct {
 	sites       []*Site
 	npcpus      int
 	faults      netback.Faults // what every host bridge starts with (Config.Faults)
-	spread      int            // round-robin cursor for AffinitySpread
 	deployments []*Deployment
 }
 
 // Site is one physical host of the platform: the typed "device home" every
 // deployment resolves against. Each site owns its own bridge (and so its
-// own wire-cost domain), SSD, xenstore and control domain, plus a /24
-// subnet carved from 10.0.0.0/16 in host order (the ops-style CIDR
-// allocation: host i owns 10.0.i.0/24).
+// own wire-cost domain), SSD, xenstore and control domain.
 type Site struct {
 	Name   string
 	Index  int
@@ -74,22 +71,6 @@ type Site struct {
 
 	dom0Ready *sim.Signal
 	down      bool
-	nextIP    uint32 // low octet of the next AllocIP address
-}
-
-// Subnet returns the site's /24 base address (10.0.<index>.0).
-func (s *Site) Subnet() uint32 { return 10<<24 | uint32(s.Index)<<8 }
-
-// AllocIP hands out the next free address in the site's subnet, starting
-// at .10 (the low range is left for hand-assigned infrastructure
-// addresses, matching the existing experiments' conventions).
-func (s *Site) AllocIP() uint32 {
-	if s.nextIP < 10 {
-		s.nextIP = 10
-	}
-	ip := s.Subnet() | s.nextIP
-	s.nextIP++
-	return ip
 }
 
 // SetDown marks the site failed: no further placements resolve to it.
@@ -293,57 +274,23 @@ type DeployOpts struct {
 	Resume bool
 }
 
-// Affinity is a placement hint used when Placement.Host is empty.
-type Affinity int
-
-const (
-	// AffinityAny places on the first live host.
-	AffinityAny Affinity = iota
-	// AffinitySpread round-robins deployments across live hosts.
-	AffinitySpread
-	// AffinityPack fills the first live host (alias of Any today; it
-	// exists so schedulers can diverge once hosts model capacity).
-	AffinityPack
-)
-
 // Placement is the typed placement request: which physical host a domain
-// is built on, which pCPU its vCPU pins to there, and — when Host is left
-// empty — how the platform should choose among live hosts.
+// is built on and which pCPU its vCPU pins to there. Choosing among live
+// hosts is the caller's policy (internal/fleet round-robins its replicas).
 type Placement struct {
-	Host     string // host name ("" = pick by Affinity)
-	PCPU     int    // pCPU pin on the chosen host (-1 = fresh pCPU)
-	Affinity Affinity
+	Host string // host name
+	PCPU int    // pCPU pin on the chosen host (-1 = fresh pCPU)
 }
 
-// resolve picks the site a placement lands on. Explicit hosts win even
-// when down (the caller asked for that box; the deployment will stall on
-// its dead dom0, which is what talking to a failed machine does).
+// resolve picks the site a placement lands on (nil: no host of that name).
+// A named host wins even when down (the caller asked for that box; the
+// deployment will stall on its dead dom0, which is what talking to a failed
+// machine does).
 func (pl *Platform) resolve(p *Placement) *Site {
 	if p == nil {
 		return pl.sites[0]
 	}
-	if p.Host != "" {
-		s := pl.SiteByName(p.Host)
-		if s == nil {
-			return nil
-		}
-		return s
-	}
-	live := pl.sites[:0:0]
-	for _, s := range pl.sites {
-		if s.Alive() {
-			live = append(live, s)
-		}
-	}
-	if len(live) == 0 {
-		return nil
-	}
-	if p.Affinity == AffinitySpread {
-		s := live[pl.spread%len(live)]
-		pl.spread++
-		return s
-	}
-	return live[0]
+	return pl.SiteByName(p.Host)
 }
 
 // Deployment is one deployed appliance.
@@ -365,7 +312,7 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 
 	site := pl.resolve(opts.Placement)
 	if site == nil {
-		dep.Err = fmt.Errorf("core: no live host for placement %+v", opts.Placement)
+		dep.Err = fmt.Errorf("core: no host for placement %+v", opts.Placement)
 		return dep
 	}
 	dep.Site = site
@@ -402,7 +349,7 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 		env := &Env{VM: vm, P: p, Image: img}
 		if opts.Net != nil {
 			cfg := *opts.Net
-			nic, err := netif.Attach(vm, site.Bridge, site.Dom0, site.Store, netback.MAC(cfg.MAC))
+			nic, err := netif.Attach(vm, site.Bridge, site.Dom0, site.Store, cfg.MAC)
 			if err != nil {
 				dep.Err = err
 				return 1

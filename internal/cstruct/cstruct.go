@@ -127,9 +127,6 @@ func (v *View) Sub(off, n int) *View {
 	return sv
 }
 
-// Shift returns a zero-copy sub-view dropping the first off bytes.
-func (v *View) Shift(off int) *View { return v.Sub(off, v.Len()-off) }
-
 func (v *View) retain() {
 	if v.page != nil {
 		v.page.refs++

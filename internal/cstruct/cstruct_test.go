@@ -144,7 +144,7 @@ func TestCopyDetaches(t *testing.T) {
 func TestShiftAndStringAndFill(t *testing.T) {
 	v := Make(16)
 	v.PutBytes(4, []byte("mirage"))
-	s := v.Shift(4)
+	s := v.Sub(4, 12)
 	if s.String(0, 6) != "mirage" {
 		t.Errorf("String = %q, want mirage", s.String(0, 6))
 	}

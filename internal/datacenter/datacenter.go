@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/core"
+	"repro/internal/ethernet"
 	"repro/internal/fleet"
 	"repro/internal/hypervisor"
 	"repro/internal/netback"
@@ -83,7 +84,7 @@ type DC struct {
 	spineCPU  *sim.CPU
 	spineWire *sim.CPU
 
-	where map[netback.MAC]int // learned MAC -> host index
+	where map[ethernet.MAC]int // learned MAC -> host index
 	down  []bool
 
 	// Stats
@@ -121,7 +122,7 @@ func New(pl *core.Platform, topo Topology) *DC {
 		topo:      topo,
 		spineCPU:  k.NewCPU("spine"),
 		spineWire: k.NewCPU("spine-wire"),
-		where:     map[netback.MAC]int{},
+		where:     map[ethernet.MAC]int{},
 		down:      make([]bool, len(pl.Sites())),
 		mxFrames: func(kind string) *obs.Counter {
 			return m.Counter("dc_fabric_frames_total", obs.L("kind", kind))
@@ -150,22 +151,13 @@ func (dc *DC) rack(host int) int { return host / dc.topo.HostsPerRack }
 // Learn records that mac is reachable via the named host — the fabric's
 // gratuitous-ARP equivalent, announced when a migrated domain resumes on
 // its destination so traffic stops chasing the source host.
-func (dc *DC) Learn(mac netback.MAC, host string) error {
+func (dc *DC) Learn(mac ethernet.MAC, host string) error {
 	s := dc.pl.SiteByName(host)
 	if s == nil {
 		return fmt.Errorf("datacenter: unknown host %q", host)
 	}
 	dc.where[mac] = s.Index
 	return nil
-}
-
-// Where reports the host index the fabric has learned for mac (-1 if
-// unlearned).
-func (dc *DC) Where(mac netback.MAC) int {
-	if i, ok := dc.where[mac]; ok {
-		return i
-	}
-	return -1
 }
 
 // port adapts one host's bridge to the fabric (netback.Uplink). All its
@@ -176,22 +168,22 @@ type port struct {
 	host int
 }
 
-func (p *port) Forward(src netback.MAC, f *bufpool.Buf) { p.dc.forward(p.host, src, f) }
-func (p *port) Flood(src netback.MAC, f *bufpool.Buf)   { p.dc.flood(p.host, src, f) }
-func (p *port) SteerRemote(dst netback.MAC, f *bufpool.Buf) bool {
+func (p *port) Forward(src ethernet.MAC, f *bufpool.Buf) { p.dc.forward(p.host, src, f) }
+func (p *port) Flood(src ethernet.MAC, f *bufpool.Buf)   { p.dc.flood(p.host, src, f) }
+func (p *port) SteerRemote(dst ethernet.MAC, f *bufpool.Buf) bool {
 	return p.dc.steer(p.host, dst, f)
 }
 
 // forward routes a unicast frame with a non-local destination. A learned
 // MAC takes the point-to-point path; an unlearned one floods to every
 // other live host, exactly as a real L2 fabric handles unknown unicast.
-func (dc *DC) forward(srcHost int, src netback.MAC, f *bufpool.Buf) {
+func (dc *DC) forward(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 	if dc.down[srcHost] {
 		dc.drop("host-down", f)
 		return
 	}
 	dc.learn(src, srcHost)
-	var dst netback.MAC
+	var dst ethernet.MAC
 	copy(dst[:], f.Bytes()[0:6])
 	j, ok := dc.where[dst]
 	if !ok {
@@ -213,7 +205,7 @@ func (dc *DC) forward(srcHost int, src netback.MAC, f *bufpool.Buf) {
 }
 
 // flood carries a broadcast beyond the source host.
-func (dc *DC) flood(srcHost int, src netback.MAC, f *bufpool.Buf) {
+func (dc *DC) flood(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 	if dc.down[srcHost] {
 		dc.drop("host-down", f)
 		return
@@ -244,7 +236,7 @@ func (dc *DC) floodFrom(srcHost int, f *bufpool.Buf) {
 // balancer only steers to replicas that answered probes, so the MAC is
 // normally learned; a miss (e.g. mid-migration) drops the frame and the
 // client's retransmit recovers.
-func (dc *DC) steer(srcHost int, dst netback.MAC, f *bufpool.Buf) bool {
+func (dc *DC) steer(srcHost int, dst ethernet.MAC, f *bufpool.Buf) bool {
 	j, ok := dc.where[dst]
 	if !ok || j == srcHost || dc.down[j] || dc.down[srcHost] {
 		dc.drop("steer-miss", f)
@@ -263,7 +255,7 @@ func (dc *DC) drop(reason string, f *bufpool.Buf) {
 	f.Release()
 }
 
-func (dc *DC) learn(mac netback.MAC, host int) { dc.where[mac] = host }
+func (dc *DC) learn(mac ethernet.MAC, host int) { dc.where[mac] = host }
 
 func (dc *DC) account(n int) { dc.mxBytes.Add(int64(n)) }
 
@@ -339,7 +331,7 @@ func (dc *DC) Migrate(p *sim.Proc, fl *fleet.Fleet, r *fleet.Replica, dstHost st
 	}
 	dc.bulkPath(p, src.Index, dst.Index, n)
 
-	dc.Learn(netback.MAC(r.MAC), dstHost)
+	dc.Learn(r.MAC, dstHost)
 	dep := fl.ResumeMigrated(r, dstHost)
 	d := dep.WaitCreated(p)
 	if dep.Err != nil {

@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/ipv4"
-	"repro/internal/netback"
 	"repro/internal/sim"
 )
 
@@ -89,8 +88,8 @@ func TestMigrateBlackoutBound(t *testing.T) {
 	if r.ID() != fleet.BackendID(0) {
 		t.Fatalf("web-0 handle %v after migration, want 0", r.ID())
 	}
-	if got, want := dc.Where(netback.MAC(r.MAC)), pl.SiteByName("h2").Index; got != want {
-		t.Fatalf("fabric learned host %d for web-0, want %d", got, want)
+	if got, ok := dc.where[r.MAC]; !ok || got != pl.SiteByName("h2").Index {
+		t.Fatalf("fabric learned host %d (%v) for web-0, want %d", got, ok, pl.SiteByName("h2").Index)
 	}
 }
 
@@ -171,8 +170,8 @@ func TestFabricLearning(t *testing.T) {
 	for _, name := range []string{"web-0", "web-1"} {
 		r := f.ReplicaByName(name)
 		want := r.Dep.Site.Index
-		if got := dc.Where(netback.MAC(r.MAC)); got != want {
-			t.Errorf("fabric learned host %d for %s, want %d", got, name, want)
+		if got, ok := dc.where[r.MAC]; !ok || got != want {
+			t.Errorf("fabric learned host %d (%v) for %s, want %d", got, ok, name, want)
 		}
 	}
 	if dc.UnknownFloods == 0 {

@@ -62,7 +62,16 @@ func TestConnectHandshake(t *testing.T) {
 	if fe.port != port {
 		t.Fatalf("frontend got port %v, Connect returned %v", fe.port, port)
 	}
-	if be.port == nil || be.port.Peer() != port {
+	if be.port == nil {
+		t.Fatalf("backend got no port")
+	}
+	// The backend's port is the other end of the frontend's channel: what
+	// it sends arrives there.
+	be.port.NotifyAsync()
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if port.Receives != 1 {
 		t.Fatalf("backend port is not the peer of the frontend port")
 	}
 	if be.rings["tx"] == nil || be.rings[""] == nil {

@@ -6,6 +6,8 @@ package ethernet
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/cstruct"
 )
@@ -15,6 +17,23 @@ type MAC [6]byte
 
 func (m MAC) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+}
+
+// ParseMAC parses the colon-separated format String produces.
+func ParseMAC(s string) (MAC, error) {
+	var m MAC
+	parts := strings.Split(s, ":")
+	if len(parts) != 6 {
+		return m, fmt.Errorf("ethernet: bad MAC %q", s)
+	}
+	for i, p := range parts {
+		v, err := strconv.ParseUint(p, 16, 8)
+		if err != nil {
+			return m, fmt.Errorf("ethernet: bad MAC %q: %w", s, err)
+		}
+		m[i] = byte(v)
+	}
+	return m, nil
 }
 
 // Broadcast is the all-ones broadcast address.

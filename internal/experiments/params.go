@@ -63,9 +63,6 @@ var params = []Param{
 		func(o *Options) *bool { return &o.MemStats }),
 }
 
-// Params returns the declared knobs in registration order.
-func Params() []Param { return append([]Param(nil), params...) }
-
 // knownParam reports whether name is a declared knob (Register uses it to
 // reject experiments naming parameters that do not exist).
 func knownParam(name string) bool {

@@ -77,9 +77,6 @@ type Replica struct {
 	migrations int // live migrations completed (names the per-incarnation stop signal)
 }
 
-// Fleet returns the fleet this replica belongs to.
-func (r *Replica) Fleet() *Fleet { return r.fleet }
-
 // ID returns the replica's stable balancer handle.
 func (r *Replica) ID() BackendID { return BackendID(r.Index) }
 
@@ -195,7 +192,6 @@ type Fleet struct {
 
 	replicas []*Replica
 	probeSeq uint16
-	stopped  bool
 
 	// ReqLatency is the fleet-wide request-latency histogram (µs); replica
 	// mains should wire it into their servers.
@@ -235,7 +231,7 @@ func New(pl *core.Platform, spec Spec) *Fleet {
 		mxRetires:  k.Metrics().Counter("fleet_retires_total", obs.L("fleet", spec.Name)),
 		mxCrashes:  k.Metrics().Counter("fleet_crashes_total", obs.L("fleet", spec.Name)),
 	}
-	lbMAC := netback.MAC(core.MAC(spec.MACBase - 1))
+	lbMAC := core.MAC(spec.MACBase - 1)
 	f.LB = NewLB(k, pl.Bridge, lbMAC, spec.LBIP, spec.VIP, spec.Policy)
 	f.LB.OnProbeReply = f.probeReply
 	if spec.P99TargetUS > 0 {
@@ -287,9 +283,6 @@ func (f *Fleet) serving() int {
 	return n
 }
 
-// Stop halts the probe and control loops (the fleet stays as it is).
-func (f *Fleet) Stop() { f.stopped = true }
-
 func (f *Fleet) event(format string, args ...any) {
 	f.Events = append(f.Events,
 		fmt.Sprintf("%10.3fs %s", f.pl.K.Now().Seconds(), fmt.Sprintf(format, args...)))
@@ -322,7 +315,7 @@ func (f *Fleet) summon(reason string) *Replica {
 	}
 	r.stop = k.NewSignal(r.Name + "-stop")
 	f.replicas = append(f.replicas, r)
-	f.LB.AddBackend(r.ID(), netback.MAC(r.MAC))
+	f.LB.AddBackend(r.ID(), r.MAC)
 	if f.SLO != nil {
 		f.SLO.track(r)
 	}
@@ -395,7 +388,7 @@ func (f *Fleet) BeginMigrate(r *Replica) {
 	if d := r.Dep.Domain; d != nil {
 		d.Destroy(0, hypervisor.ShutdownSuspend)
 	}
-	r.bridge().DetachMAC(netback.MAC(r.MAC))
+	r.bridge().DetachMAC(r.MAC)
 	// Release the old main only after the suspend reason has landed on the
 	// guest shard, so its poweroff-on-return path sees a dead domain.
 	k.After(4*f.pl.Host.Params.EventLatency, old.Set)
@@ -426,9 +419,6 @@ func (f *Fleet) ResumeMigrated(r *Replica, host string) *core.Deployment {
 
 // probeTick sends one health probe to every probe-worthy replica.
 func (f *Fleet) probeTick() {
-	if f.stopped {
-		return
-	}
 	f.probeSeq++
 	for _, r := range f.replicas {
 		switch r.State {
@@ -460,9 +450,6 @@ func (f *Fleet) probeReply(id BackendID, seq uint16) {
 
 // tick is the control loop: health, retirement, then capacity.
 func (f *Fleet) tick() {
-	if f.stopped {
-		return
-	}
 	k := f.pl.K
 	now := k.Now()
 
@@ -559,15 +546,9 @@ func (f *Fleet) drainOne(reason string) {
 	}
 }
 
-// DrainReplica starts draining r: the balancer stops steering new
-// connections to it, established ones finish undisturbed, and the replica
-// retires when the last connection closes.
-func (f *Fleet) DrainReplica(r *Replica) {
-	if r != nil && r.fleet == f {
-		f.drain(r, "manual")
-	}
-}
-
+// drain starts draining r: the balancer stops steering new connections to
+// it, established ones finish undisturbed, and the replica retires when the
+// last connection closes.
 func (f *Fleet) drain(r *Replica, reason string) {
 	if r.State != Healthy && r.State != Booting {
 		return
@@ -598,7 +579,7 @@ func (f *Fleet) declareDead(r *Replica, why string) {
 	}
 	r.State = Dead
 	f.LB.RemoveBackend(r.ID())
-	r.bridge().DetachMAC(netback.MAC(r.MAC))
+	r.bridge().DetachMAC(r.MAC)
 	f.mxCrashes.Inc()
 	f.event("dead %s (%s)", r.Name, why)
 	if d := r.Dep.Domain; d != nil {
@@ -618,7 +599,7 @@ func (f *Fleet) onExit(r *Replica, reason hypervisor.ShutdownReason) {
 		f.event("exit %s reason=%s", r.Name, reason)
 		return
 	}
-	r.bridge().DetachMAC(netback.MAC(r.MAC))
+	r.bridge().DetachMAC(r.MAC)
 	if r.State == Dead || r.State == Retired {
 		f.event("exit %s reason=%s", r.Name, reason)
 		return

@@ -175,7 +175,7 @@ func TestFleetDrainNoReset(t *testing.T) {
 		for _, r := range f.Replicas() {
 			if r.State == Healthy && f.LB.BackendActive(r.ID()) > 0 {
 				victim = r.Index
-				f.DrainReplica(r)
+				f.drain(r, "manual")
 				return
 			}
 		}
@@ -208,7 +208,7 @@ func TestFleetCrashReplaceUnderLoss(t *testing.T) {
 	// T+4s: replica 0 hangs — its bridge port goes dark but the domain
 	// stays "running" (the probe-timeout path).
 	pl.K.After(4*time.Second, func() {
-		pl.Bridge.DetachMAC(netback.MAC(f.Replicas()[0].MAC))
+		pl.Bridge.DetachMAC(f.Replicas()[0].MAC)
 	})
 	// T+8s: replica 1 crashes outright (the lifecycle-hook path).
 	pl.K.After(8*time.Second, func() {
@@ -242,9 +242,9 @@ func TestFleetCrashReplaceUnderLoss(t *testing.T) {
 // least-conns with ties breaking to the lowest index.
 func TestLBPolicies(t *testing.T) {
 	pl := core.NewPlatform(1)
-	lb := NewLB(pl.K, pl.Bridge, netback.MAC(core.MAC(0xf0)), tLBIP, tVIP, RoundRobin)
+	lb := NewLB(pl.K, pl.Bridge, core.MAC(0xf0), tLBIP, tVIP, RoundRobin)
 	for i := 0; i < 3; i++ {
-		lb.AddBackend(BackendID(i), netback.MAC(core.MAC(byte(0xf1+i))))
+		lb.AddBackend(BackendID(i), core.MAC(byte(0xf1+i)))
 		lb.SetUp(BackendID(i))
 	}
 	var got []BackendID
@@ -280,10 +280,10 @@ func TestLBPolicies(t *testing.T) {
 // backend remaps only the flows that were pinned to it.
 func TestLBHashConsistencyAndRemap(t *testing.T) {
 	pl := core.NewPlatform(1)
-	lb := NewLB(pl.K, pl.Bridge, netback.MAC(core.MAC(0xf0)), tLBIP, tVIP, Hash)
+	lb := NewLB(pl.K, pl.Bridge, core.MAC(0xf0), tLBIP, tVIP, Hash)
 	const nBackends = 4
 	for i := 0; i < nBackends; i++ {
-		lb.AddBackend(BackendID(i), netback.MAC(core.MAC(byte(0xf1+i))))
+		lb.AddBackend(BackendID(i), core.MAC(byte(0xf1+i)))
 		lb.SetUp(BackendID(i))
 	}
 
@@ -368,7 +368,7 @@ func TestFleetHashPolicyEndToEnd(t *testing.T) {
 }
 
 // TestReplicaHandlesStable: replicas are addressed by stable handles —
-// name and BackendID — not by position, and DrainReplica drains exactly
+// name and BackendID — not by position, and drain drains exactly
 // the replica the caller named.
 func TestReplicaHandlesStable(t *testing.T) {
 	pl := core.NewPlatform(21)
@@ -385,14 +385,14 @@ func TestReplicaHandlesStable(t *testing.T) {
 		if r.Index != 1 || r.ID() != BackendID(1) {
 			t.Errorf("web-1 index=%d id=%v, want 1/1", r.Index, r.ID())
 		}
-		f.DrainReplica(r)
+		f.drain(r, "manual")
 	})
 	if _, err := pl.RunFor(6 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 
 	if st := f.ReplicaByName("web-1").State; st != Retired {
-		t.Errorf("web-1 state %v after DrainReplica with no load, want retired", st)
+		t.Errorf("web-1 state %v after a drain with no load, want retired", st)
 	}
 	for _, name := range []string{"web-0", "web-2"} {
 		if st := f.ReplicaByName(name).State; st != Healthy {

@@ -79,7 +79,7 @@ type BackendID int
 // backend is one replica from the balancer's point of view.
 type backend struct {
 	id       BackendID
-	mac      netback.MAC
+	mac      ethernet.MAC
 	up       bool // passed its first health probe
 	draining bool // no new connections
 	active   int  // connections currently steered here
@@ -105,7 +105,7 @@ type conn struct {
 type LB struct {
 	K      *sim.Kernel
 	bridge *netback.Bridge
-	mac    netback.MAC
+	mac    ethernet.MAC
 	ip     ipv4.Addr // probe source address (the balancer answers ARP for it)
 	vip    ipv4.Addr
 	policy Policy
@@ -129,7 +129,7 @@ type LB struct {
 }
 
 // NewLB creates the balancer and attaches it to the bridge.
-func NewLB(k *sim.Kernel, b *netback.Bridge, mac netback.MAC, ip, vip ipv4.Addr, policy Policy) *LB {
+func NewLB(k *sim.Kernel, b *netback.Bridge, mac ethernet.MAC, ip, vip ipv4.Addr, policy Policy) *LB {
 	lb := &LB{
 		K: k, bridge: b, mac: mac, ip: ip, vip: vip, policy: policy,
 		conns:       map[connKey]*conn{},
@@ -144,11 +144,11 @@ func NewLB(k *sim.Kernel, b *netback.Bridge, mac netback.MAC, ip, vip ipv4.Addr,
 }
 
 // MAC implements netback.Endpoint.
-func (lb *LB) MAC() netback.MAC { return lb.mac }
+func (lb *LB) MAC() ethernet.MAC { return lb.mac }
 
 // AddBackend registers a replica under a fresh stable ID (not yet up — it
 // goes live on its first probe reply via SetUp).
-func (lb *LB) AddBackend(id BackendID, mac netback.MAC) {
+func (lb *LB) AddBackend(id BackendID, mac ethernet.MAC) {
 	for len(lb.backends) <= int(id) {
 		lb.backends = append(lb.backends, nil)
 	}
@@ -251,7 +251,7 @@ func (lb *LB) Probe(id BackendID, seq uint16) {
 	}
 	lb.mxProbes.Inc()
 	v := cstruct.Make(ethernet.HeaderLen + ipv4.HeaderLen + icmp.HeaderLen)
-	ethernet.Encode(v, ethernet.MAC(be.mac), ethernet.MAC(lb.mac), ethernet.TypeIPv4)
+	ethernet.Encode(v, be.mac, lb.mac, ethernet.TypeIPv4)
 	body := v.Sub(ethernet.HeaderLen+ipv4.HeaderLen, icmp.HeaderLen)
 	n := icmp.EncodeEcho(body, icmp.Echo{Type: icmp.TypeEchoRequest, ID: uint16(id), Seq: seq})
 	body.Release()
@@ -300,7 +300,7 @@ func (lb *LB) arpInput(b []byte) {
 		return
 	}
 	v := cstruct.Make(ethernet.HeaderLen + 28)
-	ethernet.Encode(v, sha, ethernet.MAC(lb.mac), ethernet.TypeARP)
+	ethernet.Encode(v, sha, lb.mac, ethernet.TypeARP)
 	r := v.Sub(ethernet.HeaderLen, 28)
 	r.PutBE16(0, 1)
 	r.PutBE16(2, 0x0800)

@@ -116,26 +116,10 @@ func (t *Table) Unmap(r Ref, v *cstruct.View) error {
 	return nil
 }
 
-// Copy copies the granted page's contents into a fresh buffer (the
-// hypervisor grant-copy operation used by non-Mirage guests that cannot
-// share pages safely).
-func (t *Table) Copy(r Ref) (*cstruct.View, error) {
-	e, err := t.lookup(r)
-	if err != nil {
-		return nil, err
-	}
-	t.Copies++
-	t.CopyLen += e.View.Len()
-	if t.Hooks.OnCopy != nil {
-		t.Hooks.OnCopy(e.View.Len())
-	}
-	return e.View.Copy(), nil
-}
-
 // CopyInto copies [off, off+len(dst)) of the granted page into dst — the
-// same hypervisor grant-copy as Copy, but targeting caller-owned storage so
-// the backend can assemble scatter-gather frames into one pooled buffer
-// without an intermediate allocation. Bytes copied are counted identically.
+// hypervisor grant-copy operation, targeting caller-owned storage so the
+// backend can assemble scatter-gather frames into one pooled buffer without
+// an intermediate allocation.
 func (t *Table) CopyInto(r Ref, off int, dst []byte) error {
 	e, err := t.lookup(r)
 	if err != nil {

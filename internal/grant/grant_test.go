@@ -30,8 +30,8 @@ func TestGrantCopyDetaches(t *testing.T) {
 	v := cstruct.Make(16)
 	v.PutBE32(0, 7)
 	r := tbl.Grant(v, true)
-	c, err := tbl.Copy(r)
-	if err != nil {
+	c := cstruct.Make(16)
+	if err := tbl.CopyInto(r, 0, c.Bytes()); err != nil {
 		t.Fatal(err)
 	}
 	v.PutBE32(0, 8)
@@ -71,8 +71,8 @@ func TestBadReferenceErrors(t *testing.T) {
 	if err := tbl.End(42); err == nil {
 		t.Error("End of bad ref succeeded")
 	}
-	if _, err := tbl.Copy(42); err == nil {
-		t.Error("Copy of bad ref succeeded")
+	if err := tbl.CopyInto(42, 0, nil); err == nil {
+		t.Error("CopyInto of bad ref succeeded")
 	}
 }
 

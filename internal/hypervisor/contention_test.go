@@ -48,30 +48,6 @@ func TestPinnedDomainsContendForPCPU(t *testing.T) {
 	}
 }
 
-// TestGuestSpeedMultiplier: a half-speed vCPU takes twice as long.
-func TestGuestSpeedMultiplier(t *testing.T) {
-	k := sim.NewKernel(1)
-	h := NewHost(k, 1)
-	var took time.Duration
-	k.Spawn("toolstack", func(p *sim.Proc) {
-		h.Create(p, Config{
-			Name: "slow", Memory: 32 << 20, SpeedMul: 0.5,
-			Entry: func(d *Domain, gp *sim.Proc) int {
-				t0 := gp.Now()
-				gp.Use(d.VCPU, 100*time.Millisecond)
-				took = gp.Now().Sub(t0)
-				return 0
-			},
-		})
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if took != 200*time.Millisecond {
-		t.Errorf("half-speed vCPU took %v for 100ms of work, want 200ms", took)
-	}
-}
-
 // TestConsoleTimestamps: console lines carry virtual-time stamps in order.
 func TestConsoleTimestamps(t *testing.T) {
 	k := sim.NewKernel(1)

@@ -155,12 +155,6 @@ func (pt *PageTable) refuse() {
 // Sealed reports whether the seal hypercall has been issued.
 func (pt *PageTable) Sealed() bool { return pt.sealed }
 
-// Lookup returns the flags for page, if mapped.
-func (pt *PageTable) Lookup(page uint64) (PageFlags, bool) {
-	f, ok := pt.pages[page]
-	return f, ok
-}
-
 // Map installs or replaces a page-table entry. After sealing, only fresh,
 // non-executable I/O mappings are allowed.
 func (pt *PageTable) Map(page uint64, f PageFlags) error {
@@ -220,20 +214,8 @@ type Port struct {
 	Receives int // notifications delivered to this end
 }
 
-// Notify sends an event to the peer end. It is a hypercall: the caller's
-// vCPU pays the hypercall cost and delivery happens after the event latency.
-func (pt *Port) Notify(p *sim.Proc) {
-	h := pt.Dom.Host
-	pt.Sends++
-	h.mxNotifies.Inc()
-	h.mxHypercalls.Inc()
-	pt.traceNotify()
-	p.Use(pt.Dom.VCPU, h.Params.HypercallCost)
-	pt.K.After(h.Params.EventLatency, pt.deliver)
-}
-
-// NotifyAsync sends an event without charging a proc (used by host-side
-// device models running in kernel context).
+// NotifyAsync sends an event to the peer end: delivery happens after the
+// event latency, and no vCPU is charged for the hypercall.
 func (pt *Port) NotifyAsync() {
 	h := pt.Dom.Host
 	pt.Sends++
@@ -254,9 +236,6 @@ func (pt *Port) traceNotify() {
 			obs.Int("port", int64(pt.Index)), obs.Int("peer_dom", int64(pt.peer.Dom.ID)))
 	}
 }
-
-// Peer returns the other end of the channel.
-func (pt *Port) Peer() *Port { return pt.peer }
 
 // ShutdownReason describes why a domain stopped.
 type ShutdownReason int
@@ -332,8 +311,7 @@ type Config struct {
 	Colocate bool // keep the guest on the host shard (block-backed guests)
 	// Resume builds the domain from a migrated snapshot: the flat
 	// Params.ResumeCost replaces the memory-scaled build cost.
-	Resume   bool
-	SpeedMul float64
+	Resume bool
 }
 
 // build performs the toolstack work of constructing a domain on the given
@@ -375,9 +353,6 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 			// lands here rather than sharing cross-shard.
 			c = d.K.NewCPU(fmt.Sprintf("%s-vcpu%d", cfg.Name, i))
 			h.PCPUs = append(h.PCPUs, c)
-		}
-		if cfg.SpeedMul > 0 {
-			c.SetSpeed(cfg.SpeedMul)
 		}
 		d.VCPUs = append(d.VCPUs, c)
 	}
@@ -600,21 +575,4 @@ func (d *Domain) Seal(p *sim.Proc) error {
 			obs.Int("pages", int64(len(d.PT.pages))))
 	}
 	return d.PT.Seal()
-}
-
-// Hypercall charges one generic hypercall's cost to the domain's vCPU.
-func (d *Domain) Hypercall(p *sim.Proc) {
-	d.Host.mxHypercalls.Inc()
-	p.Use(d.VCPU, d.Host.Params.HypercallCost)
-}
-
-// Poll blocks the domain on a set of event channels and a timeout — the
-// PVBoot domainpoll primitive (§3.2). It returns the index of the port that
-// fired, or -1 on timeout.
-func (d *Domain) Poll(p *sim.Proc, timeout time.Duration, ports ...*Port) int {
-	sigs := make([]*sim.Signal, len(ports))
-	for i, pt := range ports {
-		sigs[i] = pt.Sig
-	}
-	return p.WaitAny(timeout, sigs...)
 }

@@ -97,14 +97,14 @@ func TestEventChannelDelivery(t *testing.T) {
 		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
 		pa, pb := Connect(a, b)
 		k.Spawn("receiver", func(rp *sim.Proc) {
-			if idx := b.Poll(rp, 0, pb); idx != 0 {
-				t.Errorf("Poll = %d, want 0", idx)
+			if idx := rp.WaitAny(0, pb.Sig); idx != 0 {
+				t.Errorf("WaitAny = %d, want 0", idx)
 			}
 			gotAt = rp.Now()
 		})
 		k.Spawn("sender", func(sp *sim.Proc) {
 			sp.Sleep(time.Millisecond)
-			pa.Notify(sp)
+			pa.NotifyAsync()
 		})
 	})
 	if _, err := k.Run(); err != nil {
@@ -124,8 +124,8 @@ func TestPollTimeout(t *testing.T) {
 		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
 		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
 		_, pb := Connect(a, b)
-		if idx := b.Poll(p, 5*time.Millisecond, pb); idx != -1 {
-			t.Errorf("Poll = %d, want -1 (timeout)", idx)
+		if idx := p.WaitAny(5*time.Millisecond, pb.Sig); idx != -1 {
+			t.Errorf("WaitAny = %d, want -1 (timeout)", idx)
 		}
 	})
 	if _, err := k.Run(); err != nil {

@@ -122,9 +122,6 @@ func NewExtent(region Region) *Extent {
 	return &Extent{region: region, used: make([]bool, region.Size/SuperpageSize)}
 }
 
-// Chunks returns the total number of 2 MiB chunks.
-func (e *Extent) Chunks() int { return len(e.used) }
-
 // FreeChunks returns how many chunks are unallocated.
 func (e *Extent) FreeChunks() int {
 	n := 0
@@ -395,6 +392,3 @@ func (h *Heap) Drain() time.Duration {
 
 // LiveBytes returns current live data (minor + major).
 func (h *Heap) LiveBytes() int { return h.minorUsed + h.liveMajor }
-
-// MajorCap returns the current major heap capacity in bytes.
-func (h *Heap) MajorCap() int { return h.majorCap }

@@ -252,7 +252,7 @@ func TestPropExtentConservation(t *testing.T) {
 					allocs = append(allocs[:i], allocs[i+1:]...)
 				}
 			}
-			if e.FreeChunks()+held != e.Chunks() {
+			if e.FreeChunks()+held != len(e.used) {
 				return false
 			}
 		}

@@ -5,17 +5,18 @@ import (
 	"time"
 
 	"repro/internal/bufpool"
+	"repro/internal/ethernet"
 	"repro/internal/sim"
 )
 
 // timeEndpoint records delivery instants.
 type timeEndpoint struct {
-	mac MAC
+	mac ethernet.MAC
 	k   *sim.Kernel
 	at  []sim.Time
 }
 
-func (e *timeEndpoint) MAC() MAC { return e.mac }
+func (e *timeEndpoint) MAC() ethernet.MAC { return e.mac }
 func (e *timeEndpoint) Deliver(f *bufpool.Buf) {
 	f.Release()
 	e.at = append(e.at, e.k.Now())
@@ -23,13 +24,13 @@ func (e *timeEndpoint) Deliver(f *bufpool.Buf) {
 
 func TestFaultsDropAll(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	dst := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	dst := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(dst)
 	b.SetFaults(Faults{Drop: 1})
 	const n = 10
 	for i := 0; i < n; i++ {
-		b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 100))
+		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -47,11 +48,11 @@ func TestFaultsDropAll(t *testing.T) {
 
 func TestFaultsDuplicateDeliversTwoCopies(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	dst := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	dst := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(dst)
 	b.SetFaults(Faults{Dup: 1})
-	b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 64))
+	b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 64))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -67,41 +68,19 @@ func TestFaultsDuplicateDeliversTwoCopies(t *testing.T) {
 	if string(dst.frames[0]) != string(dst.frames[1]) {
 		t.Error("duplicate contents differ from the original frame")
 	}
-	if leaked := b.FramePool().InUse(); leaked != 0 {
+	if leaked := b.pool.InUse(); leaked != 0 {
 		t.Errorf("frame pool leaked %d buffers after duplicate delivery", leaked)
-	}
-}
-
-func TestFaultsPerEndpointOverride(t *testing.T) {
-	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	lossy := &stubEndpoint{mac: MAC{2}}
-	clean := &stubEndpoint{mac: MAC{3}}
-	b.Attach(lossy)
-	b.Attach(clean)
-	b.SetFaults(Faults{Drop: 1})
-	b.SetEndpointFaults(clean.mac, Faults{}) // exempt from the bridge default
-	b.TransmitBytes(MAC{1}, frame(lossy.mac, MAC{1}, 64))
-	b.TransmitBytes(MAC{1}, frame(clean.mac, MAC{1}, 64))
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(lossy.frames) != 0 {
-		t.Error("bridge-default drop did not apply")
-	}
-	if len(clean.frames) != 1 {
-		t.Errorf("endpoint override ignored: %d frames", len(clean.frames))
 	}
 }
 
 func TestFaultsJitterDelaysDelivery(t *testing.T) {
 	base := func(jitter time.Duration) sim.Time {
 		k := sim.NewKernel(1)
-		b := NewBridge(k, DefaultParams())
-		dst := &timeEndpoint{mac: MAC{2}, k: k}
+		b := NewBridgeNamed(k, DefaultParams(), "")
+		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
 		b.Attach(dst)
 		b.SetFaults(Faults{Jitter: jitter})
-		b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 100))
+		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
@@ -122,14 +101,14 @@ func TestFaultsJitterDelaysDelivery(t *testing.T) {
 
 func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	dst := &timeEndpoint{mac: MAC{2}, k: k}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
 	b.Attach(dst)
 	win := 500 * time.Microsecond
 	b.SetFaults(Faults{Reorder: 1, ReorderWindow: win})
 	const n = 8
 	for i := 0; i < n; i++ {
-		b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 100))
+		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -156,12 +135,12 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	run := func() (int, []sim.Time, int, int) {
 		k := sim.NewKernel(42)
-		b := NewBridge(k, DefaultParams())
-		dst := &timeEndpoint{mac: MAC{2}, k: k}
+		b := NewBridgeNamed(k, DefaultParams(), "")
+		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
 		b.Attach(dst)
 		b.SetFaults(Faults{Drop: 0.3, Dup: 0.2, Reorder: 0.3, Jitter: time.Millisecond})
 		for i := 0; i < 100; i++ {
-			b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 100+i))
+			b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100+i))
 		}
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
@@ -189,14 +168,14 @@ func TestFaultsDeterministic(t *testing.T) {
 // fault-free builds depends on this).
 func TestFaultsDisabledDeliversEverything(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	dst := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	dst := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(dst)
 	r := k.Rand()
 	before := r.Int63()
 	const n = 50
 	for i := 0; i < n; i++ {
-		b.TransmitBytes(MAC{1}, frame(dst.mac, MAC{1}, 100))
+		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))
 	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)

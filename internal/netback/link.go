@@ -16,7 +16,7 @@ import (
 //   - PerPacketCost: switching CPU work charged per frame, independent of
 //     size (header parse, table lookup, descriptor handling);
 //   - PerByteCost: serialisation time per byte — the inverse of the link's
-//     bandwidth (use Gbps / BandwidthGbps to convert);
+//     bandwidth (use Gbps to convert);
 //   - Propagation: fixed signal/notification latency added after the frame
 //     has cleared both the switching CPU and the wire.
 type Link struct {
@@ -36,14 +36,6 @@ func Gbps(gbits float64) time.Duration {
 		d = 1
 	}
 	return d
-}
-
-// BandwidthGbps reports the link's line rate implied by PerByteCost.
-func (l Link) BandwidthGbps() float64 {
-	if l.PerByteCost <= 0 {
-		return 0
-	}
-	return 8 / float64(l.PerByteCost.Nanoseconds())
 }
 
 // Reserve charges one frame of n bytes against the hop's switching CPU and

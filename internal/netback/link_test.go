@@ -27,9 +27,6 @@ func TestGbpsQuantisation(t *testing.T) {
 			t.Errorf("Gbps(%g) = %v, want %v", c.gbits, got, c.want)
 		}
 	}
-	if got := (Link{PerByteCost: Gbps(2)}).BandwidthGbps(); got != 2 {
-		t.Errorf("BandwidthGbps = %g, want 2", got)
-	}
 }
 
 // TestLinkReserve pins the hop latency math: delivery is the max of the

@@ -11,12 +11,12 @@ import (
 	"bytes"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"repro/internal/bufpool"
 	"repro/internal/cstruct"
+	"repro/internal/ethernet"
+	"repro/internal/fifo"
 	"repro/internal/grant"
 	"repro/internal/hypervisor"
 	"repro/internal/obs"
@@ -24,39 +24,12 @@ import (
 	"repro/internal/sim"
 )
 
-// MAC is an Ethernet hardware address.
-type MAC [6]byte
-
-func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
-}
-
-// ParseMAC parses the colon-separated format String produces.
-func ParseMAC(s string) (MAC, error) {
-	var m MAC
-	parts := strings.Split(s, ":")
-	if len(parts) != 6 {
-		return m, fmt.Errorf("netback: bad MAC %q", s)
-	}
-	for i, p := range parts {
-		v, err := strconv.ParseUint(p, 16, 8)
-		if err != nil {
-			return m, fmt.Errorf("netback: bad MAC %q: %w", s, err)
-		}
-		m[i] = byte(v)
-	}
-	return m, nil
-}
-
-// Broadcast is the Ethernet broadcast address.
-var Broadcast = MAC{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
-
 // Endpoint is an attachment point on a bridge. Deliver is invoked in
 // simulation-kernel context when a frame arrives for the endpoint's MAC.
 // The endpoint receives one reference to the (immutable) frame buffer and
 // must Release it when done.
 type Endpoint interface {
-	MAC() MAC
+	MAC() ethernet.MAC
 	Deliver(frame *bufpool.Buf)
 }
 
@@ -81,12 +54,12 @@ const frameBufSize = 2048
 // count as NoRoute and broadcasts stay host-local.
 type Uplink interface {
 	// Forward carries a unicast frame whose destination MAC is not local.
-	Forward(src MAC, frame *bufpool.Buf)
+	Forward(src ethernet.MAC, frame *bufpool.Buf)
 	// Flood carries a broadcast frame beyond the local bridge.
-	Flood(src MAC, frame *bufpool.Buf)
+	Flood(src ethernet.MAC, frame *bufpool.Buf)
 	// SteerRemote carries an L4-balancer steering decision toward a MAC
 	// homed on another host; reports false when the fabric cannot route it.
-	SteerRemote(dst MAC, frame *bufpool.Buf) bool
+	SteerRemote(dst ethernet.MAC, frame *bufpool.Buf) bool
 }
 
 // Faults is the bridge's deterministic network-impairment model. Every
@@ -126,12 +99,11 @@ type Bridge struct {
 	Wire   *sim.CPU // serialisation resource (line rate)
 	Params Params
 
-	endpoints map[MAC]*port
-	down      map[MAC]bool // administratively-down ports: frames from them are discarded
-	uplink    Uplink       // nil unless the bridge joins a multi-host fabric
+	endpoints map[ethernet.MAC]*port
+	down      map[ethernet.MAC]bool // administratively-down ports: frames from them are discarded
+	uplink    Uplink                // nil unless the bridge joins a multi-host fabric
 	faults    Faults
-	epFaults  map[MAC]Faults // per-destination overrides
-	pool      *bufpool.Pool  // frame staging buffers (VIF TX assembly)
+	pool      *bufpool.Pool // frame staging buffers (VIF TX assembly)
 
 	// Stats
 	Forwarded     int
@@ -158,11 +130,9 @@ type Bridge struct {
 	mxBatchRx      *obs.Histogram // RX responses published per notification
 }
 
-// NewBridge creates a bridge with its own backend CPU and link resources.
-func NewBridge(k *sim.Kernel, params Params) *Bridge { return NewBridgeNamed(k, params, "") }
-
-// NewBridgeNamed is NewBridge with a CPU-name prefix for multi-host
-// platforms; an empty prefix keeps the historical single-host names.
+// NewBridgeNamed creates a bridge with its own backend CPU and link
+// resources. prefix names them on multi-host platforms; an empty prefix
+// keeps the historical single-host names.
 func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 	cpuName, wireName := "dom0-netback", "bridge-link"
 	if prefix != "" {
@@ -180,9 +150,8 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		CPU:            k.NewCPU(cpuName),
 		Wire:           k.NewCPU(wireName),
 		Params:         params,
-		endpoints:      map[MAC]*port{},
-		down:           map[MAC]bool{},
-		epFaults:       map[MAC]Faults{},
+		endpoints:      map[ethernet.MAC]*port{},
+		down:           map[ethernet.MAC]bool{},
 		pool:           pool,
 		mxForwarded:    m.Counter("bridge_frames_total", obs.L("kind", "forwarded")),
 		mxFlooded:      m.Counter("bridge_frames_total", obs.L("kind", "flooded")),
@@ -198,10 +167,6 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		mxBatchRx:      m.Histogram("ring_batch_size", batchBounds, obs.L("ring", "rx")),
 	}
 }
-
-// FramePool exposes the bridge's frame-buffer pool for leak assertions: a
-// quiesced bridge must report zero buffers in use.
-func (b *Bridge) FramePool() *bufpool.Pool { return b.pool }
 
 // Attach connects an endpoint to the bridge (re-attaching a MAC brings a
 // previously downed port back up).
@@ -225,15 +190,12 @@ type port struct {
 	deliver func(frame any, _ uint64)
 }
 
-// Detach removes an endpoint.
-func (b *Bridge) Detach(e Endpoint) { b.DetachMAC(e.MAC()) }
-
 // DetachMAC takes the port for mac down: frames toward it no longer route,
 // and frames *from* it are discarded at the bridge. This models unplugging
 // a crashed or retired guest whose domain — and backend handler — may still
 // be running: the guest can keep transmitting into the dead port without
 // reaching anyone.
-func (b *Bridge) DetachMAC(mac MAC) {
+func (b *Bridge) DetachMAC(mac ethernet.MAC) {
 	if _, ok := b.endpoints[mac]; ok {
 		delete(b.endpoints, mac)
 		b.down[mac] = true
@@ -248,16 +210,13 @@ func (b *Bridge) SetUplink(u Uplink) { b.uplink = u }
 // SetFaults installs the bridge-wide impairment model.
 func (b *Bridge) SetFaults(f Faults) { b.faults = f }
 
-// SetEndpointFaults overrides the impairment model for frames destined to
-// mac (the link to that endpoint).
-func (b *Bridge) SetEndpointFaults(mac MAC, f Faults) { b.epFaults[mac] = f }
-
-// faultsFor returns the impairment applying to deliveries toward dst.
-func (b *Bridge) faultsFor(dst MAC) Faults {
-	if f, ok := b.epFaults[dst]; ok {
-		return f
-	}
-	return b.faults
+// charge books one n-byte frame's traversal of the bridge — backend CPU work
+// and link serialisation — counts its bytes, and returns the instant it
+// clears the bridge.
+func (b *Bridge) charge(n int) sim.Time {
+	b.Bytes += n
+	b.mxBytes.Add(int64(n))
+	return b.Params.Reserve(b.CPU, b.Wire, n)
 }
 
 // Transmit forwards a frame from src onto the bridge. The destination MAC
@@ -266,7 +225,7 @@ func (b *Bridge) faultsFor(dst MAC) Faults {
 // the frame buffer; each delivery hands one reference to the endpoint
 // (broadcast and duplicate deliveries retain the shared buffer rather than
 // copying it — the frame is immutable once transmitted).
-func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
+func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 	frame := f.Bytes()
 	if len(frame) < 14 || b.down[src] {
 		if b.down[src] {
@@ -275,14 +234,12 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 		f.Release()
 		return
 	}
-	var dst MAC
+	var dst ethernet.MAC
 	copy(dst[:], frame[0:6])
 
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.charge(len(frame))
 
-	if dst == Broadcast {
+	if dst == ethernet.Broadcast {
 		b.Flooded++
 		b.mxFlooded.Inc()
 		b.floodLocal(src, at, f.Retain())
@@ -318,8 +275,8 @@ func (b *Bridge) Transmit(src MAC, f *bufpool.Buf) {
 // floodLocal delivers one broadcast reference to every local endpoint but
 // the source, in MAC order (map iteration order would make event sequencing
 // and traces differ between identical runs). Consumes the caller's ref.
-func (b *Bridge) floodLocal(src MAC, at sim.Time, f *bufpool.Buf) {
-	macs := make([]MAC, 0, len(b.endpoints))
+func (b *Bridge) floodLocal(src ethernet.MAC, at sim.Time, f *bufpool.Buf) {
+	macs := make([]ethernet.MAC, 0, len(b.endpoints))
 	for mac := range b.endpoints {
 		if mac != src {
 			macs = append(macs, mac)
@@ -343,15 +300,13 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 		f.Release()
 		return
 	}
-	var dst, src MAC
+	var dst, src ethernet.MAC
 	copy(dst[:], frame[0:6])
 	copy(src[:], frame[6:12])
 
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.charge(len(frame))
 
-	if dst == Broadcast {
+	if dst == ethernet.Broadcast {
 		b.Flooded++
 		b.mxFlooded.Inc()
 		b.floodLocal(src, at, f)
@@ -371,16 +326,14 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 // InjectSteer is Inject for a steered frame: deliver to the local port
 // owning dst regardless of the frame's embedded destination MAC. Returns
 // false (frame dropped) when dst is not attached here.
-func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
+func (b *Bridge) InjectSteer(dst ethernet.MAC, f *bufpool.Buf) bool {
 	pt, ok := b.endpoints[dst]
 	if !ok {
 		b.NoRoute++
 		f.Release()
 		return false
 	}
-	at := b.Params.Reserve(b.CPU, b.Wire, f.Len())
-	b.Bytes += f.Len()
-	b.mxBytes.Add(int64(f.Len()))
+	at := b.charge(f.Len())
 	b.Steered++
 	b.mxSteered.Inc()
 	b.deliver(dst, pt, at, f)
@@ -390,20 +343,16 @@ func (b *Bridge) InjectSteer(dst MAC, f *bufpool.Buf) bool {
 // Steer forwards a frame to the endpoint owning dst regardless of the
 // frame's embedded destination MAC — the L2 redirection primitive a
 // virtual load balancer in the bridge path uses to hand a connection's
-// packets to the replica chosen for it, without rewriting the frame.
-// Costs and per-destination impairments are charged exactly as for
-// Transmit; the caller yields its frame reference. Returns false (frame
-// discarded) when no endpoint owns dst.
-func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
+// packets to the replica chosen for it, without rewriting the frame. Costs
+// and impairments are charged exactly as for Transmit; the caller yields its
+// frame reference. Returns false (frame discarded) when no endpoint owns dst.
+func (b *Bridge) Steer(dst ethernet.MAC, f *bufpool.Buf) bool {
 	pt, ok := b.endpoints[dst]
 	if !ok {
 		if b.uplink != nil {
 			// Charge the local traversal, then hand the steering decision
 			// to the fabric once the frame has cleared this bridge.
-			frame := f.Bytes()
-			at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-			b.Bytes += len(frame)
-			b.mxBytes.Add(int64(len(frame)))
+			at := b.charge(f.Len())
 			b.Steered++
 			b.mxSteered.Inc()
 			u := b.uplink
@@ -414,15 +363,12 @@ func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
 		f.Release()
 		return false
 	}
-	frame := f.Bytes()
-	at := b.Params.Reserve(b.CPU, b.Wire, len(frame))
-	b.Bytes += len(frame)
-	b.mxBytes.Add(int64(len(frame)))
+	at := b.charge(f.Len())
 	b.Steered++
 	b.mxSteered.Inc()
 	if tr := b.K.Trace(); tr.Enabled() {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-steer", 0, 0,
-			obs.Str("dst", dst.String()), obs.Int("bytes", int64(len(frame))))
+			obs.Str("dst", dst.String()), obs.Int("bytes", int64(f.Len())))
 	}
 	b.deliver(dst, pt, at, f)
 	return true
@@ -431,7 +377,7 @@ func (b *Bridge) Steer(dst MAC, f *bufpool.Buf) bool {
 // TransmitBytes forwards a raw byte-slice frame (the slow path for callers
 // outside the pooled fast path): the frame is staged into one pooled buffer
 // — the single copy the slow path is allowed — and forwarded.
-func (b *Bridge) TransmitBytes(src MAC, frame []byte) {
+func (b *Bridge) TransmitBytes(src ethernet.MAC, frame []byte) {
 	if len(frame) > frameBufSize {
 		b.Transmit(src, bufpool.Wrap(append([]byte(nil), frame...)))
 		return
@@ -448,8 +394,8 @@ func (b *Bridge) TransmitBytes(src MAC, frame []byte) {
 // with faults disabled no draw is made at all. deliver consumes the
 // caller's buffer reference: a drop releases it, a duplicate delivery
 // retains a second reference to the same immutable buffer.
-func (b *Bridge) deliver(dst MAC, pt *port, at sim.Time, frame *bufpool.Buf) {
-	f := b.faultsFor(dst)
+func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool.Buf) {
+	f := b.faults
 	if !f.enabled() {
 		b.schedule(pt, at, frame)
 		return
@@ -617,7 +563,7 @@ func DecodeRxRsp(s *cstruct.View) (id, length uint16, span uint64) {
 // delivered frames.
 type VIF struct {
 	bridge *Bridge
-	mac    MAC
+	mac    ethernet.MAC
 	guest  *hypervisor.Domain
 	pool   *bufpool.Pool // TX staging when homed off the bridge shard
 
@@ -625,8 +571,8 @@ type VIF struct {
 	rxBack *ring.Back
 	port   *hypervisor.Port // backend end of the vif event channel
 
-	pendingRx []pendingRx  // RX posts consumed from the ring, awaiting frames
-	txFrame   *bufpool.Buf // TX frame whose later fragments are still to come
+	pendingRx fifo.Queue[pendingRx] // RX posts consumed from the ring, awaiting frames
+	txFrame   *bufpool.Buf          // TX frame whose later fragments are still to come
 
 	rspPending  int    // RX responses pushed but not yet published
 	rxFlushes   int    // rxFlush events scheduled and not yet fired
@@ -658,7 +604,7 @@ func (vb *VIFBackend) Kind() string { return "vif" }
 // Connect maps the tx/rx rings published by the frontend and starts the
 // backend's event handler.
 func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruct.View, fields map[string]string, port *hypervisor.Port) error {
-	mac, err := ParseMAC(fields["mac"])
+	mac, err := ethernet.ParseMAC(fields["mac"])
 	if err != nil {
 		return err
 	}
@@ -680,7 +626,7 @@ func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 // single-threaded. When that home is not the bridge shard the VIF stages
 // TX frames in its own shared pool (releases come back from other shards)
 // and the bridge registration is posted into the bridge kernel.
-func NewVIF(b *Bridge, guest *hypervisor.Domain, mac MAC, txPage, rxPage *cstruct.View, port *hypervisor.Port) *VIF {
+func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPage *cstruct.View, port *hypervisor.Port) *VIF {
 	v := &VIF{
 		bridge: b,
 		mac:    mac,
@@ -702,7 +648,7 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac MAC, txPage, rxPage *cstruc
 }
 
 // MAC implements Endpoint.
-func (v *VIF) MAC() MAC { return v.mac }
+func (v *VIF) MAC() ethernet.MAC { return v.mac }
 
 // Home implements Homed: frames for this VIF are delivered on the guest's
 // kernel.
@@ -741,12 +687,11 @@ func (v *VIF) transmit(f *bufpool.Buf) {
 func (v *VIF) Deliver(f *bufpool.Buf) {
 	defer f.Release()
 	v.refillPending()
-	if len(v.pendingRx) == 0 {
+	if v.pendingRx.Len() == 0 {
 		v.RxDrops++
 		return
 	}
-	post := v.pendingRx[0]
-	v.pendingRx = v.pendingRx[1:]
+	post := v.pendingRx.Pop()
 	page, err := v.guest.Grants.Map(post.gref)
 	if err != nil {
 		v.RxDrops++
@@ -795,7 +740,7 @@ func (v *VIF) rxFlush() {
 func (v *VIF) refillPending() {
 	for v.rxBack.PopRequest(func(s *cstruct.View) {
 		gref, id := DecodeRxReq(s)
-		v.pendingRx = append(v.pendingRx, pendingRx{grant.Ref(gref), id})
+		v.pendingRx.Push(pendingRx{grant.Ref(gref), id})
 	}) {
 	}
 }

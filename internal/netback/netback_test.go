@@ -6,23 +6,24 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/cstruct"
+	"repro/internal/ethernet"
 	"repro/internal/sim"
 )
 
 // stubEndpoint records delivered frames (copying contents out, as a real
 // endpoint consumes them, then releasing its buffer reference).
 type stubEndpoint struct {
-	mac    MAC
+	mac    ethernet.MAC
 	frames [][]byte
 }
 
-func (s *stubEndpoint) MAC() MAC { return s.mac }
+func (s *stubEndpoint) MAC() ethernet.MAC { return s.mac }
 func (s *stubEndpoint) Deliver(f *bufpool.Buf) {
 	s.frames = append(s.frames, append([]byte(nil), f.Bytes()...))
 	f.Release()
 }
 
-func frame(dst, src MAC, n int) []byte {
+func frame(dst, src ethernet.MAC, n int) []byte {
 	f := make([]byte, 14+n)
 	copy(f[0:6], dst[:])
 	copy(f[6:12], src[:])
@@ -31,9 +32,9 @@ func frame(dst, src MAC, n int) []byte {
 
 func TestBridgeUnicastForwarding(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	a := &stubEndpoint{mac: MAC{1}}
-	c := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	a := &stubEndpoint{mac: ethernet.MAC{1}}
+	c := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(a)
 	b.Attach(c)
 	b.TransmitBytes(a.mac, frame(c.mac, a.mac, 100))
@@ -50,12 +51,12 @@ func TestBridgeUnicastForwarding(t *testing.T) {
 
 func TestBridgeBroadcastFloodsExceptSource(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	eps := []*stubEndpoint{{mac: MAC{1}}, {mac: MAC{2}}, {mac: MAC{3}}}
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	eps := []*stubEndpoint{{mac: ethernet.MAC{1}}, {mac: ethernet.MAC{2}}, {mac: ethernet.MAC{3}}}
 	for _, e := range eps {
 		b.Attach(e)
 	}
-	b.TransmitBytes(eps[0].mac, frame(Broadcast, eps[0].mac, 50))
+	b.TransmitBytes(eps[0].mac, frame(ethernet.Broadcast, eps[0].mac, 50))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -66,8 +67,8 @@ func TestBridgeBroadcastFloodsExceptSource(t *testing.T) {
 
 func TestBridgeUnknownDestinationCounted(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridge(k, DefaultParams())
-	b.TransmitBytes(MAC{1}, frame(MAC{9}, MAC{1}, 10))
+	b := NewBridgeNamed(k, DefaultParams(), "")
+	b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{9}, ethernet.MAC{1}, 10))
 	if b.NoRoute != 1 {
 		t.Errorf("NoRoute = %d", b.NoRoute)
 	}
@@ -76,14 +77,14 @@ func TestBridgeUnknownDestinationCounted(t *testing.T) {
 func TestBridgeDeliveryDelayIncludesCosts(t *testing.T) {
 	k := sim.NewKernel(1)
 	p := DefaultParams()
-	b := NewBridge(k, p)
-	dst := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, p, "")
+	dst := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(dst)
 	var deliveredAt sim.Time
 	wrapped := &hookEndpoint{inner: dst, hook: func() { deliveredAt = k.Now() }}
-	b.Detach(dst)
+	b.DetachMAC(dst.MAC())
 	b.Attach(wrapped)
-	b.TransmitBytes(MAC{1}, frame(MAC{2}, MAC{1}, 1486))
+	b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{2}, ethernet.MAC{1}, 1486))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ type hookEndpoint struct {
 	hook  func()
 }
 
-func (h *hookEndpoint) MAC() MAC               { return h.inner.mac }
+func (h *hookEndpoint) MAC() ethernet.MAC      { return h.inner.mac }
 func (h *hookEndpoint) Deliver(f *bufpool.Buf) { h.hook(); h.inner.Deliver(f) }
 
 func TestBridgeLinkSerialisation(t *testing.T) {
@@ -106,12 +107,12 @@ func TestBridgeLinkSerialisation(t *testing.T) {
 	// total time reflects the configured line rate.
 	k := sim.NewKernel(1)
 	p := DefaultParams()
-	b := NewBridge(k, p)
-	dst := &stubEndpoint{mac: MAC{2}}
+	b := NewBridgeNamed(k, p, "")
+	dst := &stubEndpoint{mac: ethernet.MAC{2}}
 	b.Attach(dst)
 	const frames = 100
 	for i := 0; i < frames; i++ {
-		b.TransmitBytes(MAC{1}, frame(MAC{2}, MAC{1}, 1486))
+		b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{2}, ethernet.MAC{1}, 1486))
 	}
 	end, err := k.Run()
 	if err != nil {

@@ -1,10 +1,14 @@
 // Package netif is the guest network frontend driver (paper §3.4): a pure
 // library over the shared-ring and grant abstractions that interoperates
-// with the netback backend. Transmit is scatter-gather — the stack passes a
-// header fragment plus payload sub-views and each fragment is granted to
-// the backend by reference (Figure 4). Receive pre-posts whole I/O pages;
-// arriving frames are handed to the stack as zero-copy sub-views of those
-// pages, which return to the pool once every view is released.
+// with the netback backend. Every fragment of a transmitted frame is granted
+// to the backend by reference. The stack builds each frame in place in one
+// pooled page, headers in front of the payload, and hands whole batches to
+// SendFrames, so every frame an experiment or appliance sends is a single
+// fragment; the scatter-gather form of Figure 4 — a header fragment plus
+// payload sub-views in one frame — is Send, which the driver and the
+// backend carry end to end but only tests drive. Receive pre-posts whole
+// I/O pages; arriving frames are handed to the stack as zero-copy sub-views
+// of those pages, which return to the pool once every view is released.
 //
 // The frontend/backend rendezvous happens through xenstore, as on real Xen:
 // the frontend writes its ring grant references, event channel and MAC
@@ -17,6 +21,7 @@ import (
 
 	"repro/internal/cstruct"
 	"repro/internal/device"
+	"repro/internal/ethernet"
 	"repro/internal/fifo"
 	"repro/internal/grant"
 	"repro/internal/hypervisor"
@@ -24,7 +29,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pvboot"
 	"repro/internal/ring"
-	"repro/internal/sim"
 	"repro/internal/xenstore"
 )
 
@@ -37,7 +41,7 @@ const rxSlots = ring.Slots - 1
 // Netif is a connected guest network interface.
 type Netif struct {
 	vm   *pvboot.VM
-	mac  netback.MAC
+	mac  ethernet.MAC
 	port *hypervisor.Port
 
 	txFront *ring.Front
@@ -63,12 +67,6 @@ type Netif struct {
 // TxPackets returns frames transmitted.
 func (n *Netif) TxPackets() int { return int(n.mxTx.Value()) }
 
-// RxPackets returns frames received.
-func (n *Netif) RxPackets() int { return int(n.mxRx.Value()) }
-
-// TxQueued returns frames that waited because the TX ring was full.
-func (n *Netif) TxQueued() int { return int(n.mxTxQueued.Value()) }
-
 type txFrag struct {
 	gref grant.Ref
 	view *cstruct.View
@@ -86,7 +84,7 @@ type rxPost struct {
 // seam: the frontend publishes its rings and MAC under
 // /local/domain/<id>/device/vif/0 and the VIF backend connects from the
 // other side.
-func Attach(vm *pvboot.VM, b *netback.Bridge, dom0 *hypervisor.Domain, st *xenstore.Store, mac netback.MAC) (*Netif, error) {
+func Attach(vm *pvboot.VM, b *netback.Bridge, dom0 *hypervisor.Domain, st *xenstore.Store, mac ethernet.MAC) (*Netif, error) {
 	d := vm.Dom
 	txPage := d.Pool.Get()
 	rxPage := d.Pool.Get()
@@ -144,9 +142,6 @@ func (n *Netif) Fields() map[string]string {
 // Connected implements device.Frontend.
 func (n *Netif) Connected(port *hypervisor.Port) { n.port = port }
 
-// MAC returns the interface's hardware address.
-func (n *Netif) MAC() netback.MAC { return n.mac }
-
 // SetReceiver installs the upcall invoked with each received frame view and
 // the frame's trace id (0 = untraced; causal-tracing metadata riding the RX
 // descriptor). The receiver owns the view and must Release it (directly or
@@ -170,12 +165,12 @@ func (n *Netif) fillRx() {
 // payload sub-views, Figure 4). Ownership of the fragment views passes to
 // the driver; they are released when the backend acknowledges the frame.
 // If the ring is momentarily full the frame is queued.
-func (n *Netif) Send(p *sim.Proc, frags ...*cstruct.View) {
+func (n *Netif) Send(frags ...*cstruct.View) {
 	if len(frags) == 0 {
 		return
 	}
 	if n.enqueue(frags, 0) {
-		n.flushTx(p)
+		n.flushTx()
 	}
 }
 
@@ -184,7 +179,7 @@ func (n *Netif) Send(p *sim.Proc, frags ...*cstruct.View) {
 // once for the whole batch (the §3.4.1 batched-notification discipline:
 // the backend drains all of them on a single wakeup). spans, when non-nil,
 // carries each frame's trace id (parallel to frames; 0 = untraced).
-func (n *Netif) SendFrames(p *sim.Proc, frames []*cstruct.View, spans []uint64) {
+func (n *Netif) SendFrames(frames []*cstruct.View, spans []uint64) {
 	staged := false
 	for i, f := range frames {
 		var span uint64
@@ -196,7 +191,7 @@ func (n *Netif) SendFrames(p *sim.Proc, frames []*cstruct.View, spans []uint64) 
 		}
 	}
 	if staged {
-		n.flushTx(p)
+		n.flushTx()
 	}
 }
 
@@ -258,14 +253,11 @@ func (n *Netif) stageTx(tf []txFrag) {
 }
 
 // flushTx publishes staged requests and notifies the backend if its event
-// threshold asks for it.
-func (n *Netif) flushTx(p *sim.Proc) {
+// threshold asks for it. It runs in run-loop context with no proc to charge,
+// so the notify hypercall costs the guest's vCPU nothing (DESIGN.md §5).
+func (n *Netif) flushTx() {
 	if n.txFront.PushRequests() {
-		if p != nil {
-			n.port.Notify(p)
-		} else {
-			n.port.NotifyAsync() // from run-loop context, no proc to charge
-		}
+		n.port.NotifyAsync()
 	}
 }
 
@@ -313,7 +305,7 @@ func (n *Netif) drainCompletions() {
 		drained = true
 	}
 	if drained {
-		n.flushTx(nil)
+		n.flushTx()
 	}
 
 	// RX completions: hand zero-copy sub-views to the stack and repost.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/cstruct"
+	"repro/internal/ethernet"
 	"repro/internal/hypervisor"
 	"repro/internal/lwt"
 	"repro/internal/netback"
@@ -28,16 +29,16 @@ func newRig() *rig {
 	return &rig{
 		k:      k,
 		h:      hypervisor.NewHost(k, 4),
-		bridge: netback.NewBridge(k, netback.DefaultParams()),
+		bridge: netback.NewBridgeNamed(k, netback.DefaultParams(), ""),
 		st:     xenstore.New(),
 	}
 }
 
-var macA = netback.MAC{0x00, 0x16, 0x3e, 0, 0, 1}
-var macB = netback.MAC{0x00, 0x16, 0x3e, 0, 0, 2}
+var macA = ethernet.MAC{0x00, 0x16, 0x3e, 0, 0, 1}
+var macB = ethernet.MAC{0x00, 0x16, 0x3e, 0, 0, 2}
 
 // frame builds an Ethernet-framed payload: dst(6) src(6) type(2) payload.
-func frame(dst, src netback.MAC, payload string) []byte {
+func frame(dst, src ethernet.MAC, payload string) []byte {
 	f := make([]byte, 14+len(payload))
 	copy(f[0:6], dst[:])
 	copy(f[6:12], src[:])
@@ -47,7 +48,7 @@ func frame(dst, src netback.MAC, payload string) []byte {
 }
 
 // guestEntry boots a VM, attaches a netif, then runs body.
-func (r *rig) spawnGuest(t *testing.T, name string, mac netback.MAC, dom0 *hypervisor.Domain,
+func (r *rig) spawnGuest(t *testing.T, name string, mac ethernet.MAC, dom0 *hypervisor.Domain,
 	body func(vm *pvboot.VM, n *Netif, p *sim.Proc) int) {
 	t.Helper()
 	r.k.Spawn("create-"+name, func(tp *sim.Proc) {
@@ -95,7 +96,7 @@ func TestFrameDeliveryBetweenGuests(t *testing.T) {
 			page := vm.Dom.Pool.Get()
 			payload := frame(macB, macA, "hello unikernel")
 			page.PutBytes(0, payload)
-			n.Send(p, page.Sub(0, len(payload)))
+			n.Send(page.Sub(0, len(payload)))
 			page.Release()
 			// Stay alive long enough for TX completion to drain.
 			main := vm.S.Sleep(100 * time.Millisecond)
@@ -137,7 +138,7 @@ func TestScatterGatherFrameReassembled(t *testing.T) {
 			hdrPage.PutBytes(0, hdr)
 			payPage := vm.Dom.Pool.Get()
 			payPage.PutBytes(0, []byte("scattered payload"))
-			n.Send(p, hdrPage.Sub(0, 14), payPage.Sub(0, 17))
+			n.Send(hdrPage.Sub(0, 14), payPage.Sub(0, 17))
 			hdrPage.Release()
 			payPage.Release()
 			return vm.Main(p, vm.S.Sleep(100*time.Millisecond))
@@ -179,7 +180,7 @@ func TestFrameStraddlingTwoBackendWakeups(t *testing.T) {
 				n.txFront.PushRequest(func(s *cstruct.View) {
 					netback.EncodeTxReq(s, uint32(gref), 0, uint16(len(data)), 999, more, 0)
 				})
-				n.flushTx(p)
+				n.flushTx()
 			}
 			push(frame(macB, macA, ""), true)
 			p.Sleep(time.Millisecond)
@@ -209,7 +210,7 @@ func TestTxCompletionsReleasePagesToPool(t *testing.T) {
 				page := vm.Dom.Pool.Get()
 				payload := frame(macB, macA, "xxxxxxxxxxxxxxxx")
 				page.PutBytes(0, payload)
-				n.Send(p, page.Sub(0, len(payload)))
+				n.Send(page.Sub(0, len(payload)))
 				page.Release()
 				main := vm.S.Sleep(time.Millisecond)
 				vm.Main(p, main)
@@ -280,10 +281,10 @@ func TestTxBurstBeyondRingDepthQueuesAndDrains(t *testing.T) {
 				page := vm.Dom.Pool.Get()
 				payload := frame(macB, macA, fmt.Sprintf("burst-%03d", i))
 				page.PutBytes(0, payload)
-				n.Send(p, page.Sub(0, len(payload)))
+				n.Send(page.Sub(0, len(payload)))
 				page.Release()
 			}
-			if n.TxQueued() == 0 {
+			if n.mxTxQueued.Value() == 0 {
 				t.Error("burst of 100 never used the driver queue (ring is 32 slots)")
 			}
 			return vm.Main(p, vm.S.Sleep(2*time.Second))
@@ -323,7 +324,7 @@ func TestBurstSharesNotifications(t *testing.T) {
 				frames[i] = page.Sub(0, len(payload))
 				page.Release()
 			}
-			n.SendFrames(p, frames, nil)
+			n.SendFrames(frames, nil)
 			return vm.Main(p, vm.S.Sleep(1*time.Second))
 		})
 	})
@@ -341,9 +342,8 @@ func TestBurstSharesNotifications(t *testing.T) {
 		t.Errorf("acking %d frames took %d TX notifications, want <= 2", burst, tx)
 	}
 	batches := m.Histogram("ring_batch_size", []float64{1, 2, 4, 8, 16, 32}, obs.L("ring", "tx"))
-	if batches.Count() == 0 || batches.Mean() < burst/2 {
-		t.Errorf("tx ring batch size mean = %.1f over %d drains, want >= %d",
-			batches.Mean(), batches.Count(), burst/2)
+	if n := batches.Count(); n == 0 || n > 2 {
+		t.Errorf("%d tx requests drained on %d backend wakeups, want 1 or 2", burst, n)
 	}
 	// RX deliveries are spaced by link serialisation, so the receiver may
 	// legitimately see up to one event per frame — but never more.

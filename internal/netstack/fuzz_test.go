@@ -9,7 +9,6 @@ import (
 	"repro/internal/cstruct"
 	"repro/internal/ethernet"
 	"repro/internal/ipv4"
-	"repro/internal/netback"
 	"repro/internal/sim"
 	"repro/internal/udp"
 )
@@ -36,7 +35,7 @@ func hostileRig(t *testing.T) (*Stack, func(frame []byte), func(d time.Duration)
 		t.Fatal(err)
 	}
 	inject := func(frame []byte) {
-		r.bridge.TransmitBytes(netback.MAC(mac(1)), frame)
+		r.bridge.TransmitBytes(mac(1), frame)
 	}
 	advance := func(d time.Duration) {
 		if _, err := r.k.RunFor(d); err != nil {

@@ -163,10 +163,6 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 	return st
 }
 
-// charge books cost on the guest vCPU asynchronously (serialising with all
-// other guest work).
-func (st *Stack) charge(d time.Duration) { st.VM.Dom.VCPU.Reserve(d) }
-
 // txBatchMax caps how many frames accumulate before an unconditional
 // flush, bounding the extra latency the first frame of a long burst pays.
 const txBatchMax = 16
@@ -231,7 +227,7 @@ func (st *Stack) txFull(burst any, _ uint64) { st.sendBurst(burst.(*txBurst)) }
 // sendBurst hands a drained burst to the NIC, then parks it for reuse
 // (SendFrames does not retain the slices).
 func (st *Stack) sendBurst(b *txBurst) {
-	st.NIC.SendFrames(nil, b.frames, b.spans)
+	st.NIC.SendFrames(b.frames, b.spans)
 	clear(b.frames)
 	b.frames, b.spans = b.frames[:0], b.spans[:0]
 	st.txFree = append(st.txFree, b)

@@ -36,7 +36,7 @@ func newRig(t *testing.T) *rig {
 		t:      t,
 		k:      k,
 		h:      hypervisor.NewHost(k, 4),
-		bridge: netback.NewBridge(k, netback.DefaultParams()),
+		bridge: netback.NewBridgeNamed(k, netback.DefaultParams(), ""),
 		st:     xenstore.New(),
 	}
 	k.Spawn("dom0-create", func(p *sim.Proc) {
@@ -63,7 +63,7 @@ func (r *rig) guest(name string, cfg Config, body func(st *Stack, p *sim.Proc) i
 					r.t.Errorf("%s: boot: %v", name, err)
 					return 1
 				}
-				nic, err := netif.Attach(vm, r.bridge, r.dom0, r.st, netback.MAC(cfg.MAC))
+				nic, err := netif.Attach(vm, r.bridge, r.dom0, r.st, cfg.MAC)
 				if err != nil {
 					r.t.Errorf("%s: attach: %v", name, err)
 					return 1

@@ -111,37 +111,12 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-// Mean returns the sample mean (0 when empty).
-func (h *Histogram) Mean() float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile estimates the q-quantile (0..1) by linear interpolation within
-// the bucket that crosses the target rank. Samples beyond the last bound
-// report the last bound (the histogram cannot resolve them further).
-func (h *Histogram) Quantile(q float64) float64 {
-	if h == nil {
-		return 0
-	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.count == 0 {
-		return 0
-	}
-	return QuantileFromBuckets(h.bounds, h.counts, h.count, q)
-}
-
-// QuantileFromBuckets is Quantile over raw bucket data — bounds plus one
-// overflow count, as produced by snapshot diffs — so callers can compute
-// quantiles over an interval (end minus start) rather than all time.
+// QuantileFromBuckets estimates the q-quantile (0..1) of a histogram by
+// linear interpolation within the bucket that crosses the target rank;
+// samples beyond the last bound report the last bound (the histogram cannot
+// resolve them further). It takes raw bucket data — bounds plus one overflow
+// count, as produced by snapshot diffs — so callers can compute quantiles
+// over an interval (end minus start) rather than all time.
 //
 // Degenerate inputs are answered, not trusted: a non-positive total or an
 // unbounded histogram (no finite buckets) reports 0, negative interval

@@ -55,7 +55,7 @@ func TestTracerBoundedAndRebased(t *testing.T) {
 	tr.Instant(5000, "a", "first-run", 0, 0)
 	tr.Rebase()
 	tr.Instant(0, "a", "second-run", 0, 0)
-	ev := tr.Events()
+	ev := tr.events
 	if ev[1].TS <= ev[0].TS {
 		t.Errorf("rebase did not shift: %d then %d", ev[0].TS, ev[1].TS)
 	}

@@ -40,9 +40,6 @@ func (s Span) Child(layer uint64) Span {
 	return Span{Trace: s.Trace, ID: s.ID ^ (layer * 0x9E3779B97F4A7C15), Parent: s.ID}
 }
 
-// Sampled reports whether the span belongs to a traced request.
-func (s Span) Sampled() bool { return s.Trace != 0 }
-
 // Args prefixes extra with the span's identity annotations, for attaching
 // to slices and instants that belong to the span.
 func (s Span) Args(extra ...Arg) []Arg {

@@ -95,13 +95,6 @@ func NewTracer(cap int) *Tracer {
 // Enable turns event recording on.
 func (t *Tracer) Enable() { t.enabled = true }
 
-// Disable turns event recording off.
-func (t *Tracer) Disable() {
-	if t != nil {
-		t.enabled = false
-	}
-}
-
 // Enabled reports whether Add calls will record. Safe on nil.
 func (t *Tracer) Enabled() bool {
 	if t == nil {
@@ -271,31 +264,6 @@ func (t *Tracer) Dropped() int {
 		}
 	}
 	return n
-}
-
-// Events returns the recorded events (shared slice; do not mutate). On a
-// root with shard views it only covers the root's own buffer — use
-// WriteJSON for the merged timeline.
-func (t *Tracer) Events() []Event {
-	if t == nil {
-		return nil
-	}
-	return t.events
-}
-
-// Reset drops all recorded events, names and shard views but keeps
-// enablement.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.events = nil
-	t.dropped = 0
-	t.maxTS = 0
-	t.base = 0
-	t.shards = nil
-	t.pids = map[int]string{}
-	t.tids = map[int]map[int]string{}
 }
 
 // jstr renders s as a JSON string (encoding/json escaping is deterministic).

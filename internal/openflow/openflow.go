@@ -226,20 +226,6 @@ func ParseFlowMod(b []byte) (FlowMod, error) {
 	return f, nil
 }
 
-// ParsePacketOut decodes a PACKET_OUT.
-func ParsePacketOut(b []byte) (PacketOut, error) {
-	if len(b) < 24 {
-		return PacketOut{}, fmt.Errorf("openflow: short packet_out")
-	}
-	return PacketOut{
-		XID:      binary.BigEndian.Uint32(b[4:]),
-		BufferID: binary.BigEndian.Uint32(b[8:]),
-		InPort:   binary.BigEndian.Uint16(b[12:]),
-		OutPort:  binary.BigEndian.Uint16(b[20:]),
-		Data:     b[24:],
-	}, nil
-}
-
 // Framer splits a byte stream into OpenFlow messages using the header
 // length field.
 type Framer struct {

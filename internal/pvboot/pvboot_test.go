@@ -125,7 +125,7 @@ func TestWatchPortDeliversDeviceEvents(t *testing.T) {
 				// Backend fires the event later.
 				k.Spawn("backend", func(bp *sim.Proc) {
 					bp.Sleep(5 * time.Millisecond)
-					bport.Notify(bp)
+					bport.NotifyAsync()
 				})
 				return vm.Main(p, got)
 			},

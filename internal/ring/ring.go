@@ -83,13 +83,6 @@ func (s *Shared) slot(i uint32) *cstruct.View {
 // driver owns the ring (netif, blkif) wires these to its tracer/metrics.
 type FrontHooks struct {
 	OnPublish func(inFlight int, notify bool) // after PushRequests
-	OnPop     func()                          // after each PopResponse
-}
-
-// BackHooks are optional observability callbacks for the backend end.
-type BackHooks struct {
-	OnPublish func(unanswered int, notify bool) // after PushResponses
-	OnPop     func()                            // after each PopRequest
 }
 
 // Front is the frontend (guest) end of a ring.
@@ -149,9 +142,6 @@ func (f *Front) PopResponse(decode func(slot *cstruct.View)) bool {
 	}
 	decode(f.sh.slot(f.rspConsumed))
 	f.rspConsumed++
-	if f.Hooks.OnPop != nil {
-		f.Hooks.OnPop()
-	}
 	return true
 }
 
@@ -168,8 +158,6 @@ type Back struct {
 	sh          *Shared
 	rspProdPvt  uint32
 	reqConsumed uint32
-
-	Hooks BackHooks
 }
 
 // NewBack attaches the backend end to the (already initialised) shared page.
@@ -187,9 +175,6 @@ func (b *Back) PopRequest(decode func(slot *cstruct.View)) bool {
 	}
 	decode(b.sh.slot(b.reqConsumed))
 	b.reqConsumed++
-	if b.Hooks.OnPop != nil {
-		b.Hooks.OnPop()
-	}
 	return true
 }
 
@@ -210,14 +195,8 @@ func (b *Back) PushResponses() (notify bool) {
 	old := b.sh.rspProd()
 	b.sh.setRspProd(b.rspProdPvt)
 	notify = b.rspProdPvt-b.sh.rspEvent() < b.rspProdPvt-old
-	if b.Hooks.OnPublish != nil {
-		b.Hooks.OnPublish(b.Unanswered(), notify)
-	}
 	return notify
 }
-
-// Unanswered returns requests consumed but not yet answered.
-func (b *Back) Unanswered() int { return int(b.reqConsumed - b.rspProdPvt) }
 
 // EnableRequestEvents asks the frontend for a notification on the next
 // request; reports whether requests raced in meanwhile.

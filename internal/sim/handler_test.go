@@ -134,7 +134,7 @@ func TestHandlerPanicNamesTheHandler(t *testing.T) {
 // formatter.
 func TestHandlerIsADaemonForTheDeadlockCheck(t *testing.T) {
 	plain := NewKernel(1)
-	c := NewCluster(1, 2, 10*time.Microsecond)
+	c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
 	for _, tc := range []struct {
 		name string
 		run  *Kernel // what Run is called on
@@ -166,7 +166,7 @@ func TestHandlerIsADaemonForTheDeadlockCheck(t *testing.T) {
 // forms agree (and -race stays quiet).
 func TestHandlerOnShardParallel(t *testing.T) {
 	run := func(asHandler, parallel bool) []string {
-		c := NewCluster(1, 2, 10*time.Microsecond)
+		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		k0, k1 := c.Kernel(0), c.Kernel(1)
 		sig := k1.NewSignal("evtchn")

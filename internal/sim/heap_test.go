@@ -53,7 +53,7 @@ func TestParkTimeoutIsTakenBack(t *testing.T) {
 		}
 	})
 	t.Run("2-shard", func(t *testing.T) {
-		c := NewCluster(1, 2, 10*time.Microsecond)
+		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
 		woken := parkUnderFarTimer(c.Kernel(1), c.Kernel(0), parks)
 		if _, err := c.RunFor(time.Second); err != nil {
 			t.Fatal(err)

@@ -139,18 +139,12 @@ type Cluster struct {
 	started bool
 }
 
-// NewCluster creates shards kernels sharing one virtual timeline, with
+// NewClusterObs creates shards kernels sharing one virtual timeline, with
 // cross-shard lookahead w (must be positive). Shard 0 is the host/dom0
 // shard and keeps the raw seed so single-shard behavior matches a plain
 // kernel; other shards derive their RNG seed deterministically. All shards
-// share shard 0's metrics registry and trace timeline (per-shard trace
-// buffers merged at export).
-func NewCluster(seed int64, shards int, w time.Duration) *Cluster {
-	return NewClusterObs(seed, shards, w, nil, nil)
-}
-
-// NewClusterObs is NewCluster on the caller's tracer and registry, as
-// NewKernelObs is to NewKernel.
+// share shard 0's metrics registry (m, or a private one when nil) and trace
+// timeline (t; per-shard trace buffers merged at export).
 func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *obs.Registry) *Cluster {
 	if shards < 1 {
 		shards = 1
@@ -201,9 +195,6 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 // on a dedicated OS thread. Output is byte-identical either way.
 func (c *Cluster) SetParallel(on bool) { c.parallel = on }
 
-// Parallel reports whether the threaded driver is selected.
-func (c *Cluster) Parallel() bool { return c.parallel }
-
 // OnRoundEnd registers fn to run on the coordinating thread each time the
 // granted shards have all finished their windows, before the next grant —
 // the one point inside Run where no shard is executing. State that one
@@ -211,10 +202,6 @@ func (c *Cluster) Parallel() bool { return c.parallel }
 // to the reader here: the cut is then a function of the virtual schedule,
 // the same under the serial and the threaded driver. Call before Run.
 func (c *Cluster) OnRoundEnd(fn func()) { c.roundEnd = append(c.roundEnd, fn) }
-
-// WidthMult returns the current epoch width multiplier. Meaningful between
-// Run calls (the controller owns it at barriers).
-func (c *Cluster) WidthMult() int { return int(c.mult) }
 
 // HoldWide tells the width controller not to widen epochs before virtual
 // time t: some endpoint expects cross-shard traffic (a delivered frame
@@ -235,14 +222,8 @@ func (c *Cluster) Shards() int { return len(c.kernels) }
 // Kernel returns shard i's kernel.
 func (c *Cluster) Kernel(i int) *Kernel { return c.kernels[i] }
 
-// Lookahead returns the cluster's cross-shard lookahead W.
-func (c *Cluster) Lookahead() time.Duration { return time.Duration(c.w) }
-
 // Cluster returns the cluster this kernel shards, or nil for a plain kernel.
 func (k *Kernel) Cluster() *Cluster { return k.cluster }
-
-// Shard returns this kernel's shard index (0 on a plain kernel).
-func (k *Kernel) Shard() int { return k.shard }
 
 // Post schedules fn on dst's shard at least d after the current instant.
 // On the same kernel this is a plain After. Cross-shard, the delay is

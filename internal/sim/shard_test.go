@@ -90,7 +90,7 @@ func TestParallelByteIdentity(t *testing.T) {
 
 func TestParallelPanicPropagation(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		c := NewCluster(3, 3, 10*time.Microsecond)
+		c := NewClusterObs(3, 3, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		c.Kernel(2).Spawn("boom", func(p *Proc) {
 			p.Sleep(time.Millisecond)
@@ -115,7 +115,7 @@ func TestParallelPanicPropagation(t *testing.T) {
 // the stop and run at its original timestamp.
 func TestParallelStopWithPendingMailbox(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		c := NewCluster(5, 2, 10*time.Microsecond)
+		c := NewClusterObs(5, 2, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		k0, k1 := c.Kernel(0), c.Kernel(1)
 		var deliveredAt Time
@@ -169,7 +169,7 @@ func TestStopAtExactEventTime(t *testing.T) {
 	}
 
 	for _, parallel := range []bool{false, true} {
-		c := NewCluster(1, 2, 10*time.Microsecond)
+		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		ran = nil
 		c.Kernel(1).At(Time(time.Millisecond), func() { ran = append(ran, "at-limit") })
@@ -186,7 +186,7 @@ func TestStopAtExactEventTime(t *testing.T) {
 
 func TestParallelStopMidRun(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		c := NewCluster(9, 3, 10*time.Microsecond)
+		c := NewClusterObs(9, 3, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		k1 := c.Kernel(1)
 		ticks := 0
@@ -319,7 +319,7 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 		if ticks != 100 {
 			t.Errorf("parallel=%v: %d local ticks, want 100", parallel, ticks)
 		}
-		if m := c.WidthMult(); m <= 4 {
+		if m := c.mult; m <= 4 {
 			t.Errorf("parallel=%v: width mult %d after quiet stretch, want > busy cap 4", parallel, m)
 		}
 		if w := reg.Counter("sim_cluster_width_widenings_total").Value(); w == 0 {
@@ -342,7 +342,7 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 		if delivered == 0 || delivered >= 200 {
 			t.Errorf("parallel=%v: %d cross-shard sends delivered at the limit, want mid-burst", parallel, delivered)
 		}
-		if m := c.WidthMult(); m != 4 {
+		if m := c.mult; m != 4 {
 			t.Errorf("parallel=%v: width mult %d after burst, want clamp to busy cap 4", parallel, m)
 		}
 		if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
@@ -389,7 +389,7 @@ func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 // the limit so the next leg resumes consistently.
 func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
 	for _, parallel := range []bool{false, true} {
-		c := NewCluster(13, 3, 10*time.Microsecond)
+		c := NewClusterObs(13, 3, 10*time.Microsecond, nil, nil)
 		c.SetParallel(parallel)
 		k1 := c.Kernel(1)
 		ticks := 0
@@ -403,8 +403,8 @@ func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("parallel=%v: first leg: %v", parallel, err)
 		}
-		if c.WidthMult() <= 1 {
-			t.Fatalf("parallel=%v: width never widened (mult %d); limit did not land inside a widened epoch", parallel, c.WidthMult())
+		if c.mult <= 1 {
+			t.Fatalf("parallel=%v: width never widened (mult %d); limit did not land inside a widened epoch", parallel, c.mult)
 		}
 		if ticks != 50 {
 			t.Errorf("parallel=%v: %d ticks at the limit, want 50", parallel, ticks)

@@ -434,21 +434,12 @@ type Proc struct {
 	tracePid int // trace process the proc is attributed to (domain ID; 0 = host)
 }
 
-// Name returns the name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// ID returns the proc's kernel-unique ID (the trace tid).
-func (p *Proc) ID() int { return p.id }
-
 // SetTracePid attributes the proc's trace events to a domain's process row
 // (the hypervisor calls this when it starts a domain's boot proc).
 func (p *Proc) SetTracePid(pid int) {
 	p.tracePid = pid
 	p.k.trace.NameThread(pid, p.id, p.name)
 }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -734,31 +725,18 @@ func (p *Proc) SleepUntil(t Time) {
 // different kernel through that kernel's mailbox.
 type Signal struct {
 	k       *Kernel
-	name    string
-	site    string // park label of a Wait on this signal, built once
+	site    string // park label of a Wait on this signal ("wait:<name>"), built once
 	pending bool
 	waiters []*Proc
-	// Notify hooks run in kernel context on every Set; used by pollers
-	// that multiplex many signals without one proc per signal.
-	hooks []func()
 }
 
 // NewSignal creates a signal owned by k.
 func (k *Kernel) NewSignal(name string) *Signal {
-	return &Signal{k: k, name: name, site: "wait:" + name}
+	return &Signal{k: k, site: "wait:" + name}
 }
-
-// Name returns the signal's name.
-func (s *Signal) Name() string { return s.name }
 
 // Pending reports whether the signal has an unconsumed Set.
 func (s *Signal) Pending() bool { return s.pending }
-
-// Clear discards any pending state.
-func (s *Signal) Clear() { s.pending = false }
-
-// OnSet registers fn to run (in kernel context) each time the signal fires.
-func (s *Signal) OnSet(fn func()) { s.hooks = append(s.hooks, fn) }
 
 // Set marks the signal pending and wakes all current waiters at the current
 // instant. Safe to call from proc or kernel context.
@@ -772,9 +750,6 @@ func (s *Signal) Set() {
 		}
 	}
 	s.waiters = s.waiters[:0]
-	for _, h := range s.hooks {
-		h()
-	}
 }
 
 // Wait parks p until the signal fires (or returns immediately, consuming a
@@ -839,27 +814,17 @@ type CPU struct {
 	freeAt Time
 	busy   time.Duration // total busy time accumulated
 	qwait  time.Duration // total time requests waited behind earlier work
-	speed  float64       // relative speed multiplier (1.0 = nominal)
 }
 
 // cpuTidBase keeps CPU trace tids clear of proc tids under pid 0.
 const cpuTidBase = 1000
 
-// NewCPU creates a CPU resource with relative speed 1.0.
+// NewCPU creates a CPU resource.
 func (k *Kernel) NewCPU(name string) *CPU {
-	c := &CPU{k: k, name: name, id: cpuTidBase + len(k.cpus), speed: 1.0}
+	c := &CPU{k: k, name: name, id: cpuTidBase + len(k.cpus)}
 	k.cpus = append(k.cpus, c)
 	k.trace.NameThread(0, c.id, "cpu:"+name)
 	return c
-}
-
-// SetSpeed sets the relative speed multiplier; work of nominal duration d
-// occupies d/speed.
-func (c *CPU) SetSpeed(s float64) {
-	if s <= 0 {
-		panic("sim: CPU speed must be positive")
-	}
-	c.speed = s
 }
 
 // Name returns the CPU's name.
@@ -888,7 +853,6 @@ func (c *CPU) Utilization() float64 {
 // reserve books d of CPU time and returns the completion instant without
 // blocking. Exposed for asynchronous cost accounting (e.g. device models).
 func (c *CPU) reserve(d time.Duration) Time {
-	d = time.Duration(float64(d) / c.speed)
 	start := c.k.now
 	if c.freeAt > start {
 		start = c.freeAt

@@ -276,23 +276,6 @@ func TestCPUSerializesWork(t *testing.T) {
 	}
 }
 
-func TestCPUSpeedScalesWork(t *testing.T) {
-	k := NewKernel(1)
-	c := k.NewCPU("fast")
-	c.SetSpeed(2.0)
-	var done Time
-	k.Spawn("p", func(p *Proc) {
-		p.Use(c, 10*time.Millisecond)
-		done = p.Now()
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if done != Time(5*time.Millisecond) {
-		t.Errorf("done at %v, want 5ms at 2x speed", done)
-	}
-}
-
 func TestCPUUtilization(t *testing.T) {
 	k := NewKernel(1)
 	c := k.NewCPU("cpu")
@@ -392,21 +375,6 @@ func TestYieldRoundRobinsAtSameInstant(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("trace = %q, want %q", got, want)
-	}
-}
-
-func TestOnSetHookRuns(t *testing.T) {
-	k := NewKernel(1)
-	s := k.NewSignal("hooked")
-	fired := 0
-	s.OnSet(func() { fired++ })
-	k.At(Time(1), func() { s.Set() })
-	k.At(Time(2), func() { s.Set() })
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 2 {
-		t.Errorf("hook fired %d times, want 2", fired)
 	}
 }
 

@@ -62,9 +62,6 @@ func (t *Timer) Init(key uint64, fn func()) {
 // Pending reports whether the timer is scheduled and not yet fired.
 func (t *Timer) Pending() bool { return t.pending }
 
-// Deadline returns the exact deadline of the last Schedule.
-func (t *Timer) Deadline() Time { return t.deadline }
-
 // Cancel unschedules the timer. It reports whether it was pending.
 func (t *Timer) Cancel() bool {
 	if t.w == nil {
@@ -107,15 +104,6 @@ func (k *Kernel) Wheel() *Wheel {
 	}
 	return k.wheel
 }
-
-// Kernel returns the owning shard kernel.
-func (w *Wheel) Kernel() *Kernel { return w.k }
-
-// Len returns the number of pending timers.
-func (w *Wheel) Len() int { return w.count }
-
-// Peak returns the high-water mark of pending timers.
-func (w *Wheel) Peak() int { return w.peak }
 
 // Schedule (re)schedules t to fire at the first tick boundary at or after
 // deadline. Rescheduling a pending timer moves it; scheduling from inside

@@ -85,8 +85,8 @@ func TestWheelLateness(t *testing.T) {
 			t.Errorf("timer %d fired %v after deadline %v (bound: < 2 ticks)", i, late, r.deadline)
 		}
 	}
-	if w.Len() != 0 {
-		t.Errorf("wheel still holds %d timers after run", w.Len())
+	if w.count != 0 {
+		t.Errorf("wheel still holds %d timers after run", w.count)
 	}
 }
 
@@ -194,8 +194,8 @@ func TestWheelHeapPopulation(t *testing.T) {
 		tm.Init(uint64(i), func() { fired++ })
 		w.Schedule(tm, Time(rng.Int63n(int64(10*time.Second)))+1)
 	}
-	if w.Len() != n {
-		t.Fatalf("wheel holds %d timers, want %d", w.Len(), n)
+	if w.count != n {
+		t.Fatalf("wheel holds %d timers, want %d", w.count, n)
 	}
 	if peak := k.EventHeapPeak(); peak > 64 {
 		t.Errorf("event heap peak %d with %d pending timers; wheel should keep it O(armed ticks)", peak, n)

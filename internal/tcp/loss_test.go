@@ -155,7 +155,7 @@ func TestPersistTimerRecoversDroppedWindowUpdate(t *testing.T) {
 	if clientConn.PersistProbes == 0 {
 		t.Error("sender recovered without persist probes; test lost its teeth")
 	}
-	if a.st.PersistProbes() == 0 {
+	if a.st.mxPersistProbes.Value() == 0 {
 		t.Error("tcp_persist_probes_total metric not incremented")
 	}
 }
@@ -292,8 +292,8 @@ func TestRstValidation(t *testing.T) {
 	if c.RstsRejected != 2 {
 		t.Fatalf("RstsRejected = %d, want 2", c.RstsRejected)
 	}
-	if a.st.RstsRejected() != 2 {
-		t.Fatalf("tcp_rsts_rejected_total = %d, want 2", a.st.RstsRejected())
+	if a.st.mxRstsRejected.Value() != 2 {
+		t.Fatalf("tcp_rsts_rejected_total = %d, want 2", a.st.mxRstsRejected.Value())
 	}
 
 	// Exact sequence: legitimate reset.
@@ -341,8 +341,8 @@ func TestSynBacklogCapAndListenerClose(t *testing.T) {
 	if st.Conns() != 4 {
 		t.Errorf("conn table has %d entries, want 4", st.Conns())
 	}
-	if st.SynDrops() != 6 {
-		t.Errorf("tcp_syn_backlog_drops_total = %d, want 6", st.SynDrops())
+	if st.mxSynDrops.Value() != 6 {
+		t.Errorf("tcp_syn_backlog_drops_total = %d, want 6", st.mxSynDrops.Value())
 	}
 
 	// Closing the listener frees everything and fails the pending Accept

@@ -108,15 +108,6 @@ type Stack struct {
 	mxCookiesFailed   *obs.Counter
 }
 
-// RstsRejected returns RSTs dropped by the RFC 5961 sequence validation.
-func (st *Stack) RstsRejected() int { return int(st.mxRstsRejected.Value()) }
-
-// PersistProbes returns zero-window probes sent.
-func (st *Stack) PersistProbes() int { return int(st.mxPersistProbes.Value()) }
-
-// SynDrops returns SYNs dropped because a listener's backlog was full.
-func (st *Stack) SynDrops() int { return int(st.mxSynDrops.Value()) }
-
 // PortsExhausted returns Connect calls that failed for want of an
 // ephemeral port.
 func (st *Stack) PortsExhausted() int { return int(st.mxPortsExhausted.Value()) }
@@ -405,12 +396,4 @@ func (l *Listener) deliver(c *Conn) {
 		return
 	}
 	l.backlog.Push(c)
-}
-
-// lwtMapUnit runs fn after d (timer helper shared by the state machine).
-func lwtMapUnit(s *lwt.Scheduler, d time.Duration, fn func()) {
-	lwt.Map(s.Sleep(d), func(struct{}) struct{} {
-		fn()
-		return struct{}{}
-	})
 }

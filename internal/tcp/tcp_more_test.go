@@ -135,7 +135,10 @@ func TestRSTMidTransferFailsPendingIO(t *testing.T) {
 		l, _ := b.st.Listen(80)
 		lwt.Map(l.Accept(), func(c *Conn) struct{} {
 			// Abort after a moment.
-			lwtMapUnit(b.s, 500*time.Millisecond, func() { c.Abort() })
+			lwt.Map(b.s.Sleep(500*time.Millisecond), func(struct{}) struct{} {
+				c.Abort()
+				return struct{}{}
+			})
 			return struct{}{}
 		})
 		b.s.Run(p, lwt.NewPromise[struct{}](b.s))
