@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test fuzz race reach paritycheck paritycheck-race trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full parallelsweep kvsweep
+.PHONY: all check fmt vet staticcheck build test fuzz race reach paritycheck trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full kvsweep
 
 all: check
 
 # benchdelta-all re-runs racksweep and kvsweep and diffs them exactly against
 # the committed JSON, so their own targets (which regenerate the files) are
 # not prerequisites here.
-check: fmt vet staticcheck build test fuzz race reach paritycheck paritycheck-race benchdelta-all connsweep
+check: fmt vet staticcheck build test fuzz race reach paritycheck benchdelta-all connsweep
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -40,12 +40,14 @@ fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseMessage$$' -fuzztime 5s ./internal/dns
 	$(GO) test -run '^$$' -fuzz '^FuzzHandle$$' -fuzztime 5s ./internal/dns
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/ipv4
+	$(GO) test -run '^$$' -fuzz '^FuzzDHCPParse$$' -fuzztime 5s ./internal/dhcp
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 5s ./internal/storage
 
 race: build
 	$(GO) test -race ./...
 
 # Reachability: cover builds of every entry point (cmd/repro, cmd/mirage,
-# cmd/parallelsweep, the six examples, benchmark) run in every mode they have
+# the six examples, benchmark) run in every mode they have
 # at quick sizes (cmd/reach/run.sh, ~3 min); then every function under
 # internal/ that none of them called must be on cmd/reach/keep.txt with a
 # reason, and every line there must still name such a function.
@@ -53,46 +55,22 @@ reach: build
 	@GO="$(GO)" bash cmd/reach/run.sh /tmp/reach
 	@$(GO) tool covdata func -i /tmp/reach/cov | $(GO) run ./cmd/reach cmd/reach/keep.txt
 
-# Serial-vs-parallel byte-identity: the same sharded layout (-pcpus 4)
-# driven single-threaded and multi-threaded must produce identical stdout,
-# structured JSON, metrics and trace for every experiment in the parity set.
+# Determinism of the sharded layout: every experiment in the parity set runs
+# twice at the same seed with -pcpus 4, and the two runs' stdout (with the
+# metrics dump), structured JSON and trace must match byte for byte.
 PARITY_EXPS = ping losssweep scalesweep connsweep racksweep kvsweep
 paritycheck: build
 	@$(GO) build -o /tmp/repro-parity ./cmd/repro
 	@for e in $(PARITY_EXPS); do \
-		/tmp/repro-parity -experiment $$e -quick -pcpus 4 \
-			-json /tmp/parity_$${e}_s.json -metrics -trace /tmp/parity_$${e}_s.trace \
-			> /tmp/parity_$${e}_s.out 2>/dev/null || exit 1; \
-		/tmp/repro-parity -experiment $$e -quick -pcpus 4 -parallel \
-			-json /tmp/parity_$${e}_p.json -metrics -trace /tmp/parity_$${e}_p.trace \
-			> /tmp/parity_$${e}_p.out 2>/dev/null || exit 1; \
-		cmp /tmp/parity_$${e}_s.out /tmp/parity_$${e}_p.out || { echo "parity FAIL ($$e): stdout"; exit 1; }; \
-		cmp /tmp/parity_$${e}_s.json /tmp/parity_$${e}_p.json || { echo "parity FAIL ($$e): json"; exit 1; }; \
-		cmp /tmp/parity_$${e}_s.trace /tmp/parity_$${e}_p.trace || { echo "parity FAIL ($$e): trace"; exit 1; }; \
-		echo "parity OK: $$e (stdout+metrics, json, trace)"; \
-	done
-
-# The same identity on real cores under the race detector: a race build of
-# cmd/repro runs every parity experiment on OS threads five times with
-# GOMAXPROCS=4 (one per guest shard, so shard windows truly overlap); any
-# DATA RACE report, or any stdout that differs from the serial -pcpus 4
-# run, fails.
-paritycheck-race: build
-	@$(GO) build -race -o /tmp/repro-parity-race ./cmd/repro
-	@for e in $(PARITY_EXPS); do \
-		/tmp/repro-parity-race -experiment $$e -quick -pcpus 4 -metrics \
-			> /tmp/parityrace_$${e}_s.out 2>/dev/null || exit 1; \
-		for i in 1 2 3 4 5; do \
-			GOMAXPROCS=4 /tmp/repro-parity-race -experiment $$e -quick -pcpus 4 -parallel -metrics \
-				> /tmp/parityrace_$${e}_p.out 2> /tmp/parityrace_$${e}_p.err || \
-				{ cat /tmp/parityrace_$${e}_p.err; echo "parity-race FAIL ($$e): run $$i exited non-zero"; exit 1; }; \
-			if grep -q 'DATA RACE' /tmp/parityrace_$${e}_p.err; then \
-				cat /tmp/parityrace_$${e}_p.err; echo "parity-race FAIL ($$e): data race in run $$i"; exit 1; \
-			fi; \
-			cmp /tmp/parityrace_$${e}_s.out /tmp/parityrace_$${e}_p.out || \
-				{ echo "parity-race FAIL ($$e): stdout of run $$i"; exit 1; }; \
+		for r in 1 2; do \
+			/tmp/repro-parity -experiment $$e -quick -pcpus 4 \
+				-json /tmp/parity_$${e}_$$r.json -metrics -trace /tmp/parity_$${e}_$$r.trace \
+				> /tmp/parity_$${e}_$$r.out 2>/dev/null || exit 1; \
 		done; \
-		echo "parity-race OK: $$e (5 parallel runs, no races, stdout+metrics identical)"; \
+		cmp /tmp/parity_$${e}_1.out /tmp/parity_$${e}_2.out || { echo "parity FAIL ($$e): stdout"; exit 1; }; \
+		cmp /tmp/parity_$${e}_1.json /tmp/parity_$${e}_2.json || { echo "parity FAIL ($$e): json"; exit 1; }; \
+		cmp /tmp/parity_$${e}_1.trace /tmp/parity_$${e}_2.trace || { echo "parity FAIL ($$e): trace"; exit 1; }; \
+		echo "parity OK: $$e (stdout+metrics, json, trace)"; \
 	done
 
 # Wall-clock fast-path microbenchmarks -> BENCH_fastpath.json ("fastpath"
@@ -111,25 +89,18 @@ benchdelta: build
 
 # Perf CI: delta every committed BENCH_*.json against fresh output.
 #  - fastpath: wall-clock microbenchmarks, re-run and diffed (benchdelta)
-#  - scalesweep/racksweep: deterministic virtual-time sweeps, re-run and
-#    diffed — any delta at all means the simulation changed
-#  - parallel: the sim_cluster_* counters are deterministic, so they are
-#    re-measured (parallelsweep -counters-only) and diffed — an epoch or
-#    rendezvous count creeping up more than 10% fails CI; the wall times
-#    stay host-dependent and ride along unchanged in the self-copy
+#  - scalesweep/racksweep/kvsweep: deterministic virtual-time sweeps, re-run
+#    and diffed — any delta at all means the simulation changed
 #  - connsweep: full sweep is minutes of wall clock and its heap numbers are
 #    host-dependent, so the committed file is self-delta'd as a format gate;
 #    the deterministic quick sweep is exercised by the connsweep target
 benchdelta-all: benchdelta
-	@rm -f /tmp/bench_scalesweep_new.json /tmp/bench_racksweep_new.json /tmp/bench_parallel_new.json
+	@rm -f /tmp/bench_scalesweep_new.json /tmp/bench_racksweep_new.json
 	$(GO) build -o /tmp/repro-bench ./cmd/repro
 	/tmp/repro-bench -experiment scalesweep -json /tmp/bench_scalesweep_new.json > /dev/null
 	$(GO) run ./cmd/benchjson -delta BENCH_scalesweep.json /tmp/bench_scalesweep_new.json
 	/tmp/repro-bench -experiment racksweep -json /tmp/bench_racksweep_new.json > /dev/null
 	$(GO) run ./cmd/benchjson -delta BENCH_racksweep.json /tmp/bench_racksweep_new.json
-	cp BENCH_parallel.json /tmp/bench_parallel_new.json
-	$(GO) run ./cmd/parallelsweep -counters-only -out /tmp/bench_parallel_new.json 2> /dev/null
-	$(GO) run ./cmd/benchjson -delta BENCH_parallel.json /tmp/bench_parallel_new.json
 	$(GO) run ./cmd/benchjson -delta BENCH_connsweep.json BENCH_connsweep.json
 	@rm -f /tmp/bench_kvsweep_new.json
 	/tmp/repro-bench -experiment kvsweep -json /tmp/bench_kvsweep_new.json > /dev/null
@@ -171,14 +142,6 @@ connsweep: build
 	/tmp/repro-conn -experiment connsweep -quick > /tmp/connsweep.2
 	cmp /tmp/connsweep.1 /tmp/connsweep.2
 	@echo "connsweep deterministic: same-seed quick runs byte-identical"
-
-# Regenerate BENCH_parallel.json: scalesweep wall clock under the three
-# drivers (medians over 4 runs each; host-dependent — the file records the
-# core count and a note derived from it) plus the deterministic
-# sim_cluster_* barrier counters from a sharded run. Re-run after changes to
-# internal/sim.
-parallelsweep: build
-	$(GO) run ./cmd/parallelsweep
 
 # Full 1M-connection sweep with heap sampling -> BENCH_connsweep.json.
 # Minutes of wall clock; regenerate after changes to the TCP or timer path.

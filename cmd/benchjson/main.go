@@ -15,17 +15,13 @@
 // when any benchmark regressed by more than 10% — the CI guard for the
 // fast path.
 //
-// Delta mode understands all three BENCH_*.json layouts in this repo and
+// Delta mode understands both BENCH_*.json layouts in this repo and
 // normalises each to the same section -> name -> row shape:
 //
 //   - trajectory files (BENCH_fastpath.json): used as is
 //   - experiment results (BENCH_scalesweep.json, repro -json): one section
 //     per result ID, one entry per series point named "series@x" with the
 //     Y value as ns_op
-//   - parallel wall-clock files (BENCH_parallel.json): section "wall", one
-//     entry per median_wall_seconds key with the value (in ns) as ns_op,
-//     plus section "counters" with each recorded sim_cluster_* counter
-//     value as ns_op — so epoch-count regressions gate like timings
 package main
 
 import (
@@ -169,30 +165,6 @@ func loadDoc(path string) map[string]map[string]row {
 		if len(doc) > 0 {
 			return doc
 		}
-	}
-
-	// Parallel wall-clock layout: {"median_wall_seconds": {driver: sec},
-	// "counters": {metric: value}}. Counter values (epoch/rendezvous counts)
-	// land in ns_op so delta mode regression-gates them like timings.
-	par := struct {
-		Median   map[string]float64 `json:"median_wall_seconds"`
-		Counters map[string]float64 `json:"counters"`
-	}{}
-	if err := json.Unmarshal(b, &par); err == nil && (len(par.Median) > 0 || len(par.Counters) > 0) {
-		doc := map[string]map[string]row{}
-		if len(par.Median) > 0 {
-			doc["wall"] = map[string]row{}
-			for name, sec := range par.Median {
-				doc["wall"][name] = row{NsOp: sec * 1e9}
-			}
-		}
-		if len(par.Counters) > 0 {
-			doc["counters"] = map[string]row{}
-			for name, v := range par.Counters {
-				doc["counters"][name] = row{NsOp: v}
-			}
-		}
-		return doc
 	}
 
 	fatal(fmt.Errorf("%s: unrecognised benchmark JSON layout", path))

@@ -8,7 +8,7 @@
 set -euo pipefail
 out=$1 b=$1/bin t=$1/tmp
 rm -rf "$out" && mkdir -p "$b" "$t" "$out/cov"
-for p in cmd/repro cmd/mirage cmd/parallelsweep benchmark examples/*; do
+for p in cmd/repro cmd/mirage benchmark examples/*; do
 	${GO:-go} build -cover -o "$b/$(basename "$p")" "./$p"
 done
 export GOCOVERDIR=$out/cov
@@ -22,11 +22,11 @@ q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -mem
 q "$b/repro" -experiment fig10 -quick -metrics -metrics-format prom -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
 for e in ping losssweep scalesweep connsweep racksweep kvsweep; do # the Makefile's PARITY_EXPS
 	q "$b/repro" -experiment $e -quick -pcpus 4 -json "$t/s.json" -metrics -trace "$t/s.trace"
-	q "$b/repro" -experiment $e -quick -pcpus 4 -parallel -json "$t/p.json" -metrics -trace "$t/p.trace"
 done
 q "$b/repro" -experiment fig8,losssweep,scalesweep -quick -loss 0.01 -dup 0.01 -reorder 0.01 -jitter 200us
 q "$b/repro" -experiment scalesweep -quick -lb-policy least-conns -replicas-min 2 -replicas-max 4 -seed 7
 q "$b/repro" -experiment scalesweep -quick -lb-policy hash
+q "$b/repro" -experiment scalesweep -pcpus 4 -replicas-max 8 # full size: fills a TX ring and an accept backlog
 q "$b/repro" -experiment kvsweep -quick -value-bytes 64 -read-pct 80 -qd-max 16 -seed 3
 for a in dns web openflow-switch openflow-controller; do
 	q "$b/mirage" build -appliance $a
@@ -38,7 +38,5 @@ done
 q "$b/mirage" list
 q "$b/mirage" experiment -list
 q "$b/mirage" experiment -id scalesweep -quick -domstat
-q "$b/parallelsweep" -runs 1 -out "$t/par.json"
-q "$b/parallelsweep" -counters-only -out "$t/par.json"
 for e in examples/*; do q "$b/$(basename "$e")"; done
 q "$b/benchmark" -reps 1 -layers -traced -out "$t/bench_out"

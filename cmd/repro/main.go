@@ -38,7 +38,7 @@ func main() {
 	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
 	// the registry's parameter declarations, and the run flags and the
 	// profile pair from theirs; nothing is hand-registered here.
-	run := experiments.BindRunFlags(flag.CommandLine, "pcpus", "parallel",
+	run := experiments.BindRunFlags(flag.CommandLine, "pcpus",
 		"loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format")
 	expOpts := experiments.BindFlags(flag.CommandLine)
 	profile := experiments.BindProfileFlags(flag.CommandLine)
@@ -89,9 +89,9 @@ func main() {
 			os.Exit(1)
 		}
 		// Wall clock goes to stderr so stdout stays byte-comparable
-		// between serial and parallel runs.
-		fmt.Fprintf(os.Stderr, "repro: %s: wall %s (pcpus=%d parallel=%v)\n",
-			e.ID, elapsed.Round(time.Millisecond), cfg.PCPUs, cfg.Parallel)
+		// between runs.
+		fmt.Fprintf(os.Stderr, "repro: %s: wall %s (pcpus=%d)\n",
+			e.ID, elapsed.Round(time.Millisecond), cfg.PCPUs)
 		fmt.Print(out.Text())
 		fmt.Println()
 		if len(out.Results) > 0 {

@@ -234,7 +234,7 @@ func deployConnProbe(pl *core.Platform, cfg csConfig, steps []csStep, drainEnd t
 // csHeap forces a collection and returns the live heap, for the
 // bytes-per-connection appendix. Host-dependent: only sampled when the
 // caller asked for memory stats, so default output stays byte-comparable
-// across machines and serial/parallel runs.
+// across machines and runs.
 func csHeap() uint64 {
 	runtime.GC()
 	var m runtime.MemStats

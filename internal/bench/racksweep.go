@@ -25,7 +25,7 @@ import (
 //
 // Everything runs on virtual time, so the per-phase latencies, the
 // blackout and the fabric counters are byte-identical across same-seed
-// serial and parallel runs.
+// runs.
 
 // rkConfig sizes one racksweep run.
 type rkConfig struct {

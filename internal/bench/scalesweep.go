@@ -142,7 +142,7 @@ func deploySweepClient(pl *core.Platform, idx int, phases []swPhase) []*tally {
 			if j == idx {
 				// Sample each client's first session per phase: the trace id
 				// is derived from (client, phase, slot) alone, so the same
-				// seed traces the same requests in serial and parallel runs.
+				// seed traces the same requests, sharded or not.
 				ln.span = obs.TraceID(uint32(idx+1), uint32(p+1)<<16|uint32(j+1))
 			}
 			plan = append(plan, ln)
@@ -219,7 +219,7 @@ func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Poli
 	run.stats = mergeTallies(loads)
 	// Per-domain accounting: publish labeled gauges and keep the table (the
 	// virtual xentop) — both derived from virtual-time state, so they are
-	// byte-identical across same-seed serial and parallel runs.
+	// byte-identical across same-seed runs.
 	pl.Host.PublishDomStats(pl.K.Metrics())
 	run.domstat = hypervisor.FormatDomStats(pl.Host.DomStats())
 	return run

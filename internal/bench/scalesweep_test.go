@@ -62,22 +62,20 @@ func TestScaleSweep(t *testing.T) {
 }
 
 // TestSweepsShardedParity: on the 4-shard layout the sweeps must render the
-// same bytes whether the shards interleave on one thread or run on their own
-// — the load generators sit on four different shards, so anything they
-// share (a collector, a histogram read live) shows up here, and under -race.
-// Each run is built from its own configuration value, so they are parallel
-// subtests; the third also traces, which must change no figure either.
+// same bytes whether or not the run is traced — the load generators sit on
+// four different shards and the trace merges four buffers, so a figure that
+// read anything the tracer touches would show it here. Each run is built from
+// its own configuration value, so they are parallel subtests.
 func TestSweepsShardedParity(t *testing.T) {
 	configs := []struct {
 		name string
 		cfg  func() core.Config
 	}{
 		{"serial", func() core.Config { return core.Config{PCPUs: 4} }},
-		{"threaded", func() core.Config { return core.Config{PCPUs: 4, Parallel: true} }},
-		{"threaded-traced", func() core.Config {
+		{"traced", func() core.Config {
 			tr := obs.NewTracer(obs.DefaultCap)
 			tr.Enable()
-			return core.Config{PCPUs: 4, Parallel: true, Trace: tr}
+			return core.Config{PCPUs: 4, Trace: tr}
 		}},
 	}
 	sweeps := []struct {
@@ -111,11 +109,11 @@ func TestSweepsShardedParity(t *testing.T) {
 }
 
 // TestConfigsRunConcurrently: a run is a value, so differently configured
-// platforms share a process. Five sweeps — plain, sharded on one thread,
-// sharded on OS threads, impaired, traced — start together, each from its own
-// configuration, and each must produce the figure, registry and trace it
-// produces alone. Nothing ambient is left for them to share; under -race that
-// is also checked access by access.
+// platforms share a process. Four sweeps — plain, sharded, impaired, traced —
+// start together on their own goroutines, each from its own configuration,
+// and each must produce the figure, registry and trace it produces alone.
+// Nothing ambient is left for them to share; under -race that is also checked
+// access by access.
 func TestConfigsRunConcurrently(t *testing.T) {
 	configs := []struct {
 		name string
@@ -123,9 +121,6 @@ func TestConfigsRunConcurrently(t *testing.T) {
 	}{
 		{"plain", func() core.Config { return core.Config{Metrics: obs.NewRegistry()} }},
 		{"4-shards", func() core.Config { return core.Config{PCPUs: 4, Metrics: obs.NewRegistry()} }},
-		{"4-shards-threaded", func() core.Config {
-			return core.Config{PCPUs: 4, Parallel: true, Metrics: obs.NewRegistry()}
-		}},
 		{"impaired", func() core.Config {
 			return core.Config{
 				Faults:  netback.Faults{Drop: 0.01, Jitter: 200 * time.Microsecond},
@@ -193,10 +188,10 @@ func TestConfigsRunConcurrently(t *testing.T) {
 	if n := together[0].faults; n != 0 {
 		t.Errorf("plain run counted %d bridge faults: another run's impairment reached it", n)
 	}
-	if together[3].faults == 0 {
+	if together[2].faults == 0 {
 		t.Error("impaired run counted no bridge faults: its configuration never reached the bridge")
 	}
-	if together[4].trace == "" || together[0].figure != together[4].figure {
+	if together[3].trace == "" || together[0].figure != together[3].figure {
 		t.Error("traced run recorded nothing, or tracing changed the figure")
 	}
 }

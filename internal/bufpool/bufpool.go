@@ -13,19 +13,13 @@
 // double-free — the same discipline cstruct pages enforce.
 package bufpool
 
-import (
-	"fmt"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// Buf is a fixed-capacity, reference-counted byte buffer. The reference
-// count is atomic so a frame flooded to endpoints homed on different
-// simulation shards can be retained/released from any shard's thread.
+// Buf is a fixed-capacity, reference-counted byte buffer.
 type Buf struct {
 	data []byte // full capacity
 	n    int    // logical length
-	refs atomic.Int32
+	refs int32
 	pool *Pool
 
 	// Span is causal-tracing metadata: the trace id of the request this
@@ -35,15 +29,12 @@ type Buf struct {
 }
 
 // Pool hands out fixed-size buffers and recycles them when the last
-// reference is released. A pool is single-threaded by default; Share()
-// puts it in shared mode, where the free list and stats are mutex-guarded
-// so buffers can be allocated on one simulation shard and released on
-// another (the set of operations is deterministic, so the counts are too).
+// reference is released. A buffer may be allocated on one simulation shard
+// and released on another; the set of operations is deterministic, so the
+// counts are too.
 type Pool struct {
-	size   int
-	free   []*Buf
-	shared bool
-	mu     sync.Mutex
+	size int
+	free []*Buf
 	// Stats
 	Allocated int // buffers ever created
 	Gets      int // total Get calls
@@ -59,28 +50,15 @@ func NewPool(size int) *Pool {
 	return &Pool{size: size}
 }
 
-// Share enables cross-thread use: Get and the final Release lock the pool.
-// Call during setup, before the pool is used.
-func (p *Pool) Share() { p.shared = true }
-
 // InUse returns how many buffers are currently live (referenced by at
 // least one holder). A quiesced system should report zero — anything else
 // is a leak.
-func (p *Pool) InUse() int {
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
-	}
-	return p.inUse
-}
+func (p *Pool) InUse() int { return p.inUse }
 
 // Get returns an empty buffer with reference count 1. Contents are not
 // zeroed: the logical length starts at 0 and only appended bytes are ever
 // exposed.
 func (p *Pool) Get() *Buf {
-	if p.shared {
-		p.mu.Lock()
-	}
 	p.Gets++
 	var b *Buf
 	if n := len(p.free); n > 0 {
@@ -91,12 +69,9 @@ func (p *Pool) Get() *Buf {
 		p.Allocated++
 	}
 	p.inUse++
-	if p.shared {
-		p.mu.Unlock()
-	}
 	b.n = 0
 	b.Span = 0
-	b.refs.Store(1)
+	b.refs = 1
 	return b
 }
 
@@ -104,9 +79,7 @@ func (p *Pool) Get() *Buf {
 // count 1 (slow path: frames entering the bridge as raw bytes). Release
 // still checks for double-free but returns nothing to any pool.
 func Wrap(data []byte) *Buf {
-	b := &Buf{data: data, n: len(data)}
-	b.refs.Store(1)
-	return b
+	return &Buf{data: data, n: len(data), refs: 1}
 }
 
 // Bytes returns the logical contents. The slice aliases the pooled
@@ -149,7 +122,8 @@ func (b *Buf) Truncate(n int) {
 
 // Retain adds a reference (another consumer of the same immutable frame).
 func (b *Buf) Retain() *Buf {
-	if b.refs.Add(1) <= 1 {
+	b.refs++
+	if b.refs <= 1 {
 		panic("bufpool: Retain of released buffer")
 	}
 	return b
@@ -158,24 +132,18 @@ func (b *Buf) Retain() *Buf {
 // Release drops a reference; the last release returns a pooled buffer to
 // its free list. Releasing an already-freed buffer panics.
 func (b *Buf) Release() {
-	n := b.refs.Add(-1)
-	if n < 0 {
+	b.refs--
+	if b.refs < 0 {
 		panic("bufpool: Release of already-freed buffer")
 	}
-	if n > 0 {
+	if b.refs > 0 {
 		return
 	}
 	p := b.pool
 	if p == nil {
 		return
 	}
-	if p.shared {
-		p.mu.Lock()
-	}
 	p.inUse--
 	p.Recycled++
 	p.free = append(p.free, b)
-	if p.shared {
-		p.mu.Unlock()
-	}
 }

@@ -92,10 +92,8 @@ func (s *Site) Alive() bool { return !s.down }
 // and a fresh disabled tracer and fresh registry per platform.
 type Config struct {
 	// PCPUs > 1 shards the event queue across that many per-pCPU kernels
-	// (plus the dom0 shard); Parallel drives the shards on OS threads,
-	// otherwise they interleave on one thread with byte-identical results.
-	PCPUs    int
-	Parallel bool
+	// (plus the dom0 shard), advanced in epochs on the one thread.
+	PCPUs int
 	// Faults is the impairment every host bridge of the platform starts
 	// with — the first host's and each host racked later with AddHost. An
 	// experiment that sweeps impairment itself overrides it per bridge
@@ -113,24 +111,21 @@ type Config struct {
 // NewPlatform is the zero Config's NewPlatform: one kernel, no impairment,
 // a fresh disabled tracer and a fresh registry (but see the shim below).
 func NewPlatform(seed int64) *Platform {
-	return Config{PCPUs: shim.pcpus, Parallel: shim.parallel}.NewPlatform(seed)
+	return Config{PCPUs: shim.pcpus}.NewPlatform(seed)
 }
 
 // shim is the one piece of ambient configuration left, written only by the
 // deprecated setter below.
-var shim struct {
-	pcpus    int
-	parallel bool
-}
+var shim struct{ pcpus int }
 
 // SetDefaultSharding makes subsequent NewPlatform(seed) calls build on pcpus
-// shards, on OS threads when parallel is set.
+// shards. The parallel argument is ignored: every cluster runs on one thread.
 //
-// Deprecated: kept for the one caller this tree cannot change, the frozen
-// benchmark/sut.go. Use Config{PCPUs, Parallel}.NewPlatform; delete this,
-// shim and their test exemption together with that call.
+// Deprecated: kept, with its signature, for the one caller this tree cannot
+// change, the frozen benchmark/sut.go. Use Config{PCPUs}.NewPlatform; this,
+// shim and their test exemption go together with that call (ROADMAP item 10).
 func SetDefaultSharding(pcpus int, parallel bool) {
-	shim.pcpus, shim.parallel = pcpus, parallel
+	shim.pcpus = pcpus
 }
 
 // NewPlatform creates a host (with 4 physical CPUs for guests) and its
@@ -144,7 +139,6 @@ func (c Config) NewPlatform(seed int64) *Platform {
 	npcpus := 4
 	if c.PCPUs > 1 {
 		cluster = sim.NewClusterObs(seed, c.PCPUs+1, netback.DefaultParams().Propagation, c.Trace, c.Metrics)
-		cluster.SetParallel(c.Parallel)
 		k = cluster.Kernel(0)
 		if c.PCPUs > npcpus {
 			npcpus = c.PCPUs

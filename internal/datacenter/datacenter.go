@@ -11,8 +11,7 @@
 // per-byte serialisation, fixed propagation. Hosts in the same rack reach
 // each other through their ToR ports alone; cross-rack paths add a spine
 // hop. All fabric state lives on the control shard (kernel 0), where every
-// host bridge is homed, so parallel runs stay byte-identical with serial
-// ones.
+// host bridge is homed.
 package datacenter
 
 import (

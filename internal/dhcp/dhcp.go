@@ -117,6 +117,16 @@ func Parse(v *cstruct.View) (Message, error) {
 		if off+2+l > v.Len() {
 			return Message{}, fmt.Errorf("dhcp: option overruns message")
 		}
+		// RFC 2132 fixes the lengths of the options read here: the message
+		// type is one octet, an address four (the router option is a list of
+		// them, the first one used). Anything else would read a neighbouring
+		// option's bytes, or past the message.
+		switch {
+		case code == 53 && l != 1,
+			(code == 1 || code == 50) && l != 4,
+			code == 3 && (l == 0 || l%4 != 0):
+			return Message{}, fmt.Errorf("dhcp: option %d with length %d", code, l)
+		}
 		switch code {
 		case 53:
 			m.Type = v.U8(off + 2)

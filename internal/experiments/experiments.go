@@ -43,7 +43,7 @@ type Options struct {
 	// MemStats lets experiments that sample the process heap (connsweep's
 	// bytes-per-connection appendix) do so. Off by default because the
 	// numbers are host-dependent: default output stays byte-comparable
-	// across machines and serial/parallel runs.
+	// across machines and runs.
 	MemStats bool
 }
 

@@ -16,7 +16,7 @@ import (
 // (BindRunFlags) and, after parsing, turns them into the configuration value
 // with Config, which refuses bad input before anything has run.
 type Run struct {
-	cfg           core.Config // -pcpus -parallel -loss -dup -reorder -jitter parse straight into it
+	cfg           core.Config // -pcpus -loss -dup -reorder -jitter parse straight into it
 	Trace         string      // -trace: file the Chrome trace-event JSON of the run goes to
 	Metrics       bool        // -metrics: dump the whole registry after the run
 	MetricsFormat string      // -metrics-format: text (also "") or prom
@@ -45,8 +45,6 @@ func BindRunFlags(fs *flag.FlagSet, names ...string) *Run {
 			fs.DurationVar(&r.cfg.Faults.Jitter, n, 0, "max extra per-frame delivery delay (e.g. 500us)")
 		case "pcpus":
 			fs.IntVar(&r.cfg.PCPUs, n, 1, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
-		case "parallel":
-			fs.BoolVar(&r.cfg.Parallel, n, false, "drive the pCPU shards on OS threads (requires -pcpus > 1); output is byte-identical to the single-threaded run")
 		default:
 			panic(fmt.Sprintf("experiments: unknown run flag %q", n))
 		}
@@ -70,9 +68,6 @@ func (r *Run) Config() (core.Config, error) {
 	}
 	if cfg.Faults.Jitter < 0 {
 		return core.Config{}, fmt.Errorf("-jitter %v: a delay must not be negative", cfg.Faults.Jitter)
-	}
-	if cfg.Parallel && cfg.PCPUs <= 1 {
-		return core.Config{}, fmt.Errorf("-parallel requires -pcpus > 1")
 	}
 	switch r.MetricsFormat {
 	case "", "text", "prom":

@@ -15,7 +15,7 @@ import (
 // and input no run can honour is refused — by Config, before anything runs —
 // with a message that names the flag.
 func TestRunFlags(t *testing.T) {
-	all := []string{"pcpus", "parallel", "loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format"}
+	all := []string{"pcpus", "loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format"}
 	for _, c := range []struct {
 		args string
 		want core.Config // Trace/Metrics checked separately
@@ -23,7 +23,6 @@ func TestRunFlags(t *testing.T) {
 	}{
 		{args: "", want: core.Config{PCPUs: 1}},
 		{args: "-pcpus 4", want: core.Config{PCPUs: 4}},
-		{args: "-pcpus 4 -parallel", want: core.Config{PCPUs: 4, Parallel: true}},
 		{args: "-loss 0.01 -dup 1 -reorder 0 -jitter 200us", want: core.Config{PCPUs: 1,
 			Faults: netback.Faults{Drop: 0.01, Dup: 1, Jitter: 200 * time.Microsecond}}},
 		{args: "-metrics -metrics-format prom", want: core.Config{PCPUs: 1}},
@@ -36,8 +35,6 @@ func TestRunFlags(t *testing.T) {
 		{args: "-dup 2", err: "-dup"},
 		{args: "-reorder -1", err: "-reorder"},
 		{args: "-jitter -1ms", err: "-jitter"},
-		{args: "-parallel", err: "-parallel requires -pcpus > 1"},
-		{args: "-pcpus 1 -parallel", err: "-parallel requires -pcpus > 1"},
 		{args: "-metrics -metrics-format json", err: "-metrics-format"},
 		{args: "-metrics-format yaml", err: "-metrics-format"}, // refused even when no dump was asked for
 	} {

@@ -15,7 +15,7 @@ import (
 // On a sharded platform replicas observe into the histograms from their own
 // shards while the control loop runs on shard 0, so the watchdog never reads
 // them live: it reads the cut publish took at the last round boundary, which
-// is a function of the virtual schedule and not of which thread ran first.
+// is a function of the virtual schedule and not of which shard ran first.
 type Watchdog struct {
 	f *Fleet
 	// TargetUS is the per-request latency objective in microseconds.

@@ -110,7 +110,7 @@ func (h *Host) pcpuKernel(i int) *sim.Kernel {
 
 // homeKernel picks the shard a domain executes on. Guests follow their
 // pCPU, so domains sharing a pinned pCPU share a shard (the CPU resource
-// then has a single owning thread); dom0, build-only domains and
+// then has a single owning shard); dom0, build-only domains and
 // explicitly colocated guests stay on the host shard.
 func (h *Host) homeKernel(cfg Config, pcpuIdx int) *sim.Kernel {
 	if cfg.NoSpawn || cfg.Colocate || cfg.Entry == nil {
@@ -348,7 +348,7 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 			c = h.PCPUs[cfg.PCPU]
 		} else {
 			// Fresh vCPU, homed on the guest's shard so all its Reserve/Use
-			// calls stay single-threaded. A pinned pCPU homed on a different
+			// calls run in one shard's context. A pinned pCPU homed on a different
 			// shard (e.g. dom0 pinned to a guest pCPU under sharding) also
 			// lands here rather than sharing cross-shard.
 			c = d.K.NewCPU(fmt.Sprintf("%s-vcpu%d", cfg.Name, i))
@@ -431,7 +431,7 @@ func (d *Domain) start(cfg Config) {
 	}
 	// The entry proc spawns on the domain's home shard: boot, the xenstore
 	// device handshakes and guest main all execute there, so guest-side
-	// state has exactly one owning thread.
+	// state has exactly one owning shard.
 	d.Host.K.SpawnTo(d.K, cfg.Name, d.ID, func(p *sim.Proc) {
 		code := cfg.Entry(d, p)
 		if !d.Dead {

@@ -141,10 +141,6 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 	m := k.Metrics()
 	batchBounds := []float64{1, 2, 4, 8, 16, 32}
 	pool := bufpool.NewPool(frameBufSize)
-	if k.Cluster() != nil {
-		// Frames staged on the bridge shard are released by guest shards.
-		pool.Share()
-	}
 	return &Bridge{
 		K:              k,
 		CPU:            k.NewCPU(cpuName),
@@ -623,9 +619,9 @@ func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 //
 // The handler runs on the guest's home kernel: ring drains and grant copies
 // touch guest memory, so sharding them with the guest keeps every access
-// single-threaded. When that home is not the bridge shard the VIF stages
-// TX frames in its own shared pool (releases come back from other shards)
-// and the bridge registration is posted into the bridge kernel.
+// in the guest's shard context. When that home is not the bridge shard the
+// VIF stages TX frames in its own pool (releases come back from other
+// shards) and the bridge registration is posted into the bridge kernel.
 func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPage *cstruct.View, port *hypervisor.Port) *VIF {
 	v := &VIF{
 		bridge: b,
@@ -638,7 +634,6 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPag
 	v.rxFlushFunc = v.rxFlush
 	if guest.K != b.K {
 		v.pool = bufpool.NewPool(frameBufSize)
-		v.pool.Share()
 		guest.K.Post(b.K, 0, func() { b.Attach(v) })
 	} else {
 		b.Attach(v)
@@ -656,8 +651,8 @@ func (v *VIF) Home() *sim.Kernel { return v.guest.K }
 
 // stagingPool returns the pool TX frames are assembled from: the bridge's
 // on the bridge shard (bit-identical to the single-kernel path), the VIF's
-// own shared pool when homed elsewhere (keeps the bridge pool's allocation
-// stats independent of thread interleaving).
+// own pool when homed elsewhere (keeps the bridge pool's allocation stats a
+// function of the bridge shard's own schedule).
 func (v *VIF) stagingPool() *bufpool.Pool {
 	if v.pool != nil {
 		return v.pool

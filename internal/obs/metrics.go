@@ -2,12 +2,9 @@ package obs
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 )
 
 // Label is one dimension on a metric (domain, device, experiment...).
@@ -20,10 +17,8 @@ type Label struct {
 func L(k, v string) Label { return Label{Key: k, Val: v} }
 
 // Counter is a monotonically increasing int64. Methods are nil-safe so
-// instrumented code can run without a registry, and atomic so simulation
-// shards on different OS threads can bump the same series: addition
-// commutes, so the final value is independent of thread interleaving.
-type Counter struct{ v atomic.Int64 }
+// instrumented code can run without a registry.
+type Counter struct{ v int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
@@ -31,7 +26,7 @@ func (c *Counter) Inc() { c.Add(1) }
 // Add adds n.
 func (c *Counter) Add(n int64) {
 	if c != nil {
-		c.v.Add(n)
+		c.v += n
 	}
 }
 
@@ -40,29 +35,23 @@ func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	return c.v.Load()
+	return c.v
 }
 
-// Gauge is a point-in-time float64 (atomically stored bits, see Counter).
-type Gauge struct{ bits atomic.Uint64 }
+// Gauge is a point-in-time float64 (nil-safe, see Counter).
+type Gauge struct{ v float64 }
 
 // Set replaces the value.
 func (g *Gauge) Set(v float64) {
 	if g != nil {
-		g.bits.Store(math.Float64bits(v))
+		g.v = v
 	}
 }
 
 // Add shifts the value by d.
 func (g *Gauge) Add(d float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
+	if g != nil {
+		g.v += d
 	}
 }
 
@@ -71,17 +60,13 @@ func (g *Gauge) Value() float64 {
 	if g == nil {
 		return 0
 	}
-	return math.Float64frombits(g.bits.Load())
+	return g.v
 }
 
 // Histogram counts observations into fixed upper-bound buckets (the last
 // bucket is implicitly +Inf). Bounds are fixed at creation, which keeps
-// snapshots diffable and deterministic. A mutex guards cross-shard
-// observation; bucket counts are order-independent, and every Observe call
-// site records integral sample values (whole microseconds, batch sizes), so
-// the float64 sum is exact below 2^53 and therefore also order-independent.
+// snapshots diffable and deterministic.
 type Histogram struct {
-	mu     sync.Mutex
 	bounds []float64
 	counts []int64
 	count  int64
@@ -93,12 +78,9 @@ func (h *Histogram) Observe(v float64) {
 	if h == nil {
 		return
 	}
-	i := sort.SearchFloat64s(h.bounds, v)
-	h.mu.Lock()
-	h.counts[i]++
+	h.counts[sort.SearchFloat64s(h.bounds, v)]++
 	h.count++
 	h.sum += v
-	h.mu.Unlock()
 }
 
 // Count returns the number of samples.
@@ -106,8 +88,6 @@ func (h *Histogram) Count() int64 {
 	if h == nil {
 		return 0
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return h.count
 }
 
@@ -163,17 +143,13 @@ func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
 	if h == nil {
 		return nil, nil
 	}
-	h.mu.Lock()
-	defer h.mu.Unlock()
 	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...)
 }
 
 // Registry memoizes metrics by name + sorted labels. A nil Registry hands
-// out nil metrics, which no-op. Get-or-create is mutex-guarded so shards
-// can resolve series concurrently; hot paths should still resolve once and
-// cache the pointer.
+// out nil metrics, which no-op. Hot paths resolve a series once and cache
+// the pointer.
 type Registry struct {
-	mu       sync.Mutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
@@ -218,8 +194,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 		return nil
 	}
 	id := metricID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	c := r.counters[id]
 	if c == nil {
 		c = &Counter{}
@@ -234,8 +208,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 		return nil
 	}
 	id := metricID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	g := r.gauges[id]
 	if g == nil {
 		g = &Gauge{}
@@ -252,8 +224,6 @@ func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Hi
 		return nil
 	}
 	id := metricID(name, labels)
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	h := r.hists[id]
 	if h == nil {
 		bs := append([]float64(nil), bounds...)
@@ -302,8 +272,6 @@ func (r *Registry) Snapshot() Snapshot {
 	if r == nil {
 		return s
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for id, c := range r.counters {
 		s.Rows = append(s.Rows, Row{ID: id, Kind: "counter", N: c.Value()})
 	}
@@ -311,13 +279,11 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Rows = append(s.Rows, Row{ID: id, Kind: "gauge", F: g.Value()})
 	}
 	for id, h := range r.hists {
-		h.mu.Lock()
 		s.Rows = append(s.Rows, Row{
 			ID: id, Kind: "histogram", N: h.count, Sum: h.sum,
 			Buckets: append([]int64(nil), h.counts...),
 			Bounds:  r.bounds[id],
 		})
-		h.mu.Unlock()
 	}
 	sort.Slice(s.Rows, func(i, j int) bool { return s.Rows[i].ID < s.Rows[j].ID })
 	return s

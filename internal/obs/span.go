@@ -11,7 +11,7 @@ import "strconv"
 //
 // Ids are derived from deterministic inputs (client index, session index,
 // layer constants) — never from global counters or wall clocks — so the
-// same seed yields the same span tree under serial and parallel execution.
+// same seed yields the same span tree, sharded or not.
 
 // Span is one causal segment of a traced request.
 type Span struct {

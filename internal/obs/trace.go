@@ -19,7 +19,6 @@ import (
 	"io"
 	"sort"
 	"strconv"
-	"sync"
 )
 
 // Time is virtual nanoseconds since the owning kernel booted (mirrors
@@ -62,12 +61,11 @@ const DefaultCap = 1 << 18
 // disabled Tracer is safe to use and records nothing; hot paths should
 // guard emission with Enabled() to skip argument construction.
 //
-// For parallel simulation a root tracer hands out per-shard views via
-// Shard(): each view appends to its own buffer with no locking (one OS
-// thread per shard), name metadata is funneled to the root under a mutex,
-// and WriteJSON merges the buffers by virtual timestamp with shard index as
-// the tiebreaker — so the exported trace is a pure function of the virtual
-// schedule, independent of thread interleaving.
+// For sharded simulation a root tracer hands out per-shard views via
+// Shard(): each view appends to its own buffer, name metadata is funneled
+// to the root, and WriteJSON merges the buffers by virtual timestamp with
+// shard index as the tiebreaker — so the exported trace is a pure function
+// of the virtual schedule, independent of the order shard windows ran in.
 type Tracer struct {
 	enabled bool
 	cap     int
@@ -80,7 +78,6 @@ type Tracer struct {
 
 	parent *Tracer   // non-nil on shard views
 	shards []*Tracer // root only: views handed out by Shard()
-	mu     sync.Mutex
 }
 
 // NewTracer returns a disabled tracer holding at most cap events
@@ -115,16 +112,14 @@ func (t *Tracer) root() *Tracer {
 }
 
 // Shard returns a per-shard view of a root tracer: events recorded through
-// it land in the view's own buffer (lock-free for its owning thread) and
-// are merged deterministically by WriteJSON on the root. Views share the
-// root's enablement, timestamp base and name metadata. Idempotent per index.
+// it land in the view's own buffer and are merged deterministically by
+// WriteJSON on the root. Views share the root's enablement, timestamp base
+// and name metadata. Idempotent per index.
 func (t *Tracer) Shard(i int) *Tracer {
 	if t == nil {
 		return nil
 	}
 	r := t.root()
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	for len(r.shards) <= i {
 		r.shards = append(r.shards, nil)
 	}
@@ -164,10 +159,7 @@ func (t *Tracer) NameProcess(pid int, name string) {
 	if t == nil {
 		return
 	}
-	r := t.root()
-	r.mu.Lock()
-	r.pids[pid] = name
-	r.mu.Unlock()
+	t.root().pids[pid] = name
 }
 
 // NameThread records a metadata name for a tid within a pid.
@@ -176,14 +168,12 @@ func (t *Tracer) NameThread(pid, tid int, name string) {
 		return
 	}
 	r := t.root()
-	r.mu.Lock()
 	m := r.tids[pid]
 	if m == nil {
 		m = map[int]string{}
 		r.tids[pid] = m
 	}
 	m[tid] = name
-	r.mu.Unlock()
 }
 
 func (t *Tracer) add(e Event) {

@@ -161,13 +161,11 @@ func TestHandlerIsADaemonForTheDeadlockCheck(t *testing.T) {
 }
 
 // TestHandlerOnShardParallel runs a handler on one shard with a producer on
-// another, single-threaded and on OS threads: the handler runs on its own
-// shard's thread exactly as the waiting proc did, so both drivers and both
-// forms agree (and -race stays quiet).
+// another: the handler runs in its own shard's windows exactly as the
+// waiting proc did, so both forms agree.
 func TestHandlerOnShardParallel(t *testing.T) {
-	run := func(asHandler, parallel bool) []string {
+	run := func(asHandler bool) []string {
 		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
 		k0, k1 := c.Kernel(0), c.Kernel(1)
 		sig := k1.NewSignal("evtchn")
 		var steps []string // written on shard 1 only
@@ -193,14 +191,12 @@ func TestHandlerOnShardParallel(t *testing.T) {
 		}
 		return steps
 	}
-	want := run(false, false)
+	want := run(false)
 	if len(want) != 21 {
 		t.Fatalf("proc form served %d times, want 21: %v", len(want), want)
 	}
-	for _, parallel := range []bool{false, true} {
-		if got := run(true, parallel); !reflect.DeepEqual(got, want) {
-			t.Errorf("parallel=%v: handler steps %v, want %v", parallel, got, want)
-		}
+	if got := run(true); !reflect.DeepEqual(got, want) {
+		t.Errorf("handler steps %v, want %v", got, want)
 	}
 }
 

@@ -1,10 +1,10 @@
-// Conservative parallel simulation: a Cluster is a set of shard kernels,
+// Conservative sharded simulation: a Cluster is a set of shard kernels,
 // one per simulated pCPU plus one for the host/dom0 side, advanced in
-// lockstep epochs. Within an epoch every shard drains its own event queue
-// independently (optionally on its own OS thread); all cross-shard
-// interaction travels as timestamped sends into the destination shard's
-// mailbox with a delay of at least the cluster lookahead W — the minimum
-// cross-pCPU event latency (bridge propagation, vchan/event-channel hops).
+// lockstep epochs on one thread. Within an epoch every shard drains its
+// own event queue independently; all cross-shard interaction travels as
+// timestamped sends into the destination shard's mailbox with a delay of at
+// least the cluster lookahead W — the minimum cross-pCPU event latency
+// (bridge propagation, vchan/event-channel hops).
 //
 // The epoch barrier is null-message-free (Fujimoto-style conservative
 // synchronization): at each barrier the coordinator drains every mailbox in
@@ -17,8 +17,7 @@
 // the width controller (below). Mailbox drains sort by (timestamp, source
 // shard, source sequence) and then assign destination-local sequence
 // numbers, so the per-shard execution order — and every trace, metric and
-// experiment output — is a pure function of the virtual schedule,
-// byte-identical whether the windows execute on one thread or many.
+// experiment output — is a pure function of the virtual schedule.
 //
 // # Adaptive epoch widths
 //
@@ -34,8 +33,7 @@
 //
 // The width controller picks the multiplier over W per epoch, driven only
 // by per-barrier counters and virtual-time hints — all deterministic
-// functions of the virtual schedule, so serial and parallel drivers stay
-// byte-identical:
+// functions of the virtual schedule:
 //
 //   - every epoch that drained cross-shard sends doubles the width up to
 //     busyCap·W (traffic is when batching pays: concurrent request chains
@@ -59,8 +57,6 @@ import (
 	"math"
 	"math/rand"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/obs"
@@ -75,14 +71,12 @@ type xevent struct {
 	fn  func()
 }
 
-// mailbox collects cross-shard sends. The queue is guarded by the cluster's
-// single xmu (sends are rare — a handful per barrier — so one cluster-wide
-// lock costs the barrier exactly one acquisition instead of one per
-// mailbox). Two slices ping-pong between the append side and the barrier
-// drain, so steady-state operation allocates nothing.
+// mailbox collects cross-shard sends. Two slices ping-pong between the
+// append side and the barrier drain, so steady-state operation allocates
+// nothing.
 type mailbox struct {
-	q        []xevent // senders append under Cluster.xmu
-	proc     []xevent // coordinator-owned: last barrier's drain, recycled
+	q        []xevent // senders append
+	proc     []xevent // last barrier's drain, recycled
 	recycled bool     // q's backing array came from an earlier drain
 }
 
@@ -96,11 +90,11 @@ const (
 
 // Cluster is a set of shard kernels advanced in conservative epochs.
 type Cluster struct {
-	kernels  []*Kernel
-	w        Time // lookahead: minimum cross-shard event latency
-	limit    Time // 0 = no limit (mirrors Kernel.limit cluster-wide)
-	stopped  atomic.Bool
-	parallel bool
+	kernels []*Kernel
+	w       Time // lookahead: minimum cross-shard event latency
+	limit   Time // 0 = no limit (mirrors Kernel.limit cluster-wide)
+	stopped bool
+	windows []Time // windows[i] is shard i's grant for the current round (0 = idle)
 
 	// Width-controller state, read and written only at barriers.
 	mult     Time // current epoch width multiplier over W
@@ -109,8 +103,6 @@ type Cluster struct {
 	quietCap Time
 	holdWide Time // do not widen before this instant (netback traffic hint)
 	horizon  Time // last epoch's window end (monotone)
-
-	xmu sync.Mutex // guards every mailbox queue and holdWide
 
 	roundEnd []func() // OnRoundEnd hooks
 
@@ -123,20 +115,6 @@ type Cluster struct {
 	mxWClamp  *obs.Counter
 	mxRounds  *obs.Counter
 	gWidth    *obs.Gauge
-
-	// Parallel driver state: windows[i] is shard i's grant for the current
-	// epoch (0 = idle this epoch), published before the per-worker grant
-	// send. Workers rendezvous on a counter barrier: the coordinator arms
-	// pending with the number of granted shards, each worker decrements it
-	// after its window, and the last one through signals done — one wakeup
-	// per granted shard and one completion wakeup per epoch, instead of a
-	// broadcast to every worker.
-	windows []Time
-	grants  []chan Time
-	done    chan struct{}
-	pending atomic.Int32
-	wg      sync.WaitGroup
-	started bool
 }
 
 // NewClusterObs creates shards kernels sharing one virtual timeline, with
@@ -191,16 +169,12 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 	return c
 }
 
-// SetParallel selects the threaded epoch driver: each shard's windows run
-// on a dedicated OS thread. Output is byte-identical either way.
-func (c *Cluster) SetParallel(on bool) { c.parallel = on }
-
-// OnRoundEnd registers fn to run on the coordinating thread each time the
-// granted shards have all finished their windows, before the next grant —
-// the one point inside Run where no shard is executing. State that one
-// shard writes and another reads mid-run (a shared histogram) is published
-// to the reader here: the cut is then a function of the virtual schedule,
-// the same under the serial and the threaded driver. Call before Run.
+// OnRoundEnd registers fn to run each time the granted shards have all
+// finished their windows, before the next grant — the one point inside Run
+// where no shard is executing. State that one shard writes and another
+// reads mid-run (a shared histogram) is published to the reader here: the
+// cut is then a function of the virtual schedule, not of the order the
+// shards' windows ran in. Call before Run.
 func (c *Cluster) OnRoundEnd(fn func()) { c.roundEnd = append(c.roundEnd, fn) }
 
 // HoldWide tells the width controller not to widen epochs before virtual
@@ -209,11 +183,9 @@ func (c *Cluster) OnRoundEnd(fn func()) { c.roundEnd = append(c.roundEnd, fn) }
 // may drain nothing. Deterministic — t derives from the virtual schedule.
 // Safe to call from any shard's context.
 func (c *Cluster) HoldWide(t Time) {
-	c.xmu.Lock()
 	if t > c.holdWide {
 		c.holdWide = t
 	}
-	c.xmu.Unlock()
 }
 
 // Shards returns the number of shard kernels.
@@ -245,10 +217,7 @@ func (k *Kernel) Post(dst *Kernel, d time.Duration, fn func()) {
 		c.mxClamped.Inc()
 	}
 	k.xseq++
-	x := xevent{at: at, src: k.shard, seq: k.xseq, fn: fn}
-	c.xmu.Lock()
-	dst.mbox.q = append(dst.mbox.q, x)
-	c.xmu.Unlock()
+	dst.mbox.q = append(dst.mbox.q, xevent{at: at, src: k.shard, seq: k.xseq, fn: fn})
 }
 
 // PostAt is Post with an absolute target time (same clamping rules).
@@ -296,16 +265,14 @@ func (k *Kernel) runWindow(winEnd Time) {
 }
 
 // drainMailboxes moves every parked cross-shard send into its destination
-// heap and returns how many it moved. All queues are stolen under a single
-// lock acquisition; sorting and heap insertion run unlocked (no shard is
-// executing at a barrier). Sends sort by (timestamp, source shard, source
-// sequence) before destination-local sequence numbers are assigned, so the
-// resulting order is independent of which thread enqueued first. A send
-// whose destination clock already passed its timestamp (possible inside
-// widened epochs) is delivered at the destination's current instant — the
-// At clamp — and counted in sim_cluster_late_deliveries_total.
+// heap and returns how many it moved. Sends sort by (timestamp, source
+// shard, source sequence) before destination-local sequence numbers are
+// assigned, so the resulting order is independent of the order the shards'
+// windows ran in. A send whose destination clock already passed its
+// timestamp (possible inside widened epochs) is delivered at the
+// destination's current instant — the At clamp — and counted in
+// sim_cluster_late_deliveries_total.
 func (c *Cluster) drainMailboxes() int {
-	c.xmu.Lock()
 	for _, k := range c.kernels {
 		m := &k.mbox
 		q := m.q
@@ -316,7 +283,6 @@ func (c *Cluster) drainMailboxes() int {
 		m.recycled = cap(m.proc) > 0
 		m.proc = q
 	}
-	c.xmu.Unlock()
 	total := 0
 	for _, k := range c.kernels {
 		q := k.mbox.proc
@@ -346,8 +312,6 @@ func (c *Cluster) drainMailboxes() int {
 
 // mailboxesPending reports whether any cross-shard send is still parked.
 func (c *Cluster) mailboxesPending() bool {
-	c.xmu.Lock()
-	defer c.xmu.Unlock()
 	for _, k := range c.kernels {
 		if len(k.mbox.q) > 0 {
 			return true
@@ -377,10 +341,7 @@ func (c *Cluster) updateWidth(drained int, T Time) {
 		}
 	} else {
 		c.quietRun++
-		c.xmu.Lock()
-		hold := c.holdWide
-		c.xmu.Unlock()
-		if c.quietRun >= quietThreshold && T > hold && c.mult < c.quietCap {
+		if c.quietRun >= quietThreshold && T > c.holdWide && c.mult < c.quietCap {
 			c.mult *= 2
 			if c.mult > c.quietCap {
 				c.mult = c.quietCap
@@ -397,40 +358,12 @@ func (c *Cluster) updateWidth(drained int, T Time) {
 	}
 }
 
-// runGranted executes every shard whose windows entry is nonzero, on the
-// worker threads (parallel) or inline (serial), and re-raises any shard
-// panic deterministically.
+// runGranted executes every shard whose windows entry is nonzero, in shard
+// order, and re-raises any shard panic deterministically.
 func (c *Cluster) runGranted() {
-	n := len(c.kernels)
-	if c.parallel {
-		// Workers pick up shards 1..n-1; shard 0's window runs here on
-		// the coordinating thread. Only shards with runnable windows
-		// are woken (elided and idle shards stay parked).
-		act := int32(0)
-		for i := 1; i < n; i++ {
-			if c.windows[i] != 0 {
-				act++
-			}
-		}
-		if act > 0 {
-			c.pending.Store(act)
-			for i := 1; i < n; i++ {
-				if w := c.windows[i]; w != 0 {
-					c.grants[i] <- w
-				}
-			}
-		}
-		if c.windows[0] != 0 {
-			c.kernels[0].safeWindow(c.windows[0])
-		}
-		if act > 0 {
-			<-c.done
-		}
-	} else {
-		for i, k := range c.kernels {
-			if c.windows[i] != 0 {
-				k.safeWindow(c.windows[i])
-			}
+	for i, k := range c.kernels {
+		if c.windows[i] != 0 {
+			k.safeWindow(c.windows[i])
 		}
 	}
 	for _, k := range c.kernels {
@@ -440,7 +373,7 @@ func (c *Cluster) runGranted() {
 	}
 }
 
-// runEpochs is the barrier loop shared by the serial and parallel drivers.
+// runEpochs is the barrier loop.
 //
 // Each epoch grants windows, then iterates delivery rounds to a fixpoint:
 // run the granted shards, drain the sends they posted, and re-grant exactly
@@ -455,12 +388,8 @@ func (c *Cluster) runEpochs() {
 	n := len(c.kernels)
 	next := make([]Time, n)
 	has := make([]bool, n)
-	if c.parallel && !c.started {
-		c.startWorkers()
-	}
-	defer c.stopWorkers()
 	carry := 0 // sends drained by the previous epoch's rounds
-	for !c.stopped.Load() {
+	for !c.stopped {
 		drained := carry + c.drainMailboxes()
 		carry = 0
 		T := Time(math.MaxInt64)
@@ -538,8 +467,8 @@ func (c *Cluster) runEpochs() {
 }
 
 // safeWindow runs one window, converting a proc panic (re-raised by step)
-// into the kernel's recorded panic state so the coordinator re-panics it
-// deterministically after the barrier.
+// into the kernel's recorded panic state so runGranted re-panics it
+// deterministically after the round.
 func (k *Kernel) safeWindow(winEnd Time) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -548,44 +477,6 @@ func (k *Kernel) safeWindow(winEnd Time) {
 		}
 	}()
 	k.runWindow(winEnd)
-}
-
-func (c *Cluster) startWorkers() {
-	c.started = true
-	c.done = make(chan struct{}, 1)
-	c.grants = make([]chan Time, len(c.kernels))
-	for i := 1; i < len(c.kernels); i++ {
-		c.grants[i] = make(chan Time, 1)
-		c.wg.Add(1)
-		go c.worker(i)
-	}
-}
-
-func (c *Cluster) stopWorkers() {
-	if !c.started {
-		return
-	}
-	for i := 1; i < len(c.kernels); i++ {
-		close(c.grants[i])
-	}
-	c.wg.Wait()
-	c.started = false
-}
-
-// worker drives one shard: block until the next epoch grant, run the
-// window, then check in at the counter barrier — the last worker through
-// wakes the coordinator. Shard 0's window runs on the coordinating thread
-// itself (see the epoch publish in runEpochs), so workers exist for shards
-// 1..n-1. Closing the grant channel retires the worker.
-func (c *Cluster) worker(i int) {
-	defer c.wg.Done()
-	k := c.kernels[i]
-	for w := range c.grants[i] {
-		k.safeWindow(w)
-		if c.pending.Add(-1) == 0 {
-			c.done <- struct{}{}
-		}
-	}
 }
 
 // Run executes the cluster until no shard has pending work (or Stop /
@@ -599,7 +490,7 @@ func (c *Cluster) Run() (Time, error) {
 		}
 	}
 	now := c.Now()
-	if !c.stopped.Load() && (c.limit == 0 || !hasWork) {
+	if !c.stopped && (c.limit == 0 || !hasWork) {
 		return now, deadlock(now, c.kernels)
 	}
 	return now, nil
@@ -623,7 +514,7 @@ func (c *Cluster) RunFor(d time.Duration) (Time, error) {
 		k.stopped = false
 	}
 	c.limit = prev
-	c.stopped.Store(false)
+	c.stopped = false
 	return c.Now(), err
 }
 

@@ -3,29 +3,22 @@ package sim
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"testing"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// clusterRun drives a fixed cross-shard workload on a fresh 4-shard
-// cluster and returns everything observable about the run: the per-shard
-// execution logs (concatenated in shard order), the final virtual time,
-// the metrics snapshot and the merged trace. Serial and parallel drivers
-// must produce byte-identical results.
-func clusterRun(t *testing.T, parallel bool) (string, Time, string, string) {
-	return clusterRunShards(t, parallel, 4)
-}
-
-func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, string, string) {
+// clusterRunShards drives a fixed cross-shard workload on a fresh cluster
+// of the given size and returns everything observable about the run: the
+// per-shard execution logs (concatenated in shard order), the final virtual
+// time, the metrics snapshot and the merged trace.
+func clusterRunShards(t *testing.T, shards int) (string, Time, string, string) {
 	t.Helper()
 	tr := obs.NewTracer(obs.DefaultCap)
 	tr.Enable()
 	reg := obs.NewRegistry()
 	c := NewClusterObs(7, shards, 10*time.Microsecond, tr, reg)
-	c.SetParallel(parallel)
 	logs := make([][]string, shards)
 	for i := 0; i < shards; i++ {
 		i := i
@@ -36,8 +29,7 @@ func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, st
 				logs[i] = append(logs[i], fmt.Sprintf("s%d j%d @%v", i, j, k.Now()))
 				src, hop := i, j
 				dst := c.Kernel((i + 1) % shards)
-				// The posted fn runs on dst's shard thread, so appending
-				// to dst's log is single-threaded.
+				// The posted fn runs in dst's shard context.
 				k.Post(dst, time.Duration(k.Rand().Intn(20))*time.Microsecond, func() {
 					logs[(src+1)%shards] = append(logs[(src+1)%shards],
 						fmt.Sprintf("s%d <- s%d hop%d @%v", (src+1)%shards, src, hop, dst.Now()))
@@ -54,7 +46,7 @@ func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, st
 	}
 	end, err := c.Run()
 	if err != nil {
-		t.Fatalf("cluster run (parallel=%v): %v", parallel, err)
+		t.Fatalf("cluster run: %v", err)
 	}
 	var all bytes.Buffer
 	for i := range logs {
@@ -69,44 +61,22 @@ func clusterRunShards(t *testing.T, parallel bool, shards int) (string, Time, st
 	return all.String(), end, reg.Snapshot().Format(), trOut.String()
 }
 
-func TestParallelByteIdentity(t *testing.T) {
-	sLog, sEnd, sMet, sTr := clusterRun(t, false)
-	pLog, pEnd, pMet, pTr := clusterRun(t, true)
-	if sEnd != pEnd {
-		t.Errorf("final time: serial %v, parallel %v", sEnd, pEnd)
-	}
-	if sLog != pLog {
-		t.Errorf("execution logs differ:\nserial:\n%s\nparallel:\n%s", sLog, pLog)
-	}
-	if sMet != pMet {
-		t.Errorf("metrics differ:\nserial:\n%s\nparallel:\n%s", sMet, pMet)
-	}
-	if sTr != pTr {
-		os.WriteFile("/tmp/sim_trace_serial.json", []byte(sTr), 0o644)
-		os.WriteFile("/tmp/sim_trace_parallel.json", []byte(pTr), 0o644)
-		t.Errorf("traces differ (serial %d bytes, parallel %d bytes)", len(sTr), len(pTr))
-	}
-}
-
 func TestParallelPanicPropagation(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		c := NewClusterObs(3, 3, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
-		c.Kernel(2).Spawn("boom", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			panic("shard 2 exploded")
-		})
-		got := func() (v any) {
-			defer func() { v = recover() }()
-			c.Run()
-			return nil
-		}()
-		if got == nil {
-			t.Fatalf("parallel=%v: expected panic to propagate", parallel)
-		}
-		if s := fmt.Sprint(got); s != `sim: proc "boom" panicked: shard 2 exploded` {
-			t.Errorf("parallel=%v: panic = %q", parallel, s)
-		}
+	c := NewClusterObs(3, 3, 10*time.Microsecond, nil, nil)
+	c.Kernel(2).Spawn("boom", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("shard 2 exploded")
+	})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		c.Run()
+		return nil
+	}()
+	if got == nil {
+		t.Fatal("expected panic to propagate")
+	}
+	if s := fmt.Sprint(got); s != `sim: proc "boom" panicked: shard 2 exploded` {
+		t.Errorf("panic = %q", s)
 	}
 }
 
@@ -114,40 +84,37 @@ func TestParallelPanicPropagation(t *testing.T) {
 // send is still parked in a mailbox, then restarts: the send must survive
 // the stop and run at its original timestamp.
 func TestParallelStopWithPendingMailbox(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		c := NewClusterObs(5, 2, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
-		k0, k1 := c.Kernel(0), c.Kernel(1)
-		var deliveredAt Time
-		k0.Spawn("sender", func(p *Proc) {
-			p.Sleep(time.Millisecond)
-			k0.Post(k1, 500*time.Microsecond, func() { deliveredAt = k1.Now() })
-		})
-		end, err := c.RunFor(1100 * time.Microsecond)
-		if err != nil {
-			t.Fatalf("parallel=%v: first leg: %v", parallel, err)
-		}
-		if end != Time(1100*time.Microsecond) {
-			t.Errorf("parallel=%v: first leg ended at %v, want 1.1ms", parallel, end)
-		}
-		if deliveredAt != 0 {
-			t.Errorf("parallel=%v: cross-shard send ran before its timestamp (at %v)", parallel, deliveredAt)
-		}
-		end, err = c.RunFor(time.Millisecond)
-		if err != nil {
-			t.Fatalf("parallel=%v: second leg: %v", parallel, err)
-		}
-		if deliveredAt != Time(1500*time.Microsecond) {
-			t.Errorf("parallel=%v: send delivered at %v, want 1.5ms", parallel, deliveredAt)
-		}
-		if end != Time(2100*time.Microsecond) {
-			t.Errorf("parallel=%v: clock after restart %v, want 2.1ms", parallel, end)
-		}
-		// Every shard clock must agree after RunFor (consistent restart).
-		for i := 0; i < c.Shards(); i++ {
-			if n := c.Kernel(i).Now(); n != end {
-				t.Errorf("parallel=%v: shard %d clock %v, want %v", parallel, i, n, end)
-			}
+	c := NewClusterObs(5, 2, 10*time.Microsecond, nil, nil)
+	k0, k1 := c.Kernel(0), c.Kernel(1)
+	var deliveredAt Time
+	k0.Spawn("sender", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		k0.Post(k1, 500*time.Microsecond, func() { deliveredAt = k1.Now() })
+	})
+	end, err := c.RunFor(1100 * time.Microsecond)
+	if err != nil {
+		t.Fatalf("first leg: %v", err)
+	}
+	if end != Time(1100*time.Microsecond) {
+		t.Errorf("first leg ended at %v, want 1.1ms", end)
+	}
+	if deliveredAt != 0 {
+		t.Errorf("cross-shard send ran before its timestamp (at %v)", deliveredAt)
+	}
+	end, err = c.RunFor(time.Millisecond)
+	if err != nil {
+		t.Fatalf("second leg: %v", err)
+	}
+	if deliveredAt != Time(1500*time.Microsecond) {
+		t.Errorf("send delivered at %v, want 1.5ms", deliveredAt)
+	}
+	if end != Time(2100*time.Microsecond) {
+		t.Errorf("clock after restart %v, want 2.1ms", end)
+	}
+	// Every shard clock must agree after RunFor (consistent restart).
+	for i := 0; i < c.Shards(); i++ {
+		if n := c.Kernel(i).Now(); n != end {
+			t.Errorf("shard %d clock %v, want %v", i, n, end)
 		}
 	}
 }
@@ -168,47 +135,41 @@ func TestStopAtExactEventTime(t *testing.T) {
 		t.Errorf("plain kernel ran %v, want [at-limit]", ran)
 	}
 
-	for _, parallel := range []bool{false, true} {
-		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
-		ran = nil
-		c.Kernel(1).At(Time(time.Millisecond), func() { ran = append(ran, "at-limit") })
-		c.Kernel(1).At(Time(time.Millisecond)+1, func() { ran = append(ran, "past-limit") })
-		c.Kernel(0).StopAt(Time(time.Millisecond))
-		if _, err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if len(ran) != 1 || ran[0] != "at-limit" {
-			t.Errorf("parallel=%v: cluster ran %v, want [at-limit]", parallel, ran)
-		}
+	c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
+	ran = nil
+	c.Kernel(1).At(Time(time.Millisecond), func() { ran = append(ran, "at-limit") })
+	c.Kernel(1).At(Time(time.Millisecond)+1, func() { ran = append(ran, "past-limit") })
+	c.Kernel(0).StopAt(Time(time.Millisecond))
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(ran) != 1 || ran[0] != "at-limit" {
+		t.Errorf("cluster ran %v, want [at-limit]", ran)
 	}
 }
 
 func TestParallelStopMidRun(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		c := NewClusterObs(9, 3, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
-		k1 := c.Kernel(1)
-		ticks := 0
-		k1.Spawn("ticker", func(p *Proc) {
-			for {
-				p.Sleep(100 * time.Microsecond)
-				ticks++
-				if ticks == 5 {
-					k1.Stop()
-					return
-				}
+	c := NewClusterObs(9, 3, 10*time.Microsecond, nil, nil)
+	k1 := c.Kernel(1)
+	ticks := 0
+	k1.Spawn("ticker", func(p *Proc) {
+		for {
+			p.Sleep(100 * time.Microsecond)
+			ticks++
+			if ticks == 5 {
+				k1.Stop()
+				return
 			}
-		})
-		if _, err := c.Run(); err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
 		}
-		if ticks != 5 {
-			t.Errorf("parallel=%v: %d ticks, want 5", parallel, ticks)
-		}
-		if n := k1.Now(); n != Time(500*time.Microsecond) {
-			t.Errorf("parallel=%v: stopped at %v, want 500µs", parallel, n)
-		}
+	})
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("%v", err)
+	}
+	if ticks != 5 {
+		t.Errorf("%d ticks, want 5", ticks)
+	}
+	if n := k1.Now(); n != Time(500*time.Microsecond) {
+		t.Errorf("stopped at %v, want 500µs", n)
 	}
 }
 
@@ -272,24 +233,25 @@ func TestEventCancelReuse(t *testing.T) {
 	}
 }
 
-// TestAdaptiveByteIdentityShardCounts pins serial/parallel byte-identity of
-// the adaptive driver at the shard counts repro's -pcpus 1/2/4 produce
-// (pcpus + the dom0 shard).
+// TestAdaptiveByteIdentityShardCounts pins same-seed byte-identity of the
+// adaptive driver at the shard counts repro's -pcpus 1/2/4 produce (pcpus +
+// the dom0 shard): two runs agree on every log line, the final time, the
+// metrics and the trace.
 func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
 	for _, shards := range []int{2, 3, 5} {
-		sLog, sEnd, sMet, sTr := clusterRunShards(t, false, shards)
-		pLog, pEnd, pMet, pTr := clusterRunShards(t, true, shards)
-		if sEnd != pEnd {
-			t.Errorf("shards=%d: final time: serial %v, parallel %v", shards, sEnd, pEnd)
+		aLog, aEnd, aMet, aTr := clusterRunShards(t, shards)
+		bLog, bEnd, bMet, bTr := clusterRunShards(t, shards)
+		if aEnd != bEnd {
+			t.Errorf("shards=%d: final time: %v, then %v", shards, aEnd, bEnd)
 		}
-		if sLog != pLog {
+		if aLog != bLog {
 			t.Errorf("shards=%d: execution logs differ", shards)
 		}
-		if sMet != pMet {
-			t.Errorf("shards=%d: metrics differ:\nserial:\n%s\nparallel:\n%s", shards, sMet, pMet)
+		if aMet != bMet {
+			t.Errorf("shards=%d: metrics differ:\n%s\nthen:\n%s", shards, aMet, bMet)
 		}
-		if sTr != pTr {
-			t.Errorf("shards=%d: traces differ (serial %d bytes, parallel %d bytes)", shards, len(sTr), len(pTr))
+		if aTr != bTr {
+			t.Errorf("shards=%d: traces differ (%d bytes, then %d bytes)", shards, len(aTr), len(bTr))
 		}
 	}
 }
@@ -299,55 +261,52 @@ func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
 // the busy cap, and a cross-shard burst mid-run must clamp them straight
 // back to it.
 func TestAdaptiveWidthRampAndClamp(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		reg := obs.NewRegistry()
-		c := NewClusterObs(11, 2, 10*time.Microsecond, nil, reg)
-		c.SetParallel(parallel)
-		c.busyCap, c.quietCap = 4, 32
-		k0, k1 := c.Kernel(0), c.Kernel(1)
+	reg := obs.NewRegistry()
+	c := NewClusterObs(11, 2, 10*time.Microsecond, nil, reg)
+	c.busyCap, c.quietCap = 4, 32
+	k0, k1 := c.Kernel(0), c.Kernel(1)
 
-		ticks := 0
-		k1.Spawn("local-ticker", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(20 * time.Microsecond)
-				ticks++
-			}
-		})
-		if _, err := c.RunFor(2001 * time.Microsecond); err != nil {
-			t.Fatalf("parallel=%v: quiet leg: %v", parallel, err)
+	ticks := 0
+	k1.Spawn("local-ticker", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(20 * time.Microsecond)
+			ticks++
 		}
-		if ticks != 100 {
-			t.Errorf("parallel=%v: %d local ticks, want 100", parallel, ticks)
-		}
-		if m := c.mult; m <= 4 {
-			t.Errorf("parallel=%v: width mult %d after quiet stretch, want > busy cap 4", parallel, m)
-		}
-		if w := reg.Counter("sim_cluster_width_widenings_total").Value(); w == 0 {
-			t.Errorf("parallel=%v: no widenings recorded over a quiet stretch", parallel)
-		}
+	})
+	if _, err := c.RunFor(2001 * time.Microsecond); err != nil {
+		t.Fatalf("quiet leg: %v", err)
+	}
+	if ticks != 100 {
+		t.Errorf("%d local ticks, want 100", ticks)
+	}
+	if m := c.mult; m <= 4 {
+		t.Errorf("width mult %d after quiet stretch, want > busy cap 4", m)
+	}
+	if w := reg.Counter("sim_cluster_width_widenings_total").Value(); w == 0 {
+		t.Errorf("no widenings recorded over a quiet stretch")
+	}
 
-		// A sustained burst: long enough to span many epochs, with the
-		// RunFor limit landing while traffic is still flowing so the
-		// clamped width is observable at the leg boundary.
-		delivered := 0
-		k0.Spawn("burster", func(p *Proc) {
-			for i := 0; i < 200; i++ {
-				p.Sleep(30 * time.Microsecond)
-				k0.Post(k1, 0, func() { delivered++ })
-			}
-		})
-		if _, err := c.RunFor(3 * time.Millisecond); err != nil {
-			t.Fatalf("parallel=%v: burst leg: %v", parallel, err)
+	// A sustained burst: long enough to span many epochs, with the
+	// RunFor limit landing while traffic is still flowing so the
+	// clamped width is observable at the leg boundary.
+	delivered := 0
+	k0.Spawn("burster", func(p *Proc) {
+		for i := 0; i < 200; i++ {
+			p.Sleep(30 * time.Microsecond)
+			k0.Post(k1, 0, func() { delivered++ })
 		}
-		if delivered == 0 || delivered >= 200 {
-			t.Errorf("parallel=%v: %d cross-shard sends delivered at the limit, want mid-burst", parallel, delivered)
-		}
-		if m := c.mult; m != 4 {
-			t.Errorf("parallel=%v: width mult %d after burst, want clamp to busy cap 4", parallel, m)
-		}
-		if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
-			t.Errorf("parallel=%v: no clamps recorded across a quiet->traffic transition", parallel)
-		}
+	})
+	if _, err := c.RunFor(3 * time.Millisecond); err != nil {
+		t.Fatalf("burst leg: %v", err)
+	}
+	if delivered == 0 || delivered >= 200 {
+		t.Errorf("%d cross-shard sends delivered at the limit, want mid-burst", delivered)
+	}
+	if m := c.mult; m != 4 {
+		t.Errorf("width mult %d after burst, want clamp to busy cap 4", m)
+	}
+	if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
+		t.Errorf("no clamps recorded across a quiet->traffic transition")
 	}
 }
 
@@ -357,29 +316,26 @@ func TestAdaptiveWidthRampAndClamp(t *testing.T) {
 // window reaches the timer the shard must be granted again and the timer
 // must fire at exactly its natural timestamp.
 func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		reg := obs.NewRegistry()
-		c := NewClusterObs(3, 3, 10*time.Microsecond, nil, reg)
-		c.SetParallel(parallel)
+	reg := obs.NewRegistry()
+	c := NewClusterObs(3, 3, 10*time.Microsecond, nil, reg)
 
-		k1, k2 := c.Kernel(1), c.Kernel(2)
-		k1.Spawn("dense", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(5 * time.Microsecond)
-			}
-		})
-		var firedAt Time
-		k2.At(Time(300*time.Microsecond), func() { firedAt = k2.Now() })
+	k1, k2 := c.Kernel(1), c.Kernel(2)
+	k1.Spawn("dense", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(5 * time.Microsecond)
+		}
+	})
+	var firedAt Time
+	k2.At(Time(300*time.Microsecond), func() { firedAt = k2.Now() })
 
-		if _, err := c.Run(); err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
-		}
-		if firedAt != Time(300*time.Microsecond) {
-			t.Errorf("parallel=%v: parked timer fired at %v, want exactly 300µs", parallel, firedAt)
-		}
-		if el := reg.Counter("sim_cluster_barriers_elided_total").Value(); el == 0 {
-			t.Errorf("parallel=%v: quiet shard was never elided from a barrier", parallel)
-		}
+	if _, err := c.Run(); err != nil {
+		t.Fatalf("%v", err)
+	}
+	if firedAt != Time(300*time.Microsecond) {
+		t.Errorf("parked timer fired at %v, want exactly 300µs", firedAt)
+	}
+	if el := reg.Counter("sim_cluster_barriers_elided_total").Value(); el == 0 {
+		t.Errorf("quiet shard was never elided from a barrier")
 	}
 }
 
@@ -388,41 +344,38 @@ func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 // limit run, events past it stay parked, and every shard clock aligns on
 // the limit so the next leg resumes consistently.
 func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		c := NewClusterObs(13, 3, 10*time.Microsecond, nil, nil)
-		c.SetParallel(parallel)
-		k1 := c.Kernel(1)
-		ticks := 0
-		k1.Spawn("ticker", func(p *Proc) {
-			for i := 0; i < 100; i++ {
-				p.Sleep(20 * time.Microsecond)
-				ticks++
-			}
-		})
-		end, err := c.RunFor(1010 * time.Microsecond)
-		if err != nil {
-			t.Fatalf("parallel=%v: first leg: %v", parallel, err)
+	c := NewClusterObs(13, 3, 10*time.Microsecond, nil, nil)
+	k1 := c.Kernel(1)
+	ticks := 0
+	k1.Spawn("ticker", func(p *Proc) {
+		for i := 0; i < 100; i++ {
+			p.Sleep(20 * time.Microsecond)
+			ticks++
 		}
-		if c.mult <= 1 {
-			t.Fatalf("parallel=%v: width never widened (mult %d); limit did not land inside a widened epoch", parallel, c.mult)
+	})
+	end, err := c.RunFor(1010 * time.Microsecond)
+	if err != nil {
+		t.Fatalf("first leg: %v", err)
+	}
+	if c.mult <= 1 {
+		t.Fatalf("width never widened (mult %d); limit did not land inside a widened epoch", c.mult)
+	}
+	if ticks != 50 {
+		t.Errorf("%d ticks at the limit, want 50", ticks)
+	}
+	if end != Time(1010*time.Microsecond) {
+		t.Errorf("first leg ended at %v, want 1.01ms", end)
+	}
+	for i := 0; i < c.Shards(); i++ {
+		if n := c.Kernel(i).Now(); n != end {
+			t.Errorf("shard %d clock %v, want %v", i, n, end)
 		}
-		if ticks != 50 {
-			t.Errorf("parallel=%v: %d ticks at the limit, want 50", parallel, ticks)
-		}
-		if end != Time(1010*time.Microsecond) {
-			t.Errorf("parallel=%v: first leg ended at %v, want 1.01ms", parallel, end)
-		}
-		for i := 0; i < c.Shards(); i++ {
-			if n := c.Kernel(i).Now(); n != end {
-				t.Errorf("parallel=%v: shard %d clock %v, want %v", parallel, i, n, end)
-			}
-		}
-		if _, err := c.RunFor(time.Millisecond); err != nil {
-			t.Fatalf("parallel=%v: second leg: %v", parallel, err)
-		}
-		if ticks != 100 {
-			t.Errorf("parallel=%v: %d ticks after resume, want 100", parallel, ticks)
-		}
+	}
+	if _, err := c.RunFor(time.Millisecond); err != nil {
+		t.Fatalf("second leg: %v", err)
+	}
+	if ticks != 100 {
+		t.Errorf("%d ticks after resume, want 100", ticks)
 	}
 }
 

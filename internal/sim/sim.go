@@ -329,8 +329,7 @@ func (k *Kernel) EventQueueLen() int {
 }
 
 // EventHeapPeak returns the high-water mark of the event heap; on a sharded
-// kernel, the sum of per-shard peaks (each tracked locally, so serial and
-// parallel runs agree). Call between Run calls.
+// kernel, the sum of per-shard peaks. Call between Run calls.
 func (k *Kernel) EventHeapPeak() int {
 	n := 0
 	for _, sk := range k.shards() {
@@ -396,7 +395,7 @@ func (k *Kernel) peek() *event {
 func (k *Kernel) Stop() {
 	k.stopped = true
 	if k.cluster != nil {
-		k.cluster.stopped.Store(true)
+		k.cluster.stopped = true
 	}
 }
 

@@ -21,8 +21,8 @@ import (
 //
 // Determinism: timers in a firing slot run ordered by (deadline, key, seq) —
 // key is a caller-chosen identity (TCP uses the connection 4-tuple) and seq
-// the wheel-local schedule sequence — so same-seed serial and parallel runs
-// fire in identical order. Each shard kernel owns a private wheel; all
+// the wheel-local schedule sequence — so same-seed runs fire in identical
+// order. Each shard kernel owns a private wheel; all
 // operations happen in that shard's context.
 //
 // Lateness: a timer fires at the first tick boundary at or after its

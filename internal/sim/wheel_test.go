@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -211,74 +210,5 @@ func TestWheelHeapPopulation(t *testing.T) {
 	}
 	if peak := k.EventHeapPeak(); peak > 256 {
 		t.Errorf("event heap peak %d after run; should stay O(armed ticks), not O(timers)", peak)
-	}
-}
-
-// wheelClusterRun drives a timer-heavy cross-shard workload and returns
-// the concatenated per-shard fire logs plus metrics — serial and parallel
-// drivers must agree byte for byte.
-func wheelClusterRun(t *testing.T, parallel bool) (string, string) {
-	t.Helper()
-	reg := obs.NewRegistry()
-	const shards = 4
-	c := NewClusterObs(13, shards, 10*time.Microsecond, nil, reg)
-	c.SetParallel(parallel)
-	logs := make([][]string, shards)
-	for i := 0; i < shards; i++ {
-		i := i
-		k := c.Kernel(i)
-		w := k.Wheel()
-		k.Spawn(fmt.Sprintf("w%d", i), func(p *Proc) {
-			for j := 0; j < 30; j++ {
-				j := j
-				tm := &Timer{}
-				tm.Init(uint64(i*1000+j), func() {
-					logs[i] = append(logs[i], fmt.Sprintf("s%d t%d @%v", i, j, k.Now()))
-					// Half the timers ping the next shard, whose handler
-					// schedules a wheel timer over there.
-					if j%2 == 0 {
-						dst := c.Kernel((i + 1) % shards)
-						src := i
-						k.Post(dst, 15*time.Microsecond, func() {
-							tm2 := &Timer{}
-							tm2.Init(uint64(src*1000+j+500), func() {
-								logs[(src+1)%shards] = append(logs[(src+1)%shards],
-									fmt.Sprintf("s%d <- s%d t%d @%v", (src+1)%shards, src, j, dst.Now()))
-							})
-							dst.Wheel().Schedule(tm2, dst.Now()+Time(1+dst.Rand().Intn(5_000_000)))
-						})
-					}
-				})
-				w.Schedule(tm, k.Now()+Time(1+k.Rand().Intn(20_000_000)))
-				p.Sleep(time.Duration(1+k.Rand().Intn(300)) * time.Microsecond)
-			}
-		})
-	}
-	if _, err := c.Run(); err != nil {
-		t.Fatalf("cluster run (parallel=%v): %v", parallel, err)
-	}
-	var all bytes.Buffer
-	for i := range logs {
-		for _, l := range logs[i] {
-			fmt.Fprintln(&all, l)
-		}
-	}
-	return all.String(), reg.Snapshot().Format()
-}
-
-// TestWheelParallelByteIdentity: same-seed serial and parallel cluster
-// runs with wheel timers (including cross-shard timer chains) must produce
-// identical fire logs and metrics.
-func TestWheelParallelByteIdentity(t *testing.T) {
-	sLog, sMet := wheelClusterRun(t, false)
-	pLog, pMet := wheelClusterRun(t, true)
-	if sLog != pLog {
-		t.Errorf("fire logs differ:\nserial:\n%s\nparallel:\n%s", sLog, pLog)
-	}
-	if sMet != pMet {
-		t.Errorf("metrics differ:\nserial:\n%s\nparallel:\n%s", sMet, pMet)
-	}
-	if sLog == "" {
-		t.Error("empty fire log: workload did not run")
 	}
 }

@@ -478,7 +478,8 @@ func encodeNode(n *bnode, buf []byte) {
 	}
 }
 
-// decodeNode parses a node page.
+// decodeNode parses a node page. Every count and length is checked against
+// the page, so a corrupt page is an error, not a panic.
 func decodeNode(v *cstruct.View) (*bnode, error) {
 	if v.Len() < 3 {
 		return nil, fmt.Errorf("btree: short node page")
@@ -486,26 +487,46 @@ func decodeNode(v *cstruct.View) (*bnode, error) {
 	n := &bnode{leaf: v.U8(0) == 1}
 	nk := int(v.BE16(1))
 	off := 3
+	// field copies out the length-prefixed bytes at off and steps past them.
+	field := func() ([]byte, error) {
+		if off+2 > v.Len() {
+			return nil, fmt.Errorf("btree: node page ends inside a length at %d", off)
+		}
+		l := int(v.BE16(off))
+		if off+2+l > v.Len() {
+			return nil, fmt.Errorf("btree: %d-byte field at %d overruns the node page", l, off)
+		}
+		b := append([]byte(nil), v.Slice(off+2, l)...)
+		off += 2 + l
+		return b, nil
+	}
 	if n.leaf {
 		for i := 0; i < nk; i++ {
-			kl := int(v.BE16(off))
-			k := append([]byte(nil), v.Slice(off+2, kl)...)
-			off += 2 + kl
-			vl := int(v.BE16(off))
-			val := append([]byte(nil), v.Slice(off+2, vl)...)
-			off += 2 + vl
+			k, err := field()
+			if err != nil {
+				return nil, err
+			}
+			val, err := field()
+			if err != nil {
+				return nil, err
+			}
 			n.keys = append(n.keys, k)
 			n.vals = append(n.vals, val)
 		}
 	} else {
+		if off+8*(nk+1) > v.Len() {
+			return nil, fmt.Errorf("btree: %d children overrun the node page", nk+1)
+		}
 		for i := 0; i <= nk; i++ {
 			n.kids = append(n.kids, v.BE64(off))
 			off += 8
 		}
 		for i := 0; i < nk; i++ {
-			kl := int(v.BE16(off))
-			n.keys = append(n.keys, append([]byte(nil), v.Slice(off+2, kl)...))
-			off += 2 + kl
+			k, err := field()
+			if err != nil {
+				return nil, err
+			}
+			n.keys = append(n.keys, k)
 		}
 	}
 	return n, nil

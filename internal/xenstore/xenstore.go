@@ -13,16 +13,12 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 )
 
-// Store is the root of a xenstore tree. A mutex guards the maps so device
-// handshakes on different simulation shards can run concurrently; contents
-// stay deterministic because each guest's handshake touches only its own
-// disjoint subtree, and watch callbacks fire outside the lock in the
-// writer's own shard context.
+// Store is the root of a xenstore tree. Watch callbacks fire after the
+// mutation that triggered them has been applied in full, so a callback may
+// re-enter the store.
 type Store struct {
-	mu      sync.Mutex
 	values  map[string]string
 	watches map[string][]*Watch
 	version map[string]uint64 // per-path commit version for OCC
@@ -60,12 +56,6 @@ func (s *Store) Read(path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.read(path)
-}
-
-func (s *Store) read(path string) (string, error) {
 	s.Reads++
 	v, ok := s.values[path]
 	if !ok {
@@ -81,17 +71,14 @@ func (s *Store) Write(path, value string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
-	cbs := s.write(path, value)
-	s.mu.Unlock()
-	for _, cb := range cbs {
+	for _, cb := range s.write(path, value) {
 		cb()
 	}
 	return nil
 }
 
-// write mutates under the caller-held lock and returns the watch callbacks
-// to invoke after release.
+// write mutates and returns the watch callbacks for the caller to invoke
+// once the whole mutation is done.
 func (s *Store) write(path, value string) []func() {
 	s.Writes++
 	s.commits++
@@ -106,9 +93,7 @@ func (s *Store) Remove(path string) error {
 	if err != nil {
 		return err
 	}
-	s.mu.Lock()
 	found, cbs := s.remove(path)
-	s.mu.Unlock()
 	for _, cb := range cbs {
 		cb()
 	}
@@ -145,8 +130,6 @@ func (s *Store) List(path string) []string {
 	if path == "/" {
 		prefix = "/"
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	set := map[string]bool{}
 	for k := range s.values {
 		if !strings.HasPrefix(k, prefix) {
@@ -185,16 +168,12 @@ func (s *Store) Watch(path string, fn func(path string)) (*Watch, error) {
 		return nil, err
 	}
 	w := &Watch{store: s, path: path, fn: fn, active: true}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	s.watches[path] = append(s.watches[path], w)
 	return w, nil
 }
 
 // Poll drains queued watch events.
 func (w *Watch) Poll() []string {
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
 	ev := w.events
 	w.events = nil
 	return ev
@@ -202,8 +181,6 @@ func (w *Watch) Poll() []string {
 
 // Unwatch deactivates the watch.
 func (w *Watch) Unwatch() {
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
 	w.active = false
 	ws := w.store.watches[w.path]
 	for i, x := range ws {
@@ -215,9 +192,8 @@ func (w *Watch) Unwatch() {
 }
 
 // fire queues events on watches registered at path or any of its
-// ancestors; it runs under the store lock and returns the synchronous
-// callbacks for the caller to invoke after release (callbacks may re-enter
-// the store).
+// ancestors and returns the synchronous callbacks for the caller to invoke
+// once the mutation is complete (callbacks may re-enter the store).
 func (s *Store) fire(path string) []func() {
 	var cbs []func()
 	node := path
@@ -257,8 +233,6 @@ type Txn struct {
 
 // Begin starts a transaction.
 func (s *Store) Begin() *Txn {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return &Txn{store: s, start: s.commits, reads: map[string]bool{}, writes: map[string]*string{}}
 }
 
@@ -312,12 +286,10 @@ func (t *Txn) Commit() error {
 		footprint[p] = true
 	}
 	s := t.store
-	s.mu.Lock()
 	for p := range footprint {
 		if s.version[p] > t.start {
 			t.aborted = true
 			s.Aborts++
-			s.mu.Unlock()
 			return fmt.Errorf("xenstore: EAGAIN: %q modified concurrently", p)
 		}
 	}
@@ -333,7 +305,6 @@ func (t *Txn) Commit() error {
 			cbs = append(cbs, s.write(p, *v)...)
 		}
 	}
-	s.mu.Unlock()
 	for _, cb := range cbs {
 		cb()
 	}
