@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test fuzz race reach paritycheck trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full kvsweep
+.PHONY: all check fmt vet staticcheck build test fuzz race reach paritycheck identity trace bench benchdelta benchdelta-all scalesweep racksweep connsweep connsweep-full kvsweep
 
 all: check
 
@@ -72,6 +72,15 @@ paritycheck: build
 		cmp /tmp/parity_$${e}_1.trace /tmp/parity_$${e}_2.trace || { echo "parity FAIL ($$e): trace"; exit 1; }; \
 		echo "parity OK: $$e (stdout+metrics, json, trace)"; \
 	done
+
+# Byte-identity across commits, for a change that must not move any output:
+# every experiment at -quick, the PARITY_EXPS at -pcpus 4 and mirage
+# boot/top per appliance, built and run at BASE and at the working tree, then
+# cmp'd file by file (scripts/identity.sh). Not in check: it needs a base.
+#   make identity BASE=<rev> [IDENTITY_DIR=/tmp/identity]
+identity: build
+	@test -n "$(BASE)" || { echo "usage: make identity BASE=<rev>"; exit 2; }
+	@PARITY_EXPS="$(PARITY_EXPS)" GO="$(GO)" bash scripts/identity.sh $(BASE) $(IDENTITY_DIR)
 
 # Wall-clock fast-path microbenchmarks -> BENCH_fastpath.json ("fastpath"
 # section; the recorded pre-change "baseline" section is preserved).

@@ -97,9 +97,7 @@ func TestEventChannelDelivery(t *testing.T) {
 		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
 		pa, pb := Connect(a, b)
 		k.Spawn("receiver", func(rp *sim.Proc) {
-			if idx := rp.WaitAny(0, pb.Sig); idx != 0 {
-				t.Errorf("WaitAny = %d, want 0", idx)
-			}
+			rp.Wait(pb.Sig)
 			gotAt = rp.Now()
 		})
 		k.Spawn("sender", func(sp *sim.Proc) {
@@ -124,8 +122,16 @@ func TestPollTimeout(t *testing.T) {
 		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
 		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
 		_, pb := Connect(a, b)
-		if idx := p.WaitAny(5*time.Millisecond, pb.Sig); idx != -1 {
-			t.Errorf("WaitAny = %d, want -1 (timeout)", idx)
+		start := p.Now()
+		idx := p.ArmWaitAny(5*time.Millisecond, pb.Sig)
+		if idx < 0 {
+			p.Suspend(func() bool {
+				idx = p.CollectWaitAny(pb.Sig)
+				return true
+			})
+		}
+		if idx != -1 || p.Now().Sub(start) != 5*time.Millisecond {
+			t.Errorf("poll = %d after %v, want -1 (timeout) after 5ms", idx, p.Now().Sub(start))
 		}
 	})
 	if _, err := k.Run(); err != nil {

@@ -7,7 +7,10 @@
 // The VM is either executing code or blocked — there is no preemption and
 // no asynchronous interrupts. Only the run loop touches the platform: it
 // parks the domain on its event channels and its next timer via domainpoll
-// (sim.WaitAny), exactly as §3.3 describes. Thread scheduling lives
+// (sim.Proc.ArmWaitAny), exactly as §3.3 describes. The loop is an event
+// loop in the simulator too: after its first pass it suspends the domain's
+// goroutine (sim.Proc.Suspend), and every later wake runs it on the
+// kernel's stack, until the main thread completes. Thread scheduling lives
 // entirely in this library and can be modified by the application (timers
 // sit in a heap-allocated priority queue; see Scheduler hooks).
 package lwt
@@ -181,6 +184,15 @@ type Scheduler struct {
 	wake   *sim.Signal
 	parked bool
 
+	// Run's loop between wakes: the proc it runs on, the thread it waits
+	// for, where it is suspended, main's failure once it completes, and the
+	// loop as the proc's inline body (s.step, bound once).
+	p    *sim.Proc
+	main Waiter
+	at   int
+	err  error
+	body func() bool
+
 	// Heap, when set, is charged threadRecordBytes per promise created;
 	// CPU, when set, receives drained heap costs and per-wake dispatch
 	// costs during Run.
@@ -342,74 +354,125 @@ func (s *Scheduler) OnSignal(sig *sim.Signal, fn func()) {
 	s.watched = append(s.watched, watch{sig, fn})
 }
 
-// runReady drains the ready queue and fires due timers, charging accrued
-// heap and dispatch costs to the CPU.
-func (s *Scheduler) runReady(p *sim.Proc) {
-	for {
-		var dispatch time.Duration
-		// Index drain so the backing array is reused: callbacks may Defer
-		// more work, which the growing-bound loop picks up in order.
-		for i := 0; i < len(s.ready); i++ {
-			fn := s.ready[i]
-			s.ready[i] = nil
-			fn()
-		}
-		s.ready = s.ready[:0]
-		fired := 0
-		now := s.K.Now()
-		for len(s.timers) > 0 && s.timers[0].at <= now {
-			e := heap.Pop(&s.timers).(*timerEntry)
-			if e.p.state == pending {
-				e.p.Resolve(struct{}{})
-				fired++
-			}
-		}
-		s.Wakes += fired
-		dispatch = time.Duration(fired) * s.WakeCost
-		if s.Heap != nil {
-			dispatch += s.Heap.Drain()
-		}
-		if dispatch > 0 && s.CPU != nil {
-			p.Use(s.CPU, dispatch)
-		}
-		if len(s.ready) == 0 && (len(s.timers) == 0 || s.timers[0].at > s.K.Now()) {
-			return
+// pass drains the ready queue and fires due timers once, then books the
+// accrued heap and dispatch costs on the CPU. It reports whether it armed
+// such a charge: the domain then waits out the CPU time before going on.
+func (s *Scheduler) pass(p *sim.Proc) bool {
+	// Index drain so the backing array is reused: callbacks may Defer more
+	// work, which the growing-bound loop picks up in order.
+	for i := 0; i < len(s.ready); i++ {
+		fn := s.ready[i]
+		s.ready[i] = nil
+		fn()
+	}
+	s.ready = s.ready[:0]
+	fired := 0
+	now := s.K.Now()
+	for len(s.timers) > 0 && s.timers[0].at <= now {
+		e := heap.Pop(&s.timers).(*timerEntry)
+		if e.p.state == pending {
+			e.p.Resolve(struct{}{})
+			fired++
 		}
 	}
+	s.Wakes += fired
+	dispatch := time.Duration(fired) * s.WakeCost
+	if s.Heap != nil {
+		dispatch += s.Heap.Drain()
+	}
+	return s.CPU != nil && p.ArmUse(s.CPU, dispatch)
 }
+
+// idle reports whether nothing is runnable now: no ready callback, no due
+// timer.
+func (s *Scheduler) idle() bool {
+	return len(s.ready) == 0 && (len(s.timers) == 0 || s.timers[0].at > s.K.Now())
+}
+
+// Where Run's loop is suspended between wakes.
+const (
+	atTop  = iota // not suspended: the next step starts a pass
+	atUse         // a pass's CPU charge is being waited out
+	atPoll        // parked in domainpoll on the watched signals and next timer
+)
 
 // Run evaluates threads until main completes, parking the domain on its
 // watched signals and the next timer deadline in between — the §3.3 main
-// loop over domainpoll. It returns main's failure, if any.
+// loop over domainpoll. It returns main's failure, if any. The loop's first
+// steps run on p's goroutine; at its first wait the goroutine suspends, and
+// every later wake of p runs the loop on the kernel's stack until main
+// completes and the goroutine resumes.
 func (s *Scheduler) Run(p *sim.Proc, main Waiter) error {
-	for {
-		s.runReady(p)
-		if main.Completed() {
-			return main.Failed()
+	s.p, s.main, s.at = p, main, atTop
+	if !s.step() {
+		if s.body == nil {
+			s.body = s.step
 		}
+		p.Suspend(s.body)
+	}
+	err := s.err
+	s.p, s.main, s.err = nil, nil, nil
+	return err
+}
+
+// step runs the loop from where it was suspended until it must wait again —
+// it arms that wait and returns false — or main has completed (true, with
+// main's failure or a deadlock in s.err).
+func (s *Scheduler) step() bool {
+	p := s.p
+	if s.at == atPoll {
+		s.polled(p.CollectWaitAny(s.sigScratch...))
+		s.at = atTop
+	}
+	for {
+		if s.at == atUse {
+			p.CollectUse()
+			s.at = atTop
+		} else if s.pass(p) {
+			s.at = atUse
+			return false
+		}
+		if !s.idle() {
+			continue
+		}
+		if s.main.Completed() {
+			s.err = s.main.Failed()
+			return true
+		}
+		// idle: the next timer, if any, lies in the future.
 		var timeout time.Duration
 		if len(s.timers) > 0 {
 			timeout = s.timers[0].at.Sub(s.K.Now())
-			if timeout <= 0 {
-				continue
-			}
 		}
-		if cap(s.sigScratch) < len(s.watched)+1 {
-			s.sigScratch = make([]*sim.Signal, len(s.watched)+1)
+		if timeout == 0 && len(s.watched) == 0 {
+			s.err = fmt.Errorf("lwt: deadlock: main thread pending with no timers or events")
+			return true
 		}
-		sigs := s.sigScratch[:len(s.watched)+1]
+		n := len(s.watched) + 1
+		if cap(s.sigScratch) < n {
+			s.sigScratch = make([]*sim.Signal, n)
+		}
+		sigs := s.sigScratch[:n]
 		for i, w := range s.watched {
 			sigs[i] = w.sig
 		}
-		sigs[len(s.watched)] = s.wake
-		if timeout == 0 && len(s.watched) == 0 {
-			return fmt.Errorf("lwt: deadlock: main thread pending with no timers or events")
-		}
+		sigs[n-1] = s.wake
+		s.sigScratch = sigs // CollectWaitAny takes the same list
 		s.parked = true
-		idx := p.WaitAny(timeout, sigs...)
-		s.parked = false
-		if idx >= 0 && idx < len(s.watched) {
-			s.watched[idx].fn()
+		idx := p.ArmWaitAny(timeout, sigs...)
+		if idx < 0 {
+			s.at = atPoll
+			return false
 		}
+		s.polled(idx)
+	}
+}
+
+// polled ends a domainpoll that returned idx: a watched signal's handler
+// runs.
+func (s *Scheduler) polled(idx int) {
+	s.parked = false
+	if idx >= 0 && idx < len(s.watched) {
+		s.watched[idx].fn()
 	}
 }

@@ -122,7 +122,7 @@ func TestAwaitedPromiseAllocations(t *testing.T) {
 			pr := NewPromise[int](s)
 			Always(pr, func() { sum += pr.Value() })
 			pr.Resolve(1)
-			s.runReady(p)
+			s.pass(p)
 		})
 		if n != 2 {
 			t.Errorf("NewPromise + Always + Resolve + drain allocates %v objects, want 2 (the promise and the closure)", n)
@@ -148,7 +148,7 @@ func TestContinuationsRunInRegistrationOrder(t *testing.T) {
 				Always(pr, func() { order = append(order, i) })
 			}
 			complete(pr)
-			s.runReady(p)
+			s.pass(p)
 			if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 				t.Errorf("%s: continuations ran in order %v, want [1 2 3]", name, order)
 			}
@@ -170,8 +170,8 @@ func TestContinuationRegisteredDuringCompletionRunsOnce(t *testing.T) {
 		})
 		Always(pr, func() { order = append(order, "second") })
 		pr.Resolve(1)
-		s.runReady(p)
-		s.runReady(p)
+		s.pass(p)
+		s.pass(p)
 		if want := []string{"first", "second", "nested"}; len(order) != 3 || order[0] != want[0] || order[1] != want[1] || order[2] != want[2] {
 			t.Errorf("continuations ran as %v, want %v", order, want)
 		}

@@ -1,6 +1,7 @@
 package pvboot
 
 import (
+	"strings"
 	"testing"
 	"time"
 
@@ -93,6 +94,24 @@ func TestMainFailureGivesExitCodeOne(t *testing.T) {
 			t.Errorf("Main = %d, want 1 for failed main thread", code)
 		}
 	})
+}
+
+// TestMainDeadlockGivesExitCodeOne: a main thread that is left with no timer
+// and no watched event — found by the scheduler loop on a wake the kernel
+// ran inline — fails the domain with lwt's deadlock error on the console.
+func TestMainDeadlockGivesExitCodeOne(t *testing.T) {
+	var code int
+	d := boot(t, Options{}, func(vm *VM, p *sim.Proc) {
+		never := lwt.NewPromise[int](vm.S)
+		code = vm.Main(p, lwt.Bind(vm.S.Sleep(time.Millisecond), func(struct{}) *lwt.Promise[int] { return never }))
+	})
+	if code != 1 {
+		t.Errorf("Main = %d, want 1 for a deadlocked main thread", code)
+	}
+	lines := d.ConsoleLines()
+	if n := len(lines); n == 0 || !strings.Contains(lines[n-1], "main thread failed: lwt: deadlock: ") {
+		t.Errorf("console = %q, want the deadlock last", lines)
+	}
 }
 
 var errTest = &testError{}

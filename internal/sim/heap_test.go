@@ -17,7 +17,7 @@ func parkUnderFarTimer(waiter, setter *Kernel, parks int) (woken *int) {
 	sig := waiter.NewSignal("dev")
 	waiter.SpawnDaemon("guest", func(p *Proc) {
 		for {
-			if p.WaitAny(time.Hour, sig) == 0 {
+			if waitAny(p, time.Hour, sig) == 0 {
 				*woken++
 			}
 		}
@@ -106,7 +106,7 @@ func TestEventHeapRemovalProperty(t *testing.T) {
 				var took bool
 				if n == 5 {
 					took = s.ev.Cancel()
-				} else if was { // what WaitAny does with its timeout
+				} else if was { // what CollectWaitAny does with its timeout
 					k.unschedule(s.ev.e)
 					took = true
 				}

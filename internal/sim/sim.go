@@ -7,7 +7,13 @@
 // time to the next scheduled event whenever no proc is runnable. An activity
 // that only ever reacts to one signal and never blocks mid-way — a device
 // backend — is a handler instead (SpawnHandler): a proc's identity and
-// run-queue slot without the goroutine.
+// run-queue slot without the goroutine. A proc whose waiting is a loop — a
+// guest's scheduler — can suspend its goroutine into an inline body
+// (Suspend): each wake then runs that body on the kernel's stack, in the
+// proc's run-queue slot, and the goroutine resumes only when the body is
+// done. Waiting on any of several signals and charging CPU time come in an
+// arm and a collect half (ArmWaitAny/CollectWaitAny, ArmUse/CollectUse) so a
+// body can wait without blocking.
 //
 // Determinism: the run queue is FIFO, timed events are ordered by
 // (time, insertion sequence), and all randomness flows through the kernel's
@@ -186,7 +192,8 @@ type Kernel struct {
 
 	// parked receives the proc that just yielded control back to the
 	// kernel (or nil when it exited).
-	parked chan *Proc
+	parked   chan *Proc
+	handoffs int // goroutine resumes, each a two-channel switch (handOff)
 
 	panicVal any
 	panicked bool
@@ -414,7 +421,8 @@ func (k *Kernel) StopAt(t Time) {
 
 // Proc is a simulated process: a goroutine coroutine-scheduled by the kernel.
 // A handler (SpawnHandler) is a Proc without the goroutine: it owns the same
-// identity, run-queue slot and wake accounting, and step runs it inline.
+// identity, run-queue slot and wake accounting, and step runs it inline. So
+// does a proc suspended into an inline body (Suspend) until the body is done.
 type Proc struct {
 	k      *Kernel
 	name   string
@@ -425,10 +433,15 @@ type Proc struct {
 	daemon bool   // daemon procs may remain parked at simulation end
 	parkAt string // description of the current park site, for diagnostics
 
-	wake func() // schedules the proc; the one callback every park timer uses
+	wake    func() // schedules the proc; the one callback every park timer uses
+	timeout Event  // ArmWaitAny's timeout, taken back by CollectWaitAny
 
 	handle func()  // handlers only: the run-to-completion body
 	sig    *Signal // handlers only: the signal the handler waits on between runs
+
+	body      func() bool // while suspended (Suspend): what each wake runs
+	inBody    bool        // body is running, on the kernel's stack
+	bodyPanic any         // a panic out of body, re-raised on the goroutine
 
 	tracePid int // trace process the proc is attributed to (domain ID; 0 = host)
 }
@@ -522,12 +535,8 @@ func (k *Kernel) runHandler(p *Proc) {
 		}
 	}()
 	s := p.sig
-	traced := k.trace.Enabled()
 	if p.parkAt != "" { // woken out of its wait, which consumes the Set
-		if traced {
-			k.trace.End(k.TraceTime(), "kernel", "park:"+s.site, p.tracePid, p.id)
-		}
-		p.parkAt = ""
+		p.endPark()
 		s.pending = false
 	}
 	for {
@@ -538,9 +547,42 @@ func (k *Kernel) runHandler(p *Proc) {
 		s.pending = false // a Set during the run: Wait would not have parked
 	}
 	s.waiters = append(s.waiters, p)
-	p.parkAt = s.site
-	if traced {
-		k.trace.Begin(k.TraceTime(), "kernel", "park:"+s.site, p.tracePid, p.id)
+	p.beginPark(s.site)
+}
+
+// runBody is one wake of a suspended proc: its body runs here, on the
+// kernel's stack, in the run-queue slot where the goroutine would have been
+// resumed. Once the body is done — or has panicked — the goroutine resumes
+// in this same step, so Suspend returns (or re-raises) exactly where the
+// goroutine would have carried on.
+func (k *Kernel) runBody(p *Proc) {
+	if p.callBody() {
+		p.body = nil
+		k.handOff(p)
+	}
+}
+
+// callBody runs p's body once and reports whether it is done; a panic counts
+// as done and is kept for the goroutine to re-raise as its own.
+func (p *Proc) callBody() (done bool) {
+	defer func() {
+		p.inBody = false
+		if v := recover(); v != nil {
+			p.bodyPanic, done = v, true
+		}
+	}()
+	p.inBody = true
+	return p.body()
+}
+
+// handOff resumes p's goroutine and waits until it parks again or exits: the
+// two-channel switch every goroutine step costs.
+func (k *Kernel) handOff(p *Proc) {
+	k.handoffs++
+	p.resume <- struct{}{}
+	<-k.parked
+	if p.done {
+		delete(k.live, p)
 	}
 }
 
@@ -595,14 +637,13 @@ func (k *Kernel) step() bool {
 	if p.done {
 		return true
 	}
-	if p.handle != nil {
+	switch {
+	case p.handle != nil:
 		k.runHandler(p)
-	} else {
-		p.resume <- struct{}{}
-		<-k.parked
-		if p.done {
-			delete(k.live, p)
-		}
+	case p.body != nil:
+		k.runBody(p)
+	default:
+		k.handOff(p)
 	}
 	if k.panicked {
 		panic(k.panicVal)
@@ -674,17 +715,55 @@ func deadlock(now Time, kernels []*Kernel) error {
 // park blocks p until the kernel resumes it. The caller must already have
 // arranged for a future schedule(p) (timer, signal, ...).
 func (p *Proc) park(site string) {
+	p.beginPark(site)
+	p.block()
+	p.endPark()
+}
+
+// beginPark records that p waits at site and opens its park:<site> span;
+// endPark closes it when p runs again. Every wait — a goroutine's, a
+// handler's, an inline body's — goes through this pair, so the spans and the
+// deadlock report's park sites do not depend on which form waited.
+func (p *Proc) beginPark(site string) {
 	p.parkAt = site
-	traced := p.k.trace.Enabled()
-	if traced {
+	if p.k.trace.Enabled() {
 		p.k.trace.Begin(p.k.TraceTime(), "kernel", "park:"+site, p.tracePid, p.id)
+	}
+}
+
+func (p *Proc) endPark() {
+	if p.k.trace.Enabled() {
+		p.k.trace.End(p.k.TraceTime(), "kernel", "park:"+p.parkAt, p.tracePid, p.id)
+	}
+	p.parkAt = ""
+}
+
+// block hands control from p's goroutine back to the kernel until the kernel
+// resumes it.
+func (p *Proc) block() {
+	if p.inBody {
+		panic(fmt.Sprintf("sim: proc %q blocked inside its inline body", p.name))
 	}
 	p.k.parked <- p
 	<-p.resume
-	if traced {
-		p.k.trace.End(p.k.TraceTime(), "kernel", "park:"+site, p.tracePid, p.id)
+}
+
+// Suspend parks p's goroutine until body is done. The caller must already
+// have armed p's next wake (ArmWaitAny, ArmUse). From then on each wake of p
+// runs body on the kernel's own stack, in the run-queue slot where the
+// goroutine would have been resumed, with no goroutine switch: body collects
+// what woke it (CollectWaitAny, CollectUse), does its work, and either arms
+// the next wake and returns false or returns true. The goroutine resumes in
+// the step where body returned true, and Suspend returns. body must not
+// block (Sleep, Wait, Use, Yield); a panic in body is re-raised here, so it
+// surfaces as this proc's panic.
+func (p *Proc) Suspend(body func() bool) {
+	p.body = body
+	p.block()
+	if v := p.bodyPanic; v != nil {
+		p.bodyPanic = nil
+		panic(v)
 	}
-	p.parkAt = ""
 }
 
 // Yield places p at the back of the run queue and lets other work run at
@@ -703,15 +782,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	p.k.After(d, p.wake)
 	p.park("sleep")
-}
-
-// SleepUntil parks p until virtual time t.
-func (p *Proc) SleepUntil(t Time) {
-	if t <= p.k.now {
-		p.Yield()
-		return
-	}
-	p.Sleep(t.Sub(p.k.now))
 }
 
 // Signal is a level-triggered wakeup source: Set marks it pending and wakes
@@ -763,10 +833,12 @@ func (p *Proc) Wait(s *Signal) {
 	s.pending = false
 }
 
-// WaitAny parks p until any of sigs fires or timeout elapses. It returns the
-// index of the signal that fired, or -1 on timeout. A timeout of 0 means no
-// timeout. Pending signals are consumed and returned immediately.
-func (p *Proc) WaitAny(timeout time.Duration, sigs ...*Signal) int {
+// ArmWaitAny is the first half of waiting until any of sigs fires or timeout
+// elapses (0 means no timeout). A pending signal is consumed and its index
+// returned at once. Otherwise p joins every signal's waiter list, arms the
+// timeout and parks at "waitany", and ArmWaitAny returns -1; CollectWaitAny
+// with the same sigs is the second half, run when p next runs.
+func (p *Proc) ArmWaitAny(timeout time.Duration, sigs ...*Signal) int {
 	for i, s := range sigs {
 		if s.pending {
 			s.pending = false
@@ -776,16 +848,24 @@ func (p *Proc) WaitAny(timeout time.Duration, sigs ...*Signal) int {
 	for _, s := range sigs {
 		s.waiters = append(s.waiters, p)
 	}
-	var timer Event
 	if timeout > 0 {
-		timer = p.k.After(timeout, p.wake)
+		p.timeout = p.k.After(timeout, p.wake)
 	}
-	p.park("waitany")
-	if timer.Pending() {
+	p.beginPark("waitany")
+	return -1
+}
+
+// CollectWaitAny is the second half of ArmWaitAny: it returns the index of
+// the signal that fired, or -1 on timeout, consuming that signal's Set and
+// taking p off every waiter list.
+func (p *Proc) CollectWaitAny(sigs ...*Signal) int {
+	p.endPark()
+	if p.timeout.Pending() {
 		// A signal won: take the timeout back now, or a guest that parks
 		// under a far-off timer leaves one event behind per park.
-		p.k.unschedule(timer.e)
+		p.k.unschedule(p.timeout.e)
 	}
+	p.timeout = Event{}
 	result := -1
 	for i, s := range sigs {
 		// Detect which signal fired and remove p from all waiter lists.
@@ -873,9 +953,23 @@ func (c *CPU) Reserve(d time.Duration) Time { return c.reserve(d) }
 
 // Use consumes d of CPU time on c, parking p until the work completes.
 func (p *Proc) Use(c *CPU, d time.Duration) {
-	if d <= 0 {
-		return
+	if p.ArmUse(c, d) {
+		p.block()
+		p.CollectUse()
 	}
-	end := c.reserve(d)
-	p.SleepUntil(end)
 }
+
+// ArmUse is the first half of Use: it books d of CPU time on c and parks p
+// ("sleep") until the completion instant, reporting false — with nothing
+// booked — when d <= 0. CollectUse is the second half, run when p next runs.
+func (p *Proc) ArmUse(c *CPU, d time.Duration) bool {
+	if d <= 0 {
+		return false
+	}
+	p.k.At(c.reserve(d), p.wake)
+	p.beginPark("sleep")
+	return true
+}
+
+// CollectUse is the second half of ArmUse: the charged work has completed.
+func (p *Proc) CollectUse() { p.endPark() }

@@ -180,19 +180,33 @@ func TestPendingSignalConsumedImmediately(t *testing.T) {
 	}
 }
 
+// waitAny waits from p's goroutine until any of sigs fires or timeout
+// elapses, the way an inline body waits: arm, suspend until the wake,
+// collect.
+func waitAny(p *Proc, timeout time.Duration, sigs ...*Signal) int {
+	i := p.ArmWaitAny(timeout, sigs...)
+	if i < 0 {
+		p.Suspend(func() bool {
+			i = p.CollectWaitAny(sigs...)
+			return true
+		})
+	}
+	return i
+}
+
 func TestWaitAnyReturnsFiredIndex(t *testing.T) {
 	k := NewKernel(1)
 	a, b := k.NewSignal("a"), k.NewSignal("b")
 	var got int
 	k.Spawn("waiter", func(p *Proc) {
-		got = p.WaitAny(0, a, b)
+		got = waitAny(p, 0, a, b)
 	})
 	k.At(Time(5), func() { b.Set() })
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != 1 {
-		t.Errorf("WaitAny = %d, want 1", got)
+		t.Errorf("waitAny = %d, want 1", got)
 	}
 }
 
@@ -202,14 +216,14 @@ func TestWaitAnyTimeout(t *testing.T) {
 	var got int
 	var at Time
 	k.Spawn("waiter", func(p *Proc) {
-		got = p.WaitAny(10*time.Millisecond, a)
+		got = waitAny(p, 10*time.Millisecond, a)
 		at = p.Now()
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got != -1 {
-		t.Errorf("WaitAny = %d, want -1 (timeout)", got)
+		t.Errorf("waitAny = %d, want -1 (timeout)", got)
 	}
 	if at != Time(10*time.Millisecond) {
 		t.Errorf("timed out at %v, want 10ms", at)
@@ -223,8 +237,8 @@ func TestWaitAnyStaleTimerDoesNotWakeLaterPark(t *testing.T) {
 	var secondWake Time
 	k.Spawn("waiter", func(p *Proc) {
 		// First wait is satisfied by the signal well before its timeout.
-		if got := p.WaitAny(time.Second, a); got != 0 {
-			t.Errorf("first WaitAny = %d, want 0", got)
+		if got := waitAny(p, time.Second, a); got != 0 {
+			t.Errorf("first waitAny = %d, want 0", got)
 		}
 		// Second wait must NOT be woken by the first wait's stale timer
 		// (which fires at t=1s).
