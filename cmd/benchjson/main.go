@@ -14,14 +14,6 @@
 // printing per-benchmark ns/op and allocs/op deltas and exiting nonzero
 // when any benchmark regressed by more than 10% — the CI guard for the
 // fast path.
-//
-// Delta mode understands both BENCH_*.json layouts in this repo and
-// normalises each to the same section -> name -> row shape:
-//
-//   - trajectory files (BENCH_fastpath.json): used as is
-//   - experiment results (BENCH_scalesweep.json, repro -json): one section
-//     per result ID, one entry per series point named "series@x" with the
-//     Y value as ns_op
 package main
 
 import (
@@ -113,62 +105,17 @@ func main() {
 // tolerates before failing.
 const regressionLimit = 0.10
 
-// loadDoc reads any of the repo's benchmark JSON layouts and normalises it
-// to the trajectory shape (section -> name -> row).
+// loadDoc reads a trajectory file: section -> name -> {ns_op, b_op, allocs_op}.
 func loadDoc(path string) map[string]map[string]row {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		fatal(err)
 	}
-
-	// Trajectory layout: section -> name -> {ns_op, b_op, allocs_op}.
-	traj := map[string]map[string]row{}
-	if err := json.Unmarshal(b, &traj); err == nil && len(traj) > 0 {
-		return traj
+	doc := map[string]map[string]row{}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		fatal(fmt.Errorf("%s: %w", path, err))
 	}
-
-	// Experiment-result layout (repro -json): id -> []Result, each with
-	// named series over X. Every (series, x) point becomes one entry; the
-	// Y value lands in ns_op, which delta mode treats as "the number".
-	type series struct {
-		Name string    `json:"Name"`
-		X    []float64 `json:"X"`
-		Y    []float64 `json:"Y"`
-	}
-	type result struct {
-		ID     string   `json:"ID"`
-		Series []series `json:"Series"`
-	}
-	exp := map[string][]result{}
-	if err := json.Unmarshal(b, &exp); err == nil {
-		doc := map[string]map[string]row{}
-		for id, results := range exp {
-			for _, res := range results {
-				sec := res.ID
-				if sec == "" {
-					sec = id
-				}
-				for _, s := range res.Series {
-					for i, y := range s.Y {
-						x := float64(i)
-						if i < len(s.X) {
-							x = s.X[i]
-						}
-						if doc[sec] == nil {
-							doc[sec] = map[string]row{}
-						}
-						doc[sec][fmt.Sprintf("%s@%g", s.Name, x)] = row{NsOp: y}
-					}
-				}
-			}
-		}
-		if len(doc) > 0 {
-			return doc
-		}
-	}
-
-	fatal(fmt.Errorf("%s: unrecognised benchmark JSON layout", path))
-	return nil
+	return doc
 }
 
 // runDelta prints per-benchmark deltas for every (section, benchmark) pair

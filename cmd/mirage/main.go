@@ -12,9 +12,6 @@
 //	mirage boot   -cpuprofile cpu.pb -memprofile mem.pb   # pprof profiles of the simulator
 //	mirage list                        # module registry (Table 1)
 //	mirage top    [-appliance ...]     # boot + per-domain accounting table (virtual xentop)
-//	mirage experiment -id scalesweep   # run a registered experiment (shared with cmd/repro)
-//	mirage experiment -id scalesweep -domstat   # append the domstat table
-//	mirage experiment -list            # list the registry
 package main
 
 import (
@@ -50,19 +47,6 @@ func main() {
 		usage()
 	}
 	cmd := os.Args[1]
-	if cmd == "experiment" {
-		// The experiment knobs (-quick, -seed, -replicas-min, ...) are
-		// derived from the shared registry's parameter declarations, so
-		// this CLI and cmd/repro can never drift apart.
-		fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-		expID := fs.String("id", "", "experiment id to run (see -list)")
-		expList := fs.Bool("list", false, "list the registry and exit")
-		expOpts := experiments.BindFlags(fs)
-		fs.Parse(os.Args[2:])
-		runExperiment(*expID, expOpts(), *expList)
-		return
-	}
-
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	appliance := fs.String("appliance", "dns", "appliance configuration")
 	noDCE := fs.Bool("no-dce", false, "disable dead-code elimination")
@@ -179,30 +163,6 @@ func main() {
 	}
 }
 
-// runExperiment dispatches into the shared experiment registry (the same
-// catalogue cmd/repro serves).
-func runExperiment(id string, opts experiments.Options, list bool) {
-	if list || id == "" {
-		for _, e := range experiments.All() {
-			fmt.Println(e.ListLine())
-		}
-		if !list {
-			fmt.Fprintln(os.Stderr, "mirage: pick one with: mirage experiment -id <id>")
-			os.Exit(2)
-		}
-		return
-	}
-	e, ok := experiments.Get(id)
-	if !ok {
-		fatal(fmt.Errorf("unknown experiment %q (mirage experiment -list)", id))
-	}
-	out, err := e.Run(opts)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Print(out.Text())
-}
-
 func listModules() {
 	reg := build.Registry()
 	var names []string
@@ -218,7 +178,7 @@ func listModules() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: mirage {build|graph|boot|top|list|experiment} [-appliance name] [-no-dce] [-seed N] [-id experiment]")
+	fmt.Fprintln(os.Stderr, "usage: mirage {build|graph|boot|top|list} [-appliance name] [-no-dce] [-seed N]")
 	os.Exit(2)
 }
 

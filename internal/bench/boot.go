@@ -20,7 +20,7 @@ func buildTime(rc core.Config, memMiB int, parallel bool) time.Duration {
 	var elapsed time.Duration
 	k.Spawn("toolstack", func(p *sim.Proc) {
 		t0 := p.Now()
-		cfg := hypervisor.Config{Name: "guest", Memory: uint64(memMiB) << 20, NoSpawn: true}
+		cfg := hypervisor.Config{Name: "guest", Memory: uint64(memMiB) << 20}
 		if parallel {
 			h.CreateParallel(p, cfg)
 		} else {
@@ -113,7 +113,7 @@ func AblationToolstack(rc core.Config, n int, memMiB int) *Result {
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			k.Spawn("creator", func(p *sim.Proc) {
-				cfg := hypervisor.Config{Name: "g", Memory: uint64(memMiB) << 20, NoSpawn: true}
+				cfg := hypervisor.Config{Name: "g", Memory: uint64(memMiB) << 20}
 				if parallel {
 					h.CreateParallel(p, cfg)
 				} else {

@@ -120,7 +120,7 @@ func AblationSeal(rc core.Config) *Result {
 		var boot time.Duration
 		attempts := 0
 		k.Spawn("toolstack", func(p *sim.Proc) {
-			d := h.Create(p, hypervisor.Config{Name: "g", Memory: 32 << 20, NoSpawn: true})
+			d := h.Create(p, hypervisor.Config{Name: "g", Memory: 32 << 20})
 			d.PT.Map(0x1000, hypervisor.PageR|hypervisor.PageX)
 			d.PT.Map(0x2000, hypervisor.PageR|hypervisor.PageW)
 			t0 := p.Now()

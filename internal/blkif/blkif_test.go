@@ -32,7 +32,7 @@ func withGuestSSD(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ss
 	ssd := blkback.NewSSDNamed(k, blkback.DefaultSSDParams(), "")
 	st := xenstore.New()
 	k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		h.Create(tp, hypervisor.Config{
 			Name:   "guest",
 			Memory: 64 << 20,

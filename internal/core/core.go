@@ -177,7 +177,7 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	}
 	s.dom0Ready = k.NewSignal(sigName)
 	k.Spawn(initName, func(p *sim.Proc) {
-		s.Dom0 = s.Host.Create(p, hypervisor.Config{Name: dom0Name, Memory: 512 << 20, NoSpawn: true})
+		s.Dom0 = s.Host.Create(p, hypervisor.Config{Name: dom0Name, Memory: 512 << 20})
 		if s.Index == 0 {
 			pl.Dom0 = s.Dom0
 		}

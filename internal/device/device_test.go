@@ -43,8 +43,8 @@ func TestConnectHandshake(t *testing.T) {
 	st := xenstore.New()
 	var guest, dom0 *hypervisor.Domain
 	k.Spawn("setup", func(p *sim.Proc) {
-		dom0 = h.Create(p, hypervisor.Config{Name: "dom0", Memory: 16 << 20, NoSpawn: true})
-		guest = h.Create(p, hypervisor.Config{Name: "guest", Memory: 16 << 20, NoSpawn: true})
+		dom0 = h.Create(p, hypervisor.Config{Name: "dom0", Memory: 16 << 20})
+		guest = h.Create(p, hypervisor.Config{Name: "guest", Memory: 16 << 20})
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -98,8 +98,8 @@ func TestConnectKindMismatch(t *testing.T) {
 	st := xenstore.New()
 	var guest, dom0 *hypervisor.Domain
 	k.Spawn("setup", func(p *sim.Proc) {
-		dom0 = h.Create(p, hypervisor.Config{Name: "dom0", Memory: 16 << 20, NoSpawn: true})
-		guest = h.Create(p, hypervisor.Config{Name: "guest", Memory: 16 << 20, NoSpawn: true})
+		dom0 = h.Create(p, hypervisor.Config{Name: "dom0", Memory: 16 << 20})
+		guest = h.Create(p, hypervisor.Config{Name: "guest", Memory: 16 << 20})
 	})
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)

@@ -109,16 +109,6 @@ func (e Experiment) ListLine() string {
 // All returns the experiments in registration order.
 func All() []Experiment { return append([]Experiment(nil), registry...) }
 
-// Get finds an experiment by id.
-func Get(id string) (Experiment, bool) {
-	for _, e := range registry {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Experiment{}, false
-}
-
 // IDs returns every registered id, sorted.
 func IDs() []string {
 	var ids []string

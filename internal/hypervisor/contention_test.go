@@ -80,7 +80,7 @@ func TestShutdownReasonRecorded(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := NewHost(k, 1)
 	k.Spawn("toolstack", func(p *sim.Proc) {
-		d := h.Create(p, Config{Name: "g", Memory: 32 << 20, NoSpawn: true})
+		d := h.Create(p, Config{Name: "g", Memory: 32 << 20})
 		d.Shutdown(139, ShutdownCrash)
 		if !d.Dead || d.Reason != ShutdownCrash || d.ExitCode != 139 {
 			t.Errorf("domain = dead=%v reason=%v code=%d", d.Dead, d.Reason, d.ExitCode)

@@ -113,7 +113,7 @@ func (h *Host) pcpuKernel(i int) *sim.Kernel {
 // then has a single owning shard); dom0, build-only domains and
 // explicitly colocated guests stay on the host shard.
 func (h *Host) homeKernel(cfg Config, pcpuIdx int) *sim.Kernel {
-	if cfg.NoSpawn || cfg.Colocate || cfg.Entry == nil {
+	if cfg.Colocate || cfg.Entry == nil {
 		return h.K
 	}
 	return h.pcpuKernel(pcpuIdx)
@@ -300,14 +300,14 @@ type Domain struct {
 	shutdownHooks []func(code int, reason ShutdownReason)
 }
 
-// Config describes a domain to create.
+// Config describes a domain to create. A nil Entry builds the domain and
+// starts no guest code (dom0, boot benches).
 type Config struct {
 	Name     string
 	Memory   uint64 // memory reservation in bytes
 	VCPUs    int    // default 1
 	PCPU     int    // index into host PCPUs to pin vCPU 0 to; -1 allocates a fresh pCPU
 	Entry    func(d *Domain, p *sim.Proc) int
-	NoSpawn  bool // build only; do not start guest code (used by boot benches)
 	Colocate bool // keep the guest on the host shard (block-backed guests)
 	// Resume builds the domain from a migrated snapshot: the flat
 	// Params.ResumeCost replaces the memory-scaled build cost.
@@ -426,7 +426,7 @@ func (h *Host) CreateParallel(p *sim.Proc, cfg Config) *Domain {
 }
 
 func (d *Domain) start(cfg Config) {
-	if cfg.NoSpawn || cfg.Entry == nil {
+	if cfg.Entry == nil {
 		return
 	}
 	// The entry proc spawns on the domain's home shard: boot, the xenstore

@@ -19,10 +19,10 @@ func TestDomainBuildTimeScalesWithMemory(t *testing.T) {
 	var small, large time.Duration
 	k.Spawn("toolstack", func(p *sim.Proc) {
 		t0 := p.Now()
-		h.Create(p, Config{Name: "small", Memory: 64 << 20, NoSpawn: true})
+		h.Create(p, Config{Name: "small", Memory: 64 << 20})
 		small = p.Now().Sub(t0)
 		t1 := p.Now()
-		h.Create(p, Config{Name: "large", Memory: 2048 << 20, NoSpawn: true})
+		h.Create(p, Config{Name: "large", Memory: 2048 << 20})
 		large = p.Now().Sub(t1)
 	})
 	if _, err := k.Run(); err != nil {
@@ -39,7 +39,7 @@ func TestSynchronousToolstackSerializes(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		k.Spawn("creator", func(p *sim.Proc) {
-			h.Create(p, Config{Name: "d", Memory: 256 << 20, NoSpawn: true})
+			h.Create(p, Config{Name: "d", Memory: 256 << 20})
 			done[i] = p.Now()
 		})
 	}
@@ -57,7 +57,7 @@ func TestParallelToolstackOverlaps(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		i := i
 		k.Spawn("creator", func(p *sim.Proc) {
-			h.CreateParallel(p, Config{Name: "d", Memory: 256 << 20, NoSpawn: true})
+			h.CreateParallel(p, Config{Name: "d", Memory: 256 << 20})
 			done[i] = p.Now()
 		})
 	}
@@ -93,8 +93,8 @@ func TestEventChannelDelivery(t *testing.T) {
 	k, h := newHost(t)
 	var gotAt sim.Time
 	k.Spawn("toolstack", func(p *sim.Proc) {
-		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
-		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
+		a := h.Create(p, Config{Name: "a", Memory: 32 << 20})
+		b := h.Create(p, Config{Name: "b", Memory: 32 << 20})
 		pa, pb := Connect(a, b)
 		k.Spawn("receiver", func(rp *sim.Proc) {
 			rp.Wait(pb.Sig)
@@ -119,8 +119,8 @@ func TestEventChannelDelivery(t *testing.T) {
 func TestPollTimeout(t *testing.T) {
 	k, h := newHost(t)
 	k.Spawn("toolstack", func(p *sim.Proc) {
-		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
-		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
+		a := h.Create(p, Config{Name: "a", Memory: 32 << 20})
+		b := h.Create(p, Config{Name: "b", Memory: 32 << 20})
 		_, pb := Connect(a, b)
 		start := p.Now()
 		idx := p.ArmWaitAny(5*time.Millisecond, pb.Sig)
@@ -191,7 +191,7 @@ func TestSealedTableAllowsFreshNonExecIOMappings(t *testing.T) {
 func TestSealHypercallOnDomain(t *testing.T) {
 	k, h := newHost(t)
 	k.Spawn("toolstack", func(p *sim.Proc) {
-		d := h.Create(p, Config{Name: "g", Memory: 32 << 20, NoSpawn: true})
+		d := h.Create(p, Config{Name: "g", Memory: 32 << 20})
 		d.PT.Map(0x1000, PageR|PageX)
 		if err := d.Seal(p); err != nil {
 			t.Errorf("Seal: %v", err)
@@ -251,8 +251,8 @@ func TestNotifyAsyncAllocatesNothing(t *testing.T) {
 	k, h := newHost(t)
 	var pa, pb *Port
 	k.Spawn("toolstack", func(p *sim.Proc) {
-		a := h.Create(p, Config{Name: "a", Memory: 32 << 20, NoSpawn: true})
-		b := h.Create(p, Config{Name: "b", Memory: 32 << 20, NoSpawn: true})
+		a := h.Create(p, Config{Name: "a", Memory: 32 << 20})
+		b := h.Create(p, Config{Name: "b", Memory: 32 << 20})
 		pa, pb = Connect(a, b)
 	})
 	if _, err := k.Run(); err != nil {

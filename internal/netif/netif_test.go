@@ -77,7 +77,7 @@ func TestFrameDeliveryBetweenGuests(t *testing.T) {
 	var dom0 *hypervisor.Domain
 	var got string
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 = r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 = r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			done := lwt.NewPromise[string](vm.S)
@@ -115,7 +115,7 @@ func TestScatterGatherFrameReassembled(t *testing.T) {
 	r := newRig()
 	var got string
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			done := lwt.NewPromise[struct{}](vm.S)
@@ -159,7 +159,7 @@ func TestFrameStraddlingTwoBackendWakeups(t *testing.T) {
 	r := newRig()
 	var got []string
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			n.SetReceiver(func(v *cstruct.View, _ uint64) {
@@ -199,7 +199,7 @@ func TestFrameStraddlingTwoBackendWakeups(t *testing.T) {
 func TestTxCompletionsReleasePagesToPool(t *testing.T) {
 	r := newRig()
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			n.SetReceiver(func(v *cstruct.View, _ uint64) { v.Release() })
 			return vm.Main(p, vm.S.Sleep(900*time.Millisecond))
@@ -238,7 +238,7 @@ func TestRxDropWhenNoBuffersPosted(t *testing.T) {
 	r := newRig()
 	var vifDrops func() int
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			n.SetReceiver(func(v *cstruct.View, _ uint64) { v.Release() })
 			return vm.Main(p, vm.S.Sleep(500*time.Millisecond))
@@ -267,7 +267,7 @@ func TestTxBurstBeyondRingDepthQueuesAndDrains(t *testing.T) {
 	const burst = 100
 	received := 0
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			n.SetReceiver(func(v *cstruct.View, _ uint64) {
 				received++
@@ -306,7 +306,7 @@ func TestBurstSharesNotifications(t *testing.T) {
 	const burst = 16
 	received := 0
 	r.k.Spawn("setup", func(tp *sim.Proc) {
-		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20, NoSpawn: true})
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			n.SetReceiver(func(v *cstruct.View, _ uint64) {
 				received++

@@ -40,7 +40,7 @@ func newRig(t *testing.T) *rig {
 		st:     xenstore.New(),
 	}
 	k.Spawn("dom0-create", func(p *sim.Proc) {
-		r.dom0 = r.h.Create(p, hypervisor.Config{Name: "dom0", Memory: 256 << 20, NoSpawn: true})
+		r.dom0 = r.h.Create(p, hypervisor.Config{Name: "dom0", Memory: 256 << 20})
 	})
 	return r
 }

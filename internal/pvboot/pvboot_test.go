@@ -124,7 +124,7 @@ func TestWatchPortDeliversDeviceEvents(t *testing.T) {
 	k := sim.NewKernel(1)
 	h := hypervisor.NewHost(k, 1)
 	k.Spawn("toolstack", func(tp *sim.Proc) {
-		backendDom := h.Create(tp, hypervisor.Config{Name: "dom0-backend", Memory: 32 << 20, NoSpawn: true})
+		backendDom := h.Create(tp, hypervisor.Config{Name: "dom0-backend", Memory: 32 << 20})
 		h.Create(tp, hypervisor.Config{
 			Name:   "guest",
 			Memory: 64 << 20,

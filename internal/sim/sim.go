@@ -436,10 +436,7 @@ type Proc struct {
 	wake    func() // schedules the proc; the one callback every park timer uses
 	timeout Event  // ArmWaitAny's timeout, taken back by CollectWaitAny
 
-	handle func()  // handlers only: the run-to-completion body
-	sig    *Signal // handlers only: the signal the handler waits on between runs
-
-	body      func() bool // while suspended (Suspend): what each wake runs
+	body      func() bool // while suspended (Suspend), or a handler's for good: what each wake runs
 	inBody    bool        // body is running, on the kernel's stack
 	bodyPanic any         // a panic out of body, re-raised on the goroutine
 
@@ -510,56 +507,48 @@ func (k *Kernel) SpawnDaemon(name string, fn func(p *Proc)) *Proc {
 	return p
 }
 
-// SpawnHandler creates a daemon that needs no goroutine: an event handler
-// whose every activation runs to completion. It behaves as a daemon proc
-// running `for { fn(); p.Wait(sig) }` does — fn runs once when the kernel
-// first schedules it, then once per wake-up by sig, and again at once while
-// a Set arrived during the run — and it runs in the very run-queue slot that
-// proc would have been resumed in, so which form a backend takes is invisible
-// to virtual time, event order, the wake count and the trace. fn must not
-// block: it has no Proc to park. Use a Proc for anything that sleeps, waits
-// on several signals or consumes CPU time with Use.
+// SpawnHandler creates a daemon that needs no goroutine: a proc born with an
+// inline body (see Suspend) that never finishes. The body is the loop of a
+// daemon proc running `for { fn(); p.Wait(sig) }`, through Wait's own halves —
+// fn runs once when the kernel first schedules it, then once per wake-up by
+// sig, and again at once while a Set arrived during the run — in the very
+// run-queue slot that proc would have been resumed in, so which form a backend
+// takes is invisible to virtual time, event order, the wake count and the
+// trace. fn must not block: it has no Proc to park. Use a Proc for anything
+// that sleeps, waits on several signals or consumes CPU time with Use.
 func (k *Kernel) SpawnHandler(name string, sig *Signal, fn func()) {
 	p := k.newProc(name)
 	p.daemon = true
-	p.handle, p.sig = fn, sig
-}
-
-// runHandler is one activation of handler p: what resuming the equivalent
-// proc out of Wait(p.sig) does until it parks in Wait again.
-func (k *Kernel) runHandler(p *Proc) {
-	defer func() {
-		if v := recover(); v != nil {
-			k.panicVal = fmt.Sprintf("sim: handler %q panicked: %v", p.name, v)
-			k.panicked = true
+	p.body = func() bool {
+		if p.parkAt != "" { // woken out of its wait
+			p.collectWait(sig)
 		}
-	}()
-	s := p.sig
-	if p.parkAt != "" { // woken out of its wait, which consumes the Set
-		p.endPark()
-		s.pending = false
-	}
-	for {
-		p.handle()
-		if !s.pending {
-			break
+		for {
+			fn()
+			if p.armWait(sig) {
+				return false
+			}
 		}
-		s.pending = false // a Set during the run: Wait would not have parked
 	}
-	s.waiters = append(s.waiters, p)
-	p.beginPark(s.site)
 }
 
 // runBody is one wake of a suspended proc: its body runs here, on the
 // kernel's stack, in the run-queue slot where the goroutine would have been
 // resumed. Once the body is done — or has panicked — the goroutine resumes
 // in this same step, so Suspend returns (or re-raises) exactly where the
-// goroutine would have carried on.
+// goroutine would have carried on. A handler has no goroutine: its panic
+// ends the run here, named as the handler's.
 func (k *Kernel) runBody(p *Proc) {
-	if p.callBody() {
-		p.body = nil
-		k.handOff(p)
+	if !p.callBody() {
+		return
 	}
+	if p.resume == nil {
+		k.panicVal = fmt.Sprintf("sim: handler %q panicked: %v", p.name, p.bodyPanic)
+		k.panicked = true
+		return
+	}
+	p.body = nil
+	k.handOff(p)
 }
 
 // callBody runs p's body once and reports whether it is done; a panic counts
@@ -637,12 +626,9 @@ func (k *Kernel) step() bool {
 	if p.done {
 		return true
 	}
-	switch {
-	case p.handle != nil:
-		k.runHandler(p)
-	case p.body != nil:
+	if p.body != nil {
 		k.runBody(p)
-	default:
+	} else {
 		k.handOff(p)
 	}
 	if k.panicked {
@@ -824,12 +810,28 @@ func (s *Signal) Set() {
 // Wait parks p until the signal fires (or returns immediately, consuming a
 // pending Set).
 func (p *Proc) Wait(s *Signal) {
+	if p.armWait(s) {
+		p.block()
+		p.collectWait(s)
+	}
+}
+
+// armWait is the first half of Wait: it consumes a pending Set and reports
+// false, or joins s's waiters, parks p at s's site and reports true.
+func (p *Proc) armWait(s *Signal) bool {
 	if s.pending {
 		s.pending = false
-		return
+		return false
 	}
 	s.waiters = append(s.waiters, p)
-	p.park(s.site)
+	p.beginPark(s.site)
+	return true
+}
+
+// collectWait is the second half of Wait, run when p next runs: it consumes
+// the Set that woke p.
+func (p *Proc) collectWait(s *Signal) {
+	p.endPark()
 	s.pending = false
 }
 
