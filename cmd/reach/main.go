@@ -5,11 +5,12 @@
 //
 // A keep-list line is "<package dir> <function> <reason>". The function is
 // spelled as covdata prints it (Encode, MAC.String, *Handler.Lookup; methods
-// of generic types lose their receiver); "..." names a whole package that no
-// entry point links. The reason is one of paper:<§/Table/Fig> (a library or
-// mechanism the paper lists), safety:recovery|validation|dos,
-// pinned:benchmark (benchmark/README.md "Pinned API surface"), test-reference
-// (an oracle or observation point only assertions read) and debug:stringer.
+// of generic types lose their receiver). The reason is one of
+// paper:<§/Table/Fig> (a library or mechanism the paper lists),
+// safety:recovery|validation|dos, pinned:benchmark (benchmark/README.md
+// "Pinned API surface"), test-reference (an oracle or observation point only
+// assertions read) and debug:stringer. A package no entry point links is
+// absent from the report, so the tier-1 test, not this gate, rejects it.
 package main
 
 import (
@@ -43,10 +44,9 @@ func parseKeep(text string) (keep map[string]string, problems []string) {
 }
 
 // parseFunc reads the covdata report: whether any entry point called each
-// function under internal/ ("dir func" -> called), and which package
-// directories appear in it at all.
-func parseFunc(report string) (called, linked map[string]bool) {
-	called, linked = map[string]bool{}, map[string]bool{}
+// function under internal/ ("dir func" -> called).
+func parseFunc(report string) (called map[string]bool) {
+	called = map[string]bool{}
 	for _, line := range strings.Split(report, "\n") {
 		f := strings.Fields(line) // repro/internal/arp/arp.go:95: *Handler.Lookup 0.0%
 		if len(f) != 3 || !strings.HasPrefix(f[0], "repro/internal/") {
@@ -54,16 +54,15 @@ func parseFunc(report string) (called, linked map[string]bool) {
 		}
 		file, _, _ := strings.Cut(strings.TrimPrefix(f[0], "repro/"), ":")
 		dir := path.Dir(file)
-		linked[dir] = true
 		called[dir+" "+f[1]] = called[dir+" "+f[1]] || f[2] != "0.0%"
 	}
-	return called, linked
+	return called
 }
 
 // check names every never-called function missing from the keep-list and
-// every keep-list entry that is not a never-called function (or, as "...", a
-// package nothing links), and counts the never-called ones.
-func check(keep map[string]string, called, linked map[string]bool) (never int, problems []string) {
+// every keep-list entry that is not a never-called function, and counts the
+// never-called ones.
+func check(keep map[string]string, called map[string]bool) (never int, problems []string) {
 	for key, hit := range called {
 		if !hit {
 			never++
@@ -73,9 +72,7 @@ func check(keep map[string]string, called, linked map[string]bool) (never int, p
 		}
 	}
 	for key := range keep {
-		dir, fn, _ := strings.Cut(key, " ")
-		hit, known := called[key]
-		if (fn == "..." && linked[dir]) || (fn != "..." && (hit || !known)) {
+		if hit, known := called[key]; hit || !known {
 			problems = append(problems, "stale: "+key+" is listed but is called now, or is gone")
 		}
 	}
@@ -95,8 +92,8 @@ func main() {
 		os.Exit(2)
 	}
 	keep, problems := parseKeep(string(text))
-	called, linked := parseFunc(string(report))
-	never, more := check(keep, called, linked)
+	called := parseFunc(string(report))
+	never, more := check(keep, called)
 	if len(called) == 0 {
 		more = append(more, "the coverage report names no function under internal/: the cover build recorded nothing")
 	}

@@ -32,13 +32,12 @@ total							(statements)		79.1%
 internal/arp *Handler.Lookup paper:Table1
 internal/arp *Handler.Input paper:Table1
 internal/sim Time.String debug:stringer
-internal/memcache ... paper:Table1
 `)
 	if len(problems) != 0 {
 		t.Fatalf("well-formed keep-list rejected: %q", problems)
 	}
-	called, linked := parseFunc(report)
-	never, got := check(keep, called, linked)
+	called := parseFunc(report)
+	never, got := check(keep, called)
 	want := []string{
 		"stale: internal/arp *Handler.Input is listed but is called now, or is gone",
 		"unlisted: internal/dhcp Encode is never called: delete it, or list it with a reason",
@@ -48,13 +47,11 @@ internal/memcache ... paper:Table1
 			never, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
 
-	// A deleted function and a package that got linked are stale too.
-	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dhcp ... paper:Table1\ninternal/dhcp Encode paper:Table1\n")
-	_, got = check(keep, called, linked)
-	for _, key := range []string{"internal/arp *Handler.Gone", "internal/dhcp ..."} {
-		if !strings.Contains(strings.Join(got, "\n"), "stale: "+key+" ") {
-			t.Errorf("%s not reported stale in %q", key, got)
-		}
+	// A deleted function is stale too.
+	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dhcp Encode paper:Table1\n")
+	_, got = check(keep, called)
+	if !strings.Contains(strings.Join(got, "\n"), "stale: internal/arp *Handler.Gone ") {
+		t.Errorf("internal/arp *Handler.Gone not reported stale in %q", got)
 	}
 
 	for _, bad := range []string{
@@ -159,10 +156,12 @@ func indexDir(t *testing.T, dir string) *pkgIndex {
 
 // TestKeepListAndPinnedSurface walks the sources (go/parser only): every
 // keep-list line names a function that exists and gives a reason from the
-// fixed set, a package listed whole is imported by no non-test file, and
-// every symbol of benchmark/README.md's "Pinned API surface" still exists —
-// so a deletion that strands the keep-list or breaks the benchmark's contract
-// fails tier-1, before anyone runs the cover build.
+// fixed set, every package under internal/ is imported, directly or through
+// other packages, by a non-test file outside internal/ (the cover build
+// cannot see a package nothing links), and every symbol of
+// benchmark/README.md's "Pinned API surface" still exists — so a deletion
+// that strands the keep-list or breaks the benchmark's contract fails
+// tier-1, before anyone runs the cover build.
 func TestKeepListAndPinnedSurface(t *testing.T) {
 	text, err := os.ReadFile("keep.txt")
 	if err != nil {
@@ -185,18 +184,16 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 			t.Errorf("keep-list: %s: not a package under internal/", key)
 			continue
 		}
-		switch ix := dir(d); {
-		case fn == "..." && len(ix.funcs) == 0:
-			t.Errorf("keep-list: %s: the package declares no function", key)
-		case fn != "..." && !ix.funcs[fn]:
+		if !dir(d).funcs[fn] {
 			t.Errorf("keep-list: %s: no such function in %s", key, d)
 		}
 	}
 
-	// Every non-test file of the module: who imports a package listed whole,
-	// and which string literals internal/ holds (metric ids and CPU names are
-	// pinned as strings).
+	// Every non-test file of the module: which packages each directory
+	// imports, and which string literals internal/ holds (metric ids and CPU
+	// names are pinned as strings).
 	literals := map[string]bool{}
+	imports := map[string][]string{} // directory -> module packages it imports
 	err = filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
 		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return err
@@ -205,10 +202,10 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 		if err != nil {
 			return err
 		}
+		from := strings.TrimPrefix(filepath.Dir(path), root+"/")
 		for _, im := range f.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); keep[strings.TrimPrefix(p, "repro/")+" ..."] != "" {
-				t.Errorf("keep-list: %s is listed whole, but %s imports it: list its never-called functions one by one",
-					strings.TrimPrefix(p, "repro/"), path)
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/") {
+				imports[from] = append(imports[from], strings.TrimPrefix(p, "repro/"))
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -238,6 +235,26 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 	internal, err := os.ReadDir(filepath.Join(root, "internal"))
 	if err != nil {
 		t.Fatal(err)
+	}
+	linked := map[string]bool{}
+	var link func(d string)
+	link = func(d string) {
+		for _, p := range imports[d] {
+			if !linked[p] {
+				linked[p] = true
+				link(p)
+			}
+		}
+	}
+	for d := range imports {
+		if !strings.HasPrefix(d, "internal/") {
+			link(d)
+		}
+	}
+	for _, e := range internal {
+		if d := "internal/" + e.Name(); !linked[d] {
+			t.Errorf("%s: no entry point imports it, so no cover build can measure it: give it one, or delete it", d)
+		}
 	}
 	anyMember := func(name string) bool {
 		for _, e := range internal {

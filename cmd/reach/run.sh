@@ -13,7 +13,7 @@ for p in cmd/repro cmd/mirage benchmark examples/*; do
 done
 export GOCOVERDIR=$out/cov
 q() { "$@" >/dev/null 2>&1 </dev/null || { echo "reach: failed: $*" >&2; exit 1; }; }
-bad() { if "$@" >/dev/null 2>&1; then echo "reach: accepted: $*" >&2; exit 1; fi; } # usage errors
+bad() { local s=0; "$@" >/dev/null 2>&1 </dev/null || s=$?; [ "$s" = 2 ] || { echo "reach: exit $s, want 2: $*" >&2; exit 1; }; } # usage errors
 
 # Every invocation the golden check holds (cmd/golden/invocations.txt), in $t.
 while read -r name cmd; do
@@ -24,7 +24,10 @@ done <cmd/golden/invocations.txt
 # sharded fleet and the benchmark.
 bad "$b/repro" -experiment no-such-experiment
 bad "$b/repro" -loss 2
+bad "$b/repro" -experiment fig6,nosuch
+bad "$b/repro" -experiment fig6,scalesweep -quick -lb-policy bogus
+bad "$b/repro" -experiment fig6 -pcpus -3
 q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -memstats
-q "$b/repro" -experiment fig10 -quick -metrics -metrics-format prom -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
+q "$b/repro" -experiment fig10 -quick -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
 q "$b/repro" -experiment scalesweep -pcpus 4 -replicas-max 8 # full size: fills a TX ring and an accept backlog
 q "$b/benchmark" -reps 1 -layers -traced -out "$t/bench_out"

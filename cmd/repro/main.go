@@ -25,7 +25,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/experiments"
@@ -44,26 +43,32 @@ func main() {
 	profile := experiments.BindProfileFlags(flag.CommandLine)
 	flag.Parse()
 
+	// A bad invocation is refused with status 2 before anything runs.
+	usage := func(err error) {
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+			os.Exit(2)
+		}
+	}
 	// One configuration for the whole invocation: every platform and kernel
 	// the experiments build shares its tracer and registry, so one trace file
 	// and one dump cover the run end to end, and its impairment applies to
 	// every bridge. Some experiments (e.g. ping) assert loss-free completion
 	// and abort under aggressive impairment — that is the point.
 	cfg, err := run.Config()
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-		os.Exit(2)
-	}
+	usage(err)
+	exps, err := experiments.Select(*which)
+	usage(err)
+	opts, err := expOpts()
+	usage(err)
 
-	exps := experiments.All()
 	if *list {
-		for _, e := range exps {
+		for _, e := range experiments.All() {
 			fmt.Println(e.ListLine())
 		}
 		return
 	}
 
-	opts := expOpts()
 	opts.Config = cfg
 	stopProfile, err := profile.Start()
 	if err != nil {
@@ -71,16 +76,8 @@ func main() {
 		os.Exit(1)
 	}
 
-	want := map[string]bool{}
-	for _, id := range strings.Split(*which, ",") {
-		want[strings.TrimSpace(id)] = true
-	}
 	structured := map[string]any{}
-	ran := 0
 	for _, e := range exps {
-		if !want["all"] && !want[e.ID] {
-			continue
-		}
 		start := time.Now()
 		out, err := e.Run(opts)
 		elapsed := time.Since(start)
@@ -97,12 +94,6 @@ func main() {
 		if len(out.Results) > 0 {
 			structured[e.ID] = out.Results
 		}
-		ran++
-	}
-	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; available: %s\n",
-			*which, strings.Join(experiments.IDs(), " "))
-		os.Exit(2)
 	}
 	if err := stopProfile(); err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)

@@ -123,7 +123,7 @@ var shim struct{ pcpus int }
 //
 // Deprecated: kept, with its signature, for the one caller this tree cannot
 // change, the frozen benchmark/sut.go. Use Config{PCPUs}.NewPlatform; this,
-// shim and their test exemption go together with that call (ROADMAP item 10).
+// shim and their test exemption go together with that call (ROADMAP item 3).
 func SetDefaultSharding(pcpus int, parallel bool) {
 	shim.pcpus = pcpus
 }
@@ -245,46 +245,25 @@ type DeployOpts struct {
 	// is on and each deployment gets a fresh ASR seed (every deployment
 	// is relinked with a fresh layout, §2.3.4).
 	BuildOpts *build.Options
-	// NoSeal skips the seal hypercall (Mirage runs on unmodified Xen
-	// without it, losing one defence layer, §2.3.3).
-	NoSeal bool
 	// ParallelToolstack builds the domain on a private toolstack CPU
 	// (Figure 6) instead of serialising on dom0.
 	ParallelToolstack bool
 	// Delay postpones the start of domain construction.
 	Delay time.Duration
-	// PCPU pins the guest's vCPU to this host pCPU (default 0, so
+	// Host names the physical host the domain is built on; empty means the
+	// first host. Choosing among live hosts is the caller's policy
+	// (internal/fleet round-robins its replicas). A named host wins even
+	// when down: the deployment stalls on its dead dom0, which is what
+	// talking to a failed machine does.
+	Host string
+	// PCPU pins the guest's vCPU to this pCPU of its host (default 0, so
 	// co-deployed guests contend unless spread; -1 allocates a fresh one).
-	// Ignored when Placement is set.
 	PCPU int
-	// Placement, when non-nil, selects the physical host and pCPU via the
-	// typed placement API. Nil keeps the legacy single-host behaviour
-	// (first host, PCPU field above).
-	Placement *Placement
 	// Resume deploys from a migrated snapshot: the toolstack pays the flat
 	// resume cost instead of the memory-scaled build, and guest
 	// start-of-day is the reconnect path (see hypervisor.Config.Resume and
 	// pvboot.Options.Resume).
 	Resume bool
-}
-
-// Placement is the typed placement request: which physical host a domain
-// is built on and which pCPU its vCPU pins to there. Choosing among live
-// hosts is the caller's policy (internal/fleet round-robins its replicas).
-type Placement struct {
-	Host string // host name
-	PCPU int    // pCPU pin on the chosen host (-1 = fresh pCPU)
-}
-
-// resolve picks the site a placement lands on (nil: no host of that name).
-// A named host wins even when down (the caller asked for that box; the
-// deployment will stall on its dead dom0, which is what talking to a failed
-// machine does).
-func (pl *Platform) resolve(p *Placement) *Site {
-	if p == nil {
-		return pl.sites[0]
-	}
-	return pl.SiteByName(p.Host)
 }
 
 // Deployment is one deployed appliance.
@@ -304,16 +283,15 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 	dep := &Deployment{Name: u.Build.Name, created: pl.K.NewSignal(u.Build.Name + "-created")}
 	pl.deployments = append(pl.deployments, dep)
 
-	site := pl.resolve(opts.Placement)
+	site := pl.sites[0]
+	if opts.Host != "" {
+		site = pl.SiteByName(opts.Host)
+	}
 	if site == nil {
-		dep.Err = fmt.Errorf("core: no host for placement %+v", opts.Placement)
+		dep.Err = fmt.Errorf("core: no host named %q", opts.Host)
 		return dep
 	}
 	dep.Site = site
-	pcpu := opts.PCPU
-	if opts.Placement != nil {
-		pcpu = opts.Placement.PCPU
-	}
 
 	bopts := build.Options{DeadCodeElim: true, ASRSeed: int64(len(pl.deployments))*7919 + 1}
 	if opts.BuildOpts != nil {
@@ -333,7 +311,7 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 	entry := func(d *hypervisor.Domain, p *sim.Proc) int {
 		vm, err := pvboot.Boot(d, p, pvboot.Options{
 			BinarySize: uint64(img.SizeKB) << 10,
-			Seal:       !opts.NoSeal,
+			Seal:       true,
 			Resume:     opts.Resume,
 		})
 		if err != nil {
@@ -375,7 +353,7 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 		// Block guests colocate with dom0: blkback and the SSD are
 		// dom0-shard state, so their rings must not be driven from
 		// another shard.
-		cfg := hypervisor.Config{Name: u.Build.Name, Memory: mem, Entry: entry, PCPU: pcpu, Colocate: opts.Block, Resume: opts.Resume}
+		cfg := hypervisor.Config{Name: u.Build.Name, Memory: mem, Entry: entry, PCPU: opts.PCPU, Colocate: opts.Block, Resume: opts.Resume}
 		if opts.ParallelToolstack {
 			dep.Domain = site.Host.CreateParallel(p, cfg)
 		} else {

@@ -1,12 +1,13 @@
 // Package experiments is the single registry of runnable experiments.
-// cmd/repro and cmd/mirage used to carry parallel hand-written experiment
-// lists; both now consume this registry, so an experiment (id, title, run
-// function, option plumbing) is declared exactly once and every CLI picks
-// it up — the same consolidation the device package applies to drivers.
+// cmd/repro consumes it, so an experiment (id, title, run function, option
+// plumbing) is declared exactly once; the run flags and the profile pair it
+// also declares are shared with cmd/mirage — the same consolidation the
+// device package applies to drivers.
 package experiments
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -15,7 +16,7 @@ import (
 )
 
 // Options carries the CLI knobs an experiment may honour. Zero values mean
-// "use the experiment's default", so both CLIs can pass their flag set
+// "use the experiment's default", so cmd/repro can pass its flag set
 // straight through.
 type Options struct {
 	// Config is how the run is configured (sharding, bridge impairment,
@@ -29,7 +30,7 @@ type Options struct {
 	// Fleet experiments (scalesweep).
 	ReplicasMin int
 	ReplicasMax int
-	LBPolicy    string // round-robin | least-conns (also rr | lc)
+	LBPolicy    string // round-robin | least-conns | hash (also rr | lc | h)
 
 	// Storage experiments (kvsweep).
 	ValueBytes int
@@ -54,7 +55,7 @@ type Output struct {
 	Extra   []string
 }
 
-// Text renders the output as the CLIs print it.
+// Text renders the output as cmd/repro prints it.
 func (o Output) Text() string {
 	var b strings.Builder
 	for _, r := range o.Results {
@@ -69,8 +70,8 @@ func (o Output) Text() string {
 
 // Experiment is one registered experiment. Run must be deterministic for a
 // fixed Options value. Params names the declared knobs (see params.go)
-// the experiment honours beyond ignoring them — the CLIs print them in
-// their listings, so usage is self-describing.
+// the experiment honours beyond ignoring them — `repro -list` prints them,
+// so usage is self-describing.
 type Experiment struct {
 	ID     string
 	Title  string
@@ -108,6 +109,27 @@ func (e Experiment) ListLine() string {
 
 // All returns the experiments in registration order.
 func All() []Experiment { return append([]Experiment(nil), registry...) }
+
+// Select resolves a comma-separated id list ("all" is every experiment) to
+// the experiments it names, in registration order. An id that names none is
+// an error naming it, so a CLI refuses the list before anything runs.
+func Select(list string) ([]Experiment, error) {
+	want := map[string]bool{}
+	for _, id := range strings.Split(list, ",") {
+		id = strings.TrimSpace(id)
+		if id != "all" && !slices.ContainsFunc(registry, func(e Experiment) bool { return e.ID == id }) {
+			return nil, fmt.Errorf("unknown experiment %q; available: %s", id, strings.Join(IDs(), " "))
+		}
+		want[id] = true
+	}
+	var out []Experiment
+	for _, e := range registry {
+		if want["all"] || want[e.ID] {
+			out = append(out, e)
+		}
+	}
+	return out, nil
+}
 
 // IDs returns every registered id, sorted.
 func IDs() []string {

@@ -1,13 +1,17 @@
 package experiments
 
-import "flag"
+import (
+	"flag"
+
+	"repro/internal/fleet"
+)
 
 // Param is one declared experiment knob. The table below is the single
 // declaration of every knob an experiment can honour: its flag name, its
 // help text and the Options field it binds to live here and nowhere else.
-// Both CLIs derive their experiment flags from it (BindFlags), and each
+// cmd/repro derives its experiment flags from it (BindFlags), and each
 // Experiment names the knobs it reads in its Params list, so `-list` can
-// show per-experiment usage without either CLI hard-coding a flag.
+// show per-experiment usage without the CLI hard-coding a flag.
 type Param struct {
 	Name string // flag name, e.g. "replicas-min"
 	Help string
@@ -38,7 +42,7 @@ func stringParam(name, help string, field func(o *Options) *string) Param {
 	}}
 }
 
-// params declares every experiment knob, in the order the CLIs register
+// params declares every experiment knob, in the order the CLI registers
 // them. Zero values mean "use the experiment's default".
 var params = []Param{
 	boolParam("quick", "reduced workload sizes",
@@ -75,12 +79,20 @@ func knownParam(name string) bool {
 }
 
 // BindFlags registers every declared parameter on fs and returns the
-// function that collects the parsed values into an Options. Call it once
-// per FlagSet, before fs.Parse; call the returned closure after.
-func BindFlags(fs *flag.FlagSet) func() Options {
+// function that collects the parsed values into an Options, refusing a value
+// no experiment can honour with a one-line message that names it. Call it
+// once per FlagSet, before fs.Parse; call the returned closure after.
+func BindFlags(fs *flag.FlagSet) func() (Options, error) {
 	o := &Options{}
 	for _, p := range params {
 		p.bind(fs, o)
 	}
-	return func() Options { return *o }
+	return func() (Options, error) {
+		if o.LBPolicy != "" {
+			if _, err := fleet.ParsePolicy(o.LBPolicy); err != nil {
+				return Options{}, err
+			}
+		}
+		return *o, nil
+	}
 }

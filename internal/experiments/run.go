@@ -26,7 +26,7 @@ type Run struct {
 // that means something for what it runs — and returns where they parse to.
 // A name that is not a run flag panics.
 func BindRunFlags(fs *flag.FlagSet, names ...string) *Run {
-	r := &Run{}
+	r := &Run{cfg: core.Config{PCPUs: 1}}
 	for _, n := range names {
 		switch n {
 		case "trace":
@@ -44,7 +44,7 @@ func BindRunFlags(fs *flag.FlagSet, names ...string) *Run {
 		case "jitter":
 			fs.DurationVar(&r.cfg.Faults.Jitter, n, 0, "max extra per-frame delivery delay (e.g. 500us)")
 		case "pcpus":
-			fs.IntVar(&r.cfg.PCPUs, n, 1, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
+			fs.IntVar(&r.cfg.PCPUs, n, r.cfg.PCPUs, "shard the event queue across this many per-pCPU kernels (1 = classic single kernel)")
 		default:
 			panic(fmt.Sprintf("experiments: unknown run flag %q", n))
 		}
@@ -58,6 +58,9 @@ func BindRunFlags(fs *flag.FlagSet, names ...string) *Run {
 // one-line usage message; a CLI prints it and exits with status 2.
 func (r *Run) Config() (core.Config, error) {
 	cfg := r.cfg
+	if cfg.PCPUs < 1 {
+		return core.Config{}, fmt.Errorf("-pcpus %d: a run needs at least one pCPU", cfg.PCPUs)
+	}
 	for _, p := range []struct {
 		name string
 		v    float64

@@ -29,6 +29,8 @@ func TestRunFlags(t *testing.T) {
 		{args: "-metrics-format text", want: core.Config{PCPUs: 1}},
 		{args: "-trace t.json", want: core.Config{PCPUs: 1}},
 
+		{args: "-pcpus 0", err: "-pcpus 0"},
+		{args: "-pcpus -3", err: "-pcpus -3"},
 		{args: "-loss 1.5", err: "-loss"},
 		{args: "-loss -0.1", err: "-loss"},
 		{args: "-loss NaN", err: "-loss"},
@@ -65,6 +67,53 @@ func TestRunFlags(t *testing.T) {
 		cfg.Trace, cfg.Metrics = nil, nil
 		if cfg != c.want {
 			t.Errorf("%q: config %+v, want %+v", c.args, cfg, c.want)
+		}
+	}
+}
+
+// TestBadIdsAndKnobsRefused: an id list naming an unknown experiment and a
+// knob value no experiment can honour are refused whole, by a message that
+// names the bad value, before anything runs — not after the valid part of
+// the invocation has run.
+func TestBadIdsAndKnobsRefused(t *testing.T) {
+	for _, c := range []struct {
+		list string
+		want string // ids selected, in order
+		err  string // substring of the refusal; "" = accepted
+	}{
+		{list: "fig6", want: "fig6"},
+		{list: "fig6, fig5", want: "fig5,fig6"}, // registration order
+		{list: "fig6,nosuch", err: `"nosuch"`},
+		{list: "", err: `""`},
+	} {
+		exps, err := Select(c.list)
+		var got []string
+		for _, e := range exps {
+			got = append(got, e.ID)
+		}
+		if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) ||
+			c.err == "" && (err != nil || strings.Join(got, ",") != c.want) {
+			t.Errorf("Select(%q) = %v, %v; want %q, error naming %s", c.list, got, err, c.want, c.err)
+		}
+	}
+	if exps, err := Select("all"); err != nil || len(exps) != len(All()) {
+		t.Errorf("Select(all) = %d experiments, %v; want %d", len(exps), err, len(All()))
+	}
+
+	for _, c := range []struct{ args, err string }{
+		{"-lb-policy hash", ""},
+		{"-lb-policy lc -quick", ""},
+		{"-lb-policy bogus", "bogus"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		opts := BindFlags(fs)
+		if err := fs.Parse(strings.Fields(c.args)); err != nil {
+			t.Fatalf("%q: parse: %v", c.args, err)
+		}
+		_, err := opts()
+		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
+			t.Errorf("%q: error %v, want %q", c.args, err, c.err)
 		}
 	}
 }

@@ -138,20 +138,21 @@ type Spec struct {
 
 	// ScaleUpConns is the active-connection capacity budgeted per replica:
 	// the controller keeps ceil(active/ScaleUpConns) replicas (within
-	// Min..Max). ScaleDownConns (< ScaleUpConns) is the hysteresis floor:
-	// one replica drains when the remaining ones would still be under it.
-	ScaleUpConns   int
-	ScaleDownConns int
+	// Min..Max). A quarter of it, rounded up, is the hysteresis floor: one
+	// replica drains when the remaining ones would still be under it.
+	ScaleUpConns int
 	// P99TargetUS, when >0, also summons a replica whenever the fleet's
 	// request p99 over the last control interval exceeds it (µs).
 	P99TargetUS float64
 
 	Interval      time.Duration // control-loop period
-	ProbeInterval time.Duration
-	ProbeTimeout  time.Duration // probe silence before a replica is declared dead
-	BootTimeout   time.Duration // summon-to-first-probe-reply deadline
-	DrainTimeout  time.Duration // force retirement of a stuck drain
+	ProbeInterval time.Duration // health-probe period; four without a reply mean dead
 }
+
+const (
+	bootTimeout  = 5 * time.Second  // summon-to-first-probe-reply deadline
+	drainTimeout = 10 * time.Second // force retirement of a stuck drain
+)
 
 func (s *Spec) defaults() {
 	if s.Min <= 0 {
@@ -163,23 +164,11 @@ func (s *Spec) defaults() {
 	if s.ScaleUpConns <= 0 {
 		s.ScaleUpConns = 4
 	}
-	if s.ScaleDownConns <= 0 {
-		s.ScaleDownConns = (s.ScaleUpConns + 3) / 4
-	}
 	if s.Interval <= 0 {
 		s.Interval = 250 * time.Millisecond
 	}
 	if s.ProbeInterval <= 0 {
 		s.ProbeInterval = 100 * time.Millisecond
-	}
-	if s.ProbeTimeout <= 0 {
-		s.ProbeTimeout = 4 * s.ProbeInterval
-	}
-	if s.BootTimeout <= 0 {
-		s.BootTimeout = 5 * time.Second
-	}
-	if s.DrainTimeout <= 0 {
-		s.DrainTimeout = 10 * time.Second
 	}
 }
 
@@ -323,8 +312,8 @@ func (f *Fleet) summon(reason string) *Replica {
 	f.deploy(r, core.DeployOpts{
 		Net:               &netstack.Config{MAC: r.MAC, IP: r.IP, Netmask: f.spec.Netmask, VIP: f.spec.VIP},
 		ParallelToolstack: true,
+		Host:              f.placement(idx),
 		PCPU:              -1,
-		Placement:         f.placement(idx),
 	})
 	f.mxSummons.Inc()
 	if live := f.Live(); live > f.MaxReplicas {
@@ -353,13 +342,10 @@ func (f *Fleet) deploy(r *Replica, opts core.DeployOpts) {
 	}, opts)
 }
 
-// placement resolves where replica idx lands under Spec.Hosts: round-robin
-// over the hosts that are still alive. Nil (no Hosts, or every named host
-// down) keeps the legacy first-host deploy path.
-func (f *Fleet) placement(idx int) *core.Placement {
-	if len(f.spec.Hosts) == 0 {
-		return nil
-	}
+// placement names the host replica idx lands on under Spec.Hosts:
+// round-robin over the hosts that are still alive. Empty (no Hosts, or every
+// named host down) means the platform's first host.
+func (f *Fleet) placement(idx int) string {
 	var live []string
 	for _, h := range f.spec.Hosts {
 		if s := f.pl.SiteByName(h); s != nil && s.Alive() {
@@ -367,9 +353,9 @@ func (f *Fleet) placement(idx int) *core.Placement {
 		}
 	}
 	if len(live) == 0 {
-		return nil
+		return ""
 	}
-	return &core.Placement{Host: live[idx%len(live)], PCPU: -1}
+	return live[idx%len(live)]
 }
 
 // BeginMigrate freezes replica r for live migration: the domain suspends
@@ -408,8 +394,8 @@ func (f *Fleet) ResumeMigrated(r *Replica, host string) *core.Deployment {
 	f.deploy(r, core.DeployOpts{
 		Net:               &netstack.Config{MAC: r.MAC, IP: r.IP, Netmask: f.spec.Netmask, VIP: f.spec.VIP},
 		ParallelToolstack: true,
+		Host:              host,
 		PCPU:              -1,
-		Placement:         &core.Placement{Host: host, PCPU: -1},
 		Resume:            true,
 	})
 	f.event("migrate-resume %s host=%s", r.Name, host)
@@ -457,25 +443,25 @@ func (f *Fleet) tick() {
 	for _, r := range f.replicas {
 		switch r.State {
 		case Healthy, Draining:
-			if now.Sub(r.lastReply) > f.spec.ProbeTimeout {
+			if now.Sub(r.lastReply) > 4*f.spec.ProbeInterval {
 				f.declareDead(r, "probe-timeout")
 			}
 		case Booting:
-			if now.Sub(r.SummonedAt) > f.spec.BootTimeout {
+			if now.Sub(r.SummonedAt) > bootTimeout {
 				f.declareDead(r, "boot-timeout")
 			}
 		}
 	}
 
 	// Retirement: a drain finishes when its last connection closes, or is
-	// forced when it overstays DrainTimeout.
+	// forced when it overstays drainTimeout.
 	for _, r := range f.replicas {
 		if r.State != Draining {
 			continue
 		}
 		if f.LB.BackendActive(r.ID()) == 0 {
 			f.retire(r, "drained")
-		} else if now.Sub(r.drainStart) > f.spec.DrainTimeout {
+		} else if now.Sub(r.drainStart) > drainTimeout {
 			f.retire(r, "drain-timeout")
 		}
 	}
@@ -510,7 +496,7 @@ func (f *Fleet) tick() {
 		avail++
 	}
 	if avail > need && avail > f.spec.Min && f.calm() && sloWhy == "" &&
-		active <= f.spec.ScaleDownConns*(avail-1) {
+		active <= (f.spec.ScaleUpConns+3)/4*(avail-1) {
 		f.drainOne("idle-capacity")
 	}
 

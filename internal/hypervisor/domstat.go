@@ -46,10 +46,8 @@ func (h *Host) DomStats() []DomStat {
 		if d.Dead {
 			st.State = d.Reason.String()
 		}
-		for _, c := range d.VCPUs {
-			st.VCPUBusy += c.BusyTime()
-			st.RunqWait += c.QueueWait()
-		}
+		st.VCPUBusy = d.VCPU.BusyTime()
+		st.RunqWait = d.VCPU.QueueWait()
 		for _, pt := range d.ports {
 			st.Notifs += pt.Sends + pt.Receives
 		}

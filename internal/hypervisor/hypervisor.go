@@ -265,8 +265,8 @@ func (r ShutdownReason) String() string {
 	return "unknown"
 }
 
-// Domain is a VM instance. Unikernels use a single vCPU (§3.1, multikernel
-// philosophy); the conventional baselines may use several.
+// Domain is a VM instance with a single vCPU (§3.1, multikernel
+// philosophy).
 type Domain struct {
 	Host     *Host
 	K        *sim.Kernel // home shard: guest code, its devices and ports run here
@@ -274,7 +274,6 @@ type Domain struct {
 	Name     string
 	MemBytes uint64
 	VCPU     *sim.CPU
-	VCPUs    []*sim.CPU
 	Grants   *grant.Table
 	PT       *PageTable
 	Pool     *cstruct.Pool // I/O page pool (grant-shareable pages)
@@ -305,8 +304,7 @@ type Domain struct {
 type Config struct {
 	Name     string
 	Memory   uint64 // memory reservation in bytes
-	VCPUs    int    // default 1
-	PCPU     int    // index into host PCPUs to pin vCPU 0 to; -1 allocates a fresh pCPU
+	PCPU     int    // index into host PCPUs to pin the vCPU to; -1 allocates a fresh pCPU
 	Entry    func(d *Domain, p *sim.Proc) int
 	Colocate bool // keep the guest on the host shard (block-backed guests)
 	// Resume builds the domain from a migrated snapshot: the flat
@@ -338,25 +336,16 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 		pidx = len(h.PCPUs) // index the first fresh pCPU will take below
 	}
 	d.K = h.homeKernel(cfg, pidx)
-	nv := cfg.VCPUs
-	if nv <= 0 {
-		nv = 1
+	if cfg.PCPU >= 0 && cfg.PCPU < len(h.PCPUs) && h.PCPUs[cfg.PCPU].Kernel() == d.K {
+		d.VCPU = h.PCPUs[cfg.PCPU]
+	} else {
+		// Fresh vCPU, homed on the guest's shard so all its Reserve/Use
+		// calls run in one shard's context. A pinned pCPU homed on a different
+		// shard (e.g. dom0 pinned to a guest pCPU under sharding) also
+		// lands here rather than sharing cross-shard.
+		d.VCPU = d.K.NewCPU(cfg.Name + "-vcpu0")
+		h.PCPUs = append(h.PCPUs, d.VCPU)
 	}
-	for i := 0; i < nv; i++ {
-		var c *sim.CPU
-		if i == 0 && cfg.PCPU >= 0 && cfg.PCPU < len(h.PCPUs) && h.PCPUs[cfg.PCPU].Kernel() == d.K {
-			c = h.PCPUs[cfg.PCPU]
-		} else {
-			// Fresh vCPU, homed on the guest's shard so all its Reserve/Use
-			// calls run in one shard's context. A pinned pCPU homed on a different
-			// shard (e.g. dom0 pinned to a guest pCPU under sharding) also
-			// lands here rather than sharing cross-shard.
-			c = d.K.NewCPU(fmt.Sprintf("%s-vcpu%d", cfg.Name, i))
-			h.PCPUs = append(h.PCPUs, c)
-		}
-		d.VCPUs = append(d.VCPUs, c)
-	}
-	d.VCPU = d.VCPUs[0]
 	d.ready = h.K.NewSignal(cfg.Name + "-ready")
 	d.CreatedAt = h.K.Now()
 	h.domains = append(h.domains, d)

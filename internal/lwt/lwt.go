@@ -57,9 +57,6 @@ type Promise[T any] struct {
 	first     func()
 	callbacks []func()
 	onCancel  func()
-	// Label optionally tags the thread for debugging/statistics (§3.3:
-	// threads can be tagged with local keys).
-	Label string
 }
 
 // Completed reports whether the promise is resolved or failed.

@@ -72,16 +72,6 @@ func TestTimersInterleaveWithSignals(t *testing.T) {
 	}
 }
 
-func TestLabelSurvives(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewScheduler(k)
-	pr := NewPromise[int](s)
-	pr.Label = "db-writer" // §3.3: threads tagged for debugging/statistics
-	if pr.Label != "db-writer" {
-		t.Error("label lost")
-	}
-}
-
 func TestSchedulerCreatedCounter(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewScheduler(k)

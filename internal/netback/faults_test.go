@@ -104,8 +104,7 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 	b := NewBridgeNamed(k, DefaultParams(), "")
 	dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
 	b.Attach(dst)
-	win := 500 * time.Microsecond
-	b.SetFaults(Faults{Reorder: 1, ReorderWindow: win})
+	b.SetFaults(Faults{Reorder: 1})
 	const n = 8
 	for i := 0; i < n; i++ {
 		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))

@@ -74,11 +74,8 @@ type Faults struct {
 	// Dup is the probability a frame is delivered twice.
 	Dup float64
 	// Reorder is the probability a frame is held back by up to
-	// ReorderWindow, letting frames queued behind it overtake.
+	// DefaultReorderWindow, letting frames queued behind it overtake.
 	Reorder float64
-	// ReorderWindow bounds the hold-back delay for reordered frames
-	// (DefaultReorderWindow when zero).
-	ReorderWindow time.Duration
 	// Jitter adds a uniform random delay in [0, Jitter] to every delivery.
 	Jitter time.Duration
 }
@@ -422,11 +419,7 @@ func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool
 	for i := 0; i < copies; i++ {
 		when := at
 		if f.Reorder > 0 && rng.Float64() < f.Reorder {
-			win := f.ReorderWindow
-			if win <= 0 {
-				win = DefaultReorderWindow
-			}
-			when = when.Add(time.Duration(1 + rng.Int63n(int64(win))))
+			when = when.Add(time.Duration(1 + rng.Int63n(int64(DefaultReorderWindow))))
 			b.FaultReorders++
 			b.mxFaultReorder.Inc()
 			instant("reorder")

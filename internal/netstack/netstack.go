@@ -36,7 +36,6 @@ type Config struct {
 	IP      ipv4.Addr
 	Netmask ipv4.Addr
 	Gateway ipv4.Addr
-	MTU     int
 
 	// VIP, when set, is a shared virtual service address (direct server
 	// return behind a load balancer): the stack accepts packets addressed
@@ -46,7 +45,7 @@ type Config struct {
 	VIP ipv4.Addr
 
 	// TCPParams, when set, mutates the TCP parameters after the stack has
-	// applied its defaults (MTU-clamped MSS included) — the configuration
+	// applied its defaults (an MSS that fills netif.MTU) — the configuration
 	// seam experiments use to tune backlog, buffers or timers per guest.
 	TCPParams func(*tcp.Params)
 }
@@ -103,9 +102,6 @@ type Stack struct {
 
 // New builds a stack over nif with static configuration cfg.
 func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
-	if cfg.MTU == 0 {
-		cfg.MTU = netif.MTU
-	}
 	st := &Stack{
 		VM:     vm,
 		NIC:    nif,
@@ -133,9 +129,6 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 		})
 	}
 	tcpParams := tcp.DefaultParams()
-	if m := cfg.MTU - ipv4.HeaderLen - tcp.HeaderLen; m < tcpParams.MSS {
-		tcpParams.MSS = m
-	}
 	if cfg.TCPParams != nil {
 		cfg.TCPParams(&tcpParams)
 	}
@@ -259,7 +252,7 @@ func (st *Stack) sendIPSpan(src ipv4.Addr, dst ipv4.Addr, proto uint8, maxLen in
 		id := st.ipID
 		scratch := cstruct.Make(maxLen)
 		n := build(scratch)
-		for _, fr := range ipv4.PlanFragments(n, st.Cfg.MTU) {
+		for _, fr := range ipv4.PlanFragments(n, netif.MTU) {
 			page := st.VM.Dom.Pool.Get()
 			ethernet.Encode(page, mac, st.Cfg.MAC, ethernet.TypeIPv4)
 			iph := page.Sub(ethernet.HeaderLen, ipv4.HeaderLen)
@@ -278,7 +271,7 @@ const frameHdr = ethernet.HeaderLen + ipv4.HeaderLen
 // fitsOneFrame reports whether maxLen transport bytes go out unfragmented,
 // built in place in one I/O page.
 func (st *Stack) fitsOneFrame(maxLen int) bool {
-	return maxLen+frameHdr <= cstruct.PageSize && maxLen+ipv4.HeaderLen <= st.Cfg.MTU
+	return maxLen+frameHdr <= cstruct.PageSize && maxLen+ipv4.HeaderLen <= netif.MTU
 }
 
 // direct reports whether a packet of maxLen transport bytes for dst can be
@@ -483,5 +476,5 @@ func (st *Stack) ConfigureDHCP(xid uint32) *lwt.Promise[dhcp.Lease] {
 // String summarises the stack configuration.
 func (st *Stack) String() string {
 	return fmt.Sprintf("netstack %v ip=%v mask=%v gw=%v mtu=%d",
-		st.Cfg.MAC, st.Cfg.IP, st.Cfg.Netmask, st.Cfg.Gateway, st.Cfg.MTU)
+		st.Cfg.MAC, st.Cfg.IP, st.Cfg.Netmask, st.Cfg.Gateway, netif.MTU)
 }

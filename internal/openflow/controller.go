@@ -16,9 +16,6 @@ type Transport interface {
 // runtime — the knob that separates Mirage, NOX and Maestro in Figure 11.
 type ControllerParams struct {
 	PacketInCost time.Duration // learning + flow-mod + packet-out emit
-	// BatchFair makes the controller round-robin across connections when
-	// draining batched input (Maestro is fair; NOX destiny-fast is not).
-	BatchFair bool
 }
 
 // DefaultControllerParams are the Mirage appliance costs (between NOX's

@@ -29,16 +29,8 @@ type Options struct {
 	BinarySize uint64
 	// Seal issues the seal hypercall after page tables are installed.
 	Seal bool
-	// HeapBackend selects extent (default) or malloc major-heap growth.
-	HeapBackend mem.GrowthBackend
-	// InitCost is guest-side runtime initialisation work; the default
-	// models Mirage's tiny start-of-day (the paper's sub-50 ms total
-	// boot is dominated by domain construction).
-	InitCost time.Duration
-	// WakeCost is the per-timer-wake dispatch cost for the scheduler.
-	WakeCost time.Duration
 	// Resume marks start-of-day after live migration: runtime state was
-	// carried over in the snapshot, so the default InitCost shrinks to
+	// carried over in the snapshot, so the runtime-init cost shrinks to
 	// the reconnect work (event channels, device handshakes).
 	Resume bool
 }
@@ -55,9 +47,10 @@ type VM struct {
 }
 
 // defaultInitCost is the guest-side boot work (runtime init, driver
-// handshakes) of a Mirage unikernel; resumeInitCost is the reconnect-only
-// start-of-day after a migration (the snapshot carries the initialised
-// runtime, so only device rings and event channels are rebuilt).
+// handshakes) of a Mirage unikernel: tiny, since the paper's sub-50 ms total
+// boot is dominated by domain construction. resumeInitCost is the
+// reconnect-only start-of-day after a migration (the snapshot carries the
+// initialised runtime, so only device rings and event channels are rebuilt).
 const (
 	defaultInitCost = 4 * time.Millisecond
 	resumeInitCost  = 200 * time.Microsecond
@@ -67,12 +60,9 @@ const (
 // returns the VM handle. The domain's page tables are populated with the
 // W^X layout of Figure 2 before any application code runs.
 func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
-	if opts.InitCost == 0 {
-		if opts.Resume {
-			opts.InitCost = resumeInitCost
-		} else {
-			opts.InitCost = defaultInitCost
-		}
+	initCost := defaultInitCost
+	if opts.Resume {
+		initCost = resumeInitCost
 	}
 	if opts.BinarySize == 0 {
 		opts.BinarySize = 256 << 10
@@ -80,7 +70,7 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 	k := d.K
 	tr := k.Trace()
 	initStart := k.Now()
-	p.Use(d.VCPU, opts.InitCost)
+	p.Use(d.VCPU, initCost)
 	if tr.Enabled() {
 		tr.Complete(obs.Time(initStart), obs.Time(k.Now().Sub(initStart)),
 			"boot", "runtime-init", d.ID, 0)
@@ -122,17 +112,11 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 		}
 	}
 
-	cfg := mem.DefaultHeapConfig()
-	cfg.Backend = opts.HeapBackend
-	if opts.HeapBackend == mem.GrowMalloc {
-		cfg.ChunkTrackCost = 50 * time.Nanosecond
-	}
-	heap := mem.NewHeap(cfg)
+	heap := mem.NewHeap(mem.DefaultHeapConfig())
 
 	s := lwt.NewScheduler(d.K)
 	s.Heap = heap
 	s.CPU = d.VCPU
-	s.WakeCost = opts.WakeCost
 	d.ThreadStats = func() (int, int) { return s.Created, s.Wakes } // domstat hook
 
 	ext := mem.NewExtent(layout.MajorHeap)
