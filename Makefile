@@ -41,6 +41,9 @@ fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzChecksum$$' -fuzztime 5s ./internal/ipv4
 	$(GO) test -run '^$$' -fuzz '^FuzzDHCPParse$$' -fuzztime 5s ./internal/dhcp
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 5s ./internal/storage
+	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzARPParse$$' -fuzztime 5s ./internal/arp
 
 race: build
 	$(GO) test -race ./...

@@ -4,7 +4,7 @@
 // entry point ever called is not listed, or when a listed one is stale.
 //
 // A keep-list line is "<package dir> <function> <reason>". The function is
-// spelled as covdata prints it (Encode, MAC.String, *Handler.Lookup; methods
+// spelled as covdata prints it (Encode, MAC.String, *Handler.Cached; methods
 // of generic types lose their receiver). The reason is one of
 // paper:<§/Table/Fig> (a library or mechanism the paper lists),
 // safety:recovery|validation|dos, pinned:benchmark (benchmark/README.md
@@ -48,7 +48,7 @@ func parseKeep(text string) (keep map[string]string, problems []string) {
 func parseFunc(report string) (called map[string]bool) {
 	called = map[string]bool{}
 	for _, line := range strings.Split(report, "\n") {
-		f := strings.Fields(line) // repro/internal/arp/arp.go:95: *Handler.Lookup 0.0%
+		f := strings.Fields(line) // repro/internal/arp/arp.go:175: *Handler.GratuitousProbe 0.0%
 		if len(f) != 3 || !strings.HasPrefix(f[0], "repro/internal/") {
 			continue
 		}
@@ -80,6 +80,24 @@ func check(keep map[string]string, called map[string]bool) (never int, problems 
 	return never, problems
 }
 
+// reasonKinds are the keep-list reasons by kind (the part before any colon),
+// in the order summary prints them.
+var reasonKinds = []string{"paper", "safety", "pinned", "test-reference", "debug"}
+
+// summary counts the keep-list by reason kind.
+func summary(keep map[string]string) string {
+	n := map[string]int{}
+	for _, reason := range keep {
+		kind, _, _ := strings.Cut(reason, ":")
+		n[kind]++
+	}
+	counts := make([]string, len(reasonKinds))
+	for i, kind := range reasonKinds {
+		counts[i] = fmt.Sprintf("%s %d", kind, n[kind])
+	}
+	return "keep-list: " + strings.Join(counts, ", ")
+}
+
 func main() {
 	if len(os.Args) != 2 {
 		fmt.Fprintln(os.Stderr, "usage: go tool covdata func -i DIR | reach KEEPLIST")
@@ -104,4 +122,5 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never, len(called))
+	fmt.Println("reach:", summary(keep))
 }

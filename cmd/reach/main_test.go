@@ -46,6 +46,9 @@ internal/sim Time.String debug:stringer
 		t.Errorf("never-called = %d, want 3 (a generic method called through one instantiation is called)\nproblems:\n%s\nwant:\n%s",
 			never, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
+	if got, want := summary(keep), "keep-list: paper 2, safety 0, pinned 0, test-reference 0, debug 1"; got != want {
+		t.Errorf("summary = %q, want %q", got, want)
+	}
 
 	// A deleted function is stale too.
 	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dhcp Encode paper:Table1\n")
@@ -69,7 +72,7 @@ internal/sim Time.String debug:stringer
 // pkgIndex is what go/parser says a package directory declares, in the
 // spellings the keep-list and the pinned list use.
 type pkgIndex struct {
-	funcs   map[string]bool            // as covdata prints them: Encode, MAC.String, *Handler.Lookup
+	funcs   map[string]bool            // as covdata prints them: Encode, MAC.String, *Handler.Cached
 	top     map[string]bool            // package-level funcs, types, consts, vars
 	members map[string]map[string]bool // type -> its methods and fields
 }
@@ -154,6 +157,75 @@ func indexDir(t *testing.T, dir string) *pkgIndex {
 	return ix
 }
 
+// moduleSources walks every non-test file of the module (go/parser only):
+// which module packages each directory imports, and which string literals
+// internal/ holds (metric ids and CPU names are pinned as strings).
+func moduleSources(t *testing.T) (imports map[string][]string, literals map[string]bool) {
+	t.Helper()
+	literals = map[string]bool{}
+	imports = map[string][]string{} // directory -> module packages it imports
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
+		if err != nil {
+			return err
+		}
+		from := strings.TrimPrefix(filepath.Dir(path), root+"/")
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/") {
+				imports[from] = append(imports[from], strings.TrimPrefix(p, "repro/"))
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if l, ok := n.(*ast.BasicLit); ok && l.Kind == token.STRING && strings.HasPrefix(path, root+"/internal/") {
+				s, _ := strconv.Unquote(l.Value)
+				literals[s] = true
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return imports, literals
+}
+
+// linkedFrom is every module package the given directories import, directly
+// or through other packages.
+func linkedFrom(imports map[string][]string, dirs ...string) map[string]bool {
+	linked := map[string]bool{}
+	var link func(d string)
+	link = func(d string) {
+		for _, p := range imports[d] {
+			if !linked[p] {
+				linked[p] = true
+				link(p)
+			}
+		}
+	}
+	for _, d := range dirs {
+		link(d)
+	}
+	return linked
+}
+
+// TestDNSApplianceLinksNoStorage: the DNS appliance's response memo lives in
+// dns, so the appliance links no storage library (Table 2's point: an
+// appliance carries only the libraries it uses).
+func TestDNSApplianceLinksNoStorage(t *testing.T) {
+	imports, _ := moduleSources(t)
+	linked := linkedFrom(imports, "examples/dnsserver")
+	if !linked["internal/dns"] {
+		t.Fatal("examples/dnsserver does not import internal/dns: the import walk is broken")
+	}
+	if linked["internal/storage"] {
+		t.Error("examples/dnsserver imports internal/storage, directly or through another package")
+	}
+}
+
 // TestKeepListAndPinnedSurface walks the sources (go/parser only): every
 // keep-list line names a function that exists and gives a reason from the
 // fixed set, every package under internal/ is imported, directly or through
@@ -189,37 +261,7 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 		}
 	}
 
-	// Every non-test file of the module: which packages each directory
-	// imports, and which string literals internal/ holds (metric ids and CPU
-	// names are pinned as strings).
-	literals := map[string]bool{}
-	imports := map[string][]string{} // directory -> module packages it imports
-	err = filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
-		from := strings.TrimPrefix(filepath.Dir(path), root+"/")
-		for _, im := range f.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/") {
-				imports[from] = append(imports[from], strings.TrimPrefix(p, "repro/"))
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if l, ok := n.(*ast.BasicLit); ok && l.Kind == token.STRING && strings.HasPrefix(path, root+"/internal/") {
-				s, _ := strconv.Unquote(l.Value)
-				literals[s] = true
-			}
-			return true
-		})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	imports, literals := moduleSources(t)
 
 	readme, err := os.ReadFile(filepath.Join(root, "benchmark/README.md"))
 	if err != nil {
@@ -236,21 +278,13 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	linked := map[string]bool{}
-	var link func(d string)
-	link = func(d string) {
-		for _, p := range imports[d] {
-			if !linked[p] {
-				linked[p] = true
-				link(p)
-			}
-		}
-	}
+	var entries []string
 	for d := range imports {
 		if !strings.HasPrefix(d, "internal/") {
-			link(d)
+			entries = append(entries, d)
 		}
 	}
+	linked := linkedFrom(imports, entries...)
 	for _, e := range internal {
 		if d := "internal/" + e.Name(); !linked[d] {
 			t.Errorf("%s: no entry point imports it, so no cover build can measure it: give it one, or delete it", d)

@@ -91,12 +91,6 @@ func NewHandler(s *lwt.Scheduler, ip ipv4.Addr, mac ethernet.MAC) *Handler {
 	}
 }
 
-// Lookup returns a cached mapping.
-func (h *Handler) Lookup(ip ipv4.Addr) (ethernet.MAC, bool) {
-	m, ok := h.cache[ip]
-	return m, ok
-}
-
 // Cached returns ip's MAC when the cache holds it: the case Resolve answers
 // on the spot, counted as the same hit, for callers that would rather not
 // build a callback unless there is an exchange to wait for.

@@ -41,6 +41,32 @@ func TestParseRejectsNonEthernetIPv4(t *testing.T) {
 	}
 }
 
+// FuzzARPParse: Parse never panics on any bytes, and Encode writes back
+// whatever it accepts as a packet that parses to the same value.
+func FuzzARPParse(f *testing.F) {
+	for _, p := range []Packet{
+		{Op: OpRequest, SenderHW: hisHW, SenderIP: hisIP, TargetIP: myIP},
+		{Op: OpReply, SenderHW: myMAC, SenderIP: myIP, TargetHW: hisHW, TargetIP: hisIP},
+	} {
+		v := cstruct.Make(PacketLen)
+		Encode(v, p)
+		f.Add(v.Bytes())
+		f.Add(v.Bytes()[:PacketLen-1])
+	}
+	f.Add(make([]byte, PacketLen))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := Parse(cstruct.Wrap(b))
+		if err != nil {
+			return
+		}
+		v := cstruct.Make(PacketLen)
+		Encode(v, p)
+		if back, err := Parse(v); err != nil || back != p {
+			t.Fatalf("Parse(Encode(%+v)) = %+v, %v", p, back, err)
+		}
+	})
+}
+
 // newHandler builds a handler on a scheduler with captured output.
 func newHandler(k *sim.Kernel) (*Handler, *[]Packet, *lwt.Scheduler) {
 	s := lwt.NewScheduler(k)
@@ -58,7 +84,7 @@ func TestRepliesToRequestsForOurIP(t *testing.T) {
 		t.Fatalf("sent = %+v", *sent)
 	}
 	// Sender learned as a side effect.
-	if m, ok := h.Lookup(hisIP); !ok || m != hisHW {
+	if m, ok := h.Cached(hisIP); !ok || m != hisHW {
 		t.Error("sender not learned")
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-
-	"repro/internal/storage"
 )
 
 // fuzzSeeds is the unit tests' corpus: every hostile datagram, plus
@@ -105,7 +103,7 @@ func FuzzHandle(f *testing.F) {
 	f.Fuzz(func(t *testing.T, b []byte) {
 		server := func() *Server {
 			s := NewServer(zone, true)
-			s.Memo = storage.NewMemo(2)
+			s.Memo = NewMemo(2)
 			return s
 		}
 		fast, ref := server(), server()

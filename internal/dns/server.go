@@ -3,8 +3,6 @@ package dns
 import (
 	"strconv"
 	"time"
-
-	"repro/internal/storage"
 )
 
 // CompressorKind selects the label-compression strategy.
@@ -42,7 +40,7 @@ type Server struct {
 	Zone    *Zone
 	Params  Params
 	Kind    CompressorKind
-	Memo    *storage.Memo // nil disables memoization
+	Memo    *Memo // nil disables memoization
 	Queries int
 	Errors  int
 }
@@ -51,7 +49,7 @@ type Server struct {
 func NewServer(z *Zone, memoize bool) *Server {
 	s := &Server{Zone: z, Params: DefaultParams(), Kind: CompressTree}
 	if memoize {
-		s.Memo = storage.NewMemo(0)
+		s.Memo = NewMemo(0)
 	}
 	return s
 }

@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/arp"
 	"repro/internal/bufpool"
 	"repro/internal/cstruct"
 	"repro/internal/ethernet"
@@ -284,33 +285,18 @@ func (lb *LB) deliver(f *bufpool.Buf) {
 
 // arpInput answers requests for the VIP and the balancer's probe address.
 func (lb *LB) arpInput(b []byte) {
-	if len(b) < ethernet.HeaderLen+28 {
+	p, err := arp.Parse(cstruct.Wrap(b[ethernet.HeaderLen:]))
+	if err != nil || p.Op != arp.OpRequest || (p.TargetIP != lb.vip && p.TargetIP != lb.ip) {
 		return
 	}
-	p := b[ethernet.HeaderLen:]
-	op := uint16(p[6])<<8 | uint16(p[7])
-	if op != 1 {
-		return
-	}
-	var sha ethernet.MAC
-	copy(sha[:], p[8:14])
-	spa := ipv4.Addr(uint32(p[14])<<24 | uint32(p[15])<<16 | uint32(p[16])<<8 | uint32(p[17]))
-	tpa := ipv4.Addr(uint32(p[24])<<24 | uint32(p[25])<<16 | uint32(p[26])<<8 | uint32(p[27]))
-	if tpa != lb.vip && tpa != lb.ip {
-		return
-	}
-	v := cstruct.Make(ethernet.HeaderLen + 28)
-	ethernet.Encode(v, sha, lb.mac, ethernet.TypeARP)
-	r := v.Sub(ethernet.HeaderLen, 28)
-	r.PutBE16(0, 1)
-	r.PutBE16(2, 0x0800)
-	r.PutU8(4, 6)
-	r.PutU8(5, 4)
-	r.PutBE16(6, 2) // reply
-	r.PutBytes(8, lb.mac[:])
-	r.PutBE32(14, uint32(tpa))
-	r.PutBytes(18, sha[:])
-	r.PutBE32(24, uint32(spa))
+	v := cstruct.Make(ethernet.HeaderLen + arp.PacketLen)
+	ethernet.Encode(v, p.SenderHW, lb.mac, ethernet.TypeARP)
+	r := v.Sub(ethernet.HeaderLen, arp.PacketLen)
+	arp.Encode(r, arp.Packet{
+		Op:       arp.OpReply,
+		SenderHW: lb.mac, SenderIP: p.TargetIP,
+		TargetHW: p.SenderHW, TargetIP: p.SenderIP,
+	})
 	r.Release()
 	lb.bridge.TransmitBytes(lb.mac, v.Bytes())
 	v.Release()

@@ -419,20 +419,31 @@ func tryParseRequest(b []byte) (*Request, int, error) {
 		}
 		req.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
 	}
-	bodyLen := 0
-	if cl := req.Headers["content-length"]; cl != "" {
-		n, err := strconv.Atoi(cl)
-		if err != nil || n < 0 {
-			return nil, 0, fmt.Errorf("httpd: bad content-length %q", cl)
-		}
-		bodyLen = n
-	}
-	total := head + 4 + bodyLen
-	if len(b) < total {
-		return nil, 0, nil // need the rest of the body
+	total, err := messageEnd(b, head, req.Headers["content-length"])
+	if err != nil || total == 0 {
+		return nil, 0, err // malformed, or need the rest of the body
 	}
 	req.Body = append([]byte(nil), b[head+4:total]...)
 	return req, total, nil
+}
+
+// messageEnd is where a message whose header section ends at head (the
+// index of its blank line) ends in b, given its Content-Length header cl
+// ("" for none): 0 while b does not yet hold the whole body, and an error
+// for a length that is negative or not a number. The comparison cannot
+// overflow, so no length a peer sends can cut b out of bounds.
+func messageEnd(b []byte, head int, cl string) (int, error) {
+	start, n := head+4, 0
+	if cl != "" {
+		var err error
+		if n, err = strconv.Atoi(cl); err != nil || n < 0 {
+			return 0, fmt.Errorf("httpd: bad content-length %q", cl)
+		}
+	}
+	if n > len(b)-start {
+		return 0, nil
+	}
+	return start + n, nil
 }
 
 // --- Client ---
@@ -468,22 +479,16 @@ func ParseResponse(b []byte) (*Response, int, error) {
 		return nil, 0, fmt.Errorf("httpd: bad status %q", parts[1])
 	}
 	resp := &Response{Status: status, Headers: map[string]string{}}
-	bodyLen := 0
 	for _, l := range lines[1:] {
 		i := strings.IndexByte(l, ':')
 		if i < 0 {
 			continue
 		}
-		k := strings.ToLower(strings.TrimSpace(l[:i]))
-		v := strings.TrimSpace(l[i+1:])
-		resp.Headers[k] = v
-		if k == "content-length" {
-			bodyLen, _ = strconv.Atoi(v)
-		}
+		resp.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
 	}
-	total := head + 4 + bodyLen
-	if len(b) < total {
-		return nil, 0, nil
+	total, err := messageEnd(b, head, resp.Headers["content-length"])
+	if err != nil || total == 0 {
+		return nil, 0, err
 	}
 	resp.Body = append([]byte(nil), b[head+4:total]...)
 	return resp, total, nil

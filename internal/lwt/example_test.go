@@ -15,16 +15,19 @@ func Example() {
 	k := sim.NewKernel(1)
 	s := lwt.NewScheduler(k)
 	k.Spawn("main", func(p *sim.Proc) {
-		// Two concurrent sleeps; proceed when the first completes.
-		fast := s.Sleep(100 * time.Millisecond)
+		// Two concurrent sleeps: the fast one reports as it wakes, and main
+		// proceeds when both have completed.
+		fast := lwt.Map(s.Sleep(100*time.Millisecond), func(struct{}) string {
+			return fmt.Sprintf("fast woke at t=%v", k.Now())
+		})
 		slow := s.Sleep(5 * time.Second)
-		main := lwt.Bind(lwt.Choose(s, fast, slow), func(idx int) *lwt.Promise[string] {
-			return lwt.Return(s, fmt.Sprintf("winner: thread %d at t=%v", idx, k.Now()))
+		main := lwt.Bind(lwt.Join(s, fast, slow), func(struct{}) *lwt.Promise[string] {
+			return lwt.Return(s, fmt.Sprintf("%s; both done at t=%v", fast.Value(), k.Now()))
 		})
 		if err := s.Run(p, main); err == nil {
 			fmt.Println(main.Value())
 		}
 	})
 	k.Run()
-	// Output: winner: thread 0 at t=100ms
+	// Output: fast woke at t=100ms; both done at t=5s
 }

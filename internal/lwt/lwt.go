@@ -1,6 +1,6 @@
 // Package lwt is the cooperative threading library of a unikernel runtime
 // (paper §3.3, after Vouillon's Lwt [18]): lightweight threads are
-// heap-allocated promise values composed with Bind/Map/Join/Choose, and a
+// heap-allocated promise values composed with Bind/Map/Join, and a
 // per-domain scheduler evaluates blocking points into event descriptors so
 // application code keeps straight-line control flow.
 //
@@ -17,16 +17,12 @@ package lwt
 
 import (
 	"container/heap"
-	"errors"
 	"fmt"
 	"time"
 
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
-
-// ErrCanceled is the failure state of a cancelled thread.
-var ErrCanceled = errors.New("lwt: thread canceled")
 
 // state of a promise.
 const (
@@ -41,7 +37,6 @@ type Waiter interface {
 	Completed() bool
 	Failed() error
 	onComplete(fn func())
-	cancel()
 }
 
 // Promise is a lightweight thread: a heap-allocated value that is either
@@ -56,7 +51,6 @@ type Promise[T any] struct {
 	// its own field and the slice exists only from the second on.
 	first     func()
 	callbacks []func()
-	onCancel  func()
 }
 
 // Completed reports whether the promise is resolved or failed.
@@ -120,24 +114,6 @@ func (p *Promise[T]) Fail(err error) {
 	p.err = err
 	p.complete()
 }
-
-// Cancel fails a pending promise with ErrCanceled and runs its cancel hook
-// (used by the scheduler to free resources held by a thread, §3.4.1).
-func (p *Promise[T]) Cancel() { p.cancel() }
-
-func (p *Promise[T]) cancel() {
-	if p.state != pending {
-		return
-	}
-	if h := p.onCancel; h != nil {
-		p.onCancel = nil
-		h()
-	}
-	p.Fail(ErrCanceled)
-}
-
-// OnCancel registers a hook run if the thread is cancelled.
-func (p *Promise[T]) OnCancel(fn func()) { p.onCancel = fn }
 
 type timerEntry struct {
 	at  sim.Time
@@ -317,20 +293,6 @@ func Join(s *Scheduler, ws ...Waiter) *Promise[struct{}] {
 				} else {
 					out.Resolve(struct{}{})
 				}
-			}
-		})
-	}
-	return out
-}
-
-// Choose resolves with the index of the first of ws to complete.
-func Choose(s *Scheduler, ws ...Waiter) *Promise[int] {
-	out := NewPromise[int](s)
-	for i, w := range ws {
-		i, w := i, w
-		w.onComplete(func() {
-			if out.state == pending {
-				out.Resolve(i)
 			}
 		})
 	}

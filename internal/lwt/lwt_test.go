@@ -3,7 +3,6 @@ package lwt
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"repro/internal/mem"
@@ -96,40 +95,6 @@ func TestJoinPropagatesFirstFailure(t *testing.T) {
 		if err := s.Run(p, Join(s, a, b)); !errors.Is(err, boom) {
 			t.Errorf("err = %v, want boom", err)
 		}
-	})
-}
-
-func TestChooseReturnsFirstIndex(t *testing.T) {
-	end := run(t, func(p *sim.Proc, s *Scheduler) {
-		a := s.Sleep(5 * time.Second)
-		b := s.Sleep(1 * time.Second)
-		main := Choose(s, a, b)
-		if err := s.Run(p, main); err != nil {
-			t.Fatal(err)
-		}
-		if main.Value() != 1 {
-			t.Errorf("Choose = %d, want 1", main.Value())
-		}
-	})
-	if end > sim.Time(5*time.Second) {
-		t.Errorf("run ended at %v; Choose should not extend past all timers", end)
-	}
-}
-
-func TestCancelRunsHookAndFails(t *testing.T) {
-	run(t, func(p *sim.Proc, s *Scheduler) {
-		freed := false
-		pr := NewPromise[int](s)
-		pr.OnCancel(func() { freed = true })
-		pr.Cancel()
-		if !freed {
-			t.Error("cancel hook did not run")
-		}
-		if !errors.Is(pr.Failed(), ErrCanceled) {
-			t.Errorf("err = %v, want ErrCanceled", pr.Failed())
-		}
-		// Cancel of completed promise is a no-op.
-		pr.Cancel()
 	})
 }
 
@@ -246,44 +211,4 @@ func TestDoubleResolvePanics(t *testing.T) {
 		}
 	}()
 	p.Resolve(2)
-}
-
-// Property: Choose always returns the index of (one of) the minimum sleep
-// durations.
-func TestPropChoosePicksEarliest(t *testing.T) {
-	f := func(ds []uint16) bool {
-		if len(ds) == 0 || len(ds) > 32 {
-			return true
-		}
-		k := sim.NewKernel(1)
-		s := NewScheduler(k)
-		ok := true
-		k.Spawn("main", func(p *sim.Proc) {
-			ws := make([]Waiter, len(ds))
-			minD := time.Duration(ds[0])
-			for i, d := range ds {
-				dur := time.Duration(d) * time.Microsecond
-				if dur < minD*time.Microsecond {
-				}
-				ws[i] = s.Sleep(dur)
-			}
-			_ = minD
-			main := Choose(s, ws...)
-			if err := s.Run(p, main); err != nil {
-				ok = false
-				return
-			}
-			got := main.Value()
-			for _, d := range ds {
-				if d < ds[got] {
-					ok = false
-				}
-			}
-		})
-		k.Run()
-		return ok
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
 }

@@ -1,8 +1,7 @@
 // Package storage provides the unikernel storage libraries of paper
-// Table 1: a simple in-memory key-value store with a memoization wrapper,
-// an append-only copy-on-write B-tree ported over the Block API (the
-// Baardskeerder library of §3.5.2 and §4.4), and a FAT-32-style filesystem
-// whose reads return sector iterators.
+// Table 1: an append-only copy-on-write B-tree ported over the Block API
+// (the Baardskeerder library of §3.5.2 and §4.4), and a durable key-value
+// store over it with a write-ahead log.
 //
 // All of these are libraries linked with the application: caching policy
 // and buffer management are explicit and live inside each library, not in

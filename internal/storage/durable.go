@@ -8,7 +8,7 @@ import (
 	"repro/internal/lwt"
 )
 
-// DurableKV turns the in-memory KV into a durable appliance composed from
+// DurableKV is a key-value store made a durable appliance, composed from
 // the small storage libraries of §3.5.2: every update is written ahead to
 // the WAL (group-committed), served from an in-memory overlay, and folded
 // into the append-only B-tree at checkpoints, after which the log

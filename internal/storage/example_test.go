@@ -35,18 +35,3 @@ func Example_btree() {
 	k.Run()
 	// Output: now=v2 snapshot=v1
 }
-
-// Example_memo shows the response-memoization wrapper behind the paper's
-// DNS speedup (§4.2).
-func Example_memo() {
-	m := storage.NewMemo(0)
-	compute := 0
-	for i := 0; i < 3; i++ {
-		m.Get("www.example.org|A", func() []byte {
-			compute++
-			return []byte("10.0.0.80")
-		})
-	}
-	fmt.Printf("computed %d time(s), hits %d\n", compute, m.Hits)
-	// Output: computed 1 time(s), hits 2
-}

@@ -1,13 +1,11 @@
 package storage
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
-	"repro/internal/cstruct"
 	"repro/internal/lwt"
 	"repro/internal/sim"
 )
@@ -28,61 +26,6 @@ func runLwt(t *testing.T, fn func(s *lwt.Scheduler) lwt.Waiter) {
 	}
 	if failed != nil {
 		t.Fatal(failed)
-	}
-}
-
-func TestKVBasics(t *testing.T) {
-	kv := NewKV()
-	kv.Put("a", []byte("1"))
-	kv.Put("b", []byte("2"))
-	if v, ok := kv.Get("a"); !ok || string(v) != "1" {
-		t.Errorf("Get(a) = %q/%v", v, ok)
-	}
-	kv.Put("a", []byte("3"))
-	if v, _ := kv.Get("a"); string(v) != "3" {
-		t.Error("overwrite failed")
-	}
-	kv.Delete("a")
-	if _, ok := kv.Get("a"); ok {
-		t.Error("delete failed")
-	}
-	if kv.Len() != 1 {
-		t.Errorf("Len = %d, want 1", kv.Len())
-	}
-}
-
-func TestKVPutCopiesValue(t *testing.T) {
-	kv := NewKV()
-	buf := []byte("mutable")
-	kv.Put("k", buf)
-	buf[0] = 'X'
-	if v, _ := kv.Get("k"); string(v) != "mutable" {
-		t.Error("Put aliased the caller's buffer")
-	}
-}
-
-func TestMemoComputesOnceAndCounts(t *testing.T) {
-	m := NewMemo(0)
-	calls := 0
-	for i := 0; i < 10; i++ {
-		v := m.Get("q", func() []byte { calls++; return []byte("r") })
-		if string(v) != "r" {
-			t.Fatal("bad memo value")
-		}
-	}
-	if calls != 1 || m.Hits != 9 || m.Misses != 1 {
-		t.Errorf("calls=%d hits=%d misses=%d, want 1/9/1", calls, m.Hits, m.Misses)
-	}
-}
-
-func TestMemoCapBoundsEntries(t *testing.T) {
-	m := NewMemo(3)
-	for i := 0; i < 10; i++ {
-		key := fmt.Sprintf("k%d", i)
-		m.Get(key, func() []byte { return []byte{byte(i)} })
-	}
-	if m.Len() != 3 {
-		t.Errorf("Len = %d, want cap 3", m.Len())
 	}
 }
 
@@ -300,184 +243,6 @@ func TestPropBTreeMatchesMap(t *testing.T) {
 		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestFATCreateAndIterate(t *testing.T) {
-	data := make([]byte, 10_000) // spans 3 clusters
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
-		dev := NewMemDevice(s)
-		return lwt.Bind(FormatFAT(s, dev, 64), func(f *FAT) *lwt.Promise[struct{}] {
-			return lwt.Bind(f.Create("blob.bin", data), func(struct{}) *lwt.Promise[struct{}] {
-				it, err := f.Open("blob.bin")
-				if err != nil {
-					t.Fatal(err)
-				}
-				var got []byte
-				var loop func() *lwt.Promise[struct{}]
-				loop = func() *lwt.Promise[struct{}] {
-					return lwt.Bind(it.Next(), func(v *cstruct.View) *lwt.Promise[struct{}] {
-						if v == nil {
-							return lwt.Return(s, struct{}{})
-						}
-						got = append(got, v.Bytes()...)
-						v.Release()
-						return loop()
-					})
-				}
-				return lwt.Map(loop(), func(struct{}) struct{} {
-					if !bytes.Equal(got, data) {
-						t.Errorf("iterated %d bytes, corrupted (want %d)", len(got), len(data))
-					}
-					// Iterator fetched whole clusters, not per-sector reads.
-					if f.ClustersRead != 3 {
-						t.Errorf("ClustersRead = %d, want 3 (internal buffering)", f.ClustersRead)
-					}
-					return struct{}{}
-				})
-			})
-		})
-	})
-}
-
-func TestFATPersistsAcrossMount(t *testing.T) {
-	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
-		dev := NewMemDevice(s)
-		return lwt.Bind(FormatFAT(s, dev, 32), func(f *FAT) *lwt.Promise[struct{}] {
-			return lwt.Bind(f.Create("zone.db", []byte("records")), func(struct{}) *lwt.Promise[struct{}] {
-				return lwt.Bind(OpenFAT(s, dev), func(f2 *FAT) *lwt.Promise[struct{}] {
-					if size, ok := f2.Stat("zone.db"); !ok || size != 7 {
-						t.Errorf("Stat after remount = %d/%v", size, ok)
-					}
-					it, err := f2.Open("zone.db")
-					if err != nil {
-						t.Fatal(err)
-					}
-					return lwt.Map(it.Next(), func(v *cstruct.View) struct{} {
-						if v.String(0, 7) != "records" {
-							t.Error("data corrupted across remount")
-						}
-						v.Release()
-						return struct{}{}
-					})
-				})
-			})
-		})
-	})
-}
-
-func TestFATRemoveFreesSpace(t *testing.T) {
-	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
-		dev := NewMemDevice(s)
-		big := make([]byte, 16*cstruct.PageSize)
-		return lwt.Bind(FormatFAT(s, dev, 16), func(f *FAT) *lwt.Promise[struct{}] {
-			return lwt.Bind(f.Create("a", big), func(struct{}) *lwt.Promise[struct{}] {
-				// Disk is full now.
-				fail := f.Create("b", []byte("x"))
-				if fail.Failed() == nil {
-					t.Error("create on full disk succeeded")
-				}
-				return lwt.Bind(f.Remove("a"), func(struct{}) *lwt.Promise[struct{}] {
-					ok := f.Create("b", big)
-					return lwt.Map(ok, func(struct{}) struct{} {
-						if _, exists := f.Stat("a"); exists {
-							t.Error("removed file still listed")
-						}
-						return struct{}{}
-					})
-				})
-			})
-		})
-	})
-}
-
-func TestFATDuplicateNameRejected(t *testing.T) {
-	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
-		dev := NewMemDevice(s)
-		return lwt.Bind(FormatFAT(s, dev, 8), func(f *FAT) *lwt.Promise[struct{}] {
-			return lwt.Bind(f.Create("x", []byte("1")), func(struct{}) *lwt.Promise[struct{}] {
-				if f.Create("x", []byte("2")).Failed() == nil {
-					t.Error("duplicate name accepted")
-				}
-				return lwt.Return(s, struct{}{})
-			})
-		})
-	})
-}
-
-// Property: FAT agrees with a map reference under random create/remove
-// sequences, and every surviving file reads back intact.
-func TestPropFATMatchesReference(t *testing.T) {
-	f := func(ops []uint16) bool {
-		ok := true
-		runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
-			dev := NewMemDevice(s)
-			return lwt.Bind(FormatFAT(s, dev, 64), func(fs *FAT) *lwt.Promise[struct{}] {
-				ref := map[string][]byte{}
-				chain := lwt.Return(s, struct{}{})
-				for _, op := range ops {
-					name := fmt.Sprintf("f%d", op%8)
-					if op%3 != 0 {
-						size := int(op) % 9000
-						data := make([]byte, size)
-						for i := range data {
-							data[i] = byte(int(op) + i)
-						}
-						if _, exists := ref[name]; !exists {
-							ref[name] = data
-							chain = lwt.Bind(chain, func(struct{}) *lwt.Promise[struct{}] {
-								return fs.Create(name, data)
-							})
-						}
-					} else if _, exists := ref[name]; exists {
-						delete(ref, name)
-						chain = lwt.Bind(chain, func(struct{}) *lwt.Promise[struct{}] {
-							return fs.Remove(name)
-						})
-					}
-				}
-				return lwt.Bind(chain, func(struct{}) *lwt.Promise[struct{}] {
-					if len(fs.List()) != len(ref) {
-						ok = false
-					}
-					check := lwt.Return(s, struct{}{})
-					for name, want := range ref {
-						name, want := name, want
-						check = lwt.Bind(check, func(struct{}) *lwt.Promise[struct{}] {
-							it, err := fs.Open(name)
-							if err != nil {
-								ok = false
-								return lwt.Return(s, struct{}{})
-							}
-							var got []byte
-							var loop func() *lwt.Promise[struct{}]
-							loop = func() *lwt.Promise[struct{}] {
-								return lwt.Bind(it.Next(), func(v *cstruct.View) *lwt.Promise[struct{}] {
-									if v == nil {
-										if !bytes.Equal(got, want) {
-											ok = false
-										}
-										return lwt.Return(s, struct{}{})
-									}
-									got = append(got, v.Bytes()...)
-									v.Release()
-									return loop()
-								})
-							}
-							return loop()
-						})
-					}
-					return check
-				})
-			})
-		})
-		return ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Error(err)
 	}
 }
