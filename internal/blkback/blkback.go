@@ -264,8 +264,11 @@ type VBD struct {
 	back  *ring.Back
 	port  *hypervisor.Port
 
-	// rspPending batches same-instant completions into one publish+notify.
+	// rspPending batches same-instant completions into one publish+notify;
+	// flushFunc is that publish, built once so scheduling it allocates
+	// nothing.
 	rspPending bool
+	flushFunc  func()
 
 	// Requests counts ring requests served.
 	Requests int
@@ -303,6 +306,7 @@ func (vb *VBDBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 // its handler (serve) on the event channel.
 func NewVBD(ssd *SSD, guest *hypervisor.Domain, ringPage *cstruct.View, port *hypervisor.Port) *VBD {
 	v := &VBD{ssd: ssd, guest: guest, back: ring.NewBack(ringPage), port: port}
+	v.flushFunc = v.flushEvent
 	ssd.K.SpawnHandler(fmt.Sprintf("blkback-dom%d", guest.ID), port.Sig, v.serve)
 	return v
 }
@@ -351,10 +355,21 @@ func (v *VBD) submit(r Req) {
 		v.Errors++
 		done = v.ssd.K.Now()
 	}
-	v.ssd.K.At(done, func() {
-		v.back.PushResponse(func(s *cstruct.View) { EncodeRsp(s, r.ID, ok) })
-		v.flushResponses()
-	})
+	n := uint64(r.ID) << 1
+	if ok {
+		n |= 1
+	}
+	v.ssd.K.AtArg(done, respondEvent, v, n)
+}
+
+// respondEvent is the event submit queues at the device completion instant:
+// the VBD rides the event with the request id and the ok bit packed into n,
+// so no closure is built per request.
+func respondEvent(vbd any, n uint64) {
+	v := vbd.(*VBD)
+	id, ok := uint16(n>>1), n&1 == 1
+	v.back.PushResponse(func(s *cstruct.View) { EncodeRsp(s, id, ok) })
+	v.flushResponses()
 }
 
 func (v *VBD) submitDirect(r Req, done *sim.Time) bool {
@@ -385,9 +400,9 @@ func (v *VBD) submitIndirect(r Req, done *sim.Time) bool {
 	}
 	// Grant-batch mapping: every segment page is mapped before any data
 	// moves, so the whole burst pays one mapping pass, not one per page of
-	// progress.
-	grefs := make([]grant.Ref, segs)
-	pages := make([]*cstruct.View, segs)
+	// progress. The batch is bounded by MaxSegments, so it lives on the stack.
+	var grefs [MaxSegments]grant.Ref
+	var pages [MaxSegments]*cstruct.View
 	for i := 0; i < segs; i++ {
 		grefs[i] = grant.Ref(ind.LE32(i * 4))
 		pg, err := v.guest.Grants.Map(grefs[i])
@@ -443,10 +458,13 @@ func (v *VBD) flushResponses() {
 	}
 	v.rspPending = true
 	k := v.ssd.K
-	k.At(k.Now(), func() {
-		v.rspPending = false
-		if v.back.PushResponses() {
-			v.port.NotifyAsync()
-		}
-	})
+	k.At(k.Now(), v.flushFunc)
+}
+
+// flushEvent is the event flushResponses queues.
+func (v *VBD) flushEvent() {
+	v.rspPending = false
+	if v.back.PushResponses() {
+		v.port.NotifyAsync()
+	}
 }

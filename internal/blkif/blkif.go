@@ -69,6 +69,13 @@ type Blkif struct {
 	// never granted, touched only in guest context; it grows to the largest
 	// number of writes ever staged or queued at once.
 	free [][]byte
+	// freeOps and freeDevops recycle request records the same way: complete
+	// hands a devop and its member ops back once it has settled every op's
+	// promise, the devop keeping its ops, pages and grefs slices for reuse.
+	freeOps    []*op
+	freeDevops []*devop
+	// Event callbacks, built once so scheduling one allocates nothing.
+	unplugFunc, flushFunc func()
 
 	// Stats
 	Reads, Writes int
@@ -126,6 +133,7 @@ func Attach(vm *pvboot.VM, ssd *blkback.SSD, dom0 *hypervisor.Domain, st *xensto
 		inflight: map[uint16]*devop{},
 		batching: true,
 	}
+	b.unplugFunc, b.flushFunc = b.unplugEvent, b.flushEvent
 	k := vm.S.K
 	m := k.Metrics()
 	dev := obs.L("dev", fmt.Sprintf("vbd%d", d.ID))
@@ -188,7 +196,8 @@ func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt
 		pr.Fail(fmt.Errorf("blkif: bad request size %d sectors", sectors))
 		return pr
 	}
-	o := &op{
+	o := take(&b.freeOps)
+	*o = op{
 		write:   write,
 		sectors: sectors,
 		sector:  sector,
@@ -219,6 +228,18 @@ func (b *Blkif) stagingBuf() []byte {
 	return make([]byte, 0, cstruct.PageSize)
 }
 
+// take pops a recycled record off free, or allocates a zero one.
+func take[T any](free *[]*T) *T {
+	n := len(*free)
+	if n == 0 {
+		return new(T)
+	}
+	x := (*free)[n-1]
+	(*free)[n-1] = nil
+	*free = (*free)[:n-1]
+	return x
+}
+
 // scheduleUnplug arranges an unplug at the end of the current instant, so
 // same-instant bursts merge.
 func (b *Blkif) scheduleUnplug() {
@@ -227,10 +248,13 @@ func (b *Blkif) scheduleUnplug() {
 	}
 	b.unplugPending = true
 	k := b.vm.S.K
-	k.At(k.Now(), func() {
-		b.unplugPending = false
-		b.unplug()
-	})
+	k.At(k.Now(), b.unplugFunc)
+}
+
+// unplugEvent is the event scheduleUnplug queues.
+func (b *Blkif) unplugEvent() {
+	b.unplugPending = false
+	b.unplug()
 }
 
 // unplug merges the staged requests into devops and issues as many as the
@@ -250,7 +274,9 @@ func (b *Blkif) unplug() {
 			b.mxMerged.Inc()
 			continue
 		}
-		cur = &devop{write: o.write, sector: o.sector, sectors: o.sectors, ops: []*op{o}}
+		cur = take(&b.freeDevops)
+		cur.write, cur.sector, cur.sectors = o.write, o.sector, o.sectors
+		cur.ops = append(cur.ops, o)
 		b.queue.Push(cur)
 	}
 	b.staged = b.staged[:0]
@@ -269,11 +295,10 @@ func (b *Blkif) fill() {
 func (b *Blkif) push(d *devop) {
 	dom := b.vm.Dom
 	npages := (d.sectors + SectorsPerPage - 1) / SectorsPerPage
-	d.pages = make([]*cstruct.View, npages)
-	d.grefs = make([]grant.Ref, npages)
-	for i := range d.pages {
-		d.pages[i] = dom.Pool.Get()
-		d.grefs[i] = dom.Grants.Grant(d.pages[i], false)
+	for i := 0; i < npages; i++ {
+		pg := dom.Pool.Get()
+		d.pages = append(d.pages, pg)
+		d.grefs = append(d.grefs, dom.Grants.Grant(pg, false))
 	}
 	if d.write {
 		off := 0
@@ -357,12 +382,15 @@ func (b *Blkif) scheduleFlush() {
 	}
 	b.flushPending = true
 	k := b.vm.S.K
-	k.At(k.Now(), func() {
-		b.flushPending = false
-		if b.front.PushRequests() {
-			b.port.NotifyAsync()
-		}
-	})
+	k.At(k.Now(), b.flushFunc)
+}
+
+// flushEvent is the event scheduleFlush queues.
+func (b *Blkif) flushEvent() {
+	b.flushPending = false
+	if b.front.PushRequests() {
+		b.port.NotifyAsync()
+	}
 }
 
 // OnEvent implements device.Frontend: it drains completions inside the
@@ -390,7 +418,7 @@ func (b *Blkif) OnEvent() {
 }
 
 // complete ends the devop's grants, distributes results to its member ops,
-// and releases the I/O pages.
+// releases the I/O pages, and recycles the devop and its ops.
 func (b *Blkif) complete(d *devop, ok bool) {
 	b.traceDone(d, ok)
 	dom := b.vm.Dom
@@ -417,7 +445,14 @@ func (b *Blkif) complete(d *devop, ok bool) {
 	for _, pg := range d.pages {
 		pg.Release()
 	}
-	d.pages = nil
+	for _, o := range d.ops {
+		*o = op{}
+		b.freeOps = append(b.freeOps, o)
+	}
+	clear(d.ops)
+	clear(d.pages)
+	d.ops, d.pages, d.grefs = d.ops[:0], d.pages[:0], d.grefs[:0]
+	b.freeDevops = append(b.freeDevops, d)
 }
 
 // traceDone emits a span covering the devop's issue-to-completion life.

@@ -408,3 +408,28 @@ func TestSteadyStatePageWriteAllocatesNoPayload(t *testing.T) {
 	}
 	t.Logf("%d B per page write", perWrite)
 }
+
+// TestSteadyStatePageWriteAllocatesOnlyItsPromise: once the free lists are
+// warm, a 4 KiB write taken all the way through complete — submit, unplug,
+// ring, backend, device, response — allocates one object, the promise Write
+// returns. The op and devop records and their slices are recycled, and every
+// event on the way is a callback built once.
+func TestSteadyStatePageWriteAllocatesOnlyItsPromise(t *testing.T) {
+	withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
+		page := make([]byte, cstruct.PageSize)
+		i := 0
+		write := func() {
+			i++
+			if err := vm.S.Run(p, b.Write(uint64(i%16)*SectorsPerPage, page)); err != nil {
+				t.Error(err)
+			}
+		}
+		for range 32 { // touch the extents, fill the free lists
+			write()
+		}
+		if n := testing.AllocsPerRun(200, write); n != 1 {
+			t.Errorf("a steady-state page write allocates %v objects, want 1 (its promise)", n)
+		}
+		return 0
+	})
+}

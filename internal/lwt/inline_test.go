@@ -22,9 +22,9 @@ func refRun(s *Scheduler, p *sim.Proc, main Waiter) error {
 	for {
 		for {
 			for i := 0; i < len(s.ready); i++ {
-				fn := s.ready[i]
+				c := s.ready[i]
 				s.ready[i] = nil
-				fn()
+				c.run()
 			}
 			s.ready = s.ready[:0]
 			fired := 0

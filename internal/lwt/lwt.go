@@ -36,8 +36,18 @@ const (
 type Waiter interface {
 	Completed() bool
 	Failed() error
-	onComplete(fn func())
+	onComplete(c cont)
 }
+
+// cont is a continuation: one step on the ready queue. A combinator's node
+// is its own continuation, so composing threads allocates no closure.
+type cont interface{ run() }
+
+// callback adapts a plain func (Always, Defer) to cont. A func value is
+// pointer-shaped, so the conversion allocates nothing.
+type callback func()
+
+func (f callback) run() { f() }
 
 // Promise is a lightweight thread: a heap-allocated value that is either
 // pending, resolved with a T, or failed with an error.
@@ -46,11 +56,22 @@ type Promise[T any] struct {
 	state int
 	value T
 	err   error
-	// Continuations run in registration order: first, then callbacks. Almost
+	// Continuations run in registration order: first, then more. Almost
 	// every promise is awaited exactly once, so the first continuation has
-	// its own field and the slice exists only from the second on.
-	first     func()
-	callbacks []func()
+	// its own field and the list behind more exists only from the second on.
+	first cont
+	more  *[]cont
+}
+
+// init makes p a pending promise owned by s, charging s for one thread.
+// Every promise, whether allocated alone or inside a combinator's node, is
+// born here.
+func (p *Promise[T]) init(s *Scheduler) {
+	s.Created++
+	if s.Heap != nil {
+		s.Heap.Alloc(threadRecordBytes)
+	}
+	p.s = s
 }
 
 // Completed reports whether the promise is resolved or failed.
@@ -67,27 +88,31 @@ func (p *Promise[T]) Value() T {
 	return p.value
 }
 
-func (p *Promise[T]) onComplete(fn func()) {
+func (p *Promise[T]) onComplete(c cont) {
 	if p.state != pending {
-		p.s.Defer(fn)
+		p.s.enqueue(c)
 		return
 	}
 	if p.first == nil {
-		p.first = fn
+		p.first = c
 		return
 	}
-	p.callbacks = append(p.callbacks, fn)
+	if p.more == nil {
+		p.more = new([]cont)
+	}
+	*p.more = append(*p.more, c)
 }
 
 func (p *Promise[T]) complete() {
-	if cb := p.first; cb != nil {
+	if c := p.first; c != nil {
 		p.first = nil
-		p.s.Defer(cb)
+		p.s.enqueue(c)
 	}
-	cbs := p.callbacks
-	p.callbacks = nil
-	for _, cb := range cbs {
-		p.s.Defer(cb)
+	if more := p.more; more != nil {
+		p.more = nil
+		for _, c := range *more {
+			p.s.enqueue(c)
+		}
 	}
 	// A completion with no callbacks may still be the main thread Run is
 	// waiting on; poke the domain in case this ran in kernel context.
@@ -144,7 +169,7 @@ func (h *timerHeap) Pop() any {
 // Scheduler evaluates lightweight threads inside one domain.
 type Scheduler struct {
 	K      *sim.Kernel
-	ready  []func()
+	ready  []cont
 	timers timerHeap
 	seq    uint64
 
@@ -197,11 +222,9 @@ func NewScheduler(k *sim.Kernel) *Scheduler {
 
 // NewPromise creates a pending promise owned by s.
 func NewPromise[T any](s *Scheduler) *Promise[T] {
-	s.Created++
-	if s.Heap != nil {
-		s.Heap.Alloc(threadRecordBytes)
-	}
-	return &Promise[T]{s: s, state: pending}
+	p := &Promise[T]{}
+	p.init(s)
+	return p
 }
 
 // Return creates an already-resolved promise.
@@ -221,8 +244,11 @@ func FailWith[T any](s *Scheduler, err error) *Promise[T] {
 }
 
 // Defer queues fn on the ready queue.
-func (s *Scheduler) Defer(fn func()) {
-	s.ready = append(s.ready, fn)
+func (s *Scheduler) Defer(fn func()) { s.enqueue(callback(fn)) }
+
+// enqueue queues a continuation on the ready queue.
+func (s *Scheduler) enqueue(c cont) {
+	s.ready = append(s.ready, c)
 	s.poke()
 }
 
@@ -233,70 +259,116 @@ func (s *Scheduler) poke() {
 	}
 }
 
+// bindNode is all of one Bind: the result promise, and the continuation it
+// registers first on p and then on f's promise.
+type bindNode[A, B any] struct {
+	out   Promise[B]
+	p     *Promise[A]
+	f     func(A) *Promise[B]
+	inner *Promise[B]
+}
+
+func (n *bindNode[A, B]) run() {
+	if p := n.p; p != nil { // p has completed
+		f := n.f
+		n.p, n.f = nil, nil
+		if p.state == failed {
+			n.out.Fail(p.err)
+			return
+		}
+		n.inner = f(p.value)
+		n.inner.onComplete(n)
+		return
+	}
+	inner := n.inner
+	n.inner = nil
+	if inner.state == failed {
+		n.out.Fail(inner.err)
+	} else {
+		n.out.Resolve(inner.value)
+	}
+}
+
 // Bind sequences f after p: when p resolves, f runs with its value and the
 // returned promise adopts f's result. Failures propagate.
 func Bind[A, B any](p *Promise[A], f func(A) *Promise[B]) *Promise[B] {
-	out := NewPromise[B](p.s)
-	p.onComplete(func() {
-		if p.state == failed {
-			out.Fail(p.err)
-			return
-		}
-		inner := f(p.value)
-		inner.onComplete(func() {
-			if inner.state == failed {
-				out.Fail(inner.err)
-			} else {
-				out.Resolve(inner.value)
-			}
-		})
-	})
-	return out
+	n := &bindNode[A, B]{p: p, f: f}
+	n.out.init(p.s)
+	p.onComplete(n)
+	return &n.out
+}
+
+// mapNode is all of one Map: the result promise and its continuation on p.
+type mapNode[A, B any] struct {
+	out Promise[B]
+	p   *Promise[A]
+	f   func(A) B
+}
+
+func (n *mapNode[A, B]) run() {
+	p, f := n.p, n.f
+	n.p, n.f = nil, nil
+	if p.state == failed {
+		n.out.Fail(p.err)
+	} else {
+		n.out.Resolve(f(p.value))
+	}
 }
 
 // Map applies f to p's value.
 func Map[A, B any](p *Promise[A], f func(A) B) *Promise[B] {
-	out := NewPromise[B](p.s)
-	p.onComplete(func() {
-		if p.state == failed {
-			out.Fail(p.err)
-		} else {
-			out.Resolve(f(p.value))
-		}
-	})
-	return out
+	n := &mapNode[A, B]{p: p, f: f}
+	n.out.init(p.s)
+	p.onComplete(n)
+	return &n.out
 }
 
 // Always runs fn when w completes, whether resolved or failed — the
 // finaliser combinator used for cleanup paths.
-func Always(w Waiter, fn func()) { w.onComplete(fn) }
+func Always(w Waiter, fn func()) { w.onComplete(callback(fn)) }
+
+// joinNode is a Join's result and count; each waiter gets one joinArm, and
+// the arms share one slice.
+type joinNode struct {
+	out       Promise[struct{}]
+	remaining int
+	firstErr  error
+}
+
+type joinArm struct {
+	n *joinNode
+	w Waiter
+}
+
+func (a *joinArm) run() {
+	n := a.n
+	if err := a.w.Failed(); err != nil && n.firstErr == nil {
+		n.firstErr = err
+	}
+	n.remaining--
+	if n.remaining == 0 {
+		if n.firstErr != nil {
+			n.out.Fail(n.firstErr)
+		} else {
+			n.out.Resolve(struct{}{})
+		}
+	}
+}
 
 // Join resolves when all of ws complete; it fails with the first failure.
 func Join(s *Scheduler, ws ...Waiter) *Promise[struct{}] {
-	out := NewPromise[struct{}](s)
-	remaining := len(ws)
-	if remaining == 0 {
-		out.Resolve(struct{}{})
-		return out
+	n := &joinNode{remaining: len(ws)}
+	n.out.init(s)
+	if len(ws) == 0 {
+		n.out.Resolve(struct{}{})
+		return &n.out
 	}
-	var firstErr error
-	for _, w := range ws {
-		w := w
-		w.onComplete(func() {
-			if err := w.Failed(); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			remaining--
-			if remaining == 0 {
-				if firstErr != nil {
-					out.Fail(firstErr)
-				} else {
-					out.Resolve(struct{}{})
-				}
-			}
-		})
+	arms := make([]joinArm, len(ws))
+	for i, w := range ws {
+		arms[i] = joinArm{n: n, w: w}
+		w.onComplete(&arms[i])
 	}
-	return out
+	return &n.out
 }
 
 // Sleep returns a promise resolving after d of virtual time.
@@ -320,9 +392,9 @@ func (s *Scheduler) pass(p *sim.Proc) bool {
 	// Index drain so the backing array is reused: callbacks may Defer more
 	// work, which the growing-bound loop picks up in order.
 	for i := 0; i < len(s.ready); i++ {
-		fn := s.ready[i]
+		c := s.ready[i]
 		s.ready[i] = nil
-		fn()
+		c.run()
 	}
 	s.ready = s.ready[:0]
 	fired := 0

@@ -112,12 +112,53 @@ func TestAwaitedPromiseAllocations(t *testing.T) {
 	})
 }
 
-// TestPromiseRecordSize: a unit promise, the commonest thread, fills the
-// 64 B size class exactly; a field added to Promise moves it to 80 B.
+// TestPromiseRecordSize: a unit promise, the commonest thread, is 56 B —
+// inside the 64 B size class, with room for a combinator's node to embed it
+// and stay small; a field added to Promise shows here.
 func TestPromiseRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(Promise[struct{}]{}); n != 64 {
-		t.Errorf("unsafe.Sizeof(Promise[struct{}]{}) = %d, want 64", n)
+	if n := unsafe.Sizeof(Promise[struct{}]{}); n != 56 {
+		t.Errorf("unsafe.Sizeof(Promise[struct{}]{}) = %d, want 56", n)
 	}
+}
+
+// TestCombinatorAllocations: over a full register-resolve-run cycle, a Bind,
+// a Map and a Join are one object each — the node that holds the result and
+// is the continuation — plus, for the Join, one slice of arms for all its
+// waiters; Always with a func already built allocates nothing.
+func TestCombinatorAllocations(t *testing.T) {
+	run(t, func(p *sim.Proc, s *Scheduler) {
+		r, inner := Return(s, 1), Return(s, 2)
+		bindF := func(int) *Promise[int] { return inner }
+		mapF := func(x int) int { return x + 1 }
+		ws := []Waiter{Return(s, 3), Return(s, 4), Return(s, 5), Return(s, 6)}
+		ran := 0
+		noop := func() { ran++ }
+		var last Waiter
+		for _, c := range []struct {
+			name  string
+			want  float64
+			cycle func()
+		}{
+			{"Bind", 1, func() { last = Bind(r, bindF) }},
+			{"Map", 1, func() { last = Map(r, mapF) }},
+			{"Join of 4", 2, func() { last = Join(s, ws...) }},
+			{"Always", 0, func() { Always(r, noop); last = r }},
+		} {
+			n := testing.AllocsPerRun(100, func() {
+				c.cycle()
+				s.pass(p)
+			})
+			if n != c.want {
+				t.Errorf("%s: a cycle allocates %v objects, want %v", c.name, n, c.want)
+			}
+			if !last.Completed() || last.Failed() != nil {
+				t.Errorf("%s: the cycle did not resolve its result", c.name)
+			}
+		}
+		if ran != 101 {
+			t.Errorf("Always ran its func %d times over 101 cycles", ran)
+		}
+	})
 }
 
 // TestContinuationsRunInRegistrationOrder: the inline slot and the overflow

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 
 	"repro/internal/cstruct"
@@ -20,8 +21,9 @@ import (
 // stay readable (GetAt) because load falls back to the device, which keeps
 // everything; the cache was never what made them so.
 //
-// Updates (Set, Delete) must be issued one at a time, each after the
-// previous one's promise resolved; reads may overlap anything.
+// Updates (Set, Delete) run one at a time: one issued while the previous
+// one's promise is still pending fails with ErrUpdateInFlight and leaves the
+// tree as it was. Reads may overlap anything.
 type BTree struct {
 	s   *lwt.Scheduler
 	dev Device
@@ -35,6 +37,9 @@ type BTree struct {
 	superseded []uint64
 	overflow   bool
 	scratch    []byte // node encode buffer, one page
+	// update is the last update's promise; the next may start once it has
+	// completed, whether it resolved or failed.
+	update *lwt.Promise[struct{}]
 
 	// Limits (bytes); keys and values beyond these are rejected.
 	MaxKey, MaxVal int
@@ -49,6 +54,10 @@ type BTree struct {
 	CacheMisses  int
 	Sets, Gets   int
 }
+
+// ErrUpdateInFlight fails an update issued while the previous one is still
+// pending.
+var ErrUpdateInFlight = errors.New("btree: update issued while the previous one is in flight")
 
 const (
 	maxLeafKeys     = 12
@@ -144,10 +153,20 @@ func (t *BTree) finish(newRoot uint64) *lwt.Promise[struct{}] {
 	return t.commit()
 }
 
+// start admits an update: it reports false if the previous one is still in
+// flight. Otherwise it clears what a previous update left behind — one that
+// failed under a device read never reached finish, and updates run one at a
+// time, so whatever is still here belongs to such a one.
+func (t *BTree) start() bool {
+	if t.update != nil && !t.update.Completed() {
+		return false
+	}
+	t.abandon()
+	return true
+}
+
 // abandon forgets a part-done update: the pages it appended leave the cache
-// and its bookkeeping is reset. Set and Delete also start with it, because an
-// update that failed under a device read never reached finish; updates run
-// one at a time, so whatever is still here then belongs to such a one.
+// and its bookkeeping is reset.
 func (t *BTree) abandon() {
 	for i := range t.pending { // one pending write per page the op appended
 		delete(t.cache, t.nextPage-1-uint64(i))
@@ -227,10 +246,12 @@ func (t *BTree) Set(key, value []byte) *lwt.Promise[struct{}] {
 	if len(key) == 0 || len(key) > t.MaxKey || len(value) > t.MaxVal {
 		return lwt.FailWith[struct{}](t.s, fmt.Errorf("btree: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
-	t.abandon()
+	if !t.start() {
+		return lwt.FailWith[struct{}](t.s, ErrUpdateInFlight)
+	}
 	k := append([]byte(nil), key...)
 	v := append([]byte(nil), value...)
-	return lwt.Bind(t.load(t.root, t.root), func(rn *bnode) *lwt.Promise[struct{}] {
+	t.update = lwt.Bind(t.load(t.root, t.root), func(rn *bnode) *lwt.Promise[struct{}] {
 		rootPg := t.root
 		if rn.full() {
 			// Grow: split the root under a new internal root.
@@ -242,6 +263,7 @@ func (t *BTree) Set(key, value []byte) *lwt.Promise[struct{}] {
 		}
 		return lwt.Bind(t.insertNonFull(rootPg, k, v), t.finish)
 	})
+	return t.update
 }
 
 // insertNonFull inserts into the subtree at pg (guaranteed not full) and
@@ -322,13 +344,16 @@ func (t *BTree) getAt(pg, from uint64, k []byte) *lwt.Promise[[]byte] {
 // become underfull, which an append-only tree tolerates and Baardskeerder
 // compacts offline).
 func (t *BTree) Delete(key []byte) *lwt.Promise[struct{}] {
-	t.abandon()
-	return lwt.Bind(t.deleteAt(t.root, key), func(newRoot uint64) *lwt.Promise[struct{}] {
+	if !t.start() {
+		return lwt.FailWith[struct{}](t.s, ErrUpdateInFlight)
+	}
+	t.update = lwt.Bind(t.deleteAt(t.root, key), func(newRoot uint64) *lwt.Promise[struct{}] {
 		if newRoot == 0 && !t.overflow { // not found; nothing changed
 			return lwt.Return(t.s, struct{}{})
 		}
 		return t.finish(newRoot)
 	})
+	return t.update
 }
 
 // deleteAt resolves with the new subtree root page, or 0 if key was absent.

@@ -125,7 +125,8 @@ func (kv *DurableKV) Get(key []byte) *lwt.Promise[[]byte] {
 // during the checkpoint stay in the overlay — the sequence check keeps
 // them — and land in the next one. Resolves when the truncated header is
 // durable; fails, with the log untouched and every entry still in the
-// overlay, if the tree runs out of pages below the WAL region part-way.
+// overlay, if the tree runs out of pages below the WAL region part-way, or
+// with ErrUpdateInFlight if it overlaps another checkpoint still folding.
 func (kv *DurableKV) Checkpoint() *lwt.Promise[struct{}] {
 	kv.Checkpoints++
 	type entry struct {

@@ -42,8 +42,15 @@ type WAL struct {
 	staged   []byte
 	flushBuf []byte
 	pending  []*lwt.Promise[struct{}]
+	// spare is the previous group's waiter slice, handed back empty once its
+	// flush completed; the next flush's pending list grows into it.
+	spare    []*lwt.Promise[struct{}]
 	flushing bool
 	flushAt  bool // end-of-instant flush scheduled
+	// flushFunc is the deferred flush, built once; writes is flush's list of
+	// page writes, reused.
+	flushFunc func()
+	writes    []lwt.Waiter
 
 	// Stats: Appends counts records, Flushes counts device barriers;
 	// Appends - Flushes is the number of commits group commit absorbed.
@@ -74,6 +81,7 @@ type Record struct {
 // when the header is durable.
 func NewWAL(s *lwt.Scheduler, dev Device, base uint64, sectors int) (*WAL, *lwt.Promise[struct{}]) {
 	w := &WAL{s: s, dev: dev, base: base, sectors: sectors, nextSeq: 1, startSeq: 1}
+	w.flushFunc = w.deferredFlush
 	done := lwt.Map(w.writeHeader(), func(*cstruct.View) struct{} { return struct{}{} })
 	return w, done
 }
@@ -94,6 +102,7 @@ func OpenWAL(s *lwt.Scheduler, dev Device, base uint64, sectors int) *lwt.Promis
 			startSeq: h.BE64(2),
 			startOff: int(h.BE64(10)),
 		}
+		w.flushFunc = w.deferredFlush
 		h.Release()
 		return lwt.Map(w.readRegion(), func(region []byte) *WALRecovery {
 			recs := scanRecords(region, w.startOff, w.startSeq)
@@ -256,10 +265,13 @@ func (w *WAL) scheduleFlush() {
 		return
 	}
 	w.flushAt = true
-	w.s.Defer(func() {
-		w.flushAt = false
-		w.flush()
-	})
+	w.s.Defer(w.flushFunc)
+}
+
+// deferredFlush is the ready-queue step scheduleFlush queues.
+func (w *WAL) deferredFlush() {
+	w.flushAt = false
+	w.flush()
 }
 
 // flush issues one barrier write covering every staged record. The sector
@@ -271,7 +283,7 @@ func (w *WAL) flush() {
 	}
 	w.flushing = true
 	waiters := w.pending
-	w.pending = nil
+	w.pending, w.spare = w.spare, nil
 	w.Flushes++
 	if len(waiters) > w.GroupedMax {
 		w.GroupedMax = len(waiters)
@@ -284,7 +296,7 @@ func (w *WAL) flush() {
 	w.flushBuf = buf
 	w.off += len(w.staged)
 	w.staged = w.staged[:0]
-	var ws []lwt.Waiter
+	ws := w.writes[:0]
 	for o := 0; o < len(buf); o += cstruct.PageSize {
 		end := o + cstruct.PageSize
 		if end > len(buf) {
@@ -295,6 +307,8 @@ func (w *WAL) flush() {
 	w.tail = append(w.tail[:0], buf[len(buf)-w.off%SectorSize:]...)
 
 	done := lwt.Join(w.s, ws...)
+	clear(ws)
+	w.writes = ws[:0]
 	lwt.Always(done, func() {
 		w.flushing = false
 		if err := done.Failed(); err != nil {
@@ -306,6 +320,8 @@ func (w *WAL) flush() {
 				pr.Resolve(struct{}{})
 			}
 		}
+		clear(waiters)
+		w.spare = waiters[:0]
 		if len(w.pending) > 0 {
 			w.scheduleFlush()
 		}

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -464,5 +465,60 @@ func TestDurableKVCheckpointAndReopen(t *testing.T) {
 				})
 			})
 		})
+	})
+}
+
+// Two overlapping checkpoints: the second one's first tree update finds the
+// first one's in flight, so the second fails with ErrUpdateInFlight and
+// leaves the log and the overlay as they were; the first folds everything
+// in, and the store, live and reopened, holds every key.
+func TestDurableKVOverlappingCheckpointFailsCleanly(t *testing.T) {
+	const n = 10
+	var dev *MemDevice
+	var want []byte
+	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
+		dev = NewMemDevice(s)
+		return lwt.Bind(CreateDurableKV(s, dev, testWALBase, testWALSectors), func(kv *DurableKV) *lwt.Promise[struct{}] {
+			var ws []lwt.Waiter
+			for i := 0; i < n; i++ {
+				ws = append(ws, kv.Set([]byte(fmt.Sprintf("key%02d", i)), []byte(fmt.Sprintf("val%d", i))))
+			}
+			return lwt.Bind(lwt.Join(s, ws...), func(struct{}) *lwt.Promise[struct{}] {
+				dirty := kv.DirtyBytes()
+				first, second := kv.Checkpoint(), kv.Checkpoint()
+				lwt.Always(second, func() {
+					if err := second.Failed(); !errors.Is(err, ErrUpdateInFlight) {
+						t.Errorf("overlapping checkpoint: %v, want ErrUpdateInFlight", err)
+					}
+					if first.Completed() {
+						t.Error("the first checkpoint completed before the overlapping one failed")
+					}
+					if kv.DirtyBytes() != dirty || len(kv.overlay) != n {
+						t.Errorf("the failed checkpoint left %d dirty bytes and %d overlay entries, want %d and %d",
+							kv.DirtyBytes(), len(kv.overlay), dirty, n)
+					}
+				})
+				return lwt.Bind(first, func(struct{}) *lwt.Promise[struct{}] {
+					if kv.DirtyBytes() != 0 || len(kv.overlay) != 0 {
+						t.Errorf("after the checkpoint: %d dirty bytes, %d overlay entries, want none", kv.DirtyBytes(), len(kv.overlay))
+					}
+					return lwt.Map(kv.Dump(), func(d []byte) struct{} { want = d; return struct{}{} })
+				})
+			})
+		})
+	})
+	if lines := bytes.Count(want, []byte("\n")); lines != n {
+		t.Fatalf("the store holds %d keys after the checkpoint, want %d:\n%s", lines, n, want)
+	}
+	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
+		return lwt.Bind(OpenDurableKV(s, NewMemDeviceFrom(s, dev.Snapshot()), testWALBase, testWALSectors),
+			func(kv *DurableKV) *lwt.Promise[struct{}] {
+				return lwt.Map(kv.Dump(), func(d []byte) struct{} {
+					if !bytes.Equal(d, want) {
+						t.Errorf("reopened store:\n%s\nwant:\n%s", d, want)
+					}
+					return struct{}{}
+				})
+			})
 	})
 }

@@ -451,3 +451,84 @@ func checkpointStopsBelow(t *testing.T, walBase uint64) {
 		})
 	})
 }
+
+// Updates run one at a time. One issued while the previous is still in
+// flight fails with ErrUpdateInFlight and leaves the tree as it was; one
+// issued once the previous has completed — resolved, or failed under a
+// device read — goes through. The tree starts cold, holding k=0.
+func TestBTreeOverlappingUpdateFails(t *testing.T) {
+	type update func(*BTree) *lwt.Promise[struct{}]
+	set := func(k, v string) update {
+		return func(tr *BTree) *lwt.Promise[struct{}] { return tr.Set([]byte(k), []byte(v)) }
+	}
+	del := func(k string) update {
+		return func(tr *BTree) *lwt.Promise[struct{}] { return tr.Delete([]byte(k)) }
+	}
+	var image map[uint64][]byte
+	runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
+		dev := NewMemDevice(s)
+		tr, ready := NewBTree(s, dev)
+		return lwt.Map(lwt.Bind(ready, func(struct{}) *lwt.Promise[struct{}] { return tr.Set([]byte("k"), []byte("0")) }),
+			func(struct{}) struct{} { image = dev.Snapshot(); return struct{}{} })
+	})
+	for _, c := range []struct {
+		name          string
+		first, second update
+		overlap       bool // second is issued in the instant first is, not after it completed
+		failRead      bool // first's root read fails
+		secondErr     error
+		want          map[string]string // "" = absent
+	}{
+		{name: "set, set", first: set("a", "1"), second: set("b", "2"), overlap: true,
+			secondErr: ErrUpdateInFlight, want: map[string]string{"k": "0", "a": "1", "b": ""}},
+		{name: "set, delete", first: set("a", "1"), second: del("k"), overlap: true,
+			secondErr: ErrUpdateInFlight, want: map[string]string{"k": "0", "a": "1"}},
+		{name: "delete, set", first: del("k"), second: set("a", "1"), overlap: true,
+			secondErr: ErrUpdateInFlight, want: map[string]string{"k": "", "a": ""}},
+		{name: "set after set", first: set("a", "1"), second: set("b", "2"),
+			want: map[string]string{"k": "0", "a": "1", "b": "2"}},
+		{name: "set after a failed read", first: set("a", "1"), second: set("b", "2"), failRead: true,
+			want: map[string]string{"k": "0", "a": "", "b": "2"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			runLwt(t, func(s *lwt.Scheduler) lwt.Waiter {
+				dev := &coldDevice{MemDevice: NewMemDeviceFrom(s, image), okReads: -1}
+				return lwt.Bind(OpenBTree(s, dev), func(tr *BTree) *lwt.Promise[struct{}] {
+					if c.failRead {
+						dev.okReads = 0
+					}
+					first := c.first(tr)
+					var second *lwt.Promise[struct{}]
+					if c.overlap {
+						second = c.second(tr)
+					}
+					done := lwt.NewPromise[struct{}](s)
+					lwt.Always(first, func() {
+						if err := first.Failed(); (err != nil) != c.failRead {
+							t.Errorf("first update: %v", err)
+						}
+						dev.okReads = -1
+						if second == nil {
+							second = c.second(tr)
+						}
+						lwt.Always(second, func() {
+							if err := second.Failed(); err != c.secondErr {
+								t.Errorf("second update: %v, want %v", err, c.secondErr)
+							}
+							lwt.Always(each(s, len(c.want), func(i int) *lwt.Promise[struct{}] {
+								k := []string{"k", "a", "b"}[i]
+								return lwt.Map(tr.Get([]byte(k)), func(v []byte) struct{} {
+									if string(v) != c.want[k] {
+										t.Errorf("Get(%s) = %q, want %q", k, v, c.want[k])
+									}
+									return struct{}{}
+								})
+							}), func() { done.Resolve(struct{}{}) })
+						})
+					})
+					return done
+				})
+			})
+		})
+	}
+}
