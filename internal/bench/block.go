@@ -171,7 +171,7 @@ func blockRunMiBs(rc core.Config, mode blockMode, blockBytes, blocks int) (float
 		},
 	}, core.DeployOpts{Block: true})
 
-	appendix := rn.finish(10*time.Minute, "cpu_utilization", "blk_", "ring_occupancy")
+	appendix := rn.finish(10*time.Minute, "cpu_busy", "blk_", "ring_occupancy")
 	if completed != blocks {
 		panic(fmt.Sprintf("fig9: %d/%d blocks completed (%s, %d B)",
 			completed, blocks, mode.name, blockBytes))

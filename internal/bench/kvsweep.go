@@ -248,7 +248,7 @@ func kvSweepRun(rc core.Config, buffered bool, qd int, seed int64, nkeys, opCoun
 		},
 	}, core.DeployOpts{Block: true})
 
-	appendix := rn.finish(10*time.Minute, "cpu_utilization", "blk_", "ring_occupancy")
+	appendix := rn.finish(10*time.Minute, "cpu_busy", "blk_", "ring_occupancy")
 	if completed != opCount {
 		panic(fmt.Sprintf("kvsweep: %d/%d ops completed (buffered=%v qd=%d)",
 			completed, opCount, buffered, qd))

@@ -65,7 +65,7 @@ func PingLatency(rc core.Config, pings int) *Result {
 			},
 		}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: ipv4.AddrFrom4(10, 0, 0, 1), Netmask: benchMask}})
 
-		metrics := rn.finish(10*time.Minute, "cpu_utilization", "net_", "ring_occupancy", "hv_evtchn")
+		metrics := rn.finish(10*time.Minute, "cpu_busy", "net_", "ring_occupancy", "hv_evtchn")
 		if done != pings {
 			panic(fmt.Sprintf("ping bench: only %d/%d replies", done, pings))
 		}
@@ -207,7 +207,7 @@ func fig8Throughput(rc core.Config, sendProf, recvProf conventional.NetProfile, 
 		panic(fmt.Sprintf("fig8: %d/%d flows finished", finished, flows))
 	}
 	secs := doneAt.Seconds()
-	appendix := metricsAppendix(k, before, "cpu_utilization", "tcp_")
+	appendix := metricsAppendix(k, before, "cpu_busy", "tcp_")
 	return float64(flows*bytesPerFlow) * 8 / 1e6 / secs, appendix
 }
 

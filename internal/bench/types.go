@@ -84,12 +84,11 @@ func (r *Result) Format() string {
 }
 
 // metricsAppendix renders the registry delta since before (plus per-CPU
-// utilization gauges) for attachment to a Result. Prefixes filter the rows
+// busy-time gauges) for attachment to a Result. Prefixes filter the rows
 // so each figure's appendix shows the counters that explain it.
 func metricsAppendix(k *sim.Kernel, before obs.Snapshot, prefixes ...string) []string {
 	m := k.Metrics()
 	for _, c := range k.CPUs() {
-		m.Gauge("cpu_utilization", obs.L("cpu", c.Name())).Set(c.Utilization())
 		m.Gauge("cpu_busy_seconds", obs.L("cpu", c.Name())).Set(c.BusyTime().Seconds())
 	}
 	snap := m.Snapshot().Diff(before)
