@@ -226,6 +226,31 @@ func TestDNSApplianceLinksNoStorage(t *testing.T) {
 	}
 }
 
+// TestOneTimerOrder: no package under internal/, tests included, imports
+// container/heap. Scheduled work has one order, the kernel's event queue
+// (an lwt Sleep is one kernel event), so a private priority queue would
+// bring a second tie rule with it.
+func TestOneTimerOrder(t *testing.T) {
+	err := filepath.WalkDir(root+"/internal", func(path string, e os.DirEntry, err error) error {
+		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
+			return err
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
+		if err != nil {
+			return err
+		}
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); p == "container/heap" {
+				t.Errorf("%s imports container/heap; schedule on the kernel instead", strings.TrimPrefix(path, root+"/"))
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestKeepListAndPinnedSurface walks the sources (go/parser only): every
 // keep-list line names a function that exists and gives a reason from the
 // fixed set, every package under internal/ is imported, directly or through

@@ -116,29 +116,6 @@ func TestEventChannelDelivery(t *testing.T) {
 	}
 }
 
-func TestPollTimeout(t *testing.T) {
-	k, h := newHost(t)
-	k.Spawn("toolstack", func(p *sim.Proc) {
-		a := h.Create(p, Config{Name: "a", Memory: 32 << 20})
-		b := h.Create(p, Config{Name: "b", Memory: 32 << 20})
-		_, pb := Connect(a, b)
-		start := p.Now()
-		idx := p.ArmWaitAny(5*time.Millisecond, pb.Sig)
-		if idx < 0 {
-			p.Suspend(func() bool {
-				idx = p.CollectWaitAny(pb.Sig)
-				return true
-			})
-		}
-		if idx != -1 || p.Now().Sub(start) != 5*time.Millisecond {
-			t.Errorf("poll = %d after %v, want -1 (timeout) after 5ms", idx, p.Now().Sub(start))
-		}
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSealEnforcesWxorX(t *testing.T) {
 	pt := NewPageTable()
 	pt.Map(0x1000, PageR|PageX)       // text

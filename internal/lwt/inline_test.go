@@ -2,7 +2,6 @@ package lwt
 
 import (
 	"bytes"
-	"container/heap"
 	"fmt"
 	"reflect"
 	"slices"
@@ -27,44 +26,28 @@ func refRun(s *Scheduler, p *sim.Proc, main Waiter) error {
 				c.run()
 			}
 			s.ready = s.ready[:0]
-			fired := 0
-			for len(s.timers) > 0 && s.timers[0].at <= s.K.Now() {
-				if e := heap.Pop(&s.timers).(*timerEntry); e.p.state == pending {
-					e.p.Resolve(struct{}{})
-					fired++
+			if s.Heap != nil {
+				if gc := s.Heap.Drain(); gc > 0 && s.CPU != nil {
+					p.Use(s.CPU, gc)
 				}
 			}
-			s.Wakes += fired
-			dispatch := time.Duration(fired) * s.WakeCost
-			if s.Heap != nil {
-				dispatch += s.Heap.Drain()
-			}
-			if dispatch > 0 && s.CPU != nil {
-				p.Use(s.CPU, dispatch)
-			}
-			if s.idle() {
+			if len(s.ready) == 0 {
 				break
 			}
 		}
 		if main.Completed() {
 			return main.Failed()
 		}
-		var timeout time.Duration
-		if len(s.timers) > 0 {
-			if timeout = s.timers[0].at.Sub(s.K.Now()); timeout <= 0 {
-				continue
-			}
+		if s.sleeping == 0 && len(s.watched) == 0 {
+			return fmt.Errorf("lwt: deadlock: main thread pending with no timers or events")
 		}
 		var sigs []*sim.Signal
 		for _, w := range s.watched {
 			sigs = append(sigs, w.sig)
 		}
 		sigs = append(sigs, s.wake)
-		if timeout == 0 && len(s.watched) == 0 {
-			return fmt.Errorf("lwt: deadlock: main thread pending with no timers or events")
-		}
 		s.parked = true
-		idx := p.ArmWaitAny(timeout, sigs...) // park the goroutine, then collect
+		idx := p.ArmWaitAny(sigs...) // park the goroutine, then collect
 		if idx < 0 {
 			p.Suspend(func() bool { idx = p.CollectWaitAny(sigs...); return true })
 		}
@@ -86,11 +69,12 @@ func runWith(reference bool, s *Scheduler, p *sim.Proc, main Waiter) error {
 // guestScenario runs one scripted guest under the inline loop or the
 // reference one and returns every step it took (stamped with virtual time),
 // the trace, the metrics and the end time. Two watched signals are set at
-// the instant a Sleep falls due; the Sleep's continuation allocates enough
-// promises to force minor collections, so the loop stops at a CPU charge
-// mid-pass; and a third watched signal is set during that charge, together
-// with a kernel-context resolution the loop must pick up once the charge
-// completes.
+// the instant a Sleep falls due, by an event armed before the Sleep's, so
+// the loop polls both before the Sleep resolves; the Sleep's continuation
+// allocates enough promises to force minor collections, so the loop stops
+// at a CPU charge mid-pass; and a third watched signal is set during that
+// charge, together with a kernel-context resolution the loop must pick up
+// once the charge completes.
 func guestScenario(t *testing.T, reference bool) (steps []string, trace []byte, metrics string, end sim.Time, minorGCs int) {
 	t.Helper()
 	tr := obs.NewTracer(obs.DefaultCap)
@@ -105,7 +89,6 @@ func guestScenario(t *testing.T, reference bool) (steps []string, trace []byte, 
 	cfg.MinorSize = 4 << 10
 	s.Heap = mem.NewHeap(cfg)
 	s.CPU = k.NewCPU("vcpu")
-	s.WakeCost = 300 * time.Nanosecond
 
 	a, b, c := k.NewSignal("a"), k.NewSignal("b"), k.NewSignal("c")
 	late := NewPromise[struct{}](s) // resolved from kernel context mid-charge
@@ -115,9 +98,9 @@ func guestScenario(t *testing.T, reference bool) (steps []string, trace []byte, 
 		late.Resolve(struct{}{})
 		step("set c, resolve late")
 	})
-	// A bare timer's wake charge, during which kernel-context code allocates
-	// enough to owe a collection: the loop must not book it until its next
-	// pass.
+	// Just after a bare Sleep wakes the loop, kernel-context code allocates
+	// enough to owe a collection while the loop is parked: the loop must not
+	// book it until its next pass.
 	k.At(sim.Time(1500*time.Microsecond+100), func() {
 		for i := 0; i < 50; i++ {
 			NewPromise[int](s)
@@ -188,15 +171,16 @@ func TestInlineLoopMatchesGoroutineLoop(t *testing.T) {
 		}
 		return i
 	}
+	// a and b are polled before the Sleep due at the same instant resolves.
 	// The burst's collections are charged after the pass that ran it; c is
 	// set and late resolved while that charge runs, so late's continuation
-	// runs when the charge completes, before the poll sees b and then c.
-	order := []int{at(" timer"), at(" burst joined"), at(" set c, resolve late"), at(" late ran"), at(" b fired"), at(" c fired")}
+	// runs when the charge completes, before the poll sees c.
+	order := []int{at(" a fired"), at(" b fired"), at(" timer"), at(" burst joined"), at(" set c, resolve late"), at(" late ran"), at(" c fired")}
 	if slices.Contains(order, -1) {
 		return
 	}
 	when := func(i int) string { t, _, _ := strings.Cut(iSteps[i], " "); return t }
-	if !slices.IsSorted(order) || when(order[1]) == when(order[2]) || when(order[2]) == when(order[3]) {
+	if !slices.IsSorted(order) || when(order[1]) != when(order[2]) || when(order[3]) == when(order[4]) || when(order[4]) == when(order[5]) {
 		t.Errorf("the scenario did not run in the order it scripts:\n  %s", strings.Join(iSteps, "\n  "))
 	}
 	if !strings.Contains(iMetrics, "sim_proc_wakes_total") {

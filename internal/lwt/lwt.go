@@ -5,18 +5,20 @@
 // application code keeps straight-line control flow.
 //
 // The VM is either executing code or blocked — there is no preemption and
-// no asynchronous interrupts. Only the run loop touches the platform: it
-// parks the domain on its event channels and its next timer via domainpoll
-// (sim.Proc.ArmWaitAny), exactly as §3.3 describes. The loop is an event
-// loop in the simulator too: after its first pass it suspends the domain's
-// goroutine (sim.Proc.Suspend), and every later wake runs it on the
+// no asynchronous interrupts. The run loop parks the domain on its event
+// channels via domainpoll (sim.Proc.ArmWaitAny), exactly as §3.3 describes.
+// A Sleep is the hypervisor timer that ends such a poll: one kernel event
+// whose callback resolves the Sleep's promise, which wakes the loop like any
+// other completion from kernel context. So the kernel's event queue is the
+// one timer order, and the library keeps none of its own. The loop is an
+// event loop in the simulator too: after its first pass it suspends the
+// domain's goroutine (sim.Proc.Suspend), and every later wake runs it on the
 // kernel's stack, until the main thread completes. Thread scheduling lives
-// entirely in this library and can be modified by the application (timers
-// sit in a heap-allocated priority queue; see Scheduler hooks).
+// entirely in this library and can be modified by the application (see
+// Scheduler hooks).
 package lwt
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 
@@ -140,38 +142,11 @@ func (p *Promise[T]) Fail(err error) {
 	p.complete()
 }
 
-type timerEntry struct {
-	at  sim.Time
-	seq uint64
-	p   *Promise[struct{}]
-}
-
-type timerHeap []*timerEntry
-
-func (h timerHeap) Len() int { return len(h) }
-func (h timerHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h timerHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *timerHeap) Push(x any)   { *h = append(*h, x.(*timerEntry)) }
-func (h *timerHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
 // Scheduler evaluates lightweight threads inside one domain.
 type Scheduler struct {
-	K      *sim.Kernel
-	ready  []cont
-	timers timerHeap
-	seq    uint64
+	K        *sim.Kernel
+	ready    []cont
+	sleeping int // Sleeps whose kernel event has not fired yet
 
 	sigScratch []*sim.Signal // Run's park list, rebuilt in place each park
 
@@ -192,12 +167,9 @@ type Scheduler struct {
 	body func() bool
 
 	// Heap, when set, is charged threadRecordBytes per promise created;
-	// CPU, when set, receives drained heap costs and per-wake dispatch
-	// costs during Run.
+	// CPU, when set, receives the drained heap costs during Run.
 	Heap *mem.Heap
 	CPU  *sim.CPU
-	// WakeCost is the dispatch cost per timer wake (default 0).
-	WakeCost time.Duration
 
 	watched []watch
 
@@ -371,12 +343,28 @@ func Join(s *Scheduler, ws ...Waiter) *Promise[struct{}] {
 	return &n.out
 }
 
-// Sleep returns a promise resolving after d of virtual time.
+// Sleep returns a promise resolving after d of virtual time. It arms one
+// kernel event, so Sleeps fire in the kernel's (time, seq) order: those due
+// at one instant in call order, and a non-positive d at the current instant
+// after the events already queued there. The promise is the event's
+// argument, so arming allocates nothing beyond it.
 func (s *Scheduler) Sleep(d time.Duration) *Promise[struct{}] {
 	p := NewPromise[struct{}](s)
-	s.seq++
-	heap.Push(&s.timers, &timerEntry{at: s.K.Now().Add(d), seq: s.seq, p: p})
+	s.sleeping++
+	s.K.AtArg(s.K.Now().Add(d), wakeSleeper, p, 0)
 	return p
+}
+
+// wakeSleeper is a Sleep's kernel event: it resolves the promise, whose
+// completion pokes the scheduler.
+func wakeSleeper(arg any, _ uint64) {
+	p := arg.(*Promise[struct{}])
+	s := p.s
+	s.sleeping--
+	if p.state == pending {
+		s.Wakes++
+		p.Resolve(struct{}{})
+	}
 }
 
 // OnSignal arranges for fn to run whenever sig fires while the scheduler is
@@ -385,9 +373,9 @@ func (s *Scheduler) OnSignal(sig *sim.Signal, fn func()) {
 	s.watched = append(s.watched, watch{sig, fn})
 }
 
-// pass drains the ready queue and fires due timers once, then books the
-// accrued heap and dispatch costs on the CPU. It reports whether it armed
-// such a charge: the domain then waits out the CPU time before going on.
+// pass drains the ready queue once, then books the accrued heap costs on the
+// CPU. It reports whether it armed such a charge: the domain then waits out
+// the CPU time before going on.
 func (s *Scheduler) pass(p *sim.Proc) bool {
 	// Index drain so the backing array is reused: callbacks may Defer more
 	// work, which the growing-bound loop picks up in order.
@@ -397,42 +385,26 @@ func (s *Scheduler) pass(p *sim.Proc) bool {
 		c.run()
 	}
 	s.ready = s.ready[:0]
-	fired := 0
-	now := s.K.Now()
-	for len(s.timers) > 0 && s.timers[0].at <= now {
-		e := heap.Pop(&s.timers).(*timerEntry)
-		if e.p.state == pending {
-			e.p.Resolve(struct{}{})
-			fired++
-		}
+	if s.Heap == nil {
+		return false
 	}
-	s.Wakes += fired
-	dispatch := time.Duration(fired) * s.WakeCost
-	if s.Heap != nil {
-		dispatch += s.Heap.Drain()
-	}
-	return s.CPU != nil && p.ArmUse(s.CPU, dispatch)
-}
-
-// idle reports whether nothing is runnable now: no ready callback, no due
-// timer.
-func (s *Scheduler) idle() bool {
-	return len(s.ready) == 0 && (len(s.timers) == 0 || s.timers[0].at > s.K.Now())
+	gc := s.Heap.Drain()
+	return s.CPU != nil && p.ArmUse(s.CPU, gc)
 }
 
 // Where Run's loop is suspended between wakes.
 const (
 	atTop  = iota // not suspended: the next step starts a pass
 	atUse         // a pass's CPU charge is being waited out
-	atPoll        // parked in domainpoll on the watched signals and next timer
+	atPoll        // parked in domainpoll on the watched signals and the wake
 )
 
 // Run evaluates threads until main completes, parking the domain on its
-// watched signals and the next timer deadline in between — the §3.3 main
-// loop over domainpoll. It returns main's failure, if any. The loop's first
-// steps run on p's goroutine; at its first wait the goroutine suspends, and
-// every later wake of p runs the loop on the kernel's stack until main
-// completes and the goroutine resumes.
+// watched signals in between — the §3.3 main loop over domainpoll; a Sleep
+// falling due wakes it like a completion from kernel context. It returns
+// main's failure, if any. The loop's first steps run on p's goroutine; at
+// its first wait the goroutine suspends, and every later wake of p runs the
+// loop on the kernel's stack until main completes and the goroutine resumes.
 func (s *Scheduler) Run(p *sim.Proc, main Waiter) error {
 	s.p, s.main, s.at = p, main, atTop
 	if !s.step() {
@@ -463,19 +435,14 @@ func (s *Scheduler) step() bool {
 			s.at = atUse
 			return false
 		}
-		if !s.idle() {
+		if len(s.ready) > 0 {
 			continue
 		}
 		if s.main.Completed() {
 			s.err = s.main.Failed()
 			return true
 		}
-		// idle: the next timer, if any, lies in the future.
-		var timeout time.Duration
-		if len(s.timers) > 0 {
-			timeout = s.timers[0].at.Sub(s.K.Now())
-		}
-		if timeout == 0 && len(s.watched) == 0 {
+		if s.sleeping == 0 && len(s.watched) == 0 {
 			s.err = fmt.Errorf("lwt: deadlock: main thread pending with no timers or events")
 			return true
 		}
@@ -490,7 +457,7 @@ func (s *Scheduler) step() bool {
 		sigs[n-1] = s.wake
 		s.sigScratch = sigs // CollectWaitAny takes the same list
 		s.parked = true
-		idx := p.ArmWaitAny(timeout, sigs...)
+		idx := p.ArmWaitAny(sigs...)
 		if idx < 0 {
 			s.at = atPoll
 			return false

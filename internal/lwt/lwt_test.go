@@ -178,28 +178,6 @@ func TestHeapChargedPerThread(t *testing.T) {
 	}
 }
 
-func TestWakeCostDelaysLaterThreads(t *testing.T) {
-	k := sim.NewKernel(1)
-	s := NewScheduler(k)
-	s.CPU = k.NewCPU("vcpu")
-	s.WakeCost = time.Microsecond
-	var last sim.Time
-	k.Spawn("main", func(p *sim.Proc) {
-		var ws []Waiter
-		for i := 0; i < 1000; i++ {
-			ws = append(ws, s.Sleep(time.Second)) // all due at once
-		}
-		s.Run(p, Join(s, ws...))
-		last = k.Now()
-	})
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if last < sim.Time(time.Second+900*time.Microsecond) {
-		t.Errorf("1000 wakes at 1µs each finished at %v; dispatch cost not applied", last)
-	}
-}
-
 func TestDoubleResolvePanics(t *testing.T) {
 	k := sim.NewKernel(1)
 	s := NewScheduler(k)

@@ -93,3 +93,112 @@ b2: late`
 		t.Errorf("continuations ran as:\n%s\nwant:\n%s", got, want)
 	}
 }
+
+// TestSleepOrderContract: a Sleep is one kernel event, so guest timers follow
+// the kernel's (time, seq) order and the loop keeps no timer state of its
+// own beyond a count of armed Sleeps.
+func TestSleepOrderContract(t *testing.T) {
+	t.Run("same deadline in call order", func(t *testing.T) {
+		var log []string
+		run(t, func(p *sim.Proc, s *Scheduler) {
+			sleep := func(name string, d time.Duration) Waiter {
+				return Map(s.Sleep(d), func(struct{}) struct{} {
+					log = append(log, fmt.Sprintf("%v %s", s.K.Now(), name))
+					return struct{}{}
+				})
+			}
+			main := Join(s, sleep("a", 2*time.Millisecond), sleep("b", time.Millisecond),
+				sleep("c", 2*time.Millisecond), sleep("d", time.Millisecond))
+			if err := s.Run(p, main); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got, want := strings.Join(log, ", "), "1ms b, 1ms d, 2ms a, 2ms c"; got != want {
+			t.Errorf("Sleeps resolved as %s, want %s", got, want)
+		}
+	})
+
+	t.Run("non-positive at the current instant after queued events", func(t *testing.T) {
+		var log []string
+		run(t, func(p *sim.Proc, s *Scheduler) {
+			main := Bind(s.Sleep(time.Millisecond), func(struct{}) *Promise[struct{}] {
+				var zero, negative *Promise[struct{}]
+				s.K.At(s.K.Now(), func() {
+					log = append(log, fmt.Sprintf("%v event: zero done %v, negative done %v",
+						s.K.Now(), zero.Completed(), negative.Completed()))
+				})
+				zero, negative = s.Sleep(0), s.Sleep(-time.Millisecond)
+				Always(zero, func() { log = append(log, fmt.Sprintf("%v zero", s.K.Now())) })
+				Always(negative, func() { log = append(log, fmt.Sprintf("%v negative", s.K.Now())) })
+				return Join(s, zero, negative)
+			})
+			if err := s.Run(p, main); err != nil {
+				t.Fatal(err)
+			}
+		})
+		want := "1ms event: zero done false, negative done false, 1ms zero, 1ms negative"
+		if got := strings.Join(log, ", "); got != want {
+			t.Errorf("ran as %s, want %s", got, want)
+		}
+	})
+
+	t.Run("a pending Sleep is not a deadlock", func(t *testing.T) {
+		for _, sleeping := range []bool{true, false} {
+			run(t, func(p *sim.Proc, s *Scheduler) {
+				main := NewPromise[struct{}](s)
+				s.K.At(sim.Time(5*time.Millisecond), func() { main.Resolve(struct{}{}) })
+				if sleeping {
+					s.Sleep(time.Hour) // awaited by nobody
+				}
+				err := s.Run(p, main)
+				switch {
+				case sleeping && (err != nil || p.Now() != sim.Time(5*time.Millisecond)):
+					t.Errorf("with a Sleep armed: Run = %v at %v, want nil at 5ms", err, p.Now())
+				case !sleeping && (err == nil || !strings.HasPrefix(err.Error(), "lwt: deadlock: ")):
+					t.Errorf("with nothing armed: Run = %v, want lwt's deadlock error", err)
+				}
+			})
+		}
+	})
+
+	t.Run("parks under a far-off Sleep leave the event queue as it is", func(t *testing.T) {
+		const parks = 10000
+		k := sim.NewKernel(1)
+		s := NewScheduler(k)
+		sig := k.NewSignal("dev")
+		var tick func() // a chain of events, one queued at a time
+		tick = func() { sig.Set(); k.After(time.Microsecond, tick) }
+		k.After(time.Microsecond, tick)
+		woken := 0
+		k.Spawn("guest", func(p *sim.Proc) {
+			main := NewPromise[struct{}](s)
+			s.OnSignal(sig, func() {
+				if woken++; woken == parks {
+					main.Resolve(struct{}{})
+				}
+			})
+			s.Sleep(time.Hour)
+			if err := s.Run(p, main); err != nil {
+				t.Error(err)
+			}
+		})
+		var lens []int
+		for i := 0; i < 10; i++ {
+			if _, err := k.RunFor(parks / 10 * time.Microsecond); err != nil {
+				t.Fatal(err)
+			}
+			lens = append(lens, k.EventQueueLen())
+		}
+		if woken != parks {
+			t.Fatalf("guest woke %d times, want %d", woken, parks)
+		}
+		for _, n := range lens {
+			if n != lens[0] {
+				t.Fatalf("EventQueueLen over %d parks = %v, want it constant", parks, lens)
+			}
+		}
+		if lens[0] > 2 {
+			t.Errorf("EventQueueLen = %d, want the tick and the Sleep only", lens[0])
+		}
+	})
+}

@@ -8,68 +8,8 @@ import (
 	"time"
 )
 
-// parkUnderFarTimer runs a proc that parks parks times on a signal under a
-// one-hour timeout while a second proc on setter's kernel fires the signal
-// each microsecond — the shape of a guest main loop with a far-off lwt timer
-// and a busy device.
-func parkUnderFarTimer(waiter, setter *Kernel, parks int) (woken *int) {
-	woken = new(int)
-	sig := waiter.NewSignal("dev")
-	waiter.SpawnDaemon("guest", func(p *Proc) {
-		for {
-			if waitAny(p, time.Hour, sig) == 0 {
-				*woken++
-			}
-		}
-	})
-	setter.Spawn("dev", func(p *Proc) {
-		for i := 0; i < parks; i++ {
-			p.Sleep(time.Microsecond)
-			setter.Post(waiter, 0, sig.Set)
-		}
-	})
-	return woken
-}
-
-// TestParkTimeoutIsTakenBack: a park whose signal wins must not leave its
-// timeout event behind, or the event queue grows by one per park for as long
-// as the timer is far away.
-func TestParkTimeoutIsTakenBack(t *testing.T) {
-	const parks = 10000
-	t.Run("serial", func(t *testing.T) {
-		k := NewKernel(1)
-		woken := parkUnderFarTimer(k, k, parks)
-		if _, err := k.RunFor(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if *woken != parks {
-			t.Fatalf("guest woke %d times, want %d", *woken, parks)
-		}
-		if n := k.EventQueueLen(); n > 2 {
-			t.Errorf("EventQueueLen = %d after %d parks, want <= 2", n, parks)
-		}
-		if n := k.EventHeapPeak(); n > 4 {
-			t.Errorf("EventHeapPeak = %d, want <= 4", n)
-		}
-	})
-	t.Run("2-shard", func(t *testing.T) {
-		c := NewClusterObs(1, 2, 10*time.Microsecond, nil, nil)
-		woken := parkUnderFarTimer(c.Kernel(1), c.Kernel(0), parks)
-		if _, err := c.RunFor(time.Second); err != nil {
-			t.Fatal(err)
-		}
-		if *woken != parks {
-			t.Fatalf("guest woke %d times, want %d", *woken, parks)
-		}
-		if n := c.Kernel(1).EventQueueLen(); n > 2 {
-			t.Errorf("EventQueueLen = %d after %d parks, want <= 2", n, parks)
-		}
-	})
-}
-
 // TestEventHeapRemovalProperty drives a kernel with random At / Cancel /
-// park-style unschedule / run-a-while operations and holds it against a
-// model: events fire in (at, seq) order, every queued event knows its heap
+// run-a-while operations and holds it against a model: events fire in (at, seq) order, every queued event knows its heap
 // position, and an event taken back never fires and leaves only inert
 // handles behind, even once its struct carries a new event.
 func TestEventHeapRemovalProperty(t *testing.T) {
@@ -103,13 +43,7 @@ func TestEventHeapRemovalProperty(t *testing.T) {
 			case n < 8 && len(all) > 0:
 				s := all[r.Intn(len(all))]
 				was := s.ev.Pending()
-				var took bool
-				if n == 5 {
-					took = s.ev.Cancel()
-				} else if was { // what CollectWaitAny does with its timeout
-					k.unschedule(s.ev.e)
-					took = true
-				}
+				took := s.ev.Cancel()
 				if took != was || s.ev.Pending() || s.ev.Cancel() {
 					t.Logf("seed %d: handle of a removed event still live", seed)
 					return false

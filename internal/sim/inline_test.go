@@ -27,7 +27,7 @@ func TestInlineBodyWakesWithoutHandOff(t *testing.T) {
 
 	var atSuspend, moved, woken, afterExit int
 	k.Spawn("guest", func(p *Proc) {
-		if p.ArmWaitAny(0, sig) != -1 {
+		if p.ArmWaitAny(sig) != -1 {
 			t.Error("nothing was pending, yet ArmWaitAny did not park")
 		}
 		atSuspend = k.handoffs
@@ -41,7 +41,7 @@ func TestInlineBodyWakesWithoutHandOff(t *testing.T) {
 			if woken++; woken == wakes {
 				return true
 			}
-			p.ArmWaitAny(0, sig)
+			p.ArmWaitAny(sig)
 			return false
 		})
 		afterExit = k.handoffs
@@ -70,7 +70,7 @@ func TestInlineBodyPanicIsTheProcsPanic(t *testing.T) {
 	sig := k.NewSignal("evt")
 	k.After(time.Millisecond, sig.Set)
 	k.Spawn("guest", func(p *Proc) {
-		p.ArmWaitAny(0, sig)
+		p.ArmWaitAny(sig)
 		p.Suspend(func() bool { panic("ring corrupted") })
 	})
 	got := func() (v any) {
@@ -90,7 +90,7 @@ func TestInlineBodyMustNotBlock(t *testing.T) {
 	sig := k.NewSignal("evt")
 	k.After(time.Millisecond, sig.Set)
 	k.Spawn("guest", func(p *Proc) {
-		p.ArmWaitAny(0, sig)
+		p.ArmWaitAny(sig)
 		p.Suspend(func() bool {
 			p.CollectWaitAny(sig)
 			p.Sleep(time.Millisecond)
