@@ -21,7 +21,7 @@ while read -r name cmd; do
 	(cd "$t" && q "$b"/$cmd)
 done <cmd/golden/invocations.txt
 # What no golden holds: usage errors, -memstats, profiles, the full-size
-# sharded fleet and the benchmark.
+# fig7a and sharded fleet, and the benchmark.
 bad "$b/repro" -experiment no-such-experiment
 bad "$b/repro" -loss 2
 bad "$b/repro" -experiment fig6,nosuch
@@ -29,5 +29,6 @@ bad "$b/repro" -experiment fig6,scalesweep -quick -lb-policy bogus
 bad "$b/repro" -experiment fig6 -pcpus -3
 q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -memstats
 q "$b/repro" -experiment fig10 -quick -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
+q "$b/repro" -experiment fig7a # full size: past the 5 M live window, threads terminate (Heap.Release)
 q "$b/repro" -experiment scalesweep -pcpus 4 -replicas-max 8 # full size: fills a TX ring and an accept backlog
 q "$b/benchmark" -reps 1 -layers -traced -out "$t/bench_out"

@@ -1,7 +1,7 @@
 // Package mem models the specialised memory system of a Mirage unikernel
-// (paper §3.2–§3.3 and Figure 2): the single 64-bit address-space layout,
-// the PVBoot extent and slab allocators, and a two-generation garbage-
-// collected heap whose costs depend on how the address space is managed.
+// (paper §3.2–§3.3 and Figure 2): the single 64-bit address-space layout
+// and a two-generation garbage-collected heap whose costs depend on how the
+// address space is managed.
 //
 // The heap is a cost model, not a real collector: Alloc advances bump
 // pointers and accrues virtual CPU time for collections, promotions and
@@ -33,9 +33,6 @@ type Region struct {
 
 // End returns the first address past the region.
 func (r Region) End() uint64 { return r.Base + r.Size }
-
-// Contains reports whether addr falls inside the region.
-func (r Region) Contains(addr uint64) bool { return addr >= r.Base && addr < r.End() }
 
 func (r Region) String() string {
 	return fmt.Sprintf("%s [%#x,%#x) %d KiB", r.Name, r.Base, r.End(), r.Size/1024)
@@ -102,143 +99,12 @@ func (l *Layout) Validate() error {
 
 func roundUp(x, to uint64) uint64 { return (x + to - 1) / to * to }
 
-// Extent is the PVBoot extent allocator: it reserves a contiguous region of
-// virtual memory and hands out 2 MiB chunks, permitting x86-64 superpage
-// mappings (§3.2). Chunks are identified by index.
-type Extent struct {
-	region Region
-	used   []bool
-	// MapOps counts page-table mapping operations: one per superpage,
-	// versus 512 for an equivalent run of 4 KiB pages.
-	MapOps int
-}
-
-// NewExtent creates an extent allocator over region (size must be a
-// superpage multiple).
-func NewExtent(region Region) *Extent {
-	if region.Size%SuperpageSize != 0 {
-		panic("mem: extent region must be a superpage multiple")
-	}
-	return &Extent{region: region, used: make([]bool, region.Size/SuperpageSize)}
-}
-
-// FreeChunks returns how many chunks are unallocated.
-func (e *Extent) FreeChunks() int {
-	n := 0
-	for _, u := range e.used {
-		if !u {
-			n++
-		}
-	}
-	return n
-}
-
-// Alloc reserves n contiguous chunks and returns the base address, or an
-// error if no run of n chunks is free.
-func (e *Extent) Alloc(n int) (uint64, error) {
-	if n <= 0 {
-		return 0, fmt.Errorf("mem: extent alloc of %d chunks", n)
-	}
-	run := 0
-	for i, u := range e.used {
-		if u {
-			run = 0
-			continue
-		}
-		run++
-		if run == n {
-			start := i - n + 1
-			for j := start; j <= i; j++ {
-				e.used[j] = true
-			}
-			e.MapOps += n // one superpage mapping per chunk
-			return e.region.Base + uint64(start)*SuperpageSize, nil
-		}
-	}
-	return 0, fmt.Errorf("mem: extent exhausted (%d/%d chunks free, want %d contiguous)", e.FreeChunks(), len(e.used), n)
-}
-
-// Free releases n chunks starting at addr.
-func (e *Extent) Free(addr uint64, n int) error {
-	if addr < e.region.Base || (addr-e.region.Base)%SuperpageSize != 0 {
-		return fmt.Errorf("mem: bad extent free address %#x", addr)
-	}
-	start := int((addr - e.region.Base) / SuperpageSize)
-	if start+n > len(e.used) {
-		return fmt.Errorf("mem: extent free out of range")
-	}
-	for i := start; i < start+n; i++ {
-		if !e.used[i] {
-			return fmt.Errorf("mem: double free of chunk %d", i)
-		}
-		e.used[i] = false
-	}
-	return nil
-}
-
-// Slab is the PVBoot slab allocator supporting the C parts of the runtime
-// (§3.2). It carves pages into power-of-two size classes. As most code is
-// type-safe it is deliberately small.
-type Slab struct {
-	classes map[int]*slabClass
-	// Stats
-	PagesUsed int
-	Allocs    int
-	Frees     int
-}
-
-type slabClass struct {
-	size int
-	free int // free objects available in carved pages
-}
-
-// NewSlab returns an empty slab allocator.
-func NewSlab() *Slab { return &Slab{classes: map[int]*slabClass{}} }
-
-// sizeClass rounds n up to the next power of two, minimum 16, maximum one page.
-func sizeClass(n int) int {
-	c := 16
-	for c < n {
-		c <<= 1
-	}
-	return c
-}
-
-// Alloc reserves an object of at least n bytes (n must be <= PageSize) and
-// returns its size class.
-func (s *Slab) Alloc(n int) (int, error) {
-	if n <= 0 || n > PageSize {
-		return 0, fmt.Errorf("mem: slab alloc of %d bytes", n)
-	}
-	c := sizeClass(n)
-	cl := s.classes[c]
-	if cl == nil {
-		cl = &slabClass{size: c}
-		s.classes[c] = cl
-	}
-	if cl.free == 0 {
-		cl.free = PageSize / c
-		s.PagesUsed++
-	}
-	cl.free--
-	s.Allocs++
-	return c, nil
-}
-
-// Free returns an object of size class c to its slab.
-func (s *Slab) Free(c int) {
-	if cl := s.classes[c]; cl != nil {
-		cl.free++
-	}
-	s.Frees++
-}
-
 // GrowthBackend selects how the major heap obtains memory.
 type GrowthBackend int
 
 const (
-	// GrowExtent grows in contiguous 2 MiB superpages from the extent
-	// allocator (the unikernel's specialised layout).
+	// GrowExtent grows in contiguous 2 MiB superpages, as PVBoot's extent
+	// allocator hands them out (§3.2; the unikernel's specialised layout).
 	GrowExtent GrowthBackend = iota
 	// GrowMalloc grows in scattered 4 KiB chunks obtained from a general
 	// allocator; the collector must maintain a chunk table.
@@ -320,14 +186,6 @@ func (h *Heap) Alloc(n int) {
 	}
 }
 
-// AllocMajor allocates n bytes directly on the major heap (large objects).
-func (h *Heap) AllocMajor(n int) {
-	h.ensureMajor(n)
-	h.majorUsed += n
-	h.liveMajor += n
-	h.maybeMajorCollect()
-}
-
 // Release marks n bytes of major-heap data dead (they are reclaimed by the
 // next major collection).
 func (h *Heap) Release(n int) {
@@ -389,6 +247,3 @@ func (h *Heap) Drain() time.Duration {
 	h.Cost = 0
 	return c
 }
-
-// LiveBytes returns current live data (minor + major).
-func (h *Heap) LiveBytes() int { return h.minorUsed + h.liveMajor }

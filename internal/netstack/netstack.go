@@ -16,11 +16,9 @@ import (
 
 	"repro/internal/arp"
 	"repro/internal/cstruct"
-	"repro/internal/dhcp"
 	"repro/internal/ethernet"
 	"repro/internal/icmp"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
 	"repro/internal/netif"
 	"repro/internal/obs"
 	"repro/internal/pvboot"
@@ -29,13 +27,11 @@ import (
 	"repro/internal/udp"
 )
 
-// Config is the interface configuration (static directives, or filled by
-// DHCP when IP is zero).
+// Config is the interface configuration (static directives).
 type Config struct {
 	MAC     ethernet.MAC
 	IP      ipv4.Addr
 	Netmask ipv4.Addr
-	Gateway ipv4.Addr
 
 	// VIP, when set, is a shared virtual service address (direct server
 	// return behind a load balancer): the stack accepts packets addressed
@@ -286,7 +282,7 @@ func (st *Stack) direct(dst ipv4.Addr, maxLen int) (ethernet.MAC, bool) {
 	if dst == ipv4.Broadcast {
 		return ethernet.Broadcast, true
 	}
-	return st.ARP.Cached(st.nextHop(dst))
+	return st.ARP.Cached(dst)
 }
 
 // openFrame takes an I/O page for a single-frame packet and returns it with
@@ -308,21 +304,14 @@ func (st *Stack) sendFrame(page, body *cstruct.View, n int, mac ethernet.MAC, sr
 	st.tx(page, frameHdr+n, span)
 }
 
-// nextHop is dst itself on the local subnet, the gateway otherwise.
-func (st *Stack) nextHop(dst ipv4.Addr) ipv4.Addr {
-	if st.Cfg.Netmask != 0 && dst&st.Cfg.Netmask != st.Cfg.IP&st.Cfg.Netmask && st.Cfg.Gateway != 0 {
-		return st.Cfg.Gateway
-	}
-	return dst
-}
-
-// resolveNextHop picks dst or the gateway and resolves its MAC.
+// resolveNextHop resolves dst's MAC: every destination is on the local
+// segment, since the stack has no gateway.
 func (st *Stack) resolveNextHop(dst ipv4.Addr, cb func(ethernet.MAC, error)) {
 	if dst == ipv4.Broadcast {
 		cb(ethernet.Broadcast, nil)
 		return
 	}
-	st.ARP.Resolve(st.nextHop(dst), cb)
+	st.ARP.Resolve(dst, cb)
 }
 
 // rx is the receive upcall from the driver: parsing happens after the
@@ -437,44 +426,8 @@ func (st *Stack) Ping(dst ipv4.Addr, id, seq uint16, payload []byte) {
 	st.ICMP.Output(dst, icmp.Echo{Type: icmp.TypeEchoRequest, ID: id, Seq: seq, Payload: payload})
 }
 
-// ConfigureDHCP runs the DHCP client and resolves with the lease, applying
-// it to the stack configuration (the dynamic-configuration directive of
-// §2.3.1).
-func (st *Stack) ConfigureDHCP(xid uint32) *lwt.Promise[dhcp.Lease] {
-	pr := lwt.NewPromise[dhcp.Lease](st.VM.S)
-	client := &dhcp.Client{HW: st.Cfg.MAC, XID: xid}
-	client.Send = func(m dhcp.Message) {
-		buf := cstruct.Make(1024)
-		n := dhcp.Encode(buf, m)
-		st.SendUDP(ipv4.Broadcast, dhcp.ServerPort, dhcp.ClientPort, buf.Slice(0, n))
-	}
-	client.OnLease = func(l dhcp.Lease) {
-		st.Cfg.IP = l.IP
-		st.Cfg.Netmask = l.Netmask
-		st.Cfg.Gateway = l.Gateway
-		st.ARP.MyIP = l.IP
-		st.TCP.LocalIP = l.IP
-		st.UDP.Unbind(dhcp.ClientPort)
-		if !pr.Completed() {
-			pr.Resolve(l)
-		}
-	}
-	if err := st.UDP.Bind(dhcp.ClientPort, func(src ipv4.Addr, srcPort uint16, data *cstruct.View) {
-		m, err := dhcp.Parse(data)
-		if err != nil {
-			return
-		}
-		client.Input(m)
-	}); err != nil {
-		pr.Fail(err)
-		return pr
-	}
-	client.Start()
-	return pr
-}
-
 // String summarises the stack configuration.
 func (st *Stack) String() string {
-	return fmt.Sprintf("netstack %v ip=%v mask=%v gw=%v mtu=%d",
-		st.Cfg.MAC, st.Cfg.IP, st.Cfg.Netmask, st.Cfg.Gateway, netif.MTU)
+	return fmt.Sprintf("netstack %v ip=%v mask=%v mtu=%d",
+		st.Cfg.MAC, st.Cfg.IP, st.Cfg.Netmask, netif.MTU)
 }

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/cstruct"
-	"repro/internal/dhcp"
 	"repro/internal/ethernet"
 	"repro/internal/hypervisor"
 	"repro/internal/icmp"
@@ -215,43 +214,6 @@ func TestTCPOverFullStack(t *testing.T) {
 	}
 	if !bytes.Equal(received.Bytes(), payload) {
 		t.Fatalf("TCP transfer corrupted: got %d bytes, want %d", received.Len(), len(payload))
-	}
-}
-
-func TestDHCPConfiguresStack(t *testing.T) {
-	r := newRig(t)
-	// DHCP server guest with a static address.
-	r.guest("dhcpd", Config{MAC: mac(2), IP: ip(2), Netmask: mask}, func(st *Stack, p *sim.Proc) int {
-		srv := &dhcp.Server{
-			ServerIP: ip(2), Netmask: mask, Gateway: ip(254),
-			Pool: []ipv4.Addr{ip(100), ip(101)},
-		}
-		srv.Send = func(m dhcp.Message) {
-			buf := cstruct.Make(1024)
-			n := dhcp.Encode(buf, m)
-			st.SendUDP(ipv4.Broadcast, dhcp.ClientPort, dhcp.ServerPort, buf.Slice(0, n))
-		}
-		st.UDP.Bind(dhcp.ServerPort, func(src ipv4.Addr, srcPort uint16, data *cstruct.View) {
-			if m, err := dhcp.Parse(data); err == nil {
-				srv.Input(m)
-			}
-		})
-		return st.VM.Main(p, st.VM.S.Sleep(20*time.Second))
-	})
-	var lease dhcp.Lease
-	r.guest("client", Config{MAC: mac(1)}, func(st *Stack, p *sim.Proc) int {
-		p.Sleep(100 * time.Millisecond)
-		main := lwt.Map(st.ConfigureDHCP(0xabcd), func(l dhcp.Lease) struct{} {
-			lease = l
-			return struct{}{}
-		})
-		return st.VM.Main(p, main)
-	})
-	if _, err := r.k.RunFor(20 * time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if lease.IP != ip(100) || lease.Netmask != mask || lease.Gateway != ip(254) {
-		t.Fatalf("lease = %+v, want 10.0.0.100/24 gw .254", lease)
 	}
 }
 

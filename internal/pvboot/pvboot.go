@@ -42,8 +42,6 @@ type VM struct {
 	S      *lwt.Scheduler
 	Layout *mem.Layout
 	Heap   *mem.Heap
-	Slab   *mem.Slab
-	Extent *mem.Extent
 }
 
 // defaultInitCost is the guest-side boot work (runtime init, driver
@@ -119,8 +117,7 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 	s.CPU = d.VCPU
 	d.ThreadStats = func() (int, int) { return s.Created, s.Wakes } // domstat hook
 
-	ext := mem.NewExtent(layout.MajorHeap)
-	return &VM{Dom: d, S: s, Layout: layout, Heap: heap, Slab: mem.NewSlab(), Extent: ext}, nil
+	return &VM{Dom: d, S: s, Layout: layout, Heap: heap}, nil
 }
 
 // WatchPort wires an event-channel port into the scheduler's run loop: fn

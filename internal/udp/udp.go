@@ -70,9 +70,6 @@ func (m *Mux) Bind(port uint16, h Handler) error {
 	return nil
 }
 
-// Unbind releases a port.
-func (m *Mux) Unbind(port uint16) { delete(m.ports, port) }
-
 // Input routes one datagram. Unbound destinations are dropped and counted
 // (a full stack would send ICMP port-unreachable).
 func (m *Mux) Input(src ipv4.Addr, h Header, data *cstruct.View) {

@@ -73,8 +73,4 @@ func TestDoubleBindRejected(t *testing.T) {
 	if err := m.Bind(7, func(ipv4.Addr, uint16, *cstruct.View) {}); err == nil {
 		t.Error("double bind accepted")
 	}
-	m.Unbind(7)
-	if err := m.Bind(7, func(ipv4.Addr, uint16, *cstruct.View) {}); err != nil {
-		t.Errorf("rebind after unbind failed: %v", err)
-	}
 }

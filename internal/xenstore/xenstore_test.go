@@ -37,152 +37,6 @@ func TestRelativePathRejected(t *testing.T) {
 	}
 }
 
-func TestListChildren(t *testing.T) {
-	s := New()
-	s.Write("/dev/vif/0/mac", "aa")
-	s.Write("/dev/vif/1/mac", "bb")
-	s.Write("/dev/vbd/0/sector", "0")
-	got := s.List("/dev")
-	if len(got) != 2 || got[0] != "vbd" || got[1] != "vif" {
-		t.Errorf("List(/dev) = %v, want [vbd vif]", got)
-	}
-	got = s.List("/dev/vif")
-	if len(got) != 2 || got[0] != "0" || got[1] != "1" {
-		t.Errorf("List(/dev/vif) = %v, want [0 1]", got)
-	}
-}
-
-func TestRemoveSubtree(t *testing.T) {
-	s := New()
-	s.Write("/a/b/c", "1")
-	s.Write("/a/b/d", "2")
-	s.Write("/a/e", "3")
-	if err := s.Remove("/a/b"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Read("/a/b/c"); err == nil {
-		t.Error("child survived subtree removal")
-	}
-	if _, err := s.Read("/a/e"); err != nil {
-		t.Error("sibling removed")
-	}
-}
-
-func TestWatchFiresOnDescendantWrites(t *testing.T) {
-	s := New()
-	w, err := s.Watch("/local/domain/2", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Write("/local/domain/2/device/vif/0/state", "1")
-	s.Write("/other/path", "x")
-	ev := w.Poll()
-	if len(ev) != 1 || ev[0] != "/local/domain/2/device/vif/0/state" {
-		t.Errorf("watch events = %v", ev)
-	}
-	if len(w.Poll()) != 0 {
-		t.Error("Poll did not drain events")
-	}
-}
-
-func TestWatchCallbackAndUnwatch(t *testing.T) {
-	s := New()
-	fired := 0
-	w, _ := s.Watch("/x", func(string) { fired++ })
-	s.Write("/x/y", "1")
-	w.Unwatch()
-	s.Write("/x/z", "2")
-	if fired != 1 {
-		t.Errorf("fired = %d, want 1", fired)
-	}
-}
-
-func TestTxnCommitAppliesWrites(t *testing.T) {
-	s := New()
-	tx := s.Begin()
-	tx.Write("/frontend/state", "3")
-	tx.Write("/backend/state", "3")
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if v, _ := s.Read("/frontend/state"); v != "3" {
-		t.Errorf("state = %q, want 3", v)
-	}
-}
-
-func TestTxnSeesOwnWrites(t *testing.T) {
-	s := New()
-	tx := s.Begin()
-	tx.Write("/k", "v")
-	got, err := tx.Read("/k")
-	if err != nil || got != "v" {
-		t.Errorf("Read through txn = %q/%v, want v/nil", got, err)
-	}
-	tx.Remove("/k")
-	if _, err := tx.Read("/k"); err == nil {
-		t.Error("txn read of txn-deleted path succeeded")
-	}
-}
-
-func TestTxnConflictAborts(t *testing.T) {
-	s := New()
-	s.Write("/counter", "0")
-	tx := s.Begin()
-	v, _ := tx.Read("/counter")
-	// Concurrent committed write overlapping the footprint.
-	s.Write("/counter", "99")
-	tx.Write("/counter", v+"1")
-	if err := tx.Commit(); err == nil {
-		t.Fatal("conflicting transaction committed")
-	}
-	if s.Aborts != 1 {
-		t.Errorf("Aborts = %d, want 1", s.Aborts)
-	}
-	if got, _ := s.Read("/counter"); got != "99" {
-		t.Errorf("counter = %q, aborted txn leaked a write", got)
-	}
-}
-
-func TestTxnNonOverlappingCommitsBothSucceed(t *testing.T) {
-	s := New()
-	t1, t2 := s.Begin(), s.Begin()
-	t1.Write("/a", "1")
-	t2.Write("/b", "2")
-	if err := t1.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if err := t2.Commit(); err != nil {
-		t.Fatalf("disjoint txn aborted: %v", err)
-	}
-}
-
-func TestTxnRetrySucceeds(t *testing.T) {
-	s := New()
-	s.Write("/n", "0")
-	tx := s.Begin()
-	tx.Read("/n")
-	s.Write("/n", "5")
-	tx.Write("/n", "1")
-	if err := tx.Commit(); err == nil {
-		t.Fatal("want conflict")
-	}
-	// Retry loop, as a real client would.
-	for i := 0; ; i++ {
-		tx := s.Begin()
-		v, _ := tx.Read("/n")
-		tx.Write("/n", v+"+1")
-		if err := tx.Commit(); err == nil {
-			break
-		}
-		if i > 3 {
-			t.Fatal("retry never succeeded")
-		}
-	}
-	if v, _ := s.Read("/n"); v != "5+1" {
-		t.Errorf("n = %q, want 5+1", v)
-	}
-}
-
 // Property: after any sequence of writes, Read returns the last value
 // written for every key (sequential consistency of the flat store).
 func TestPropLastWriteWins(t *testing.T) {
@@ -204,36 +58,5 @@ func TestPropLastWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestWatchFiresOnRemove(t *testing.T) {
-	s := New()
-	s.Write("/dev/vif/0/state", "4")
-	w, _ := s.Watch("/dev/vif", nil)
-	if err := s.Remove("/dev/vif/0"); err != nil {
-		t.Fatal(err)
-	}
-	if ev := w.Poll(); len(ev) != 1 {
-		t.Errorf("watch events on remove = %v", ev)
-	}
-}
-
-func TestTxnDeleteOfMissingPathIsNoOp(t *testing.T) {
-	s := New()
-	tx := s.Begin()
-	tx.Remove("/never-existed")
-	if err := tx.Commit(); err != nil {
-		t.Errorf("commit with delete-of-missing failed: %v", err)
-	}
-}
-
-func TestRootListing(t *testing.T) {
-	s := New()
-	s.Write("/a/x", "1")
-	s.Write("/b/y", "2")
-	got := s.List("/")
-	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
-		t.Errorf("List(/) = %v", got)
 	}
 }
