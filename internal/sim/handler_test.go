@@ -208,10 +208,6 @@ func TestAtArgOrdersWithAtAndCarriesItsArgument(t *testing.T) {
 	k.AtArg(Time(2), deliver, &frame{2}, 20)
 	k.At(Time(1), func() { got = append(got, "1ns plain") })
 	k.AtArg(Time(1), deliver, &frame{1}, 10)
-	cancelled := k.AtArg(Time(1), deliver, &frame{3}, 30)
-	if !cancelled.Cancel() {
-		t.Error("Cancel of a pending AtArg event reported false")
-	}
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}

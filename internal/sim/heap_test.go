@@ -2,87 +2,50 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
 	"time"
 )
 
-// TestEventHeapRemovalProperty drives a kernel with random At / Cancel /
-// run-a-while operations and holds it against a model: events fire in (at, seq) order, every queued event knows its heap
-// position, and an event taken back never fires and leaves only inert
-// handles behind, even once its struct carries a new event.
-func TestEventHeapRemovalProperty(t *testing.T) {
-	type sched struct {
-		ev      Event
-		at      Time
-		removed bool
-	}
+// TestEventHeapPopOrderProperty drives a kernel with random At and
+// run-a-while operations and holds it against a model: every event fires,
+// in (at, seq) order, and after every operation each queued event sorts no
+// earlier than its parent in the 4-ary heap.
+func TestEventHeapPopOrderProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		k := NewKernel(1)
-		var all []*sched // index = insertion order = seq order
+		var ats []Time // index = insertion order = seq order
 		var fired []int
-		check := func() bool {
-			for i, e := range k.events {
-				if e.idx != i {
-					t.Logf("seed %d: event at heap position %d has idx %d", seed, i, e.idx)
-					return false
-				}
-			}
-			return true
-		}
 		for op := 0; op < 400; op++ {
-			switch n := r.Intn(10); {
-			case n < 5:
-				id := len(all)
+			if r.Intn(10) < 7 {
+				id := len(ats)
 				at := k.Now() + Time(r.Intn(50))
-				s := &sched{at: at}
-				s.ev = k.At(at, func() { fired = append(fired, id) })
-				all = append(all, s)
-			case n < 8 && len(all) > 0:
-				s := all[r.Intn(len(all))]
-				was := s.ev.Pending()
-				took := s.ev.Cancel()
-				if took != was || s.ev.Pending() || s.ev.Cancel() {
-					t.Logf("seed %d: handle of a removed event still live", seed)
-					return false
-				}
-				if took {
-					s.removed = true
-				}
-			default:
-				if _, err := k.RunFor(time.Duration(r.Intn(20))); err != nil {
-					return false
-				}
-			}
-			if !check() {
+				ats = append(ats, at)
+				k.At(at, func() { fired = append(fired, id) })
+			} else if _, err := k.RunFor(time.Duration(r.Intn(20))); err != nil {
 				return false
+			}
+			for i := 1; i < len(k.events); i++ {
+				if k.events[i].before(k.events[(i-1)/4]) {
+					t.Logf("seed %d: heap position %d sorts before its parent", seed, i)
+					return false
+				}
 			}
 		}
 		if _, err := k.Run(); err != nil || len(k.events) != 0 {
 			return false
 		}
-		var want []int
-		for id, s := range all {
-			if s.ev.Pending() {
-				t.Logf("seed %d: event %d still pending after Run", seed, id)
-				return false
-			}
-			if !s.removed {
-				want = append(want, id)
-			}
+		want := make([]int, len(ats))
+		for id := range want {
+			want[id] = id
 		}
-		sort.SliceStable(want, func(i, j int) bool { return all[want[i]].at < all[want[j]].at })
-		if len(fired) != len(want) {
-			t.Logf("seed %d: fired %d events, want %d", seed, len(fired), len(want))
+		sort.SliceStable(want, func(i, j int) bool { return ats[want[i]] < ats[want[j]] })
+		if !slices.Equal(fired, want) {
+			t.Logf("seed %d: fired %v, want %v", seed, fired, want)
 			return false
-		}
-		for i := range want {
-			if fired[i] != want[i] {
-				t.Logf("seed %d: fired[%d] = event %d, want %d", seed, i, fired[i], want[i])
-				return false
-			}
 		}
 		return true
 	}

@@ -152,7 +152,6 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 		}
 		k.mxSpawns = k0.mxSpawns
 		k.mxWakes = k0.mxWakes
-		k.mxCancels = k0.mxCancels
 		c.kernels = append(c.kernels, k)
 	}
 	m = k0.metrics

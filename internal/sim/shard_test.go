@@ -173,66 +173,6 @@ func TestParallelStopMidRun(t *testing.T) {
 	}
 }
 
-func TestEventCancel(t *testing.T) {
-	reg := obs.NewRegistry()
-	k := NewKernelObs(1, nil, reg)
-	fired := 0
-	ev := k.After(time.Millisecond, func() { fired++ })
-	if !ev.Pending() {
-		t.Error("freshly scheduled event not Pending")
-	}
-	if !ev.Cancel() {
-		t.Error("Cancel of pending event returned false")
-	}
-	if ev.Pending() {
-		t.Error("cancelled event still Pending")
-	}
-	if ev.Cancel() {
-		t.Error("second Cancel returned true")
-	}
-	keep := k.After(2*time.Millisecond, func() { fired += 10 })
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 10 {
-		t.Errorf("fired = %d, want 10 (cancelled event must not run)", fired)
-	}
-	if keep.Cancel() {
-		t.Error("Cancel after firing returned true")
-	}
-	if got := reg.Counter("sim_events_cancelled_total").Value(); got != 1 {
-		t.Errorf("sim_events_cancelled_total = %d, want 1", got)
-	}
-}
-
-// TestEventCancelReuse guards the generation check: once a cancelled
-// event's slot is recycled into a new event, the stale handle must not be
-// able to cancel the new occupant.
-func TestEventCancelReuse(t *testing.T) {
-	k := NewKernel(1)
-	fired := 0
-	ev := k.After(time.Millisecond, func() { fired++ })
-	ev.Cancel()
-	var evs []Event
-	for i := 0; i < 8; i++ {
-		evs = append(evs, k.After(time.Duration(i+1)*time.Millisecond, func() { fired++ }))
-	}
-	if ev.Cancel() || ev.Pending() {
-		t.Error("stale handle still controls a recycled event")
-	}
-	if _, err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if fired != 8 {
-		t.Errorf("fired = %d, want 8", fired)
-	}
-	for _, e := range evs {
-		if e.Pending() {
-			t.Error("fired event still Pending")
-		}
-	}
-}
-
 // TestAdaptiveByteIdentityShardCounts pins same-seed byte-identity of the
 // adaptive driver at the shard counts repro's -pcpus 1/2/4 produce (pcpus +
 // the dom0 shard): two runs agree on every log line, the final time, the

@@ -58,8 +58,6 @@ type event struct {
 	at  Time
 	seq uint64
 	fn  func()
-	gen uint64 // bumped each recycle; Event handles carry the matching gen
-	idx int    // position in the kernel's event heap while queued
 
 	// Argument form (AtArg): argFn(arg, n) runs instead of fn.
 	argFn func(arg any, n uint64)
@@ -67,13 +65,10 @@ type event struct {
 	n     uint64
 }
 
-// eventHeap is an indexed 4-ary min-heap ordered by (at, seq). The wider
-// fan-out halves tree depth versus a binary heap, so the sift cost of the
-// timer churn from reusable RTO/delayed-ACK/idle timers drops accordingly.
-// Every queued event records its own position (idx), so a cancelled event
-// leaves the heap at once in O(log n): the heap holds exactly the events
-// that will still fire. (at, seq) is a total order, so which events are
-// removed in between never changes the order the others pop in.
+// eventHeap is a 4-ary min-heap ordered by (at, seq), a total order. The
+// wider fan-out halves tree depth versus a binary heap, so each push and pop
+// sifts through half as many levels. Nothing leaves it but by popping: every
+// queued event fires.
 type eventHeap []*event
 
 // before reports whether a fires before b.
@@ -84,25 +79,18 @@ func (a *event) before(b *event) bool {
 	return a.seq < b.seq
 }
 
-// set stores e at position i.
-func (h eventHeap) set(i int, e *event) {
-	h[i] = e
-	e.idx = i
-}
-
-// up sifts the entry at i towards the root; it reports whether it moved.
-func (h eventHeap) up(i int) bool {
-	e, start := h[i], i
+// up sifts the entry at i towards the root.
+func (h eventHeap) up(i int) {
+	e := h[i]
 	for i > 0 {
 		p := (i - 1) / 4
 		if !e.before(h[p]) {
 			break
 		}
-		h.set(i, h[p])
+		h[i] = h[p]
 		i = p
 	}
-	h.set(i, e)
-	return i != start
+	h[i] = e
 }
 
 // down sifts the entry at i towards the leaves.
@@ -122,64 +110,30 @@ func (h eventHeap) down(i int) {
 		if !h[min].before(e) {
 			break
 		}
-		h.set(i, h[min])
+		h[i] = h[min]
 		i = min
 	}
-	h.set(i, e)
+	h[i] = e
 }
 
 func (h *eventHeap) push(e *event) {
-	e.idx = len(*h)
 	*h = append(*h, e)
-	h.up(e.idx)
+	h.up(len(*h) - 1)
 }
 
-// remove takes the entry at position i out of the heap and returns it.
-func (h *eventHeap) remove(i int) *event {
+// pop takes the earliest entry out of the heap and returns it.
+func (h *eventHeap) pop() *event {
 	q := *h
 	n := len(q) - 1
-	e, last := q[i], q[n]
+	e, last := q[0], q[n]
 	q[n] = nil
 	q = q[:n]
 	*h = q
-	if i != n {
-		q.set(i, last)
-		if !q.up(i) {
-			q.down(i)
-		}
+	if n > 0 {
+		q[0] = last
+		q.down(0)
 	}
 	return e
-}
-
-func (h *eventHeap) pop() *event { return h.remove(0) }
-
-// Event is a cancellable handle to a scheduled callback, returned by At and
-// After. The zero value is inert.
-type Event struct {
-	k   *Kernel
-	e   *event
-	gen uint64
-}
-
-// Cancel takes the scheduled callback out of the event queue, so a cancelled
-// event costs nothing from then on. It reports whether the event was still
-// pending; cancelling an already-fired, already-cancelled, or zero Event is
-// a no-op. Call only from the owning shard's context.
-func (ev Event) Cancel() bool {
-	if !ev.Pending() {
-		return false
-	}
-	ev.k.events.remove(ev.e.idx)
-	ev.k.recycle(ev.e)
-	ev.k.mxCancels.Inc()
-	return true
-}
-
-// Pending reports whether the event is still scheduled. The struct behind a
-// fired or cancelled event is recycled under a new gen, which is what makes
-// an old handle inert.
-func (ev Event) Pending() bool {
-	return ev.e != nil && ev.e.gen == ev.gen
 }
 
 // Kernel is a discrete-event simulation kernel. Create one with NewKernel;
@@ -212,9 +166,8 @@ type Kernel struct {
 	wheel    *Wheel // lazily created hierarchical timing wheel (see wheel.go)
 	heapPeak int    // high-water mark of the event heap
 
-	mxSpawns  *obs.Counter
-	mxWakes   *obs.Counter
-	mxCancels *obs.Counter
+	mxSpawns *obs.Counter
+	mxWakes  *obs.Counter
 
 	// Sharding (nil cluster on a plain kernel; every new field below is
 	// inert then, keeping the single-kernel path bit-for-bit identical).
@@ -252,7 +205,6 @@ func NewKernelObs(seed int64, t *obs.Tracer, m *obs.Registry) *Kernel {
 	k.trace.NameProcess(0, "host")
 	k.mxSpawns = k.metrics.Counter("sim_procs_spawned_total")
 	k.mxWakes = k.metrics.Counter("sim_proc_wakes_total")
-	k.mxCancels = k.metrics.Counter("sim_events_cancelled_total")
 	return k
 }
 
@@ -291,22 +243,18 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // At schedules fn to run in kernel context at virtual time t. Times in the
-// past run at the current instant, after already-queued events. The
-// returned handle can Cancel the callback while it is still pending.
-func (k *Kernel) At(t Time, fn func()) Event {
-	e := k.newEvent(t)
-	e.fn = fn
-	return Event{k: k, e: e, gen: e.gen}
+// past run at the current instant, after already-queued events.
+func (k *Kernel) At(t Time, fn func()) {
+	k.newEvent(t).fn = fn
 }
 
 // AtArg is At for a callback that is built once and told by the event what
 // it is about: fn(arg, n) runs at t. A per-frame event then needs no closure,
 // and storing a pointer-shaped arg (a pointer, or an interface holding one)
 // allocates nothing; n carries a word of metadata beside it.
-func (k *Kernel) AtArg(t Time, fn func(arg any, n uint64), arg any, n uint64) Event {
+func (k *Kernel) AtArg(t Time, fn func(arg any, n uint64), arg any, n uint64) {
 	e := k.newEvent(t)
 	e.argFn, e.arg, e.n = fn, arg, n
-	return Event{k: k, e: e, gen: e.gen}
 }
 
 // newEvent queues a recycled (or fresh) event struct at t, callback unset.
@@ -377,13 +325,11 @@ func (k *Kernel) WheelTimerPeak() int {
 }
 
 // After schedules fn to run d after the current instant.
-func (k *Kernel) After(d time.Duration, fn func()) Event { return k.At(k.now.Add(d), fn) }
+func (k *Kernel) After(d time.Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
 // recycle retires an event struct that has left the heap for reuse by At.
-// Bumping gen invalidates any outstanding Event handles to it.
 func (k *Kernel) recycle(e *event) {
 	e.fn, e.argFn, e.arg = nil, nil, nil
-	e.gen++
 	k.evFree = append(k.evFree, e)
 }
 
