@@ -125,6 +125,39 @@ func TestReassemblerOutOfOrderFragments(t *testing.T) {
 	}
 }
 
+// TestReassemblerDiscardsInconsistentFragments: a fragment that overlaps
+// one already held, an exact duplicate included, or that reaches past the
+// datagram's final length discards the whole datagram and every later
+// fragment of it (RFC 5722), so no datagram with a hole is delivered.
+func TestReassemblerDiscardsInconsistentFragments(t *testing.T) {
+	type frag struct {
+		off, n int
+		more   bool
+	}
+	for _, c := range []struct {
+		name  string
+		frags []frag
+	}{
+		// Their lengths sum to 32, but bytes 16-23 never arrived.
+		{"overlap", []frag{{0, 16, true}, {8, 8, true}, {24, 8, false}, {16, 8, true}}},
+		{"exact duplicate", []frag{{0, 16, true}, {0, 16, true}, {16, 8, false}}},
+		// The last fragment puts the end at 24; one then arrives at 24-31.
+		{"past the final length", []frag{{16, 8, false}, {24, 8, true}, {0, 8, true}, {8, 8, true}}},
+	} {
+		r := NewReassembler()
+		for i, f := range c.frags {
+			h := Header{Src: 1, Dst: 2, ID: 3, Proto: ProtoUDP, FragOffset: f.off, MoreFrags: f.more}
+			data := bytes.Repeat([]byte{byte(i + 1)}, f.n)
+			if out, done := r.Input(h, cstruct.Wrap(data)); done {
+				t.Errorf("%s: fragment %d completed the datagram % x", c.name, i, out.Bytes())
+			}
+		}
+		if r.Completed != 0 || r.Discarded != 1 {
+			t.Errorf("%s: Completed, Discarded = %d, %d, want 0, 1", c.name, r.Completed, r.Discarded)
+		}
+	}
+}
+
 // Property: fragment + reassemble is the identity for any payload size.
 func TestPropFragmentReassembleIdentity(t *testing.T) {
 	f := func(size uint16, mtuSeed uint8) bool {
