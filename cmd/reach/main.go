@@ -1,7 +1,9 @@
 // Command reach is the comparison step of `make reach`: it holds the merged
 // `go tool covdata func` report of every entry point (stdin) against the
 // committed keep-list and fails when a function under internal/ that no
-// entry point ever called is not listed, or when a listed one is stale.
+// entry point ever called is not listed, or when a listed one is stale. It
+// also reads the `go tool covdata textfmt` profile of the same runs and
+// prints how many statements under internal/ none of them executed.
 //
 // A keep-list line is "<package dir> <function> <reason>". The function is
 // spelled as covdata prints it (Encode, MAC.String, *Handler.Cached; methods
@@ -20,6 +22,7 @@ import (
 	"path"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -80,6 +83,40 @@ func check(keep map[string]string, called map[string]bool) (never int, problems 
 	return never, problems
 }
 
+// statements reads a `go tool covdata textfmt` profile: how many of the
+// statements under internal/ no run executed, and how many there are. A
+// block that several binaries or runs report counts once, at its largest
+// count.
+func statements(profile string) (never, total int) {
+	count := map[string]int{} // "file:range" -> largest count
+	size := map[string]int{}  // "file:range" -> statements in the block
+	for _, line := range strings.Split(profile, "\n") {
+		f := strings.Fields(line) // repro/internal/arp/arp.go:95.42,97.2 1 0
+		if len(f) != 3 || !strings.HasPrefix(f[0], "repro/internal/") {
+			continue
+		}
+		n, err1 := strconv.Atoi(f[1])
+		c, err2 := strconv.Atoi(f[2])
+		if err1 != nil || err2 != nil {
+			continue
+		}
+		size[f[0]] = n
+		count[f[0]] = max(count[f[0]], c)
+	}
+	for block, n := range size {
+		total += n
+		if count[block] == 0 {
+			never += n
+		}
+	}
+	return never, total
+}
+
+// floor is the statement line `make reach` prints.
+func floor(never, total int) string {
+	return fmt.Sprintf("%d of %d statements under internal/ never executed (%.1f %%)", never, total, 100*float64(never)/float64(total))
+}
+
 // reasonKinds are the keep-list reasons by kind (the part before any colon),
 // in the order summary prints them.
 var reasonKinds = []string{"paper", "safety", "pinned", "test-reference", "debug"}
@@ -99,21 +136,23 @@ func summary(keep map[string]string) string {
 }
 
 func main() {
-	if len(os.Args) != 2 {
-		fmt.Fprintln(os.Stderr, "usage: go tool covdata func -i DIR | reach KEEPLIST")
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: go tool covdata func -i DIR | reach KEEPLIST TEXTFMT-PROFILE")
 		os.Exit(2)
 	}
 	text, err := os.ReadFile(os.Args[1])
-	report, err2 := io.ReadAll(os.Stdin)
-	if err != nil || err2 != nil {
-		fmt.Fprintln(os.Stderr, "reach:", err, err2)
+	profile, err2 := os.ReadFile(os.Args[2])
+	report, err3 := io.ReadAll(os.Stdin)
+	if err != nil || err2 != nil || err3 != nil {
+		fmt.Fprintln(os.Stderr, "reach:", err, err2, err3)
 		os.Exit(2)
 	}
 	keep, problems := parseKeep(string(text))
 	called := parseFunc(string(report))
 	never, more := check(keep, called)
-	if len(called) == 0 {
-		more = append(more, "the coverage report names no function under internal/: the cover build recorded nothing")
+	unrun, stmts := statements(string(profile))
+	if len(called) == 0 || stmts == 0 {
+		more = append(more, "the coverage report names no function or statement under internal/: the cover build recorded nothing")
 	}
 	for _, p := range append(problems, more...) {
 		fmt.Println("reach:", p)
@@ -122,5 +161,6 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never, len(called))
+	fmt.Println("reach:", floor(unrun, stmts))
 	fmt.Println("reach:", summary(keep))
 }

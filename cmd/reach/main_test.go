@@ -17,12 +17,13 @@ const root = "../.." // the module root, from cmd/reach
 // TestGateNamesUnlistedAndStale runs the comparison step on a canned
 // `go tool covdata func` report, so tier-1 holds the gate's logic without a
 // cover build: one never-called function off the list and one listed
-// function that is called now must both fail, each by name.
+// function that is called now must both fail, each by name. A canned
+// `go tool covdata textfmt` profile gives the statement line.
 func TestGateNamesUnlistedAndStale(t *testing.T) {
 	const report = `repro/cmd/repro/main.go:35:			main			80.0%
 repro/internal/arp/arp.go:95:			*Handler.Lookup		0.0%
 repro/internal/arp/arp.go:120:			*Handler.Input		91.7%
-repro/internal/dhcp/dhcp.go:49:			Encode			0.0%
+repro/internal/dns/dns.go:49:			Encode			0.0%
 repro/internal/fifo/fifo.go:24:			Cap			0.0%
 repro/internal/fifo/fifo.go:90:			Cap			100.0%
 repro/internal/sim/sim.go:39:			Time.String		0.0%
@@ -40,7 +41,7 @@ internal/sim Time.String debug:stringer
 	never, got := check(keep, called)
 	want := []string{
 		"stale: internal/arp *Handler.Input is listed but is called now, or is gone",
-		"unlisted: internal/dhcp Encode is never called: delete it, or list it with a reason",
+		"unlisted: internal/dns Encode is never called: delete it, or list it with a reason",
 	}
 	if never != 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("never-called = %d, want 3 (a generic method called through one instantiation is called)\nproblems:\n%s\nwant:\n%s",
@@ -50,8 +51,22 @@ internal/sim Time.String debug:stringer
 		t.Errorf("summary = %q, want %q", got, want)
 	}
 
+	// Two binaries report the first block: it ran once, so it counts once,
+	// as executed. Blocks outside internal/ are not counted.
+	const profile = `mode: set
+repro/cmd/repro/main.go:35.13,40.2 4 0
+repro/internal/arp/arp.go:95.42,97.2 2 0
+repro/internal/arp/arp.go:120.40,130.3 5 1
+repro/internal/arp/arp.go:95.42,97.2 2 1
+repro/internal/fifo/fifo.go:24.30,26.2 1 0
+repro/internal/sim/sim.go:39.31,41.2 2 0
+`
+	if got, want := floor(statements(profile)), "3 of 10 statements under internal/ never executed (30.0 %)"; got != want {
+		t.Errorf("statement line = %q, want %q", got, want)
+	}
+
 	// A deleted function is stale too.
-	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dhcp Encode paper:Table1\n")
+	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dns Encode paper:Table1\n")
 	_, got = check(keep, called)
 	if !strings.Contains(strings.Join(got, "\n"), "stale: internal/arp *Handler.Gone ") {
 		t.Errorf("internal/arp *Handler.Gone not reported stale in %q", got)
