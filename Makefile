@@ -1,12 +1,14 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test fuzz race reach golden trace bench benchdelta connsweep-full
+.PHONY: all check fmt vet staticcheck build test fuzz race reach golden trace connsweep-full
 
 all: check
 
 # Behaviour is held by test: cmd/golden compares every output of
-# cmd/golden/invocations.txt with its committed golden.
-check: fmt vet staticcheck build test fuzz race reach benchdelta
+# cmd/golden/invocations.txt with its committed golden, and
+# internal/bench's TestSteadyStateAllocations holds the fast path's per-op
+# allocation budgets.
+check: fmt vet staticcheck build test fuzz race reach
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -63,24 +65,6 @@ reach: build
 # from the tree, after a change that moves an output on purpose.
 golden: build
 	$(GO) run ./cmd/golden
-
-# Fast-path microbenchmarks -> BENCH_fastpath.json ("fastpath" section; the
-# recorded pre-change "baseline" section is preserved). A fixed count, because
-# allocs/op is amortised over b.N and so repeats exactly only at one count.
-BENCHTIME = 300x
-
-bench: build
-	$(GO) test -run '^$$' -bench Fastpath -benchmem -benchtime $(BENCHTIME) ./internal/bench | \
-		$(GO) run ./cmd/benchjson -out BENCH_fastpath.json -section fastpath
-
-# Re-run the fast-path benches at the same count and diff against the
-# committed trajectory file; fails when any allocs/op rose. ns/op and B/op
-# are printed, not gated: they move with the host and the collector.
-benchdelta: build
-	@rm -f /tmp/bench_new.json
-	$(GO) test -run '^$$' -bench Fastpath -benchmem -benchtime $(BENCHTIME) ./internal/bench | \
-		$(GO) run ./cmd/benchjson -out /tmp/bench_new.json -section fastpath
-	$(GO) run ./cmd/benchjson -delta BENCH_fastpath.json /tmp/bench_new.json
 
 # Full 1M-connection sweep with heap sampling -> BENCH_connsweep.json.
 # Minutes of wall clock; regenerate after changes to the TCP or timer path.

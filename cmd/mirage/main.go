@@ -8,7 +8,6 @@
 //	mirage graph  [-appliance ...]     # dependency closure with sizes
 //	mirage boot   [-appliance ...]     # build + boot on a simulated host
 //	mirage boot   -trace boot.json     # also write a Chrome trace of the boot
-//	mirage boot   -loss 0.01           # impair the host bridge (also -dup, -reorder, -jitter)
 //	mirage boot   -cpuprofile cpu.pb -memprofile mem.pb   # pprof profiles of the simulator
 //	mirage list                        # module registry (Table 1)
 //	mirage top    [-appliance ...]     # boot + per-domain accounting table (virtual xentop)
@@ -51,10 +50,15 @@ func main() {
 	appliance := fs.String("appliance", "dns", "appliance configuration")
 	noDCE := fs.Bool("no-dce", false, "disable dead-code elimination")
 	seed := fs.Int64("seed", 42, "address-space randomisation seed")
-	// boot: the run flags that mean something for one appliance on one host,
-	// and the profile pair cmd/repro offers.
-	run := experiments.BindRunFlags(fs, "trace", "loss", "dup", "reorder", "jitter")
-	profile := experiments.BindProfileFlags(fs)
+	// boot alone takes a trace and the profile pair cmd/repro offers; the
+	// booted appliance has no NIC, so no bridge impairment means anything.
+	var runFlags []string
+	var profile *experiments.Profile
+	if cmd == "boot" {
+		runFlags = []string{"trace"}
+		profile = experiments.BindProfileFlags(fs)
+	}
+	run := experiments.BindRunFlags(fs, runFlags...)
 	fs.Parse(os.Args[2:])
 	rc, err := run.Config()
 	if err != nil {

@@ -27,6 +27,8 @@ bad "$b/repro" -loss 2
 bad "$b/repro" -experiment fig6,nosuch
 bad "$b/repro" -experiment fig6,scalesweep -quick -lb-policy bogus
 bad "$b/repro" -experiment fig6 -pcpus -3
+bad "$b/mirage" boot -loss 0.1
+bad "$b/mirage" build -trace "$t/build.trace"
 q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -memstats
 q "$b/repro" -experiment fig10 -quick -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
 q "$b/repro" -experiment fig7a # full size: past the 5 M live window, threads terminate (Heap.Release)

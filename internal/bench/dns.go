@@ -213,9 +213,9 @@ func AblationDNSCompression(answers int) *Result {
 	}
 }
 
-// CompressionWorkload builds the message used by the label-compression
-// ablation and benchmarks: many answers sharing suffixes, as a zone transfer
-// would.
+// CompressionWorkload builds the message the label-compression ablation
+// encodes, and dns's BenchmarkDNSLabelCompression times: many answers
+// sharing suffixes, as a zone transfer would.
 func CompressionWorkload(answers int) dns.Message {
 	m := dns.Message{ID: 1, Flags: dns.FlagResponse}
 	for i := 0; i < answers; i++ {

@@ -1,8 +1,9 @@
 // Package bench contains the experiment harnesses that regenerate every
 // table and figure of the paper's evaluation (§4). Each experiment returns
 // a Result holding the same series/rows the paper plots; cmd/repro prints
-// them and the root-level Go benchmarks wrap them. All experiments run on
-// virtual time with fixed seeds and are fully deterministic.
+// them, and cmd/golden holds what it prints. All experiments run on
+// virtual time with fixed seeds and are fully deterministic. The package's
+// tests also hold the fast path's per-op allocation budgets.
 package bench
 
 import (

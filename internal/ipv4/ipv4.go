@@ -70,7 +70,7 @@ func PseudoHeaderChecksum(src, dst Addr, proto uint8, length int) uint32 {
 // (RFC 1071 §2 (C)): 2^16 ≡ 1 mod 0xffff, so a big-endian 64-bit word counts
 // as the sum of its four 16-bit words, and a carry out of bit 63 is worth 1
 // — it is added back in. The loop takes four such words per iteration on
-// one carry chain: timed the way BenchmarkFastpathChecksum times it, a
+// one carry chain: timed the way BenchmarkFinishChecksum times it, a
 // 1,460-byte payload took 546 ns two bytes at a time, 261 ns at one word per
 // iteration, 111 ns at four and 95 ns at eight, with nothing gained at 64
 // bytes or below, so it stops at four.
