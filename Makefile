@@ -45,6 +45,7 @@ fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeNode$$' -fuzztime 5s ./internal/storage
 	$(GO) test -run '^$$' -fuzz '^FuzzParseRequest$$' -fuzztime 5s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpd
+	$(GO) test -run '^$$' -fuzz '^FuzzEncode$$' -fuzztime 5s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzARPParse$$' -fuzztime 5s ./internal/arp
 
 race: build

@@ -12,9 +12,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/cstruct"
 	"repro/internal/dns"
+	"repro/internal/httpd"
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
+	"repro/internal/sim"
 	"repro/internal/storage"
 	"repro/internal/tcp"
 )
@@ -52,6 +54,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		{"KVSet", 5.52, kvSet},
 		{"TCPStream", 550.38, tcpStream},
 		{"TCPBulk", 1562.02, tcpBulk},
+		{"HTTPRequest", 25.05, httpRequest},
 	} {
 		got, err := allocsPerOp(sc.run)
 		if err != nil {
@@ -189,6 +192,60 @@ func dnsServe(n int) error {
 	})
 	if err == nil && answered != n {
 		err = fmt.Errorf("answered %d/%d queries", answered, n)
+	}
+	return err
+}
+
+// httpRequest: one op is one keep-alive GET answered 200 with a 512 B body
+// over the full device path, between a guest serving httpd.Server as
+// fleet.WebMain does (one prebuilt response, parse and respond plus 1 ms of
+// handler work charged to the vCPU, a 250 ms idle timer) and a guest driving
+// httpd.Client over one connection.
+func httpRequest(n int) error {
+	ok := &httpd.Response{Status: 200, Body: make([]byte, 512)}
+	answered := 0
+	err := pair(41, core.Unikernel{
+		Build: build.Config{Name: "web", Roots: []string{"http"}},
+		Main: func(env *core.Env) int {
+			srv := httpd.NewServer(env.VM.S, func(*httpd.Request) *httpd.Response { return ok })
+			srv.Charge = func(d time.Duration) sim.Time { return env.VM.Dom.VCPU.Reserve(d) }
+			srv.Params.RespondCost += time.Millisecond
+			srv.IdleTimeout = 250 * time.Millisecond
+			l, err := env.Net.TCP.Listen(80)
+			if err != nil {
+				return 1
+			}
+			srv.Serve(l)
+			return env.VM.Main(env.P, env.VM.S.Sleep(time.Hour))
+		},
+	}, core.Unikernel{
+		Build: build.Config{Name: "httperf", Roots: []string{"http"}},
+		Main: func(env *core.Env) int {
+			env.P.Sleep(2 * time.Second)
+			done := lwt.NewPromise[struct{}](env.VM.S)
+			req := &httpd.Request{Method: "GET", Path: "/item/0042"}
+			lwt.Map(env.Net.TCP.Connect(pairServer, 80), func(c *tcp.Conn) struct{} {
+				cl := httpd.NewClient(c)
+				var got func(*httpd.Response)
+				got = func(resp *httpd.Response) {
+					if resp == nil || resp.Status != 200 || len(resp.Body) != len(ok.Body) {
+						return // answered stops short of n
+					}
+					if answered++; answered == n {
+						c.Close()
+						done.Resolve(struct{}{})
+						return
+					}
+					cl.Do(req, got)
+				}
+				cl.Do(req, got)
+				return struct{}{}
+			})
+			return env.VM.Main(env.P, done)
+		},
+	})
+	if err == nil && answered != n {
+		err = fmt.Errorf("answered %d/%d requests", answered, n)
 	}
 	return err
 }

@@ -92,6 +92,7 @@ type connKey struct {
 }
 
 type conn struct {
+	key     connKey
 	be      *backend
 	closing bool
 	done    bool // active already released
@@ -114,6 +115,7 @@ type LB struct {
 	backends []*backend // ID order; nil slots for removed replicas
 	conns    map[connKey]*conn
 	rr       int
+	forgetFn func(any, uint64) // forget, bound once
 
 	// OnProbeReply is called when the replica behind id answers probe seq.
 	OnProbeReply func(id BackendID, seq uint16)
@@ -140,6 +142,7 @@ func NewLB(k *sim.Kernel, b *netback.Bridge, mac ethernet.MAC, ip, vip ipv4.Addr
 		mxReplies:   k.Metrics().Counter("lb_probe_replies_total"),
 		mxActive:    k.Metrics().Gauge("lb_active_conns"),
 	}
+	lb.forgetFn = lb.forget
 	b.Attach(lb)
 	return lb
 }
@@ -214,31 +217,37 @@ func (lb *LB) byID(id BackendID) *backend {
 	return lb.backends[id]
 }
 
-// pick chooses the replica for a new connection.
+// pick chooses the replica for a new connection among the healthy ones, in
+// ID order.
 func (lb *LB) pick() *backend {
-	var cands []*backend
+	var best *backend
+	healthy := 0
 	for _, be := range lb.backends {
 		if be != nil && be.up && !be.draining {
-			cands = append(cands, be)
-		}
-	}
-	if len(cands) == 0 {
-		return nil
-	}
-	switch lb.policy {
-	case LeastConns:
-		best := cands[0]
-		for _, be := range cands[1:] {
-			if be.active < best.active {
+			if best == nil || be.active < best.active {
 				best = be
 			}
+			healthy++
 		}
-		return best
-	default: // RoundRobin
-		be := cands[lb.rr%len(cands)]
-		lb.rr++
-		return be
 	}
+	if healthy == 0 {
+		return nil
+	}
+	if lb.policy == LeastConns {
+		return best
+	}
+	// RoundRobin: the (rr mod healthy)-th healthy backend.
+	nth := lb.rr % healthy
+	lb.rr++
+	for _, be := range lb.backends {
+		if be != nil && be.up && !be.draining {
+			if nth == 0 {
+				return be
+			}
+			nth--
+		}
+	}
+	return nil
 }
 
 // Probe sends one ICMP echo to the backend with the given sequence number;
@@ -430,7 +439,7 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 			f.Release()
 			return
 		}
-		cn = &conn{be: be}
+		cn = &conn{key: key, be: be}
 		lb.conns[key] = cn
 		be.active++
 		lb.Steered++
@@ -455,13 +464,18 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 	case flags&tcpFIN != 0 && !cn.closing:
 		cn.closing = true
 		lb.releaseConn(cn)
-		lb.K.After(drainLinger, func() {
-			if lb.conns[key] == cn {
-				delete(lb.conns, key)
-			}
-		})
+		lb.K.AtArg(lb.K.Now().Add(drainLinger), lb.forgetFn, cn, 0)
 	}
 	lb.bridge.Steer(cn.be.mac, f)
+}
+
+// forget drops a FIN-ed connection's steering entry once its linger is over,
+// unless the key has been steered afresh since.
+func (lb *LB) forget(arg any, _ uint64) {
+	cn := arg.(*conn)
+	if lb.conns[cn.key] == cn {
+		delete(lb.conns, cn.key)
+	}
 }
 
 // releaseConn returns a connection's slot on its backend exactly once.

@@ -16,9 +16,8 @@ import (
 // and powers off cleanly.
 func WebMain(handlerCost time.Duration, body []byte, idleTimeout time.Duration) func(*core.Env, *Replica) int {
 	return func(env *core.Env, r *Replica) int {
-		srv := httpd.NewServer(env.VM.S, func(*httpd.Request) *httpd.Response {
-			return &httpd.Response{Status: 200, Body: body}
-		})
+		ok := &httpd.Response{Status: 200, Body: body} // read-only: every request gets it
+		srv := httpd.NewServer(env.VM.S, func(*httpd.Request) *httpd.Response { return ok })
 		srv.Charge = func(d time.Duration) sim.Time { return env.VM.Dom.VCPU.Reserve(d) }
 		srv.Params.RespondCost += handlerCost // the application's per-request work
 		srv.IdleTimeout = idleTimeout

@@ -2,26 +2,33 @@ package httpd
 
 import (
 	"bytes"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 )
 
-// hostileLengths are messages whose Content-Length no buffer can hold or no
-// body can match: each once cut the buffer out of bounds.
+// hostileLengths are messages whose body no buffer should hold or no parser
+// here can frame: each once cut the buffer out of bounds, left the reader
+// buffering until the peer closed, or read a body as the next request.
 var hostileLengths = []struct {
 	name     string
 	response bool // parse with ParseResponse, else tryParseRequest
 	msg      string
 	wantErr  bool // malformed; else "need more data"
 }{
-	{"request/max-int64", false, "GET / HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\n", false},
+	{"request/max-int64", false, "GET / HTTP/1.1\r\nContent-Length: 9223372036854775807\r\n\r\n", true},
 	{"request/not-a-number", false, "GET / HTTP/1.1\r\nContent-Length: abc\r\n\r\n", true},
+	{"request/max-body", false, "POST / HTTP/1.1\r\nContent-Length: 1048576\r\n\r\n", false},
+	{"request/chunked", false, "POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0\r\n\r\n", true},
 	{"response/negative", true, "HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", true},
-	{"response/max-int64", true, "HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\n", false},
+	{"response/max-int64", true, "HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\n", true},
 	{"response/not-a-number", true, "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n", true},
 }
 
-// TestHostileContentLength: a negative or unparsable length is an error, and
-// one beyond the buffered bytes asks for more data; neither panics.
+// TestHostileContentLength: a negative or unparsable length, one above
+// maxBody, and a Transfer-Encoding are errors; a length up to maxBody beyond
+// the buffered bytes asks for more data; none panics.
 func TestHostileContentLength(t *testing.T) {
 	for _, tc := range hostileLengths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,15 +57,53 @@ func fuzzSeeds(f *testing.F) {
 	}
 	f.Add(EncodeRequest(&Request{Method: "POST", Path: "/x", Headers: map[string]string{"Host": "a"}, Body: []byte("hello")}))
 	f.Add((&Response{Status: 404, Headers: map[string]string{"X-Test": "1"}, Body: []byte("missing")}).Encode())
+	f.Add([]byte("GET /a b HTTP/1.1\r\ncontent-LENGTH:  3 \r\nHost: x\r\nhost: y\r\n\r\nabcdef"))
 }
 
-// FuzzParseRequest: the request parser never panics, consumes no more than
-// it was given, and what it accepts EncodeRequest writes back as the same
-// method, path and body.
+// sameParse fails t unless a parser's result matches the reference's —
+// every field, the Headers map, the bytes consumed and whether it erred —
+// or the parser refused a message the reference framed and refusedFraming
+// says why.
+func sameParse(t *testing.T, b []byte, got any, n int, err error, want any, wantN int, wantErr error) {
+	t.Helper()
+	if err != nil && wantErr == nil && refusedFraming(b) {
+		return
+	}
+	if (err != nil) != (wantErr != nil) || n != wantN || !reflect.DeepEqual(got, want) {
+		t.Fatalf("parse of %q = %+v, %d, %v; reference %+v, %d, %v", b, got, n, err, want, wantN, wantErr)
+	}
+}
+
+// refusedFraming reports whether b's header section declares a body only the
+// reference would frame: a Transfer-Encoding, or a Content-Length above
+// maxBody.
+func refusedFraming(b []byte) bool {
+	head := strings.Index(string(b), "\r\n\r\n")
+	if head < 0 {
+		return false
+	}
+	h := map[string]string{}
+	for _, l := range strings.Split(string(b[:head]), "\r\n")[1:] {
+		if i := strings.IndexByte(l, ':'); i >= 0 {
+			h[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
+		}
+	}
+	if _, ok := h["transfer-encoding"]; ok {
+		return true
+	}
+	n, err := strconv.Atoi(h["content-length"])
+	return err == nil && n > maxBody
+}
+
+// FuzzParseRequest: the request parser matches the reference, never panics,
+// consumes no more than it was given, and what it accepts EncodeRequest
+// writes back as the same method, path and body.
 func FuzzParseRequest(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		req, n, err := tryParseRequest(b)
+		want, wantN, wantErr := refTryParseRequest(b)
+		sameParse(t, b, req, n, err, want, wantN, wantErr)
 		if err != nil || req == nil {
 			return
 		}
@@ -76,13 +121,15 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// FuzzParseResponse: the response parser never panics, consumes no more than
-// it was given, and what it accepts Response.Encode writes back as the same
-// status and body.
+// FuzzParseResponse: the response parser matches the reference, never
+// panics, consumes no more than it was given, and what it accepts
+// Response.Encode writes back as the same status and body.
 func FuzzParseResponse(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
 		resp, n, err := ParseResponse(b)
+		want, wantN, wantErr := refParseResponse(b)
+		sameParse(t, b, resp, n, err, want, wantN, wantErr)
 		if err != nil || resp == nil {
 			return
 		}
@@ -96,6 +143,29 @@ func FuzzParseResponse(f *testing.F) {
 		}
 		if back.Status != resp.Status || !bytes.Equal(back.Body, resp.Body) {
 			t.Fatalf("round trip changed the response: %+v -> %+v", resp, back)
+		}
+	})
+}
+
+// FuzzEncode: both encoders write the reference's bytes for any method,
+// path, status and body with at most one header (with two or more the
+// reference's order is the map's).
+func FuzzEncode(f *testing.F) {
+	f.Add("GET", "/item/0042", 200, make([]byte, 512), "", "")
+	f.Add("POST", "/x", 404, []byte("hello"), "X-Test", "1")
+	f.Add("", "", -7, []byte(nil), "Content-Length", "9")
+	f.Fuzz(func(t *testing.T, method, path string, status int, body []byte, key, value string) {
+		var h map[string]string
+		if key != "" {
+			h = map[string]string{key: value}
+		}
+		req := &Request{Method: method, Path: path, Headers: h, Body: body}
+		if got, want := EncodeRequest(req), refEncodeRequest(req); !bytes.Equal(got, want) {
+			t.Fatalf("EncodeRequest = %q, reference %q", got, want)
+		}
+		resp := &Response{Status: status, Headers: h, Body: body}
+		if got, want := resp.Encode(), refEncodeResponse(resp); !bytes.Equal(got, want) {
+			t.Fatalf("Encode = %q, reference %q", got, want)
 		}
 	})
 }

@@ -6,7 +6,9 @@
 package httpd
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -48,20 +50,53 @@ var statusText = map[int]string{
 	200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found", 500: "Internal Server Error",
 }
 
-// Encode serialises the response.
+// Encode serialises the response into one allocation.
 func (r *Response) Encode() []byte {
 	txt := statusText[r.Status]
 	if txt == "" {
 		txt = "Status"
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", r.Status, txt)
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	for k, v := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+	b := make([]byte, 0, len("HTTP/1.1 ")+maxIntLen+1+len(txt)+2+encodedLen(r.Headers, r.Body))
+	b = append(b, "HTTP/1.1 "...)
+	b = strconv.AppendInt(b, int64(r.Status), 10)
+	b = append(b, ' ')
+	b = append(b, txt...)
+	b = append(b, "\r\n"...)
+	return appendMessage(b, r.Headers, r.Body)
+}
+
+// maxIntLen is the longest decimal int, sign included.
+const maxIntLen = 20
+
+// encodedLen bounds what appendMessage adds for these headers and body.
+func encodedLen(h map[string]string, body []byte) int {
+	n := len("Content-Length: ") + maxIntLen + 2 + 2 + len(body)
+	for k, v := range h {
+		n += len(k) + 2 + len(v) + 2
 	}
-	b.WriteString("\r\n")
-	return append([]byte(b.String()), r.Body...)
+	return n
+}
+
+// appendMessage appends everything after the request or status line: the
+// Content-Length header, the other headers sorted by key (so a message
+// encodes to the same bytes every time), the blank line and the body.
+func appendMessage(b []byte, h map[string]string, body []byte) []byte {
+	b = append(b, "Content-Length: "...)
+	b = strconv.AppendInt(b, int64(len(body)), 10)
+	b = append(b, "\r\n"...)
+	var keys []string
+	for k := range h {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, k := range keys {
+		b = append(b, k...)
+		b = append(b, ": "...)
+		b = append(b, h[k]...)
+		b = append(b, "\r\n"...)
+	}
+	b = append(b, "\r\n"...)
+	return append(b, body...)
 }
 
 // Handler produces a response for a request.
@@ -146,6 +181,11 @@ func (srv *Server) Active() int { return srv.active }
 // The timer is the reusable kernel-event pattern: one live event at most,
 // a moving deadline, and a fire-time check that re-arms when the deadline
 // moved later — so per-request traffic never allocates timer events.
+//
+// It also holds the request loop's state, one request at a time: the bytes
+// read past the last request, the request being served and its start, the
+// promises in flight, and the loop's continuations, bound once per
+// connection so a request allocates none of its own.
 type servedConn struct {
 	srv      *Server
 	c        *tcp.Conn
@@ -153,6 +193,19 @@ type servedConn struct {
 	closed   bool
 	deadline sim.Time
 	tickLive bool
+
+	buf    []byte
+	out    *lwt.Promise[*Request] // the next request, nil on EOF or malformed input
+	rd     *lwt.Promise[[]byte]
+	req    *Request
+	start  sim.Time
+	answer *lwt.Promise[*Response] // HandlerAsync's
+	resp   *Response
+
+	onRequest func(*Request) struct{}
+	onRead    func()
+	onHandled func()
+	onWritten func(int) struct{}
 }
 
 // touch restarts the idle clock; called whenever the connection goes idle.
@@ -164,11 +217,14 @@ func (sc *servedConn) touch() {
 	sc.deadline = k.Now().Add(sc.srv.IdleTimeout)
 	if !sc.tickLive {
 		sc.tickLive = true
-		k.At(sc.deadline, sc.tick)
+		k.AtArg(sc.deadline, tickEvent, sc, 0)
 	}
 }
 
-func (sc *servedConn) tick() {
+// tickEvent is the idle timer's kernel event; its argument is the
+// *servedConn.
+func tickEvent(conn any, _ uint64) {
+	sc := conn.(*servedConn)
 	sc.tickLive = false
 	if sc.closed || sc.busy {
 		return // a request arrived; touch() re-arms when it finishes
@@ -176,7 +232,7 @@ func (sc *servedConn) tick() {
 	k := sc.srv.S.K
 	if k.Now() < sc.deadline {
 		sc.tickLive = true
-		k.At(sc.deadline, sc.tick)
+		k.AtArg(sc.deadline, tickEvent, sc, 0)
 		return
 	}
 	sc.srv.IdleClosed++
@@ -259,61 +315,90 @@ func (srv *Server) serveConn(c *tcp.Conn) {
 		sc.close()
 		return
 	}
-	var buf []byte
-	var next func()
-	next = func() {
-		sc.busy = false
-		sc.touch()
-		lwt.Map(srv.readRequest(c, &buf), func(req *Request) struct{} {
-			if req == nil || sc.closed { // EOF, parse failure, or idle-reaped
-				sc.close()
-				return struct{}{}
-			}
-			sc.busy = true
-			start := srv.S.K.Now()
-			srv.Requests++
-			srv.charge(srv.Params.ParseCost)
-			respond := func(resp *Response) {
-				if resp == nil {
-					resp = &Response{Status: 500}
-				}
-				end := srv.charge(srv.Params.RespondCost)
-				write := func() {
-					lwt.Map(c.Write(resp.Encode()), func(int) struct{} {
-						srv.responded(start)
-						srv.traceRequest(c, start)
-						if req.KeepAlive() && !srv.draining && !sc.closed {
-							next()
-						} else {
-							sc.close()
-						}
-						return struct{}{}
-					})
-				}
-				if end > srv.S.K.Now() {
-					// The response leaves once the charged CPU work (and
-					// any backlog ahead of it) is done.
-					srv.S.K.At(end, write)
-				} else {
-					write()
-				}
-			}
-			if srv.HandlerAsync != nil {
-				pr := srv.HandlerAsync(req)
-				lwt.Always(pr, func() {
-					if pr.Failed() != nil {
-						respond(&Response{Status: 500})
-					} else {
-						respond(pr.Value())
-					}
-				})
-			} else {
-				respond(srv.Handler(req))
-			}
-			return struct{}{}
-		})
+	sc.onRequest, sc.onRead, sc.onWritten = sc.request, sc.read, sc.written
+	if srv.HandlerAsync != nil {
+		sc.onHandled = sc.handled
 	}
-	next()
+	sc.next()
+}
+
+// next waits for the connection's next request.
+func (sc *servedConn) next() {
+	sc.busy = false
+	sc.touch()
+	lwt.Map(sc.readRequest(), sc.onRequest)
+}
+
+// request serves one request: it charges the parse and hands the request to
+// the handler.
+func (sc *servedConn) request(req *Request) struct{} {
+	if req == nil || sc.closed { // EOF, parse failure, or idle-reaped
+		sc.close()
+		return struct{}{}
+	}
+	srv := sc.srv
+	sc.busy = true
+	sc.req, sc.start = req, srv.S.K.Now()
+	srv.Requests++
+	srv.charge(srv.Params.ParseCost)
+	if srv.HandlerAsync != nil {
+		sc.answer = srv.HandlerAsync(req)
+		lwt.Always(sc.answer, sc.onHandled)
+	} else {
+		sc.respond(srv.Handler(req))
+	}
+	return struct{}{}
+}
+
+// handled takes HandlerAsync's answer, a 500 if it failed.
+func (sc *servedConn) handled() {
+	pr := sc.answer
+	sc.answer = nil
+	if pr.Failed() != nil {
+		sc.respond(&Response{Status: 500})
+	} else {
+		sc.respond(pr.Value())
+	}
+}
+
+// respond charges the response and writes it once the charged CPU work (and
+// any backlog ahead of it) is done.
+func (sc *servedConn) respond(resp *Response) {
+	if resp == nil {
+		resp = &Response{Status: 500}
+	}
+	sc.resp = resp
+	k := sc.srv.S.K
+	if end := sc.srv.charge(sc.srv.Params.RespondCost); end > k.Now() {
+		k.AtArg(end, writeEvent, sc, 0)
+	} else {
+		sc.write()
+	}
+}
+
+// writeEvent is respond's deferred write; its argument is the *servedConn.
+func writeEvent(conn any, _ uint64) { conn.(*servedConn).write() }
+
+func (sc *servedConn) write() {
+	resp := sc.resp
+	sc.resp = nil
+	lwt.Map(sc.c.Write(resp.Encode()), sc.onWritten)
+}
+
+// written books the finished request and keeps the connection alive or
+// closes it.
+func (sc *servedConn) written(int) struct{} {
+	srv := sc.srv
+	srv.responded(sc.start)
+	srv.traceRequest(sc.c, sc.start)
+	req := sc.req
+	sc.req = nil
+	if req.KeepAlive() && !srv.draining && !sc.closed {
+		sc.next()
+	} else {
+		sc.close()
+	}
+	return struct{}{}
 }
 
 // responded books per-request latency and the first-response instant.
@@ -364,62 +449,89 @@ const spanLayerHTTPD = 3
 
 // readRequest accumulates bytes until a full request (headers + body) is
 // available; resolves nil on EOF or malformed input.
-func (srv *Server) readRequest(c *tcp.Conn, buf *[]byte) *lwt.Promise[*Request] {
-	out := lwt.NewPromise[*Request](srv.S)
-	var step func()
-	step = func() {
-		if req, n, err := tryParseRequest(*buf); err != nil {
-			srv.Errors++
-			out.Resolve(nil)
-			return
-		} else if req != nil {
-			*buf = (*buf)[n:]
-			out.Resolve(req)
-			return
-		}
-		rd := c.Read(64 << 10)
-		lwt.Always(rd, func() {
-			if rd.Failed() != nil {
-				out.Resolve(nil) // reset mid-request
-				return
-			}
-			data := rd.Value()
-			if len(data) == 0 {
-				out.Resolve(nil) // EOF
-				return
-			}
-			*buf = append(*buf, data...)
-			step()
-		})
-	}
-	step()
-	return out
+func (sc *servedConn) readRequest() *lwt.Promise[*Request] {
+	sc.out = lwt.NewPromise[*Request](sc.srv.S)
+	sc.parse()
+	return sc.out
 }
 
+// parse resolves sc.out from the buffered bytes, or reads more.
+func (sc *servedConn) parse() {
+	if req, n, err := tryParseRequest(sc.buf); err != nil {
+		sc.srv.Errors++
+		sc.out.Resolve(nil)
+		return
+	} else if req != nil {
+		sc.buf = sc.buf[n:]
+		sc.out.Resolve(req)
+		return
+	}
+	sc.rd = sc.c.Read(64 << 10)
+	lwt.Always(sc.rd, sc.onRead)
+}
+
+// read takes a completed Read into the buffer. An empty buffer keeps the
+// slice Read returned: that is the reader's own copy or a capped reslice of
+// a sent chunk, so a later append cannot write into anyone else's bytes.
+func (sc *servedConn) read() {
+	rd := sc.rd
+	sc.rd = nil
+	if rd.Failed() != nil {
+		sc.out.Resolve(nil) // reset mid-request
+		return
+	}
+	data := rd.Value()
+	if len(data) == 0 {
+		sc.out.Resolve(nil) // EOF
+		return
+	}
+	if len(sc.buf) == 0 {
+		sc.buf = data
+	} else {
+		sc.buf = append(sc.buf, data...)
+	}
+	sc.parse()
+}
+
+// A message may make its reader buffer at most a header section of
+// maxHeader bytes and a declared body of maxBody: past either the message is
+// refused, not awaited.
+const (
+	maxHeader = 64 << 10
+	maxBody   = 1 << 20
+)
+
+var crlfcrlf = []byte("\r\n\r\n")
+
 // tryParseRequest parses a complete request from b, returning (req, bytes
-// consumed). It returns (nil, 0, nil) when more data is needed.
+// consumed). It returns (nil, 0, nil) when more data is needed. The header
+// section is converted to a string once; method, path, protocol and every
+// header key and value are substrings of it.
 func tryParseRequest(b []byte) (*Request, int, error) {
-	head := strings.Index(string(b), "\r\n\r\n")
+	head := bytes.Index(b, crlfcrlf)
 	if head < 0 {
-		if len(b) > 64<<10 {
+		if len(b) > maxHeader {
 			return nil, 0, fmt.Errorf("httpd: header section too large")
 		}
 		return nil, 0, nil
 	}
-	lines := strings.Split(string(b[:head]), "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
-		return nil, 0, fmt.Errorf("httpd: bad request line %q", lines[0])
+	line, rest, more := strings.Cut(string(b[:head]), "\r\n")
+	method, tail, ok1 := strings.Cut(line, " ")
+	path, proto, ok2 := strings.Cut(tail, " ")
+	if !ok1 || !ok2 || !strings.HasPrefix(proto, "HTTP/") {
+		return nil, 0, fmt.Errorf("httpd: bad request line %q", line)
 	}
-	req := &Request{Method: parts[0], Path: parts[1], Proto: parts[2], Headers: map[string]string{}}
-	for _, l := range lines[1:] {
+	req := &Request{Method: method, Path: path, Proto: proto, Headers: map[string]string{}}
+	for more {
+		var l string
+		l, rest, more = strings.Cut(rest, "\r\n")
 		i := strings.IndexByte(l, ':')
 		if i < 0 {
 			return nil, 0, fmt.Errorf("httpd: bad header %q", l)
 		}
-		req.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
+		req.Headers[headerKey(l[:i])] = strings.TrimSpace(l[i+1:])
 	}
-	total, err := messageEnd(b, head, req.Headers["content-length"])
+	total, err := messageEnd(b, head, req.Headers)
 	if err != nil || total == 0 {
 		return nil, 0, err // malformed, or need the rest of the body
 	}
@@ -427,16 +539,31 @@ func tryParseRequest(b []byte) (*Request, int, error) {
 	return req, total, nil
 }
 
+// headerKey is a header name as the Headers maps key it: trimmed and lower
+// case. Content-Length, the one header every message carries, is spelled by
+// a constant rather than lowered into a new string.
+func headerKey(name string) string {
+	name = strings.TrimSpace(name)
+	if strings.EqualFold(name, "content-length") {
+		return "content-length"
+	}
+	return strings.ToLower(name)
+}
+
 // messageEnd is where a message whose header section ends at head (the
-// index of its blank line) ends in b, given its Content-Length header cl
-// ("" for none): 0 while b does not yet hold the whole body, and an error
-// for a length that is negative or not a number. The comparison cannot
-// overflow, so no length a peer sends can cut b out of bounds.
-func messageEnd(b []byte, head int, cl string) (int, error) {
+// index of its blank line) ends in b, given its headers h: 0 while b does
+// not yet hold the whole body. Only Content-Length bodies are framed: a
+// Transfer-Encoding, or a length that is negative, not a number or above
+// maxBody, is an error. The comparison cannot overflow, so no length a peer
+// sends can cut b out of bounds.
+func messageEnd(b []byte, head int, h map[string]string) (int, error) {
+	if te, ok := h["transfer-encoding"]; ok {
+		return 0, fmt.Errorf("httpd: transfer-encoding %q not supported", te)
+	}
 	start, n := head+4, 0
-	if cl != "" {
+	if cl := h["content-length"]; cl != "" {
 		var err error
-		if n, err = strconv.Atoi(cl); err != nil || n < 0 {
+		if n, err = strconv.Atoi(cl); err != nil || n < 0 || n > maxBody {
 			return 0, fmt.Errorf("httpd: bad content-length %q", cl)
 		}
 	}
@@ -448,16 +575,14 @@ func messageEnd(b []byte, head int, cl string) (int, error) {
 
 // --- Client ---
 
-// EncodeRequest serialises a request.
+// EncodeRequest serialises a request into one allocation.
 func EncodeRequest(r *Request) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", r.Method, r.Path)
-	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	for k, v := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
-	}
-	b.WriteString("\r\n")
-	return append([]byte(b.String()), r.Body...)
+	b := make([]byte, 0, len(r.Method)+1+len(r.Path)+len(" HTTP/1.1\r\n")+encodedLen(r.Headers, r.Body))
+	b = append(b, r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.Path...)
+	b = append(b, " HTTP/1.1\r\n"...)
+	return appendMessage(b, r.Headers, r.Body)
 }
 
 // ParseResponse parses one complete response from b, returning the
@@ -465,28 +590,29 @@ func EncodeRequest(r *Request) []byte {
 // the incremental contract clients drive their read loops with. It mirrors
 // tryParseRequest for the client side.
 func ParseResponse(b []byte) (*Response, int, error) {
-	head := strings.Index(string(b), "\r\n\r\n")
+	head := bytes.Index(b, crlfcrlf)
 	if head < 0 {
 		return nil, 0, nil
 	}
-	lines := strings.Split(string(b[:head]), "\r\n")
-	parts := strings.SplitN(lines[0], " ", 3)
-	if len(parts) < 2 {
-		return nil, 0, fmt.Errorf("httpd: bad status line %q", lines[0])
+	line, rest, more := strings.Cut(string(b[:head]), "\r\n")
+	_, tail, ok := strings.Cut(line, " ")
+	if !ok {
+		return nil, 0, fmt.Errorf("httpd: bad status line %q", line)
 	}
-	status, err := strconv.Atoi(parts[1])
+	code, _, _ := strings.Cut(tail, " ")
+	status, err := strconv.Atoi(code)
 	if err != nil {
-		return nil, 0, fmt.Errorf("httpd: bad status %q", parts[1])
+		return nil, 0, fmt.Errorf("httpd: bad status %q", code)
 	}
 	resp := &Response{Status: status, Headers: map[string]string{}}
-	for _, l := range lines[1:] {
-		i := strings.IndexByte(l, ':')
-		if i < 0 {
-			continue
+	for more {
+		var l string
+		l, rest, more = strings.Cut(rest, "\r\n")
+		if i := strings.IndexByte(l, ':'); i >= 0 {
+			resp.Headers[headerKey(l[:i])] = strings.TrimSpace(l[i+1:])
 		}
-		resp.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
 	}
-	total, err := messageEnd(b, head, resp.Headers["content-length"])
+	total, err := messageEnd(b, head, resp.Headers)
 	if err != nil || total == 0 {
 		return nil, 0, err
 	}
@@ -537,7 +663,11 @@ func (cl *Client) read(then func(*Response)) {
 			then(nil)
 			return
 		}
-		cl.buf = append(cl.buf, rd.Value()...)
+		if len(cl.buf) == 0 {
+			cl.buf = rd.Value() // as servedConn.read keeps it
+		} else {
+			cl.buf = append(cl.buf, rd.Value()...)
+		}
 		cl.read(then)
 	})
 }

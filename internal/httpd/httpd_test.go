@@ -295,3 +295,89 @@ func TestClientReadLoop(t *testing.T) {
 		}
 	}
 }
+
+// TestHeadersEncodeInOneOrder: a message with several headers encodes to the
+// same bytes every time, whatever order the map ranges in.
+func TestHeadersEncodeInOneOrder(t *testing.T) {
+	resp := &Response{Status: 200, Headers: map[string]string{"X-A": "1", "X-B": "2", "X-C": "3"}, Body: []byte("b")}
+	want := string(resp.Encode())
+	for i := 0; i < 100; i++ {
+		if got := string(resp.Encode()); got != want {
+			t.Fatalf("encoding %d = %q, first %q", i, got, want)
+		}
+	}
+}
+
+// TestUnframableBodiesClosed: a client that declares a body above maxBody,
+// and one that sends a chunked POST, are each closed and counted as an
+// error without a request reaching the handler — not left buffering until
+// the peer closes, nor read as a second request.
+func TestUnframableBodiesClosed(t *testing.T) {
+	for _, tc := range []struct{ name, msg string }{
+		{"2 MiB", "POST /upload HTTP/1.1\r\nContent-Length: 2097152\r\n\r\nfirst bytes"},
+		// A valid chunked body whose last-chunk line, extension included,
+		// also reads as a request line.
+		{"chunked", "POST /upload HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n0;a=\"b c HTTP/1.1\"\r\n\r\n"},
+	} {
+		handled := 0
+		k, sa, sta, srv, serverIP := twoHosts(t, func(*Request) *Response {
+			handled++
+			return &Response{Status: 200}
+		})
+		k.Spawn("client", func(p *sim.Proc) {
+			main := lwt.Bind(sta.Connect(serverIP, 80), func(c *tcp.Conn) *lwt.Promise[struct{}] {
+				c.Write([]byte(tc.msg))
+				return sa.Sleep(5 * time.Second) // never closes
+			})
+			if err := sa.Run(p, main); err != nil {
+				t.Errorf("%s: client: %v", tc.name, err)
+			}
+		})
+		if _, err := k.RunFor(10 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+		if handled != 0 || srv.Requests != 0 || srv.Errors != 1 || srv.Active() != 0 {
+			t.Errorf("%s: handled %d, Requests %d, Errors %d, Active %d; want 0, 0, 1, 0",
+				tc.name, handled, srv.Requests, srv.Errors, srv.Active())
+		}
+	}
+}
+
+// raceEnabled is set by race_test.go: race instrumentation allocates on its
+// own account, so allocation counts hold only in a plain build.
+var raceEnabled bool
+
+// TestCodecAllocations holds the codecs to the objects their callers keep,
+// on the benchmark's message shapes: each encoder allocates the bytes it
+// returns; the request parser the header string, the Request and its map
+// (two objects); the response parser those and the body.
+func TestCodecAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation adds allocations")
+	}
+	req := &Request{Method: "GET", Path: "/item/0042"}
+	resp := &Response{Status: 200, Body: make([]byte, 512)}
+	reqBytes, respBytes := EncodeRequest(req), resp.Encode()
+	for _, tc := range []struct {
+		name string
+		want float64
+		fn   func()
+	}{
+		{"EncodeRequest", 1, func() { EncodeRequest(req) }},
+		{"Response.Encode", 1, func() { resp.Encode() }},
+		{"tryParseRequest", 4, func() {
+			if r, _, err := tryParseRequest(reqBytes); r == nil || err != nil {
+				t.Fatal("request did not parse")
+			}
+		}},
+		{"ParseResponse", 5, func() {
+			if r, _, err := ParseResponse(respBytes); r == nil || err != nil {
+				t.Fatal("response did not parse")
+			}
+		}},
+	} {
+		if got := testing.AllocsPerRun(100, tc.fn); got != tc.want {
+			t.Errorf("%s: %v allocations, want %v", tc.name, got, tc.want)
+		}
+	}
+}
