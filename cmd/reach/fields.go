@@ -1,0 +1,204 @@
+package main
+
+import (
+	"fmt"
+	"go/ast"
+	"go/build"
+	"go/importer"
+	"go/parser"
+	"go/token"
+	"go/types"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
+)
+
+// What reads a struct field: nothing, only _test.go files, or other code.
+const (
+	unread = iota
+	testRead
+	read
+)
+
+// module imports the module's own packages from their non-test files, each
+// checked once, and the standard library from source.
+type module struct {
+	path     string
+	fset     *token.FileSet
+	std      types.Importer
+	lib      map[string][]*ast.File    // dir -> its non-test files
+	pkgs     map[string][]*ast.File    // "dir package" -> its files, tests included
+	imported map[string]*types.Package // import path -> lib, checked once
+}
+
+func (m *module) Import(path string) (*types.Package, error) {
+	dir, ok := strings.CutPrefix(path, m.path+"/")
+	if !ok {
+		return m.std.Import(path)
+	}
+	if m.imported[path] == nil { // a type error here is reported by the package's own check
+		m.imported[path], _ = (&types.Config{Importer: m}).Check(path, m.fset, m.lib[dir], nil)
+	}
+	return m.imported[path], nil
+}
+
+// walkFields type-checks every package of the module at root, tests
+// included, and reports each struct field a non-test file under root/internal
+// declares — "dir T.F", or "dir file.go:line F" in an unnamed struct — by
+// what reads it. A read is a selector anywhere but as the target of an
+// assignment or inc/dec (x.f[k] = v writes f when f is a map or array), an ==
+// or != of the struct that holds it, that struct as a map key, or a struct
+// tag. Embedded fields are not counted; testdata directories are skipped.
+func walkFields(root string) (map[string]int, error) {
+	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
+	if err != nil {
+		return nil, err
+	}
+	_, path, _ := strings.Cut(string(mod), "module ")
+	path, _, _ = strings.Cut(path, "\n")
+	fset := token.NewFileSet()
+	m := &module{
+		path:     strings.TrimSpace(path),
+		fset:     fset,
+		std:      importer.ForCompiler(fset, "source", nil),
+		lib:      map[string][]*ast.File{},
+		pkgs:     map[string][]*ast.File{},
+		imported: map[string]*types.Package{},
+	}
+	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() && path != root && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
+			return filepath.SkipDir
+		}
+		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); !ok {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		dir, _ := filepath.Rel(root, filepath.Dir(path))
+		m.pkgs[dir+" "+f.Name.Name] = append(m.pkgs[dir+" "+f.Name.Name], f)
+		if !strings.HasSuffix(path, "_test.go") {
+			m.lib[dir] = append(m.lib[dir], f)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	names, reads := map[token.Position]string{}, map[token.Position]int{}
+	for key, files := range m.pkgs {
+		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
+		if _, err := (&types.Config{Importer: m}).Check(key, fset, files, info); err != nil {
+			return nil, err
+		}
+		dir, _, _ := strings.Cut(key, " ")
+		for _, f := range files {
+			test := strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go")
+			use := func(v *types.Var) {
+				p := fset.Position(v.Origin().Pos())
+				if test {
+					reads[p] = max(reads[p], testRead)
+				} else {
+					reads[p] = read
+				}
+			}
+			declare := func(id *ast.Ident, typ string, tagged bool) {
+				names[fset.Position(id.Pos())] = dir + " " + typ + id.Name
+				if tagged {
+					reads[fset.Position(id.Pos())] = read
+				}
+			}
+			if test || !strings.HasPrefix(dir, "internal/") {
+				declare = nil
+			}
+			walkFile(fset, f, info, use, declare)
+		}
+	}
+	fields := map[string]int{}
+	for p, name := range names {
+		fields[name] = reads[p]
+	}
+	return fields, nil
+}
+
+// walkFile calls use for every field f reads and, unless it is nil, declare
+// for every field f declares, with the name of its struct type.
+func walkFile(fset *token.FileSet, f *ast.File, info *types.Info, use func(*types.Var), declare func(id *ast.Ident, typ string, tagged bool)) {
+	var whole func(t types.Type) // every field an == of t, or t as a map key, reads
+	whole = func(t types.Type) {
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			for i := 0; i < u.NumFields(); i++ {
+				use(u.Field(i))
+				whole(u.Field(i).Type())
+			}
+		case *types.Array:
+			whole(u.Elem())
+		}
+	}
+	written, typeName := map[ast.Expr]bool{}, map[*ast.StructType]string{}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if m, ok := underlying(info, n).(*types.Map); ok {
+			whole(m.Key())
+		}
+		switch n := n.(type) {
+		case *ast.AssignStmt: // visited before the selectors it holds
+			for _, l := range n.Lhs {
+				written[target(info, l)] = true
+			}
+		case *ast.IncDecStmt:
+			written[target(info, n.X)] = true
+		case *ast.SelectorExpr:
+			if s := info.Selections[n]; s != nil && s.Kind() == types.FieldVal && !written[n] {
+				use(s.Obj().(*types.Var))
+			}
+		case *ast.BinaryExpr:
+			if n.Op == token.EQL || n.Op == token.NEQ {
+				whole(info.Types[n.X].Type)
+			}
+		case *ast.TypeSpec: // visited before its struct
+			if st, ok := n.Type.(*ast.StructType); ok {
+				typeName[st] = n.Name.Name + "."
+			}
+		case *ast.StructType:
+			typ, named := typeName[n]
+			if p := fset.Position(n.Pos()); !named {
+				typ = fmt.Sprintf("%s:%d ", filepath.Base(p.Filename), p.Line)
+			}
+			for _, fl := range n.Fields.List {
+				for _, id := range fl.Names {
+					if declare != nil {
+						declare(id, typ, fl.Tag != nil)
+					}
+				}
+			}
+		}
+		return true
+	})
+}
+
+// target is the expression an assignment to e writes: e, or the map or array
+// e indexes.
+func target(info *types.Info, e ast.Expr) ast.Expr {
+	e = ast.Unparen(e)
+	if ix, ok := e.(*ast.IndexExpr); ok {
+		switch underlying(info, ix.X).(type) {
+		case *types.Map, *types.Array:
+			return target(info, ix.X)
+		}
+	}
+	return e
+}
+
+// underlying is the underlying type of n, if n is a typed expression.
+func underlying(info *types.Info, n ast.Node) types.Type {
+	if e, ok := n.(ast.Expr); ok && info.Types[e].Type != nil {
+		return info.Types[e].Type.Underlying()
+	}
+	return nil
+}

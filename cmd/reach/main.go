@@ -3,11 +3,14 @@
 // committed keep-list and fails when a function under internal/ that no
 // entry point ever called is not listed, or when a listed one is stale. It
 // also reads the `go tool covdata textfmt` profile of the same runs and
-// prints how many statements under internal/ none of them executed.
+// prints how many statements under internal/ none of them executed. Then it
+// type-checks the module, tests included, and fails the same way on a struct
+// field under internal/ that no code reads (fields.go).
 //
-// A keep-list line is "<package dir> <function> <reason>". The function is
-// spelled as covdata prints it (Encode, MAC.String, *Handler.Cached; methods
-// of generic types lose their receiver). The reason is one of
+// A keep-list line is "<package dir> <function or field> <reason>". The
+// function is spelled as covdata prints it (Encode, MAC.String,
+// *Handler.Cached; methods of generic types lose their receiver), the field
+// as Type.Field. The reason is one of
 // paper:<§/Table/Fig> (a library or mechanism the paper lists),
 // safety:recovery|validation|dos, pinned:benchmark (benchmark/README.md
 // "Pinned API surface"), test-reference (an oracle or observation point only
@@ -62,21 +65,21 @@ func parseFunc(report string) (called map[string]bool) {
 	return called
 }
 
-// check names every never-called function missing from the keep-list and
-// every keep-list entry that is not a never-called function, and counts the
-// never-called ones.
+// check names every never-called function (or unread field: main enters the
+// fields in called too) missing from the keep-list and every keep-list entry
+// that is not one, and counts them.
 func check(keep map[string]string, called map[string]bool) (never int, problems []string) {
 	for key, hit := range called {
 		if !hit {
 			never++
 			if keep[key] == "" {
-				problems = append(problems, "unlisted: "+key+" is never called: delete it, or list it with a reason")
+				problems = append(problems, "unlisted: "+key+" is never called or read: delete it, or list it with a reason")
 			}
 		}
 	}
 	for key := range keep {
 		if hit, known := called[key]; hit || !known {
-			problems = append(problems, "stale: "+key+" is listed but is called now, or is gone")
+			problems = append(problems, "stale: "+key+" is listed but is called or read now, or is gone")
 		}
 	}
 	sort.Strings(problems)
@@ -121,18 +124,23 @@ func floor(never, total int) string {
 // in the order summary prints them.
 var reasonKinds = []string{"paper", "safety", "pinned", "test-reference", "debug"}
 
-// summary counts the keep-list by reason kind.
-func summary(keep map[string]string) string {
+// summary counts the keep-list by reason kind, the function lines and then
+// the lines naming a field the walk knows.
+func summary(keep map[string]string, walk map[string]int) string {
 	n := map[string]int{}
-	for _, reason := range keep {
+	for key, reason := range keep {
 		kind, _, _ := strings.Cut(reason, ":")
+		if _, field := walk[key]; field {
+			kind = "field " + kind
+		}
 		n[kind]++
 	}
-	counts := make([]string, len(reasonKinds))
-	for i, kind := range reasonKinds {
-		counts[i] = fmt.Sprintf("%s %d", kind, n[kind])
+	var funcs, fields []string
+	for _, kind := range reasonKinds {
+		funcs = append(funcs, fmt.Sprintf("%s %d", kind, n[kind]))
+		fields = append(fields, fmt.Sprintf("%s %d", kind, n["field "+kind]))
 	}
-	return "keep-list: " + strings.Join(counts, ", ")
+	return "keep-list: " + strings.Join(funcs, ", ") + "; fields: " + strings.Join(fields, ", ")
 }
 
 func main() {
@@ -149,18 +157,29 @@ func main() {
 	}
 	keep, problems := parseKeep(string(text))
 	called := parseFunc(string(report))
-	never, more := check(keep, called)
 	unrun, stmts := statements(string(profile))
 	if len(called) == 0 || stmts == 0 {
-		more = append(more, "the coverage report names no function or statement under internal/: the cover build recorded nothing")
+		problems = append(problems, "the coverage report names no function or statement under internal/: the cover build recorded nothing")
 	}
+	walk, err := walkFields(".")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reach:", err)
+		os.Exit(2)
+	}
+	funcs, who := len(called), map[int]int{}
+	for key, w := range walk {
+		called[key] = w != unread // a field no code reads stands as a function never called
+		who[w]++
+	}
+	never, more := check(keep, called)
 	for _, p := range append(problems, more...) {
 		fmt.Println("reach:", p)
 	}
 	if len(problems)+len(more) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never, len(called))
+	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never-who[unread], funcs)
 	fmt.Println("reach:", floor(unrun, stmts))
-	fmt.Println("reach:", summary(keep))
+	fmt.Printf("reach: %d struct fields under internal/, 0 unread outside the keep-list, %d read only by tests\n", len(walk), who[testRead])
+	fmt.Println("reach:", summary(keep, walk))
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -40,14 +41,14 @@ internal/sim Time.String debug:stringer
 	called := parseFunc(report)
 	never, got := check(keep, called)
 	want := []string{
-		"stale: internal/arp *Handler.Input is listed but is called now, or is gone",
-		"unlisted: internal/dns Encode is never called: delete it, or list it with a reason",
+		"stale: internal/arp *Handler.Input is listed but is called or read now, or is gone",
+		"unlisted: internal/dns Encode is never called or read: delete it, or list it with a reason",
 	}
 	if never != 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("never-called = %d, want 3 (a generic method called through one instantiation is called)\nproblems:\n%s\nwant:\n%s",
 			never, strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if got, want := summary(keep), "keep-list: paper 2, safety 0, pinned 0, test-reference 0, debug 1"; got != want {
+	if got, want := summary(keep, map[string]int{"internal/arp *Handler.Input": read}), "keep-list: paper 1, safety 0, pinned 0, test-reference 0, debug 1; fields: paper 1, safety 0, pinned 0, test-reference 0, debug 0"; got != want {
 		t.Errorf("summary = %q, want %q", got, want)
 	}
 
@@ -81,6 +82,38 @@ repro/internal/sim/sim.go:39.31,41.2 2 0
 		if _, problems := parseKeep(bad); len(problems) != 1 {
 			t.Errorf("parseKeep(%q) problems = %q, want one", bad, problems)
 		}
+	}
+}
+
+// TestFieldGate type-checks the fixture module under testdata/fieldmod and
+// holds its keep-list against it the way main does: a write-only field
+// fails, a stale field line fails, and a field read only by a test, a tagged
+// one, the fields of a map key and a listed one pass.
+func TestFieldGate(t *testing.T) {
+	walk, err := walkFields("testdata/fieldmod")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]int{
+		"internal/p T.WriteOnly": unread, "internal/p T.Kept": unread, "internal/p T.TestOnly": testRead,
+		"internal/p T.Tagged": read, "internal/p T.Stale": read, "internal/p T.hits": read,
+		"internal/p key.a": read, "internal/p key.b": read,
+	}
+	if fmt.Sprint(walk) != fmt.Sprint(want) {
+		t.Errorf("fields by reader (0 none, 1 tests only, 2 other code):\n%v\nwant:\n%v", walk, want)
+	}
+	keep, _ := parseKeep("internal/p T.Kept paper:Fig14\ninternal/p T.Stale paper:Fig14\n")
+	called := map[string]bool{}
+	for key, who := range walk {
+		called[key] = who != unread
+	}
+	never, got := check(keep, called)
+	wantProblems := []string{
+		"stale: internal/p T.Stale is listed but is called or read now, or is gone",
+		"unlisted: internal/p T.WriteOnly is never called or read: delete it, or list it with a reason",
+	}
+	if never != 2 || strings.Join(got, "\n") != strings.Join(wantProblems, "\n") {
+		t.Errorf("unread = %d, want 2; problems:\n%s\nwant:\n%s", never, strings.Join(got, "\n"), strings.Join(wantProblems, "\n"))
 	}
 }
 
@@ -267,9 +300,9 @@ func TestOneTimerOrder(t *testing.T) {
 }
 
 // TestKeepListAndPinnedSurface walks the sources (go/parser only): every
-// keep-list line names a function that exists and gives a reason from the
-// fixed set, every package under internal/ is imported, directly or through
-// other packages, by a non-test file outside internal/ (the cover build
+// keep-list line names a function or field that exists and gives a reason
+// from the fixed set, every package under internal/ is imported, directly or
+// through other packages, by a non-test file outside internal/ (the cover build
 // cannot see a package nothing links), and every symbol of
 // benchmark/README.md's "Pinned API surface" still exists — so a deletion
 // that strands the keep-list or breaks the benchmark's contract fails
@@ -296,8 +329,9 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 			t.Errorf("keep-list: %s: not a package under internal/", key)
 			continue
 		}
-		if !dir(d).funcs[fn] {
-			t.Errorf("keep-list: %s: no such function in %s", key, d)
+		typ, field, _ := strings.Cut(fn, ".")
+		if ix := dir(d); !ix.funcs[fn] && !ix.members[typ][field] {
+			t.Errorf("keep-list: %s: no such function or field in %s", key, d)
 		}
 	}
 

@@ -77,7 +77,7 @@ type Handler struct {
 	MaxRetries    int
 
 	// Stats
-	Requests, Replies, Hits, Misses int
+	Requests, Hits int
 }
 
 // NewHandler creates an ARP handler.
@@ -118,7 +118,6 @@ func (h *Handler) Learn(ip ipv4.Addr, mac ethernet.MAC) {
 func (h *Handler) Input(p Packet) {
 	h.Learn(p.SenderIP, p.SenderHW)
 	if p.Op == OpRequest && p.TargetIP == h.MyIP {
-		h.Replies++
 		h.Output(p.SenderHW, Packet{
 			Op:       OpReply,
 			SenderHW: h.MyMAC, SenderIP: h.MyIP,
@@ -135,7 +134,6 @@ func (h *Handler) Resolve(ip ipv4.Addr, cb func(ethernet.MAC, error)) {
 		cb(mac, nil)
 		return
 	}
-	h.Misses++
 	first := len(h.waiting[ip]) == 0
 	h.waiting[ip] = append(h.waiting[ip], cb)
 	if first {

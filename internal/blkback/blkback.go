@@ -94,10 +94,11 @@ func NewSSDNamed(k *sim.Kernel, p SSDParams, prefix string) *SSD {
 	return d
 }
 
-// Submit schedules a request of n bytes starting at sector and returns the
-// virtual instant it completes. Channel parallelism lets small requests
-// overlap; the shared bus bounds aggregate bandwidth.
-func (d *SSD) Submit(sector uint64, n int, write bool) sim.Time {
+// Submit schedules a request of n bytes and returns the virtual instant it
+// completes; where on the device it lands does not matter. Channel
+// parallelism lets small requests overlap; the shared bus bounds aggregate
+// bandwidth.
+func (d *SSD) Submit(n int, write bool) sim.Time {
 	lat := d.Params.ReadLatency
 	if write {
 		lat = d.Params.WriteLatency
@@ -269,23 +270,13 @@ type VBD struct {
 	// nothing.
 	rspPending bool
 	flushFunc  func()
-
-	// Requests counts ring requests served.
-	Requests int
-	Errors   int
-	// IndirectReqs counts requests that arrived through an indirect page;
-	// SegmentsMoved counts the data pages they carried (the fast-path win is
-	// SegmentsMoved ≫ Requests).
-	IndirectReqs  int
-	SegmentsMoved int
 }
 
 // VBDBackend is the device-seam backend for the block device class: it
 // satisfies device.Backend structurally (no import of the seam package
-// needed). Connect fills VBD with the attached backend.
+// needed).
 type VBDBackend struct {
 	SSD *SSD
-	VBD *VBD
 }
 
 // Kind implements the device backend signature.
@@ -298,7 +289,7 @@ func (vb *VBDBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 	if page == nil {
 		return fmt.Errorf("blkback: handshake missing ring")
 	}
-	vb.VBD = NewVBD(vb.SSD, guest, page, port)
+	NewVBD(vb.SSD, guest, page, port)
 	return nil
 }
 
@@ -326,7 +317,6 @@ func (v *VBD) serve() {
 				break
 			}
 			progressed = true
-			v.Requests++
 			v.submit(r)
 		}
 		if !progressed {
@@ -352,7 +342,6 @@ func (v *VBD) submit(r Req) {
 		ok = v.submitDirect(r, &done)
 	}
 	if !ok {
-		v.Errors++
 		done = v.ssd.K.Now()
 	}
 	n := uint64(r.ID) << 1
@@ -382,7 +371,7 @@ func (v *VBD) submitDirect(r Req, done *sim.Time) bool {
 	if err != nil {
 		return false
 	}
-	*done = v.ssd.Submit(r.Sector, int(r.Sectors)*SectorSize, r.Write)
+	*done = v.ssd.Submit(int(r.Sectors)*SectorSize, r.Write)
 	v.moveSectors(r.Write, r.Sector, int(r.Sectors), page, 0)
 	v.guest.Grants.Unmap(grant.Ref(r.Gref), page)
 	return true
@@ -415,12 +404,10 @@ func (v *VBD) submitIndirect(r Req, done *sim.Time) bool {
 		}
 		pages[i] = pg
 	}
-	v.IndirectReqs++
-	v.SegmentsMoved += segs
 	// One device operation for the whole request: the channel is occupied
 	// once and the bus sees one transfer, which is where merged queues beat
 	// per-page submission.
-	*done = v.ssd.Submit(r.Sector, sectors*SectorSize, r.Write)
+	*done = v.ssd.Submit(sectors*SectorSize, r.Write)
 	left := sectors
 	for i := 0; i < segs; i++ {
 		n := SectorsPerPage

@@ -19,12 +19,12 @@ func TestSSDChannelParallelism(t *testing.T) {
 	// queues behind.
 	var last sim.Time
 	for i := 0; i < p.Channels; i++ {
-		last = ssd.Submit(uint64(i*8), 4096, false)
+		last = ssd.Submit(4096, false)
 	}
 	if last != sim.Time(p.ReadLatency) {
 		t.Errorf("parallel batch completes at %v, want %v", last, p.ReadLatency)
 	}
-	if extra := ssd.Submit(999, 4096, false); extra != sim.Time(2*p.ReadLatency) {
+	if extra := ssd.Submit(4096, false); extra != sim.Time(2*p.ReadLatency) {
 		t.Errorf("queued request completes at %v, want %v", extra, 2*p.ReadLatency)
 	}
 }
@@ -34,7 +34,7 @@ func TestSSDBusBoundsLargeTransfers(t *testing.T) {
 	p := DefaultSSDParams()
 	ssd := NewSSDNamed(k, p, "")
 	n := 16 << 20 // 16 MiB: bus time dominates channel latency
-	done := ssd.Submit(0, n, false)
+	done := ssd.Submit(n, false)
 	wantBus := time.Duration(float64(n) / p.BusGBps)
 	if d := done.Sub(0); d < wantBus {
 		t.Errorf("16 MiB read finished in %v, faster than the %v bus allows", d, wantBus)
@@ -142,7 +142,7 @@ func TestPropSubmitNeverBeatsLatency(t *testing.T) {
 		ssd := NewSSDNamed(k, p, "")
 		for _, sz := range sizes {
 			n := int(sz)%65536 + 1
-			done := ssd.Submit(0, n, sz%2 == 0)
+			done := ssd.Submit(n, sz%2 == 0)
 			min := p.ReadLatency
 			if sz%2 == 0 {
 				min = p.WriteLatency

@@ -100,9 +100,8 @@ type op struct {
 	// data is the write payload, copied at submit into a recycled staging
 	// buffer — so the caller may reuse its slice as soon as Write returns —
 	// and given back to the free list at push.
-	data    []byte
-	pr      *lwt.Promise[*cstruct.View]
-	started sim.Time
+	data []byte
+	pr   *lwt.Promise[*cstruct.View]
 }
 
 // devop is one ring request: a merged run of adjacent ops issued as a
@@ -202,7 +201,6 @@ func (b *Blkif) submit(write bool, sector uint64, sectors int, data []byte) *lwt
 		sectors: sectors,
 		sector:  sector,
 		pr:      pr,
-		started: b.vm.S.K.Now(),
 	}
 	if write {
 		o.data = append(b.stagingBuf(), data...)
@@ -420,7 +418,7 @@ func (b *Blkif) OnEvent() {
 // complete ends the devop's grants, distributes results to its member ops,
 // releases the I/O pages, and recycles the devop and its ops.
 func (b *Blkif) complete(d *devop, ok bool) {
-	b.traceDone(d, ok)
+	b.traceDone(d)
 	dom := b.vm.Dom
 	for _, g := range d.grefs {
 		dom.Grants.End(g)
@@ -456,7 +454,7 @@ func (b *Blkif) complete(d *devop, ok bool) {
 }
 
 // traceDone emits a span covering the devop's issue-to-completion life.
-func (b *Blkif) traceDone(d *devop, ok bool) {
+func (b *Blkif) traceDone(d *devop) {
 	k := b.vm.S.K
 	tr := k.Trace()
 	if !tr.Enabled() {

@@ -8,7 +8,7 @@
 // injection, broadcast flood) retain the same buffer rather than copying
 // it; the frame is immutable once transmitted.
 //
-// The pool keeps exact accounting (Gets/Allocated/Recycled/InUse) so tests
+// The pool keeps exact accounting (Allocated/Recycled/InUse) so tests
 // can assert that a quiesced system leaked nothing, and Release panics on
 // double-free — the same discipline cstruct pages enforce.
 package bufpool
@@ -37,7 +37,6 @@ type Pool struct {
 	free []*Buf
 	// Stats
 	Allocated int // buffers ever created
-	Gets      int // total Get calls
 	Recycled  int // buffers returned to the free list
 	inUse     int // buffers currently referenced
 }
@@ -59,7 +58,6 @@ func (p *Pool) InUse() int { return p.inUse }
 // zeroed: the logical length starts at 0 and only appended bytes are ever
 // exposed.
 func (p *Pool) Get() *Buf {
-	p.Gets++
 	var b *Buf
 	if n := len(p.free); n > 0 {
 		b = p.free[n-1]

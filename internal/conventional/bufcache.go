@@ -28,8 +28,6 @@ type BufferedDevice struct {
 	capSectors int
 	cache      map[uint64]*list.Element
 	order      *list.List // front = most recent
-
-	Hits, Misses, Evictions int
 }
 
 type cachedSector struct {
@@ -77,7 +75,6 @@ func (d *BufferedDevice) insert(sector uint64, data []byte) {
 		victim := d.order.Back()
 		d.order.Remove(victim)
 		delete(d.cache, victim.Value.(*cachedSector).sector)
-		d.Evictions++
 	}
 	d.cache[sector] = d.order.PushFront(&cachedSector{sector: sector, data: data})
 }
@@ -96,10 +93,8 @@ func (d *BufferedDevice) Read(sector uint64, sectors int) *lwt.Promise[*cstruct.
 			}
 		}
 		if allHit {
-			d.Hits++
 			return lwt.Return(d.s, cstruct.Wrap(buf))
 		}
-		d.Misses++
 		return lwt.Map(d.dev.Read(sector, sectors), func(v *cstruct.View) *cstruct.View {
 			data := v.Bytes()
 			for i := 0; i < sectors; i++ {

@@ -40,7 +40,7 @@ import (
 // each with hypervisor, control domain, software bridge, SSD and xenstore.
 // NewPlatform creates the first host; AddHost grows the machine room, and
 // internal/datacenter links the host bridges with a modeled fabric. The
-// flat Host/Bridge/SSD/Store/Dom0 fields alias the first host, so
+// flat Host/Bridge/SSD fields alias the first host, so
 // single-host callers are untouched by the multi-host surface.
 type Platform struct {
 	K       *sim.Kernel
@@ -48,8 +48,6 @@ type Platform struct {
 	Host    *hypervisor.Host
 	Bridge  *netback.Bridge
 	SSD     *blkback.SSD
-	Store   *xenstore.Store
-	Dom0    *hypervisor.Domain
 
 	sites       []*Site
 	npcpus      int
@@ -154,7 +152,6 @@ func (c Config) NewPlatform(seed int64) *Platform {
 	pl.Host = s0.Host
 	pl.Bridge = s0.Bridge
 	pl.SSD = s0.SSD
-	pl.Store = s0.Store
 	return pl
 }
 
@@ -178,9 +175,6 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	s.dom0Ready = k.NewSignal(sigName)
 	k.Spawn(initName, func(p *sim.Proc) {
 		s.Dom0 = s.Host.Create(p, hypervisor.Config{Name: dom0Name, Memory: 512 << 20})
-		if s.Index == 0 {
-			pl.Dom0 = s.Dom0
-		}
 		s.dom0Ready.Set()
 	})
 	pl.sites = append(pl.sites, s)

@@ -46,7 +46,6 @@ type Pool struct {
 	Allocated int // pages ever created
 	InUse     int // pages currently referenced by >=1 view
 	Recycled  int // pages returned to the free list
-	Gets      int // total Get calls
 }
 
 // NewPool returns an empty pool; pages are created on demand.
@@ -54,7 +53,6 @@ func NewPool() *Pool { return &Pool{} }
 
 // Get returns a view covering a whole zeroed page with reference count 1.
 func (pl *Pool) Get() *View {
-	pl.Gets++
 	var pg *Page
 	if n := len(pl.free); n > 0 {
 		pg = pl.free[n-1]

@@ -147,18 +147,6 @@ func New(pl *core.Platform, topo Topology) *DC {
 // rack maps a host index to its rack.
 func (dc *DC) rack(host int) int { return host / dc.topo.HostsPerRack }
 
-// Learn records that mac is reachable via the named host — the fabric's
-// gratuitous-ARP equivalent, announced when a migrated domain resumes on
-// its destination so traffic stops chasing the source host.
-func (dc *DC) Learn(mac ethernet.MAC, host string) error {
-	s := dc.pl.SiteByName(host)
-	if s == nil {
-		return fmt.Errorf("datacenter: unknown host %q", host)
-	}
-	dc.where[mac] = s.Index
-	return nil
-}
-
 // port adapts one host's bridge to the fabric (netback.Uplink). All its
 // methods run on kernel 0, in bridge context, at the instant the frame
 // cleared the source bridge.
@@ -167,11 +155,9 @@ type port struct {
 	host int
 }
 
-func (p *port) Forward(src ethernet.MAC, f *bufpool.Buf) { p.dc.forward(p.host, src, f) }
-func (p *port) Flood(src ethernet.MAC, f *bufpool.Buf)   { p.dc.flood(p.host, src, f) }
-func (p *port) SteerRemote(dst ethernet.MAC, f *bufpool.Buf) bool {
-	return p.dc.steer(p.host, dst, f)
-}
+func (p *port) Forward(src ethernet.MAC, f *bufpool.Buf)     { p.dc.forward(p.host, src, f) }
+func (p *port) Flood(src ethernet.MAC, f *bufpool.Buf)       { p.dc.flood(p.host, src, f) }
+func (p *port) SteerRemote(dst ethernet.MAC, f *bufpool.Buf) { p.dc.steer(p.host, dst, f) }
 
 // forward routes a unicast frame with a non-local destination. A learned
 // MAC takes the point-to-point path; an unlearned one floods to every
@@ -193,7 +179,7 @@ func (dc *DC) forward(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 	}
 	if j == srcHost || dc.down[j] {
 		// Stale learning (the owner moved or died): drop; the next
-		// broadcast or explicit Learn repairs the table.
+		// broadcast or a migration's announcement repairs the table.
 		dc.drop("stale-route", f)
 		return
 	}
@@ -235,17 +221,16 @@ func (dc *DC) floodFrom(srcHost int, f *bufpool.Buf) {
 // balancer only steers to replicas that answered probes, so the MAC is
 // normally learned; a miss (e.g. mid-migration) drops the frame and the
 // client's retransmit recovers.
-func (dc *DC) steer(srcHost int, dst ethernet.MAC, f *bufpool.Buf) bool {
+func (dc *DC) steer(srcHost int, dst ethernet.MAC, f *bufpool.Buf) {
 	j, ok := dc.where[dst]
 	if !ok || j == srcHost || dc.down[j] || dc.down[srcHost] {
 		dc.drop("steer-miss", f)
-		return false
+		return
 	}
 	dc.Steers++
 	dc.mxFrames("steer").Inc()
 	dc.account(f.Len())
 	dc.route(srcHost, j, f.Len(), func() { dc.pl.Sites()[j].Bridge.InjectSteer(dst, f) })
-	return true
 }
 
 func (dc *DC) drop(reason string, f *bufpool.Buf) {
@@ -330,7 +315,9 @@ func (dc *DC) Migrate(p *sim.Proc, fl *fleet.Fleet, r *fleet.Replica, dstHost st
 	}
 	dc.bulkPath(p, src.Index, dst.Index, n)
 
-	dc.Learn(r.MAC, dstHost)
+	// The fabric's gratuitous-ARP equivalent: traffic stops chasing the
+	// source host.
+	dc.where[r.MAC] = dst.Index
 	dep := fl.ResumeMigrated(r, dstHost)
 	d := dep.WaitCreated(p)
 	if dep.Err != nil {

@@ -11,7 +11,6 @@ type Zone struct {
 	Origin  string
 	Default uint32 // default TTL
 	records map[zoneKey][]RR
-	Count   int
 }
 
 type zoneKey struct {
@@ -39,7 +38,6 @@ func (z *Zone) Add(rr RR) {
 	}
 	k := zoneKey{rr.Name, rr.Type}
 	z.records[k] = append(z.records[k], rr)
-	z.Count++
 }
 
 // Lookup returns records for (name, type); CNAMEs are not chased (the

@@ -14,30 +14,29 @@ import (
 // show per-experiment usage without the CLI hard-coding a flag.
 type Param struct {
 	Name string // flag name, e.g. "replicas-min"
-	Help string
 	bind func(fs *flag.FlagSet, o *Options)
 }
 
 func boolParam(name, help string, field func(o *Options) *bool) Param {
-	return Param{name, help, func(fs *flag.FlagSet, o *Options) {
+	return Param{name, func(fs *flag.FlagSet, o *Options) {
 		fs.BoolVar(field(o), name, *field(o), help)
 	}}
 }
 
 func intParam(name, help string, field func(o *Options) *int) Param {
-	return Param{name, help, func(fs *flag.FlagSet, o *Options) {
+	return Param{name, func(fs *flag.FlagSet, o *Options) {
 		fs.IntVar(field(o), name, *field(o), help)
 	}}
 }
 
 func int64Param(name, help string, field func(o *Options) *int64) Param {
-	return Param{name, help, func(fs *flag.FlagSet, o *Options) {
+	return Param{name, func(fs *flag.FlagSet, o *Options) {
 		fs.Int64Var(field(o), name, *field(o), help)
 	}}
 }
 
 func stringParam(name, help string, field func(o *Options) *string) Param {
-	return Param{name, help, func(fs *flag.FlagSet, o *Options) {
+	return Param{name, func(fs *flag.FlagSet, o *Options) {
 		fs.StringVar(field(o), name, *field(o), help)
 	}}
 }

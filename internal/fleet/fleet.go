@@ -291,7 +291,7 @@ func (f *Fleet) scaleAction(action, replica, reason string) {
 
 // summon boots a new replica and registers it with the balancer. reason is
 // the machine-readable "because" recorded with the scaling action.
-func (f *Fleet) summon(reason string) *Replica {
+func (f *Fleet) summon(reason string) {
 	k := f.pl.K
 	idx := len(f.replicas)
 	r := &Replica{
@@ -322,7 +322,6 @@ func (f *Fleet) summon(reason string) *Replica {
 	f.mxReplicas.Set(float64(f.Live()))
 	f.event("summon %s (%s)", r.Name, reason)
 	f.scaleAction("summon", r.Name, reason)
-	return r
 }
 
 // deploy builds r's appliance with the fleet's standard wiring (exit hook,

@@ -362,7 +362,7 @@ func TestFleetHashPolicyEndToEnd(t *testing.T) {
 	if len(f.LB.conns) != 0 {
 		t.Errorf("hash policy kept %d steering entries, want 0 (stateless)", len(f.LB.conns))
 	}
-	if f.LB.Steered == 0 {
+	if pl.K.Metrics().Counter("lb_steered_conns_total").Value() == 0 {
 		t.Error("no connections steered; traffic never hit the balancer")
 	}
 }

@@ -120,10 +120,6 @@ type LB struct {
 	// OnProbeReply is called when the replica behind id answers probe seq.
 	OnProbeReply func(id BackendID, seq uint16)
 
-	// Stats
-	Steered   int
-	NoBackend int
-
 	mxSteered   *obs.Counter
 	mxNoBackend *obs.Counter
 	mxProbes    *obs.Counter
@@ -402,13 +398,11 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 	if lb.policy == Hash {
 		be := lb.pickHash(src, srcPort)
 		if be == nil {
-			lb.NoBackend++
 			lb.mxNoBackend.Inc()
 			f.Release()
 			return
 		}
 		if flags&tcpSYN != 0 && flags&tcpACK == 0 {
-			lb.Steered++
 			lb.mxSteered.Inc()
 			if tr := lb.K.Trace(); tr.Enabled() {
 				tr.Instant(lb.K.TraceTime(), "lb", "steer", 0, 0,
@@ -427,14 +421,12 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 	cn := lb.conns[key]
 	if cn == nil {
 		if flags&tcpSYN == 0 || flags&tcpACK != 0 {
-			lb.NoBackend++
 			lb.mxNoBackend.Inc()
 			f.Release()
 			return
 		}
 		be := lb.pick()
 		if be == nil {
-			lb.NoBackend++
 			lb.mxNoBackend.Inc()
 			f.Release()
 			return
@@ -442,7 +434,6 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 		cn = &conn{key: key, be: be}
 		lb.conns[key] = cn
 		be.active++
-		lb.Steered++
 		lb.mxSteered.Inc()
 		lb.mxActive.Add(1)
 		if tr := lb.K.Trace(); tr.Enabled() {

@@ -26,9 +26,6 @@ type Watchdog struct {
 	// MinSamples gates alerts on intervals too thin to judge.
 	MinSamples int64
 
-	// Alerts counts alert instants emitted (all kinds).
-	Alerts int
-
 	fleet sloView
 	reps  []*sloView // parallel to Fleet.replicas
 
@@ -133,7 +130,6 @@ func (w *Watchdog) evaluate() string {
 // alert records one SLO violation: an event line, a counter bump, and a
 // deterministic instant on the trace timeline (category "slo").
 func (w *Watchdog) alert(kind, who string, p99 float64, over, n int64) {
-	w.Alerts++
 	w.mxAlerts.Inc()
 	f := w.f
 	f.event("slo-alert %s %s p99=%.0fus target=%.0fus over=%d/%d",

@@ -94,7 +94,8 @@ func TestSLOWatchdogAlertsDeterministic(t *testing.T) {
 	if f1.SLO == nil {
 		t.Fatal("P99TargetUS set but no watchdog")
 	}
-	if f1.SLO.Alerts == 0 {
+	alerts := f1.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f1.spec.Name)).Value()
+	if alerts == 0 {
 		t.Fatalf("no SLO alerts despite 5x-over-target latency\nevents:\n%s",
 			strings.Join(f1.Events, "\n"))
 	}
@@ -109,8 +110,8 @@ func TestSLOWatchdogAlertsDeterministic(t *testing.T) {
 		}
 	}
 	if !sawAlert {
-		t.Fatalf("Alerts=%d but no slo-alert event line:\n%s",
-			f1.SLO.Alerts, strings.Join(f1.Events, "\n"))
+		t.Fatalf("slo_alerts_total=%d but no slo-alert event line:\n%s",
+			alerts, strings.Join(f1.Events, "\n"))
 	}
 
 	f2 := run()

@@ -246,12 +246,12 @@ func (sc *servedConn) close() {
 	}
 	sc.closed = true
 	sc.c.Close()
-	sc.srv.finish(sc)
+	sc.srv.finish()
 }
 
 // finish retires a connection from the server's books, resolving a pending
 // drain when the last one goes.
-func (srv *Server) finish(sc *servedConn) {
+func (srv *Server) finish() {
 	srv.active--
 	if srv.draining && srv.active == 0 && srv.drainP != nil && !srv.drainP.Completed() {
 		srv.drainP.Resolve(struct{}{})

@@ -160,7 +160,6 @@ type Heap struct {
 	// Collection statistics.
 	MinorGCs int
 	MajorGCs int
-	Growths  int
 	chunks   int // tracked chunks (malloc backend)
 }
 
@@ -210,7 +209,6 @@ func (h *Heap) minorCollect() {
 
 func (h *Heap) ensureMajor(n int) {
 	for h.majorUsed+n > h.majorCap {
-		h.Growths++
 		h.Cost += h.cfg.GrowCost + h.cfg.SyscallCost
 		switch h.cfg.Backend {
 		case GrowExtent:

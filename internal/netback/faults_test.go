@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/bufpool"
 	"repro/internal/ethernet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -59,8 +60,8 @@ func TestFaultsDuplicateDeliversTwoCopies(t *testing.T) {
 	if len(dst.frames) != 2 {
 		t.Fatalf("delivered %d copies, want 2", len(dst.frames))
 	}
-	if b.FaultDups != 1 {
-		t.Errorf("FaultDups = %d, want 1", b.FaultDups)
+	if got := k.Metrics().Counter("bridge_faults_total", obs.L("kind", "dup")).Value(); got != 1 {
+		t.Errorf("bridge_faults_total{kind=dup} = %d, want 1", got)
 	}
 	// The duplicate shares the immutable pooled buffer by reference (no
 	// byte copy); both deliveries must carry the frame and the refcount
@@ -115,8 +116,8 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 	if len(dst.at) != n {
 		t.Fatalf("delivered %d frames, want %d", len(dst.at), n)
 	}
-	if b.FaultReorders != n {
-		t.Errorf("FaultReorders = %d, want %d", b.FaultReorders, n)
+	if got := k.Metrics().Counter("bridge_faults_total", obs.L("kind", "reorder")).Value(); got != n {
+		t.Errorf("bridge_faults_total{kind=reorder} = %d, want %d", got, n)
 	}
 	// All frames were transmitted at the same instant; reordering must
 	// scatter their arrivals rather than preserve FIFO arrival times.
@@ -132,7 +133,7 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 // TestFaultsDeterministic: identical seeds and fault configs must produce
 // identical drop/duplicate decisions and delivery instants.
 func TestFaultsDeterministic(t *testing.T) {
-	run := func() (int, []sim.Time, int, int) {
+	run := func() (int, []sim.Time, int, int64) {
 		k := sim.NewKernel(42)
 		b := NewBridgeNamed(k, DefaultParams(), "")
 		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
@@ -144,7 +145,7 @@ func TestFaultsDeterministic(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return len(dst.at), dst.at, b.FaultDrops, b.FaultDups
+		return len(dst.at), dst.at, b.FaultDrops, k.Metrics().Counter("bridge_faults_total", obs.L("kind", "dup")).Value()
 	}
 	n1, at1, drops1, dups1 := run()
 	n2, at2, drops2, dups2 := run()

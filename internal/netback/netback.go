@@ -58,8 +58,8 @@ type Uplink interface {
 	// Flood carries a broadcast frame beyond the local bridge.
 	Flood(src ethernet.MAC, frame *bufpool.Buf)
 	// SteerRemote carries an L4-balancer steering decision toward a MAC
-	// homed on another host; reports false when the fabric cannot route it.
-	SteerRemote(dst ethernet.MAC, frame *bufpool.Buf) bool
+	// homed on another host; the fabric drops what it cannot route.
+	SteerRemote(dst ethernet.MAC, frame *bufpool.Buf)
 }
 
 // Faults is the bridge's deterministic network-impairment model. Every
@@ -103,15 +103,8 @@ type Bridge struct {
 	pool      *bufpool.Pool // frame staging buffers (VIF TX assembly)
 
 	// Stats
-	Forwarded     int
-	Flooded       int
-	Steered       int
-	NoRoute       int
-	PortDownDrops int
-	Bytes         int
-	FaultDrops    int
-	FaultDups     int
-	FaultReorders int
+	NoRoute    int
+	FaultDrops int
 
 	mxForwarded    *obs.Counter
 	mxFlooded      *obs.Counter
@@ -207,7 +200,6 @@ func (b *Bridge) SetFaults(f Faults) { b.faults = f }
 // and link serialisation — counts its bytes, and returns the instant it
 // clears the bridge.
 func (b *Bridge) charge(n int) sim.Time {
-	b.Bytes += n
 	b.mxBytes.Add(int64(n))
 	return b.Params.Reserve(b.CPU, b.Wire, n)
 }
@@ -221,9 +213,6 @@ func (b *Bridge) charge(n int) sim.Time {
 func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 	frame := f.Bytes()
 	if len(frame) < 14 || b.down[src] {
-		if b.down[src] {
-			b.PortDownDrops++
-		}
 		f.Release()
 		return
 	}
@@ -233,7 +222,6 @@ func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 	at := b.charge(len(frame))
 
 	if dst == ethernet.Broadcast {
-		b.Flooded++
 		b.mxFlooded.Inc()
 		b.floodLocal(src, at, f.Retain())
 		if b.uplink != nil {
@@ -256,7 +244,6 @@ func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 		f.Release()
 		return
 	}
-	b.Forwarded++
 	b.mxForwarded.Inc()
 	if tr := b.K.Trace(); tr.Enabled() {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-fwd", 0, 0,
@@ -300,7 +287,6 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 	at := b.charge(len(frame))
 
 	if dst == ethernet.Broadcast {
-		b.Flooded++
 		b.mxFlooded.Inc()
 		b.floodLocal(src, at, f)
 		return
@@ -311,26 +297,23 @@ func (b *Bridge) Inject(f *bufpool.Buf) {
 		f.Release()
 		return
 	}
-	b.Forwarded++
 	b.mxForwarded.Inc()
 	b.deliver(dst, pt, at, f)
 }
 
 // InjectSteer is Inject for a steered frame: deliver to the local port
-// owning dst regardless of the frame's embedded destination MAC. Returns
-// false (frame dropped) when dst is not attached here.
-func (b *Bridge) InjectSteer(dst ethernet.MAC, f *bufpool.Buf) bool {
+// owning dst regardless of the frame's embedded destination MAC. The frame
+// is dropped when dst is not attached here.
+func (b *Bridge) InjectSteer(dst ethernet.MAC, f *bufpool.Buf) {
 	pt, ok := b.endpoints[dst]
 	if !ok {
 		b.NoRoute++
 		f.Release()
-		return false
+		return
 	}
 	at := b.charge(f.Len())
-	b.Steered++
 	b.mxSteered.Inc()
 	b.deliver(dst, pt, at, f)
-	return true
 }
 
 // Steer forwards a frame to the endpoint owning dst regardless of the
@@ -338,33 +321,30 @@ func (b *Bridge) InjectSteer(dst ethernet.MAC, f *bufpool.Buf) bool {
 // virtual load balancer in the bridge path uses to hand a connection's
 // packets to the replica chosen for it, without rewriting the frame. Costs
 // and impairments are charged exactly as for Transmit; the caller yields its
-// frame reference. Returns false (frame discarded) when no endpoint owns dst.
-func (b *Bridge) Steer(dst ethernet.MAC, f *bufpool.Buf) bool {
+// frame reference. The frame is discarded when no endpoint owns dst.
+func (b *Bridge) Steer(dst ethernet.MAC, f *bufpool.Buf) {
 	pt, ok := b.endpoints[dst]
 	if !ok {
 		if b.uplink != nil {
 			// Charge the local traversal, then hand the steering decision
 			// to the fabric once the frame has cleared this bridge.
 			at := b.charge(f.Len())
-			b.Steered++
 			b.mxSteered.Inc()
 			u := b.uplink
 			b.K.At(at, func() { u.SteerRemote(dst, f) })
-			return true
+			return
 		}
 		b.NoRoute++
 		f.Release()
-		return false
+		return
 	}
 	at := b.charge(f.Len())
-	b.Steered++
 	b.mxSteered.Inc()
 	if tr := b.K.Trace(); tr.Enabled() {
 		tr.Instant(b.K.TraceTime(), "net", "bridge-steer", 0, 0,
 			obs.Str("dst", dst.String()), obs.Int("bytes", int64(f.Len())))
 	}
 	b.deliver(dst, pt, at, f)
-	return true
 }
 
 // TransmitBytes forwards a raw byte-slice frame (the slow path for callers
@@ -411,7 +391,6 @@ func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool
 	copies := 1
 	if f.Dup > 0 && rng.Float64() < f.Dup {
 		copies = 2
-		b.FaultDups++
 		b.mxFaultDup.Inc()
 		instant("dup")
 		frame.Retain()
@@ -420,7 +399,6 @@ func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool
 		when := at
 		if f.Reorder > 0 && rng.Float64() < f.Reorder {
 			when = when.Add(time.Duration(1 + rng.Int63n(int64(DefaultReorderWindow))))
-			b.FaultReorders++
 			b.mxFaultReorder.Inc()
 			instant("reorder")
 		}
@@ -566,11 +544,6 @@ type VIF struct {
 	rspPending  int    // RX responses pushed but not yet published
 	rxFlushes   int    // rxFlush events scheduled and not yet fired
 	rxFlushFunc func() // v.rxFlush, built once
-
-	// Stats
-	TxFrames int
-	RxFrames int
-	RxDrops  int // frames dropped because the guest posted no buffer
 }
 
 type pendingRx struct {
@@ -580,11 +553,9 @@ type pendingRx struct {
 
 // VIFBackend is the device-seam backend for the network device class: it
 // satisfies device.Backend structurally, so the generic connector can
-// attach network backends without this package importing it. Connect fills
-// VIF with the attached backend.
+// attach network backends without this package importing it.
 type VIFBackend struct {
 	Bridge *Bridge
-	VIF    *VIF
 }
 
 // Kind implements the device backend signature.
@@ -601,7 +572,7 @@ func (vb *VIFBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 	if tx == nil || rx == nil {
 		return fmt.Errorf("netback: handshake missing tx/rx rings")
 	}
-	vb.VIF = NewVIF(vb.Bridge, guest, mac, tx, rx, port)
+	NewVIF(vb.Bridge, guest, mac, tx, rx, port)
 	return nil
 }
 
@@ -676,13 +647,11 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 	defer f.Release()
 	v.refillPending()
 	if v.pendingRx.Len() == 0 {
-		v.RxDrops++
 		return
 	}
 	post := v.pendingRx.Pop()
 	page, err := v.guest.Grants.Map(post.gref)
 	if err != nil {
-		v.RxDrops++
 		return
 	}
 	frame := f.Bytes()
@@ -693,7 +662,6 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 	page.PutBytes(0, frame[:n])
 	v.guest.Grants.Unmap(post.gref, page)
 	v.rxBack.PushResponse(func(s *cstruct.View) { EncodeRxRsp(s, post.id, uint16(n), f.Span) })
-	v.RxFrames++
 	v.scheduleRxFlush()
 }
 
@@ -775,7 +743,6 @@ func (v *VIF) serve() {
 			if !more {
 				if ok && frame.Len() >= 14 {
 					v.transmit(frame)
-					v.TxFrames++
 				} else {
 					frame.Release()
 				}

@@ -7,6 +7,7 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/cstruct"
 	"repro/internal/ethernet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -44,8 +45,8 @@ func TestBridgeUnicastForwarding(t *testing.T) {
 	if len(c.frames) != 1 || len(a.frames) != 0 {
 		t.Errorf("frames: dst=%d src=%d", len(c.frames), len(a.frames))
 	}
-	if b.Forwarded != 1 {
-		t.Errorf("Forwarded = %d", b.Forwarded)
+	if got := k.Metrics().Counter("bridge_frames_total", obs.L("kind", "forwarded")).Value(); got != 1 {
+		t.Errorf("bridge_frames_total{kind=forwarded} = %d, want 1", got)
 	}
 }
 

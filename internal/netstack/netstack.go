@@ -92,8 +92,8 @@ type Stack struct {
 	rxEventFunc func(frame any, span uint64)
 
 	// Stats
-	RxPackets, TxPackets int
-	RxDropped            int
+	RxPackets int
+	RxDropped int
 }
 
 // New builds a stack over nif with static configuration cfg.
@@ -169,7 +169,6 @@ const txBatchMax = 16
 // exactly the same instant as the unbatched path did.
 func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 	at := st.VM.Dom.VCPU.Reserve(st.Params.TxCost)
-	st.TxPackets++
 	frame := page.Sub(0, n)
 	page.Release()
 	b := st.txCur

@@ -51,7 +51,6 @@ type ControllerConn struct {
 	out    Transport
 	framer Framer
 	macs   map[[6]byte]uint16 // learned MAC -> port
-	hellod bool
 }
 
 // Attach registers a switch connection; the controller immediately sends
@@ -148,11 +147,6 @@ type Switch struct {
 	framer     Framer
 	table      []FlowEntry
 	nextXID    uint32
-
-	// Stats
-	Matched    int
-	Missed     int
-	FlowsAdded int
 }
 
 // NewSwitch creates a switch that reports to the controller via out.
@@ -183,7 +177,6 @@ func (sw *Switch) Input(data []byte) error {
 			if err != nil {
 				return err
 			}
-			sw.FlowsAdded++
 			sw.table = append(sw.table, FlowEntry{Match: fm.Match, Priority: fm.Priority, OutPort: fm.OutPort})
 		case TypePacketOut:
 			// Datapath would emit the packet; nothing to model here.
@@ -207,10 +200,8 @@ func (sw *Switch) Forward(inPort uint16, frame []byte) (uint16, bool) {
 		}
 	}
 	if bestIdx >= 0 {
-		sw.Matched++
 		return sw.table[bestIdx].OutPort, true
 	}
-	sw.Missed++
 	sw.nextXID++
 	sw.out.Send(EncodePacketIn(PacketIn{
 		XID: sw.nextXID, BufferID: uint32(sw.nextXID), InPort: inPort, Data: frame,

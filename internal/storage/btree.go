@@ -52,7 +52,6 @@ type BTree struct {
 	// Stats
 	NodesWritten int
 	CacheMisses  int
-	Sets, Gets   int
 }
 
 // ErrUpdateInFlight fails an update issued while the previous one is still
@@ -242,7 +241,6 @@ func (t *BTree) Pages() uint64 { return t.nextPage }
 // Set inserts or replaces key. The promise resolves when the update is
 // durable (new path pages and superblock written).
 func (t *BTree) Set(key, value []byte) *lwt.Promise[struct{}] {
-	t.Sets++
 	if len(key) == 0 || len(key) > t.MaxKey || len(value) > t.MaxVal {
 		return lwt.FailWith[struct{}](t.s, fmt.Errorf("btree: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
@@ -312,7 +310,6 @@ func (t *BTree) insertNonFull(pg uint64, k, v []byte) *lwt.Promise[uint64] {
 
 // Get resolves with the value for key, or nil if absent.
 func (t *BTree) Get(key []byte) *lwt.Promise[[]byte] {
-	t.Gets++
 	return t.getAt(t.root, t.root, key)
 }
 

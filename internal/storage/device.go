@@ -45,8 +45,6 @@ type Device interface {
 type MemDevice struct {
 	S       *lwt.Scheduler
 	sectors map[uint64][]byte
-
-	Reads, Writes int
 }
 
 // NewMemDevice creates an empty in-memory device.
@@ -56,7 +54,6 @@ func NewMemDevice(s *lwt.Scheduler) *MemDevice {
 
 // Read implements Device.
 func (d *MemDevice) Read(sector uint64, sectors int) *lwt.Promise[*cstruct.View] {
-	d.Reads++
 	if sectors <= 0 || sectors > PageSectors {
 		return lwt.FailWith[*cstruct.View](d.S, fmt.Errorf("memdevice: bad read of %d sectors", sectors))
 	}
@@ -71,7 +68,6 @@ func (d *MemDevice) Read(sector uint64, sectors int) *lwt.Promise[*cstruct.View]
 
 // Write implements Device.
 func (d *MemDevice) Write(sector uint64, data []byte) *lwt.Promise[*cstruct.View] {
-	d.Writes++
 	if len(data) > cstruct.PageSize {
 		return lwt.FailWith[*cstruct.View](d.S, fmt.Errorf("memdevice: write larger than a page"))
 	}

@@ -26,8 +26,6 @@ type DurableKV struct {
 	overlay map[string][]byte
 	seqOf   map[string]uint64
 
-	// Stats
-	Sets, Gets, Deletes, Checkpoints int
 	// Replayed counts records recovered from the WAL at open.
 	Replayed int
 }
@@ -80,7 +78,6 @@ func OpenDurableKV(s *lwt.Scheduler, dev Device, walBase uint64, walSectors int)
 // Set stores key=value; the promise resolves once the WAL record is
 // durable (group commit may batch it with concurrent updates).
 func (kv *DurableKV) Set(key, value []byte) *lwt.Promise[struct{}] {
-	kv.Sets++
 	if len(key) == 0 || len(key) > kv.T.MaxKey || len(value) > kv.T.MaxVal {
 		return lwt.FailWith[struct{}](kv.s, fmt.Errorf("durablekv: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
@@ -98,7 +95,6 @@ func (kv *DurableKV) Set(key, value []byte) *lwt.Promise[struct{}] {
 
 // Delete removes key, durably.
 func (kv *DurableKV) Delete(key []byte) *lwt.Promise[struct{}] {
-	kv.Deletes++
 	seq := kv.W.nextSeq
 	return lwt.Map(kv.W.Append(walKindDel, key, nil), func(struct{}) struct{} {
 		k := string(key)
@@ -113,7 +109,6 @@ func (kv *DurableKV) Delete(key []byte) *lwt.Promise[struct{}] {
 // Get resolves with the value for key (nil if absent), reading the overlay
 // first and the B-tree beneath it.
 func (kv *DurableKV) Get(key []byte) *lwt.Promise[[]byte] {
-	kv.Gets++
 	if v, ok := kv.overlay[string(key)]; ok {
 		return lwt.Return(kv.s, v)
 	}
@@ -128,7 +123,6 @@ func (kv *DurableKV) Get(key []byte) *lwt.Promise[[]byte] {
 // overlay, if the tree runs out of pages below the WAL region part-way, or
 // with ErrUpdateInFlight if it overlaps another checkpoint still folding.
 func (kv *DurableKV) Checkpoint() *lwt.Promise[struct{}] {
-	kv.Checkpoints++
 	type entry struct {
 		key string
 		val []byte

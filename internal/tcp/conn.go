@@ -148,9 +148,7 @@ type Conn struct {
 	FastRetransmits int
 	Timeouts        int
 	PersistProbes   int
-	RstsRejected    int
 	BytesIn         int
-	BytesOut        int
 }
 
 // State returns the connection state.
@@ -375,7 +373,6 @@ func (c *Conn) trySend() {
 			}
 			c.send(flags, c.sndNxt, data, false)
 			c.sndNxt += uint32(n)
-			c.BytesOut += n
 			progress, sent = true, true
 		}
 		if !progress {
@@ -679,7 +676,6 @@ func (c *Conn) onPersist() {
 		c.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 		c.send(FlagACK|FlagPSH, c.sndNxt, data, false)
 		c.sndNxt++
-		c.BytesOut++
 	default: // queued FIN blocked by the window
 		c.finSent = true
 		c.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})

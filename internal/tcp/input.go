@@ -57,7 +57,6 @@ func (c *Conn) inputRst(seg Segment) {
 }
 
 func (c *Conn) rejectRst(seg Segment) {
-	c.RstsRejected++
 	c.st.mxRstsRejected.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "rst-rejected", c.st.TracePid, 0,

@@ -317,8 +317,6 @@ type Listener struct {
 	synRcvd map[connKey]*Conn
 	backlog fifo.Queue[*Conn]
 	waiters fifo.Queue[*lwt.Promise[*Conn]]
-	// Accepted counts connections handed to the application.
-	Accepted int
 }
 
 // HalfOpen returns the number of connections still in SynRcvd for this
@@ -380,7 +378,6 @@ func (l *Listener) Accept() *lwt.Promise[*Conn] {
 		return pr
 	}
 	if l.backlog.Len() > 0 {
-		l.Accepted++
 		pr.Resolve(l.backlog.Pop())
 		return pr
 	}
@@ -391,7 +388,6 @@ func (l *Listener) Accept() *lwt.Promise[*Conn] {
 // deliver hands a newly-established connection to an acceptor.
 func (l *Listener) deliver(c *Conn) {
 	if l.waiters.Len() > 0 {
-		l.Accepted++
 		l.waiters.Pop().Resolve(c)
 		return
 	}

@@ -15,9 +15,6 @@ import (
 // Store is the root of a xenstore tree.
 type Store struct {
 	values map[string]string
-
-	// Stats
-	Reads, Writes int
 }
 
 // New returns an empty store.
@@ -44,7 +41,6 @@ func (s *Store) Read(path string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	s.Reads++
 	v, ok := s.values[path]
 	if !ok {
 		return "", fmt.Errorf("xenstore: ENOENT %q", path)
@@ -58,7 +54,6 @@ func (s *Store) Write(path, value string) error {
 	if err != nil {
 		return err
 	}
-	s.Writes++
 	s.values[path] = value
 	return nil
 }
