@@ -299,6 +299,14 @@ func TestOneTimerOrder(t *testing.T) {
 	}
 }
 
+// retiredIDs are registry ids the frozen benchmark/README.md still pins
+// that the program no longer registers, each with the reason; layers.go sums
+// a missing counter as 0. An id listed here must appear in no source under
+// internal/.
+var retiredIDs = map[string]string{
+	"sim_cluster_late_deliveries_total": "exact W-wide epochs deliver every cross-shard send on time; a late one panics",
+}
+
 // TestKeepListAndPinnedSurface walks the sources (go/parser only): every
 // keep-list line names a function or field that exists and gives a reason
 // from the fixed set, every package under internal/ is imported, directly or
@@ -306,7 +314,8 @@ func TestOneTimerOrder(t *testing.T) {
 // cannot see a package nothing links), and every symbol of
 // benchmark/README.md's "Pinned API surface" still exists — so a deletion
 // that strands the keep-list or breaks the benchmark's contract fails
-// tier-1, before anyone runs the cover build.
+// tier-1, before anyone runs the cover build. The one exception is
+// retiredIDs below.
 func TestKeepListAndPinnedSurface(t *testing.T) {
 	text, err := os.ReadFile("keep.txt")
 	if err != nil {
@@ -396,6 +405,12 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 				for _, tk := range tick.FindAllStringSubmatch(ids, -1) {
 					id, _, _ := strings.Cut(tk[1], "{")
 					checked++
+					if why, ok := retiredIDs[id]; ok {
+						if literals[id] {
+							t.Errorf("pinned: %q is registered again; drop it from retiredIDs (%s)", id, why)
+						}
+						continue
+					}
 					if !literals[id] {
 						t.Errorf("pinned: string %q appears in no non-test source under internal/", id)
 					}

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"bytes"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -105,6 +106,44 @@ func TestSweepsShardedParity(t *testing.T) {
 					sw.name, configs[0].name, c.name, configs[0].name, out[si][0], c.name, out[si][ci])
 			}
 		}
+	}
+}
+
+// TestShardedTracksSerial: the 4-shard layout partitions one event queue
+// and models nothing of its own, so its figures must stay close to the
+// serial ones: losssweep goodput within 10 % at every loss rate, and
+// racksweep's p99 and p50 rows within 50 µs (the cross-shard lookahead adds
+// a few µs per hop). Cross-shard sends that arrive late, or a width that
+// defers a reply, show up here as a collapsed goodput or a tail in ms.
+func TestShardedTracksSerial(t *testing.T) {
+	runs := []struct {
+		name   string
+		run    func(core.Config) *Result
+		series []string
+		near   func(serial, sharded float64) bool
+		want   string
+	}{
+		{"losssweep", func(rc core.Config) *Result { return LossSweep(rc, 1<<20, nil) }, []string{"goodput"},
+			func(a, b float64) bool { return math.Abs(b-a) <= 0.1*a }, "within 10 %"},
+		{"racksweep", func(rc core.Config) *Result { return RackSweep(rc, 42, true) }, []string{"p99 ms", "p50 ms"},
+			func(a, b float64) bool { return math.Abs(b-a) <= 0.050 }, "within 50 µs"},
+	}
+	for _, r := range runs {
+		t.Run(r.name, func(t *testing.T) {
+			t.Parallel()
+			serial, sharded := r.run(core.Config{PCPUs: 1}), r.run(core.Config{PCPUs: 4})
+			for _, name := range r.series {
+				a, b := serial.Get(name), sharded.Get(name)
+				if a == nil || b == nil || len(a.Y) != len(b.Y) || len(a.Y) == 0 {
+					t.Fatalf("series %q missing or misshapen:\n%s\n%s", name, serial.Format(), sharded.Format())
+				}
+				for i := range a.Y {
+					if !r.near(a.Y[i], b.Y[i]) {
+						t.Errorf("%s at x=%v: 4 shards %.3f, serial %.3f, want %s", name, a.X[i], b.Y[i], a.Y[i], r.want)
+					}
+				}
+			}
+		})
 	}
 }
 

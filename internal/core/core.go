@@ -121,7 +121,8 @@ var shim struct{ pcpus int }
 //
 // Deprecated: kept, with its signature, for the one caller this tree cannot
 // change, the frozen benchmark/sut.go. Use Config{PCPUs}.NewPlatform; this,
-// shim and their test exemption go together with that call (ROADMAP item 3).
+// shim and their test exemption go together with that call (ROADMAP item 7,
+// "One kernel: benchmark v2, then delete sim.Cluster").
 func SetDefaultSharding(pcpus int, parallel bool) {
 	shim.pcpus = pcpus
 }

@@ -14,7 +14,7 @@ import (
 //
 // On a sharded platform replicas observe into the histograms from their own
 // shards while the control loop runs on shard 0, so the watchdog never reads
-// them live: it reads the cut publish took at the last round boundary, which
+// them live: it reads the cut publish took at the last epoch boundary, which
 // is a function of the virtual schedule and not of which shard ran first.
 type Watchdog struct {
 	f *Fleet
@@ -66,7 +66,7 @@ func newWatchdog(f *Fleet, targetUS float64) *Watchdog {
 		mxAlerts:   f.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f.spec.Name)),
 	}
 	if c := f.pl.Cluster; c != nil {
-		c.OnRoundEnd(w.publish)
+		c.OnEpochEnd(w.publish)
 	}
 	return w
 }

@@ -411,26 +411,14 @@ func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool
 	}
 }
 
-// replyHoldoff is how long after a cross-shard frame delivery the width
-// controller is told to expect return traffic: a delivered frame usually
-// provokes an ACK or a response within a few bridge latencies, and widening
-// epochs into that gap would defer the reply's visibility.
-const replyHoldoff = 4
-
 // schedule hands the frame to the endpoint at the given instant, posting
 // into the endpoint's home kernel when it lives on another shard. The
 // bridge propagation latency already baked into `at` is at least the
 // cluster lookahead, so the cross-shard post is (almost) never clamped.
-// Each cross-shard delivery also hints the cluster's width controller that
-// reply traffic is likely until shortly after the delivery instant, keeping
-// epochs narrow across request/response think-time gaps.
 func (b *Bridge) schedule(pt *port, at sim.Time, frame *bufpool.Buf) {
 	if pt.home != b.K {
 		e := pt.ep
 		b.K.PostAt(pt.home, at, func() { e.Deliver(frame) })
-		if c := b.K.Cluster(); c != nil {
-			c.HoldWide(at.Add(replyHoldoff * b.Params.Propagation))
-		}
 		return
 	}
 	b.K.AtArg(at, pt.deliver, frame, 0)

@@ -7,56 +7,27 @@
 // (bridge propagation, vchan/event-channel hops).
 //
 // The epoch barrier is null-message-free (Fujimoto-style conservative
-// synchronization): at each barrier the coordinator drains every mailbox in
-// a canonical order, computes each shard's next-event time, and grants
-// every shard one uniform window per epoch, anchored to a monotone horizon
+// synchronization): each epoch drains every mailbox, finds T, the earliest
+// pending work on any shard, and runs every shard that has work before
 //
-//	E_n = max(T, E_{n-1}) + width
+//	E = T + W
 //
-// where T is the earliest pending event on any shard and width is chosen by
-// the width controller (below). Mailbox drains sort by (timestamp, source
-// shard, source sequence) and then assign destination-local sequence
-// numbers, so the per-shard execution order — and every trace, metric and
-// experiment output — is a pure function of the virtual schedule.
-//
-// # Adaptive epoch widths
-//
-// A width fixed at W would pay one rendezvous per lookahead of virtual time
-// even when no shard is talking to any other, and one rendezvous per
-// cross-shard hop when they are. The driver instead iterates delivery rounds
-// inside the epoch: run the granted shards, drain the sends they posted,
-// and re-grant exactly the shards that received work inside the window,
-// until none did. A request chain thus crosses shards several hops per
-// epoch at its natural timestamps — targeted per-shard wakeups replace full
-// barriers — and the rendezvous count scales with the chosen width, not
-// with the wiring.
-//
-// The width controller picks the multiplier over W per epoch, driven only
-// by per-barrier counters and virtual-time hints — all deterministic
-// functions of the virtual schedule:
-//
-//   - every epoch that drained cross-shard sends doubles the width up to
-//     busyCap·W (traffic is when batching pays: concurrent request chains
-//     share the epoch's rounds), and an epoch that meets traffic at a
-//     quiet-stretch width above that clamps straight back to busyCap·W;
-//   - after quietThreshold consecutive epochs drained nothing (and any
-//     netback HoldWide hint has expired), the width doubles each epoch up
-//     to quietCap·W — idle stretches cost a handful of barriers instead of
-//     one per W.
-//
-// Widths beyond W trade bounded timeliness for rendezvous count: a send
-// can reach a destination whose clock already passed its arrival timestamp
-// (at most one window's worth, and only when the destination had denser
-// local work of its own). Such sends are delivered at the destination's
-// clock (the At clamp), deterministically, and counted in
-// sim_cluster_late_deliveries_total; rounds deliver everything else at its
-// natural timestamp.
+// up to (not including) E. A send posted inside the window leaves a shard
+// whose clock is at least T and lands at least W later, so at or after E:
+// no shard ever receives work inside a window it has already run, and every
+// send is delivered at its natural timestamp (drainMailboxes checks this).
+// Mailbox drains sort by (timestamp, source shard, source sequence) and
+// then assign destination-local sequence numbers, so the per-shard
+// execution order — and every trace, metric and experiment output — is a
+// pure function of the virtual schedule.
 package sim
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/obs"
@@ -80,41 +51,19 @@ type mailbox struct {
 	recycled bool     // q's backing array came from an earlier drain
 }
 
-// Width-controller tunables. Thresholds are in consecutive barriers, caps
-// are width multipliers over the static lookahead W.
-const (
-	quietThreshold  = 2   // zero-drain barriers before the width starts doubling
-	DefaultBusyCap  = 64  // width cap while cross-shard traffic is flowing
-	DefaultQuietCap = 256 // width cap while nothing is flowing
-)
-
 // Cluster is a set of shard kernels advanced in conservative epochs.
 type Cluster struct {
 	kernels []*Kernel
 	w       Time // lookahead: minimum cross-shard event latency
 	limit   Time // 0 = no limit (mirrors Kernel.limit cluster-wide)
 	stopped bool
-	windows []Time // windows[i] is shard i's grant for the current round (0 = idle)
 
-	// Width-controller state, read and written only at barriers.
-	mult     Time // current epoch width multiplier over W
-	quietRun int  // consecutive barriers that drained zero sends
-	busyCap  Time
-	quietCap Time
-	holdWide Time // do not widen before this instant (netback traffic hint)
-	horizon  Time // last epoch's window end (monotone)
-
-	roundEnd []func() // OnRoundEnd hooks
+	epochEnd []func() // OnEpochEnd hooks
 
 	mxEpochs  *obs.Counter
 	mxClamped *obs.Counter
 	mxElided  *obs.Counter
-	mxLate    *obs.Counter
 	mxReuse   *obs.Counter
-	mxWiden   *obs.Counter
-	mxWClamp  *obs.Counter
-	mxRounds  *obs.Counter
-	gWidth    *obs.Gauge
 }
 
 // NewClusterObs creates shards kernels sharing one virtual timeline, with
@@ -130,13 +79,7 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 	if w <= 0 {
 		panic("sim: cluster lookahead must be positive")
 	}
-	c := &Cluster{
-		w:        Time(w),
-		windows:  make([]Time, shards),
-		mult:     1,
-		busyCap:  DefaultBusyCap,
-		quietCap: DefaultQuietCap,
-	}
+	c := &Cluster{w: Time(w)}
 	k0 := NewKernelObs(seed, t, m)
 	k0.cluster = c
 	c.kernels = append(c.kernels, k0)
@@ -158,34 +101,17 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 	c.mxEpochs = m.Counter("sim_cluster_epochs_total")
 	c.mxClamped = m.Counter("sim_cluster_clamped_sends_total")
 	c.mxElided = m.Counter("sim_cluster_barriers_elided_total")
-	c.mxLate = m.Counter("sim_cluster_late_deliveries_total")
 	c.mxReuse = m.Counter("sim_cluster_mailbox_reuse_total")
-	c.mxWiden = m.Counter("sim_cluster_width_widenings_total")
-	c.mxWClamp = m.Counter("sim_cluster_width_clamps_total")
-	c.mxRounds = m.Counter("sim_cluster_rounds_total")
-	c.gWidth = m.Gauge("sim_cluster_width_mult")
-	c.gWidth.Set(1)
 	return c
 }
 
-// OnRoundEnd registers fn to run each time the granted shards have all
-// finished their windows, before the next grant — the one point inside Run
-// where no shard is executing. State that one shard writes and another
+// OnEpochEnd registers fn to run each time the epoch's shards have all
+// finished their windows, before the next barrier — the one point inside
+// Run where no shard is executing. State that one shard writes and another
 // reads mid-run (a shared histogram) is published to the reader here: the
 // cut is then a function of the virtual schedule, not of the order the
 // shards' windows ran in. Call before Run.
-func (c *Cluster) OnRoundEnd(fn func()) { c.roundEnd = append(c.roundEnd, fn) }
-
-// HoldWide tells the width controller not to widen epochs before virtual
-// time t: some endpoint expects cross-shard traffic (a delivered frame
-// usually provokes an ACK or a response) even though the next few barriers
-// may drain nothing. Deterministic — t derives from the virtual schedule.
-// Safe to call from any shard's context.
-func (c *Cluster) HoldWide(t Time) {
-	if t > c.holdWide {
-		c.holdWide = t
-	}
-}
+func (c *Cluster) OnEpochEnd(fn func()) { c.epochEnd = append(c.epochEnd, fn) }
 
 // Shards returns the number of shard kernels.
 func (c *Cluster) Shards() int { return len(c.kernels) }
@@ -264,14 +190,12 @@ func (k *Kernel) runWindow(winEnd Time) {
 }
 
 // drainMailboxes moves every parked cross-shard send into its destination
-// heap and returns how many it moved. Sends sort by (timestamp, source
-// shard, source sequence) before destination-local sequence numbers are
-// assigned, so the resulting order is independent of the order the shards'
-// windows ran in. A send whose destination clock already passed its
-// timestamp (possible inside widened epochs) is delivered at the
-// destination's current instant — the At clamp — and counted in
-// sim_cluster_late_deliveries_total.
-func (c *Cluster) drainMailboxes() int {
+// heap. Sends sort by (timestamp, source shard, source sequence) before
+// destination-local sequence numbers are assigned, so the resulting order
+// is independent of the order the shards' windows ran in. A send behind its
+// destination's clock would break the epoch invariant (every send lands at
+// or after the window its sender ran in), so it panics.
+func (c *Cluster) drainMailboxes() {
 	for _, k := range c.kernels {
 		m := &k.mbox
 		q := m.q
@@ -282,31 +206,20 @@ func (c *Cluster) drainMailboxes() int {
 		m.recycled = cap(m.proc) > 0
 		m.proc = q
 	}
-	total := 0
 	for _, k := range c.kernels {
 		q := k.mbox.proc
-		if len(q) == 0 {
-			continue
-		}
-		total += len(q)
-		sort.Slice(q, func(i, j int) bool {
-			if q[i].at != q[j].at {
-				return q[i].at < q[j].at
-			}
-			if q[i].src != q[j].src {
-				return q[i].src < q[j].src
-			}
-			return q[i].seq < q[j].seq
+		slices.SortFunc(q, func(a, b xevent) int {
+			return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.src, b.src), cmp.Compare(a.seq, b.seq))
 		})
 		for i := range q {
 			if q[i].at < k.now {
-				c.mxLate.Inc()
+				panic(fmt.Sprintf("sim: late cross-shard delivery to shard %d: send from shard %d at %v, shard clock %v",
+					k.shard, q[i].src, q[i].at, k.now))
 			}
 			k.At(q[i].at, q[i].fn)
 			q[i].fn = nil // drop the closure reference until the slot recycles
 		}
 	}
-	return total
 }
 
 // mailboxesPending reports whether any cross-shard send is still parked.
@@ -319,78 +232,15 @@ func (c *Cluster) mailboxesPending() bool {
 	return false
 }
 
-// updateWidth advances the width controller with this barrier's drain
-// count. T is the global next-event floor. Called only at barriers.
-func (c *Cluster) updateWidth(drained int, T Time) {
-	prev := c.mult
-	if drained > 0 {
-		c.quietRun = 0
-		if c.mult > c.busyCap {
-			// A quiet-stretch width met live traffic: clamp straight back
-			// to the busy regime.
-			c.mult = c.busyCap
-		} else if c.mult < c.busyCap {
-			// Traffic is exactly when batching pays: each barrier already
-			// costs a rendezvous, so widen immediately (up to busyCap) and
-			// let concurrent request chains share the next one.
-			c.mult *= 2
-			if c.mult > c.busyCap {
-				c.mult = c.busyCap
-			}
-		}
-	} else {
-		c.quietRun++
-		if c.quietRun >= quietThreshold && T > c.holdWide && c.mult < c.quietCap {
-			c.mult *= 2
-			if c.mult > c.quietCap {
-				c.mult = c.quietCap
-			}
-		}
-	}
-	if c.mult > prev {
-		c.mxWiden.Inc()
-	} else if c.mult < prev {
-		c.mxWClamp.Inc()
-	}
-	if c.mult != prev {
-		c.gWidth.Set(float64(c.mult))
-	}
-}
-
-// runGranted executes every shard whose windows entry is nonzero, in shard
-// order, and re-raises any shard panic deterministically.
-func (c *Cluster) runGranted() {
-	for i, k := range c.kernels {
-		if c.windows[i] != 0 {
-			k.safeWindow(c.windows[i])
-		}
-	}
-	for _, k := range c.kernels {
-		if k.panicked {
-			panic(k.panicVal)
-		}
-	}
-}
-
-// runEpochs is the barrier loop.
-//
-// Each epoch grants windows, then iterates delivery rounds to a fixpoint:
-// run the granted shards, drain the sends they posted, and re-grant exactly
-// the shards that received new work inside their window, until none did.
-// The rounds let a request chain cross shards several hops per epoch at its
-// natural timestamps instead of one hop per barrier: cheap targeted wakeups
-// replace full rendezvous, which is what lets the width controller actually
-// shrink sim_cluster_epochs_total. Rounds terminate because every mailbox
-// trip moves a send at least W past the posting shard's clock, so a chain
-// runs out of window after at most 2·width/W hops.
+// runEpochs is the barrier loop: drain the mailboxes, find the earliest
+// pending work T, and run every shard with work before E = T + W up to E in
+// shard order. A panic in a window propagates at once, as on a plain kernel.
 func (c *Cluster) runEpochs() {
 	n := len(c.kernels)
 	next := make([]Time, n)
 	has := make([]bool, n)
-	carry := 0 // sends drained by the previous epoch's rounds
 	for !c.stopped {
-		drained := carry + c.drainMailboxes()
-		carry = 0
+		c.drainMailboxes()
 		T := Time(math.MaxInt64)
 		any := false
 		for i, k := range c.kernels {
@@ -400,82 +250,28 @@ func (c *Cluster) runEpochs() {
 				any = true
 			}
 		}
-		if !any {
+		if !any || (c.limit != 0 && T > c.limit) {
 			break
 		}
-		if c.limit != 0 && T > c.limit {
-			break
-		}
-		c.updateWidth(drained, T)
-		// One uniform window per epoch, anchored to a monotone horizon:
-		// E_n = max(T, E_{n-1}) + width. The horizon advances a full
-		// width per barrier even while early arrivals drag the floor T
-		// back, so the virtual time covered per rendezvous — and hence
-		// the barrier savings — scales with the width multiplier. The
-		// shard holding the floor always satisfies next < E, so every
-		// epoch makes progress.
-		win := T
-		if c.horizon > win {
-			win = c.horizon
-		}
-		win += c.w * c.mult
-		c.horizon = win
-		for i := range c.kernels {
+		end := T + c.w
+		for i, k := range c.kernels {
 			if !has[i] {
-				c.windows[i] = 0
 				continue
 			}
-			if next[i] >= win {
+			if next[i] >= end {
 				// Quiet-shard elision: every event (heap and timing wheel
-				// both feed nextWork) lies at or past the horizon, so the
-				// window would run nothing — skip the rendezvous.
-				c.windows[i] = 0
+				// both feed nextWork) lies at or past the window's end, so
+				// the window would run nothing — skip it.
 				c.mxElided.Inc()
 				continue
 			}
-			c.windows[i] = win
+			k.runWindow(end)
 		}
-		for {
-			c.runGranted()
-			for _, fn := range c.roundEnd {
-				fn()
-			}
-			got := c.drainMailboxes()
-			carry += got
-			if got == 0 {
-				break
-			}
-			// Re-grant exactly the shards that now hold work inside the
-			// window (a drained send, or a timer it re-armed). step refuses
-			// events past the cluster limit, so don't re-grant for those.
-			regrant := false
-			for i, k := range c.kernels {
-				c.windows[i] = 0
-				if nw, ok := k.nextWork(); ok && nw < win && (c.limit == 0 || nw <= c.limit) {
-					c.windows[i] = win
-					regrant = true
-				}
-			}
-			if !regrant {
-				break
-			}
-			c.mxRounds.Inc()
+		for _, fn := range c.epochEnd {
+			fn()
 		}
 		c.mxEpochs.Inc()
 	}
-}
-
-// safeWindow runs one window, converting a proc panic (re-raised by step)
-// into the kernel's recorded panic state so runGranted re-panics it
-// deterministically after the round.
-func (k *Kernel) safeWindow(winEnd Time) {
-	defer func() {
-		if v := recover(); v != nil {
-			k.panicked = true
-			k.panicVal = v
-		}
-	}()
-	k.runWindow(winEnd)
 }
 
 // Run executes the cluster until no shard has pending work (or Stop /

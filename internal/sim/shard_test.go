@@ -3,6 +3,7 @@ package sim
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -173,11 +174,11 @@ func TestParallelStopMidRun(t *testing.T) {
 	}
 }
 
-// TestAdaptiveByteIdentityShardCounts pins same-seed byte-identity of the
-// adaptive driver at the shard counts repro's -pcpus 1/2/4 produce (pcpus +
+// TestByteIdentityShardCounts pins same-seed byte-identity of the
+// epoch driver at the shard counts repro's -pcpus 1/2/4 produce (pcpus +
 // the dom0 shard): two runs agree on every log line, the final time, the
 // metrics and the trace.
-func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
+func TestByteIdentityShardCounts(t *testing.T) {
 	for _, shards := range []int{2, 3, 5} {
 		aLog, aEnd, aMet, aTr := clusterRunShards(t, shards)
 		bLog, bEnd, bMet, bTr := clusterRunShards(t, shards)
@@ -196,66 +197,67 @@ func TestAdaptiveByteIdentityShardCounts(t *testing.T) {
 	}
 }
 
-// TestAdaptiveWidthRampAndClamp drives the width controller through both
-// regimes: a quiet stretch of local-only timers must widen the epochs past
-// the busy cap, and a cross-shard burst mid-run must clamp them straight
-// back to it.
-func TestAdaptiveWidthRampAndClamp(t *testing.T) {
+// TestEpochWindowInvariant pins the property the epoch loop rests on. A
+// chain of zero-delay Posts across three shards is clamped up to the
+// lookahead W on every hop, so each send lands exactly W after its sender's
+// clock; and a send that would land behind its destination's clock — which
+// no Post can produce — panics at the barrier, naming the shard.
+func TestEpochWindowInvariant(t *testing.T) {
+	const w = 10 * time.Microsecond
 	reg := obs.NewRegistry()
-	c := NewClusterObs(11, 2, 10*time.Microsecond, nil, reg)
-	c.busyCap, c.quietCap = 4, 32
-	k0, k1 := c.Kernel(0), c.Kernel(1)
-
-	ticks := 0
-	k1.Spawn("local-ticker", func(p *Proc) {
-		for i := 0; i < 100; i++ {
-			p.Sleep(20 * time.Microsecond)
-			ticks++
-		}
+	c := NewClusterObs(11, 3, w, nil, reg)
+	k0, k1, k2 := c.Kernel(0), c.Kernel(1), c.Kernel(2)
+	var sent, landed []Time
+	hop := func(src, dst *Kernel, next func()) {
+		sent = append(sent, src.Now())
+		src.Post(dst, 0, func() {
+			landed = append(landed, dst.Now())
+			next()
+		})
+	}
+	k0.Spawn("chain", func(p *Proc) {
+		p.Sleep(7 * time.Microsecond)
+		hop(k0, k1, func() {
+			hop(k1, k2, func() {
+				hop(k2, k0, func() {})
+			})
+		})
 	})
-	if _, err := c.RunFor(2001 * time.Microsecond); err != nil {
-		t.Fatalf("quiet leg: %v", err)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
 	}
-	if ticks != 100 {
-		t.Errorf("%d local ticks, want 100", ticks)
+	if len(landed) != 3 {
+		t.Fatalf("%d hops landed, want 3", len(landed))
 	}
-	if m := c.mult; m <= 4 {
-		t.Errorf("width mult %d after quiet stretch, want > busy cap 4", m)
+	for i := range landed {
+		if want := sent[i].Add(w); landed[i] != want {
+			t.Errorf("hop %d sent at %v landed at %v, want %v", i, sent[i], landed[i], want)
+		}
 	}
-	if w := reg.Counter("sim_cluster_width_widenings_total").Value(); w == 0 {
-		t.Errorf("no widenings recorded over a quiet stretch")
+	if n := reg.Counter("sim_cluster_clamped_sends_total").Value(); n != 3 {
+		t.Errorf("sim_cluster_clamped_sends_total = %d, want 3", n)
 	}
 
-	// A sustained burst: long enough to span many epochs, with the
-	// RunFor limit landing while traffic is still flowing so the
-	// clamped width is observable at the leg boundary.
-	delivered := 0
-	k0.Spawn("burster", func(p *Proc) {
-		for i := 0; i < 200; i++ {
-			p.Sleep(30 * time.Microsecond)
-			k0.Post(k1, 0, func() { delivered++ })
-		}
-	})
-	if _, err := c.RunFor(3 * time.Millisecond); err != nil {
-		t.Fatalf("burst leg: %v", err)
+	if _, err := c.RunFor(time.Millisecond); err != nil {
+		t.Fatal(err)
 	}
-	if delivered == 0 || delivered >= 200 {
-		t.Errorf("%d cross-shard sends delivered at the limit, want mid-burst", delivered)
-	}
-	if m := c.mult; m != 4 {
-		t.Errorf("width mult %d after burst, want clamp to busy cap 4", m)
-	}
-	if cl := reg.Counter("sim_cluster_width_clamps_total").Value(); cl == 0 {
-		t.Errorf("no clamps recorded across a quiet->traffic transition")
+	k2.mbox.q = append(k2.mbox.q, xevent{at: k2.Now() - 1, src: 1, seq: 1, fn: func() {}})
+	got := func() (v any) {
+		defer func() { v = recover() }()
+		c.Run()
+		return nil
+	}()
+	if s := fmt.Sprint(got); got == nil || !strings.Contains(s, "late cross-shard delivery to shard 2") {
+		t.Errorf("panic = %v, want a late delivery to shard 2", got)
 	}
 }
 
-// TestAdaptiveElisionTimerPastHorizon parks one timer on an otherwise-idle
-// shard well past the first epochs' horizon. The shard must be elided from
-// early barriers (it has provably nothing to run), yet once the widened
-// window reaches the timer the shard must be granted again and the timer
-// must fire at exactly its natural timestamp.
-func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
+// TestElisionTimerPastHorizon parks one timer on an otherwise-idle shard
+// well past the first epochs' windows. The shard must be elided from early
+// barriers (it has provably nothing to run), yet once a window reaches the
+// timer the shard must run again and the timer must fire at exactly its
+// natural timestamp.
+func TestElisionTimerPastHorizon(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewClusterObs(3, 3, 10*time.Microsecond, nil, reg)
 
@@ -279,11 +281,11 @@ func TestAdaptiveElisionTimerPastHorizon(t *testing.T) {
 	}
 }
 
-// TestAdaptiveStopAtInsideWidenedEpoch lets the quiet controller widen the
-// windows, then checks a RunFor limit landing mid-window: events up to the
-// limit run, events past it stay parked, and every shard clock aligns on
-// the limit so the next leg resumes consistently.
-func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
+// TestStopAtInsideEpoch checks a RunFor limit landing mid-window: the last
+// epoch of the first leg covers [1000µs, 1010µs) and the limit is 1005µs.
+// Events up to the limit run, events past it stay parked, and every shard
+// clock aligns on the limit so the next leg resumes consistently.
+func TestStopAtInsideEpoch(t *testing.T) {
 	c := NewClusterObs(13, 3, 10*time.Microsecond, nil, nil)
 	k1 := c.Kernel(1)
 	ticks := 0
@@ -293,18 +295,15 @@ func TestAdaptiveStopAtInsideWidenedEpoch(t *testing.T) {
 			ticks++
 		}
 	})
-	end, err := c.RunFor(1010 * time.Microsecond)
+	end, err := c.RunFor(1005 * time.Microsecond)
 	if err != nil {
 		t.Fatalf("first leg: %v", err)
-	}
-	if c.mult <= 1 {
-		t.Fatalf("width never widened (mult %d); limit did not land inside a widened epoch", c.mult)
 	}
 	if ticks != 50 {
 		t.Errorf("%d ticks at the limit, want 50", ticks)
 	}
-	if end != Time(1010*time.Microsecond) {
-		t.Errorf("first leg ended at %v, want 1.01ms", end)
+	if end != Time(1005*time.Microsecond) {
+		t.Errorf("first leg ended at %v, want 1.005ms", end)
 	}
 	for i := 0; i < c.Shards(); i++ {
 		if n := c.Kernel(i).Now(); n != end {

@@ -302,7 +302,7 @@ func (d discardDevice) Write(sector uint64, data []byte) *lwt.Promise[*cstruct.V
 // tree's scratch page they cost no allocation of their own; what a Set still
 // allocates is node copies, promises and closures — about 6.6 KB on a
 // three-level tree. That is more than the single page ISSUE 15 budgeted
-// (ROADMAP item 2 says where the rest goes), so the bound here is two pages:
+// (ROADMAP item 8 (a), "lwt", says where the rest goes), so the bound here is two pages:
 // one page-sized allocation per Set, let alone per node, breaks it. (A fresh
 // page per node put a Set above four and a half.)
 func TestBTreeSetAllocatesNoPages(t *testing.T) {
