@@ -20,6 +20,7 @@ package main
 
 import (
 	"fmt"
+	"go/ast"
 	"io"
 	"os"
 	"path"
@@ -120,6 +121,21 @@ func floor(never, total int) string {
 	return fmt.Sprintf("%d of %d statements under internal/ never executed (%.1f %%)", never, total, 100*float64(never)/float64(total))
 }
 
+// fieldLine is `make reach`'s field line: the walk's fields, the exported
+// ones among them and those only tests read.
+func fieldLine(walk map[string]int) string {
+	exported, tests := 0, 0
+	for key, w := range walk {
+		if ast.IsExported(key[strings.LastIndexAny(key, ". ")+1:]) {
+			exported++
+		}
+		if w == testRead {
+			tests++
+		}
+	}
+	return fmt.Sprintf("%d struct fields under internal/, %d exported, 0 unread outside the keep-list, %d read only by tests", len(walk), exported, tests)
+}
+
 // reasonKinds are the keep-list reasons by kind (the part before any colon),
 // in the order summary prints them.
 var reasonKinds = []string{"paper", "safety", "pinned", "test-reference", "debug"}
@@ -180,6 +196,6 @@ func main() {
 	}
 	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never-who[unread], funcs)
 	fmt.Println("reach:", floor(unrun, stmts))
-	fmt.Printf("reach: %d struct fields under internal/, 0 unread outside the keep-list, %d read only by tests\n", len(walk), who[testRead])
+	fmt.Println("reach:", fieldLine(walk))
 	fmt.Println("reach:", summary(keep, walk))
 }

@@ -88,7 +88,8 @@ repro/internal/sim/sim.go:39.31,41.2 2 0
 // TestFieldGate type-checks the fixture module under testdata/fieldmod and
 // holds its keep-list against it the way main does: a write-only field
 // fails, a stale field line fails, and a field read only by a test, a tagged
-// one, the fields of a map key and a listed one pass.
+// one, the fields of a map key and a listed one pass. The field line counts
+// the exported ones.
 func TestFieldGate(t *testing.T) {
 	walk, err := walkFields("testdata/fieldmod")
 	if err != nil {
@@ -101,6 +102,9 @@ func TestFieldGate(t *testing.T) {
 	}
 	if fmt.Sprint(walk) != fmt.Sprint(want) {
 		t.Errorf("fields by reader (0 none, 1 tests only, 2 other code):\n%v\nwant:\n%v", walk, want)
+	}
+	if got, want := fieldLine(walk), "8 struct fields under internal/, 5 exported, 0 unread outside the keep-list, 1 read only by tests"; got != want {
+		t.Errorf("field line = %q, want %q", got, want)
 	}
 	keep, _ := parseKeep("internal/p T.Kept paper:Fig14\ninternal/p T.Stale paper:Fig14\n")
 	called := map[string]bool{}

@@ -16,6 +16,7 @@ import (
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 )
 
 var mask = ipv4.AddrFrom4(255, 255, 255, 0)
@@ -84,6 +85,8 @@ func main() {
 		fmt.Println(" ", l)
 	}
 	fmt.Printf("\nboot-to-ready: %v (paper: sub-50ms guest start on an async toolstack)\n", d.BootTime())
+	ops := pl.K.Metrics().Snapshot()
+	op := func(name string) int64 { return ops.Sum("grant_ops_total", obs.L("dom", d.Name), obs.L("op", name)) }
 	fmt.Printf("grant ops: %d grants, %d maps, %d copies; page pool: %d pages allocated, %d in use\n",
-		d.Grants.Grants, d.Grants.Maps, d.Grants.Copies, d.Pool.Allocated, d.Pool.InUse)
+		op("grant"), op("map"), op("copy"), d.Pool.Allocated, d.Pool.InUse)
 }

@@ -25,6 +25,10 @@ import (
 // (with mem stats enabled) the process heap is sampled to report simulated
 // bytes per connection across both endpoints and the fabric.
 
+// csTimeWait is the client-side TIME_WAIT: longer than the whole close
+// ramp, so the mass close parks every connection on the wheels at once.
+const csTimeWait = 60 * time.Second
+
 // csConfig sizes one sweep. connGap/closeGap are the *global* spacing
 // between connection events; they pace the fleet-wide ramp so dom0's
 // per-frame bridge cost is never saturated (a handshake is ~5 bridge
@@ -39,7 +43,6 @@ type csConfig struct {
 	settle      time.Duration // ramp-end to probe start
 	probeReqs   int
 	think       time.Duration
-	timeWait    time.Duration // client-side TIME_WAIT (parks the wheel)
 	handlerCost time.Duration
 }
 
@@ -55,7 +58,6 @@ func csConf(quick bool) csConfig {
 			settle:      50 * time.Millisecond,
 			probeReqs:   15,
 			think:       500 * time.Microsecond,
-			timeWait:    60 * time.Second,
 			handlerCost: 200 * time.Microsecond,
 		}
 	}
@@ -71,7 +73,6 @@ func csConf(quick bool) csConfig {
 		settle:      100 * time.Millisecond,
 		probeReqs:   40,
 		think:       time.Millisecond,
-		timeWait:    60 * time.Second,
 		handlerCost: 200 * time.Microsecond,
 	}
 }
@@ -121,6 +122,7 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 		Main: func(env *core.Env) int {
 			s := env.VM.S
 			cl.st = env.Net.TCP
+			cl.st.Params.TimeWait = csTimeWait
 			done := lwt.NewPromise[struct{}](s)
 
 			var closer func(k int)
@@ -182,10 +184,6 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 		Net: &netstack.Config{
 			MAC: core.MAC(0x80 + byte(idx)), IP: ipv4.AddrFrom4(10, 0, 0, 120+uint8(idx)),
 			Netmask: benchMask,
-			// The mass close must leave every connection parked in
-			// TIME_WAIT simultaneously, so the client-side hold is longer
-			// than the whole close ramp.
-			TCPParams: func(p *tcp.Params) { p.TimeWait = cfg.timeWait },
 		},
 		PCPU: -1,
 	})
@@ -263,7 +261,7 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 	closeStart := cur
 	closeEnd := closeStart + time.Duration(total)*cfg.closeGap
 	closeBarrier := closeEnd + cfg.settle
-	drainEnd := closeEnd + cfg.timeWait + 500*time.Millisecond
+	drainEnd := closeEnd + csTimeWait + 500*time.Millisecond
 
 	rn := newRun(rc, "connsweep", seed)
 	pl := rn.pl
@@ -328,25 +326,22 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 	closeQueue := pl.K.EventQueueLen()
 
 	metrics := rn.finish(drainEnd, "tcp_", "lb_", "fleet_")
+	counts := pl.K.Metrics().Snapshot().Diff(rn.before)
 
-	openAfter, closedTotal, portsExhausted, probeFail := 0, 0, 0, 0
+	openAfter, closedTotal, probeFail := 0, 0, 0
 	for _, t := range probe {
 		probeFail += t.sessFail
 	}
 	for _, cl := range clients {
 		openAfter += cl.st.Conns()
 		closedTotal += cl.closed
-		portsExhausted += cl.st.PortsExhausted()
 	}
-	serverAfter, ckSent, ckValid, ckFail := 0, 0, 0, 0
+	serverAfter := 0
 	for _, st := range stacks {
 		if st == nil {
 			continue
 		}
 		serverAfter += st.Conns()
-		ckSent += st.SynCookiesSent()
-		ckValid += st.SynCookiesValidated()
-		ckFail += st.SynCookiesFailed()
 	}
 
 	res := &Result{
@@ -386,9 +381,10 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 		"run peaks: event heap %d, wheel timers %d", pl.K.EventHeapPeak(), pl.K.WheelTimerPeak()))
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"after drain: client conns %d, server conns %d, ports exhausted %d, probe failures %d",
-		openAfter, serverAfter, portsExhausted, probeFail))
+		openAfter, serverAfter, counts.Sum("tcp_ports_exhausted_total"), probeFail))
 	res.Notes = append(res.Notes, fmt.Sprintf(
-		"syn cookies: sent %d validated %d failed %d", ckSent, ckValid, ckFail))
+		"syn cookies: sent %d validated %d failed %d", counts.Sum("tcp_syncookies_sent_total"),
+		counts.Sum("tcp_syncookies_validated_total"), counts.Sum("tcp_syncookies_failed_total")))
 	if memStats {
 		last := len(steps) - 1
 		perConn := float64(0)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/lwt"
 	"repro/internal/netback"
 	"repro/internal/netstack"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/tcp"
 )
@@ -19,18 +20,14 @@ var DefaultLossRates = []float64{0, 0.005, 0.01, 0.05}
 
 // lossRunStats collects the observables of one impaired transfer.
 type lossRunStats struct {
-	goodput         float64 // application payload Mb/s
-	retransmits     int
-	fastRetransmits int
-	timeouts        int
-	persistProbes   int
-	bridgeDrops     int
-	appendix        []string
+	goodput  float64      // application payload Mb/s
+	counts   obs.Snapshot // the run's registry diff: the loss-recovery counters
+	appendix []string
 }
 
 // lossSweepRun transfers bytesPerFlow from a client guest to a server
-// guest across a bridge configured with faults and returns goodput plus
-// the TCP loss-recovery counters. Both guests run the full device path
+// guest across a bridge configured with faults and returns goodput and
+// the run's registry diff. Both guests run the full device path
 // (grant-copy TX, posted RX, ARP, IP), so every dropped frame exercises
 // the same recovery machinery a real deployment would.
 func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossRunStats {
@@ -42,7 +39,6 @@ func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossR
 
 	received := 0
 	var startAt, doneAt sim.Time
-	var sndConn, rcvConn *tcp.Conn
 
 	pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "sink", Roots: []string{"tcp"}},
@@ -52,7 +48,6 @@ func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossR
 				panic(err)
 			}
 			fin := lwt.Bind(l.Accept(), func(c *tcp.Conn) *lwt.Promise[struct{}] {
-				rcvConn = c
 				var loop func() *lwt.Promise[struct{}]
 				loop = func() *lwt.Promise[struct{}] {
 					return lwt.Bind(c.Read(256<<10), func(data []byte) *lwt.Promise[struct{}] {
@@ -79,7 +74,6 @@ func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossR
 			env.P.Sleep(2 * time.Second)
 			startAt = env.VM.S.K.Now()
 			fin := lwt.Bind(env.Net.TCP.Connect(serverIP, 5001), func(c *tcp.Conn) *lwt.Promise[struct{}] {
-				sndConn = c
 				return lwt.Bind(c.Write(payload), func(int) *lwt.Promise[struct{}] {
 					c.Close()
 					return c.Done()
@@ -95,18 +89,11 @@ func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossR
 			received, bytesPerFlow, faults.Drop))
 	}
 	secs := doneAt.Sub(startAt).Seconds()
-	st := lossRunStats{goodput: float64(bytesPerFlow) * 8 / 1e6 / secs, appendix: appendix}
-	for _, c := range []*tcp.Conn{sndConn, rcvConn} {
-		if c == nil {
-			continue
-		}
-		st.retransmits += c.Retransmits
-		st.fastRetransmits += c.FastRetransmits
-		st.timeouts += c.Timeouts
-		st.persistProbes += c.PersistProbes
+	return lossRunStats{
+		goodput:  float64(bytesPerFlow) * 8 / 1e6 / secs,
+		counts:   pl.K.Metrics().Snapshot().Diff(rn.before),
+		appendix: appendix,
 	}
-	st.bridgeDrops = pl.Bridge.FaultDrops
-	return st
 }
 
 // LossSweep measures TCP goodput and loss-recovery activity while the
@@ -134,10 +121,12 @@ func LossSweep(rc core.Config, bytesPerFlow int, rates []float64) *Result {
 		st := lossSweepRun(rc, netback.Faults{Drop: rate}, bytesPerFlow)
 		s.X = append(s.X, rate*100)
 		s.Y = append(s.Y, st.goodput)
+		c := st.counts
 		r.Notes = append(r.Notes, fmt.Sprintf(
 			"loss=%.1f%%: goodput=%.1f Mb/s retx=%d fast=%d rto=%d persist=%d bridge-drops=%d",
-			rate*100, st.goodput, st.retransmits, st.fastRetransmits, st.timeouts,
-			st.persistProbes, st.bridgeDrops))
+			rate*100, st.goodput, c.Sum("tcp_retransmits_total"), c.Sum("tcp_fast_retransmits_total"),
+			c.Sum("tcp_rto_timeouts_total"), c.Sum("tcp_persist_probes_total"),
+			c.Sum("bridge_faults_total", obs.L("kind", "drop"))))
 		if i == len(rates)-1 {
 			r.Metrics = append(r.Metrics, fmt.Sprintf("[drop=%.1f%%]", rate*100))
 			r.Metrics = append(r.Metrics, st.appendix...)

@@ -8,6 +8,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/datacenter"
 	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -66,9 +67,9 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 	pl := rn.pl
 	pl.AddHost("h1")
 	pl.AddHost("h2")
-	// Default topology: two hosts per rack, so h0+h1 share a ToR and h2
-	// sits in the second rack — the h1->h2 migration crosses the spine.
-	dc := datacenter.New(pl, datacenter.Topology{})
+	// Two hosts per rack, so h0+h1 share a ToR and h2 sits in the second
+	// rack — the h1->h2 migration crosses the spine.
+	dc := datacenter.New(pl)
 
 	handlerCost := time.Millisecond
 	if quick {
@@ -134,6 +135,8 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 
 	end := swWarmup + cfg.durs[0] + cfg.durs[1] + cfg.durs[2]
 	metrics := rn.finish(end+cfg.tail, "dc_", "fleet_", "lb_")
+	counts := pl.K.Metrics().Snapshot().Diff(rn.before)
+	frames := func(kind string) int64 { return counts.Sum("dc_fabric_frames_total", obs.L("kind", kind)) }
 	stats := mergeTallies(loads)
 
 	// Hard invariants: these are what the experiment exists to show, so a
@@ -178,8 +181,9 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 		fmt.Sprintf("migration blackout %d us (freeze to serving again on h2)",
 			blackout.Microseconds()),
 		fmt.Sprintf("fabric: forwards=%d floods=%d steers=%d unknown-floods=%d drops=%d",
-			dc.Forwards, dc.Floods, dc.Steers, dc.UnknownFloods, dc.Drops),
-		fmt.Sprintf("migrations=%d host-kills=%d", dc.Migrations, dc.HostKills))
+			frames("forward"), frames("flood"), frames("steer"), frames("unknown-flood"),
+			counts.Sum("dc_fabric_drops_total")),
+		fmt.Sprintf("migrations=%d host-kills=%d", counts.Sum("dc_migrations_total"), counts.Sum("dc_host_kills_total")))
 	for p := range phases {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"phase %d: sessions ok=%d fail=%d", p, stats[p].sessOK, stats[p].sessFail))

@@ -50,9 +50,8 @@ func TestConfigReachesEveryHost(t *testing.T) {
 				t.Fatal(err)
 			}
 			delivered += dst.got
-			dropped += s.Bridge.FaultDrops
 		}
-		return
+		return delivered, int(pl.K.Metrics().Counter("bridge_faults_total", obs.L("kind", "drop")).Value())
 	}
 	if got, dropped := send(impaired); got != 0 || dropped != 2 {
 		t.Errorf("Drop=1 platform: %d frames delivered, %d dropped over 2 hosts; want 0 and 2", got, dropped)

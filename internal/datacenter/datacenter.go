@@ -28,55 +28,40 @@ import (
 	"repro/internal/sim"
 )
 
-// Topology describes the fabric: the two link classes and how hosts group
-// into racks. Zero values take the defaults below.
-type Topology struct {
-	// ToR is the host-to-top-of-rack hop, charged once leaving the source
-	// host and once entering the destination host.
-	ToR netback.Link
-	// Spine is the rack-to-rack hop, charged only on cross-rack paths.
-	Spine netback.Link
-	// HostsPerRack groups platform hosts (in rack order) under ToRs.
-	HostsPerRack int
-	// DeviceState is the bytes of device and vCPU state copied alongside
-	// the sealed image during a migration (ring contents, timer state).
-	DeviceState int
-}
+// The fabric: 10GbE-class ToR and spine links (both quantise to the
+// model's 1ns/byte line-rate ceiling, ~8 Gbit/s; the spine's edge is its
+// lower switching cost, not a finer per-byte rate), two hosts per rack, a
+// quarter-megabyte of device state.
+var (
+	// torLink is the host-to-top-of-rack hop, charged once leaving the
+	// source host and once entering the destination host.
+	torLink = netback.Link{
+		PerPacketCost: 500 * time.Nanosecond,
+		PerByteCost:   netback.Gbps(10),
+		Propagation:   5 * time.Microsecond,
+	}
+	// spineLink is the rack-to-rack hop, charged only on cross-rack paths.
+	spineLink = netback.Link{
+		PerPacketCost: 250 * time.Nanosecond,
+		PerByteCost:   netback.Gbps(40),
+		Propagation:   15 * time.Microsecond,
+	}
+)
 
-// Default fabric constants: 10GbE-class ToR and spine links (both
-// quantise to the model's 1ns/byte line-rate ceiling, ~8 Gbit/s; the
-// spine's edge is its lower switching cost, not a finer per-byte rate),
-// two hosts per rack, a quarter-megabyte of device state.
-func (t *Topology) defaults() {
-	if t.ToR == (netback.Link{}) {
-		t.ToR = netback.Link{
-			PerPacketCost: 500 * time.Nanosecond,
-			PerByteCost:   netback.Gbps(10),
-			Propagation:   5 * time.Microsecond,
-		}
-	}
-	if t.Spine == (netback.Link{}) {
-		t.Spine = netback.Link{
-			PerPacketCost: 250 * time.Nanosecond,
-			PerByteCost:   netback.Gbps(40),
-			Propagation:   15 * time.Microsecond,
-		}
-	}
-	if t.HostsPerRack <= 0 {
-		t.HostsPerRack = 2
-	}
-	if t.DeviceState <= 0 {
-		t.DeviceState = 256 << 10
-	}
-}
+const (
+	// hostsPerRack groups platform hosts (in rack order) under ToRs.
+	hostsPerRack = 2
+	// deviceState is the bytes of device and vCPU state copied alongside
+	// the sealed image during a migration (ring contents, timer state).
+	deviceState = 256 << 10
+)
 
 // DC is the fabric controller. Create it with New after every AddHost
 // call: it wires an uplink port into each host bridge present at that
 // point.
 type DC struct {
-	pl   *core.Platform
-	k    *sim.Kernel
-	topo Topology
+	pl *core.Platform
+	k  *sim.Kernel
 
 	torCPU    []*sim.CPU // per-host ToR switching CPU
 	torWire   []*sim.CPU // per-host ToR serialisation resource
@@ -85,16 +70,6 @@ type DC struct {
 
 	where map[ethernet.MAC]int // learned MAC -> host index
 	down  []bool
-
-	// Stats
-	Forwards      int
-	Floods        int
-	Steers        int
-	UnknownFloods int // unicast frames flooded because the MAC was unlearned
-	Drops         int
-	Migrations    int
-	HostKills     int
-	LastBlackout  time.Duration
 
 	mxFrames   func(kind string) *obs.Counter
 	mxBytes    *obs.Counter
@@ -111,14 +86,12 @@ var blackoutBounds = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50
 // New builds the fabric over every host the platform currently has and
 // plugs an uplink into each host bridge. The platform's hosts must all be
 // racked (core.Platform.AddHost) before New.
-func New(pl *core.Platform, topo Topology) *DC {
-	topo.defaults()
+func New(pl *core.Platform) *DC {
 	k := pl.K
 	m := k.Metrics()
 	dc := &DC{
 		pl:        pl,
 		k:         k,
-		topo:      topo,
 		spineCPU:  k.NewCPU("spine"),
 		spineWire: k.NewCPU("spine-wire"),
 		where:     map[ethernet.MAC]int{},
@@ -145,7 +118,7 @@ func New(pl *core.Platform, topo Topology) *DC {
 }
 
 // rack maps a host index to its rack.
-func (dc *DC) rack(host int) int { return host / dc.topo.HostsPerRack }
+func rack(host int) int { return host / hostsPerRack }
 
 // port adapts one host's bridge to the fabric (netback.Uplink). All its
 // methods run on kernel 0, in bridge context, at the instant the frame
@@ -172,7 +145,6 @@ func (dc *DC) forward(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 	copy(dst[:], f.Bytes()[0:6])
 	j, ok := dc.where[dst]
 	if !ok {
-		dc.UnknownFloods++
 		dc.mxUnknown.Inc()
 		dc.floodFrom(srcHost, f)
 		return
@@ -183,7 +155,6 @@ func (dc *DC) forward(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 		dc.drop("stale-route", f)
 		return
 	}
-	dc.Forwards++
 	dc.mxFrames("forward").Inc()
 	dc.account(f.Len())
 	dc.route(srcHost, j, f.Len(), func() { dc.pl.Sites()[j].Bridge.Inject(f) })
@@ -196,7 +167,6 @@ func (dc *DC) flood(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
 		return
 	}
 	dc.learn(src, srcHost)
-	dc.Floods++
 	dc.mxFrames("flood").Inc()
 	dc.account(f.Len())
 	dc.floodFrom(srcHost, f)
@@ -227,14 +197,12 @@ func (dc *DC) steer(srcHost int, dst ethernet.MAC, f *bufpool.Buf) {
 		dc.drop("steer-miss", f)
 		return
 	}
-	dc.Steers++
 	dc.mxFrames("steer").Inc()
 	dc.account(f.Len())
 	dc.route(srcHost, j, f.Len(), func() { dc.pl.Sites()[j].Bridge.InjectSteer(dst, f) })
 }
 
 func (dc *DC) drop(reason string, f *bufpool.Buf) {
-	dc.Drops++
 	dc.mxDrops(reason).Inc()
 	f.Release()
 }
@@ -251,16 +219,16 @@ func (dc *DC) account(n int) { dc.mxBytes.Add(int64(n)) }
 func (dc *DC) route(i, j, n int, deliver func()) {
 	k := dc.k
 	lastHop := func() {
-		at := dc.topo.ToR.Reserve(dc.torCPU[j], dc.torWire[j], n)
+		at := torLink.Reserve(dc.torCPU[j], dc.torWire[j], n)
 		k.At(at, deliver)
 	}
-	at := dc.topo.ToR.Reserve(dc.torCPU[i], dc.torWire[i], n)
-	if dc.rack(i) == dc.rack(j) {
+	at := torLink.Reserve(dc.torCPU[i], dc.torWire[i], n)
+	if rack(i) == rack(j) {
 		k.At(at, lastHop)
 		return
 	}
 	k.At(at, func() {
-		at2 := dc.topo.Spine.Reserve(dc.spineCPU, dc.spineWire, n)
+		at2 := spineLink.Reserve(dc.spineCPU, dc.spineWire, n)
 		k.At(at2, lastHop)
 	})
 }
@@ -273,11 +241,11 @@ func (dc *DC) bulkPath(p *sim.Proc, i, j, n int) {
 		at := l.ReserveBulk(wire, n)
 		p.Sleep(at.Sub(dc.k.Now()))
 	}
-	hop(dc.topo.ToR, dc.torWire[i])
-	if dc.rack(i) != dc.rack(j) {
-		hop(dc.topo.Spine, dc.spineWire)
+	hop(torLink, dc.torWire[i])
+	if rack(i) != rack(j) {
+		hop(spineLink, dc.spineWire)
 	}
-	hop(dc.topo.ToR, dc.torWire[j])
+	hop(torLink, dc.torWire[j])
 }
 
 // suspendSettle is how long Migrate waits after the freeze for the suspend
@@ -309,7 +277,7 @@ func (dc *DC) Migrate(p *sim.Proc, fl *fleet.Fleet, r *fleet.Replica, dstHost st
 	fl.BeginMigrate(r)
 	p.Sleep(suspendSettle)
 
-	n := dc.topo.DeviceState
+	n := deviceState
 	if img := r.Dep.Image; img != nil {
 		n += img.SizeKB << 10
 	}
@@ -326,8 +294,6 @@ func (dc *DC) Migrate(p *sim.Proc, fl *fleet.Fleet, r *fleet.Replica, dstHost st
 	d.WaitReady(p)
 
 	blackout := dc.k.Now().Sub(t0)
-	dc.LastBlackout = blackout
-	dc.Migrations++
 	dc.mxMigrates.Inc()
 	dc.mxBlackout.Observe(float64(blackout.Microseconds()))
 	return blackout, nil
@@ -347,7 +313,6 @@ func (dc *DC) KillHost(name string) error {
 	}
 	s.SetDown()
 	dc.down[s.Index] = true
-	dc.HostKills++
 	dc.mxKills.Inc()
 	for _, d := range s.Host.Domains() {
 		// Destroy routes the kill to each guest's home shard; it no-ops on

@@ -18,7 +18,7 @@ func newRack(seed int64, hosts ...string) (*core.Platform, *DC) {
 	for _, h := range hosts {
 		pl.AddHost(h)
 	}
-	return pl, New(pl, Topology{})
+	return pl, New(pl)
 }
 
 // newFleet spreads min..max web replicas across the given hosts. The
@@ -72,8 +72,8 @@ func TestMigrateBlackoutBound(t *testing.T) {
 	if blackout <= 0 || blackout > 5*time.Millisecond {
 		t.Fatalf("blackout %v outside (0, 5ms]", blackout)
 	}
-	if dc.LastBlackout != blackout || dc.Migrations != 1 {
-		t.Fatalf("stats: LastBlackout=%v Migrations=%d", dc.LastBlackout, dc.Migrations)
+	if n := dc.mxMigrates.Value(); n != 1 {
+		t.Fatalf("dc_migrations_total = %d, want 1", n)
 	}
 
 	r := f.ReplicaByName("web-0")
@@ -142,15 +142,15 @@ func TestKillHostHeals(t *testing.T) {
 			t.Fatalf("live replica %s on %q, want h2 (the survivor)", r.Name, r.Host())
 		}
 	}
-	if dc.HostKills != 1 {
-		t.Fatalf("HostKills = %d, want 1", dc.HostKills)
+	if n := dc.mxKills.Value(); n != 1 {
+		t.Fatalf("dc_host_kills_total = %d, want 1", n)
 	}
 	// Killing an already-dead host is a no-op, not a double count.
 	if err := dc.KillHost("h1"); err != nil {
 		t.Fatal(err)
 	}
-	if dc.HostKills != 1 {
-		t.Fatalf("HostKills after repeat kill = %d, want 1", dc.HostKills)
+	if n := dc.mxKills.Value(); n != 1 {
+		t.Fatalf("dc_host_kills_total after repeat kill = %d, want 1", n)
 	}
 	if err := dc.KillHost("nowhere"); err == nil {
 		t.Error("killing an unknown host should fail")
@@ -174,10 +174,10 @@ func TestFabricLearning(t *testing.T) {
 			t.Errorf("fabric learned host %d (%v) for %s, want %d", got, ok, name, want)
 		}
 	}
-	if dc.UnknownFloods == 0 {
+	if dc.mxUnknown.Value() == 0 {
 		t.Error("expected some unknown-unicast floods before learning converged")
 	}
-	if dc.Forwards == 0 {
+	if dc.mxFrames("forward").Value() == 0 {
 		t.Error("expected learned point-to-point forwards after convergence")
 	}
 }

@@ -41,12 +41,7 @@ type Table struct {
 	next    Ref
 	free    []*Entry // revoked entries, reused by Grant; refs are never reused
 
-	// Statistics observed by the I/O benchmarks.
-	Grants  int // total grants issued
-	Maps    int // zero-copy mappings by remote domains
-	Copies  int // grant-copy operations (bytes counted separately)
-	CopyLen int // total bytes copied via grant copy
-	Leaked  int // entries revoked while still mapped (protocol bugs)
+	Leaked int // entries revoked while still mapped (protocol bugs)
 
 	Hooks Hooks
 }
@@ -68,7 +63,6 @@ func (t *Table) Grant(v *cstruct.View, readOnly bool) Ref {
 	}
 	e.View, e.ReadOnly = v.Retain(), readOnly
 	t.entries[r] = e
-	t.Grants++
 	if t.Hooks.OnGrant != nil {
 		t.Hooks.OnGrant(int(r))
 	}
@@ -92,7 +86,6 @@ func (t *Table) Map(r Ref) (*cstruct.View, error) {
 		return nil, err
 	}
 	e.mapped++
-	t.Maps++
 	if t.Hooks.OnMap != nil {
 		t.Hooks.OnMap(int(r))
 	}
@@ -129,8 +122,6 @@ func (t *Table) CopyInto(r Ref, off int, dst []byte) error {
 		return fmt.Errorf("grant: copy [%d,%d) out of bounds (len %d)", off, off+len(dst), e.View.Len())
 	}
 	copy(dst, e.View.Slice(off, len(dst)))
-	t.Copies++
-	t.CopyLen += len(dst)
 	if t.Hooks.OnCopy != nil {
 		t.Hooks.OnCopy(len(dst))
 	}

@@ -27,6 +27,8 @@ func TestGrantMapSharesStorage(t *testing.T) {
 
 func TestGrantCopyDetaches(t *testing.T) {
 	tbl := NewTable()
+	copied := 0
+	tbl.Hooks.OnCopy = func(n int) { copied += n }
 	v := cstruct.Make(16)
 	v.PutBE32(0, 7)
 	r := tbl.Grant(v, true)
@@ -38,8 +40,8 @@ func TestGrantCopyDetaches(t *testing.T) {
 	if c.BE32(0) != 7 {
 		t.Error("grant copy shares storage")
 	}
-	if tbl.CopyLen != 16 {
-		t.Errorf("CopyLen = %d, want 16", tbl.CopyLen)
+	if copied != 16 {
+		t.Errorf("OnCopy saw %d bytes, want 16", copied)
 	}
 }
 
@@ -149,7 +151,8 @@ func TestPropGrantLifecycle(t *testing.T) {
 			v    *cstruct.View
 		}
 		var live []*liveGrant
-		ended := 0
+		grants, ended := 0, 0
+		tbl.Hooks.OnGrant = func(int) { grants++ }
 		for _, op := range ops {
 			switch op % 4 {
 			case 0:
@@ -194,7 +197,7 @@ func TestPropGrantLifecycle(t *testing.T) {
 				}
 			}
 		}
-		if tbl.Active() != tbl.Grants-ended {
+		if tbl.Active() != grants-ended {
 			return false
 		}
 		// Drain everything; afterwards the pool must be fully recycled.

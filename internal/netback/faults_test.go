@@ -39,9 +39,6 @@ func TestFaultsDropAll(t *testing.T) {
 	if len(dst.frames) != 0 {
 		t.Errorf("%d frames delivered through Drop=1", len(dst.frames))
 	}
-	if b.FaultDrops != n {
-		t.Errorf("FaultDrops = %d, want %d", b.FaultDrops, n)
-	}
 	if got := b.mxFaultDrop.Value(); got != n {
 		t.Errorf("bridge_faults_total{kind=drop} = %d, want %d", got, n)
 	}
@@ -133,7 +130,7 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 // TestFaultsDeterministic: identical seeds and fault configs must produce
 // identical drop/duplicate decisions and delivery instants.
 func TestFaultsDeterministic(t *testing.T) {
-	run := func() (int, []sim.Time, int, int64) {
+	run := func() (int, []sim.Time, int64, int64) {
 		k := sim.NewKernel(42)
 		b := NewBridgeNamed(k, DefaultParams(), "")
 		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
@@ -145,7 +142,7 @@ func TestFaultsDeterministic(t *testing.T) {
 		if _, err := k.Run(); err != nil {
 			t.Fatal(err)
 		}
-		return len(dst.at), dst.at, b.FaultDrops, k.Metrics().Counter("bridge_faults_total", obs.L("kind", "dup")).Value()
+		return len(dst.at), dst.at, b.mxFaultDrop.Value(), k.Metrics().Counter("bridge_faults_total", obs.L("kind", "dup")).Value()
 	}
 	n1, at1, drops1, dups1 := run()
 	n2, at2, drops2, dups2 := run()

@@ -103,8 +103,7 @@ type Bridge struct {
 	pool      *bufpool.Pool // frame staging buffers (VIF TX assembly)
 
 	// Stats
-	NoRoute    int
-	FaultDrops int
+	NoRoute int
 
 	mxForwarded    *obs.Counter
 	mxFlooded      *obs.Counter
@@ -382,7 +381,6 @@ func (b *Bridge) deliver(dst ethernet.MAC, pt *port, at sim.Time, frame *bufpool
 		}
 	}
 	if f.Drop > 0 && rng.Float64() < f.Drop {
-		b.FaultDrops++
 		b.mxFaultDrop.Inc()
 		instant("drop")
 		frame.Release()

@@ -64,9 +64,6 @@ type Netif struct {
 	mxTxQueued *obs.Counter
 }
 
-// TxPackets returns frames transmitted.
-func (n *Netif) TxPackets() int { return int(n.mxTx.Value()) }
-
 type txFrag struct {
 	gref grant.Ref
 	view *cstruct.View

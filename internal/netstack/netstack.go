@@ -39,11 +39,6 @@ type Config struct {
 	// go straight to clients without traversing the balancer. ARP still
 	// answers only for IP — the balancer owns the VIP's hardware address.
 	VIP ipv4.Addr
-
-	// TCPParams, when set, mutates the TCP parameters after the stack has
-	// applied its defaults (an MSS that fills netif.MTU) — the configuration
-	// seam experiments use to tune backlog, buffers or timers per guest.
-	TCPParams func(*tcp.Params)
 }
 
 // Params are the stack's per-packet cost constants.
@@ -124,15 +119,11 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 			return icmp.EncodeEcho(v, e)
 		})
 	}
-	tcpParams := tcp.DefaultParams()
-	if cfg.TCPParams != nil {
-		cfg.TCPParams(&tcpParams)
-	}
 	localIP := cfg.IP
 	if cfg.VIP != 0 {
 		localIP = cfg.VIP
 	}
-	st.TCP = tcp.NewStack(vm.S, localIP, tcpParams)
+	st.TCP = tcp.NewStack(vm.S, localIP, tcp.DefaultParams())
 	st.TCP.TracePid = vm.Dom.ID
 	if k := vm.S.K; k.Trace().Enabled() {
 		k.Trace().Instant(k.TraceTime(), "tcp", "stack-init", vm.Dom.ID, 0,

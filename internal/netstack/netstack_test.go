@@ -2,6 +2,7 @@ package netstack
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,6 +14,7 @@ import (
 	"repro/internal/lwt"
 	"repro/internal/netback"
 	"repro/internal/netif"
+	"repro/internal/obs"
 	"repro/internal/pvboot"
 	"repro/internal/sim"
 	"repro/internal/tcp"
@@ -393,10 +395,11 @@ func TestTxBurstBatchesAndAllocatesNothing(t *testing.T) {
 		frames int
 	}
 	var got []flush
-	t0, sent := r.k.Now(), st.NIC.TxPackets()
+	tx := r.k.Metrics().Counter("net_packets_total", obs.L("dev", fmt.Sprintf("vif%d", st.VM.Dom.ID)), obs.L("dir", "tx"))
+	t0, sent := r.k.Now(), tx.Value()
 	probe := func() {
-		if n := st.NIC.TxPackets(); n != sent {
-			got = append(got, flush{r.k.Now().Sub(t0), n - sent})
+		if n := tx.Value(); n != sent {
+			got = append(got, flush{r.k.Now().Sub(t0), int(n - sent)})
 			sent = n
 		}
 	}

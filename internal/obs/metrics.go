@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -328,6 +329,19 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 		out.Rows = append(out.Rows, row)
 	}
 	return out
+}
+
+// Sum adds up the rows of counter name whose label sets hold every one of
+// labels: Sum("tcp_retransmits_total") totals every stack's row.
+func (s Snapshot) Sum(name string, labels ...Label) (n int64) {
+	for _, row := range s.Rows {
+		id, set, _ := strings.Cut(strings.TrimSuffix(row.ID, "}"), "{")
+		pairs := strings.Split(set, ",")
+		if row.Kind == "counter" && id == name && !slices.ContainsFunc(labels, func(l Label) bool { return !slices.Contains(pairs, l.Key+"="+l.Val) }) {
+			n += row.N
+		}
+	}
+	return n
 }
 
 // Filter keeps rows whose ID starts with any prefix.

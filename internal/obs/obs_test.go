@@ -100,6 +100,36 @@ func TestRegistrySnapshotDiff(t *testing.T) {
 	}
 }
 
+// TestSnapshotSum: Sum totals a counter's rows over every label set that
+// holds the asked labels, and ignores other names, a name that only shares
+// a prefix, and gauges.
+func TestSnapshotSum(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("pkts", L("dev", "vif1"), L("dir", "tx")).Add(3)
+	r.Counter("pkts", L("dev", "vif2"), L("dir", "tx")).Add(4)
+	r.Counter("pkts", L("dev", "vif2"), L("dir", "rx")).Add(5)
+	r.Counter("pkts_dropped", L("dir", "tx")).Add(100)
+	r.Counter("idle").Add(2)
+	r.Gauge("pkts", L("dir", "tx")).Set(9)
+	s := r.Snapshot()
+	for _, c := range []struct {
+		labels []Label
+		want   int64
+	}{
+		{nil, 12},
+		{[]Label{L("dir", "tx")}, 7},
+		{[]Label{L("dir", "tx"), L("dev", "vif2")}, 4},
+		{[]Label{L("dir", "up")}, 0},
+	} {
+		if got := s.Sum("pkts", c.labels...); got != c.want {
+			t.Errorf("Sum(pkts, %v) = %d, want %d", c.labels, got, c.want)
+		}
+	}
+	if got := s.Sum("idle"); got != 2 {
+		t.Errorf("Sum(idle) = %d, want 2", got)
+	}
+}
+
 func TestNilSafety(t *testing.T) {
 	var tr *Tracer
 	tr.Instant(1, "a", "b", 0, 0) // must not panic

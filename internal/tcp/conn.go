@@ -144,11 +144,7 @@ type Conn struct {
 	err      error
 
 	// Stats.
-	Retransmits     int
-	FastRetransmits int
-	Timeouts        int
-	PersistProbes   int
-	BytesIn         int
+	BytesIn int
 }
 
 // State returns the connection state.
@@ -660,7 +656,6 @@ func (c *Conn) onPersist() {
 	if c.inflight.Len() == 0 && c.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
 		return // nothing left to probe for
 	}
-	c.PersistProbes++
 	c.st.mxPersistProbes.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "persist-probe", c.st.TracePid, 0,
@@ -695,7 +690,6 @@ func (c *Conn) onPersist() {
 // onTimeout is the retransmission timeout: collapse the window and
 // retransmit the oldest unacknowledged segment (RFC 5681 §3.1).
 func (c *Conn) onTimeout() {
-	c.Timeouts++
 	c.st.mxTimeouts.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "rto-timeout", c.st.TracePid, 0,
@@ -718,7 +712,6 @@ func (c *Conn) retransmitFirst() {
 	if c.inflight.Len() == 0 {
 		return
 	}
-	c.Retransmits++
 	c.st.mxRetransmits.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "retransmit", c.st.TracePid, 0,

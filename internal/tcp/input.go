@@ -218,7 +218,6 @@ func (c *Conn) processAck(seg Segment) {
 			c.trySend()
 		} else if c.dupAcks == 3 {
 			// Fast retransmit + fast recovery entry.
-			c.FastRetransmits++
 			c.st.mxFastRetransmits.Inc()
 			if tr := c.st.tr; tr.Enabled() {
 				tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "fast-retransmit", c.st.TracePid, 0,

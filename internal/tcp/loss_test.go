@@ -55,7 +55,7 @@ func TestCloseSurvivesDroppedFin(t *testing.T) {
 	if !dropped {
 		t.Fatal("FIN was never dropped; test exercised nothing")
 	}
-	if c.Retransmits == 0 {
+	if c.st.mxRetransmits.Value() == 0 {
 		t.Error("client never retransmitted its lost FIN")
 	}
 }
@@ -152,11 +152,8 @@ func TestPersistTimerRecoversDroppedWindowUpdate(t *testing.T) {
 	if !bytes.Equal(drained.Bytes(), payload) {
 		t.Fatal("drained data corrupted")
 	}
-	if clientConn.PersistProbes == 0 {
-		t.Error("sender recovered without persist probes; test lost its teeth")
-	}
 	if a.st.mxPersistProbes.Value() == 0 {
-		t.Error("tcp_persist_probes_total metric not incremented")
+		t.Error("sender recovered without persist probes; test lost its teeth")
 	}
 }
 

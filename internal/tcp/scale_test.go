@@ -152,10 +152,10 @@ func TestSynCookieFloodUnderLoss(t *testing.T) {
 	if p.Dropped == 0 {
 		t.Fatal("no segments dropped; loss model exercised nothing")
 	}
-	if got := b.st.SynCookiesSent(); got == 0 {
+	if got := b.st.mxCookiesSent.Value(); got == 0 {
 		t.Error("no cookie SYN|ACKs sent; backlog cap never overflowed")
 	}
-	if got := b.st.SynCookiesValidated(); got == 0 {
+	if got := b.st.mxCookiesValid.Value(); got == 0 {
 		t.Error("no cookies validated; every handshake went the stateful path")
 	}
 	if hw := b.st.listeners; hw != nil {
@@ -234,9 +234,9 @@ func TestCookieHandshakeCarriesData(t *testing.T) {
 	if _, err := k.RunFor(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if b.st.SynCookiesValidated() != 1 {
+	if b.st.mxCookiesValid.Value() != 1 {
 		t.Fatalf("tcp_syncookies_validated_total = %d, want 1 (client must take the cookie path)",
-			b.st.SynCookiesValidated())
+			b.st.mxCookiesValid.Value())
 	}
 	if len(echoed) != len(payload) {
 		t.Fatalf("echoed %d bytes, want %d", len(echoed), len(payload))
@@ -280,8 +280,8 @@ func TestEphemeralPortExhaustion(t *testing.T) {
 	if exhaustedErr == nil {
 		t.Fatal("connect succeeded with every ephemeral port in use")
 	}
-	if st.PortsExhausted() != 1 {
-		t.Errorf("tcp_ports_exhausted_total = %d, want 1", st.PortsExhausted())
+	if st.mxPortsExhausted.Value() != 1 {
+		t.Errorf("tcp_ports_exhausted_total = %d, want 1", st.mxPortsExhausted.Value())
 	}
 }
 

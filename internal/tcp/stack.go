@@ -108,22 +108,6 @@ type Stack struct {
 	mxCookiesFailed   *obs.Counter
 }
 
-// PortsExhausted returns Connect calls that failed for want of an
-// ephemeral port.
-func (st *Stack) PortsExhausted() int { return int(st.mxPortsExhausted.Value()) }
-
-// SynCookiesSent returns stateless cookie SYN|ACKs emitted past the
-// backlog cap.
-func (st *Stack) SynCookiesSent() int { return int(st.mxCookiesSent.Value()) }
-
-// SynCookiesValidated returns connections established from a valid cookie
-// ACK.
-func (st *Stack) SynCookiesValidated() int { return int(st.mxCookiesValid.Value()) }
-
-// SynCookiesFailed returns ACKs to a listening port that failed cookie
-// validation.
-func (st *Stack) SynCookiesFailed() int { return int(st.mxCookiesFailed.Value()) }
-
 // NewStack creates a TCP stack; the caller wires Output to its IP layer.
 func NewStack(s *lwt.Scheduler, local ipv4.Addr, params Params) *Stack {
 	m := s.K.Metrics()

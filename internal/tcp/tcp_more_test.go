@@ -235,7 +235,7 @@ func TestRetransmitQueueDrainsAfterRecovery(t *testing.T) {
 	if c.inflight.Len() != 0 || c.sendq.Len() != 0 {
 		t.Errorf("sender left %d inflight segs, %d buffered bytes", c.inflight.Len(), c.sendq.Len())
 	}
-	if c.Retransmits == 0 {
+	if c.st.mxRetransmits.Value() == 0 {
 		t.Error("lossy link produced no retransmissions")
 	}
 }

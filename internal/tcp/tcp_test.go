@@ -187,8 +187,8 @@ func TestBulkTransferLossless(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("received %d bytes, corrupted or short (want %d)", len(got), len(payload))
 	}
-	if c.Retransmits != 0 {
-		t.Errorf("lossless transfer retransmitted %d segments", c.Retransmits)
+	if n := c.st.mxRetransmits.Value(); n != 0 {
+		t.Errorf("lossless transfer retransmitted %d segments", n)
 	}
 }
 
@@ -208,7 +208,7 @@ func TestFastRetransmitOnIsolatedLoss(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatalf("corrupted transfer under loss (%d/%d bytes)", len(got), len(payload))
 	}
-	if c.FastRetransmits == 0 {
+	if c.st.mxFastRetransmits.Value() == 0 {
 		t.Error("isolated losses never triggered fast retransmit")
 	}
 }
@@ -231,7 +231,7 @@ func TestRTORecoversFromTotalBlackout(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("transfer corrupted after blackout")
 	}
-	if c.Timeouts == 0 {
+	if c.st.mxTimeouts.Value() == 0 {
 		t.Error("blackout never triggered an RTO")
 	}
 	if dropped == 0 {
