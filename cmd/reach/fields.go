@@ -28,7 +28,7 @@ type module struct {
 	fset     *token.FileSet
 	std      types.Importer
 	lib      map[string][]*ast.File    // dir -> its non-test files
-	pkgs     map[string][]*ast.File    // "dir package" -> its files, tests included
+	pkgs     map[string][]*ast.File    // "dir package" -> its files, tests included if loaded
 	imported map[string]*types.Package // import path -> lib, checked once
 }
 
@@ -43,14 +43,9 @@ func (m *module) Import(path string) (*types.Package, error) {
 	return m.imported[path], nil
 }
 
-// walkFields type-checks every package of the module at root, tests
-// included, and reports each struct field a non-test file under root/internal
-// declares — "dir T.F", or "dir file.go:line F" in an unnamed struct — by
-// what reads it. A read is a selector anywhere but as the target of an
-// assignment or inc/dec (x.f[k] = v writes f when f is a map or array), an ==
-// or != of the struct that holds it, that struct as a map key, or a struct
-// tag. Embedded fields are not counted; testdata directories are skipped.
-func walkFields(root string) (map[string]int, error) {
+// loadModule parses every package of the module at root, with its _test.go
+// files when tests is set; testdata and dot directories are skipped.
+func loadModule(root string, tests bool) (*module, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -73,7 +68,8 @@ func walkFields(root string) (map[string]int, error) {
 		if e.IsDir() && path != root && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
 			return filepath.SkipDir
 		}
-		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); !ok {
+		test := strings.HasSuffix(path, "_test.go")
+		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); !ok || (test && !tests) {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -82,18 +78,43 @@ func walkFields(root string) (map[string]int, error) {
 		}
 		dir, _ := filepath.Rel(root, filepath.Dir(path))
 		m.pkgs[dir+" "+f.Name.Name] = append(m.pkgs[dir+" "+f.Name.Name], f)
-		if !strings.HasSuffix(path, "_test.go") {
+		if !test {
 			m.lib[dir] = append(m.lib[dir], f)
 		}
 		return nil
 	})
+	return m, err
+}
+
+// check type-checks m.pkgs[key] under the path key, recording what the
+// walks read.
+func (m *module) check(key string) (*types.Info, error) {
+	info := &types.Info{
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
+	}
+	_, err := (&types.Config{Importer: m}).Check(key, m.fset, m.pkgs[key], info)
+	return info, err
+}
+
+// walkFields type-checks every package of the module at root, tests
+// included, and reports each struct field a non-test file under root/internal
+// declares — "dir T.F", or "dir file.go:line F" in an unnamed struct — by
+// what reads it. A read is a selector anywhere but as the target of an
+// assignment or inc/dec (x.f[k] = v writes f when f is a map or array), an ==
+// or != of the struct that holds it, that struct as a map key, or a struct
+// tag. Embedded fields are not counted.
+func walkFields(root string) (map[string]int, error) {
+	m, err := loadModule(root, true)
 	if err != nil {
 		return nil, err
 	}
+	fset := m.fset
 	names, reads := map[token.Position]string{}, map[token.Position]int{}
 	for key, files := range m.pkgs {
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		if _, err := (&types.Config{Importer: m}).Check(key, fset, files, info); err != nil {
+		info, err := m.check(key)
+		if err != nil {
 			return nil, err
 		}
 		dir, _, _ := strings.Cut(key, " ")

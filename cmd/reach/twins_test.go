@@ -2,13 +2,8 @@ package main
 
 import (
 	"go/ast"
-	"go/build"
-	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
-	"io/fs"
-	"path/filepath"
 	"sort"
 	"strings"
 	"testing"
@@ -31,35 +26,19 @@ var twinExceptions = map[string]string{
 // naming the field, unless the field is one of twinExceptions. Only the
 // adjacent statement counts: a field bumped elsewhere in a function that
 // also counts something is a different event. The packages are type-checked
-// from their non-test files through fields.go's module importer.
+// from their non-test files by fields.go's loadModule.
 func TestOneHomePerCount(t *testing.T) {
-	fset := token.NewFileSet()
-	m := &module{
-		path:     "repro",
-		fset:     fset,
-		std:      importer.ForCompiler(fset, "source", nil),
-		lib:      map[string][]*ast.File{},
-		imported: map[string]*types.Package{},
-	}
-	err := filepath.WalkDir(root+"/internal", func(path string, e fs.DirEntry, err error) error {
-		if err != nil || e.IsDir() || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); !ok {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		dir := strings.TrimPrefix(filepath.Dir(path), root+"/")
-		m.lib[dir] = append(m.lib[dir], f)
-		return err
-	})
+	m, err := loadModule(root, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	found := map[string]bool{}
-	for dir, files := range m.lib {
-		info := &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Selections: map[*ast.SelectorExpr]*types.Selection{}}
-		if _, err := (&types.Config{Importer: m}).Check(dir, fset, files, info); err != nil {
+	for key, files := range m.pkgs {
+		if !strings.HasPrefix(key, "internal/") {
+			continue
+		}
+		info, err := m.check(key)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, f := range files {
@@ -82,7 +61,7 @@ func TestOneHomePerCount(t *testing.T) {
 						found[field] = true
 						if twinExceptions[field] == "" {
 							t.Errorf("%s: %s is bumped beside a registry counter: read the counter instead, and delete the field",
-								fset.Position(s.Pos()), field)
+								m.fset.Position(s.Pos()), field)
 						}
 					}
 				}
@@ -132,7 +111,7 @@ func bumpedField(info *types.Info, s ast.Stmt) string {
 	if !ok {
 		return ""
 	}
-	dir := strings.TrimPrefix(sl.Obj().Pkg().Path(), "repro/") // "dir" under its own check
+	dir, _, _ := strings.Cut(strings.TrimPrefix(sl.Obj().Pkg().Path(), "repro/"), " ") // "dir pkg" under its own check
 	return dir + " " + named.Obj().Name() + "." + sl.Obj().Name()
 }
 

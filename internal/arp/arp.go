@@ -60,6 +60,12 @@ func Encode(v *cstruct.View, p Packet) {
 	v.PutBE32(24, uint32(p.TargetIP))
 }
 
+// retryInterval and maxRetries bound unanswered resolution.
+const (
+	retryInterval = 500 * time.Millisecond
+	maxRetries    = 3
+)
+
 // Handler owns the ARP cache and protocol logic for one interface.
 type Handler struct {
 	S     *lwt.Scheduler
@@ -72,10 +78,6 @@ type Handler struct {
 	cache   map[ipv4.Addr]ethernet.MAC
 	waiting map[ipv4.Addr][]func(ethernet.MAC, error)
 
-	// RetryInterval and MaxRetries bound unanswered resolution.
-	RetryInterval time.Duration
-	MaxRetries    int
-
 	// Stats
 	Requests, Hits int
 }
@@ -84,10 +86,8 @@ type Handler struct {
 func NewHandler(s *lwt.Scheduler, ip ipv4.Addr, mac ethernet.MAC) *Handler {
 	return &Handler{
 		S: s, MyIP: ip, MyMAC: mac,
-		cache:         map[ipv4.Addr]ethernet.MAC{},
-		waiting:       map[ipv4.Addr][]func(ethernet.MAC, error){},
-		RetryInterval: 500 * time.Millisecond,
-		MaxRetries:    3,
+		cache:   map[ipv4.Addr]ethernet.MAC{},
+		waiting: map[ipv4.Addr][]func(ethernet.MAC, error){},
 	}
 }
 
@@ -128,7 +128,7 @@ func (h *Handler) Input(p Packet) {
 
 // Resolve calls cb with the MAC for ip, immediately on a cache hit or after
 // request/reply exchange otherwise. Unanswered requests are retried
-// MaxRetries times and then fail.
+// maxRetries times and then fail.
 func (h *Handler) Resolve(ip ipv4.Addr, cb func(ethernet.MAC, error)) {
 	if mac, ok := h.Cached(ip); ok {
 		cb(mac, nil)
@@ -145,7 +145,7 @@ func (h *Handler) sendRequest(ip ipv4.Addr, attempt int) {
 	if _, done := h.cache[ip]; done {
 		return
 	}
-	if attempt >= h.MaxRetries {
+	if attempt >= maxRetries {
 		cbs := h.waiting[ip]
 		delete(h.waiting, ip)
 		err := fmt.Errorf("arp: no reply for %v", ip)
@@ -160,7 +160,7 @@ func (h *Handler) sendRequest(ip ipv4.Addr, attempt int) {
 		SenderHW: h.MyMAC, SenderIP: h.MyIP,
 		TargetIP: ip,
 	})
-	lwt.Map(h.S.Sleep(h.RetryInterval), func(struct{}) struct{} {
+	lwt.Map(h.S.Sleep(retryInterval), func(struct{}) struct{} {
 		if len(h.waiting[ip]) > 0 {
 			h.sendRequest(ip, attempt+1)
 		}

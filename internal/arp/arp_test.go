@@ -155,11 +155,11 @@ func TestResolveRetriesThenFails(t *testing.T) {
 	if gotErr == nil {
 		t.Fatal("unanswered resolution did not fail")
 	}
-	if len(*sent) != h.MaxRetries {
-		t.Errorf("sent %d requests, want %d retries", len(*sent), h.MaxRetries)
+	if len(*sent) != maxRetries {
+		t.Errorf("sent %d requests, want %d retries", len(*sent), maxRetries)
 	}
-	if k.Now() < sim.Time(time.Duration(h.MaxRetries-1)*h.RetryInterval) {
-		t.Error("retries not spaced by RetryInterval")
+	if k.Now() < sim.Time(time.Duration(maxRetries-1)*retryInterval) {
+		t.Error("retries not spaced by retryInterval")
 	}
 	_ = errors.Is
 }

@@ -209,7 +209,7 @@ func httpRequest(n int) error {
 		Main: func(env *core.Env) int {
 			srv := httpd.NewServer(env.VM.S, func(*httpd.Request) *httpd.Response { return ok })
 			srv.Charge = func(d time.Duration) sim.Time { return env.VM.Dom.VCPU.Reserve(d) }
-			srv.Params.RespondCost += time.Millisecond
+			srv.RespondCost += time.Millisecond
 			srv.IdleTimeout = 250 * time.Millisecond
 			l, err := env.Net.TCP.Listen(80)
 			if err != nil {

@@ -45,12 +45,6 @@ type blockMode struct {
 // requests through the conventional buffer cache, whose serialized
 // management CPU is the ~300 MB/s plateau of the paper's figure.
 func Fig9BlockRead(rc core.Config, sizesKiB []int, requestsPerPoint int) *Result {
-	if sizesKiB == nil {
-		sizesKiB = DefaultBlockSizes
-	}
-	if requestsPerPoint == 0 {
-		requestsPerPoint = 512
-	}
 	modes := []blockMode{
 		{name: "mirage", batching: true},
 		{name: "mirage-unbatched"},
@@ -119,8 +113,7 @@ func blockRunMiBs(rc core.Config, mode blockMode, blockBytes, blocks int) (float
 			}
 			var dev storage.Device = env.Blk
 			if mode.buffered {
-				dev = conventional.NewBufferedDevice(s, env.Blk, blockCacheSectors,
-					conventional.DefaultBufferCacheParams())
+				dev = conventional.NewBufferedDevice(s, env.Blk, blockCacheSectors)
 			}
 			fin := lwt.NewPromise[struct{}](s)
 			inflight, next := 0, 0

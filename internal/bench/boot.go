@@ -36,9 +36,6 @@ func buildTime(rc core.Config, memMiB int, parallel bool) time.Duration {
 // toolstack + domain build + guest boot to first UDP packet) against
 // memory size for Mirage, a minimal Linux PV kernel, and Debian+Apache2.
 func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
-	if memsMiB == nil {
-		memsMiB = DefaultBootMems
-	}
 	profiles := []conventional.BootProfile{
 		conventional.DebianApacheBoot(),
 		conventional.MinimalLinuxBoot(),

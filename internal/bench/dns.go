@@ -25,12 +25,6 @@ var DefaultZoneSizes = []int{100, 300, 1000, 3000, 10000}
 // random query stream; the baselines combine the same real zone lookups
 // with their measured cost profiles.
 func Fig10DNS(rc core.Config, zoneSizes []int, queriesPerPoint int) *Result {
-	if zoneSizes == nil {
-		zoneSizes = DefaultZoneSizes
-	}
-	if queriesPerPoint == 0 {
-		queriesPerPoint = 20_000
-	}
 	r := &Result{
 		ID:     "fig10",
 		Title:  "DNS server throughput vs zone size",

@@ -70,7 +70,7 @@ func KVSweep(rc core.Config, cfg KVSweepConfig) *Result {
 		cfg.ValueBytes = 1
 	}
 	if cfg.ValueBytes > 256 {
-		cfg.ValueBytes = 256 // the B-tree's MaxVal; checkpoints fold values in
+		cfg.ValueBytes = 256 // the B-tree's value limit; checkpoints fold values in
 	}
 	if cfg.ReadPct == 0 {
 		cfg.ReadPct = 50
@@ -164,8 +164,7 @@ func kvSweepRun(rc core.Config, buffered bool, qd int, seed int64, nkeys, opCoun
 			blk = env.Blk
 			var dev storage.Device = env.Blk
 			if buffered {
-				dev = conventional.NewBufferedDevice(s, env.Blk, kvCacheSectors,
-					conventional.DefaultBufferCacheParams())
+				dev = conventional.NewBufferedDevice(s, env.Blk, kvCacheSectors)
 			}
 			fin := lwt.NewPromise[struct{}](s)
 			main := lwt.Bind(storage.CreateDurableKV(s, dev, kvWALBase, kvWALSectors),

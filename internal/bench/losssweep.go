@@ -101,9 +101,6 @@ func lossSweepRun(rc core.Config, faults netback.Faults, bytesPerFlow int) lossR
 // degradation: every transfer must complete — recovery just shifts from
 // fast retransmit to RTO (and persist probes) as loss grows.
 func LossSweep(rc core.Config, bytesPerFlow int, rates []float64) *Result {
-	if bytesPerFlow == 0 {
-		bytesPerFlow = 4 << 20
-	}
 	if rates == nil {
 		rates = DefaultLossRates
 	}

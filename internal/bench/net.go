@@ -23,9 +23,6 @@ var benchMask = ipv4.AddrFrom4(255, 255, 255, 0)
 // the full device path; Mirage pays a 4–10% latency premium for type-safe
 // parsing. Returns mean RTTs.
 func PingLatency(rc core.Config, pings int) *Result {
-	if pings == 0 {
-		pings = 20_000
-	}
 	var appendix []string
 	run := func(label string, targetParams netstack.Params) time.Duration {
 		rn := newRun(rc, "ping", 77)
@@ -215,9 +212,6 @@ func fig8Throughput(rc core.Config, sendProf, recvProf conventional.NetProfile, 
 // offload disabled, for 1 and 10 flows, across Linux->Linux, Linux->Mirage
 // and Mirage->Linux.
 func Fig8TCP(rc core.Config, bytesPerFlow int) *Result {
-	if bytesPerFlow == 0 {
-		bytesPerFlow = 4 << 20
-	}
 	l, m := conventional.LinuxNetProfile(), conventional.MirageNetProfile()
 	cases := []struct {
 		name     string

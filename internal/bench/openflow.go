@@ -28,8 +28,8 @@ func (d *discardTransport) Send([]byte) { d.sent++ }
 // mirageBatchThroughput runs the real Mirage learning-switch controller
 // over a cbench batch stream and returns requests/s (the controller is
 // CPU-bound in batch mode, so throughput is work divided by charged CPU
-// time).
-func mirageBatchThroughput(requests int) float64 {
+// time) and the charged CPU time per request.
+func mirageBatchThroughput(requests int) (float64, time.Duration) {
 	ctrl := openflow.NewController()
 	var busy time.Duration
 	ctrl.Charge = func(d time.Duration) { busy += d }
@@ -66,17 +66,14 @@ func mirageBatchThroughput(requests int) float64 {
 	if replied < requests {
 		panic("cbench: controller failed to respond to every packet-in")
 	}
-	return float64(requests) / busy.Seconds()
+	return float64(requests) / busy.Seconds(), busy / time.Duration(requests)
 }
 
 // Fig11OpenFlow regenerates Figure 11: controller throughput under cbench
 // in batch and single modes for Maestro, NOX destiny-fast, and Mirage.
-// The Mirage batch number comes from running the real controller; the
-// baselines and single mode use the measured cost profiles.
+// Mirage's numbers come from running the real controller; the baselines
+// use the measured cost profiles.
 func Fig11OpenFlow(requests int) *Result {
-	if requests == 0 {
-		requests = 100_000
-	}
 	r := &Result{
 		ID:     "fig11",
 		Title:  "OpenFlow controller throughput (cbench, 16 switches x 100 MACs)",
@@ -89,12 +86,13 @@ func Fig11OpenFlow(requests int) *Result {
 	}
 	for _, pr := range conventional.OFProfiles() {
 		var batch float64
+		perMsg := pr.PerMsg
 		if pr.Name == "mirage" {
-			batch = mirageBatchThroughput(requests)
+			batch, perMsg = mirageBatchThroughput(requests)
 		} else {
-			batch = 1.0 / pr.PerMsg.Seconds()
+			batch = 1.0 / perMsg.Seconds()
 		}
-		rtt := pr.PerMsg + pr.SingleExtra + 2*ofTransportLatency
+		rtt := perMsg + pr.SingleExtra + 2*ofTransportLatency
 		single := float64(cbenchSwitches) / rtt.Seconds()
 		r.Series = append(r.Series, Series{
 			Name: pr.Name,

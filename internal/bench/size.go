@@ -207,9 +207,6 @@ func AblationVchan(rc core.Config) *Result {
 // over the full device path, measuring round-trip rate and page-pool
 // churn.
 func AblationZeroCopy(rc core.Config, rounds int) *Result {
-	if rounds == 0 {
-		rounds = 2000
-	}
 	rate, recycledZero := zeroCopyEchoRate(rc, rounds, false)
 	rateCopy, _ := zeroCopyEchoRate(rc, rounds, true)
 	return &Result{

@@ -23,9 +23,6 @@ const threadRecordBytes = 96
 // pay chunk tracking, and the conventional OSs add (PV-inflated) syscalls
 // on heap growth.
 func Fig7aThreads(counts []int) *Result {
-	if counts == nil {
-		counts = DefaultThreadCounts
-	}
 	r := &Result{
 		ID:     "fig7a",
 		Title:  "Thread construction time",
@@ -70,9 +67,6 @@ type JitterStats struct {
 // conventional OSs add syscall-return and scheduler queueing delays.
 // Returned series are CDFs: X = jitter in ms, Y = cumulative fraction.
 func Fig7bJitter(n int) (*Result, []JitterStats) {
-	if n == 0 {
-		n = 1_000_000
-	}
 	type target struct {
 		name     string
 		wakeCost time.Duration

@@ -23,24 +23,14 @@ const SectorSize = 512
 // SectorsPerPage is how many sectors fit one I/O page.
 const SectorsPerPage = cstruct.PageSize / SectorSize
 
-// SSDParams model a fast PCIe SSD (the paper's Figure 9 device peaks around
-// 1.6 GB/s on direct I/O).
-type SSDParams struct {
-	Channels     int           // internal parallelism
-	ReadLatency  time.Duration // per-request channel occupancy
-	WriteLatency time.Duration
-	BusGBps      float64 // shared-bus bandwidth in GB/s (bounds aggregate throughput)
-}
-
-// DefaultSSDParams returns parameters calibrated to Figure 9's envelope.
-func DefaultSSDParams() SSDParams {
-	return SSDParams{
-		Channels:     4,
-		ReadLatency:  60 * time.Microsecond,
-		WriteLatency: 80 * time.Microsecond,
-		BusGBps:      1.6,
-	}
-}
+// The SSD models a fast PCIe SSD (the paper's Figure 9 device peaks around
+// 1.6 GB/s on direct I/O), calibrated to Figure 9's envelope.
+const (
+	SSDChannels     = 4                     // internal parallelism
+	SSDReadLatency  = 60 * time.Microsecond // per-request channel occupancy
+	SSDWriteLatency = 80 * time.Microsecond
+	SSDBusGBps      = 1.6 // shared-bus bandwidth in GB/s (bounds aggregate throughput)
+)
 
 // extentBytes is the granule the backing store grows by, picked by
 // measurement: kv_mixed (36 k node pages from sector 8 up, a WAL at sector
@@ -62,8 +52,7 @@ const (
 // exists, and leaves the collector nothing to scan but the map itself.
 type SSD struct {
 	K        *sim.Kernel
-	Params   SSDParams
-	channels []sim.Time // per-channel busy-until
+	channels [SSDChannels]sim.Time // per-channel busy-until
 	bus      *sim.CPU
 
 	extents map[uint64][]byte // extent index (sector / extentSectors) -> extentBytes bytes
@@ -73,23 +62,18 @@ type SSD struct {
 	BytesMoved    int
 }
 
-// NewSSDNamed creates an SSD with the given parameters. Its bus CPU carries
-// the given prefix, so multi-host platforms keep per-host device gauges
-// apart; the empty prefix preserves the historical CPU name.
-func NewSSDNamed(k *sim.Kernel, p SSDParams, prefix string) *SSD {
-	if p.Channels <= 0 {
-		p.Channels = 1
-	}
+// NewSSDNamed creates an SSD. Its bus CPU carries the given prefix, so
+// multi-host platforms keep per-host device gauges apart; the empty prefix
+// preserves the historical CPU name.
+func NewSSDNamed(k *sim.Kernel, prefix string) *SSD {
 	bus := "ssd-bus"
 	if prefix != "" {
 		bus = prefix + "-ssd-bus"
 	}
 	d := &SSD{
-		K:        k,
-		Params:   p,
-		channels: make([]sim.Time, p.Channels),
-		bus:      k.NewCPU(bus),
-		extents:  map[uint64][]byte{},
+		K:       k,
+		bus:     k.NewCPU(bus),
+		extents: map[uint64][]byte{},
 	}
 	return d
 }
@@ -99,9 +83,9 @@ func NewSSDNamed(k *sim.Kernel, p SSDParams, prefix string) *SSD {
 // parallelism lets small requests overlap; the shared bus bounds aggregate
 // bandwidth.
 func (d *SSD) Submit(n int, write bool) sim.Time {
-	lat := d.Params.ReadLatency
+	lat := SSDReadLatency
 	if write {
-		lat = d.Params.WriteLatency
+		lat = SSDWriteLatency
 		d.Writes++
 	} else {
 		d.Reads++
@@ -121,7 +105,7 @@ func (d *SSD) Submit(n int, write bool) sim.Time {
 	chanDone := start.Add(lat)
 	d.channels[best] = chanDone
 	// Bus transfer serialises across channels.
-	busDone := d.bus.Reserve(time.Duration(float64(n) / d.Params.BusGBps))
+	busDone := d.bus.Reserve(time.Duration(float64(n) / SSDBusGBps))
 	if busDone > chanDone {
 		return busDone
 	}

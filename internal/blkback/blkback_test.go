@@ -13,29 +13,27 @@ import (
 
 func TestSSDChannelParallelism(t *testing.T) {
 	k := sim.NewKernel(1)
-	p := DefaultSSDParams()
-	ssd := NewSSDNamed(k, p, "")
+	ssd := NewSSDNamed(k, "")
 	// Channels-many small requests at once complete together; one more
 	// queues behind.
 	var last sim.Time
-	for i := 0; i < p.Channels; i++ {
+	for i := 0; i < SSDChannels; i++ {
 		last = ssd.Submit(4096, false)
 	}
-	if last != sim.Time(p.ReadLatency) {
-		t.Errorf("parallel batch completes at %v, want %v", last, p.ReadLatency)
+	if last != sim.Time(SSDReadLatency) {
+		t.Errorf("parallel batch completes at %v, want %v", last, SSDReadLatency)
 	}
-	if extra := ssd.Submit(4096, false); extra != sim.Time(2*p.ReadLatency) {
-		t.Errorf("queued request completes at %v, want %v", extra, 2*p.ReadLatency)
+	if extra := ssd.Submit(4096, false); extra != sim.Time(2*SSDReadLatency) {
+		t.Errorf("queued request completes at %v, want %v", extra, 2*SSDReadLatency)
 	}
 }
 
 func TestSSDBusBoundsLargeTransfers(t *testing.T) {
 	k := sim.NewKernel(1)
-	p := DefaultSSDParams()
-	ssd := NewSSDNamed(k, p, "")
+	ssd := NewSSDNamed(k, "")
 	n := 16 << 20 // 16 MiB: bus time dominates channel latency
 	done := ssd.Submit(n, false)
-	wantBus := time.Duration(float64(n) / p.BusGBps)
+	wantBus := time.Duration(float64(n) / SSDBusGBps)
 	if d := done.Sub(0); d < wantBus {
 		t.Errorf("16 MiB read finished in %v, faster than the %v bus allows", d, wantBus)
 	}
@@ -57,7 +55,7 @@ func writeSector(d *SSD, sector uint64, b []byte) { d.WriteAt(sector, b[:min(len
 
 func TestSectorStorageRoundTrip(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
+	ssd := NewSSDNamed(k, "")
 	data := make([]byte, SectorSize)
 	copy(data, "sector contents")
 	writeSector(ssd, 42, data)
@@ -75,7 +73,7 @@ func TestSectorStorageRoundTrip(t *testing.T) {
 
 func TestWriteSectorCopiesInput(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
+	ssd := NewSSDNamed(k, "")
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
 	writeSector(ssd, 1, buf)
@@ -111,7 +109,7 @@ func TestReqRspSlotRoundTrip(t *testing.T) {
 
 func TestReadSectorReturnsCopy(t *testing.T) {
 	k := sim.NewKernel(1)
-	ssd := NewSSDNamed(k, DefaultSSDParams(), "")
+	ssd := NewSSDNamed(k, "")
 	buf := make([]byte, SectorSize)
 	buf[0] = 'A'
 	writeSector(ssd, 9, buf)
@@ -138,14 +136,13 @@ func TestReadSectorReturnsCopy(t *testing.T) {
 func TestPropSubmitNeverBeatsLatency(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		k := sim.NewKernel(2)
-		p := DefaultSSDParams()
-		ssd := NewSSDNamed(k, p, "")
+		ssd := NewSSDNamed(k, "")
 		for _, sz := range sizes {
 			n := int(sz)%65536 + 1
 			done := ssd.Submit(n, sz%2 == 0)
-			min := p.ReadLatency
+			min := SSDReadLatency
 			if sz%2 == 0 {
-				min = p.WriteLatency
+				min = SSDWriteLatency
 			}
 			if done.Sub(k.Now()) < min {
 				return false
@@ -166,7 +163,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 	bases := []uint64{0, extentSectors - 3, 5*extentSectors - 1, 1 << 26, 1<<26 + extentSectors - 9}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		ssd := NewSSDNamed(sim.NewKernel(1), DefaultSSDParams(), "")
+		ssd := NewSSDNamed(sim.NewKernel(1), "")
 		model := map[uint64][SectorSize]byte{}
 		want := func(sector uint64, n int) []byte {
 			out := make([]byte, 0, n+SectorSize)
@@ -219,7 +216,7 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 
 // Reads of never-written ranges return zeros and create nothing.
 func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
-	ssd := NewSSDNamed(sim.NewKernel(1), DefaultSSDParams(), "")
+	ssd := NewSSDNamed(sim.NewKernel(1), "")
 	buf := make([]byte, 3*cstruct.PageSize)
 	for _, sector := range []uint64{0, extentSectors - 1, 1 << 26, 1 << 40} {
 		for i := range buf {

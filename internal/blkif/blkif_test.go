@@ -29,7 +29,7 @@ func withGuestSSD(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ss
 	t.Helper()
 	k := sim.NewKernel(11)
 	h := hypervisor.NewHost(k, 2)
-	ssd := blkback.NewSSDNamed(k, blkback.DefaultSSDParams(), "")
+	ssd := blkback.NewSSDNamed(k, "")
 	st := xenstore.New()
 	k.Spawn("setup", func(tp *sim.Proc) {
 		dom0 := h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
@@ -138,10 +138,9 @@ func TestParallelReadsOverlapOnChannels(t *testing.T) {
 		elapsed = vm.S.K.Now().Sub(start)
 		return code
 	})
-	params := blkback.DefaultSSDParams()
-	serial := 32 * params.ReadLatency
+	serial := 32 * blkback.SSDReadLatency
 	if elapsed >= serial/2 {
-		t.Errorf("32 reads took %v; want well under serial %v (channels=%d)", elapsed, serial, params.Channels)
+		t.Errorf("32 reads took %v; want well under serial %v (channels=%d)", elapsed, serial, blkback.SSDChannels)
 	}
 }
 
@@ -363,7 +362,7 @@ func TestBadGrefDirectRequestBooksNoDeviceTime(t *testing.T) {
 		return done, ssd
 	}
 	alone, _ := run(0)
-	behind, ssd := run(blkback.DefaultSSDParams().Channels)
+	behind, ssd := run(blkback.SSDChannels)
 	if ssd.Writes != 1 || ssd.BytesMoved != cstruct.PageSize {
 		t.Errorf("device counted Writes=%d BytesMoved=%d, want 1 and %d: bad-gref requests were booked",
 			ssd.Writes, ssd.BytesMoved, cstruct.PageSize)

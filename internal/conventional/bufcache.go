@@ -23,7 +23,6 @@ type BufferedDevice struct {
 	dev storage.Device
 	s   *lwt.Scheduler
 	cpu *sim.CPU
-	p   BufferCacheParams
 
 	capSectors int
 	cache      map[uint64]*list.Element
@@ -37,11 +36,10 @@ type cachedSector struct {
 
 // NewBufferedDevice wraps dev with a buffer cache holding capSectors
 // sectors, costed on its own serialized CPU.
-func NewBufferedDevice(s *lwt.Scheduler, dev storage.Device, capSectors int, p BufferCacheParams) *BufferedDevice {
+func NewBufferedDevice(s *lwt.Scheduler, dev storage.Device, capSectors int) *BufferedDevice {
 	return &BufferedDevice{
 		dev: dev, s: s,
 		cpu:        s.K.NewCPU("bufcache"),
-		p:          p,
 		capSectors: capSectors,
 		cache:      map[uint64]*list.Element{},
 		order:      list.New(),
@@ -52,7 +50,7 @@ func NewBufferedDevice(s *lwt.Scheduler, dev storage.Device, capSectors int, p B
 // resolves when the (serialized) work is done.
 func (d *BufferedDevice) charge(n int) *lwt.Promise[struct{}] {
 	pr := lwt.NewPromise[struct{}](d.s)
-	done := d.cpu.Reserve(d.p.BufferCacheCost(n))
+	done := d.cpu.Reserve(bufferCacheCost(n))
 	d.s.K.At(done, func() { pr.Resolve(struct{}{}) })
 	return pr
 }

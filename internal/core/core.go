@@ -165,7 +165,7 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	s.Host = hypervisor.NewHostNamed(k, npcpus, prefix)
 	s.Bridge = netback.NewBridgeNamed(k, netback.DefaultParams(), prefix)
 	s.Bridge.SetFaults(pl.faults)
-	s.SSD = blkback.NewSSDNamed(k, blkback.DefaultSSDParams(), prefix)
+	s.SSD = blkback.NewSSDNamed(k, prefix)
 	s.Store = xenstore.New()
 	sigName, initName, dom0Name := "dom0-ready", "dom0-init", "dom0"
 	if prefix != "" {

@@ -309,7 +309,7 @@ func TestHostileQueriesRejectedAndCounted(t *testing.T) {
 			s := NewServer(SyntheticZone("example.org", 4), memoize)
 			s.Handle(EncodeQuery(1, "host-1.example.org", TypeA))
 			resp, cost := s.Handle(q)
-			if resp != nil || cost != s.Params.ParseCost {
+			if resp != nil || cost != parseCost {
 				t.Errorf("%s (memo %v): response %x, cost %v", name, memoize, resp, cost)
 			}
 			if s.Queries != 2 || s.Errors != 1 {

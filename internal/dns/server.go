@@ -5,41 +5,19 @@ import (
 	"time"
 )
 
-// CompressorKind selects the label-compression strategy.
-type CompressorKind int
-
-// Compression strategies.
+// The server's per-query virtual-CPU costs, calibrated against Figure 10
+// (Mirage no-memo ≈ 40 kq/s; with memoization 75–80 kq/s). The handler also
+// does the work for real; these constants translate it into simulated time.
 const (
-	CompressHash CompressorKind = iota // naive mutable hashtable
-	CompressTree                       // size-first functional map (§4.2)
+	parseCost   = 4 * time.Microsecond  // wire parse of the query
+	lookupCost  = 5 * time.Microsecond  // zone lookup
+	encodeCost  = 15 * time.Microsecond // response construction + label compression
+	memoHitCost = 9 * time.Microsecond  // memo probe + cached response reuse
 )
-
-// Params are the server's per-query virtual-CPU costs, calibrated against
-// Figure 10 (Mirage no-memo ≈ 40 kq/s; with memoization 75–80 kq/s).
-// The handler also does the work for real; these constants translate it
-// into simulated time.
-type Params struct {
-	ParseCost   time.Duration // wire parse of the query
-	LookupCost  time.Duration // zone lookup
-	EncodeCost  time.Duration // response construction + label compression
-	MemoHitCost time.Duration // memo probe + cached response reuse
-}
-
-// DefaultParams returns the calibrated costs.
-func DefaultParams() Params {
-	return Params{
-		ParseCost:   4 * time.Microsecond,
-		LookupCost:  5 * time.Microsecond,
-		EncodeCost:  15 * time.Microsecond,
-		MemoHitCost: 9 * time.Microsecond,
-	}
-}
 
 // Server is an authoritative DNS server over a zone.
 type Server struct {
 	Zone    *Zone
-	Params  Params
-	Kind    CompressorKind
 	Memo    *Memo // nil disables memoization
 	Queries int
 	Errors  int
@@ -47,18 +25,11 @@ type Server struct {
 
 // NewServer creates a server; memoize enables the response cache.
 func NewServer(z *Zone, memoize bool) *Server {
-	s := &Server{Zone: z, Params: DefaultParams(), Kind: CompressTree}
+	s := &Server{Zone: z}
 	if memoize {
 		s.Memo = NewMemo(0)
 	}
 	return s
-}
-
-func (s *Server) compressor() Compressor {
-	if s.Kind == CompressHash {
-		return NewHashCompressor()
-	}
-	return NewTreeCompressor()
 }
 
 // Handle processes one query datagram and returns the response bytes plus
@@ -72,7 +43,7 @@ func (s *Server) compressor() Compressor {
 func (s *Server) Handle(query []byte) ([]byte, time.Duration) {
 	s.Queries++
 	if body, ok := s.memoised(query); ok {
-		return s.reply(body, query, s.Params.ParseCost+s.Params.MemoHitCost)
+		return s.reply(body, query, parseCost+memoHitCost)
 	}
 	return s.parsed(query)
 }
@@ -101,7 +72,7 @@ func (s *Server) memoised(query []byte) ([]byte, bool) {
 // parsed is Handle by way of ParseMessage: every query the memo cannot
 // answer from its bytes alone.
 func (s *Server) parsed(query []byte) ([]byte, time.Duration) {
-	cost := s.Params.ParseCost
+	cost := parseCost
 	m, err := ParseMessage(query)
 	if err != nil || len(m.Questions) == 0 {
 		s.Errors++
@@ -121,7 +92,7 @@ func (s *Server) parsed(query []byte) ([]byte, time.Duration) {
 		return resp
 	})
 	if s.Memo.Hits > hitsBefore {
-		cost += s.Params.MemoHitCost
+		cost += memoHitCost
 	}
 	return s.reply(body, query, cost)
 }
@@ -142,7 +113,7 @@ func (s *Server) reply(body, query []byte, cost time.Duration) ([]byte, time.Dur
 // answer builds the authoritative response (with zero ID; reply patches the
 // real one in), nil when the zone holds a record that cannot be encoded.
 func (s *Server) answer(q Question) ([]byte, time.Duration) {
-	cost := s.Params.LookupCost
+	cost := lookupCost
 	resp := Message{
 		Flags:     FlagResponse | FlagAuthoritative,
 		Questions: []Question{q},
@@ -153,7 +124,7 @@ func (s *Server) answer(q Question) ([]byte, time.Duration) {
 		if cn := s.Zone.Lookup(q.Name, TypeCNAME); len(cn) > 0 {
 			resp.Answers = append(resp.Answers, cn...)
 			rrs = s.Zone.Lookup(cn[0].Data, q.Type)
-			cost += s.Params.LookupCost
+			cost += lookupCost
 		}
 	}
 	resp.Answers = append(resp.Answers, rrs...)
@@ -167,8 +138,8 @@ func (s *Server) answer(q Question) ([]byte, time.Duration) {
 			resp.Additional = append(resp.Additional, s.Zone.Lookup(n.Data, TypeA)...)
 		}
 	}
-	cost += s.Params.EncodeCost
-	body, err := EncodeMessage(resp, s.compressor())
+	cost += encodeCost
+	body, err := EncodeMessage(resp, NewTreeCompressor()) // size-first functional map (§4.2)
 	if err != nil {
 		return nil, cost
 	}

@@ -376,7 +376,7 @@ func (f *Fleet) BeginMigrate(r *Replica) {
 	r.bridge().DetachMAC(r.MAC)
 	// Release the old main only after the suspend reason has landed on the
 	// guest shard, so its poweroff-on-return path sees a dead domain.
-	k.After(4*f.pl.Host.Params.EventLatency, old.Set)
+	k.After(4*hypervisor.EventLatency, old.Set)
 }
 
 // ResumeMigrated redeploys a frozen replica on the destination host from

@@ -20,11 +20,6 @@ type Watchdog struct {
 	f *Fleet
 	// TargetUS is the per-request latency objective in microseconds.
 	TargetUS float64
-	// Budget is the fraction of an interval's requests allowed over target
-	// before the fleet's error budget counts as burning.
-	Budget float64
-	// MinSamples gates alerts on intervals too thin to judge.
-	MinSamples int64
 
 	fleet sloView
 	reps  []*sloView // parallel to Fleet.replicas
@@ -52,18 +47,20 @@ func (v *sloView) publish() {
 	}
 }
 
-// defaultSLOBudget allows 5% of an interval's requests over target before
-// the budget-burn alert fires.
-const defaultSLOBudget = 0.05
+const (
+	// sloBudget is the fraction of an interval's requests allowed over
+	// target before the fleet's error budget counts as burning: 5%.
+	sloBudget = 0.05
+	// sloMinSamples gates alerts on intervals too thin to judge.
+	sloMinSamples = 10
+)
 
 func newWatchdog(f *Fleet, targetUS float64) *Watchdog {
 	w := &Watchdog{
-		f:          f,
-		TargetUS:   targetUS,
-		Budget:     defaultSLOBudget,
-		MinSamples: 10,
-		fleet:      sloView{hist: f.ReqLatency},
-		mxAlerts:   f.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f.spec.Name)),
+		f:        f,
+		TargetUS: targetUS,
+		fleet:    sloView{hist: f.ReqLatency},
+		mxAlerts: f.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f.spec.Name)),
 	}
 	if c := f.pl.Cluster; c != nil {
 		c.OnEpochEnd(w.publish)
@@ -109,7 +106,7 @@ func (w *Watchdog) evaluate() string {
 		}
 		r := w.f.replicas[i]
 		p99, over, n := rs.interval(w.TargetUS)
-		if n < w.MinSamples {
+		if n < sloMinSamples {
 			continue
 		}
 		if p99 > w.TargetUS {
@@ -120,7 +117,7 @@ func (w *Watchdog) evaluate() string {
 		}
 	}
 	p99, over, n := w.fleet.interval(w.TargetUS)
-	if n >= w.MinSamples && float64(over) > w.Budget*float64(n) {
+	if n >= sloMinSamples && float64(over) > sloBudget*float64(n) {
 		w.alert("slo-budget-burn", "fleet", p99, over, n)
 		reason = "slo-budget-burn"
 	}

@@ -19,7 +19,7 @@ func WebMain(handlerCost time.Duration, body []byte, idleTimeout time.Duration) 
 		ok := &httpd.Response{Status: 200, Body: body} // read-only: every request gets it
 		srv := httpd.NewServer(env.VM.S, func(*httpd.Request) *httpd.Response { return ok })
 		srv.Charge = func(d time.Duration) sim.Time { return env.VM.Dom.VCPU.Reserve(d) }
-		srv.Params.RespondCost += handlerCost // the application's per-request work
+		srv.RespondCost += handlerCost // the application's per-request work
 		srv.IdleTimeout = idleTimeout
 		srv.Latency = r.fleet.ReqLatency
 		srv.MirrorLatency = r.SLOHist // per-replica copy for the SLO watchdog

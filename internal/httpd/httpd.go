@@ -107,18 +107,13 @@ type Handler func(*Request) *Response
 // B-tree through the block API).
 type AsyncHandler func(*Request) *lwt.Promise[*Response]
 
-// Params are the server's per-request virtual-CPU costs (calibrated for
-// §4.4: the unikernel appliance becomes CPU-bound around 800 requests/s
-// only because of its application logic; the HTTP layer itself is cheap).
-type Params struct {
-	ParseCost   time.Duration
-	RespondCost time.Duration
-}
-
-// DefaultParams returns the unikernel HTTP costs.
-func DefaultParams() Params {
-	return Params{ParseCost: 8 * time.Microsecond, RespondCost: 10 * time.Microsecond}
-}
+// The server's per-request virtual-CPU costs (calibrated for §4.4: the
+// unikernel appliance becomes CPU-bound around 800 requests/s only because
+// of its application logic; the HTTP layer itself is cheap).
+const (
+	parseCost   = 8 * time.Microsecond  // request parse
+	respondCost = 10 * time.Microsecond // response construction, before any application work
+)
 
 // Server serves HTTP over TCP listeners. Exactly one of Handler or
 // HandlerAsync must be set.
@@ -126,7 +121,9 @@ type Server struct {
 	S            *lwt.Scheduler
 	Handler      Handler
 	HandlerAsync AsyncHandler
-	Params       Params
+	// RespondCost is the per-response virtual-CPU cost: the HTTP layer's,
+	// plus whatever application work the embedder adds.
+	RespondCost time.Duration
 	// Charge books per-request CPU cost (wired to the domain's vCPU) and
 	// returns the virtual time the charged work completes; the server
 	// holds each response until then, so under backlog the observed
@@ -164,7 +161,7 @@ type Server struct {
 
 // NewServer creates a server with the given handler.
 func NewServer(s *lwt.Scheduler, h Handler) *Server {
-	return &Server{S: s, Handler: h, Params: DefaultParams()}
+	return &Server{S: s, Handler: h, RespondCost: respondCost}
 }
 
 func (srv *Server) charge(d time.Duration) sim.Time {
@@ -340,7 +337,7 @@ func (sc *servedConn) request(req *Request) struct{} {
 	sc.busy = true
 	sc.req, sc.start = req, srv.S.K.Now()
 	srv.Requests++
-	srv.charge(srv.Params.ParseCost)
+	srv.charge(parseCost)
 	if srv.HandlerAsync != nil {
 		sc.answer = srv.HandlerAsync(req)
 		lwt.Always(sc.answer, sc.onHandled)
@@ -369,7 +366,7 @@ func (sc *servedConn) respond(resp *Response) {
 	}
 	sc.resp = resp
 	k := sc.srv.S.K
-	if end := sc.srv.charge(sc.srv.Params.RespondCost); end > k.Now() {
+	if end := sc.srv.charge(sc.srv.RespondCost); end > k.Now() {
 		k.AtArg(end, writeEvent, sc, 0)
 	} else {
 		sc.write()
@@ -431,7 +428,7 @@ func (srv *Server) traceRequest(c *tcp.Conn, start sim.Time) {
 	}
 	now := srv.S.K.Now()
 	total := now.Sub(start)
-	service := srv.Params.ParseCost + srv.Params.RespondCost
+	service := parseCost + srv.RespondCost
 	queue := total - service
 	if queue < 0 {
 		queue = 0

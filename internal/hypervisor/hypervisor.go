@@ -20,40 +20,28 @@ import (
 	"repro/internal/sim"
 )
 
-// Params are the hypervisor's cost constants. They are calibrated so that
-// the macro results land in the paper's ranges; see EXPERIMENTS.md.
-type Params struct {
-	HypercallCost time.Duration // CPU cost of any hypercall
-	EventLatency  time.Duration // event-channel notification delivery latency
+// The hypervisor's cost constants. They are calibrated so that the macro
+// results land in the paper's ranges; see EXPERIMENTS.md.
+const (
+	hypercallCost = 300 * time.Nanosecond // CPU cost of any hypercall
+	// EventLatency is the event-channel notification delivery latency.
+	EventLatency = 2 * time.Microsecond
 	// Domain construction: the toolstack builds page tables and scrubs
 	// memory, so build time grows with the memory reservation (Figure 5's
 	// upward slope, ~60% of Mirage boot at 3 GiB).
-	BuildBase   time.Duration // fixed toolstack overhead per domain
-	BuildPerMiB time.Duration // added per MiB of memory reservation
-	SealCost    time.Duration // one-off cost of the seal hypercall
-	// ResumeCost replaces the build cost when a domain is resumed from a
+	buildBase   = 12 * time.Millisecond  // fixed toolstack overhead per domain
+	buildPerMiB = 180 * time.Microsecond // added per MiB of memory reservation
+	sealCost    = 50 * time.Microsecond  // one-off cost of the seal hypercall
+	// resumeCost replaces the build cost when a domain is resumed from a
 	// migrated snapshot (Config.Resume): the memory image already exists,
 	// so the toolstack only rewires page tables and event channels instead
 	// of scrubbing and populating the reservation.
-	ResumeCost time.Duration
-}
-
-// DefaultParams returns the calibrated cost constants.
-func DefaultParams() Params {
-	return Params{
-		HypercallCost: 300 * time.Nanosecond,
-		EventLatency:  2 * time.Microsecond,
-		BuildBase:     12 * time.Millisecond,
-		BuildPerMiB:   180 * time.Microsecond,
-		SealCost:      50 * time.Microsecond,
-		ResumeCost:    800 * time.Microsecond,
-	}
-}
+	resumeCost = 800 * time.Microsecond
+)
 
 // Host is a physical machine running the hypervisor.
 type Host struct {
 	K       *sim.Kernel
-	Params  Params
 	PCPUs   []*sim.CPU
 	Dom0CPU *sim.CPU // toolstack/control-domain CPU (synchronous builds serialize here)
 
@@ -79,7 +67,7 @@ func NewHostNamed(k *sim.Kernel, ncpu int, prefix string) *Host {
 	if prefix != "" {
 		prefix += "-"
 	}
-	h := &Host{K: k, Params: DefaultParams()}
+	h := &Host{K: k}
 	for i := 0; i < ncpu; i++ {
 		h.PCPUs = append(h.PCPUs, h.pcpuKernel(i).NewCPU(fmt.Sprintf("%spcpu%d", prefix, i)))
 	}
@@ -221,7 +209,7 @@ func (pt *Port) NotifyAsync() {
 	pt.Sends++
 	h.mxNotifies.Inc()
 	pt.traceNotify()
-	pt.K.After(h.Params.EventLatency, pt.deliver)
+	pt.K.After(EventLatency, pt.deliver)
 }
 
 // receive is the arrival of one notification at this end.
@@ -308,7 +296,7 @@ type Config struct {
 	Entry    func(d *Domain, p *sim.Proc) int
 	Colocate bool // keep the guest on the host shard (block-backed guests)
 	// Resume builds the domain from a migrated snapshot: the flat
-	// Params.ResumeCost replaces the memory-scaled build cost.
+	// resumeCost replaces the memory-scaled build cost.
 	Resume bool
 }
 
@@ -316,9 +304,9 @@ type Config struct {
 // CPU and returns the built (not yet running) domain.
 func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 	buildStart := h.K.Now()
-	cost := h.Params.BuildBase + time.Duration(cfg.Memory>>20)*h.Params.BuildPerMiB
+	cost := buildBase + time.Duration(cfg.Memory>>20)*buildPerMiB
 	if cfg.Resume {
-		cost = h.Params.ResumeCost
+		cost = resumeCost
 	}
 	p.Use(cpu, cost)
 	h.nextID++
@@ -499,7 +487,7 @@ func (d *Domain) Shutdown(code int, reason ShutdownReason) {
 	// Lifecycle hooks are control-plane observers (fleet orchestrator):
 	// deliver them on the host shard, one event-channel hop later.
 	hooks := d.shutdownHooks
-	d.K.Post(h.K, h.Params.EventLatency, func() {
+	d.K.Post(h.K, EventLatency, func() {
 		for _, fn := range hooks {
 			fn(code, reason)
 		}
@@ -514,7 +502,7 @@ func (d *Domain) Destroy(code int, reason ShutdownReason) {
 		d.Shutdown(code, reason)
 		return
 	}
-	d.Host.K.Post(d.K, d.Host.Params.EventLatency, func() {
+	d.Host.K.Post(d.K, EventLatency, func() {
 		d.Shutdown(code, reason)
 	})
 }
@@ -558,7 +546,7 @@ func (d *Domain) Seal(p *sim.Proc) error {
 	h := d.Host
 	h.mxHypercalls.Inc()
 	h.mxSeals.Inc()
-	p.Use(d.VCPU, h.Params.HypercallCost+h.Params.SealCost)
+	p.Use(d.VCPU, hypercallCost+sealCost)
 	if tr := d.K.Trace(); tr.Enabled() {
 		tr.Instant(d.K.TraceTime(), "hypervisor", "seal", d.ID, 0,
 			obs.Int("pages", int64(len(d.PT.pages))))

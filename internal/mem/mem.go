@@ -111,21 +111,27 @@ const (
 	GrowMalloc
 )
 
-// HeapConfig parameterises the generational heap cost model. All costs are
-// nominal virtual-CPU durations; see EXPERIMENTS.md for calibration.
+// The generational heap cost model's constants, the same for every
+// backend. All costs are nominal virtual-CPU durations; see EXPERIMENTS.md
+// for calibration.
+const (
+	survivalRate = 0.15                  // fraction of minor bytes promoted per minor GC
+	scanCost     = 60 * time.Nanosecond  // cost per KiB scanned during collection
+	copyCost     = 150 * time.Nanosecond // cost per KiB promoted/compacted
+	growCost     = 2 * time.Microsecond  // base cost per growth operation
+	majorTrigger = 0.8                   // run a major GC when used/cap exceeds this
+)
+
+// HeapConfig is what differs between heaps: the growth backend and what
+// the OS under it charges.
 type HeapConfig struct {
-	Backend      GrowthBackend
-	MinorSize    int           // minor heap bytes (Mirage: one 2 MiB extent)
-	SurvivalRate float64       // fraction of minor bytes promoted per minor GC
-	ScanCost     time.Duration // cost per KiB scanned during collection
-	CopyCost     time.Duration // cost per KiB promoted/compacted
-	GrowCost     time.Duration // base cost per growth operation
-	SyscallCost  time.Duration // extra per-growth syscall cost (0 on a unikernel)
+	Backend     GrowthBackend
+	MinorSize   int           // minor heap bytes (Mirage: one 2 MiB extent)
+	SyscallCost time.Duration // extra per-growth syscall cost (0 on a unikernel)
 	// ChunkTrackCost is paid per tracked chunk at every major collection
 	// when Backend == GrowMalloc (the page-table the paper's §3.3 says a
 	// userspace GC must maintain). Zero for GrowExtent.
 	ChunkTrackCost time.Duration
-	MajorTrigger   float64 // run a major GC when used/cap exceeds this
 }
 
 // DefaultHeapConfig returns the unikernel extent-backed configuration.
@@ -133,13 +139,8 @@ func DefaultHeapConfig() HeapConfig {
 	return HeapConfig{
 		Backend:        GrowExtent,
 		MinorSize:      2 << 20,
-		SurvivalRate:   0.15,
-		ScanCost:       60 * time.Nanosecond,
-		CopyCost:       150 * time.Nanosecond,
-		GrowCost:       2 * time.Microsecond,
 		SyscallCost:    0,
 		ChunkTrackCost: 0,
-		MajorTrigger:   0.8,
 	}
 }
 
@@ -197,9 +198,9 @@ func (h *Heap) Release(n int) {
 func (h *Heap) minorCollect() {
 	h.MinorGCs++
 	// Scan the whole minor heap; copy survivors into the major heap.
-	h.Cost += time.Duration(h.minorUsed/1024+1) * h.cfg.ScanCost
-	survivors := int(float64(h.minorUsed) * h.cfg.SurvivalRate)
-	h.Cost += time.Duration(survivors/1024+1) * h.cfg.CopyCost
+	h.Cost += time.Duration(h.minorUsed/1024+1) * scanCost
+	survivors := int(float64(h.minorUsed) * survivalRate)
+	h.Cost += time.Duration(survivors/1024+1) * copyCost
 	h.ensureMajor(survivors)
 	h.majorUsed += survivors
 	h.liveMajor += survivors
@@ -209,7 +210,7 @@ func (h *Heap) minorCollect() {
 
 func (h *Heap) ensureMajor(n int) {
 	for h.majorUsed+n > h.majorCap {
-		h.Cost += h.cfg.GrowCost + h.cfg.SyscallCost
+		h.Cost += growCost + h.cfg.SyscallCost
 		switch h.cfg.Backend {
 		case GrowExtent:
 			h.majorCap += SuperpageSize
@@ -224,13 +225,13 @@ func (h *Heap) ensureMajor(n int) {
 }
 
 func (h *Heap) maybeMajorCollect() {
-	if h.majorCap == 0 || float64(h.majorUsed)/float64(h.majorCap) < h.cfg.MajorTrigger {
+	if h.majorCap == 0 || float64(h.majorUsed)/float64(h.majorCap) < majorTrigger {
 		return
 	}
 	h.MajorGCs++
 	// Mark: scan live data. Sweep/compact: copy a fraction of it.
-	h.Cost += time.Duration(h.liveMajor/1024+1) * h.cfg.ScanCost
-	h.Cost += time.Duration(h.liveMajor/4096+1) * h.cfg.CopyCost
+	h.Cost += time.Duration(h.liveMajor/1024+1) * scanCost
+	h.Cost += time.Duration(h.liveMajor/4096+1) * copyCost
 	if h.cfg.Backend == GrowMalloc {
 		// The collector walks its chunk table (the "page table" a
 		// userspace GC keeps when the heap is not contiguous, §3.3).

@@ -100,7 +100,7 @@ func TestHeapMajorCollectReclaimsDeadData(t *testing.T) {
 		h.Release(h.liveMajor) // everything promoted so far dies
 		h.Alloc(cfg.MinorSize)
 	}
-	if promoted := int(float64(cfg.MinorSize) * cfg.SurvivalRate); h.majorUsed > promoted {
+	if promoted := int(float64(cfg.MinorSize) * survivalRate); h.majorUsed > promoted {
 		t.Errorf("major heap holds %d bytes after a major GC, want at most the last promotion's %d", h.majorUsed, promoted)
 	}
 }

@@ -12,23 +12,15 @@ type Transport interface {
 	Send(msg []byte)
 }
 
-// ControllerParams hold the per-message processing cost of the controller
-// runtime — the knob that separates Mirage, NOX and Maestro in Figure 11.
-type ControllerParams struct {
-	PacketInCost time.Duration // learning + flow-mod + packet-out emit
-}
-
-// DefaultControllerParams are the Mirage appliance costs (between NOX's
-// optimised C++ and Maestro's JVM, per Figure 11).
-func DefaultControllerParams() ControllerParams {
-	return ControllerParams{PacketInCost: 9 * time.Microsecond}
-}
+// PacketInCost is the controller's per-message processing cost (learning +
+// flow-mod + packet-out emit) — the Mirage appliance's, between NOX's
+// optimised C++ and Maestro's JVM, per Figure 11.
+const PacketInCost = 9 * time.Microsecond
 
 // Controller is a learning-switch OpenFlow controller: on packet-in it
 // learns the source MAC's port and either installs a flow toward a known
 // destination or floods.
 type Controller struct {
-	Params ControllerParams
 	// Charge books CPU cost (wired to the hosting domain's vCPU).
 	Charge func(time.Duration)
 
@@ -42,7 +34,7 @@ type Controller struct {
 
 // NewController returns a learning-switch controller.
 func NewController() *Controller {
-	return &Controller{Params: DefaultControllerParams()}
+	return &Controller{}
 }
 
 // ControllerConn is the controller's state for one attached switch.
@@ -98,7 +90,7 @@ func (cc *ControllerConn) packetIn(pi PacketIn) {
 	c := cc.ctrl
 	c.PacketIns++
 	if c.Charge != nil {
-		c.Charge(c.Params.PacketInCost)
+		c.Charge(PacketInCost)
 	}
 	if len(pi.Data) < 12 {
 		return

@@ -41,8 +41,6 @@ type BTree struct {
 	// completed, whether it resolved or failed.
 	update *lwt.Promise[struct{}]
 
-	// Limits (bytes); keys and values beyond these are rejected.
-	MaxKey, MaxVal int
 	// MaxPages, when non-zero, bounds the device pages the tree may occupy
 	// (pages 0 .. MaxPages-1): an update that needs a page beyond it fails
 	// and leaves the tree as it was. Callers that put another structure
@@ -62,6 +60,9 @@ const (
 	maxLeafKeys     = 12
 	maxInternalKeys = 16
 	superMagic      = 0xBAA2D5EE
+	// Limits (bytes); keys and values beyond these are rejected.
+	maxKey = 64
+	maxVal = 256
 )
 
 type bnode struct {
@@ -91,9 +92,8 @@ func (n *bnode) clone() *bnode {
 func NewBTree(s *lwt.Scheduler, dev Device) (*BTree, *lwt.Promise[struct{}]) {
 	t := &BTree{
 		s: s, dev: dev,
-		cache:   map[uint64]*bnode{},
-		scratch: make([]byte, cstruct.PageSize),
-		MaxKey:  64, MaxVal: 256,
+		cache:    map[uint64]*bnode{},
+		scratch:  make([]byte, cstruct.PageSize),
 		nextPage: 1,
 	}
 	t.root = t.appendNode(&bnode{leaf: true})
@@ -110,9 +110,8 @@ func OpenBTree(s *lwt.Scheduler, dev Device) *lwt.Promise[*BTree] {
 		}
 		t := &BTree{
 			s: s, dev: dev,
-			cache:   map[uint64]*bnode{},
-			scratch: make([]byte, cstruct.PageSize),
-			MaxKey:  64, MaxVal: 256,
+			cache:    map[uint64]*bnode{},
+			scratch:  make([]byte, cstruct.PageSize),
 			root:     v.BE64(4),
 			nextPage: v.BE64(12),
 		}
@@ -241,7 +240,7 @@ func (t *BTree) Pages() uint64 { return t.nextPage }
 // Set inserts or replaces key. The promise resolves when the update is
 // durable (new path pages and superblock written).
 func (t *BTree) Set(key, value []byte) *lwt.Promise[struct{}] {
-	if len(key) == 0 || len(key) > t.MaxKey || len(value) > t.MaxVal {
+	if len(key) == 0 || len(key) > maxKey || len(value) > maxVal {
 		return lwt.FailWith[struct{}](t.s, fmt.Errorf("btree: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
 	if !t.start() {

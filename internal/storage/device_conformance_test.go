@@ -117,7 +117,7 @@ func TestDeviceWriteCapturesPayloadAtSubmit(t *testing.T) {
 	})
 	t.Run("BufferedDevice", func(t *testing.T) {
 		onGuest(t, func(env *core.Env) storage.Device {
-			return conventional.NewBufferedDevice(env.VM.S, env.Blk, 64, conventional.DefaultBufferCacheParams())
+			return conventional.NewBufferedDevice(env.VM.S, env.Blk, 64)
 		})
 	})
 }

@@ -78,7 +78,7 @@ func OpenDurableKV(s *lwt.Scheduler, dev Device, walBase uint64, walSectors int)
 // Set stores key=value; the promise resolves once the WAL record is
 // durable (group commit may batch it with concurrent updates).
 func (kv *DurableKV) Set(key, value []byte) *lwt.Promise[struct{}] {
-	if len(key) == 0 || len(key) > kv.T.MaxKey || len(value) > kv.T.MaxVal {
+	if len(key) == 0 || len(key) > maxKey || len(value) > maxVal {
 		return lwt.FailWith[struct{}](kv.s, fmt.Errorf("durablekv: key/value size out of range (%d/%d)", len(key), len(value)))
 	}
 	seq := kv.W.nextSeq

@@ -191,12 +191,12 @@ func newConn(st *Stack, key connKey) *Conn {
 		st:           st,
 		key:          key,
 		mss:          p.MSS,
-		cwnd:         p.InitCwnd * p.MSS,
+		cwnd:         initCwnd * p.MSS,
 		ssthresh:     1 << 30,
-		rto:          p.InitRTO,
+		rto:          initRTO,
 		sndWnd:       p.MSS, // until the peer advertises
 		peerWndScale: -1,
-		myWndScale:   p.WndScale,
+		myWndScale:   wndScale,
 	}
 	// Wheel timers carry the connection 4-tuple as their ordering key, so
 	// same-tick timers across connections fire in deterministic peer order.
@@ -317,7 +317,7 @@ func (c *Conn) scheduleDelayedAck() {
 	if c.delAckTimer.Pending() {
 		return
 	}
-	c.st.wheel.Schedule(&c.delAckTimer, c.st.S.K.Now().Add(c.st.Params.DelayedAck))
+	c.st.wheel.Schedule(&c.delAckTimer, c.st.S.K.Now().Add(delayedAck))
 }
 
 // flightSize returns bytes in flight.
@@ -410,7 +410,7 @@ func sendEvent(conn any, gen uint64) {
 func (c *Conn) drainWriters() {
 	for c.writers.Len() > 0 {
 		w := c.writers.At(0)
-		space := c.st.Params.SndBuf - c.sendq.Len()
+		space := sndBuf - c.sendq.Len()
 		if space <= 0 {
 			return
 		}
@@ -429,7 +429,7 @@ func (c *Conn) drainWriters() {
 
 // Write queues data for transmission. The promise resolves with len(data)
 // once everything is accepted into the send queue (flow-controlled
-// against SndBuf). Transmission is deferred to the end of the instant so
+// against sndBuf). Transmission is deferred to the end of the instant so
 // that back-to-back small writes coalesce into full segments.
 func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 	pr := lwt.NewPromise[int](c.st.S)
@@ -681,8 +681,8 @@ func (c *Conn) onPersist() {
 	if c.persistBackoff < c.rto {
 		c.persistBackoff = c.rto
 	}
-	if c.persistBackoff > c.st.Params.MaxRTO {
-		c.persistBackoff = c.st.Params.MaxRTO
+	if c.persistBackoff > maxRTO {
+		c.persistBackoff = maxRTO
 	}
 	c.armPersist()
 }
@@ -701,8 +701,8 @@ func (c *Conn) onTimeout() {
 	c.fastRecovery = false
 	c.dupAcks = 0
 	c.rto *= 2
-	if c.rto > c.st.Params.MaxRTO {
-		c.rto = c.st.Params.MaxRTO
+	if c.rto > maxRTO {
+		c.rto = maxRTO
 	}
 	c.retransmitFirst()
 	c.armRTO()
@@ -750,11 +750,11 @@ func (c *Conn) sampleRTT(s inflightSeg) {
 		c.srtt = (7*c.srtt + r) / 8
 	}
 	rto := c.srtt + 4*c.rttvar
-	if rto < c.st.Params.MinRTO {
-		rto = c.st.Params.MinRTO
+	if rto < minRTO {
+		rto = minRTO
 	}
-	if rto > c.st.Params.MaxRTO {
-		rto = c.st.Params.MaxRTO
+	if rto > maxRTO {
+		rto = maxRTO
 	}
 	c.rto = rto
 }

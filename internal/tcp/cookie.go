@@ -105,7 +105,7 @@ func (st *Stack) sendSynCookie(src ipv4.Addr, seg Segment) {
 		Seq: st.encodeCookie(src, seg), Ack: seg.Seq + 1,
 		Flags:  FlagSYN | FlagACK,
 		Window: uint16(w),
-		MSS:    uint16(st.Params.MSS), WndScale: st.Params.WndScale,
+		MSS:    uint16(st.Params.MSS), WndScale: wndScale,
 		Span: seg.Span,
 	}
 	st.mxCookiesSent.Inc()

@@ -13,12 +13,21 @@ import (
 	"repro/internal/sim"
 )
 
+// The TCP implementation's fixed settings; with DefaultParams they match a
+// paper-era stack.
+const (
+	initCwnd   = 4 // initial window in segments
+	wndScale   = 7 // window-scale shift we offer
+	sndBuf     = 256 << 10
+	initRTO    = time.Second
+	minRTO     = 200 * time.Millisecond
+	maxRTO     = 60 * time.Second
+	delayedAck = 40 * time.Millisecond
+)
+
 // Params tune the TCP implementation.
 type Params struct {
 	MSS        int
-	InitCwnd   int // initial window in segments
-	WndScale   int // window-scale shift we offer
-	SndBuf     int
 	RcvBuf     int
 	SynBacklog int // max half-open (SynRcvd) connections per listener; 0 = unlimited
 	// SynCookies answers SYNs past the backlog cap with a stateless cookie
@@ -27,10 +36,6 @@ type Params struct {
 	// Established — only when the handshake-completing ACK returns a valid
 	// cookie. A flood past the cap therefore costs zero connection state.
 	SynCookies bool
-	InitRTO    time.Duration
-	MinRTO     time.Duration
-	MaxRTO     time.Duration
-	DelayedAck time.Duration
 	TimeWait   time.Duration
 }
 
@@ -39,16 +44,9 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		MSS:        1460,
-		InitCwnd:   4,
-		WndScale:   7,
-		SndBuf:     256 << 10,
 		RcvBuf:     256 << 10,
 		SynBacklog: 128,
 		SynCookies: true,
-		InitRTO:    time.Second,
-		MinRTO:     200 * time.Millisecond,
-		MaxRTO:     60 * time.Second,
-		DelayedAck: 40 * time.Millisecond,
 		TimeWait:   500 * time.Millisecond,
 	}
 }

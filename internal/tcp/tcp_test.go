@@ -247,8 +247,8 @@ func TestWindowScalingNegotiated(t *testing.T) {
 	// With a 256 KiB receive buffer and scale 7, the peer's advertised
 	// window must exceed the unscaled 64 KiB ceiling at some point; the
 	// final window reflects scaling.
-	if c.peerWndScale != DefaultParams().WndScale {
-		t.Errorf("peer window scale = %d, want %d", c.peerWndScale, DefaultParams().WndScale)
+	if c.peerWndScale != wndScale {
+		t.Errorf("peer window scale = %d, want %d", c.peerWndScale, wndScale)
 	}
 	if c.sndWnd <= 0xffff {
 		t.Errorf("sndWnd = %d, scaling apparently unused", c.sndWnd)
@@ -347,9 +347,9 @@ func TestCongestionWindowGrowsFromSlowStart(t *testing.T) {
 	a, b, _ := newPair(k, 5*time.Millisecond)
 	payload := mkPayload(512 << 10)
 	_, c := transfer(t, k, a, b, payload, 120*time.Second)
-	params := DefaultParams()
-	if c.cwnd <= params.InitCwnd*params.MSS {
-		t.Errorf("cwnd = %d never grew past initial %d", c.cwnd, params.InitCwnd*params.MSS)
+	mss := DefaultParams().MSS
+	if c.cwnd <= initCwnd*mss {
+		t.Errorf("cwnd = %d never grew past initial %d", c.cwnd, initCwnd*mss)
 	}
 }
 
