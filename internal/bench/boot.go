@@ -28,7 +28,9 @@ func buildTime(rc core.Config, memMiB int, parallel bool) time.Duration {
 		}
 		elapsed = p.Now().Sub(t0)
 	})
-	k.Run()
+	if _, err := k.Run(); err != nil {
+		panic(err)
+	}
 	return elapsed
 }
 
@@ -121,7 +123,9 @@ func AblationToolstack(rc core.Config, n int, memMiB int) *Result {
 				}
 			})
 		}
-		k.Run()
+		if _, err := k.Run(); err != nil {
+			panic(err)
+		}
 		return last.Seconds()
 	}
 	r := &Result{

@@ -134,7 +134,9 @@ func AblationSeal(rc core.Config) *Result {
 			}
 			boot = p.Now().Sub(t0)
 		})
-		k.Run()
+		if _, err := k.Run(); err != nil {
+			panic(err)
+		}
 		return boot, attempts
 	}
 	sealed, attempts := measure(true)

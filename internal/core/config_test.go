@@ -42,7 +42,7 @@ func TestConfigReachesEveryHost(t *testing.T) {
 	send := func(pl *Platform) (delivered, dropped int) {
 		for _, s := range pl.Sites() {
 			dst := &sinkEndpoint{mac: ethernet.MAC{2}}
-			s.Bridge.Attach(dst)
+			s.Bridge.Attach(dst, s.Bridge.K)
 			frame := make([]byte, 64)
 			copy(frame, dst.mac[:])
 			s.Bridge.TransmitBytes(ethernet.MAC{1}, frame)

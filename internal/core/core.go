@@ -137,7 +137,7 @@ func (c Config) NewPlatform(seed int64) *Platform {
 	var cluster *sim.Cluster
 	npcpus := 4
 	if c.PCPUs > 1 {
-		cluster = sim.NewClusterObs(seed, c.PCPUs+1, netback.DefaultParams().Propagation, c.Trace, c.Metrics)
+		cluster = sim.NewClusterObs(seed, c.PCPUs+1, netback.BridgePropagation, c.Trace, c.Metrics)
 		k = cluster.Kernel(0)
 		if c.PCPUs > npcpus {
 			npcpus = c.PCPUs
@@ -163,7 +163,7 @@ func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	k := pl.K
 	s := &Site{Name: name, Index: len(pl.sites)}
 	s.Host = hypervisor.NewHostNamed(k, npcpus, prefix)
-	s.Bridge = netback.NewBridgeNamed(k, netback.DefaultParams(), prefix)
+	s.Bridge = netback.NewBridgeNamed(k, prefix)
 	s.Bridge.SetFaults(pl.faults)
 	s.SSD = blkback.NewSSDNamed(k, prefix)
 	s.Store = xenstore.New()

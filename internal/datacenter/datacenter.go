@@ -71,9 +71,11 @@ type DC struct {
 	where map[ethernet.MAC]int // learned MAC -> host index
 	down  []bool
 
-	mxFrames   func(kind string) *obs.Counter
-	mxBytes    *obs.Counter
+	mxForward  *obs.Counter
+	mxFlood    *obs.Counter
+	mxSteer    *obs.Counter
 	mxUnknown  *obs.Counter
+	mxBytes    *obs.Counter
 	mxDrops    func(reason string) *obs.Counter
 	mxKills    *obs.Counter
 	mxMigrates *obs.Counter
@@ -96,12 +98,11 @@ func New(pl *core.Platform) *DC {
 		spineWire: k.NewCPU("spine-wire"),
 		where:     map[ethernet.MAC]int{},
 		down:      make([]bool, len(pl.Sites())),
-		mxFrames: func(kind string) *obs.Counter {
-			return m.Counter("dc_fabric_frames_total", obs.L("kind", kind))
-		},
-		mxBytes: m.Counter("dc_fabric_bytes_total"),
-		mxUnknown: m.Counter("dc_fabric_frames_total",
-			obs.L("kind", "unknown-flood")),
+		mxForward: m.Counter("dc_fabric_frames_total", obs.L("kind", "forward")),
+		mxFlood:   m.Counter("dc_fabric_frames_total", obs.L("kind", "flood")),
+		mxSteer:   m.Counter("dc_fabric_frames_total", obs.L("kind", "steer")),
+		mxUnknown: m.Counter("dc_fabric_frames_total", obs.L("kind", "unknown-flood")),
+		mxBytes:   m.Counter("dc_fabric_bytes_total"),
 		mxDrops: func(reason string) *obs.Counter {
 			return m.Counter("dc_fabric_drops_total", obs.L("reason", reason))
 		},
@@ -112,7 +113,9 @@ func New(pl *core.Platform) *DC {
 	for i, s := range pl.Sites() {
 		dc.torCPU = append(dc.torCPU, k.NewCPU(s.Name+"-tor"))
 		dc.torWire = append(dc.torWire, k.NewCPU(s.Name+"-tor-wire"))
-		s.Bridge.SetUplink(&port{dc: dc, host: i})
+		s.Bridge.SetUplink(func(src, dst ethernet.MAC, steer bool, f *bufpool.Buf) {
+			dc.carry(i, src, dst, steer, f)
+		})
 	}
 	return dc
 }
@@ -120,86 +123,65 @@ func New(pl *core.Platform) *DC {
 // rack maps a host index to its rack.
 func rack(host int) int { return host / hostsPerRack }
 
-// port adapts one host's bridge to the fabric (netback.Uplink). All its
-// methods run on kernel 0, in bridge context, at the instant the frame
-// cleared the source bridge.
-type port struct {
-	dc   *DC
-	host int
-}
-
-func (p *port) Forward(src ethernet.MAC, f *bufpool.Buf)     { p.dc.forward(p.host, src, f) }
-func (p *port) Flood(src ethernet.MAC, f *bufpool.Buf)       { p.dc.flood(p.host, src, f) }
-func (p *port) SteerRemote(dst ethernet.MAC, f *bufpool.Buf) { p.dc.steer(p.host, dst, f) }
-
-// forward routes a unicast frame with a non-local destination. A learned
-// MAC takes the point-to-point path; an unlearned one floods to every
-// other live host, exactly as a real L2 fabric handles unknown unicast.
-func (dc *DC) forward(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
+// carry is each host bridge's uplink (netback.Uplink). It runs on kernel 0,
+// in bridge context, at the instant the frame cleared the source bridge.
+// A steered frame goes to the host its MAC was learned on: the balancer
+// only steers to replicas that answered probes, so the MAC is normally
+// learned, and a miss (e.g. mid-migration) drops the frame for the
+// client's retransmit to recover. Any other frame teaches the fabric its
+// source; a broadcast floods to every other live host, a learned MAC takes
+// the point-to-point path, and an unlearned one floods, exactly as a real
+// L2 fabric handles unknown unicast.
+func (dc *DC) carry(srcHost int, src, dst ethernet.MAC, steer bool, f *bufpool.Buf) {
+	if steer {
+		j, ok := dc.where[dst]
+		if !ok || j == srcHost || dc.down[j] || dc.down[srcHost] {
+			dc.drop("steer-miss", f)
+			return
+		}
+		dc.mxSteer.Inc()
+		dc.account(f.Len())
+		dc.route(srcHost, j, dst, true, f)
+		return
+	}
 	if dc.down[srcHost] {
 		dc.drop("host-down", f)
 		return
 	}
-	dc.learn(src, srcHost)
-	var dst ethernet.MAC
-	copy(dst[:], f.Bytes()[0:6])
-	j, ok := dc.where[dst]
-	if !ok {
-		dc.mxUnknown.Inc()
-		dc.floodFrom(srcHost, f)
+	dc.where[src] = srcHost
+	if dst == ethernet.Broadcast {
+		dc.mxFlood.Inc()
+		dc.account(f.Len())
+		dc.floodFrom(srcHost, dst, f)
 		return
 	}
-	if j == srcHost || dc.down[j] {
+	j, ok := dc.where[dst]
+	switch {
+	case !ok:
+		dc.mxUnknown.Inc()
+		dc.floodFrom(srcHost, dst, f)
+	case j == srcHost || dc.down[j]:
 		// Stale learning (the owner moved or died): drop; the next
 		// broadcast or a migration's announcement repairs the table.
 		dc.drop("stale-route", f)
-		return
+	default:
+		dc.mxForward.Inc()
+		dc.account(f.Len())
+		dc.route(srcHost, j, dst, false, f)
 	}
-	dc.mxFrames("forward").Inc()
-	dc.account(f.Len())
-	dc.route(srcHost, j, f.Len(), func() { dc.pl.Sites()[j].Bridge.Inject(f) })
-}
-
-// flood carries a broadcast beyond the source host.
-func (dc *DC) flood(srcHost int, src ethernet.MAC, f *bufpool.Buf) {
-	if dc.down[srcHost] {
-		dc.drop("host-down", f)
-		return
-	}
-	dc.learn(src, srcHost)
-	dc.mxFrames("flood").Inc()
-	dc.account(f.Len())
-	dc.floodFrom(srcHost, f)
 }
 
 // floodFrom delivers one reference of f into every live host but the
 // source, in host order (determinism), each over its own fabric path.
 // Consumes the caller's reference.
-func (dc *DC) floodFrom(srcHost int, f *bufpool.Buf) {
+func (dc *DC) floodFrom(srcHost int, dst ethernet.MAC, f *bufpool.Buf) {
 	for j := range dc.pl.Sites() {
 		if j == srcHost || dc.down[j] {
 			continue
 		}
-		g := f.Retain()
-		dst := dc.pl.Sites()[j].Bridge
-		dc.route(srcHost, j, f.Len(), func() { dst.Inject(g) })
+		dc.route(srcHost, j, dst, false, f.Retain())
 	}
 	f.Release()
-}
-
-// steer carries an L4 steering decision toward a MAC on another host. The
-// balancer only steers to replicas that answered probes, so the MAC is
-// normally learned; a miss (e.g. mid-migration) drops the frame and the
-// client's retransmit recovers.
-func (dc *DC) steer(srcHost int, dst ethernet.MAC, f *bufpool.Buf) {
-	j, ok := dc.where[dst]
-	if !ok || j == srcHost || dc.down[j] || dc.down[srcHost] {
-		dc.drop("steer-miss", f)
-		return
-	}
-	dc.mxFrames("steer").Inc()
-	dc.account(f.Len())
-	dc.route(srcHost, j, f.Len(), func() { dc.pl.Sites()[j].Bridge.InjectSteer(dst, f) })
 }
 
 func (dc *DC) drop(reason string, f *bufpool.Buf) {
@@ -207,20 +189,18 @@ func (dc *DC) drop(reason string, f *bufpool.Buf) {
 	f.Release()
 }
 
-func (dc *DC) learn(mac ethernet.MAC, host int) { dc.where[mac] = host }
-
 func (dc *DC) account(n int) { dc.mxBytes.Add(int64(n)) }
 
-// route charges the fabric path from host i to host j for one frame of n
-// bytes and runs deliver at the instant the frame arrives at j's bridge:
+// route charges the fabric path from host i to host j for frame f and
+// injects it into j's bridge, toward dst, at the instant it arrives there:
 // source ToR, spine when the racks differ, destination ToR. Each hop
 // reserves its switch CPU and wire when the frame actually reaches it, so
 // queueing backs up hop by hop like a real cut-through fabric under load.
-func (dc *DC) route(i, j, n int, deliver func()) {
-	k := dc.k
+func (dc *DC) route(i, j int, dst ethernet.MAC, steer bool, f *bufpool.Buf) {
+	k, n := dc.k, f.Len()
 	lastHop := func() {
 		at := torLink.Reserve(dc.torCPU[j], dc.torWire[j], n)
-		k.At(at, deliver)
+		k.At(at, func() { dc.pl.Sites()[j].Bridge.Inject(dst, steer, f) })
 	}
 	at := torLink.Reserve(dc.torCPU[i], dc.torWire[i], n)
 	if rack(i) == rack(j) {

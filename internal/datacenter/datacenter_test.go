@@ -177,7 +177,7 @@ func TestFabricLearning(t *testing.T) {
 	if dc.mxUnknown.Value() == 0 {
 		t.Error("expected some unknown-unicast floods before learning converged")
 	}
-	if dc.mxFrames("forward").Value() == 0 {
+	if dc.mxForward.Value() == 0 {
 		t.Error("expected learned point-to-point forwards after convergence")
 	}
 }

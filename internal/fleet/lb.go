@@ -139,7 +139,7 @@ func NewLB(k *sim.Kernel, b *netback.Bridge, mac ethernet.MAC, ip, vip ipv4.Addr
 		mxActive:    k.Metrics().Gauge("lb_active_conns"),
 	}
 	lb.forgetFn = lb.forget
-	b.Attach(lb)
+	b.Attach(lb, b.K)
 	return lb
 }
 
@@ -403,16 +403,7 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 			return
 		}
 		if flags&tcpSYN != 0 && flags&tcpACK == 0 {
-			lb.mxSteered.Inc()
-			if tr := lb.K.Trace(); tr.Enabled() {
-				tr.Instant(lb.K.TraceTime(), "lb", "steer", 0, 0,
-					obs.Str("client", src.String()), obs.Int("port", int64(srcPort)),
-					obs.Int("replica", int64(be.id)))
-				if f.Span != 0 {
-					tr.FlowStep(lb.K.TraceTime(), "trace", "lb-steer", 0, 0, f.Span,
-						obs.U64("trace_id", f.Span), obs.Int("replica", int64(be.id)))
-				}
-			}
+			lb.steered(src, srcPort, be, f)
 		}
 		lb.bridge.Steer(be.mac, f)
 		return
@@ -434,19 +425,8 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 		cn = &conn{key: key, be: be}
 		lb.conns[key] = cn
 		be.active++
-		lb.mxSteered.Inc()
 		lb.mxActive.Add(1)
-		if tr := lb.K.Trace(); tr.Enabled() {
-			tr.Instant(lb.K.TraceTime(), "lb", "steer", 0, 0,
-				obs.Str("client", src.String()), obs.Int("port", int64(srcPort)),
-				obs.Int("replica", int64(be.id)))
-			// Sampled requests: tie the steering decision into the request's
-			// causal arc (the trace id rides the SYN's frame descriptor).
-			if f.Span != 0 {
-				tr.FlowStep(lb.K.TraceTime(), "trace", "lb-steer", 0, 0, f.Span,
-					obs.U64("trace_id", f.Span), obs.Int("replica", int64(be.id)))
-			}
-		}
+		lb.steered(src, srcPort, be, f)
 	}
 	switch {
 	case flags&tcpRST != 0:
@@ -458,6 +438,22 @@ func (lb *LB) steerTCP(src ipv4.Addr, srcPort uint16, flags uint8, f *bufpool.Bu
 		lb.K.AtArg(lb.K.Now().Add(drainLinger), lb.forgetFn, cn, 0)
 	}
 	lb.bridge.Steer(cn.be.mac, f)
+}
+
+// steered counts and traces a new connection's steering decision. A
+// sampled request's trace id rides the SYN's frame descriptor, so the
+// decision joins the request's causal arc.
+func (lb *LB) steered(src ipv4.Addr, srcPort uint16, be *backend, f *bufpool.Buf) {
+	lb.mxSteered.Inc()
+	if tr := lb.K.Trace(); tr.Enabled() {
+		tr.Instant(lb.K.TraceTime(), "lb", "steer", 0, 0,
+			obs.Str("client", src.String()), obs.Int("port", int64(srcPort)),
+			obs.Int("replica", int64(be.id)))
+		if f.Span != 0 {
+			tr.FlowStep(lb.K.TraceTime(), "trace", "lb-steer", 0, 0, f.Span,
+				obs.U64("trace_id", f.Span), obs.Int("replica", int64(be.id)))
+		}
+	}
 }
 
 // forget drops a FIN-ed connection's steering entry once its linger is over,

@@ -25,9 +25,9 @@ func (e *timeEndpoint) Deliver(f *bufpool.Buf) {
 
 func TestFaultsDropAll(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	dst := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	b.SetFaults(Faults{Drop: 1})
 	const n = 10
 	for i := 0; i < n; i++ {
@@ -46,9 +46,9 @@ func TestFaultsDropAll(t *testing.T) {
 
 func TestFaultsDuplicateDeliversTwoCopies(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	dst := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	b.SetFaults(Faults{Dup: 1})
 	b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 64))
 	if _, err := k.Run(); err != nil {
@@ -74,9 +74,9 @@ func TestFaultsDuplicateDeliversTwoCopies(t *testing.T) {
 func TestFaultsJitterDelaysDelivery(t *testing.T) {
 	base := func(jitter time.Duration) sim.Time {
 		k := sim.NewKernel(1)
-		b := NewBridgeNamed(k, DefaultParams(), "")
+		b := NewBridgeNamed(k, "")
 		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
-		b.Attach(dst)
+		b.Attach(dst, k)
 		b.SetFaults(Faults{Jitter: jitter})
 		b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100))
 		if _, err := k.Run(); err != nil {
@@ -99,9 +99,9 @@ func TestFaultsJitterDelaysDelivery(t *testing.T) {
 
 func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	b.SetFaults(Faults{Reorder: 1})
 	const n = 8
 	for i := 0; i < n; i++ {
@@ -132,9 +132,9 @@ func TestFaultsReorderDelaysWithinWindow(t *testing.T) {
 func TestFaultsDeterministic(t *testing.T) {
 	run := func() (int, []sim.Time, int64, int64) {
 		k := sim.NewKernel(42)
-		b := NewBridgeNamed(k, DefaultParams(), "")
+		b := NewBridgeNamed(k, "")
 		dst := &timeEndpoint{mac: ethernet.MAC{2}, k: k}
-		b.Attach(dst)
+		b.Attach(dst, k)
 		b.SetFaults(Faults{Drop: 0.3, Dup: 0.2, Reorder: 0.3, Jitter: time.Millisecond})
 		for i := 0; i < 100; i++ {
 			b.TransmitBytes(ethernet.MAC{1}, frame(dst.mac, ethernet.MAC{1}, 100+i))
@@ -165,9 +165,9 @@ func TestFaultsDeterministic(t *testing.T) {
 // fault-free builds depends on this).
 func TestFaultsDisabledDeliversEverything(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	dst := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	r := k.Rand()
 	before := r.Int63()
 	const n = 50

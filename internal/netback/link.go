@@ -62,19 +62,16 @@ func (l Link) ReserveBulk(wire *sim.CPU, n int) sim.Time {
 	return wire.Reserve(time.Duration(n) * l.PerByteCost).Add(l.Propagation)
 }
 
-// Params are the bridge cost constants: the host's one-hop wire model. The
-// Link is embedded so the bridge and anything reusing its constants (the
-// cluster lookahead, the fabric) read the same fields.
-type Params struct {
-	Link
-}
+// BridgePropagation is the host bridge's propagation latency: the least
+// delay on every path between a guest and the bridge, which is why the
+// cluster lookahead (internal/core) is this constant.
+const BridgePropagation = 10 * time.Microsecond
 
-// DefaultParams model a host whose backend domain can switch slightly
-// above gigabit line rate, matching the paper's testbed (§4.1.3).
-func DefaultParams() Params {
-	return Params{Link{
-		PerPacketCost: 2 * time.Microsecond,
-		PerByteCost:   4 * time.Nanosecond, // ~2 Gbit/s link ceiling
-		Propagation:   10 * time.Microsecond,
-	}}
+// bridgeLink is the host's one-hop wire model: a backend domain that can
+// switch slightly above gigabit line rate, matching the paper's testbed
+// (§4.1.3).
+var bridgeLink = Link{
+	PerPacketCost: 2 * time.Microsecond,
+	PerByteCost:   4 * time.Nanosecond, // ~2 Gbit/s link ceiling
+	Propagation:   BridgePropagation,
 }

@@ -69,15 +69,18 @@ func TestLinkReserveBulk(t *testing.T) {
 	}
 }
 
-// TestParamsLinkCompat pins the Params surface: the embedded Link's fields
-// are read through Params directly, and DefaultParams carries the constants
-// the cluster lookahead and the fabric reuse.
-func TestParamsLinkCompat(t *testing.T) {
-	p := DefaultParams()
-	if p.PerPacketCost != 2*time.Microsecond || p.PerByteCost != 4*time.Nanosecond {
-		t.Errorf("DefaultParams link fields = %+v", p.Link)
+// TestBridgeLink pins the bridge's wire model: the per-frame and per-byte
+// costs, and the propagation the cluster lookahead reads.
+func TestBridgeLink(t *testing.T) {
+	want := Link{
+		PerPacketCost: 2 * time.Microsecond,
+		PerByteCost:   4 * time.Nanosecond,
+		Propagation:   10 * time.Microsecond,
 	}
-	if p.Propagation != p.Link.Propagation || p.Propagation != 10*time.Microsecond {
-		t.Errorf("Propagation = %v, want the Link's 10µs", p.Propagation)
+	if bridgeLink != want {
+		t.Errorf("bridgeLink = %+v, want %+v", bridgeLink, want)
+	}
+	if BridgePropagation != want.Propagation {
+		t.Errorf("BridgePropagation = %v, want %v", BridgePropagation, want.Propagation)
 	}
 }

@@ -33,34 +33,19 @@ type Endpoint interface {
 	Deliver(frame *bufpool.Buf)
 }
 
-// Homed is optionally implemented by endpoints whose Deliver must run on a
-// simulation kernel other than the bridge's (a guest pinned to another
-// pCPU shard). The bridge posts deliveries into that kernel; endpoints
-// without a home receive frames on the bridge kernel as before. Home is
-// asked once, when the endpoint is attached.
-type Homed interface {
-	Home() *sim.Kernel
-}
-
 // frameBufSize bounds one assembled Ethernet frame (MTU + headers, rounded
 // up to a power of two).
 const frameBufSize = 2048
 
-// Uplink is the bridge's typed seam to a wider network: when a host bridge
-// belongs to a multi-host fabric (internal/datacenter), frames whose
-// destination is not attached locally are handed up instead of being
-// dropped. Every method consumes the caller's frame reference. A bridge
-// with no uplink behaves exactly as before: unknown unicast destinations
-// count as NoRoute and broadcasts stay host-local.
-type Uplink interface {
-	// Forward carries a unicast frame whose destination MAC is not local.
-	Forward(src ethernet.MAC, frame *bufpool.Buf)
-	// Flood carries a broadcast frame beyond the local bridge.
-	Flood(src ethernet.MAC, frame *bufpool.Buf)
-	// SteerRemote carries an L4-balancer steering decision toward a MAC
-	// homed on another host; the fabric drops what it cannot route.
-	SteerRemote(dst ethernet.MAC, frame *bufpool.Buf)
-}
+// Uplink is the bridge's seam to a wider network: when a host bridge
+// belongs to a multi-host fabric (internal/datacenter), a frame from a local
+// endpoint that no local port owns — unknown unicast, a broadcast, or a
+// balancer's steer to a MAC homed elsewhere — is handed up at the instant it
+// clears the bridge. dst is the destination the bridge routed on (the
+// header's for a transmitted frame, the balancer's choice for a steered
+// one). The uplink consumes the frame reference. A bridge with no uplink
+// counts unknown unicast as NoRoute and keeps broadcasts host-local.
+type Uplink func(src, dst ethernet.MAC, steer bool, f *bufpool.Buf)
 
 // Faults is the bridge's deterministic network-impairment model. Every
 // probability is evaluated per delivery (so a broadcast frame is impaired
@@ -91,10 +76,9 @@ func (f Faults) enabled() bool {
 
 // Bridge is the dom0 software bridge.
 type Bridge struct {
-	K      *sim.Kernel
-	CPU    *sim.CPU // backend packet-processing CPU
-	Wire   *sim.CPU // serialisation resource (line rate)
-	Params Params
+	K    *sim.Kernel
+	CPU  *sim.CPU // backend packet-processing CPU
+	Wire *sim.CPU // serialisation resource (line rate)
 
 	endpoints map[ethernet.MAC]*port
 	down      map[ethernet.MAC]bool // administratively-down ports: frames from them are discarded
@@ -122,7 +106,7 @@ type Bridge struct {
 // NewBridgeNamed creates a bridge with its own backend CPU and link
 // resources. prefix names them on multi-host platforms; an empty prefix
 // keeps the historical single-host names.
-func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
+func NewBridgeNamed(k *sim.Kernel, prefix string) *Bridge {
 	cpuName, wireName := "dom0-netback", "bridge-link"
 	if prefix != "" {
 		cpuName, wireName = prefix+"-netback", prefix+"-link"
@@ -134,7 +118,6 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 		K:              k,
 		CPU:            k.NewCPU(cpuName),
 		Wire:           k.NewCPU(wireName),
-		Params:         params,
 		endpoints:      map[ethernet.MAC]*port{},
 		down:           map[ethernet.MAC]bool{},
 		pool:           pool,
@@ -153,15 +136,13 @@ func NewBridgeNamed(k *sim.Kernel, params Params, prefix string) *Bridge {
 	}
 }
 
-// Attach connects an endpoint to the bridge (re-attaching a MAC brings a
-// previously downed port back up).
-func (b *Bridge) Attach(e Endpoint) {
-	pt := &port{ep: e, home: b.K}
-	if h, ok := e.(Homed); ok {
-		pt.home = h.Home()
-	}
-	pt.deliver = func(frame any, _ uint64) { e.Deliver(frame.(*bufpool.Buf)) }
-	b.endpoints[e.MAC()] = pt
+// Attach connects an endpoint whose Deliver runs on the home kernel (the
+// bridge's own, or a guest's on another pCPU shard, into which the bridge
+// posts deliveries). Re-attaching a MAC brings a previously downed port
+// back up.
+func (b *Bridge) Attach(e Endpoint, home *sim.Kernel) {
+	b.endpoints[e.MAC()] = &port{ep: e, home: home,
+		deliver: func(frame any, _ uint64) { e.Deliver(frame.(*bufpool.Buf)) }}
 	delete(b.down, e.MAC())
 }
 
@@ -200,55 +181,92 @@ func (b *Bridge) SetFaults(f Faults) { b.faults = f }
 // clears the bridge.
 func (b *Bridge) charge(n int) sim.Time {
 	b.mxBytes.Add(int64(n))
-	return b.Params.Reserve(b.CPU, b.Wire, n)
+	return bridgeLink.Reserve(b.CPU, b.Wire, n)
 }
 
 // Transmit forwards a frame from src onto the bridge. The destination MAC
-// is read from the frame header (first six bytes); broadcast frames flood
-// to every endpoint except the source. The caller yields its reference to
-// the frame buffer; each delivery hands one reference to the endpoint
-// (broadcast and duplicate deliveries retain the shared buffer rather than
-// copying it — the frame is immutable once transmitted).
+// is read from the frame header (first six bytes). The caller yields its
+// reference to the frame buffer.
 func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 	frame := f.Bytes()
 	if len(frame) < 14 || b.down[src] {
 		f.Release()
 		return
 	}
-	var dst ethernet.MAC
-	copy(dst[:], frame[0:6])
+	b.forward(src, ethernet.MAC(frame[0:6]), false, true, f)
+}
 
-	at := b.charge(len(frame))
+// Steer forwards a frame to the endpoint owning dst regardless of the
+// frame's embedded destination MAC — the L2 redirection primitive a
+// virtual load balancer in the bridge path uses to hand a connection's
+// packets to the replica chosen for it, without rewriting the frame. The
+// balancer is the sender, so there is no source port to leave out. The
+// caller yields its frame reference.
+func (b *Bridge) Steer(dst ethernet.MAC, f *bufpool.Buf) {
+	b.forward(ethernet.MAC{}, dst, true, true, f)
+}
 
-	if dst == ethernet.Broadcast {
-		b.mxFlooded.Inc()
-		b.floodLocal(src, at, f.Retain())
-		if b.uplink != nil {
-			// The uplink sees the frame once it has cleared this bridge.
-			u := b.uplink
-			b.K.At(at, func() { u.Flood(src, f) })
-			return
-		}
+// Inject delivers a frame the fabric carried in toward dst (steered when
+// steer is set) to this bridge's local ports only: it is the receive half
+// of the Uplink seam and never re-uplinks, so a frame cannot loop between
+// bridges. The fabric already charged its own hops. The source MAC, which
+// a broadcast does not flood back to, is read from the frame header.
+// Consumes the caller's frame reference.
+func (b *Bridge) Inject(dst ethernet.MAC, steer bool, f *bufpool.Buf) {
+	frame := f.Bytes()
+	if len(frame) < 14 {
 		f.Release()
 		return
 	}
+	b.forward(ethernet.MAC(frame[6:12]), dst, steer, false, f)
+}
+
+// forward is the bridge's one path: it charges the frame's traversal and
+// delivers it to dst's port, or floods a broadcast to every local port but
+// src. A frame from a local endpoint (local) that no port owns goes to the
+// uplink once it has cleared the bridge; anything else no port owns counts
+// as NoRoute. A delivery hands one reference to the endpoint (broadcast and
+// duplicate deliveries retain the shared buffer rather than copying it —
+// the frame is immutable once transmitted). Consumes the caller's ref.
+func (b *Bridge) forward(src, dst ethernet.MAC, steer, local bool, f *bufpool.Buf) {
+	at := b.charge(f.Len())
 	pt, ok := b.endpoints[dst]
-	if !ok {
-		if b.uplink != nil {
-			u := b.uplink
-			b.K.At(at, func() { u.Forward(src, f) })
-			return
-		}
+	bcast := dst == ethernet.Broadcast
+	up := b.uplink
+	if !local {
+		up = nil
+	}
+	if !ok && !bcast && up == nil {
 		b.NoRoute++
 		f.Release()
 		return
 	}
-	b.mxForwarded.Inc()
-	if tr := b.K.Trace(); tr.Enabled() {
-		tr.Instant(b.K.TraceTime(), "net", "bridge-fwd", 0, 0,
-			obs.Str("dst", dst.String()), obs.Int("bytes", int64(len(frame))))
+	switch {
+	case bcast:
+		b.mxFlooded.Inc()
+		b.floodLocal(src, at, f.Retain())
+	case steer:
+		b.mxSteered.Inc()
+	case ok:
+		b.mxForwarded.Inc()
 	}
-	b.deliver(dst, pt, at, f)
+	if ok {
+		if tr := b.K.Trace(); local && tr.Enabled() {
+			name := "bridge-fwd"
+			if steer {
+				name = "bridge-steer"
+			}
+			tr.Instant(b.K.TraceTime(), "net", name, 0, 0,
+				obs.Str("dst", dst.String()), obs.Int("bytes", int64(f.Len())))
+		}
+		b.deliver(dst, pt, at, f)
+		return
+	}
+	if up == nil {
+		f.Release()
+		return
+	}
+	b.K.At(at, func() { up(src, dst, steer, f) })
 }
 
 // floodLocal delivers one broadcast reference to every local endpoint but
@@ -266,84 +284,6 @@ func (b *Bridge) floodLocal(src ethernet.MAC, at sim.Time, f *bufpool.Buf) {
 		b.deliver(mac, b.endpoints[mac], at, f.Retain())
 	}
 	f.Release()
-}
-
-// Inject delivers a fabric-forwarded frame to this bridge's local ports
-// only — it is the receive half of the Uplink seam and never re-uplinks,
-// so a frame cannot loop between bridges. The local bridge traversal is
-// charged exactly as for Transmit (the fabric already charged its own
-// hops). Consumes the caller's frame reference.
-func (b *Bridge) Inject(f *bufpool.Buf) {
-	frame := f.Bytes()
-	if len(frame) < 14 {
-		f.Release()
-		return
-	}
-	var dst, src ethernet.MAC
-	copy(dst[:], frame[0:6])
-	copy(src[:], frame[6:12])
-
-	at := b.charge(len(frame))
-
-	if dst == ethernet.Broadcast {
-		b.mxFlooded.Inc()
-		b.floodLocal(src, at, f)
-		return
-	}
-	pt, ok := b.endpoints[dst]
-	if !ok {
-		b.NoRoute++
-		f.Release()
-		return
-	}
-	b.mxForwarded.Inc()
-	b.deliver(dst, pt, at, f)
-}
-
-// InjectSteer is Inject for a steered frame: deliver to the local port
-// owning dst regardless of the frame's embedded destination MAC. The frame
-// is dropped when dst is not attached here.
-func (b *Bridge) InjectSteer(dst ethernet.MAC, f *bufpool.Buf) {
-	pt, ok := b.endpoints[dst]
-	if !ok {
-		b.NoRoute++
-		f.Release()
-		return
-	}
-	at := b.charge(f.Len())
-	b.mxSteered.Inc()
-	b.deliver(dst, pt, at, f)
-}
-
-// Steer forwards a frame to the endpoint owning dst regardless of the
-// frame's embedded destination MAC — the L2 redirection primitive a
-// virtual load balancer in the bridge path uses to hand a connection's
-// packets to the replica chosen for it, without rewriting the frame. Costs
-// and impairments are charged exactly as for Transmit; the caller yields its
-// frame reference. The frame is discarded when no endpoint owns dst.
-func (b *Bridge) Steer(dst ethernet.MAC, f *bufpool.Buf) {
-	pt, ok := b.endpoints[dst]
-	if !ok {
-		if b.uplink != nil {
-			// Charge the local traversal, then hand the steering decision
-			// to the fabric once the frame has cleared this bridge.
-			at := b.charge(f.Len())
-			b.mxSteered.Inc()
-			u := b.uplink
-			b.K.At(at, func() { u.SteerRemote(dst, f) })
-			return
-		}
-		b.NoRoute++
-		f.Release()
-		return
-	}
-	at := b.charge(f.Len())
-	b.mxSteered.Inc()
-	if tr := b.K.Trace(); tr.Enabled() {
-		tr.Instant(b.K.TraceTime(), "net", "bridge-steer", 0, 0,
-			obs.Str("dst", dst.String()), obs.Int("bytes", int64(f.Len())))
-	}
-	b.deliver(dst, pt, at, f)
 }
 
 // TransmitBytes forwards a raw byte-slice frame (the slow path for callers
@@ -584,9 +524,9 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPag
 	v.rxFlushFunc = v.rxFlush
 	if guest.K != b.K {
 		v.pool = bufpool.NewPool(frameBufSize)
-		guest.K.Post(b.K, 0, func() { b.Attach(v) })
+		guest.K.Post(b.K, 0, func() { b.Attach(v, guest.K) })
 	} else {
-		b.Attach(v)
+		b.Attach(v, guest.K)
 	}
 	guest.K.SpawnHandler("netback-"+mac.String(), port.Sig, v.serve)
 	return v
@@ -594,10 +534,6 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPag
 
 // MAC implements Endpoint.
 func (v *VIF) MAC() ethernet.MAC { return v.mac }
-
-// Home implements Homed: frames for this VIF are delivered on the guest's
-// kernel.
-func (v *VIF) Home() *sim.Kernel { return v.guest.K }
 
 // stagingPool returns the pool TX frames are assembled from: the bridge's
 // on the bridge shard (bit-identical to the single-kernel path), the VIF's

@@ -33,11 +33,11 @@ func frame(dst, src ethernet.MAC, n int) []byte {
 
 func TestBridgeUnicastForwarding(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	a := &stubEndpoint{mac: ethernet.MAC{1}}
 	c := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(a)
-	b.Attach(c)
+	b.Attach(a, k)
+	b.Attach(c, k)
 	b.TransmitBytes(a.mac, frame(c.mac, a.mac, 100))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
@@ -52,10 +52,10 @@ func TestBridgeUnicastForwarding(t *testing.T) {
 
 func TestBridgeBroadcastFloodsExceptSource(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	eps := []*stubEndpoint{{mac: ethernet.MAC{1}}, {mac: ethernet.MAC{2}}, {mac: ethernet.MAC{3}}}
 	for _, e := range eps {
-		b.Attach(e)
+		b.Attach(e, k)
 	}
 	b.TransmitBytes(eps[0].mac, frame(ethernet.Broadcast, eps[0].mac, 50))
 	if _, err := k.Run(); err != nil {
@@ -68,7 +68,7 @@ func TestBridgeBroadcastFloodsExceptSource(t *testing.T) {
 
 func TestBridgeUnknownDestinationCounted(t *testing.T) {
 	k := sim.NewKernel(1)
-	b := NewBridgeNamed(k, DefaultParams(), "")
+	b := NewBridgeNamed(k, "")
 	b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{9}, ethernet.MAC{1}, 10))
 	if b.NoRoute != 1 {
 		t.Errorf("NoRoute = %d", b.NoRoute)
@@ -77,19 +77,18 @@ func TestBridgeUnknownDestinationCounted(t *testing.T) {
 
 func TestBridgeDeliveryDelayIncludesCosts(t *testing.T) {
 	k := sim.NewKernel(1)
-	p := DefaultParams()
-	b := NewBridgeNamed(k, p, "")
+	b := NewBridgeNamed(k, "")
 	dst := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	var deliveredAt sim.Time
 	wrapped := &hookEndpoint{inner: dst, hook: func() { deliveredAt = k.Now() }}
 	b.DetachMAC(dst.MAC())
-	b.Attach(wrapped)
+	b.Attach(wrapped, k)
 	b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{2}, ethernet.MAC{1}, 1486))
 	if _, err := k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	min := p.Propagation + p.PerPacketCost
+	min := bridgeLink.Propagation + bridgeLink.PerPacketCost
 	if deliveredAt.Sub(0) < min {
 		t.Errorf("delivered after %v, want >= %v", deliveredAt.Sub(0), min)
 	}
@@ -107,10 +106,9 @@ func TestBridgeLinkSerialisation(t *testing.T) {
 	// Many large frames at once: the link resource serialises them, so
 	// total time reflects the configured line rate.
 	k := sim.NewKernel(1)
-	p := DefaultParams()
-	b := NewBridgeNamed(k, p, "")
+	b := NewBridgeNamed(k, "")
 	dst := &stubEndpoint{mac: ethernet.MAC{2}}
-	b.Attach(dst)
+	b.Attach(dst, k)
 	const frames = 100
 	for i := 0; i < frames; i++ {
 		b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{2}, ethernet.MAC{1}, 1486))
@@ -119,7 +117,7 @@ func TestBridgeLinkSerialisation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wire := time.Duration(frames*1500) * p.PerByteCost
+	wire := time.Duration(frames*1500) * bridgeLink.PerByteCost
 	if end.Sub(0) < wire {
 		t.Errorf("burst done in %v, faster than line rate %v", end.Sub(0), wire)
 	}

@@ -29,7 +29,7 @@ func newRig() *rig {
 	return &rig{
 		k:      k,
 		h:      hypervisor.NewHost(k, 4),
-		bridge: netback.NewBridgeNamed(k, netback.DefaultParams(), ""),
+		bridge: netback.NewBridgeNamed(k, ""),
 		st:     xenstore.New(),
 	}
 }

@@ -37,7 +37,7 @@ func newRig(t *testing.T) *rig {
 		t:      t,
 		k:      k,
 		h:      hypervisor.NewHost(k, 4),
-		bridge: netback.NewBridgeNamed(k, netback.DefaultParams(), ""),
+		bridge: netback.NewBridgeNamed(k, ""),
 		st:     xenstore.New(),
 	}
 	k.Spawn("dom0-create", func(p *sim.Proc) {
