@@ -14,7 +14,8 @@ import (
 // peer that allocates nothing: each segment the peer sends is encoded into
 // a pooled page and parsed back, so it reaches the connection page-backed
 // and checksummed as a frame off the wire does, and everything a run
-// allocates is the receiving side's.
+// allocates is the receiving side's. A test that drives the connection's
+// sending half sets onData to see each data or FIN segment it emits.
 type rxRig struct {
 	k    *sim.Kernel
 	s    *lwt.Scheduler
@@ -29,6 +30,7 @@ type rxRig struct {
 	got     int // bytes the application read
 
 	sendFunc func(any, uint64)
+	onData   func(Segment)
 }
 
 func newRxRig(t *testing.T) *rxRig {
@@ -48,6 +50,9 @@ func newRxRig(t *testing.T) *rxRig {
 		r.acks++
 		if seg.Flags&FlagSYN != 0 {
 			synAck = seg
+		}
+		if r.onData != nil && (len(seg.Payload) > 0 || seg.Flags&FlagFIN != 0) {
+			r.onData(seg)
 		}
 	}
 	r.sendFunc = func(any, uint64) {
@@ -91,6 +96,92 @@ func (r *rxRig) inject(seg Segment) {
 func (r *rxRig) run(t *testing.T, d time.Duration) {
 	if _, err := r.k.RunFor(d); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// ack delivers a pure ACK from the peer up to (not including) seq ack.
+func (r *rxRig) ack(ack uint32) { r.inject(Segment{Seq: r.seq, Ack: ack, Flags: FlagACK}) }
+
+// send writes n MSS segments' worth of fresh bytes and runs the instant's
+// deferred send, returning the data segments the connection emitted.
+func (r *rxRig) send(t *testing.T, n int) []Segment {
+	var out []Segment
+	r.onData = func(seg Segment) { out = append(out, seg) }
+	r.c.Write(mkPayload(n * r.c.mss))
+	r.run(t, time.Millisecond)
+	if len(out) != n {
+		t.Fatalf("a write of %d segments emitted %d (cwnd %d)", n, len(out), r.c.cwnd)
+	}
+	return out
+}
+
+func segEnd(seg Segment) uint32 { return seg.Seq + uint32(len(seg.Payload)) }
+
+// TestLossRecoveryRFCCases: the scripted peer drives the sending half
+// through the loss cases two RFCs settle, one row per rule.
+func TestLossRecoveryRFCCases(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T, r *rxRig)
+	}{
+		// RFC 6298 §3 (Karn): an ACK that retires a retransmitted segment
+		// yields no RTT sample, whatever else it retires.
+		{"KarnPerAck", func(t *testing.T, r *rxRig) {
+			warm := r.send(t, 1)
+			r.ack(segEnd(warm[0])) // 1 ms after it was sent
+			if r.c.srtt != time.Millisecond {
+				t.Fatalf("srtt %v after one 1 ms round trip, want 1ms", r.c.srtt)
+			}
+			srtt, rttvar := r.c.srtt, r.c.rttvar
+			segs := r.send(t, 4)
+			// The first segment is lost, and the duplicate ACKs the other
+			// three draw are lost too: only the timeout repairs it.
+			var rexmit []Segment
+			r.onData = func(seg Segment) { rexmit = append(rexmit, seg) }
+			r.run(t, r.c.rto)
+			if len(rexmit) != 1 || rexmit[0].Seq != segs[0].Seq {
+				t.Fatalf("the timeout retransmitted %d segments, want the first", len(rexmit))
+			}
+			r.ack(segEnd(segs[3])) // retires the retransmission and the three queued behind it
+			if r.c.srtt != srtt || r.c.rttvar != rttvar {
+				t.Errorf("srtt %v → %v, rttvar %v → %v: segments queued behind the repair were timed across the timeout",
+					srtt, r.c.srtt, rttvar, r.c.rttvar)
+			}
+		}},
+		// RFC 6582 §3.2 step 4: after a timeout, each ACK below the
+		// recovery point repairs the next hole, so k holes take one RTO.
+		{"TimeoutRepairsEveryHole", func(t *testing.T, r *rxRig) {
+			warm := r.send(t, 4)
+			r.ack(segEnd(warm[3])) // slow start opens the window to six segments
+			segs := r.send(t, 6)
+			// Segments 0, 2 and 4 are lost and the duplicate ACKs are lost
+			// too. The peer answers each hole's retransmission 1 ms later
+			// with a cumulative ACK up to the next hole.
+			holes := []uint32{segs[0].Seq, segs[2].Seq, segs[4].Seq}
+			repaired := 0
+			r.onData = func(seg Segment) {
+				if repaired == len(holes) || seg.Seq != holes[repaired] {
+					return
+				}
+				repaired++
+				next := segEnd(segs[5])
+				if repaired < len(holes) {
+					next = holes[repaired]
+				}
+				r.k.After(time.Millisecond, func() { r.ack(next) })
+			}
+			timeouts := r.st.mxTimeouts.Value()
+			rto := r.c.rto
+			r.run(t, rto+rto/2) // past the timeout, short of the backed-off one
+			if repaired != len(holes) || r.c.inflight.Len() != 0 {
+				t.Errorf("%d of %d holes retransmitted, %d segments unacknowledged", repaired, len(holes), r.c.inflight.Len())
+			}
+			if n := r.st.mxTimeouts.Value() - timeouts; n != 1 {
+				t.Errorf("%d timeouts, want 1", n)
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) { tc.run(t, newRxRig(t)) })
 	}
 }
 

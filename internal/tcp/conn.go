@@ -114,6 +114,7 @@ type Conn struct {
 	dupAcks        int
 	recover        uint32
 	fastRecovery   bool
+	rtoRecovery    bool // a timeout's holes below recover are being repaired
 
 	// RTT estimation / RTO (Jacobson/Karn). All per-connection timers live
 	// on the kernel's hierarchical timing wheel: arming or moving one is an
@@ -337,8 +338,8 @@ func (c *Conn) usableWindow() int {
 // pulled into the send queue BEFORE segments are cut, so several small
 // writes issued in one burst coalesce into MSS-sized segments rather than
 // one undersized segment per write. Segment payloads come from the
-// append-only send queue: capped reslices of a chunk, with no per-segment
-// copy except for the rare segment that straddles two chunks.
+// send queue: capped reslices of the writers' own slices, with no copy
+// except for the segment that straddles two separate writes.
 func (c *Conn) trySend() {
 	c.sendGen++ // this call is the flush; pending deferred sends are stale
 	if c.state != StateEstablished && c.state != StateCloseWait &&
@@ -427,10 +428,13 @@ func (c *Conn) drainWriters() {
 	}
 }
 
-// Write queues data for transmission. The promise resolves with len(data)
-// once everything is accepted into the send queue (flow-controlled
-// against sndBuf). Transmission is deferred to the end of the instant so
-// that back-to-back small writes coalesce into full segments.
+// Write queues data for transmission. The stack keeps data itself, not a
+// copy, until the peer acknowledges it, so the caller must not modify data
+// after the call (Mirage's contract for a written buffer). The promise
+// resolves with len(data) once everything is accepted into the send queue
+// (flow-controlled against sndBuf), which may be before it is acknowledged.
+// Transmission is deferred to the end of the instant so that back-to-back
+// small writes coalesce into full segments.
 func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 	pr := lwt.NewPromise[int](c.st.S)
 	if c.err != nil {
@@ -699,6 +703,8 @@ func (c *Conn) onTimeout() {
 	c.ssthresh = max2(flight/2, 2*c.mss)
 	c.cwnd = c.mss
 	c.fastRecovery = false
+	c.rtoRecovery = true
+	c.recover = c.sndNxt
 	c.dupAcks = 0
 	c.rto *= 2
 	if c.rto > maxRTO {
@@ -733,11 +739,10 @@ func (c *Conn) retransmitFirst() {
 
 // --- RTT estimation (Jacobson, with Karn's rule) ---
 
-func (c *Conn) sampleRTT(s inflightSeg) {
-	if s.rexmit {
-		return // Karn: never sample retransmitted segments
-	}
-	r := c.st.S.K.Now().Sub(s.sentAt)
+// sampleRTT feeds the estimator the round trip of a segment sent at
+// sentAt and acknowledged now; processAck applies Karn's rule.
+func (c *Conn) sampleRTT(sentAt sim.Time) {
+	r := c.st.S.K.Now().Sub(sentAt)
 	if c.srtt == 0 {
 		c.srtt = r
 		c.rttvar = r / 2

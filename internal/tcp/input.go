@@ -167,12 +167,21 @@ func (c *Conn) processAck(seg Segment) {
 	case seqLT(c.sndUna, ack) && seqLEQ(ack, c.sndNxt):
 		acked := int(ack - c.sndUna)
 		c.sndUna = ack
-		// Drop fully-acked inflight segments; sample RTT from the newest.
+		// Drop fully-acked inflight segments and sample RTT from the newest
+		// — unless any of them was retransmitted: Karn's rule holds per ACK
+		// (RFC 6298 §3), or a segment queued behind a repaired hole would
+		// be timed across the whole wait for its repair.
+		var newest inflightSeg
+		popped, rexmit := false, false
 		for c.inflight.Len() > 0 {
 			if s := c.inflight.At(0); !seqLEQ(s.seq+s.seqLen(), ack) {
 				break
 			}
-			c.sampleRTT(c.inflight.Pop())
+			newest = c.inflight.Pop()
+			popped, rexmit = true, rexmit || newest.rexmit
+		}
+		if popped && !rexmit {
+			c.sampleRTT(newest.sentAt)
 		}
 		if c.fastRecovery {
 			if seqLT(ack, c.recover) {
@@ -188,6 +197,13 @@ func (c *Conn) processAck(seg Segment) {
 			}
 		} else {
 			c.dupAcks = 0
+			// After a timeout, an ACK below recover stops at the next hole
+			// of the old window: repair it now, not one hole per timeout
+			// (RFC 6582 §3.2 step 4).
+			c.rtoRecovery = c.rtoRecovery && seqLT(ack, c.recover)
+			if c.rtoRecovery {
+				c.retransmitFirst()
+			}
 			// Appropriate Byte Counting (RFC 3465): grow by bytes newly
 			// acknowledged, not per ACK, so the batched cumulative ACKs
 			// the receiver now emits don't slow window growth.

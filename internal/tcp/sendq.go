@@ -2,26 +2,20 @@ package tcp
 
 import "repro/internal/fifo"
 
-// maxSendChunk bounds one send-queue chunk: large enough that a bulk
-// writer's MSS segments rarely straddle two chunks, small enough that a
-// chunk is released soon after its last segment is acknowledged.
-const maxSendChunk = 64 << 10
-
 // sendQueue holds the bytes a connection has accepted from the application
-// but not yet cut into segments. It is append-only: a byte, once queued,
-// stays where it is until the garbage collector finds its chunk unreferenced
-// — it is never moved, overwritten or handed out again — because segment
-// payloads are capped reslices of a chunk, and in-flight segments (and a
-// peer wired directly to Output) go on aliasing them after the queue has
-// moved past.
+// but not yet cut into segments. It copies nothing (§3.4.1): a chunk is the
+// writer's own slice, kept under the Conn.Write contract that the caller
+// leaves it unmodified until the peer has acknowledged it, and a segment
+// payload is a capped reslice of a chunk. In-flight segments (and a peer
+// wired directly to Output) go on aliasing the writer's bytes after the
+// queue has moved past them.
 //
-// Chunks are sized by the data that arrives, not by a constant: a new chunk
-// holds what is being queued, or twice the chunk it follows when that is
-// larger, up to maxSendChunk. A connection that sends one small request pays
-// for that request; a burst of small writes grows geometrically; a bulk
-// writer gets full-size chunks at once.
+// drainWriters hands the queue one write in flow-controlled pieces; a piece
+// that starts exactly where the tail chunk ends extends that chunk instead
+// of becoming a new one, so the pieces of one write rejoin and only a
+// segment that spans two separate writes is gathered into a copy.
 type sendQueue struct {
-	chunks fifo.Queue[[]byte] // oldest first; only the newest has spare capacity
+	chunks fifo.Queue[[]byte] // writers' slices, oldest first
 	off    int                // bytes of the oldest chunk already cut into segments
 	n      int                // queued, uncut bytes
 }
@@ -29,40 +23,25 @@ type sendQueue struct {
 // Len returns the number of queued bytes not yet cut into segments.
 func (q *sendQueue) Len() int { return q.n }
 
-// write appends a copy of data.
+// write queues data itself, not a copy.
 func (q *sendQueue) write(data []byte) {
+	if len(data) == 0 {
+		return
+	}
 	q.n += len(data)
-	prev := 0
 	if k := q.chunks.Len(); k > 0 {
-		tail := q.chunks.At(k - 1)
-		m := copy((*tail)[len(*tail):cap(*tail)], data)
-		*tail = (*tail)[:len(*tail)+m]
-		data = data[m:]
-		prev = cap(*tail)
+		t := q.chunks.At(k - 1)
+		if m := len(*t); m+len(data) <= cap(*t) && &(*t)[:m+1][m] == &data[0] {
+			*t = (*t)[:m+len(data)]
+			return
+		}
 	}
-	for len(data) > 0 {
-		size := 2 * prev
-		if size < len(data) {
-			size = len(data)
-		}
-		if size > maxSendChunk {
-			size = maxSendChunk
-		}
-		m := len(data)
-		if m > size {
-			m = size
-		}
-		chunk := make([]byte, size)
-		copy(chunk, data) // adjacent to make: only the spare tail is zeroed
-		q.chunks.Push(chunk[:m])
-		prev = size
-		data = data[m:]
-	}
+	q.chunks.Push(data)
 }
 
 // cut removes the next n queued bytes (0 < n <= Len) and returns them as one
-// slice the caller may keep for ever: a capped reslice of the head chunk, or,
-// for the rare span that straddles chunks, a gathered copy.
+// slice with len and cap n: a reslice of the head chunk, or, for a span that
+// straddles two writes, a gathered copy.
 func (q *sendQueue) cut(n int) []byte {
 	q.n -= n
 	head := *q.chunks.At(0)
@@ -86,11 +65,9 @@ func (q *sendQueue) cut(n int) []byte {
 	return out
 }
 
-// dropDrained forgets the head chunk once every byte of it has been cut and
-// no write can land in it any more.
+// dropDrained forgets the head chunk once every byte of it has been cut.
 func (q *sendQueue) dropDrained() {
-	head := *q.chunks.At(0)
-	if q.off < len(head) || (q.chunks.Len() == 1 && len(head) < cap(head)) {
+	if q.off < len(*q.chunks.At(0)) {
 		return
 	}
 	q.chunks.Pop()
