@@ -47,6 +47,7 @@ fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzParseResponse$$' -fuzztime 5s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzEncode$$' -fuzztime 5s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzARPParse$$' -fuzztime 5s ./internal/arp
+	$(GO) test -run '^$$' -fuzz '^FuzzSSDStore$$' -fuzztime 5s ./internal/blkback
 
 race: build
 	$(GO) test -race ./...

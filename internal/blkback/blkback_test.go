@@ -2,6 +2,9 @@ package blkback
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -41,7 +44,7 @@ func TestSSDBusBoundsLargeTransfers(t *testing.T) {
 
 // The one-sector forms the sector tests are written in, over the ranged
 // ReadAt/WriteAt every caller uses: a read returns a copy, never a window onto
-// the extent; a write stores the first 512 bytes of b, zero-filled by WriteAt
+// the store; a write stores the first 512 bytes of b, zero-filled by WriteAt
 // when b is shorter.
 func readSector(d *SSD, sector uint64) []byte {
 	buf := make([]byte, SectorSize)
@@ -155,57 +158,101 @@ func TestPropSubmitNeverBeatsLatency(t *testing.T) {
 	}
 }
 
-// Property: the extent store is indistinguishable from a plain per-sector
-// map under any interleaving of single-sector writes and ranged reads and
-// writes — ranges that cross extent boundaries, sit at the far-away sector
-// 2²⁶ an appliance keeps its log at, and end in a short final sector.
-func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
-	bases := []uint64{0, extentSectors - 3, 5*extentSectors - 1, 1 << 26, 1<<26 + extentSectors - 9}
+// sectorModel is the store's specification: a plain per-sector map, every
+// sector never written reading as zeros.
+type sectorModel map[uint64][SectorSize]byte
+
+// write stores b from sector on, a final short sector zero-filled.
+func (m sectorModel) write(sector uint64, b []byte) {
+	for o := 0; o < len(b); o += SectorSize {
+		var sec [SectorSize]byte
+		copy(sec[:], b[o:])
+		m[sector+uint64(o/SectorSize)] = sec
+	}
+}
+
+// read returns the n bytes from sector on.
+func (m sectorModel) read(sector uint64, n int) []byte {
+	out := make([]byte, 0, n+SectorSize)
+	for s := sector; len(out) < n; s++ {
+		sec := m[s]
+		out = append(out, sec[:]...)
+	}
+	return out[:n]
+}
+
+// matches reports the first way ssd differs from the model: a sector that
+// reads differently, or a stored prefix that ends in a zero byte or
+// overflows its slot.
+func (m sectorModel) matches(ssd *SSD) error {
+	for s, sec := range m {
+		if !bytes.Equal(readSector(ssd, s), sec[:]) {
+			return fmt.Errorf("sector %d differs from the model", s)
+		}
+	}
+	for pg, sp := range ssd.pages {
+		if sp.n > sp.slot {
+			return fmt.Errorf("page %d stores %d bytes in a %d-byte slot", pg, sp.n, sp.slot)
+		}
+		if sp.n > 0 && ssd.chunks[sp.chunk][int(sp.off)+int(sp.n)-1] == 0 {
+			return fmt.Errorf("page %d's %d-byte prefix ends in a zero byte", pg, sp.n)
+		}
+	}
+	return nil
+}
+
+// zeroTailed returns n bytes whose first k are random and the rest zero.
+func zeroTailed(rng *rand.Rand, n, k int) []byte {
+	buf := make([]byte, n)
+	rng.Read(buf[:k])
+	return buf
+}
+
+// Property: the page store is indistinguishable from a plain per-sector map
+// under any interleaving of single-sector writes and ranged reads and writes
+// — ranges that start on and off page boundaries, sit at the far-away
+// sector 2²⁶ an appliance keeps its log at or at the top of the address
+// space, end in a short final sector, are all zeros, or end in zeros, so a
+// page's stored prefix shrinks and grows and reads end inside and past it.
+func TestPropPageStoreMatchesSectorModel(t *testing.T) {
+	bases := []uint64{0, SectorsPerPage, 5*SectorsPerPage - 1, 1 << 26, 1<<26 + 3*SectorsPerPage - 5,
+		1 << 40, math.MaxUint64 - 63}
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		ssd := NewSSDNamed(sim.NewKernel(1), "")
-		model := map[uint64][SectorSize]byte{}
-		want := func(sector uint64, n int) []byte {
-			out := make([]byte, 0, n+SectorSize)
-			for s := sector; len(out) < n; s++ {
-				sec := model[s]
-				out = append(out, sec[:]...)
-			}
-			return out[:n]
-		}
-		for i := 0; i < 200; i++ {
+		model := sectorModel{}
+		for i := 0; i < 300; i++ {
 			sector := bases[rng.Intn(len(bases))] + uint64(rng.Intn(12))
-			buf := make([]byte, 1+rng.Intn(3*cstruct.PageSize))
-			switch rng.Intn(3) {
+			n := 1 + rng.Intn(3*cstruct.PageSize)
+			var buf []byte
+			switch rng.Intn(5) {
 			case 0: // one sector, short or over-long input
-				buf = make([]byte, 1+rng.Intn(2*SectorSize))
-				rng.Read(buf)
+				m := 1 + rng.Intn(2*SectorSize)
+				buf = zeroTailed(rng, m, rng.Intn(m+1))
 				writeSector(ssd, sector, buf)
-				var sec [SectorSize]byte
-				copy(sec[:], buf)
-				model[sector] = sec
+				model.write(sector, buf[:min(len(buf), SectorSize)])
+				continue
 			case 1: // ranged write; the last sector may be short
-				rng.Read(buf)
-				ssd.WriteAt(sector, buf)
-				for o := 0; o < len(buf); o += SectorSize {
-					var sec [SectorSize]byte
-					copy(sec[:], buf[o:])
-					model[sector+uint64(o/SectorSize)] = sec
-				}
-			case 2: // ranged read over stale bytes
-				rng.Read(buf)
+				buf = zeroTailed(rng, n, n)
+			case 2: // all zeros
+				buf = make([]byte, n)
+			case 3: // a random prefix, then zeros
+				buf = zeroTailed(rng, n, rng.Intn(n+1))
+			case 4: // ranged read over stale bytes
+				buf = zeroTailed(rng, n, n)
 				ssd.ReadAt(sector, buf)
-				if !bytes.Equal(buf, want(sector, len(buf))) {
-					t.Logf("seed %d op %d: ReadAt(%d, %d bytes) differs from the model", seed, i, sector, len(buf))
+				if !bytes.Equal(buf, model.read(sector, n)) {
+					t.Logf("seed %d op %d: ReadAt(%d, %d bytes) differs from the model", seed, i, sector, n)
 					return false
 				}
+				continue
 			}
+			ssd.WriteAt(sector, buf)
+			model.write(sector, buf)
 		}
-		for s, sec := range model {
-			if !bytes.Equal(readSector(ssd, s), sec[:]) {
-				t.Logf("seed %d: sector %d differs from the model at the end", seed, s)
-				return false
-			}
+		if err := model.matches(ssd); err != nil {
+			t.Logf("seed %d: %v", seed, err)
+			return false
 		}
 		return true
 	}
@@ -214,11 +261,59 @@ func TestPropExtentStoreMatchesSectorModel(t *testing.T) {
 	}
 }
 
-// Reads of never-written ranges return zeros and create nothing.
+// FuzzSSDStore decodes its input into WriteAt and ReadAt calls and holds the
+// page store to the per-sector model. Each call is a six-byte header — kind,
+// base, sector offset, length (LE16), the share of a write that is not zero
+// (of 255) — then, for a write, up to 16 pattern bytes its non-zero part
+// repeats.
+func FuzzSSDStore(f *testing.F) {
+	bases := []uint64{0, SectorsPerPage, 1 << 26, 1 << 40, math.MaxUint64 - 63}
+	f.Add([]byte{})
+	f.Add([]byte{1, 0, 0, 0xFF, 0x0F, 40, 3, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16,
+		0, 0, 0, 0xFF, 0x0F, 0})
+	f.Add([]byte{1, 2, 5, 0x00, 0x30, 255, 0xAA, 0xBB, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		1, 2, 5, 0x00, 0x08, 10, 0xCC, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 2, 0, 0x00, 0x20, 0})
+	f.Add([]byte{1, 4, 9, 0x01, 0x02, 128, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7,
+		0, 4, 9, 0x01, 0x02, 0, 1, 4, 9, 0x01, 0x10, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+		0, 4, 8, 0x00, 0x10, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ssd := NewSSDNamed(sim.NewKernel(1), "")
+		model := sectorModel{}
+		for len(data) >= 6 {
+			h := data[:6]
+			data = data[6:]
+			sector := bases[int(h[1])%len(bases)] + uint64(h[2]%16)
+			n := 1 + int(binary.LittleEndian.Uint16(h[3:]))%(3*cstruct.PageSize)
+			buf := make([]byte, n)
+			if h[0]%2 == 0 {
+				ssd.ReadAt(sector, buf)
+				if !bytes.Equal(buf, model.read(sector, n)) {
+					t.Fatalf("ReadAt(%d, %d bytes) differs from the model", sector, n)
+				}
+				continue
+			}
+			pattern := data[:min(len(data), 16)]
+			data = data[len(pattern):]
+			if len(pattern) > 0 {
+				for i := range n * int(h[5]) / 255 {
+					buf[i] = pattern[i%len(pattern)]
+				}
+			}
+			ssd.WriteAt(sector, buf)
+			model.write(sector, buf)
+		}
+		if err := model.matches(ssd); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// Reads of never-written ranges return zeros and store nothing.
 func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
 	ssd := NewSSDNamed(sim.NewKernel(1), "")
 	buf := make([]byte, 3*cstruct.PageSize)
-	for _, sector := range []uint64{0, extentSectors - 1, 1 << 26, 1 << 40} {
+	for _, sector := range []uint64{0, SectorsPerPage - 1, 1 << 26, 1 << 40} {
 		for i := range buf {
 			buf[i] = 0xFF
 		}
@@ -229,7 +324,72 @@ func TestReadOnlyRunCreatesNoExtents(t *testing.T) {
 		readSector(ssd, sector)
 		readSectorInto(ssd, sector, buf)
 	}
-	if n := len(ssd.extents); n != 0 {
-		t.Fatalf("reading created %d extents, want 0", n)
+	if len(ssd.pages) != 0 || len(ssd.chunks) != 0 {
+		t.Fatalf("reading created %d index entries and %d chunks, want none", len(ssd.pages), len(ssd.chunks))
+	}
+}
+
+// A page keeps its bytes up to its last non-zero one and no more; a shorter
+// rewrite stays in its slot, zeros store nothing, and once a page has its
+// slot rewriting it — whole, or a few sectors as a log's tail is —
+// allocates nothing.
+func TestSSDStoresOnlyNonZeroPrefix(t *testing.T) {
+	ssd := NewSSDNamed(sim.NewKernel(1), "")
+	const sector = 3 * SectorsPerPage
+	page := make([]byte, cstruct.PageSize)
+	ssd.WriteAt(sector, page)
+	if len(ssd.pages) != 0 || len(ssd.chunks) != 0 {
+		t.Fatalf("an all-zero write to an unwritten page stored %d pages, %d chunks", len(ssd.pages), len(ssd.chunks))
+	}
+
+	page[0], page[599] = 1, 2 // a 600-byte prefix with zeros inside it
+	ssd.WriteAt(sector, page)
+	first := ssd.pages[sector/SectorsPerPage]
+	if first.n != 600 || ssd.tail != 600 {
+		t.Fatalf("a page with a 600-byte prefix stores %d bytes and fills %d, want 600", first.n, ssd.tail)
+	}
+
+	clear(page)
+	page[99] = 3
+	ssd.WriteAt(sector, page)
+	got := ssd.pages[sector/SectorsPerPage]
+	if got.n != 100 || got.chunk != first.chunk || got.off != first.off || ssd.tail != 600 {
+		t.Fatalf("a shorter rewrite stored %+v with the chunks filled to %d, want 100 bytes in its slot %+v",
+			got, ssd.tail, first)
+	}
+	back := make([]byte, cstruct.PageSize)
+	ssd.ReadAt(sector, back)
+	if !bytes.Equal(back, page) {
+		t.Fatal("a shorter rewrite reads back stale bytes past its prefix")
+	}
+
+	clear(page)
+	ssd.WriteAt(sector, page)
+	ssd.ReadAt(sector, back)
+	if !bytes.Equal(back, page) || ssd.pages[sector/SectorsPerPage].n != 0 {
+		t.Fatal("an all-zero overwrite does not read back zeros")
+	}
+
+	page[4000] = 4
+	tail := page[3*SectorSize : 5*SectorSize]
+	for name, write := range map[string]func(){
+		"whole page": func() { ssd.WriteAt(sector, page) },
+		"sub-page":   func() { ssd.WriteAt(sector+3, tail) },
+	} {
+		if n := testing.AllocsPerRun(100, write); n != 0 {
+			t.Errorf("a steady-state %s rewrite allocates %v objects, want 0", name, n)
+		}
+	}
+}
+
+// BenchmarkPrefixLen is the trailing-zero scan every page write pays, on a
+// page with a 600-byte prefix, kv_mixed's mean.
+func BenchmarkPrefixLen(b *testing.B) {
+	var page [cstruct.PageSize]byte
+	page[599] = 1
+	for b.Loop() {
+		if prefixLen(&page) != 600 {
+			b.Fatal("wrong prefix")
+		}
 	}
 }

@@ -264,7 +264,7 @@ func (b *Blkif) unplug() {
 	var cur *devop
 	for _, o := range b.staged {
 		if b.batching && cur != nil && cur.write == o.write &&
-			cur.sector+uint64(cur.sectors) == o.sector &&
+			cur.sector+uint64(cur.sectors) == o.sector && o.sector > cur.sector && // not across 2⁶⁴
 			cur.sectors+o.sectors <= MaxReqSectors {
 			cur.ops = append(cur.ops, o)
 			cur.sectors += o.sectors

@@ -2,6 +2,7 @@ package blkif
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 	"time"
@@ -372,11 +373,62 @@ func TestBadGrefDirectRequestBooksNoDeviceTime(t *testing.T) {
 	}
 }
 
+// A request whose sectors run past the last one a 64-bit address names fails
+// whole before it books the device: its tail must not wrap onto sector 0.
+// Direct: one page at the last sector. Indirect: two adjacent pages that
+// merge into one request, the second crossing the end.
+func TestWrappingRequestFails(t *testing.T) {
+	page := bytes.Repeat([]byte{0xAB}, cstruct.PageSize)
+	for _, starts := range [][]uint64{{math.MaxUint64}, {math.MaxUint64 - 11, math.MaxUint64 - 3}} {
+		_, ssd := withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
+			var prs []*lwt.Promise[*cstruct.View]
+			for _, s := range starts {
+				prs = append(prs, b.Write(s, page))
+			}
+			for i, pr := range prs {
+				if err := vm.S.Run(p, pr); err == nil {
+					t.Errorf("write at sector %d succeeded, want a device error", starts[i])
+				}
+			}
+			if indirect := len(starts) > 1; indirect != (b.Indirect == 1) {
+				t.Errorf("%d writes went indirect %d times", len(starts), b.Indirect)
+			}
+			return 0
+		})
+		if ssd.Writes != 0 || ssd.BytesMoved != 0 {
+			t.Errorf("writes at %v booked the device: Writes=%d BytesMoved=%d", starts, ssd.Writes, ssd.BytesMoved)
+		}
+		for s := uint64(0); s < SectorsPerPage; s++ {
+			if !bytes.Equal(readSector(ssd, s), make([]byte, SectorSize)) {
+				t.Errorf("writes at %v wrapped onto sector %d", starts, s)
+			}
+		}
+	}
+}
+
+// A page ending at the last sector and one at sector 0 are adjacent only
+// modulo 2⁶⁴: they stay two requests and both land.
+func TestWritesAcrossTheEndDoNotMerge(t *testing.T) {
+	last := bytes.Repeat([]byte{0xAB}, cstruct.PageSize)
+	first := bytes.Repeat([]byte{0xCD}, cstruct.PageSize)
+	_, ssd := withGuest(t, func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int {
+		code := vm.Main(p, lwt.Join(vm.S, b.Write(math.MaxUint64-7, last), b.Write(0, first)))
+		if b.Merged != 0 {
+			t.Errorf("Merged = %d across the end of the device, want 0", b.Merged)
+		}
+		return code
+	})
+	if !bytes.Equal(readSector(ssd, math.MaxUint64), last[:SectorSize]) ||
+		!bytes.Equal(readSector(ssd, 0), first[:SectorSize]) {
+		t.Error("writes either side of the end of the device did not land")
+	}
+}
+
 // A steady-state page write — staging copy, ring, grant map, device store —
 // allocates no payload-sized memory: the staging buffer is recycled and the
-// extent already exists. What remains is promises, closures and the op
-// records, far below the page (let alone the page plus eight sector slices
-// the per-sector store cost).
+// page already has its slot in the device store. What remains is promises,
+// closures and the op records, far below the page (let alone the page plus
+// eight sector slices the per-sector store cost).
 func TestSteadyStatePageWriteAllocatesNoPayload(t *testing.T) {
 	const n = 500
 	var perWrite uint64
@@ -392,7 +444,7 @@ func TestSteadyStatePageWriteAllocatesNoPayload(t *testing.T) {
 				return write(i - 1)
 			})
 		}
-		if code := vm.Main(p, write(32)); code != 0 { // touch the extent, fill the free lists
+		if code := vm.Main(p, write(32)); code != 0 { // give the pages their slots, fill the free lists
 			return code
 		}
 		var before, after runtime.MemStats
@@ -423,7 +475,7 @@ func TestSteadyStatePageWriteAllocatesOnlyItsPromise(t *testing.T) {
 				t.Error(err)
 			}
 		}
-		for range 32 { // touch the extents, fill the free lists
+		for range 32 { // give the pages their slots, fill the free lists
 			write()
 		}
 		if n := testing.AllocsPerRun(200, write); n != 1 {
