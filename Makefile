@@ -48,6 +48,8 @@ fuzz: build
 	$(GO) test -run '^$$' -fuzz '^FuzzEncode$$' -fuzztime 5s ./internal/httpd
 	$(GO) test -run '^$$' -fuzz '^FuzzARPParse$$' -fuzztime 5s ./internal/arp
 	$(GO) test -run '^$$' -fuzz '^FuzzSSDStore$$' -fuzztime 5s ./internal/blkback
+	$(GO) test -run '^$$' -fuzz '^FuzzTCPParse$$' -fuzztime 5s ./internal/tcp
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenFlowInput$$' -fuzztime 5s ./internal/openflow
 
 race: build
 	$(GO) test -race ./...

@@ -17,7 +17,7 @@ import (
 	"repro/internal/cstruct"
 	"repro/internal/dns"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
+	"repro/internal/loadgen"
 	"repro/internal/netstack"
 )
 
@@ -64,33 +64,13 @@ func run(memoize bool) {
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(53), IP: serverIP, Netmask: mask}})
 
 	const queries = 2000
-	var elapsed time.Duration
+	names := []string{"www.example.org", "mail.example.org", "alias.example.org", "ns0.example.org"}
+	var t loadgen.Tally
 	pl.Deploy(core.Unikernel{
 		Build:  build.Config{Name: "queryperf", Roots: []string{"dns"}},
 		Memory: 32 << 20,
 		Main: func(env *core.Env) int {
-			env.P.Sleep(2 * time.Second)
-			names := []string{"www.example.org", "mail.example.org", "alias.example.org", "ns0.example.org"}
-			done := lwt.NewPromise[struct{}](env.VM.S)
-			answered := 0
-			start := env.VM.S.K.Now()
-			env.Net.UDP.Bind(3535, func(src ipv4.Addr, srcPort uint16, data *cstruct.View) {
-				m, err := dns.ParseMessage(data.Bytes())
-				data.Release()
-				if err != nil || m.Flags&dns.FlagResponse == 0 {
-					return
-				}
-				answered++
-				if answered == queries {
-					elapsed = env.VM.S.K.Now().Sub(start)
-					done.Resolve(struct{}{})
-					return
-				}
-				q := dns.EncodeQuery(uint16(answered), names[answered%len(names)], dns.TypeA)
-				env.Net.SendUDP(serverIP, 53, 3535, q)
-			})
-			env.Net.SendUDP(serverIP, 53, 3535, dns.EncodeQuery(0, names[0], dns.TypeA))
-			return env.VM.Main(env.P, done)
+			return loadgen.Closed(env, 1, queries, loadgen.Query(serverIP, func(i int) string { return names[i%len(names)] }), &t)
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(2), IP: ipv4.AddrFrom4(10, 0, 0, 2), Netmask: mask}})
 
@@ -100,9 +80,9 @@ func run(memoize bool) {
 	if err := pl.Check(); err != nil {
 		log.Fatal(err)
 	}
-	perQuery := elapsed / queries
+	perQuery := t.Elapsed / queries
 	fmt.Printf("memoize=%-5v  %d queries in %v of virtual time (%.1f µs/query round-trip)",
-		memoize, queries, elapsed.Round(time.Millisecond), float64(perQuery)/1e3)
+		memoize, queries, t.Elapsed.Round(time.Millisecond), float64(perQuery)/1e3)
 	if served.Memo != nil {
 		fmt.Printf("  [memo hits=%d misses=%d]", served.Memo.Hits, served.Memo.Misses)
 	}

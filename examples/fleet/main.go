@@ -16,9 +16,8 @@ import (
 	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/httpd"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
+	"repro/internal/loadgen"
 	"repro/internal/netstack"
 )
 
@@ -52,37 +51,16 @@ func main() {
 	// The burst: twelve keep-alive sessions of 200 requests each, arriving
 	// 250ms apart from T+3s — late arrivals land on freshly summoned
 	// replicas.
-	ok, fail := 0, 0
+	var t loadgen.Tally
+	plan := make([]loadgen.Launch, 12)
+	for i := range plan {
+		plan[i] = loadgen.Launch{At: 3*time.Second + time.Duration(i)*250*time.Millisecond, T: &t}
+	}
+	burst := &loadgen.Sessions{Addr: vip, Reqs: loadgen.GETs(200)}
 	pl.Deploy(core.Unikernel{
 		Build:  build.Config{Name: "client", Roots: []string{"http"}},
 		Memory: 32 << 20,
-		Main: func(env *core.Env) int {
-			all := lwt.NewPromise[struct{}](env.VM.S)
-			pending := 12
-			for i := 0; i < 12; i++ {
-				i := i
-				lwt.Map(env.VM.S.Sleep(3*time.Second+time.Duration(i)*250*time.Millisecond), func(struct{}) struct{} {
-					var reqs []*httpd.Request
-					for j := 0; j < 200; j++ {
-						reqs = append(reqs, &httpd.Request{Method: "GET", Path: "/"})
-					}
-					sess := httpd.Session(env.VM.S, env.Net.TCP, vip, 80, reqs)
-					lwt.Always(sess, func() {
-						if sess.Failed() != nil {
-							fail++
-						} else {
-							ok++
-						}
-						pending--
-						if pending == 0 {
-							all.Resolve(struct{}{})
-						}
-					})
-					return struct{}{}
-				})
-			}
-			return env.VM.Main(env.P, all)
-		},
+		Main:   func(env *core.Env) int { return burst.Plan(env, plan) },
 	}, core.DeployOpts{
 		Net:  &netstack.Config{MAC: core.MAC(2), IP: ipv4.AddrFrom4(10, 0, 0, 2), Netmask: mask},
 		PCPU: -1,
@@ -96,7 +74,7 @@ func main() {
 	}
 
 	fmt.Printf("sessions: %d ok, %d failed; peak replicas %d, live now %d\n",
-		ok, fail, f.MaxReplicas, f.Live())
+		t.SessOK, t.SessFail, f.MaxReplicas, f.Live())
 	fmt.Printf("boot-to-first-byte ms by replica: %v\n", f.BootToFirstByteMS())
 	fmt.Println("fleet lifecycle:")
 	for _, e := range f.Events {

@@ -17,6 +17,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/httpd"
 	"repro/internal/ipv4"
+	"repro/internal/loadgen"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
 	"repro/internal/sim"
@@ -122,8 +123,15 @@ func main() {
 				)
 			}
 			reqs = append(reqs, &httpd.Request{Method: "GET", Path: "/timeline/nobody"})
-			sess := httpd.Session(env.VM.S, env.Net.TCP, serverIP, 80, reqs)
-			main := lwt.Map(sess, func(rs []*httpd.Response) struct{} {
+			var rs []*httpd.Response
+			var t loadgen.Tally
+			sess := &loadgen.Sessions{Addr: serverIP, Reqs: reqs, Answer: func(r *httpd.Response) { rs = append(rs, r) }}
+			done := lwt.NewPromise[struct{}](env.VM.S)
+			sess.Open(env, loadgen.Launch{T: &t}, func() { done.Resolve(struct{}{}) })
+			main := lwt.Map(done, func(struct{}) struct{} {
+				if t.SessOK == 0 {
+					log.Fatal("httperf: session failed")
+				}
 				last := rs[len(rs)-2] // final timeline for anil
 				fmt.Printf("final timeline (%d tweets):\n", strings.Count(string(last.Body), "\n")+1)
 				for _, line := range strings.Split(string(last.Body), "\n") {

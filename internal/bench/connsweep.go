@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/ipv4"
+	"repro/internal/loadgen"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
 	"repro/internal/tcp"
@@ -96,24 +97,14 @@ type csClient struct {
 	st          *tcp.Stack
 }
 
-// csUntil sleeps p's scheduler until the absolute virtual instant at, then
-// runs fn. Chained calls keep exactly one pending timer per guest: the
-// sweep must not itself populate the event queues it is measuring, so
-// connections are launched by a self-pacing chain rather than a
-// pre-scheduled event per connection.
-func csUntil(s *lwt.Scheduler, at time.Duration, fn func()) {
-	d := at - s.K.Now().Duration()
-	if d < 0 {
-		d = 0
-	}
-	sleepThen(s, d, fn)
-}
-
 // deployConnClient deploys one connection-source guest. It opens its share
 // of each step's new connections at interleaved global slots (slot =
 // k*nClients+idx), parks them, and after the last plateau closes every one
 // on the same spacing — the mass close that parks a full population of
-// TIME_WAIT timers on the wheels.
+// TIME_WAIT timers on the wheels. Each wait is chained from the last, so a
+// guest holds exactly one pending timer: the sweep must not itself populate
+// the event queues it is measuring, so connections are launched by a
+// self-pacing chain rather than a pre-scheduled event per connection.
 func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 	steps []csStep, closeStart, drainEnd time.Duration) {
 	pl.Deploy(core.Unikernel{
@@ -128,11 +119,11 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 			var closer func(k int)
 			closer = func(k int) {
 				if k >= len(cl.conns) {
-					csUntil(s, drainEnd, func() { done.Resolve(struct{}{}) })
+					loadgen.Until(s, drainEnd, func() { done.Resolve(struct{}{}) })
 					return
 				}
 				at := closeStart + time.Duration(k*cfg.nClients+idx)*cfg.closeGap
-				csUntil(s, at, func() {
+				loadgen.Until(s, at, func() {
 					cl.conns[k].Close()
 					cl.closed++
 					closer(k + 1)
@@ -164,7 +155,7 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 					return
 				}
 				at := steps[si].start + time.Duration(k*cfg.nClients+idx)*cfg.connGap
-				csUntil(s, at, func() {
+				loadgen.Until(s, at, func() {
 					cn := cl.st.Connect(swVIP, 80)
 					lwt.Always(cn, func() {
 						if cn.Failed() != nil {
@@ -191,13 +182,12 @@ func deployConnClient(pl *core.Platform, idx int, cl *csClient, cfg csConfig,
 
 // deployConnProbe deploys the probe guest: one keep-alive session per step,
 // run on the plateau, recording client-observed request latency while the
-// parked population sits underneath. It returns the probe's per-step
-// tallies (a failed session counts in sessFail).
-func deployConnProbe(pl *core.Platform, cfg csConfig, steps []csStep, drainEnd time.Duration) []*tally {
-	probe := make([]*tally, len(steps))
-	for si := range probe {
-		probe[si] = &tally{}
-	}
+// parked population sits underneath. Each session is armed when the one
+// before it ends, and the probe stays up until drainEnd. It returns the
+// probe's per-step tallies (a failed session counts in SessFail).
+func deployConnProbe(pl *core.Platform, cfg csConfig, steps []csStep, drainEnd time.Duration) []loadgen.Tally {
+	probe := make([]loadgen.Tally, len(steps))
+	ss := &loadgen.Sessions{Addr: swVIP, Reqs: loadgen.GETs(cfg.probeReqs), Think: cfg.think, Linger: true}
 	pl.Deploy(core.Unikernel{
 		Build:  build.Config{Name: "connprobe", Roots: []string{"http"}},
 		Memory: 64 << 20,
@@ -207,13 +197,11 @@ func deployConnProbe(pl *core.Platform, cfg csConfig, steps []csStep, drainEnd t
 			var run func(si int)
 			run = func(si int) {
 				if si == len(steps) {
-					csUntil(s, drainEnd, func() { done.Resolve(struct{}{}) })
+					loadgen.Until(s, drainEnd, func() { done.Resolve(struct{}{}) })
 					return
 				}
-				csUntil(s, steps[si].rampEnd+cfg.settle, func() {
-					httpSession(env, probe[si], cfg.probeReqs,
-						func(_ int, next func()) { sleepThen(s, cfg.think, next) },
-						func() { run(si + 1) })
+				loadgen.Until(s, steps[si].rampEnd+cfg.settle, func() {
+					ss.Open(env, loadgen.Launch{T: &probe[si]}, func() { run(si + 1) })
 				})
 			}
 			run(0)
@@ -330,7 +318,7 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 
 	openAfter, closedTotal, probeFail := 0, 0, 0
 	for _, t := range probe {
-		probeFail += t.sessFail
+		probeFail += t.SessFail
 	}
 	for _, cl := range clients {
 		openAfter += cl.st.Conns()
@@ -356,8 +344,8 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 	}
 	res.addSeries(xs,
 		column{"established conns", func(si int) float64 { return float64(estab[si]) }},
-		column{"probe p50 ms", func(si int) float64 { return probe[si].pct(0.50) / 1000 }},
-		column{"probe p99 ms", func(si int) float64 { return probe[si].pct(0.99) / 1000 }},
+		column{"probe p50 ms", func(si int) float64 { return probe[si].Pct(0.50) / 1000 }},
+		column{"probe p99 ms", func(si int) float64 { return probe[si].Pct(0.99) / 1000 }},
 		column{"event queue len", func(si int) float64 { return float64(queueLen[si]) }},
 		column{"wheel timers", func(si int) float64 { return float64(wheelLen[si]) }})
 	if memStats {
@@ -372,7 +360,7 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"step %d conns: established %d failed %d, event queue %d, wheel timers %d, probe p99 %.3f ms",
 			steps[si].target, estab[si], failed[si], queueLen[si], wheelLen[si],
-			probe[si].pct(0.99)/1000))
+			probe[si].Pct(0.99)/1000))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"mass close: %d closed, %d TIME_WAIT timers parked on wheels, event queue %d at close barrier",

@@ -11,7 +11,7 @@ import (
 	"repro/internal/cstruct"
 	"repro/internal/dns"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
+	"repro/internal/loadgen"
 	"repro/internal/netstack"
 )
 
@@ -124,38 +124,14 @@ func mirageDNSThroughput(rc core.Config, zoneEntries int, memo bool, queries int
 
 	const window = 16 // queries kept in flight (queryperf default order)
 	rng := rand.New(rand.NewSource(int64(zoneEntries)))
-	var elapsed time.Duration
-	answered := 0
+	var t loadgen.Tally
 	pl.Deploy(core.Unikernel{
 		Build:  build.Config{Name: "queryperf", Roots: []string{"dns"}},
 		Memory: 32 << 20,
 		Main: func(env *core.Env) int {
-			env.P.Sleep(2 * time.Second)
-			done := lwt.NewPromise[struct{}](env.VM.S)
-			sent := 0
-			sendNext := func() {
-				name := fmt.Sprintf("host-%d.bench.local", rng.Intn(zoneEntries))
-				q := dns.EncodeQuery(uint16(sent), name, dns.TypeA)
-				sent++
-				env.Net.SendUDP(serverIP, 53, 3535, q)
-			}
-			start := env.VM.S.K.Now()
-			env.Net.UDP.Bind(3535, func(src ipv4.Addr, srcPort uint16, data *cstruct.View) {
-				data.Release()
-				answered++
-				if answered == queries {
-					elapsed = env.VM.S.K.Now().Sub(start)
-					done.Resolve(struct{}{})
-					return
-				}
-				if sent < queries {
-					sendNext()
-				}
-			})
-			for i := 0; i < window && sent < queries; i++ {
-				sendNext()
-			}
-			return env.VM.Main(env.P, done)
+			return loadgen.Closed(env, window, queries, loadgen.Query(serverIP, func(int) string {
+				return fmt.Sprintf("host-%d.bench.local", rng.Intn(zoneEntries))
+			}), &t)
 		},
 	}, core.DeployOpts{
 		Net: &netstack.Config{MAC: core.MAC(2), IP: ipv4.AddrFrom4(10, 0, 0, 2), Netmask: benchMask},
@@ -165,10 +141,10 @@ func mirageDNSThroughput(rc core.Config, zoneEntries int, memo bool, queries int
 	})
 
 	appendix := rn.finish(5*time.Minute, "cpu_", "net_", "ring_occupancy", "bridge_")
-	if answered != queries {
-		panic(fmt.Sprintf("fig10: %d/%d queries answered", answered, queries))
+	if len(t.Lats) != queries {
+		panic(fmt.Sprintf("fig10: %d/%d queries answered", len(t.Lats), queries))
 	}
-	return float64(queries) / elapsed.Seconds(), appendix
+	return float64(queries) / t.Elapsed.Seconds(), appendix
 }
 
 // AblationDNSCompression compares the naive hashtable label compressor

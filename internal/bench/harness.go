@@ -2,19 +2,16 @@ package bench
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/fleet"
-	"repro/internal/httpd"
-	"repro/internal/lwt"
 	"repro/internal/obs"
 )
 
 // The one sweep harness: every platform experiment boots through
-// platformRun, every HTTP load generator drives sessions through httpSession into a tally, and
-// every per-point figure is assembled by addSeries.
+// platformRun, every client is an internal/loadgen guest feeding a
+// loadgen.Tally, and every per-point figure is assembled by addSeries.
 
 // platformRun is one platform run. The registry is snapshotted at boot so
 // the appendix shows only what this run added.
@@ -54,99 +51,6 @@ func (r *platformRun) settle(at time.Duration) {
 func (r *platformRun) finish(at time.Duration, prefixes ...string) []string {
 	r.settle(at)
 	return metricsAppendix(r.pl.K, r.before, prefixes...)
-}
-
-// tally is the one client-side collector: per-request latencies and
-// session outcomes. Each tally is written by exactly one guest — so by one
-// shard — and tallies are merged only after Run returns; percentiles sort
-// and counts sum, so the merged figures do not depend on which shard's
-// thread ran first.
-type tally struct {
-	lats     []float64 // per-request latency, µs
-	reqsDone int       // requests completing inside the phase window
-	sessOK   int
-	sessFail int
-}
-
-// mergeTallies folds per-guest tallies ([guest][point]) into one per point,
-// in guest-index order.
-func mergeTallies(perGuest [][]*tally) []*tally {
-	out := make([]*tally, len(perGuest[0]))
-	for p := range out {
-		out[p] = &tally{}
-		for _, g := range perGuest {
-			out[p].lats = append(out[p].lats, g[p].lats...)
-			out[p].reqsDone += g[p].reqsDone
-			out[p].sessOK += g[p].sessOK
-			out[p].sessFail += g[p].sessFail
-		}
-	}
-	return out
-}
-
-// pct returns the q-quantile latency in µs (nearest rank), 0 when empty.
-func (t *tally) pct(q float64) float64 {
-	if len(t.lats) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), t.lats...)
-	sort.Float64s(s)
-	i := int(q*float64(len(s))+0.5) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(s) {
-		i = len(s) - 1
-	}
-	return s[i]
-}
-
-// httpSession runs n GETs over one keep-alive connection to the fleet VIP,
-// recording each request's client-observed latency (write to parsed
-// response) and the session's outcome in t. after(i, next) runs once
-// response i is booked; the caller places its think time by choosing when
-// to call next. done runs once, after the connection is closed or failed.
-func httpSession(env *core.Env, t *tally, n int, after func(i int, next func()), done func()) {
-	s := env.VM.S
-	cn := env.Net.TCP.Connect(swVIP, 80)
-	lwt.Always(cn, func() {
-		if cn.Failed() != nil {
-			t.sessFail++
-			done()
-			return
-		}
-		c := cn.Value()
-		cl := httpd.NewClient(c)
-		var issue func(i int)
-		issue = func(i int) {
-			if i == n {
-				c.Close()
-				t.sessOK++
-				done()
-				return
-			}
-			start := s.K.Now()
-			cl.Do(&httpd.Request{Method: "GET", Path: "/"}, func(resp *httpd.Response) {
-				if resp == nil {
-					t.sessFail++
-					c.Close()
-					done()
-					return
-				}
-				t.lats = append(t.lats, float64(s.K.Now().Sub(start).Microseconds()))
-				after(i, func() { issue(i + 1) })
-			})
-		}
-		issue(0)
-	})
-}
-
-// sleepThen runs fn after d of the guest's virtual time.
-func sleepThen(s *lwt.Scheduler, d time.Duration, fn func()) {
-	lwt.Map(s.Sleep(d), func(struct{}) struct{} {
-		fn()
-		return struct{}{}
-	})
 }
 
 // sampleLive samples the fleet's live-replica count every 100ms from swWarmup

@@ -8,8 +8,8 @@ import (
 	"repro/internal/conventional"
 	"repro/internal/core"
 	"repro/internal/cstruct"
-	"repro/internal/icmp"
 	"repro/internal/ipv4"
+	"repro/internal/loadgen"
 	"repro/internal/lwt"
 	"repro/internal/netstack"
 	"repro/internal/sim"
@@ -27,8 +27,7 @@ func PingLatency(rc core.Config, pings int) *Result {
 	run := func(label string, targetParams netstack.Params) time.Duration {
 		rn := newRun(rc, "ping", 77)
 		pl := rn.pl
-		var total time.Duration
-		done := 0
+		var t loadgen.Tally
 
 		// Target: answers ICMP echo in its stack.
 		pl.Deploy(core.Unikernel{
@@ -43,28 +42,17 @@ func PingLatency(rc core.Config, pings int) *Result {
 		pl.Deploy(core.Unikernel{
 			Build: build.Config{Name: "pinger", Roots: []string{"icmp"}},
 			Main: func(env *core.Env) int {
-				env.P.Sleep(2 * time.Second)
-				var sentAt sim.Time
-				fin := lwt.NewPromise[struct{}](env.VM.S)
-				env.Net.ICMP.OnReply = func(from ipv4.Addr, e icmp.Echo) {
-					total += env.VM.S.K.Now().Sub(sentAt)
-					done++
-					if done == pings {
-						fin.Resolve(struct{}{})
-						return
-					}
-					sentAt = env.VM.S.K.Now()
-					env.Net.Ping(ipv4.AddrFrom4(10, 0, 0, 2), 1, uint16(done), nil)
-				}
-				sentAt = env.VM.S.K.Now()
-				env.Net.Ping(ipv4.AddrFrom4(10, 0, 0, 2), 1, 0, nil)
-				return env.VM.Main(env.P, fin)
+				return loadgen.Closed(env, 1, pings, loadgen.Ping(ipv4.AddrFrom4(10, 0, 0, 2)), &t)
 			},
 		}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: ipv4.AddrFrom4(10, 0, 0, 1), Netmask: benchMask}})
 
 		metrics := rn.finish(10*time.Minute, "cpu_busy", "net_", "ring_occupancy", "hv_evtchn")
-		if done != pings {
-			panic(fmt.Sprintf("ping bench: only %d/%d replies", done, pings))
+		if len(t.Lats) != pings {
+			panic(fmt.Sprintf("ping bench: only %d/%d replies", len(t.Lats), pings))
+		}
+		var total time.Duration
+		for _, d := range t.Lats {
+			total += d
 		}
 		appendix = append(appendix, "["+label+"]")
 		appendix = append(appendix, metrics...)
@@ -275,34 +263,19 @@ func zeroCopyEchoRate(rc core.Config, rounds int, copyRX bool) (float64, int) {
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(1), IP: serverIP, Netmask: benchMask}})
 
-	var elapsed time.Duration
-	n := 0
+	var t loadgen.Tally
 	pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "pinger", Roots: []string{"udp"}},
 		Main: func(env *core.Env) int {
-			env.P.Sleep(2 * time.Second)
-			done := lwt.NewPromise[struct{}](env.VM.S)
-			start := env.VM.S.K.Now()
-			env.Net.UDP.Bind(9000, func(src ipv4.Addr, sp uint16, data *cstruct.View) {
-				data.Release()
-				n++
-				if n == rounds {
-					elapsed = env.VM.S.K.Now().Sub(start)
-					done.Resolve(struct{}{})
-					return
-				}
-				env.Net.SendUDP(serverIP, 7, 9000, payload)
-			})
-			env.Net.SendUDP(serverIP, 7, 9000, payload)
-			return env.VM.Main(env.P, done)
+			return loadgen.Closed(env, 1, rounds, loadgen.Echo(serverIP, 9000, payload), &t)
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(2), IP: clientIP, Netmask: benchMask}})
 
 	// UDP has no retransmission: one lost datagram ends the ping-pong, and
 	// a rate over the rounds that did run would be a made-up number.
 	rn.settle(10 * time.Minute)
-	if n != rounds {
-		panic(fmt.Sprintf("ablation-zerocopy: only %d/%d echoes", n, rounds))
+	if len(t.Lats) != rounds {
+		panic(fmt.Sprintf("ablation-zerocopy: only %d/%d echoes", len(t.Lats), rounds))
 	}
-	return float64(rounds) / elapsed.Seconds(), serverPool.Recycled
+	return float64(rounds) / t.Elapsed.Seconds(), serverPool.Recycled
 }

@@ -31,8 +31,6 @@ import (
 // rkConfig sizes one racksweep run.
 type rkConfig struct {
 	sessPerSec int
-	reqs       int
-	think      time.Duration
 	durs       [3]time.Duration // per-phase lengths
 	migInto    time.Duration    // migration instant, offset into phase 1
 	killInto   time.Duration    // host-kill instant, offset into phase 2
@@ -42,16 +40,16 @@ type rkConfig struct {
 func rkConfigFor(quick bool) rkConfig {
 	if quick {
 		return rkConfig{
-			sessPerSec: 16, reqs: 8, think: 25 * time.Millisecond,
-			durs:    [3]time.Duration{1500 * time.Millisecond, 1500 * time.Millisecond, 2500 * time.Millisecond},
-			migInto: 500 * time.Millisecond, killInto: 300 * time.Millisecond,
+			sessPerSec: 16,
+			durs:       [3]time.Duration{1500 * time.Millisecond, 1500 * time.Millisecond, 2500 * time.Millisecond},
+			migInto:    500 * time.Millisecond, killInto: 300 * time.Millisecond,
 			tail: 6 * time.Second,
 		}
 	}
 	return rkConfig{
-		sessPerSec: 40, reqs: 8, think: 25 * time.Millisecond,
-		durs:    [3]time.Duration{3 * time.Second, 3 * time.Second, 4 * time.Second},
-		migInto: time.Second, killInto: 500 * time.Millisecond,
+		sessPerSec: 40,
+		durs:       [3]time.Duration{3 * time.Second, 3 * time.Second, 4 * time.Second},
+		migInto:    time.Second, killInto: 500 * time.Millisecond,
 		tail: 8 * time.Second,
 	}
 }
@@ -95,11 +93,11 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 	})
 
 	phases := []swPhase{
-		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[0]},
-		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[1]},
-		{sessPerSec: cfg.sessPerSec, reqs: cfg.reqs, think: cfg.think, dur: cfg.durs[2]},
+		{sessPerSec: cfg.sessPerSec, dur: cfg.durs[0]},
+		{sessPerSec: cfg.sessPerSec, dur: cfg.durs[1]},
+		{sessPerSec: cfg.sessPerSec, dur: cfg.durs[2]},
 	}
-	loads := deploySweepClients(pl, phases)
+	stats := deploySweepClients(pl, phases)
 
 	// Phase 1: live-migrate web-0 (on h1) to h2 under load.
 	var blackout time.Duration
@@ -137,7 +135,6 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 	metrics := rn.finish(end+cfg.tail, "dc_", "fleet_", "lb_")
 	counts := pl.K.Metrics().Snapshot().Diff(rn.before)
 	frames := func(kind string) int64 { return counts.Sum("dc_fabric_frames_total", obs.L("kind", kind)) }
-	stats := mergeTallies(loads)
 
 	// Hard invariants: these are what the experiment exists to show, so a
 	// run that misses them is broken, not merely slow.
@@ -166,17 +163,17 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 		YLabel: "ms / req/s / replicas",
 	}
 	res.addSeries([]float64{0, 1, 2},
-		column{"p99 ms", func(p int) float64 { return stats[p].pct(0.99) / 1000 }},
-		column{"p50 ms", func(p int) float64 { return stats[p].pct(0.50) / 1000 }},
+		column{"p99 ms", func(p int) float64 { return stats[p].Pct(0.99) / 1000 }},
+		column{"p50 ms", func(p int) float64 { return stats[p].Pct(0.50) / 1000 }},
 		column{"goodput req/s", func(p int) float64 {
-			return float64(stats[p].reqsDone) / phases[p].dur.Seconds()
+			return float64(stats[p].ReqsDone) / phases[p].dur.Seconds()
 		}},
 		column{"live replicas min", func(p int) float64 { return float64(minLive[p]) }},
 		column{"live replicas peak", func(p int) float64 { return float64(peakLive[p]) }})
 
 	res.Notes = append(res.Notes,
 		fmt.Sprintf("hosts h0 (clients+LB), h1, h2; racks {h0,h1} {h2}; %d req/s offered; seed %d",
-			cfg.sessPerSec*cfg.reqs, seed),
+			cfg.sessPerSec*swReqs, seed),
 		"phase 0 steady; phase 1 live-migrates web-0 h1->h2 across the spine; phase 2 kills h1",
 		fmt.Sprintf("migration blackout %d us (freeze to serving again on h2)",
 			blackout.Microseconds()),
@@ -186,7 +183,7 @@ func RackSweep(rc core.Config, seed int64, quick bool) *Result {
 		fmt.Sprintf("migrations=%d host-kills=%d", counts.Sum("dc_migrations_total"), counts.Sum("dc_host_kills_total")))
 	for p := range phases {
 		res.Notes = append(res.Notes, fmt.Sprintf(
-			"phase %d: sessions ok=%d fail=%d", p, stats[p].sessOK, stats[p].sessFail))
+			"phase %d: sessions ok=%d fail=%d", p, stats[p].SessOK, stats[p].SessFail))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"boot-to-first-byte ms by replica: %v (-1 = never served)", f.BootToFirstByteMS()))

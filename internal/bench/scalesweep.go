@@ -9,7 +9,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/hypervisor"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
+	"repro/internal/loadgen"
 	"repro/internal/netstack"
 	"repro/internal/obs"
 )
@@ -28,73 +28,42 @@ var (
 	swLBIP   = ipv4.AddrFrom4(10, 0, 0, 99)
 )
 
+// Every sweep session is one keep-alive connection carrying swReqs GETs,
+// swThink apart.
+const (
+	swReqs  = 8
+	swThink = 25 * time.Millisecond
+)
+
 // swPhase is one step of offered load.
 type swPhase struct {
-	sessPerSec int           // session arrival rate across all clients
-	reqs       int           // requests per session (one keep-alive conn)
-	think      time.Duration // client think time between requests
+	sessPerSec int // session arrival rate across all clients
 	dur        time.Duration
 }
 
 func swPhases(quick bool) []swPhase {
 	if quick {
 		return []swPhase{
-			{sessPerSec: 10, reqs: 8, think: 25 * time.Millisecond, dur: 1500 * time.Millisecond},
-			{sessPerSec: 40, reqs: 8, think: 25 * time.Millisecond, dur: 1500 * time.Millisecond},
-			{sessPerSec: 90, reqs: 8, think: 25 * time.Millisecond, dur: 1500 * time.Millisecond},
+			{sessPerSec: 10, dur: 1500 * time.Millisecond},
+			{sessPerSec: 40, dur: 1500 * time.Millisecond},
+			{sessPerSec: 90, dur: 1500 * time.Millisecond},
 		}
 	}
 	return []swPhase{
-		{sessPerSec: 30, reqs: 8, think: 25 * time.Millisecond, dur: 3 * time.Second},
-		{sessPerSec: 100, reqs: 8, think: 25 * time.Millisecond, dur: 3 * time.Second},
-		{sessPerSec: 200, reqs: 8, think: 25 * time.Millisecond, dur: 3 * time.Second},
-		{sessPerSec: 350, reqs: 8, think: 25 * time.Millisecond, dur: 3 * time.Second},
+		{sessPerSec: 30, dur: 3 * time.Second},
+		{sessPerSec: 100, dur: 3 * time.Second},
+		{sessPerSec: 200, dur: 3 * time.Second},
+		{sessPerSec: 350, dur: 3 * time.Second},
 	}
 }
 
 // swRun is the outcome of one platform run.
 type swRun struct {
-	stats   []*tally
+	stats   []loadgen.Tally
 	peak    []int // per-phase peak live replicas
 	fleet   *fleet.Fleet
 	metrics []string
 	domstat string // final per-domain accounting table
-}
-
-// sweepSession runs one keep-alive session of phase ph against the VIP,
-// booking it into t. Requests completing after phaseEnd do not count toward
-// goodput, which penalises an overloaded server that spills work past its
-// step. span, when nonzero, samples the session for causal tracing: the
-// trace id rides the connection as descriptor metadata and the client emits
-// the flow start/end events bracketing the cross-domain arc.
-func sweepSession(env *core.Env, t *tally, ph swPhase, phaseEnd time.Duration, span uint64, done func()) {
-	s := env.VM.S
-	tr := s.K.Trace()
-	pid := env.VM.Dom.ID
-	if span != 0 && tr.Enabled() {
-		tr.FlowStart(obs.Time(s.K.Now()), "trace", "client-session", pid, 0, span,
-			obs.U64("trace_id", span))
-	}
-	sessStart := s.K.Now()
-	env.Net.TCP.NextSpan = span
-	httpSession(env, t, ph.reqs, func(i int, next func()) {
-		if s.K.Now().Duration() <= phaseEnd {
-			t.reqsDone++
-		}
-		if i+1 == ph.reqs {
-			next()
-			return
-		}
-		sleepThen(s, ph.think, next)
-	}, func() {
-		if span != 0 && tr.Enabled() {
-			tr.SpanSlice(obs.Time(sessStart), obs.Time(s.K.Now().Sub(sessStart)),
-				"client", "session", pid, 0, obs.NewRootSpan(span))
-			tr.FlowEnd(obs.Time(s.K.Now()), "trace", "client-session", pid, 0, span,
-				obs.U64("trace_id", span))
-		}
-		done()
-	})
 }
 
 const (
@@ -102,83 +71,48 @@ const (
 	swClients = 4               // load-generator guests
 )
 
-// deploySweepClients deploys the load-generator guests and returns their
-// tallies, [client][phase]: each guest writes only its own, and the caller
-// merges them after the run. Client idx launches its share of each phase's
-// sessions (index mod swClients) at deterministic arrival offsets from
-// swWarmup.
-func deploySweepClients(pl *core.Platform, phases []swPhase) [][]*tally {
-	perClient := make([][]*tally, swClients)
-	for idx := range perClient {
-		perClient[idx] = deploySweepClient(pl, idx, phases)
-	}
-	return perClient
-}
-
-// deploySweepClient deploys load generator idx and returns its per-phase
-// tallies.
-func deploySweepClient(pl *core.Platform, idx int, phases []swPhase) []*tally {
-	type launch struct {
-		at    time.Duration
-		end   time.Duration
-		phase int
-		span  uint64 // nonzero samples the session for causal tracing
-	}
-	var plan []launch
-	stats := make([]*tally, len(phases))
-	base := swWarmup
-	for p, ph := range phases {
-		stats[p] = &tally{}
-		total := ph.sessPerSec * int(ph.dur/time.Second)
-		if rem := ph.dur % time.Second; rem != 0 {
-			total += ph.sessPerSec * int(rem) / int(time.Second)
-		}
-		gap := ph.dur / time.Duration(total)
-		for j := 0; j < total; j++ {
-			if j%swClients != idx {
-				continue
+// deploySweepClients deploys the load-generator guests and returns the
+// per-phase tallies they share. Client idx launches its share of each
+// phase's sessions (index mod swClients) at deterministic arrival offsets
+// from swWarmup. Requests answered after their phase ends do not count
+// toward goodput, which penalises an overloaded server that spills work
+// past its step.
+func deploySweepClients(pl *core.Platform, phases []swPhase) []loadgen.Tally {
+	stats := make([]loadgen.Tally, len(phases))
+	ss := &loadgen.Sessions{Addr: swVIP, Reqs: loadgen.GETs(swReqs), Think: swThink}
+	for idx := 0; idx < swClients; idx++ {
+		var plan []loadgen.Launch
+		base := swWarmup
+		for p, ph := range phases {
+			total := ph.sessPerSec * int(ph.dur/time.Second)
+			if rem := ph.dur % time.Second; rem != 0 {
+				total += ph.sessPerSec * int(rem) / int(time.Second)
 			}
-			ln := launch{at: base + time.Duration(j)*gap, end: base + ph.dur, phase: p}
-			if j == idx {
-				// Sample each client's first session per phase: the trace id
-				// is derived from (client, phase, slot) alone, so the same
-				// seed traces the same requests, sharded or not.
-				ln.span = obs.TraceID(uint32(idx+1), uint32(p+1)<<16|uint32(j+1))
-			}
-			plan = append(plan, ln)
-		}
-		base += ph.dur
-	}
-	pl.Deploy(core.Unikernel{
-		Build:  build.Config{Name: fmt.Sprintf("loadgen-%d", idx), Roots: []string{"http"}},
-		Memory: 64 << 20,
-		Main: func(env *core.Env) int {
-			all := lwt.NewPromise[struct{}](env.VM.S)
-			pending := len(plan)
-			done := func() {
-				pending--
-				if pending == 0 {
-					all.Resolve(struct{}{})
+			gap := ph.dur / time.Duration(total)
+			for j := idx; j < total; j += swClients {
+				ln := loadgen.Launch{At: base + time.Duration(j)*gap, End: base + ph.dur, T: &stats[p]}
+				if j == idx {
+					// Sample each client's first session per phase: the trace
+					// id is derived from (client, phase, slot) alone, so the
+					// same seed traces the same requests, sharded or not.
+					ln.Span = obs.TraceID(uint32(idx+1), uint32(p+1)<<16|uint32(j+1))
 				}
+				plan = append(plan, ln)
 			}
-			for _, ln := range plan {
-				ln := ln
-				sleepThen(env.VM.S, ln.at, func() {
-					sweepSession(env, stats[ln.phase], phases[ln.phase], ln.end, ln.span, done)
-				})
-			}
-			if pending == 0 {
-				all.Resolve(struct{}{})
-			}
-			return env.VM.Main(env.P, all)
-		},
-	}, core.DeployOpts{
-		Net: &netstack.Config{
-			MAC: core.MAC(0x20 + byte(idx)), IP: ipv4.AddrFrom4(10, 0, 0, 200+uint8(idx)),
-			Netmask: benchMask,
-		},
-		PCPU: -1,
-	})
+			base += ph.dur
+		}
+		pl.Deploy(core.Unikernel{
+			Build:  build.Config{Name: fmt.Sprintf("loadgen-%d", idx), Roots: []string{"http"}},
+			Memory: 64 << 20,
+			Main:   func(env *core.Env) int { return ss.Plan(env, plan) },
+		}, core.DeployOpts{
+			Net: &netstack.Config{
+				MAC: core.MAC(0x20 + byte(idx)), IP: ipv4.AddrFrom4(10, 0, 0, 200+uint8(idx)),
+				Netmask: benchMask,
+			},
+			PCPU: -1,
+		})
+	}
 	return stats
 }
 
@@ -206,7 +140,7 @@ func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Poli
 		Interval:      250 * time.Millisecond,
 		ProbeInterval: 50 * time.Millisecond,
 	})
-	loads := deploySweepClients(pl, phases)
+	stats := deploySweepClients(pl, phases)
 	_, peak := sampleLive(pl, f, phases)
 
 	// Tail: let in-flight sessions finish and the fleet scale back down.
@@ -214,9 +148,8 @@ func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Poli
 	for _, ph := range phases {
 		end += ph.dur
 	}
-	run := &swRun{fleet: f, peak: peak}
+	run := &swRun{stats: stats, fleet: f, peak: peak}
 	run.metrics = rn.finish(end, "fleet_", "lb_", "httpd_")
-	run.stats = mergeTallies(loads)
 	// Per-domain accounting: publish labeled gauges and keep the table (the
 	// virtual xentop) — both derived from virtual-time state, so they are
 	// byte-identical across same-seed runs.
@@ -256,18 +189,18 @@ func ScaleSweepDomStat(rc core.Config, seed int64, quick bool, minR, maxR int, p
 	}
 	xs := make([]float64, len(phases))
 	for p, ph := range phases {
-		xs[p] = float64(ph.sessPerSec * ph.reqs)
+		xs[p] = float64(ph.sessPerSec * swReqs)
 	}
 	res.addSeries(xs,
-		column{"fleet p99 ms", func(p int) float64 { return auto.stats[p].pct(0.99) / 1000 }},
-		column{"fixed p99 ms", func(p int) float64 { return fixed.stats[p].pct(0.99) / 1000 }},
-		column{"fleet p50 ms", func(p int) float64 { return auto.stats[p].pct(0.50) / 1000 }},
-		column{"fixed p50 ms", func(p int) float64 { return fixed.stats[p].pct(0.50) / 1000 }},
+		column{"fleet p99 ms", func(p int) float64 { return auto.stats[p].Pct(0.99) / 1000 }},
+		column{"fixed p99 ms", func(p int) float64 { return fixed.stats[p].Pct(0.99) / 1000 }},
+		column{"fleet p50 ms", func(p int) float64 { return auto.stats[p].Pct(0.50) / 1000 }},
+		column{"fixed p50 ms", func(p int) float64 { return fixed.stats[p].Pct(0.50) / 1000 }},
 		column{"fleet goodput", func(p int) float64 {
-			return float64(auto.stats[p].reqsDone) / phases[p].dur.Seconds()
+			return float64(auto.stats[p].ReqsDone) / phases[p].dur.Seconds()
 		}},
 		column{"fixed goodput", func(p int) float64 {
-			return float64(fixed.stats[p].reqsDone) / phases[p].dur.Seconds()
+			return float64(fixed.stats[p].ReqsDone) / phases[p].dur.Seconds()
 		}},
 		column{"fleet replicas", func(p int) float64 { return float64(auto.peak[p]) }})
 
@@ -277,9 +210,9 @@ func ScaleSweepDomStat(rc core.Config, seed int64, quick bool, minR, maxR int, p
 	for p, ph := range phases {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"phase %d (%d req/s offered): fleet sessions ok=%d fail=%d, fixed ok=%d fail=%d",
-			p, ph.sessPerSec*ph.reqs,
-			auto.stats[p].sessOK, auto.stats[p].sessFail,
-			fixed.stats[p].sessOK, fixed.stats[p].sessFail))
+			p, ph.sessPerSec*swReqs,
+			auto.stats[p].SessOK, auto.stats[p].SessFail,
+			fixed.stats[p].SessOK, fixed.stats[p].SessFail))
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"fleet boot-to-first-byte ms by replica: %v (-1 = never served)",

@@ -1,17 +1,15 @@
 package fleet
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/build"
 	"repro/internal/core"
-	"repro/internal/httpd"
 	"repro/internal/hypervisor"
 	"repro/internal/ipv4"
-	"repro/internal/lwt"
+	"repro/internal/loadgen"
 	"repro/internal/netback"
 	"repro/internal/netstack"
 )
@@ -42,54 +40,25 @@ func testSpec(min, max int, policy Policy) Spec {
 	}
 }
 
-// client deploys a guest that runs sessions against the VIP. Each entry in
-// starts is (delay, requests): one session per entry, launched concurrently
-// after its delay.
-type sessionResult struct {
-	ok   int
-	fail int
-	errs []string
-}
-
-func deployClient(pl *core.Platform, macLast byte, ip ipv4.Addr, starts []struct {
-	delay time.Duration
-	reqs  int
-}, res *sessionResult) {
+// deployClient deploys a guest that opens n keep-alive sessions of reqs
+// GETs against the VIP, the first at first and the rest gap apart, and
+// returns their tally.
+func deployClient(pl *core.Platform, n, reqs int, first, gap time.Duration) *loadgen.Tally {
+	t := &loadgen.Tally{}
+	plan := make([]loadgen.Launch, n)
+	for i := range plan {
+		plan[i] = loadgen.Launch{At: first + time.Duration(i)*gap, T: t}
+	}
+	ss := &loadgen.Sessions{Addr: tVIP, Reqs: loadgen.GETs(reqs)}
 	pl.Deploy(core.Unikernel{
-		Build:  build.Config{Name: fmt.Sprintf("client-%d", macLast), Roots: []string{"http"}},
+		Build:  build.Config{Name: "client-2", Roots: []string{"http"}},
 		Memory: 32 << 20,
-		Main: func(env *core.Env) int {
-			all := lwt.NewPromise[struct{}](env.VM.S)
-			pending := len(starts)
-			for _, st := range starts {
-				st := st
-				lwt.Map(env.VM.S.Sleep(st.delay), func(struct{}) struct{} {
-					var reqs []*httpd.Request
-					for i := 0; i < st.reqs; i++ {
-						reqs = append(reqs, &httpd.Request{Method: "GET", Path: "/"})
-					}
-					sess := httpd.Session(env.VM.S, env.Net.TCP, tVIP, 80, reqs)
-					lwt.Always(sess, func() {
-						if err := sess.Failed(); err != nil {
-							res.fail++
-							res.errs = append(res.errs, err.Error())
-						} else {
-							res.ok++
-						}
-						pending--
-						if pending == 0 {
-							all.Resolve(struct{}{})
-						}
-					})
-					return struct{}{}
-				})
-			}
-			return env.VM.Main(env.P, all)
-		},
+		Main:   func(env *core.Env) int { return ss.Plan(env, plan) },
 	}, core.DeployOpts{
-		Net:  &netstack.Config{MAC: core.MAC(macLast), IP: ip, Netmask: tMask},
+		Net:  &netstack.Config{MAC: core.MAC(2), IP: ipv4.AddrFrom4(10, 0, 0, 2), Netmask: tMask},
 		PCPU: -1,
 	})
+	return t
 }
 
 // runScaleScenario boots a fleet, throws a burst of concurrent sessions at
@@ -98,29 +67,18 @@ func runScaleScenario(t *testing.T, seed int64) *Fleet {
 	t.Helper()
 	pl := core.NewPlatform(seed)
 	f := New(pl, testSpec(1, 4, RoundRobin))
-	var res sessionResult
-	var starts []struct {
-		delay time.Duration
-		reqs  int
-	}
-	for i := 0; i < 8; i++ {
-		starts = append(starts, struct {
-			delay time.Duration
-			reqs  int
-		}{3*time.Second + time.Duration(i)*20*time.Millisecond, 120})
-	}
-	deployClient(pl, 2, ipv4.AddrFrom4(10, 0, 0, 2), starts, &res)
+	res := deployClient(pl, 8, 120, 3*time.Second, 20*time.Millisecond)
 	if _, err := pl.RunFor(60 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if res.fail > 0 {
-		t.Fatalf("%d sessions failed: %v", res.fail, res.errs)
+	if res.SessFail > 0 {
+		t.Fatalf("%d sessions failed", res.SessFail)
 	}
-	if res.ok != 8 {
-		t.Fatalf("sessions ok = %d, want 8", res.ok)
+	if res.SessOK != 8 {
+		t.Fatalf("sessions ok = %d, want 8", res.SessOK)
 	}
 	return f
 }
@@ -164,11 +122,7 @@ func TestFleetDrainNoReset(t *testing.T) {
 	spec.Main = WebMain(2*time.Millisecond, []byte("hello"), 2*time.Second)
 	f := New(pl, spec)
 
-	var res sessionResult
-	deployClient(pl, 2, ipv4.AddrFrom4(10, 0, 0, 2), []struct {
-		delay time.Duration
-		reqs  int
-	}{{3 * time.Second, 400}}, &res)
+	res := deployClient(pl, 1, 400, 3*time.Second, 0)
 
 	var victim int = -1
 	pl.K.After(3500*time.Millisecond, func() {
@@ -184,9 +138,9 @@ func TestFleetDrainNoReset(t *testing.T) {
 	if _, err := pl.RunFor(45 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if res.fail > 0 || res.ok != 1 {
-		t.Fatalf("session ok=%d fail=%d errs=%v\nevents:\n%s",
-			res.ok, res.fail, res.errs, strings.Join(f.Events, "\n"))
+	if res.SessFail > 0 || res.SessOK != 1 {
+		t.Fatalf("session ok=%d fail=%d\nevents:\n%s",
+			res.SessOK, res.SessFail, strings.Join(f.Events, "\n"))
 	}
 	if victim < 0 {
 		t.Fatal("drain never triggered — session not active at T+3.5s")
@@ -338,26 +292,15 @@ func TestFleetHashPolicyEndToEnd(t *testing.T) {
 	pl := core.NewPlatform(7)
 	spec := testSpec(2, 2, Hash)
 	f := New(pl, spec)
-	var res sessionResult
-	var starts []struct {
-		delay time.Duration
-		reqs  int
-	}
-	for i := 0; i < 6; i++ {
-		starts = append(starts, struct {
-			delay time.Duration
-			reqs  int
-		}{2*time.Second + time.Duration(i)*10*time.Millisecond, 20})
-	}
-	deployClient(pl, 2, ipv4.AddrFrom4(10, 0, 0, 2), starts, &res)
+	res := deployClient(pl, 6, 20, 2*time.Second, 10*time.Millisecond)
 	if _, err := pl.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	if err := pl.Check(); err != nil {
 		t.Fatal(err)
 	}
-	if res.fail > 0 || res.ok != 6 {
-		t.Fatalf("sessions ok=%d fail=%d errs=%v, want 6 ok", res.ok, res.fail, res.errs)
+	if res.SessFail > 0 || res.SessOK != 6 {
+		t.Fatalf("sessions ok=%d fail=%d, want 6 ok", res.SessOK, res.SessFail)
 	}
 	if len(f.LB.conns) != 0 {
 		t.Errorf("hash policy kept %d steering entries, want 0 (stateless)", len(f.LB.conns))

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/ipv4"
 	"repro/internal/obs"
 )
 
@@ -66,26 +65,15 @@ func TestSLOWatchdogAlertsDeterministic(t *testing.T) {
 		spec := testSpec(1, 3, RoundRobin)
 		spec.P99TargetUS = 1000 // 1 ms target vs 5 ms handler: must burn
 		f := New(pl, spec)
-		var res sessionResult
-		var starts []struct {
-			delay time.Duration
-			reqs  int
-		}
-		for i := 0; i < 8; i++ {
-			starts = append(starts, struct {
-				delay time.Duration
-				reqs  int
-			}{3*time.Second + time.Duration(i)*20*time.Millisecond, 120})
-		}
-		deployClient(pl, 2, ipv4.AddrFrom4(10, 0, 0, 2), starts, &res)
+		res := deployClient(pl, 8, 120, 3*time.Second, 20*time.Millisecond)
 		if _, err := pl.RunFor(60 * time.Second); err != nil {
 			t.Fatal(err)
 		}
 		if err := pl.Check(); err != nil {
 			t.Fatal(err)
 		}
-		if res.fail > 0 {
-			t.Fatalf("%d sessions failed: %v", res.fail, res.errs)
+		if res.SessFail > 0 {
+			t.Fatalf("%d sessions failed", res.SessFail)
 		}
 		return f
 	}

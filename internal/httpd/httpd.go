@@ -669,37 +669,40 @@ func (cl *Client) read(then func(*Response)) {
 	})
 }
 
-// Session issues reqs sequentially over one connection and resolves with
-// the responses (the httperf session shape of §4.4).
-func Session(s *lwt.Scheduler, stack *tcp.Stack, addr ipv4.Addr, port uint16, reqs []*Request) *lwt.Promise[[]*Response] {
-	out := lwt.NewPromise[[]*Response](s)
-	cn := stack.Connect(addr, port)
+// Session runs one keep-alive session (the httperf session of §4.4) on st
+// to addr:port. Once connected it issues req(0), req(1), … one at a time
+// until req returns nil, and hands each response to answered with next,
+// which issues the following request: the caller places its think time by
+// choosing when to call it. done runs once, after the connection is closed
+// or has failed, with whether every request was answered. Like Client it
+// creates no promise of its own.
+func Session(st *tcp.Stack, addr ipv4.Addr, port uint16, req func(i int) *Request,
+	answered func(i int, resp *Response, next func()), done func(ok bool)) {
+	cn := st.Connect(addr, port)
 	lwt.Always(cn, func() {
-		if err := cn.Failed(); err != nil {
-			out.Fail(err)
+		if cn.Failed() != nil {
+			done(false)
 			return
 		}
 		c := cn.Value()
 		cl := NewClient(c)
-		var responses []*Response
 		var issue func(i int)
 		issue = func(i int) {
-			if i == len(reqs) {
+			r := req(i)
+			if r == nil {
 				c.Close()
-				out.Resolve(responses)
+				done(true)
 				return
 			}
-			cl.Do(reqs[i], func(resp *Response) {
+			cl.Do(r, func(resp *Response) {
 				if resp == nil {
 					c.Close()
-					out.Fail(fmt.Errorf("httpd: session aborted at request %d", i))
+					done(false)
 					return
 				}
-				responses = append(responses, resp)
-				issue(i + 1)
+				answered(i, resp, func() { issue(i + 1) })
 			})
 		}
 		issue(0)
 	})
-	return out
 }

@@ -38,6 +38,29 @@ func twoStacks() (k *sim.Kernel, sa *lwt.Scheduler, sta *tcp.Stack, sb *lwt.Sche
 	return k, sa, sta, sb, stb
 }
 
+// session runs reqs over one Session and resolves with the responses, or
+// fails if the session did not answer them all.
+func session(s *lwt.Scheduler, st *tcp.Stack, addr ipv4.Addr, port uint16, reqs []*Request) *lwt.Promise[[]*Response] {
+	out := lwt.NewPromise[[]*Response](s)
+	var rs []*Response
+	Session(st, addr, port, func(i int) *Request {
+		if i == len(reqs) {
+			return nil
+		}
+		return reqs[i]
+	}, func(_ int, resp *Response, next func()) {
+		rs = append(rs, resp)
+		next()
+	}, func(ok bool) {
+		if !ok {
+			out.Fail(fmt.Errorf("httpd: session aborted after %d responses", len(rs)))
+			return
+		}
+		out.Resolve(rs)
+	})
+	return out
+}
+
 // twoHosts is twoStacks with the server running on b.
 func twoHosts(t *testing.T, handler Handler) (*sim.Kernel, *lwt.Scheduler, *tcp.Stack, *Server, ipv4.Addr) {
 	t.Helper()
@@ -63,7 +86,7 @@ func TestGetRequestRoundTrip(t *testing.T) {
 	})
 	var got *Response
 	k.Spawn("client", func(p *sim.Proc) {
-		main := lwt.Map(Session(sa, sta, serverIP, 80, []*Request{
+		main := lwt.Map(session(sa, sta, serverIP, 80, []*Request{
 			{Method: "GET", Path: "/hello"},
 		}), func(rs []*Response) struct{} {
 			got = rs[0]
@@ -91,7 +114,7 @@ func TestKeepAliveSessionMultipleRequests(t *testing.T) {
 		for i := 0; i < 10; i++ {
 			reqs = append(reqs, &Request{Method: "GET", Path: fmt.Sprintf("/r%d", i)})
 		}
-		main := lwt.Map(Session(sa, sta, serverIP, 80, reqs), func(rs []*Response) struct{} {
+		main := lwt.Map(session(sa, sta, serverIP, 80, reqs), func(rs []*Response) struct{} {
 			got = rs
 			return struct{}{}
 		})
@@ -125,7 +148,7 @@ func TestPostBodyDelivered(t *testing.T) {
 		return &Response{Status: 201}
 	})
 	k.Spawn("client", func(p *sim.Proc) {
-		main := Session(sa, sta, serverIP, 80, []*Request{
+		main := session(sa, sta, serverIP, 80, []*Request{
 			{Method: "POST", Path: "/tweet", Body: []byte("hello world tweet")},
 		})
 		if err := sa.Run(p, main); err != nil {
@@ -145,7 +168,7 @@ func TestConnectionCloseHonoured(t *testing.T) {
 		return &Response{Status: 200}
 	})
 	k.Spawn("client", func(p *sim.Proc) {
-		main := Session(sa, sta, serverIP, 80, []*Request{
+		main := session(sa, sta, serverIP, 80, []*Request{
 			{Method: "GET", Path: "/", Headers: map[string]string{"Connection": "close"}},
 		})
 		sa.Run(p, main)
@@ -203,7 +226,7 @@ func TestSessionToDeadPortFails(t *testing.T) {
 	k, sa, sta, _, serverIP := twoHosts(t, func(*Request) *Response { return &Response{Status: 200} })
 	var sawErr error
 	k.Spawn("client", func(p *sim.Proc) {
-		pr := Session(sa, sta, serverIP, 81, []*Request{{Method: "GET", Path: "/"}})
+		pr := session(sa, sta, serverIP, 81, []*Request{{Method: "GET", Path: "/"}})
 		sa.Run(p, pr)
 		sawErr = pr.Failed()
 	})

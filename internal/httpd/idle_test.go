@@ -83,7 +83,7 @@ func TestDrainFinishesInFlightRequest(t *testing.T) {
 
 	var got []*Response
 	k.Spawn("client", func(p *sim.Proc) {
-		main := lwt.Map(Session(sa, sta, serverIP, 80, []*Request{
+		main := lwt.Map(session(sa, sta, serverIP, 80, []*Request{
 			{Method: "GET", Path: "/slow"},
 		}), func(rs []*Response) struct{} {
 			got = rs

@@ -437,18 +437,27 @@ func DecodeRxReq(s *cstruct.View) (gref uint32, id uint16) {
 	return s.LE32(rxOffGref), s.LE16(rxOffID)
 }
 
+// rxError is the status of an RX completion whose buffer the backend could
+// not fill (Xen's NETIF_RSP_ERROR, -1, in the status byte).
+const rxError = 0xFF
+
 // EncodeRxRsp writes an RX completion; span carries the delivered frame's
-// trace id (0 = untraced).
-func EncodeRxRsp(s *cstruct.View, id, length uint16, span uint64) {
+// trace id (0 = untraced). A completion that is not ok answers the post
+// with an error status and delivers nothing.
+func EncodeRxRsp(s *cstruct.View, id, length uint16, ok bool, span uint64) {
 	s.PutLE16(rxOffID, id)
 	s.PutLE16(rxOffLen, length)
-	s.PutU8(rxOffStat, 1)
+	if ok {
+		s.PutU8(rxOffStat, 1)
+	} else {
+		s.PutU8(rxOffStat, rxError)
+	}
 	s.PutLE64(rxOffSpan, span)
 }
 
 // DecodeRxRsp reads an RX completion.
-func DecodeRxRsp(s *cstruct.View) (id, length uint16, span uint64) {
-	return s.LE16(rxOffID), s.LE16(rxOffLen), s.LE64(rxOffSpan)
+func DecodeRxRsp(s *cstruct.View) (id, length uint16, ok bool, span uint64) {
+	return s.LE16(rxOffID), s.LE16(rxOffLen), s.U8(rxOffStat) == 1, s.LE64(rxOffSpan)
 }
 
 // VIF is the backend half of a virtual interface: it drains the guest's TX
@@ -574,6 +583,11 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 	post := v.pendingRx.Pop()
 	page, err := v.guest.Grants.Map(post.gref)
 	if err != nil {
+		// The guest revoked the buffer it posted: answer the slot with an
+		// error, or the frontend never learns it is free to re-post.
+		v.bridge.K.Metrics().Counter("bridge_rx_grant_errors_total").Inc()
+		v.rxBack.PushResponse(func(s *cstruct.View) { EncodeRxRsp(s, post.id, 0, false, 0) })
+		v.scheduleRxFlush()
 		return
 	}
 	frame := f.Bytes()
@@ -583,7 +597,7 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 	}
 	page.PutBytes(0, frame[:n])
 	v.guest.Grants.Unmap(post.gref, page)
-	v.rxBack.PushResponse(func(s *cstruct.View) { EncodeRxRsp(s, post.id, uint16(n), f.Span) })
+	v.rxBack.PushResponse(func(s *cstruct.View) { EncodeRxRsp(s, post.id, uint16(n), true, f.Span) })
 	v.scheduleRxFlush()
 }
 

@@ -138,10 +138,14 @@ func TestTxRxSlotCodecs(t *testing.T) {
 	if g2 != 88 || id2 != 9 {
 		t.Error("rx req codec broken")
 	}
-	EncodeRxRsp(s, 9, 1234, 42)
-	id3, l3, sp3 := DecodeRxRsp(s)
-	if id3 != 9 || l3 != 1234 || sp3 != 42 {
+	EncodeRxRsp(s, 9, 1234, true, 42)
+	id3, l3, ok3, sp3 := DecodeRxRsp(s)
+	if id3 != 9 || l3 != 1234 || !ok3 || sp3 != 42 {
 		t.Error("rx rsp codec broken")
+	}
+	EncodeRxRsp(s, 10, 0, false, 0)
+	if id4, _, ok4, _ := DecodeRxRsp(s); id4 != 10 || ok4 {
+		t.Error("rx error rsp codec broken")
 	}
 }
 

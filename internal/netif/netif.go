@@ -308,8 +308,9 @@ func (n *Netif) drainCompletions() {
 	// RX completions: hand zero-copy sub-views to the stack and repost.
 	for {
 		var id, length uint16
+		var filled bool
 		var span uint64
-		if !n.rxFront.PopResponse(func(s *cstruct.View) { id, length, span = netback.DecodeRxRsp(s) }) {
+		if !n.rxFront.PopResponse(func(s *cstruct.View) { id, length, filled, span = netback.DecodeRxRsp(s) }) {
 			break
 		}
 		post, ok := n.rxPosted[id]
@@ -318,6 +319,10 @@ func (n *Netif) drainCompletions() {
 		}
 		delete(n.rxPosted, id)
 		n.vm.Dom.Grants.End(post.gref)
+		if !filled { // the backend could not use the buffer: re-post it
+			post.page.Release()
+			continue
+		}
 		frame := post.page.Sub(0, int(length))
 		post.page.Release() // stack sub-views now own the page
 		n.mxRx.Inc()

@@ -352,3 +352,64 @@ func TestBurstSharesNotifications(t *testing.T) {
 		t.Errorf("delivering %d frames took %d RX notifications", burst, rx)
 	}
 }
+
+// TestRevokedRxGrantSlotComesBack: a guest that revokes the grant of a
+// buffer it posted gets the slot answered with an error, so the frame that
+// lands there is dropped and counted, the buffer is re-posted, and every
+// later frame is delivered.
+func TestRevokedRxGrantSlotComesBack(t *testing.T) {
+	r := newRig()
+	const frames = 2 * rxSlots
+	got := 0
+	var rx *Netif
+	var rxVM *pvboot.VM
+	revoked := uint16(0)
+	granted := 0 // the receiver's grants before the revocation: ring pages and posted buffers
+	r.k.Spawn("setup", func(tp *sim.Proc) {
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
+		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			rx, rxVM, granted = n, vm, vm.Dom.Grants.Active()
+			for id := range n.rxPosted {
+				if revoked == 0 || id < revoked {
+					revoked = id
+				}
+			}
+			if err := vm.Dom.Grants.End(n.rxPosted[revoked].gref); err != nil {
+				t.Errorf("revoke: %v", err)
+			}
+			n.SetReceiver(func(v *cstruct.View, _ uint64) {
+				got++
+				v.Release()
+			})
+			return vm.Main(p, vm.S.Sleep(500*time.Millisecond))
+		})
+		r.spawnGuest(t, "sender", macA, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			p.Sleep(50 * time.Millisecond)
+			for i := 0; i < frames; i++ {
+				payload := frame(macB, macA, fmt.Sprintf("frame %d", i))
+				page := vm.Dom.Pool.Get()
+				page.PutBytes(0, payload)
+				n.Send(page.Sub(0, len(payload)))
+				page.Release()
+				p.Sleep(time.Millisecond)
+			}
+			return vm.Main(p, vm.S.Sleep(100*time.Millisecond))
+		})
+	})
+	if _, err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got != frames-1 {
+		t.Errorf("delivered %d of %d frames, want all but the one on the revoked slot", got, frames)
+	}
+	if _, stale := rx.rxPosted[revoked]; stale || len(rx.rxPosted) != rxSlots {
+		t.Errorf("revoked post %d still outstanding %v, %d posted; want it answered and %d posted",
+			revoked, stale, len(rx.rxPosted), rxSlots)
+	}
+	if a := rxVM.Dom.Grants.Active(); a != granted {
+		t.Errorf("%d grants active, want %d", a, granted)
+	}
+	if c := r.k.Metrics().Snapshot().Sum("bridge_rx_grant_errors_total"); c != 1 {
+		t.Errorf("bridge_rx_grant_errors_total = %d, want 1", c)
+	}
+}

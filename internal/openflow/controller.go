@@ -2,6 +2,7 @@ package openflow
 
 import (
 	"encoding/binary"
+	"slices"
 	"time"
 )
 
@@ -169,7 +170,15 @@ func (sw *Switch) Input(data []byte) error {
 			if err != nil {
 				return err
 			}
-			sw.table = append(sw.table, FlowEntry{Match: fm.Match, Priority: fm.Priority, OutPort: fm.OutPort})
+			// An add with the match and priority of an installed entry
+			// replaces it (OpenFlow 1.0.0 §4.6): two packet-ins for one
+			// flow in flight each draw a FLOW_MOD for it.
+			e := FlowEntry{Match: fm.Match, Priority: fm.Priority, OutPort: fm.OutPort}
+			if i := slices.IndexFunc(sw.table, func(o FlowEntry) bool { return o.Match == e.Match && o.Priority == e.Priority }); i >= 0 {
+				sw.table[i] = e
+			} else {
+				sw.table = append(sw.table, e)
+			}
 		case TypePacketOut:
 			// Datapath would emit the packet; nothing to model here.
 		}

@@ -232,7 +232,9 @@ type Framer struct {
 	buf []byte
 }
 
-// Push appends stream bytes and returns any complete messages.
+// Push appends stream bytes and returns any complete messages. A header
+// that does not parse leaves no message boundary to resynchronise on, so
+// the framer drops what it holds with the error.
 func (f *Framer) Push(data []byte) ([][]byte, error) {
 	f.buf = append(f.buf, data...)
 	var out [][]byte
@@ -242,6 +244,7 @@ func (f *Framer) Push(data []byte) ([][]byte, error) {
 		}
 		h, err := ParseHeader(f.buf)
 		if err != nil {
+			f.buf = nil
 			return out, err
 		}
 		if len(f.buf) < h.Length {

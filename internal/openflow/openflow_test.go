@@ -138,6 +138,34 @@ func TestLearningSwitchInstallsFlows(t *testing.T) {
 	}
 }
 
+// TestIdenticalFlowModReplaces: an add with the match fields and priority
+// of an installed entry replaces it (OpenFlow 1.0.0 §4.6); the same match
+// at another priority is a second entry.
+func TestIdenticalFlowModReplaces(t *testing.T) {
+	sw := NewSwitch(0xD0, &loopTransport{sink: func([]byte) {}})
+	m := Match{InPort: 2, DlSrc: [6]byte{0xB}, DlDst: [6]byte{0xA}}
+	for _, fm := range []FlowMod{
+		{XID: 1, Match: m, Priority: 100, OutPort: 1},
+		{XID: 2, Match: m, Priority: 100, OutPort: 3},
+	} {
+		if err := sw.Input(EncodeFlowMod(fm)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := sw.FlowCount(); n != 1 {
+		t.Fatalf("two identical FLOW_MODs left %d entries, want 1", n)
+	}
+	if port, ok := sw.Forward(2, MakeFrame([6]byte{0xA}, [6]byte{0xB})); !ok || port != 3 {
+		t.Errorf("Forward = (%d, %v), want the replacing entry's port 3", port, ok)
+	}
+	if err := sw.Input(EncodeFlowMod(FlowMod{XID: 3, Match: m, Priority: 200, OutPort: 4})); err != nil {
+		t.Fatal(err)
+	}
+	if n := sw.FlowCount(); n != 2 {
+		t.Fatalf("the same match at another priority left %d entries, want 2", n)
+	}
+}
+
 func TestControllerChargesCost(t *testing.T) {
 	ctrl, sw := wire(t)
 	var charged int
