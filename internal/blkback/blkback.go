@@ -318,11 +318,8 @@ type VBD struct {
 	back  *ring.Back
 	port  *hypervisor.Port
 
-	// rspPending batches same-instant completions into one publish+notify;
-	// flushFunc is that publish, built once so scheduling it allocates
-	// nothing.
-	rspPending bool
-	flushFunc  func()
+	// flushAt batches same-instant completions into one publish+notify.
+	flushAt sim.Flush
 }
 
 // VBDBackend is the device-seam backend for the block device class: it
@@ -350,7 +347,7 @@ func (vb *VBDBackend) Connect(guest *hypervisor.Domain, rings map[string]*cstruc
 // its handler (serve) on the event channel.
 func NewVBD(ssd *SSD, guest *hypervisor.Domain, ringPage *cstruct.View, port *hypervisor.Port) *VBD {
 	v := &VBD{ssd: ssd, guest: guest, back: ring.NewBack(ringPage), port: port}
-	v.flushFunc = v.flushEvent
+	v.flushAt.Init(func(owner any) { owner.(*VBD).flush() }, v)
 	ssd.K.SpawnHandler(fmt.Sprintf("blkback-dom%d", guest.ID), port.Sig, v.serve)
 	return v
 }
@@ -499,17 +496,13 @@ func (v *VBD) moveSectors(write bool, sector uint64, n int, page *cstruct.View, 
 // requests completing together (overlapped channel reads) cost the guest one
 // wakeup instead of one per response.
 func (v *VBD) flushResponses() {
-	if v.rspPending {
-		return
+	if k := v.ssd.K; !v.flushAt.Pending() {
+		v.flushAt.Arm(k, k.Now())
 	}
-	v.rspPending = true
-	k := v.ssd.K
-	k.At(k.Now(), v.flushFunc)
 }
 
-// flushEvent is the event flushResponses queues.
-func (v *VBD) flushEvent() {
-	v.rspPending = false
+// flush is the publish flushResponses defers.
+func (v *VBD) flush() {
 	if v.back.PushResponses() {
 		v.port.NotifyAsync()
 	}

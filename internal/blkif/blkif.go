@@ -57,12 +57,11 @@ type Blkif struct {
 	staged []*op
 	// queue holds merged devops waiting for ring slots.
 	queue fifo.Queue[*devop]
-	// unplugPending/flushPending defer merge and ring publish + notify to
-	// the end of the current instant, so a burst of submits costs one merge
-	// pass and one notification.
-	unplugPending bool
-	flushPending  bool
-	batching      bool
+	// unplugAt/flushAt defer merge and ring publish + notify to the end of
+	// the current instant, so a burst of submits costs one merge pass and
+	// one notification.
+	unplugAt, flushAt sim.Flush
+	batching          bool
 	// free holds write-staging buffers (page capacity) between uses: submit
 	// takes one for its copy of the payload, push hands it back once scatter
 	// has moved the bytes into the granted I/O pages. Guest-private memory,
@@ -74,8 +73,6 @@ type Blkif struct {
 	// promise, the devop keeping its ops, pages and grefs slices for reuse.
 	freeOps    []*op
 	freeDevops []*devop
-	// Event callbacks, built once so scheduling one allocates nothing.
-	unplugFunc, flushFunc func()
 
 	// Stats
 	Reads, Writes int
@@ -132,7 +129,8 @@ func Attach(vm *pvboot.VM, ssd *blkback.SSD, dom0 *hypervisor.Domain, st *xensto
 		inflight: map[uint16]*devop{},
 		batching: true,
 	}
-	b.unplugFunc, b.flushFunc = b.unplugEvent, b.flushEvent
+	b.unplugAt.Init(func(owner any) { owner.(*Blkif).unplug() }, b)
+	b.flushAt.Init(func(owner any) { owner.(*Blkif).flush() }, b)
 	k := vm.S.K
 	m := k.Metrics()
 	dev := obs.L("dev", fmt.Sprintf("vbd%d", d.ID))
@@ -241,18 +239,9 @@ func take[T any](free *[]*T) *T {
 // scheduleUnplug arranges an unplug at the end of the current instant, so
 // same-instant bursts merge.
 func (b *Blkif) scheduleUnplug() {
-	if b.unplugPending {
-		return
+	if k := b.vm.S.K; !b.unplugAt.Pending() {
+		b.unplugAt.Arm(k, k.Now())
 	}
-	b.unplugPending = true
-	k := b.vm.S.K
-	k.At(k.Now(), b.unplugFunc)
-}
-
-// unplugEvent is the event scheduleUnplug queues.
-func (b *Blkif) unplugEvent() {
-	b.unplugPending = false
-	b.unplug()
 }
 
 // unplug merges the staged requests into devops and issues as many as the
@@ -375,17 +364,13 @@ func (d *devop) gatherView(off, n int) *cstruct.View {
 // single ring publish and at most one event-channel notification (§3.4.1
 // batching: the backend pays per wakeup, not per request).
 func (b *Blkif) scheduleFlush() {
-	if b.flushPending {
-		return
+	if k := b.vm.S.K; !b.flushAt.Pending() {
+		b.flushAt.Arm(k, k.Now())
 	}
-	b.flushPending = true
-	k := b.vm.S.K
-	k.At(k.Now(), b.flushFunc)
 }
 
-// flushEvent is the event scheduleFlush queues.
-func (b *Blkif) flushEvent() {
-	b.flushPending = false
+// flush is the publish scheduleFlush defers.
+func (b *Blkif) flush() {
 	if b.front.PushRequests() {
 		b.port.NotifyAsync()
 	}

@@ -13,9 +13,10 @@ import (
 // alert stream is byte-identical across same-seed runs.
 //
 // On a sharded platform replicas observe into the histograms from their own
-// shards while the control loop runs on shard 0, so the watchdog never reads
-// them live: it reads the cut publish took at the last epoch boundary, which
-// is a function of the virtual schedule and not of which shard ran first.
+// shards — guests are never homed on shard 0 — while the control loop runs on
+// shard 0, which runs first in every epoch. A live read therefore sees every
+// sample taken before the current epoch and none from it: a function of the
+// virtual schedule.
 type Watchdog struct {
 	f *Fleet
 	// TargetUS is the per-request latency objective in microseconds.
@@ -28,23 +29,11 @@ type Watchdog struct {
 }
 
 // sloView is the watchdog's view of one cumulative latency histogram: the
-// published cut and the cut the previous interval ended on.
+// cut the previous interval ended on.
 type sloView struct {
-	hist   *obs.Histogram
-	bounds []float64
-	counts []int64
-	n      int64
-	prev   []int64
-	prevN  int64
-}
-
-// publish refreshes the cut from the histogram; call only while no shard
-// can be observing into it.
-func (v *sloView) publish() {
-	if n := v.hist.Count(); n != v.n {
-		v.bounds, v.counts = v.hist.Buckets()
-		v.n = n
-	}
+	hist  *obs.Histogram
+	prev  []int64
+	prevN int64
 }
 
 const (
@@ -62,20 +51,7 @@ func newWatchdog(f *Fleet, targetUS float64) *Watchdog {
 		fleet:    sloView{hist: f.ReqLatency},
 		mxAlerts: f.pl.K.Metrics().Counter("slo_alerts_total", obs.L("fleet", f.spec.Name)),
 	}
-	if c := f.pl.Cluster; c != nil {
-		c.OnEpochEnd(w.publish)
-	}
 	return w
-}
-
-// publish refreshes every view's cut.
-func (w *Watchdog) publish() {
-	for _, v := range w.reps {
-		if v != nil {
-			v.publish()
-		}
-	}
-	w.fleet.publish()
 }
 
 // track registers a summoned replica: it gets a labeled per-replica latency
@@ -96,9 +72,6 @@ func (w *Watchdog) track(r *Replica) {
 // attach to a scale-up ("" = SLO healthy). Budget burn outranks a single
 // replica's p99 because it means the fleet as a whole is failing users.
 func (w *Watchdog) evaluate() string {
-	if w.f.pl.Cluster == nil {
-		w.publish() // single kernel: nothing runs beside the control loop
-	}
 	reason := ""
 	for i, rs := range w.reps {
 		if rs == nil {
@@ -140,32 +113,33 @@ func (w *Watchdog) alert(kind, who string, p99 float64, over, n int64) {
 }
 
 // interval computes the p99 and over-target sample count of the samples
-// between the previous interval's cut and the published one, then makes the
-// published cut the previous one.
+// observed since the previous interval's cut, then makes the histogram as it
+// stands the previous cut.
 func (v *sloView) interval(targetUS float64) (p99 float64, over, n int64) {
-	d := make([]int64, len(v.counts))
-	for i, c := range v.counts {
+	n = v.hist.Count() - v.prevN
+	if n <= 0 {
+		return 0, 0, 0
+	}
+	bounds, counts := v.hist.Buckets()
+	d := make([]int64, len(counts))
+	for i, c := range counts {
 		p := int64(0)
 		if i < len(v.prev) {
 			p = v.prev[i]
 		}
 		d[i] = c - p
 	}
-	n = v.n - v.prevN
-	v.prev, v.prevN = v.counts, v.n
-	if n <= 0 {
-		return 0, 0, 0
-	}
+	v.prev, v.prevN = counts, v.prevN+n
 	// Over-target samples: buckets whose lower edge is at or past the
 	// target, plus the +Inf overflow bucket.
 	for i, c := range d {
 		lower := 0.0
 		if i > 0 {
-			lower = v.bounds[i-1]
+			lower = bounds[i-1]
 		}
-		if i == len(v.bounds) || lower >= targetUS {
+		if i == len(bounds) || lower >= targetUS {
 			over += c
 		}
 	}
-	return obs.QuantileFromBuckets(v.bounds, d, n, 0.99), over, n
+	return obs.QuantileFromBuckets(bounds, d, n, 0.99), over, n
 }

@@ -249,3 +249,32 @@ func TestNotifyAsyncAllocatesNothing(t *testing.T) {
 			pa.Receives, pa.Sig.Pending(), pb.Receives, pb.Sig.Pending())
 	}
 }
+
+// TestGuestsAreNeverHomedOnShardZero: on a sharded kernel a guest with an
+// entry runs on its pCPU's guest shard, never on shard 0 — the host shard
+// keeps dom0, build-only domains and explicitly colocated guests. The fleet's
+// SLO watchdog relies on it: it reads replica histograms live from shard 0,
+// which runs first in every epoch.
+func TestGuestsAreNeverHomedOnShardZero(t *testing.T) {
+	entry := func(*Domain, *sim.Proc) int { return 0 }
+	for _, shards := range []int{2, 3, 5} {
+		c := sim.NewClusterObs(1, shards, time.Microsecond, nil, nil)
+		h := NewHost(c.Kernel(0), 4)
+		rows := []struct {
+			name   string
+			cfg    Config
+			shard0 bool
+		}{
+			{"guest", Config{Entry: entry}, false},
+			{"colocated guest", Config{Entry: entry, Colocate: true}, true},
+			{"build-only domain", Config{}, true},
+		}
+		for _, row := range rows {
+			for pcpu := 0; pcpu <= len(h.PCPUs); pcpu++ {
+				if got := h.homeKernel(row.cfg, pcpu) == c.Kernel(0); got != row.shard0 {
+					t.Errorf("%d shards, %s on pCPU %d: homed on shard 0 = %v, want %v", shards, row.name, pcpu, got, row.shard0)
+				}
+			}
+		}
+	}
+}

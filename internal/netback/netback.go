@@ -476,9 +476,8 @@ type VIF struct {
 	pendingRx fifo.Queue[pendingRx] // RX posts consumed from the ring, awaiting frames
 	txFrame   *bufpool.Buf          // TX frame whose later fragments are still to come
 
-	rspPending  int    // RX responses pushed but not yet published
-	rxFlushes   int    // rxFlush events scheduled and not yet fired
-	rxFlushFunc func() // v.rxFlush, built once
+	rspPending int       // RX responses pushed but not yet published
+	rxFlushAt  sim.Flush // publishes them at the end of the delivery instant
 }
 
 type pendingRx struct {
@@ -530,7 +529,7 @@ func NewVIF(b *Bridge, guest *hypervisor.Domain, mac ethernet.MAC, txPage, rxPag
 		rxBack: ring.NewBack(rxPage),
 		port:   port,
 	}
-	v.rxFlushFunc = v.rxFlush
+	v.rxFlushAt.Init(func(owner any) { owner.(*VIF).rxFlush() }, v)
 	if guest.K != b.K {
 		v.pool = bufpool.NewPool(frameBufSize)
 		guest.K.Post(b.K, 0, func() { b.Attach(v, guest.K) })
@@ -578,6 +577,7 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 	defer f.Release()
 	v.refillPending()
 	if v.pendingRx.Len() == 0 {
+		v.bridge.K.Metrics().Counter("bridge_rx_no_buffer_total").Inc()
 		return
 	}
 	post := v.pendingRx.Pop()
@@ -603,23 +603,17 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 
 // scheduleRxFlush defers publishing pushed RX responses to the end of the
 // current instant: deliveries landing at the same virtual time are
-// published (and the guest notified) once. Every delivery schedules a flush
-// event and same-instant events fire in the order they were scheduled, so
-// the one that finds no other outstanding is the last: it alone publishes.
+// published (and the guest notified) once. Every delivery arms the flush
+// again, so the last delivery's event is the one that publishes.
 func (v *VIF) scheduleRxFlush() {
 	v.rspPending++
-	v.rxFlushes++
 	k := v.guest.K
-	k.At(k.Now(), v.rxFlushFunc)
+	v.rxFlushAt.Arm(k, k.Now())
 }
 
-// rxFlush is the flush event: the last one outstanding publishes pending RX
-// responses and notifies the guest if it asked for an event.
+// rxFlush publishes pending RX responses and notifies the guest if it asked
+// for an event.
 func (v *VIF) rxFlush() {
-	v.rxFlushes--
-	if v.rxFlushes > 0 {
-		return
-	}
 	v.bridge.mxBatchRx.Observe(float64(v.rspPending))
 	v.rspPending = 0
 	if v.rxBack.PushResponses() {

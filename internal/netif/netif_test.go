@@ -233,31 +233,39 @@ func TestTxCompletionsReleasePagesToPool(t *testing.T) {
 }
 
 func TestRxDropWhenNoBuffersPosted(t *testing.T) {
-	// A raw endpoint floods a guest faster than it reposts; drops are
-	// counted rather than wedging the system.
+	// A raw endpoint floods a guest whose vCPU is busy elsewhere, so it
+	// cannot repost; drops are counted rather than wedging the system.
+	const flood = 1000
 	r := newRig()
-	var vifDrops func() int
+	received := 0
 	r.k.Spawn("setup", func(tp *sim.Proc) {
 		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
-			n.SetReceiver(func(v *cstruct.View, _ uint64) { v.Release() })
-			return vm.Main(p, vm.S.Sleep(500*time.Millisecond))
+			n.SetReceiver(func(v *cstruct.View, _ uint64) {
+				received++
+				v.Release()
+			})
+			p.Use(vm.Dom.VCPU, 200*time.Millisecond)
+			return vm.Main(p, vm.S.Sleep(300*time.Millisecond))
 		})
 		r.k.Spawn("flooder", func(p *sim.Proc) {
 			p.Sleep(60 * time.Millisecond)
-			// Inject 1000 frames in a burst straight onto the bridge.
-			for i := 0; i < 1000; i++ {
+			// Inject the frames in a burst straight onto the bridge.
+			for i := 0; i < flood; i++ {
 				r.bridge.TransmitBytes(macA, frame(macB, macA, "flood"))
 			}
 		})
-		_ = vifDrops
 	})
 	if _, err := r.k.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// The guest posted ~31 buffers and cannot repost while its vCPU never
-	// runs between kernel-context deliveries, so most of the burst drops.
-	// The key assertion: the sim completed and nothing wedged or leaked.
+	// The guest posted its buffers at attach and reposts none until its
+	// vCPU frees, so all but those drop — each one counted, each frame
+	// either received or dropped.
+	drops := r.k.Metrics().Snapshot().Sum("bridge_rx_no_buffer_total")
+	if drops == 0 || received == 0 || int(drops)+received != flood {
+		t.Errorf("bridge_rx_no_buffer_total = %d with %d frames received, want both > 0 and %d in all", drops, received, flood)
+	}
 }
 
 func TestTxBurstBeyondRingDepthQueuesAndDrains(t *testing.T) {

@@ -79,10 +79,9 @@ type Stack struct {
 
 	txCur     *txBurst   // frames built this burst, awaiting one flush
 	txFree    []*txBurst // drained bursts, reused with their backing arrays
-	txFlushes int        // txFlush events scheduled and not yet fired
+	txFlushAt sim.Flush  // sends txCur once its last frame is built
 
 	// Event callbacks, built once so scheduling one allocates nothing.
-	txFlushFunc func()
 	txFullFunc  func(burst any, _ uint64)
 	rxEventFunc func(frame any, span uint64)
 
@@ -101,7 +100,8 @@ func New(vm *pvboot.VM, nif *netif.Netif, cfg Config) *Stack {
 		UDP:    udp.NewMux(),
 		reasm:  ipv4.NewReassembler(),
 	}
-	st.txFlushFunc, st.txFullFunc, st.rxEventFunc = st.txFlush, st.txFull, st.rxEvent
+	st.txFullFunc, st.rxEventFunc = st.txFull, st.rxEvent
+	st.txFlushAt.Init(func(owner any) { owner.(*Stack).txFlush() }, st)
 	st.wake = vm.S.K.NewSignal("netstack-wake")
 	vm.S.OnSignal(st.wake, func() {})
 	st.ARP = arp.NewHandler(vm.S, cfg.IP, cfg.MAC)
@@ -152,12 +152,10 @@ const txBatchMax = 16
 // header-construction work, so per-packet cost is visible as latency.
 //
 // Frames built in one burst (before the vCPU finishes their construction
-// work) are batched: each frame schedules a flush at its own completion
-// instant. Those instants never decrease, so the events fire in the order
-// they were scheduled and the one that finds no other outstanding is the
-// burst's last: it alone flushes — so the whole burst enters the TX ring
-// together and costs a single publish/notification. A lone frame flushes at
-// exactly the same instant as the unbatched path did.
+// work) are batched: each frame arms the flush again at its own completion
+// instant, so only the burst's last frame's event flushes — the whole burst
+// enters the TX ring together and costs a single publish/notification. A
+// lone frame flushes at exactly the same instant as the unbatched path did.
 func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 	at := st.VM.Dom.VCPU.Reserve(st.Params.TxCost)
 	frame := page.Sub(0, n)
@@ -178,8 +176,7 @@ func (st *Stack) tx(page *cstruct.View, n int, span uint64) {
 		st.VM.S.K.AtArg(at, st.txFullFunc, b, 0)
 		return
 	}
-	st.txFlushes++
-	st.VM.S.K.At(at, st.txFlushFunc)
+	st.txFlushAt.Arm(st.VM.S.K, at)
 }
 
 // txBurst is the frames of one burst with their trace ids, in parallel.
@@ -188,11 +185,10 @@ type txBurst struct {
 	spans  []uint64
 }
 
-// txFlush is the flush event tx schedules per frame.
+// txFlush sends the burst the last frame's flush event finds.
 func (st *Stack) txFlush() {
-	st.txFlushes--
-	if st.txFlushes > 0 || st.txCur == nil {
-		return // a later frame joined the burst, or a full batch already left
+	if st.txCur == nil {
+		return // a full batch already left
 	}
 	b := st.txCur
 	st.txCur = nil

@@ -18,6 +18,11 @@ import (
 // spawn in sim.go. A second one, or an import of sync, is how a second thread
 // would come back; determinism would then again rest on the race detector
 // finding every shared write.
+//
+// The same walk keeps same-instant deferral in one place: outside sim, no
+// At or AtArg call takes a Now() call as its time. A burst that publishes
+// once at the end of an instant arms a Flush, which owns the generation
+// check a hand-rolled event would have to repeat.
 func TestSingleThreadDesign(t *testing.T) {
 	const root = ".." // internal/
 	fset := token.NewFileSet()
@@ -32,6 +37,7 @@ func TestSingleThreadDesign(t *testing.T) {
 			return err
 		}
 		files++
+		inSim := filepath.Dir(path) == "../sim"
 		for _, im := range f.Imports {
 			if p, _ := strconv.Unquote(im.Path.Value); p == "sync" || strings.HasPrefix(p, "sync/") {
 				t.Errorf("%s: imports %s", fset.Position(im.Pos()), p)
@@ -47,6 +53,9 @@ func TestSingleThreadDesign(t *testing.T) {
 					pos := fset.Position(g.Pos())
 					spawns = append(spawns, filepath.ToSlash(pos.Filename)+" "+fn.Name.Name)
 				}
+				if c, ok := n.(*ast.CallExpr); ok && !inSim && atNow(c) {
+					t.Errorf("%s: %s defers to the current instant by hand; arm a sim.Flush", fset.Position(c.Pos()), fn.Name.Name)
+				}
 				return true
 			})
 		}
@@ -61,4 +70,18 @@ func TestSingleThreadDesign(t *testing.T) {
 	if want := "../sim/sim.go Spawn"; len(spawns) != 1 || spawns[0] != want {
 		t.Errorf("go statements under internal/: %q, want only %q", spawns, want)
 	}
+}
+
+// atNow reports whether c is an At or AtArg call whose time is a Now() call.
+func atNow(c *ast.CallExpr) bool {
+	sel, ok := c.Fun.(*ast.SelectorExpr)
+	if !ok || (sel.Sel.Name != "At" && sel.Sel.Name != "AtArg") || len(c.Args) == 0 {
+		return false
+	}
+	t, ok := c.Args[0].(*ast.CallExpr)
+	if !ok || len(t.Args) != 0 {
+		return false
+	}
+	now, ok := t.Fun.(*ast.SelectorExpr)
+	return ok && now.Sel.Name == "Now"
 }

@@ -58,8 +58,6 @@ type Cluster struct {
 	limit   Time // 0 = no limit (mirrors Kernel.limit cluster-wide)
 	stopped bool
 
-	epochEnd []func() // OnEpochEnd hooks
-
 	mxEpochs  *obs.Counter
 	mxClamped *obs.Counter
 	mxElided  *obs.Counter
@@ -104,14 +102,6 @@ func NewClusterObs(seed int64, shards int, w time.Duration, t *obs.Tracer, m *ob
 	c.mxReuse = m.Counter("sim_cluster_mailbox_reuse_total")
 	return c
 }
-
-// OnEpochEnd registers fn to run each time the epoch's shards have all
-// finished their windows, before the next barrier — the one point inside
-// Run where no shard is executing. State that one shard writes and another
-// reads mid-run (a shared histogram) is published to the reader here: the
-// cut is then a function of the virtual schedule, not of the order the
-// shards' windows ran in. Call before Run.
-func (c *Cluster) OnEpochEnd(fn func()) { c.epochEnd = append(c.epochEnd, fn) }
 
 // Shards returns the number of shard kernels.
 func (c *Cluster) Shards() int { return len(c.kernels) }
@@ -234,7 +224,9 @@ func (c *Cluster) mailboxesPending() bool {
 
 // runEpochs is the barrier loop: drain the mailboxes, find the earliest
 // pending work T, and run every shard with work before E = T + W up to E in
-// shard order. A panic in a window propagates at once, as on a plain kernel.
+// shard order. Shard 0 runs first, so an event there sees every other shard
+// as of the epoch's start. A panic in a window propagates at once, as on a
+// plain kernel.
 func (c *Cluster) runEpochs() {
 	n := len(c.kernels)
 	next := make([]Time, n)
@@ -266,9 +258,6 @@ func (c *Cluster) runEpochs() {
 				continue
 			}
 			k.runWindow(end)
-		}
-		for _, fn := range c.epochEnd {
-			fn()
 		}
 		c.mxEpochs.Inc()
 	}

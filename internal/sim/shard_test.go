@@ -339,3 +339,30 @@ func TestMailboxSliceReuse(t *testing.T) {
 		t.Error("sim_cluster_mailbox_reuse_total = 0, want recycled drains")
 	}
 }
+
+// TestShardZeroReadsEpochStart: shard 0's window runs first in every epoch,
+// so an event there reads another shard's state as it stood when the epoch
+// began — none of that shard's writes from the same window, all of the
+// earlier ones. The fleet's SLO watchdog reads replica histograms live on
+// this promise.
+func TestShardZeroReadsEpochStart(t *testing.T) {
+	us := func(n int) Time { return Time(n) * Time(time.Microsecond) }
+	c := NewClusterObs(1, 3, 10*time.Microsecond, nil, nil)
+	var writes [3]int // writes[i] is written on shard i only
+	for i := 1; i < 3; i++ {
+		for _, at := range []int{1, 4, 13, 16} {
+			c.Kernel(i).At(us(at), func() { writes[i]++ })
+		}
+	}
+	// Epochs [1µs, 11µs) and [13µs, 23µs): shard 0 reads inside each.
+	var seen []string
+	for _, at := range []int{5, 17} {
+		c.Kernel(0).At(us(at), func() { seen = append(seen, fmt.Sprint(writes[1:])) })
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(seen, " "), "[0 0] [2 2]"; got != want {
+		t.Errorf("shard 0 read %s, want %s (each epoch's start)", got, want)
+	}
+}

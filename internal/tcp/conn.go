@@ -87,14 +87,16 @@ type Conn struct {
 
 	// Send sequence space.
 	iss, sndUna, sndNxt uint32
-	sndWnd              int
-	sndWL1, sndWL2      uint32 // seq/ack of the segment last used to update sndWnd
-	peerWndScale        int    // -1 until negotiated
-	mss                 int
-	sendq               sendQueue // accepted, not yet segmented (see sendq.go)
-	finQueued, finSent  bool
-	inflight            fifo.Queue[inflightSeg]
-	sendGen             uint64 // invalidates stale deferred trySend events
+	// The FIN flags sit in the padding after the sequence numbers, keeping
+	// Conn in its 704 B size class beside its two sim.Flush fields.
+	finQueued, finSent, finRcvd bool
+	sndWnd                      int
+	sndWL1, sndWL2              uint32 // seq/ack of the segment last used to update sndWnd
+	peerWndScale                int    // -1 until negotiated
+	mss                         int
+	sendq                       sendQueue // accepted, not yet segmented (see sendq.go)
+	inflight                    fifo.Queue[inflightSeg]
+	sendAt                      sim.Flush // trySend deferred to the end of the instant
 
 	// Zero-window persist (RFC 1122 §4.2.2.17).
 	persistBackoff time.Duration
@@ -130,12 +132,10 @@ type Conn struct {
 	myWndScale   int
 	rcvChain     fifo.Queue[rcvChunk] // in-order payload spans awaiting the application
 	rcvLen       int                  // total bytes across rcvChain
-	finRcvd      bool
-	ooo          map[uint32][]byte // allocated lazily on first out-of-order segment
+	ooo          map[uint32][]byte    // allocated lazily on first out-of-order segment
 	segsSinceAck int
 	delAckTimer  sim.Timer
-	ackGen       uint64 // invalidates stale same-instant ACK flushes
-	ackPending   bool
+	ackFlushAt   sim.Flush // the ACK deferred to the end of the instant
 
 	readers fifo.Queue[pendingRead]
 	writers fifo.Queue[pendingWrite]
@@ -205,6 +205,12 @@ func newConn(st *Stack, key connKey) *Conn {
 	c.rtoTimer.Init(tk, c.onTimerRTO)
 	c.delAckTimer.Init(tk, c.onTimerDelAck)
 	c.persistTimer.Init(tk, c.onTimerPersist)
+	c.ackFlushAt.Init(func(owner any) {
+		if c := owner.(*Conn); c.state != StateClosed {
+			c.sendAck()
+		}
+	}, c)
+	c.sendAt.Init(func(owner any) { owner.(*Conn).trySend() }, c)
 	return c
 }
 
@@ -281,8 +287,7 @@ func (c *Conn) send(flags uint8, seq uint32, payload []byte, syn bool) {
 func (c *Conn) sendAck() {
 	c.segsSinceAck = 0
 	c.delAckTimer.Cancel() // any explicit ACK supersedes a delayed one
-	c.ackGen++             // a pending same-instant flush is now redundant
-	c.ackPending = false
+	c.ackFlushAt.Cancel()  // and a pending same-instant flush
 	c.send(FlagACK, c.sndNxt, nil, false)
 }
 
@@ -293,22 +298,8 @@ func (c *Conn) sendAck() {
 // segments arriving at distinct instants this is indistinguishable from an
 // immediate ACK.
 func (c *Conn) scheduleAckFlush() {
-	if c.ackPending {
-		return
-	}
-	c.ackPending = true
-	c.ackGen++
-	k := c.st.S.K
-	k.AtArg(k.Now(), ackFlushEvent, c, c.ackGen)
-}
-
-// ackFlushEvent is the event scheduleAckFlush queues: the connection rides
-// the event with the generation it was queued under, so no closure is built
-// per flush.
-func ackFlushEvent(conn any, gen uint64) {
-	c := conn.(*Conn)
-	if gen == c.ackGen && c.ackPending && c.state != StateClosed {
-		c.sendAck()
+	if k := c.st.S.K; !c.ackFlushAt.Pending() {
+		c.ackFlushAt.Arm(k, k.Now())
 	}
 }
 
@@ -341,7 +332,7 @@ func (c *Conn) usableWindow() int {
 // send queue: capped reslices of the writers' own slices, with no copy
 // except for the segment that straddles two separate writes.
 func (c *Conn) trySend() {
-	c.sendGen++ // this call is the flush; pending deferred sends are stale
+	c.sendAt.Cancel() // this call is the flush; pending deferred sends are stale
 	if c.state != StateEstablished && c.state != StateCloseWait &&
 		c.state != StateFinWait1 && c.state != StateClosing && c.state != StateLastAck {
 		return
@@ -393,17 +384,8 @@ func (c *Conn) trySend() {
 // Write issued in the same wakeup lands in the send queue before any
 // segment is cut (the write-coalescing half of §3.4.1 batching).
 func (c *Conn) scheduleSend() {
-	c.sendGen++
 	k := c.st.S.K
-	k.AtArg(k.Now(), sendEvent, c, c.sendGen)
-}
-
-// sendEvent is the event scheduleSend queues (see ackFlushEvent).
-func sendEvent(conn any, gen uint64) {
-	c := conn.(*Conn)
-	if gen == c.sendGen && c.state != StateClosed {
-		c.trySend()
-	}
+	c.sendAt.Arm(k, k.Now())
 }
 
 // drainWriters moves queued user writes into the send queue as space
@@ -582,9 +564,8 @@ func (c *Conn) teardown(err error) {
 	c.rtoTimer.Cancel()
 	c.delAckTimer.Cancel()
 	c.persistTimer.Cancel()
-	c.ackGen++
-	c.ackPending = false
-	c.sendGen++
+	c.ackFlushAt.Cancel()
+	c.sendAt.Cancel()
 	// Unconsumed receive data still pins pages; let them go.
 	for c.rcvChain.Len() > 0 {
 		if v := c.rcvChain.Pop().view; v != nil {
