@@ -61,7 +61,8 @@ race: build
 # reason, and every line there must still name such a function. It also
 # prints how many statements under internal/ no entry point executed. Then
 # cmd/reach type-checks the module, tests included (~2 s): a struct field
-# under internal/ that no code reads fails the same way, unless listed.
+# under internal/ that no code outside tests reads fails the same way,
+# unless listed.
 reach: build
 	@GO="$(GO)" bash cmd/reach/run.sh /tmp/reach
 	@$(GO) tool covdata textfmt -i /tmp/reach/cov -o /tmp/reach/cov.txt

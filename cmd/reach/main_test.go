@@ -42,7 +42,7 @@ internal/sim Time.String debug:stringer
 	never, got := check(keep, called)
 	want := []string{
 		"stale: internal/arp *Handler.Input is listed but is called or read now, or is gone",
-		"unlisted: internal/dns Encode is never called or read: delete it, or list it with a reason",
+		"unlisted: internal/dns Encode is never called or read outside tests: delete it, or list it with a reason",
 	}
 	if never != 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("never-called = %d, want 3 (a generic method called through one instantiation is called)\nproblems:\n%s\nwant:\n%s",
@@ -87,9 +87,9 @@ repro/internal/sim/sim.go:39.31,41.2 2 0
 
 // TestFieldGate type-checks the fixture module under testdata/fieldmod and
 // holds its keep-list against it the way main does: a write-only field
-// fails, a stale field line fails, and a field read only by a test, a tagged
-// one, the fields of a map key and a listed one pass. The field line counts
-// the exported ones.
+// fails, a field read only by a test fails unless listed, a stale field line
+// fails, and a tagged field, the fields of a map key and a listed one pass.
+// The field line counts the exported ones and the test-only ones.
 func TestFieldGate(t *testing.T) {
 	walk, err := walkFields("testdata/fieldmod")
 	if err != nil {
@@ -97,27 +97,28 @@ func TestFieldGate(t *testing.T) {
 	}
 	want := map[string]int{
 		"internal/p T.WriteOnly": unread, "internal/p T.Kept": unread, "internal/p T.TestOnly": testRead,
-		"internal/p T.Tagged": read, "internal/p T.Stale": read, "internal/p T.hits": read,
+		"internal/p T.TestListed": testRead, "internal/p T.Tagged": read, "internal/p T.Stale": read, "internal/p T.hits": read,
 		"internal/p key.a": read, "internal/p key.b": read,
 	}
 	if fmt.Sprint(walk) != fmt.Sprint(want) {
 		t.Errorf("fields by reader (0 none, 1 tests only, 2 other code):\n%v\nwant:\n%v", walk, want)
 	}
-	if got, want := fieldLine(walk), "8 struct fields under internal/, 5 exported, 0 unread outside the keep-list, 1 read only by tests"; got != want {
+	if got, want := fieldLine(walk), "9 struct fields under internal/, 6 exported, 0 unread outside the keep-list, 2 read only by tests"; got != want {
 		t.Errorf("field line = %q, want %q", got, want)
 	}
-	keep, _ := parseKeep("internal/p T.Kept paper:Fig14\ninternal/p T.Stale paper:Fig14\n")
+	keep, _ := parseKeep("internal/p T.Kept paper:Fig14\ninternal/p T.Stale paper:Fig14\ninternal/p T.TestListed test-reference\n")
 	called := map[string]bool{}
 	for key, who := range walk {
-		called[key] = who != unread
+		called[key] = who == read
 	}
 	never, got := check(keep, called)
 	wantProblems := []string{
 		"stale: internal/p T.Stale is listed but is called or read now, or is gone",
-		"unlisted: internal/p T.WriteOnly is never called or read: delete it, or list it with a reason",
+		"unlisted: internal/p T.TestOnly is never called or read outside tests: delete it, or list it with a reason",
+		"unlisted: internal/p T.WriteOnly is never called or read outside tests: delete it, or list it with a reason",
 	}
-	if never != 2 || strings.Join(got, "\n") != strings.Join(wantProblems, "\n") {
-		t.Errorf("unread = %d, want 2; problems:\n%s\nwant:\n%s", never, strings.Join(got, "\n"), strings.Join(wantProblems, "\n"))
+	if never != 4 || strings.Join(got, "\n") != strings.Join(wantProblems, "\n") {
+		t.Errorf("unread = %d, want 4; problems:\n%s\nwant:\n%s", never, strings.Join(got, "\n"), strings.Join(wantProblems, "\n"))
 	}
 }
 

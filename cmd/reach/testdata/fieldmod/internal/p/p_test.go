@@ -4,7 +4,7 @@ import "testing"
 
 func TestTouch(t *testing.T) {
 	var x T
-	if x.Touch("ab"); x.TestOnly != 2 {
+	if x.Touch("ab"); x.TestOnly != 2 || x.TestListed != 2 {
 		t.Fail()
 	}
 }

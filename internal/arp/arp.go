@@ -77,9 +77,6 @@ type Handler struct {
 
 	cache   map[ipv4.Addr]ethernet.MAC
 	waiting map[ipv4.Addr][]func(ethernet.MAC, error)
-
-	// Stats
-	Requests, Hits int
 }
 
 // NewHandler creates an ARP handler.
@@ -92,13 +89,10 @@ func NewHandler(s *lwt.Scheduler, ip ipv4.Addr, mac ethernet.MAC) *Handler {
 }
 
 // Cached returns ip's MAC when the cache holds it: the case Resolve answers
-// on the spot, counted as the same hit, for callers that would rather not
-// build a callback unless there is an exchange to wait for.
+// on the spot, for callers that would rather not build a callback unless
+// there is an exchange to wait for.
 func (h *Handler) Cached(ip ipv4.Addr) (ethernet.MAC, bool) {
 	mac, ok := h.cache[ip]
-	if ok {
-		h.Hits++
-	}
 	return mac, ok
 }
 
@@ -154,7 +148,6 @@ func (h *Handler) sendRequest(ip ipv4.Addr, attempt int) {
 		}
 		return
 	}
-	h.Requests++
 	h.Output(ethernet.Broadcast, Packet{
 		Op:       OpRequest,
 		SenderHW: h.MyMAC, SenderIP: h.MyIP,

@@ -100,15 +100,15 @@ func TestIgnoresRequestsForOthers(t *testing.T) {
 
 func TestResolveHitIsImmediate(t *testing.T) {
 	k := sim.NewKernel(1)
-	h, _, _ := newHandler(k)
+	h, sent, _ := newHandler(k)
 	h.Learn(hisIP, hisHW)
 	got := ethernet.MAC{}
 	h.Resolve(hisIP, func(m ethernet.MAC, err error) { got = m })
 	if got != hisHW {
 		t.Error("cache hit not immediate")
 	}
-	if h.Hits != 1 {
-		t.Errorf("Hits = %d", h.Hits)
+	if len(*sent) != 0 {
+		t.Errorf("a cache hit sent %+v", *sent)
 	}
 }
 

@@ -15,6 +15,7 @@ import (
 	"repro/internal/cstruct"
 	"repro/internal/grant"
 	"repro/internal/hypervisor"
+	"repro/internal/obs"
 	"repro/internal/ring"
 	"repro/internal/sim"
 )
@@ -62,9 +63,7 @@ type SSD struct {
 	tail    int
 	scratch [cstruct.PageSize]byte // a sub-page write's read-modify-write
 
-	// Stats
-	Reads, Writes int
-	BytesMoved    int
+	Writes int // write operations booked
 }
 
 // span is where a page's stored prefix lives: n bytes at off in chunk, in a
@@ -99,10 +98,7 @@ func (d *SSD) Submit(n int, write bool) sim.Time {
 	if write {
 		lat = SSDWriteLatency
 		d.Writes++
-	} else {
-		d.Reads++
 	}
-	d.BytesMoved += n
 	// Earliest-free channel.
 	best := 0
 	for i, t := range d.channels {
@@ -382,7 +378,10 @@ func (v *VBD) serve() {
 // ring response at the device completion instant. An indirect request is
 // one device operation: all segment grants are mapped as a batch up front,
 // the device is booked once for the whole scatter-gather transfer, and the
-// data movement walks the segment pages in order, one ranged copy each.
+// data movement walks the segment pages in order, one ranged copy each. A
+// request that fails (malformed, wrapping past sector 2⁶⁴, or a grant that
+// does not map with the access it needs) is answered at once and counted in
+// blk_failed_requests_total, created at the first failure.
 func (v *VBD) submit(r Req) {
 	ok := false
 	var done sim.Time
@@ -393,6 +392,7 @@ func (v *VBD) submit(r Req) {
 	}
 	if !ok {
 		done = v.ssd.K.Now()
+		v.ssd.K.Metrics().Counter("blk_failed_requests_total", obs.L("dev", fmt.Sprintf("vbd%d", v.guest.ID))).Inc()
 	}
 	n := uint64(r.ID) << 1
 	if ok {
@@ -416,8 +416,10 @@ func (v *VBD) submitDirect(r Req, done *sim.Time) bool {
 		return false
 	}
 	// Map, then book: a request whose grant does not map must not occupy a
-	// channel or count as I/O (submitIndirect orders it the same way).
-	page, err := v.guest.Grants.Map(grant.Ref(r.Gref))
+	// channel or count as I/O (submitIndirect orders it the same way). A
+	// write only reads the guest's page; a read fills it, so it needs a
+	// writable grant.
+	page, err := v.guest.Grants.Map(grant.Ref(r.Gref), r.Write)
 	if err != nil {
 		return false
 	}
@@ -434,7 +436,7 @@ func (v *VBD) submitIndirect(r Req, done *sim.Time) bool {
 		wraps(r.Sector, sectors) {
 		return false
 	}
-	ind, err := v.guest.Grants.Map(grant.Ref(r.Gref))
+	ind, err := v.guest.Grants.Map(grant.Ref(r.Gref), true)
 	if err != nil {
 		return false
 	}
@@ -445,7 +447,7 @@ func (v *VBD) submitIndirect(r Req, done *sim.Time) bool {
 	var pages [MaxSegments]*cstruct.View
 	for i := 0; i < segs; i++ {
 		grefs[i] = grant.Ref(ind.LE32(i * 4))
-		pg, err := v.guest.Grants.Map(grefs[i])
+		pg, err := v.guest.Grants.Map(grefs[i], r.Write)
 		if err != nil {
 			for j := 0; j < i; j++ {
 				v.guest.Grants.Unmap(grefs[j], pages[j])

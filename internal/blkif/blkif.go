@@ -278,14 +278,16 @@ func (b *Blkif) fill() {
 }
 
 // push materialises a devop's I/O pages, grants them, and encodes the ring
-// request — direct for a single-page devop, indirect otherwise.
+// request — direct for a single-page devop, indirect otherwise. A write's
+// pages are granted read-only, as Linux blkfront grants them: the backend
+// only reads them.
 func (b *Blkif) push(d *devop) {
 	dom := b.vm.Dom
 	npages := (d.sectors + SectorsPerPage - 1) / SectorsPerPage
 	for i := 0; i < npages; i++ {
 		pg := dom.Pool.Get()
 		d.pages = append(d.pages, pg)
-		d.grefs = append(d.grefs, dom.Grants.Grant(pg, false))
+		d.grefs = append(d.grefs, dom.Grants.Grant(pg, d.write))
 	}
 	if d.write {
 		off := 0

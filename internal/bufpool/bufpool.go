@@ -8,9 +8,9 @@
 // injection, broadcast flood) retain the same buffer rather than copying
 // it; the frame is immutable once transmitted.
 //
-// The pool keeps exact accounting (Allocated/Recycled/InUse) so tests
-// can assert that a quiesced system leaked nothing, and Release panics on
-// double-free — the same discipline cstruct pages enforce.
+// The pool counts the buffers in use (InUse) so tests can assert that a
+// quiesced system leaked nothing, and Release panics on double-free — the
+// same discipline cstruct pages enforce.
 package bufpool
 
 import "fmt"
@@ -33,12 +33,9 @@ type Buf struct {
 // and released on another; the set of operations is deterministic, so the
 // counts are too.
 type Pool struct {
-	size int
-	free []*Buf
-	// Stats
-	Allocated int // buffers ever created
-	Recycled  int // buffers returned to the free list
-	inUse     int // buffers currently referenced
+	size  int
+	free  []*Buf
+	inUse int // buffers currently referenced
 }
 
 // NewPool returns an empty pool of size-byte buffers.
@@ -64,7 +61,6 @@ func (p *Pool) Get() *Buf {
 		p.free = p.free[:n-1]
 	} else {
 		b = &Buf{data: make([]byte, p.size), pool: p}
-		p.Allocated++
 	}
 	p.inUse++
 	b.n = 0
@@ -142,6 +138,5 @@ func (b *Buf) Release() {
 		return
 	}
 	p.inUse--
-	p.Recycled++
 	p.free = append(p.free, b)
 }

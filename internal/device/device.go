@@ -121,7 +121,7 @@ func Connect(guest, dom0 *hypervisor.Domain, st *xenstore.Store, index int, fe F
 		if err != nil {
 			return nil, fmt.Errorf("device: bad ring ref %q: %w", s, err)
 		}
-		page, err := guest.Grants.Map(grant.Ref(ref))
+		page, err := guest.Grants.Map(grant.Ref(ref), false)
 		if err != nil {
 			return nil, err
 		}

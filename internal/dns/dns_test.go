@@ -298,7 +298,7 @@ func hostileQueries() map[string][]byte {
 	}
 }
 
-func TestHostileQueriesRejectedAndCounted(t *testing.T) {
+func TestHostileQueriesRejected(t *testing.T) {
 	for name, q := range hostileQueries() {
 		if m, err := ParseMessage(q); err == nil && len(m.Questions) > 0 {
 			t.Errorf("%s: ParseMessage accepted it: %+v", name, m)
@@ -311,9 +311,6 @@ func TestHostileQueriesRejectedAndCounted(t *testing.T) {
 			resp, cost := s.Handle(q)
 			if resp != nil || cost != parseCost {
 				t.Errorf("%s (memo %v): response %x, cost %v", name, memoize, resp, cost)
-			}
-			if s.Queries != 2 || s.Errors != 1 {
-				t.Errorf("%s (memo %v): queries/errors = %d/%d, want 2/1", name, memoize, s.Queries, s.Errors)
 			}
 		}
 	}
@@ -392,8 +389,8 @@ func TestMalformedARecordIsAnErrorNotAnAnswer(t *testing.T) {
 			t.Errorf("EncodeMessage of A %q succeeded: %x", bad, b)
 		}
 	}
-	// Served: the query fails and is counted, first computed and then from
-	// the memo, instead of answering 1.2.3.0.
+	// Served: the query gets no reply, first computed and then from the
+	// memo, instead of answering 1.2.3.0.
 	z := NewZone("example.org")
 	z.Add(RR{Name: "bad.example.org", Type: TypeA, Data: "1.2.3"})
 	z.Add(RR{Name: "good.example.org", Type: TypeA, Data: "1.2.3.4"})
@@ -401,14 +398,11 @@ func TestMalformedARecordIsAnErrorNotAnAnswer(t *testing.T) {
 		s := NewServer(z, memoize)
 		for i := 1; i <= 2; i++ {
 			if resp, _ := s.Handle(EncodeQuery(7, "bad.example.org", TypeA)); resp != nil {
-				t.Errorf("memo %v: malformed A record served as %x", memoize, resp)
-			}
-			if s.Errors != i {
-				t.Errorf("memo %v: errors = %d after %d bad queries", memoize, s.Errors, i)
+				t.Errorf("memo %v: malformed A record served as %x (query %d)", memoize, resp, i)
 			}
 		}
-		if resp, _ := s.Handle(EncodeQuery(8, "good.example.org", TypeA)); resp == nil || s.Errors != 2 {
-			t.Errorf("memo %v: good record: response %x, errors %d", memoize, resp, s.Errors)
+		if resp, _ := s.Handle(EncodeQuery(8, "good.example.org", TypeA)); resp == nil {
+			t.Errorf("memo %v: good record got no reply", memoize)
 		}
 	}
 }

@@ -11,7 +11,7 @@ type Memo struct {
 	lru *memoEntry // most-recent at front (next), least-recent at back (prev)
 	cap int
 
-	Hits, Misses, Evictions int
+	Hits, Misses int
 }
 
 type memoEntry struct {
@@ -39,7 +39,6 @@ func (mo *Memo) Get(key string, compute func() []byte) []byte {
 		victim := mo.lru.prev
 		mo.unlink(victim)
 		delete(mo.m, victim.key)
-		mo.Evictions++
 	}
 	e := &memoEntry{key: key, val: v}
 	mo.m[key] = e

@@ -40,8 +40,8 @@ func TestMemoLRUEvictionDeterministic(t *testing.T) {
 	m.Get("c", mk("c"))
 	m.Get("a", mk("a")) // refresh a: LRU order is now b < c < a
 	m.Get("d", mk("d")) // evicts b
-	if m.Evictions != 1 {
-		t.Fatalf("Evictions = %d, want 1", m.Evictions)
+	if m.Len() != 3 {
+		t.Fatalf("Len = %d after a fourth key, want 3", m.Len())
 	}
 	missesBefore := m.Misses
 	m.Get("a", mk("a"))
@@ -51,8 +51,8 @@ func TestMemoLRUEvictionDeterministic(t *testing.T) {
 		t.Errorf("survivors a/c/d missed (misses %d -> %d)", missesBefore, m.Misses)
 	}
 	m.Get("b", mk("b")) // b was evicted: recompute, evicting a (now LRU)
-	if m.Misses != missesBefore+1 || m.Evictions != 2 {
-		t.Errorf("misses=%d evictions=%d, want %d/2", m.Misses, m.Evictions, missesBefore+1)
+	if m.Misses != missesBefore+1 {
+		t.Errorf("misses=%d, want %d", m.Misses, missesBefore+1)
 	}
 	if m.Len() != 3 {
 		t.Errorf("Len = %d, want 3", m.Len())
@@ -64,15 +64,20 @@ func TestMemoLRUEvictionDeterministic(t *testing.T) {
 		for _, k := range []string{"a", "b", "c", "a", "d", "a", "c", "d", "b"} {
 			r.Get(k, mk(k))
 		}
-		return r.Hits, r.Misses, r.Evictions
+		return r.Hits, r.Misses, r.Len()
 	}
-	h1, mi1, e1 := replay()
-	h2, mi2, e2 := replay()
-	if h1 != h2 || mi1 != mi2 || e1 != e2 {
-		t.Fatalf("same access sequence diverged: %d/%d/%d vs %d/%d/%d", h1, mi1, e1, h2, mi2, e2)
+	h1, mi1, l1 := replay()
+	h2, mi2, l2 := replay()
+	if h1 != h2 || mi1 != mi2 || l1 != l2 {
+		t.Fatalf("same access sequence diverged: %d/%d/%d vs %d/%d/%d", h1, mi1, l1, h2, mi2, l2)
 	}
-	if h1 != m.Hits || mi1 != m.Misses || e1 != m.Evictions {
-		t.Fatalf("replay (%d/%d/%d) differs from original (%d/%d/%d)", h1, mi1, e1, m.Hits, m.Misses, m.Evictions)
+	if h1 != m.Hits || mi1 != m.Misses || l1 != m.Len() {
+		t.Fatalf("replay (%d/%d/%d) differs from original (%d/%d/%d)", h1, mi1, l1, m.Hits, m.Misses, m.Len())
+	}
+	for _, k := range []string{"a", "b", "c", "d"} {
+		if _, ok := m.Cached([]byte(k)); ok != (k != "a") {
+			t.Errorf("%q cached = %v; want only a evicted", k, ok)
+		}
 	}
 }
 

@@ -17,10 +17,8 @@ const (
 
 // Server is an authoritative DNS server over a zone.
 type Server struct {
-	Zone    *Zone
-	Memo    *Memo // nil disables memoization
-	Queries int
-	Errors  int
+	Zone *Zone
+	Memo *Memo // nil disables memoization
 }
 
 // NewServer creates a server; memoize enables the response cache.
@@ -37,11 +35,10 @@ func NewServer(z *Zone, memoize bool) *Server {
 //
 // A query whose answer is memoised is served from its own bytes (memoised):
 // nothing is decoded into a Message. That is a host-side shortcut only — for
-// any query bytes the response, the cost, Queries, Errors and the memo's
-// Hits, Misses and recency order are exactly what parsing the query first
-// (parsed) produces; FuzzHandle holds the two against each other.
+// any query bytes the response, the cost and the memo's Hits, Misses and
+// recency order are exactly what parsing the query first (parsed) produces;
+// FuzzHandle holds the two against each other.
 func (s *Server) Handle(query []byte) ([]byte, time.Duration) {
-	s.Queries++
 	if body, ok := s.memoised(query); ok {
 		return s.reply(body, query, parseCost+memoHitCost)
 	}
@@ -75,7 +72,6 @@ func (s *Server) parsed(query []byte) ([]byte, time.Duration) {
 	cost := parseCost
 	m, err := ParseMessage(query)
 	if err != nil || len(m.Questions) == 0 {
-		s.Errors++
 		return nil, cost
 	}
 	q := m.Questions[0]
@@ -99,10 +95,9 @@ func (s *Server) parsed(query []byte) ([]byte, time.Duration) {
 
 // reply is a copy of the response body (it may be the memo's) with the
 // query's transaction ID patched in. A nil body is an answer that could not
-// be encoded: it is counted as an error, now and on every later memo hit.
+// be encoded: no reply goes out, now or on any later memo hit.
 func (s *Server) reply(body, query []byte, cost time.Duration) ([]byte, time.Duration) {
 	if body == nil {
-		s.Errors++
 		return nil, cost
 	}
 	out := append([]byte(nil), body...)

@@ -41,8 +41,6 @@ type Table struct {
 	next    Ref
 	free    []*Entry // revoked entries, reused by Grant; refs are never reused
 
-	Leaked int // entries revoked while still mapped (protocol bugs)
-
 	Hooks Hooks
 }
 
@@ -79,11 +77,16 @@ func (t *Table) lookup(r Ref) (*Entry, error) {
 }
 
 // Map gives the remote domain a zero-copy view of the granted page,
-// incrementing the mapping count. The caller must Unmap when done.
-func (t *Table) Map(r Ref) (*cstruct.View, error) {
+// incrementing the mapping count. The caller must Unmap when done. A
+// mapper that will write the page passes readOnly false; a read-only grant
+// refuses it, as Xen refuses a writable mapping of a GTF_readonly grant.
+func (t *Table) Map(r Ref, readOnly bool) (*cstruct.View, error) {
 	e, err := t.lookup(r)
 	if err != nil {
 		return nil, err
+	}
+	if e.ReadOnly && !readOnly {
+		return nil, fmt.Errorf("grant: writable mapping of read-only reference %d", r)
 	}
 	e.mapped++
 	if t.Hooks.OnMap != nil {
@@ -130,14 +133,13 @@ func (t *Table) CopyInto(r Ref, off int, dst []byte) error {
 
 // End revokes the grant. Revoking a still-mapped grant is the bug class
 // our re-implementation fuzz-found in Linux/Xen (XSA-39, §3.4): it is
-// refused and counted.
+// refused, and the entry stays active.
 func (t *Table) End(r Ref) error {
 	e, err := t.lookup(r)
 	if err != nil {
 		return err
 	}
 	if e.mapped > 0 {
-		t.Leaked++
 		return fmt.Errorf("grant: reference %d still mapped %d times", r, e.mapped)
 	}
 	delete(t.entries, r)

@@ -12,7 +12,7 @@ func TestGrantMapSharesStorage(t *testing.T) {
 	tbl := NewTable()
 	v := cstruct.Make(64)
 	r := tbl.Grant(v, false)
-	m, err := tbl.Map(r)
+	m, err := tbl.Map(r, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,12 +49,12 @@ func TestEndWhileMappedRefused(t *testing.T) {
 	tbl := NewTable()
 	v := cstruct.Make(16)
 	r := tbl.Grant(v, false)
-	m, _ := tbl.Map(r)
+	m, _ := tbl.Map(r, false)
 	if err := tbl.End(r); err == nil {
 		t.Fatal("revoking a mapped grant succeeded (XSA-39 class bug)")
 	}
-	if tbl.Leaked != 1 {
-		t.Errorf("Leaked = %d, want 1", tbl.Leaked)
+	if tbl.Active() != 1 {
+		t.Errorf("Active = %d after a refused End, want 1", tbl.Active())
 	}
 	tbl.Unmap(r, m)
 	if err := tbl.End(r); err != nil {
@@ -65,9 +65,38 @@ func TestEndWhileMappedRefused(t *testing.T) {
 	}
 }
 
+// A read-only grant maps for reading only: a writable mapping is refused
+// and leaves no mapping behind, as Xen refuses one of a GTF_readonly grant.
+// A writable grant maps either way.
+func TestReadOnlyGrantRefusesWritableMapping(t *testing.T) {
+	tbl := NewTable()
+	ro := tbl.Grant(cstruct.Make(16), true)
+	if m, err := tbl.Map(ro, false); err == nil {
+		t.Fatalf("writable mapping of a read-only grant succeeded: %v", m)
+	}
+	m, err := tbl.Map(ro, true)
+	if err != nil {
+		t.Fatalf("read-only mapping of a read-only grant: %v", err)
+	}
+	if err := tbl.Unmap(ro, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := tbl.End(ro); err != nil {
+		t.Fatalf("End after the refused and the undone mapping: %v", err)
+	}
+	rw := tbl.Grant(cstruct.Make(16), false)
+	for _, readOnly := range []bool{true, false} {
+		m, err := tbl.Map(rw, readOnly)
+		if err != nil {
+			t.Fatalf("mapping a writable grant (readOnly %v): %v", readOnly, err)
+		}
+		tbl.Unmap(rw, m)
+	}
+}
+
 func TestBadReferenceErrors(t *testing.T) {
 	tbl := NewTable()
-	if _, err := tbl.Map(42); err == nil {
+	if _, err := tbl.Map(42, false); err == nil {
 		t.Error("Map of bad ref succeeded")
 	}
 	if err := tbl.End(42); err == nil {
@@ -93,10 +122,10 @@ func TestWithReleasesOnSuccess(t *testing.T) {
 	var seen Ref
 	err := tbl.With(v, false, func(r Ref) error {
 		seen = r
-		if _, err := tbl.Map(r); err != nil {
+		if _, err := tbl.Map(r, false); err != nil {
 			return err
 		}
-		m, _ := tbl.Map(r) // second mapping
+		m, _ := tbl.Map(r, false) // second mapping
 		tbl.Unmap(r, m)
 		m2 := v // first mapping view is v-shaped; unmap via table
 		_ = m2
@@ -161,7 +190,7 @@ func TestPropGrantLifecycle(t *testing.T) {
 			case 1:
 				if len(live) > 0 {
 					g := live[int(op)%len(live)]
-					m, err := tbl.Map(g.r)
+					m, err := tbl.Map(g.r, false)
 					if err != nil {
 						return false
 					}
@@ -225,9 +254,9 @@ func TestEntriesAreRecycled(t *testing.T) {
 	tbl := NewTable()
 	v := cstruct.Make(16)
 	held := tbl.Grant(v, false)
-	m, _ := tbl.Map(held)
-	if err := tbl.End(held); err == nil || tbl.Leaked != 1 {
-		t.Fatalf("End of mapped grant: err=%v Leaked=%d, want refusal and 1", err, tbl.Leaked)
+	m, _ := tbl.Map(held, false)
+	if err := tbl.End(held); err == nil {
+		t.Fatal("End of mapped grant succeeded")
 	}
 	last := held
 	cycle := func() {

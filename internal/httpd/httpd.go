@@ -146,9 +146,6 @@ type Server struct {
 
 	Requests    int
 	ConnsServed int
-	Errors      int
-	// IdleClosed counts connections reaped by IdleTimeout.
-	IdleClosed int
 	// FirstRespAt is the instant the first response completed (zero until
 	// then) — the fleet's boot-to-first-byte marker for summoned replicas.
 	FirstRespAt sim.Time
@@ -232,7 +229,6 @@ func tickEvent(conn any, _ uint64) {
 		k.AtArg(sc.deadline, tickEvent, sc, 0)
 		return
 	}
-	sc.srv.IdleClosed++
 	sc.close()
 }
 
@@ -455,7 +451,6 @@ func (sc *servedConn) readRequest() *lwt.Promise[*Request] {
 // parse resolves sc.out from the buffered bytes, or reads more.
 func (sc *servedConn) parse() {
 	if req, n, err := tryParseRequest(sc.buf); err != nil {
-		sc.srv.Errors++
 		sc.out.Resolve(nil)
 		return
 	} else if req != nil {

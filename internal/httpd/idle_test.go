@@ -21,6 +21,7 @@ func TestIdleTimeoutReapsParkedConnection(t *testing.T) {
 	srv.Latency = obs.NewRegistry().Histogram("req_us", []float64{100, 1000, 10000})
 
 	var gotStatus int
+	var respAt, eofAt sim.Time
 	k.Spawn("client", func(p *sim.Proc) {
 		cn := sta.Connect(serverIP, 80)
 		main := lwt.Bind(cn, func(c *tcp.Conn) *lwt.Promise[struct{}] {
@@ -31,8 +32,16 @@ func TestIdleTimeoutReapsParkedConnection(t *testing.T) {
 				} else {
 					gotStatus = resp.Status
 				}
-				// Park: never close, never send another request.
-				done.Resolve(struct{}{})
+				respAt = k.Now()
+				// Park: never close, never send another request; the
+				// server's FIN ends the read.
+				lwt.Map(c.Read(1<<10), func(b []byte) struct{} {
+					if len(b) == 0 {
+						eofAt = k.Now()
+					}
+					done.Resolve(struct{}{})
+					return struct{}{}
+				})
 			})
 			return done
 		})
@@ -46,8 +55,8 @@ func TestIdleTimeoutReapsParkedConnection(t *testing.T) {
 	if gotStatus != 200 {
 		t.Fatalf("status = %d, want 200", gotStatus)
 	}
-	if srv.IdleClosed != 1 {
-		t.Fatalf("IdleClosed = %d, want 1", srv.IdleClosed)
+	if eofAt == 0 || eofAt.Sub(respAt) < srv.IdleTimeout {
+		t.Fatalf("server closed at %v, response at %v: want a close once idle for %v", eofAt, respAt, srv.IdleTimeout)
 	}
 	if srv.Active() != 0 {
 		t.Fatalf("Active = %d after idle reap, want 0", srv.Active())

@@ -60,20 +60,14 @@ type Handler struct {
 	Output func(dst ipv4.Addr, e Echo)
 	// OnReply, if set, observes echo replies (the ping client hook).
 	OnReply func(from ipv4.Addr, e Echo)
-
-	// Stats
-	RequestsAnswered int
-	RepliesSeen      int
 }
 
 // Input processes a received echo message from src.
 func (h *Handler) Input(src ipv4.Addr, e Echo) {
 	switch e.Type {
 	case TypeEchoRequest:
-		h.RequestsAnswered++
 		h.Output(src, Echo{Type: TypeEchoReply, ID: e.ID, Seq: e.Seq, Payload: e.Payload})
 	case TypeEchoReply:
-		h.RepliesSeen++
 		if h.OnReply != nil {
 			h.OnReply(src, e)
 		}

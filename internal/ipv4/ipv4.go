@@ -214,11 +214,6 @@ func PlanFragments(payloadLen, mtu int) []FragmentPlan {
 // cover its final length: it never carries a byte that did not arrive.
 type Reassembler struct {
 	pending map[reasmKey]*reasmBuf
-	// Completed counts datagrams reassembled from >1 fragment.
-	Completed int
-	// Discarded counts datagrams dropped for an overlapping fragment or
-	// one past, or short of, the final length.
-	Discarded int
 }
 
 type reasmKey struct {
@@ -269,7 +264,6 @@ func (r *Reassembler) Input(h Header, payload *cstruct.View) (*cstruct.View, boo
 	if bad {
 		payload.Release()
 		*buf = reasmBuf{dead: true}
-		r.Discarded++
 		return nil, false
 	}
 	if end > len(buf.data) {
@@ -290,6 +284,5 @@ func (r *Reassembler) Input(h Header, payload *cstruct.View) (*cstruct.View, boo
 		return nil, false
 	}
 	delete(r.pending, key)
-	r.Completed++
 	return cstruct.Wrap(buf.data), true
 }

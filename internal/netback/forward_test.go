@@ -125,8 +125,8 @@ func TestForwardPaths(t *testing.T) {
 			if !reflect.DeepEqual(ups, tc.ups) {
 				t.Errorf("uplink calls %v, want %v", ups, tc.ups)
 			}
-			if b.NoRoute != tc.noRoute {
-				t.Errorf("NoRoute = %d, want %d", b.NoRoute, tc.noRoute)
+			if n := k.Metrics().Snapshot().Sum("bridge_no_route_total"); n != int64(tc.noRoute) {
+				t.Errorf("bridge_no_route_total = %d, want %d", n, tc.noRoute)
 			}
 			if got := b.mxBytes.Value(); got != tc.charged {
 				t.Errorf("charged %d bytes, want %d", got, tc.charged)

@@ -44,7 +44,8 @@ const frameBufSize = 2048
 // clears the bridge. dst is the destination the bridge routed on (the
 // header's for a transmitted frame, the balancer's choice for a steered
 // one). The uplink consumes the frame reference. A bridge with no uplink
-// counts unknown unicast as NoRoute and keeps broadcasts host-local.
+// counts unknown unicast in bridge_no_route_total and keeps broadcasts
+// host-local.
 type Uplink func(src, dst ethernet.MAC, steer bool, f *bufpool.Buf)
 
 // Faults is the bridge's deterministic network-impairment model. Every
@@ -85,9 +86,6 @@ type Bridge struct {
 	uplink    Uplink                // nil unless the bridge joins a multi-host fabric
 	faults    Faults
 	pool      *bufpool.Pool // frame staging buffers (VIF TX assembly)
-
-	// Stats
-	NoRoute int
 
 	mxForwarded    *obs.Counter
 	mxFlooded      *obs.Counter
@@ -157,10 +155,10 @@ type port struct {
 }
 
 // DetachMAC takes the port for mac down: frames toward it no longer route,
-// and frames *from* it are discarded at the bridge. This models unplugging
-// a crashed or retired guest whose domain — and backend handler — may still
-// be running: the guest can keep transmitting into the dead port without
-// reaching anyone.
+// and frames *from* it are discarded at the bridge, counted in
+// bridge_port_down_drops_total. This models unplugging a crashed or retired
+// guest whose domain — and backend handler — may still be running: the guest
+// can keep transmitting into the dead port without reaching anyone.
 func (b *Bridge) DetachMAC(mac ethernet.MAC) {
 	if _, ok := b.endpoints[mac]; ok {
 		delete(b.endpoints, mac)
@@ -189,7 +187,11 @@ func (b *Bridge) charge(n int) sim.Time {
 // reference to the frame buffer.
 func (b *Bridge) Transmit(src ethernet.MAC, f *bufpool.Buf) {
 	frame := f.Bytes()
-	if len(frame) < 14 || b.down[src] {
+	down := b.down[src]
+	if down {
+		b.K.Metrics().Counter("bridge_port_down_drops_total").Inc()
+	}
+	if len(frame) < 14 || down {
 		f.Release()
 		return
 	}
@@ -224,8 +226,9 @@ func (b *Bridge) Inject(dst ethernet.MAC, steer bool, f *bufpool.Buf) {
 // forward is the bridge's one path: it charges the frame's traversal and
 // delivers it to dst's port, or floods a broadcast to every local port but
 // src. A frame from a local endpoint (local) that no port owns goes to the
-// uplink once it has cleared the bridge; anything else no port owns counts
-// as NoRoute. A delivery hands one reference to the endpoint (broadcast and
+// uplink once it has cleared the bridge; anything else no port owns is
+// dropped and counted in bridge_no_route_total, created at the first such
+// drop. A delivery hands one reference to the endpoint (broadcast and
 // duplicate deliveries retain the shared buffer rather than copying it —
 // the frame is immutable once transmitted). Consumes the caller's ref.
 func (b *Bridge) forward(src, dst ethernet.MAC, steer, local bool, f *bufpool.Buf) {
@@ -237,7 +240,7 @@ func (b *Bridge) forward(src, dst ethernet.MAC, steer, local bool, f *bufpool.Bu
 		up = nil
 	}
 	if !ok && !bcast && up == nil {
-		b.NoRoute++
+		b.K.Metrics().Counter("bridge_no_route_total").Inc()
 		f.Release()
 		return
 	}
@@ -581,10 +584,11 @@ func (v *VIF) Deliver(f *bufpool.Buf) {
 		return
 	}
 	post := v.pendingRx.Pop()
-	page, err := v.guest.Grants.Map(post.gref)
+	page, err := v.guest.Grants.Map(post.gref, false)
 	if err != nil {
-		// The guest revoked the buffer it posted: answer the slot with an
-		// error, or the frontend never learns it is free to re-post.
+		// The guest revoked the buffer it posted, or granted it read-only:
+		// answer the slot with an error, or the frontend never learns it is
+		// free to re-post.
 		v.bridge.K.Metrics().Counter("bridge_rx_grant_errors_total").Inc()
 		v.rxBack.PushResponse(func(s *cstruct.View) { EncodeRxRsp(s, post.id, 0, false, 0) })
 		v.scheduleRxFlush()

@@ -70,8 +70,34 @@ func TestBridgeUnknownDestinationCounted(t *testing.T) {
 	k := sim.NewKernel(1)
 	b := NewBridgeNamed(k, "")
 	b.TransmitBytes(ethernet.MAC{1}, frame(ethernet.MAC{9}, ethernet.MAC{1}, 10))
-	if b.NoRoute != 1 {
-		t.Errorf("NoRoute = %d", b.NoRoute)
+	if n := k.Metrics().Snapshot().Sum("bridge_no_route_total"); n != 1 {
+		t.Errorf("bridge_no_route_total = %d, want 1", n)
+	}
+}
+
+// A frame from a port taken down reaches nobody and is counted; the port's
+// MAC is unknown to the bridge from then on.
+func TestBridgeDownPortDropsCounted(t *testing.T) {
+	k := sim.NewKernel(1)
+	b := NewBridgeNamed(k, "")
+	src, dst := &stubEndpoint{mac: ethernet.MAC{1}}, &stubEndpoint{mac: ethernet.MAC{2}}
+	b.Attach(src, k)
+	b.Attach(dst, k)
+	b.DetachMAC(src.mac)
+	b.TransmitBytes(src.mac, frame(dst.mac, src.mac, 10))
+	b.TransmitBytes(dst.mac, frame(src.mac, dst.mac, 10))
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(src.frames)+len(dst.frames) != 0 {
+		t.Errorf("%d frames delivered across a down port", len(src.frames)+len(dst.frames))
+	}
+	s := k.Metrics().Snapshot()
+	if down, noRoute := s.Sum("bridge_port_down_drops_total"), s.Sum("bridge_no_route_total"); down != 1 || noRoute != 1 {
+		t.Errorf("port-down drops %d, no-route drops %d; want 1 and 1", down, noRoute)
+	}
+	if n := b.pool.InUse(); n != 0 {
+		t.Errorf("%d staging buffers still in use", n)
 	}
 }
 

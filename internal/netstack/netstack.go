@@ -84,10 +84,6 @@ type Stack struct {
 	// Event callbacks, built once so scheduling one allocates nothing.
 	txFullFunc  func(burst any, _ uint64)
 	rxEventFunc func(frame any, span uint64)
-
-	// Stats
-	RxPackets int
-	RxDropped int
 }
 
 // New builds a stack over nif with static configuration cfg.
@@ -219,8 +215,9 @@ func (st *Stack) SendIP(dst ipv4.Addr, proto uint8, maxLen int, build func(*cstr
 // trace id carried as frame metadata (0 = untraced).
 func (st *Stack) sendIPSpan(src ipv4.Addr, dst ipv4.Addr, proto uint8, maxLen int, span uint64, build func(*cstruct.View) int) {
 	st.resolveNextHop(dst, func(mac ethernet.MAC, err error) {
-		if err != nil {
-			st.RxDropped++
+		if err != nil { // a send failure, counted beside rxEvent's drops
+			st.VM.S.K.Metrics().Counter("net_drops_total", obs.L("dev", fmt.Sprintf("vif%d", st.VM.Dom.ID)),
+				obs.L("dir", "tx"), obs.L("reason", "unresolved")).Inc()
 			return
 		}
 		if st.fitsOneFrame(maxLen) {
@@ -309,13 +306,21 @@ func (st *Stack) rx(v *cstruct.View, span uint64) {
 }
 
 // rxEvent is the event rx schedules per frame; the event carries the frame.
+// A frame the stack refuses — one it cannot parse or that is not for it — is
+// counted in net_drops_total{dir=rx} by the reason rxNow gives; a send whose
+// next hop does not resolve is counted with dir=tx. Each counter is created
+// at its first drop, so a run without one dumps no row.
 func (st *Stack) rxEvent(frame any, span uint64) {
-	st.rxNow(frame.(*cstruct.View), span)
+	if reason := st.rxNow(frame.(*cstruct.View), span); reason != "" {
+		st.VM.S.K.Metrics().Counter("net_drops_total", obs.L("dev", fmt.Sprintf("vif%d", st.VM.Dom.ID)),
+			obs.L("dir", "rx"), obs.L("reason", reason)).Inc()
+	}
 	st.wake.Set()
 }
 
-func (st *Stack) rxNow(v *cstruct.View, span uint64) {
-	st.RxPackets++
+// rxNow processes one received frame and returns why it was dropped, or ""
+// if it was not.
+func (st *Stack) rxNow(v *cstruct.View, span uint64) (drop string) {
 	if st.Params.CopyRX {
 		// Ablation: the copying receive path of a conventional stack.
 		copied := v.Copy()
@@ -325,69 +330,65 @@ func (st *Stack) rxNow(v *cstruct.View, span uint64) {
 	}
 	fr, err := ethernet.Parse(v)
 	if err != nil {
-		st.RxDropped++
-		return
+		return "ethernet"
 	}
 	switch fr.Type {
 	case ethernet.TypeARP:
 		pkt, err := arp.Parse(fr.Payload)
 		if err != nil {
-			st.RxDropped++
-			return
+			return "arp"
 		}
 		st.ARP.Input(pkt)
 	case ethernet.TypeIPv4:
-		st.rxIP(fr.Payload, span)
+		return st.rxIP(fr.Payload, span)
 	default:
 		fr.Payload.Release()
-		st.RxDropped++
+		return "ethertype"
 	}
+	return ""
 }
 
-func (st *Stack) rxIP(v *cstruct.View, span uint64) {
+// rxIP is rxNow for an IPv4 packet.
+func (st *Stack) rxIP(v *cstruct.View, span uint64) (drop string) {
 	h, payload, err := ipv4.Parse(v)
 	if err != nil {
-		st.RxDropped++
 		v.Release()
-		return
+		return "ipv4"
 	}
 	if h.Dst != st.Cfg.IP && h.Dst != ipv4.Broadcast && (st.Cfg.VIP == 0 || h.Dst != st.Cfg.VIP) {
 		payload.Release()
-		st.RxDropped++
-		return
+		return "not_local"
 	}
 	full, done := st.reasm.Input(h, payload)
 	if !done {
-		return
+		return ""
 	}
 	switch h.Proto {
 	case ipv4.ProtoICMP:
 		e, err := icmp.ParseEcho(full)
 		if err != nil {
-			st.RxDropped++
-			return
+			return "icmp"
 		}
 		st.ICMP.Input(h.Src, e)
 	case ipv4.ProtoUDP:
 		uh, data, err := udp.Parse(full)
 		if err != nil {
-			st.RxDropped++
 			full.Release()
-			return
+			return "udp"
 		}
 		st.UDP.Input(h.Src, uh, data)
 	case ipv4.ProtoTCP:
 		seg, err := tcp.Parse(h.Src, h.Dst, full)
 		if err != nil {
-			st.RxDropped++
-			return
+			return "tcp"
 		}
 		seg.Span = span // descriptor metadata, not parsed from wire bytes
 		st.TCP.Input(h.Src, seg)
 	default:
 		full.Release()
-		st.RxDropped++
+		return "proto"
 	}
+	return ""
 }
 
 // SendUDP transmits a datagram.

@@ -41,7 +41,6 @@ type VM struct {
 	Dom    *hypervisor.Domain
 	S      *lwt.Scheduler
 	Layout *mem.Layout
-	Heap   *mem.Heap
 }
 
 // defaultInitCost is the guest-side boot work (runtime init, driver
@@ -110,14 +109,12 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 		}
 	}
 
-	heap := mem.NewHeap(mem.DefaultHeapConfig())
-
 	s := lwt.NewScheduler(d.K)
-	s.Heap = heap
+	s.Heap = mem.NewHeap(mem.DefaultHeapConfig())
 	s.CPU = d.VCPU
 	d.ThreadStats = func() (int, int) { return s.Created, s.Wakes } // domstat hook
 
-	return &VM{Dom: d, S: s, Layout: layout, Heap: heap}, nil
+	return &VM{Dom: d, S: s, Layout: layout}, nil
 }
 
 // WatchPort wires an event-channel port into the scheduler's run loop: fn

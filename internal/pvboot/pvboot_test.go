@@ -39,7 +39,7 @@ func boot(t *testing.T, opts Options, fn func(vm *VM, p *sim.Proc)) *hypervisor.
 
 func TestBootProducesWorkingVM(t *testing.T) {
 	boot(t, Options{}, func(vm *VM, p *sim.Proc) {
-		if vm.Layout == nil || vm.S == nil || vm.Heap == nil {
+		if vm.Layout == nil || vm.S == nil || vm.S.Heap == nil {
 			t.Error("VM missing runtime pieces")
 		}
 		main := lwt.Map(vm.S.Sleep(time.Millisecond), func(struct{}) int { return 7 })

@@ -54,15 +54,14 @@ func (t Time) String() string { return time.Duration(t).String() }
 // Seconds reports t as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
+// event is one queued callback: fn(arg, n) runs at at (AtArg; At queues
+// callFunc with the func() as arg).
 type event struct {
 	at  Time
 	seq uint64
-	fn  func()
-
-	// Argument form (AtArg): argFn(arg, n) runs instead of fn.
-	argFn func(arg any, n uint64)
-	arg   any
-	n     uint64
+	fn  func(arg any, n uint64)
+	arg any
+	n   uint64
 }
 
 // eventHeap is a 4-ary min-heap ordered by (at, seq), a total order. The
@@ -141,7 +140,7 @@ func (h *eventHeap) pop() *event {
 type Kernel struct {
 	now     Time
 	events  eventHeap
-	evFree  []*event // retired event structs recycled by At
+	evFree  []*event // retired event structs recycled by AtArg
 	runq    []*Proc
 	runqHd  int // index of the next runnable proc (drained head)
 	seq     uint64
@@ -244,39 +243,36 @@ func (k *Kernel) Rand() *rand.Rand { return k.rng }
 
 // At schedules fn to run in kernel context at virtual time t. Times in the
 // past run at the current instant, after already-queued events.
-func (k *Kernel) At(t Time, fn func()) {
-	k.newEvent(t).fn = fn
-}
+func (k *Kernel) At(t Time, fn func()) { k.AtArg(t, callFunc, fn, 0) }
+
+// callFunc is the callback At queues: its argument is the func() to run. A
+// func value is pointer-shaped, so the event holds it without allocating.
+func callFunc(fn any, _ uint64) { fn.(func())() }
 
 // AtArg is At for a callback that is built once and told by the event what
 // it is about: fn(arg, n) runs at t. A per-frame event then needs no closure,
 // and storing a pointer-shaped arg (a pointer, or an interface holding one)
-// allocates nothing; n carries a word of metadata beside it.
+// allocates nothing; n carries a word of metadata beside it. The event
+// struct is a recycled one when there is one.
 func (k *Kernel) AtArg(t Time, fn func(arg any, n uint64), arg any, n uint64) {
-	e := k.newEvent(t)
-	e.argFn, e.arg, e.n = fn, arg, n
-}
-
-// newEvent queues a recycled (or fresh) event struct at t, callback unset.
-func (k *Kernel) newEvent(t Time) *event {
 	if t < k.now {
 		t = k.now
 	}
 	k.seq++
 	var e *event
-	if n := len(k.evFree); n > 0 {
-		e = k.evFree[n-1]
-		k.evFree[n-1] = nil
-		k.evFree = k.evFree[:n-1]
+	if last := len(k.evFree) - 1; last >= 0 {
+		e = k.evFree[last]
+		k.evFree[last] = nil
+		k.evFree = k.evFree[:last]
 		e.at, e.seq = t, k.seq
 	} else {
 		e = &event{at: t, seq: k.seq}
 	}
+	e.fn, e.arg, e.n = fn, arg, n
 	k.events.push(e)
 	if len(k.events) > k.heapPeak {
 		k.heapPeak = len(k.events)
 	}
-	return e
 }
 
 // EventQueueLen returns the number of scheduled events; on a sharded kernel,
@@ -327,9 +323,9 @@ func (k *Kernel) WheelTimerPeak() int {
 // After schedules fn to run d after the current instant.
 func (k *Kernel) After(d time.Duration, fn func()) { k.At(k.now.Add(d), fn) }
 
-// recycle retires an event struct that has left the heap for reuse by At.
+// recycle retires an event struct that has left the heap for reuse by AtArg.
 func (k *Kernel) recycle(e *event) {
-	e.fn, e.argFn, e.arg = nil, nil, nil
+	e.fn, e.arg = nil, nil
 	k.evFree = append(k.evFree, e)
 }
 
@@ -549,14 +545,9 @@ func (k *Kernel) step() bool {
 		}
 		k.events.pop()
 		k.now = e.at
-		fn, argFn, arg, n := e.fn, e.argFn, e.arg, e.n
+		fn, arg, n := e.fn, e.arg, e.n
 		k.recycle(e)
-		// Either form may schedule procs or more events (and reuse e).
-		if argFn != nil {
-			argFn(arg, n)
-		} else {
-			fn()
-		}
+		fn(arg, n) // may schedule procs or more events (and reuse e)
 	}
 	if k.runqHd == len(k.runq) {
 		return false

@@ -143,9 +143,6 @@ type Conn struct {
 	connectP *lwt.Promise[*Conn]
 	doneP    *lwt.Promise[struct{}]
 	err      error
-
-	// Stats.
-	BytesIn int
 }
 
 // State returns the connection state.

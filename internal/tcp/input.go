@@ -278,7 +278,6 @@ func (c *Conn) processPayload(seg Segment) {
 		c.rcvChain.Push(rcvChunk{data: seg.Payload, view: seg.view})
 		c.rcvLen += len(seg.Payload)
 		c.rcvNxt += uint32(len(seg.Payload))
-		c.BytesIn += len(seg.Payload)
 		// Pull any contiguous out-of-order segments in.
 		for {
 			data, ok := c.ooo[c.rcvNxt]
@@ -289,7 +288,6 @@ func (c *Conn) processPayload(seg Segment) {
 			c.rcvChain.Push(rcvChunk{data: data})
 			c.rcvLen += len(data)
 			c.rcvNxt += uint32(len(data))
-			c.BytesIn += len(data)
 		}
 		c.wakeReaders()
 		// ACK every second segment; the flush runs at the end of the

@@ -120,7 +120,7 @@ func TestPersistTimerRecoversDroppedWindowUpdate(t *testing.T) {
 	if srvConn == nil || clientConn == nil {
 		t.Fatal("connection never established")
 	}
-	if srvConn.BytesIn >= len(payload) {
+	if srvConn.rcvLen >= len(payload) { // nothing has read yet
 		t.Fatal("window never closed; scenario did not stall")
 	}
 	// Drain the receiver. Its window-update ACK is the one we drop.

@@ -52,10 +52,6 @@ type Handler func(src ipv4.Addr, srcPort uint16, data *cstruct.View)
 // Mux demultiplexes datagrams to bound ports.
 type Mux struct {
 	ports map[uint16]Handler
-
-	// Stats
-	Delivered int
-	NoPort    int
 }
 
 // NewMux returns an empty demultiplexer.
@@ -70,15 +66,13 @@ func (m *Mux) Bind(port uint16, h Handler) error {
 	return nil
 }
 
-// Input routes one datagram. Unbound destinations are dropped and counted
-// (a full stack would send ICMP port-unreachable).
+// Input routes one datagram. Unbound destinations are dropped (a full
+// stack would send ICMP port-unreachable).
 func (m *Mux) Input(src ipv4.Addr, h Header, data *cstruct.View) {
 	fn, ok := m.ports[h.DstPort]
 	if !ok {
-		m.NoPort++
 		data.Release()
 		return
 	}
-	m.Delivered++
 	fn(src, h.SrcPort, data)
 }
