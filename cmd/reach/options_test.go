@@ -11,8 +11,8 @@ import (
 	"testing"
 )
 
-// oneValueExceptions are the exported fields under internal/ that every
-// writer in the module sets to one value, each with why it stays a field.
+// oneValueExceptions are the fields under internal/ that every writer in the
+// module sets to one value, each with why it stays a field.
 var oneValueExceptions = map[string]string{
 	"internal/openflow FeaturesReply.NBuffers": "an OpenFlow 1.0 message field the encoder puts on the wire",
 	"internal/openflow FeaturesReply.NTables":  "an OpenFlow 1.0 message field the encoder puts on the wire",
@@ -23,10 +23,10 @@ var oneValueExceptions = map[string]string{
 }
 
 // TestOptionsTakeTwoValues: an option is something that varies. Every
-// exported field of a named struct a non-test file under internal/ declares
-// must take at least two values across the whole module, tests, examples,
-// cmd/ and benchmark/ included; a field every writer sets to one constant
-// fails, naming the field and the value, unless it is one of
+// field, exported or not, of a named struct a non-test file under internal/
+// declares must take at least two values across the whole module, tests,
+// examples, cmd/ and benchmark/ included; a field every writer sets to one
+// constant fails, naming the field and the value, unless it is one of
 // oneValueExceptions. A listed field that takes two values now fails as
 // stale.
 func TestOptionsTakeTwoValues(t *testing.T) {
@@ -40,11 +40,11 @@ func TestOptionsTakeTwoValues(t *testing.T) {
 }
 
 // TestOneValueCheck runs the check on the fixture module under
-// testdata/optmod: a field one constructor sets to one constant, a field
-// always left out, one set to zero once and left out once, and a listed
-// field gone from the source fail, each by name; a listed one-value field,
-// a field a test sets to a second value and every kind of write that is not
-// a constant pass.
+// testdata/optmod: a field one constructor sets to one constant, an
+// unexported one it does, a field always left out, one set to zero once and
+// left out once, and a listed field gone from the source fail, each by name;
+// a listed one-value field, a field a test sets to a second value and every
+// kind of write that is not a constant pass.
 func TestOneValueCheck(t *testing.T) {
 	got, err := oneValueFields("testdata/optmod", map[string]string{
 		"internal/dns Server.Gone": "a field that is no longer declared",
@@ -57,6 +57,7 @@ func TestOneValueCheck(t *testing.T) {
 		"internal/dns Limits.Zero takes only the value 0: make it a constant, or list it in oneValueExceptions with a reason",
 		"internal/dns Server.Kind takes only the value 1: make it a constant, or list it in oneValueExceptions with a reason",
 		"internal/dns Server.Unset takes only the value 0: make it a constant, or list it in oneValueExceptions with a reason",
+		"internal/dns Server.cost takes only the value 3: make it a constant, or list it in oneValueExceptions with a reason",
 		"internal/dns Server.Gone is listed in oneValueExceptions but takes two values now, or is gone: drop it from the list",
 	}
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
@@ -73,10 +74,9 @@ type values struct {
 }
 
 // oneValueFields type-checks every package of the module at root, tests
-// included, and reports each exported field of a named struct a non-test
-// file under root/internal declares whose writes all give it one constant,
-// unless exceptions lists it, and each listed field that is not such a
-// field.
+// included, and reports each field of a named struct a non-test file under
+// root/internal declares whose writes all give it one constant, unless
+// exceptions lists it, and each listed field that is not such a field.
 //
 // A composite-literal element gives its field its constant value; a literal
 // that leaves a field out gives it the zero value; x.F = v gives F the
@@ -100,9 +100,7 @@ func oneValueFields(root string, exceptions map[string]string) ([]string, error)
 					if st, ok := ts.Type.(*ast.StructType); ok {
 						for _, fl := range st.Fields.List {
 							for _, id := range fl.Names {
-								if id.IsExported() {
-									names[id.Pos()] = dir + " " + ts.Name.Name + "." + id.Name
-								}
+								names[id.Pos()] = dir + " " + ts.Name.Name + "." + id.Name
 							}
 						}
 					}

@@ -19,12 +19,13 @@ type Server struct {
 	Added      int            // s.Added += n: passes
 	Aliased    int            // &s.Aliased: passes
 	Set        int            // s.Set = n: passes
-	Inner      inner          // s.Inner.n = 1: passes
+	Inner      inner          // s.Inner.n = n: passes, and so does inner.n
 	Buf        []byte         // s.Buf[0] = 1: passes
 	Sliced     []byte         // s.Sliced[1:]: passes
 	Locked     counter        // s.Locked.inc() on a *counter: passes
 	Ranged     int            // for s.Ranged = range n: passes
 	Both, Pair int            // s.Both, s.Pair = two(): passes
+	cost       int            // unexported, NewServer sets 3: fails
 }
 
 // Limits is built twice.
@@ -41,7 +42,7 @@ func (c *counter) inc() { c.n++ }
 
 // NewServer builds the only Server outside tests.
 func NewServer() *Server {
-	return &Server{Kind: CompressTree, Wire: 6, Backlog: 128}
+	return &Server{Kind: CompressTree, Wire: 6, Backlog: 128, cost: 3}
 }
 
 // Touch writes each field that varies once.
@@ -51,7 +52,7 @@ func (s *Server) Touch(n int) []byte {
 	p := &s.Aliased
 	*p = n
 	s.Set = n
-	s.Inner.n = 1
+	s.Inner.n = n
 	s.Buf[0] = 1
 	s.Locked.inc()
 	for s.Ranged = range n {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,8 +10,8 @@ import (
 	"testing"
 )
 
-// twinExceptions are the exported fields a non-test statement under
-// internal/ may bump beside a registry counter, each with why it stays.
+// twinExceptions are the fields a non-test statement under internal/ may
+// bump beside a registry counter, each with why it stays.
 var twinExceptions = map[string]string{
 	"internal/blkif Blkif.Reads":     "the frozen benchmark/sut.go reads it",
 	"internal/blkif Blkif.Writes":    "the frozen benchmark/sut.go reads it",
@@ -20,18 +21,56 @@ var twinExceptions = map[string]string{
 }
 
 // TestOneHomePerCount: every count has one home, the registry. A non-test
-// statement under internal/ that increments an exported struct field (++ or
-// +=) right before or after a statement that calls Inc or Add on an
+// statement under internal/ that increments a struct field, exported or not
+// (++ or +=), right before or after a statement that calls Inc or Add on an
 // *obs.Counter keeps a second copy of the counter's event, so it fails,
 // naming the field, unless the field is one of twinExceptions. Only the
 // adjacent statement counts: a field bumped elsewhere in a function that
-// also counts something is a different event. The packages are type-checked
-// from their non-test files by fields.go's loadModule.
+// also counts something is a different event. A listed field that is no
+// longer bumped beside a counter fails as stale.
 func TestOneHomePerCount(t *testing.T) {
-	m, err := loadModule(root, false)
+	problems, err := countTwins(root, twinExceptions)
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// TestTwinCheck runs the check on the fixture module under
+// testdata/twinmod: an exported and an unexported field bumped beside a
+// counter fail, each by name, a listed one passes, and a listed field bumped
+// apart from any counter fails as stale.
+func TestTwinCheck(t *testing.T) {
+	got, err := countTwins("testdata/twinmod", map[string]string{
+		"internal/p Stats.Listed": "a count the fixture keeps",
+		"internal/p Stats.Apart":  "a count no longer bumped beside a counter",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []string{
+		"testdata/twinmod/internal/p/p.go:16:2: internal/p Stats.Sent is bumped beside a registry counter: read the counter instead, and delete the field",
+		"testdata/twinmod/internal/p/p.go:19:2: internal/p Stats.recvd is bumped beside a registry counter: read the counter instead, and delete the field",
+		"internal/p Stats.Apart is listed as an exception but is no longer bumped beside a registry counter: drop it from twinExceptions",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// countTwins type-checks the non-test files of the module at root through
+// fields.go's loadModule and reports, sorted, each field a statement under
+// root/internal bumps beside a registry counter, unless exceptions lists
+// it, then each listed field that is not such a field.
+func countTwins(root string, exceptions map[string]string) ([]string, error) {
+	m, err := loadModule(root, false)
+	if err != nil {
+		return nil, err
+	}
+	counter := "*" + m.path + "/internal/obs.Counter"
+	var twins, stale []string
 	found := map[string]bool{}
 	for key, files := range m.pkgs {
 		if !strings.HasPrefix(key, "internal/") {
@@ -39,7 +78,7 @@ func TestOneHomePerCount(t *testing.T) {
 		}
 		info, err := m.check(key)
 		if err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 		for _, f := range files {
 			ast.Inspect(f, func(n ast.Node) bool {
@@ -52,38 +91,35 @@ func TestOneHomePerCount(t *testing.T) {
 				case *ast.CommClause:
 					list = n.Body
 				}
+				beside := func(i int) bool { return i >= 0 && i < len(list) && countsOn(info, list[i], counter) }
 				for i, s := range list {
-					field := bumpedField(info, s)
-					if field == "" {
+					field := bumpedField(info, s, m.path)
+					if field == "" || !beside(i-1) && !beside(i+1) {
 						continue
 					}
-					if (i > 0 && countsOnCounter(info, list[i-1])) || (i+1 < len(list) && countsOnCounter(info, list[i+1])) {
-						found[field] = true
-						if twinExceptions[field] == "" {
-							t.Errorf("%s: %s is bumped beside a registry counter: read the counter instead, and delete the field",
-								m.fset.Position(s.Pos()), field)
-						}
+					found[field] = true
+					if exceptions[field] == "" {
+						twins = append(twins, fmt.Sprintf("%s: %s is bumped beside a registry counter: read the counter instead, and delete the field",
+							m.fset.Position(s.Pos()), field))
 					}
 				}
 				return true
 			})
 		}
 	}
-	var stale []string
-	for field := range twinExceptions {
+	for field := range exceptions {
 		if !found[field] {
-			stale = append(stale, field)
+			stale = append(stale, field+" is listed as an exception but is no longer bumped beside a registry counter: drop it from twinExceptions")
 		}
 	}
+	sort.Strings(twins)
 	sort.Strings(stale)
-	for _, field := range stale {
-		t.Errorf("%s is listed as an exception but is no longer bumped beside a registry counter: drop it from twinExceptions", field)
-	}
+	return append(twins, stale...), nil
 }
 
-// bumpedField names the exported struct field s increments with ++ or +=,
-// as "dir T.F", or returns "".
-func bumpedField(info *types.Info, s ast.Stmt) string {
+// bumpedField names the struct field s increments with ++ or +=, as
+// "dir T.F", or returns "". mod is the module path.
+func bumpedField(info *types.Info, s ast.Stmt, mod string) string {
 	var x ast.Expr
 	switch s := s.(type) {
 	case *ast.IncDecStmt:
@@ -100,7 +136,7 @@ func bumpedField(info *types.Info, s ast.Stmt) string {
 		return ""
 	}
 	sl := info.Selections[sel]
-	if sl == nil || sl.Kind() != types.FieldVal || !sl.Obj().Exported() {
+	if sl == nil || sl.Kind() != types.FieldVal {
 		return ""
 	}
 	recv := sl.Recv()
@@ -111,13 +147,13 @@ func bumpedField(info *types.Info, s ast.Stmt) string {
 	if !ok {
 		return ""
 	}
-	dir, _, _ := strings.Cut(strings.TrimPrefix(sl.Obj().Pkg().Path(), "repro/"), " ") // "dir pkg" under its own check
+	dir, _, _ := strings.Cut(strings.TrimPrefix(sl.Obj().Pkg().Path(), mod+"/"), " ") // "dir pkg" under its own check
 	return dir + " " + named.Obj().Name() + "." + sl.Obj().Name()
 }
 
-// countsOnCounter reports whether s is a call of Inc or Add on an
-// *obs.Counter.
-func countsOnCounter(info *types.Info, s ast.Stmt) bool {
+// countsOn reports whether s is a call of Inc or Add on a value of type
+// counter.
+func countsOn(info *types.Info, s ast.Stmt, counter string) bool {
 	e, ok := s.(*ast.ExprStmt)
 	if !ok {
 		return false
@@ -130,5 +166,5 @@ func countsOnCounter(info *types.Info, s ast.Stmt) bool {
 	if !ok || (sel.Sel.Name != "Inc" && sel.Sel.Name != "Add") {
 		return false
 	}
-	return types.TypeString(info.Types[sel.X].Type, nil) == "*repro/internal/obs.Counter"
+	return types.TypeString(info.Types[sel.X].Type, nil) == counter
 }

@@ -38,7 +38,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	r := Fig6BootAsync(nil)
+	r := Fig6BootAsync()
 	mirage, linux := r.Get("mirage"), r.Get("linux-pv")
 	for i, y := range mirage.Y {
 		if y > 0.05 {
@@ -212,7 +212,7 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	r := Fig12DynWeb(nil)
+	r := Fig12DynWeb()
 	mir, lin := r.Get("mirage-dyn"), r.Get("linux-nginx-webpy")
 	// Mirage linear up to ~80 sessions/s: reply rate at 70 ~= 700 req/s.
 	at := func(s *Series, x float64) float64 {
@@ -291,11 +291,11 @@ func TestAblations(t *testing.T) {
 	if ys[0] >= ys[1]/10 {
 		t.Errorf("check-before-block: %v notifications vs naive %v; want >10x reduction", ys[0], ys[1])
 	}
-	comp := AblationDNSCompression(0)
+	comp := AblationDNSCompression()
 	if comp.Get("tree(size-first)").Y[0] != comp.Get("hashtable").Y[0] {
 		t.Error("compression strategies disagree on output size")
 	}
-	ts := AblationToolstack(core.Config{}, 4, 256)
+	ts := AblationToolstack(core.Config{})
 	if ts.Get("parallel").Y[0] >= ts.Get("synchronous").Y[0] {
 		t.Error("parallel toolstack not faster for batch creation")
 	}

@@ -14,18 +14,13 @@ var DefaultBootMems = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072}
 
 // buildTime measures domain-construction time for a memory size on a fresh
 // host using the real toolstack path.
-func buildTime(rc core.Config, memMiB int, parallel bool) time.Duration {
+func buildTime(rc core.Config, memMiB int) time.Duration {
 	k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
 	h := hypervisor.NewHost(k, 1)
 	var elapsed time.Duration
 	k.Spawn("toolstack", func(p *sim.Proc) {
 		t0 := p.Now()
-		cfg := hypervisor.Config{Name: "guest", Memory: uint64(memMiB) << 20}
-		if parallel {
-			h.CreateParallel(p, cfg)
-		} else {
-			h.Create(p, cfg)
-		}
+		h.Create(p, hypervisor.Config{Name: "guest", Memory: uint64(memMiB) << 20})
 		elapsed = p.Now().Sub(t0)
 	})
 	if _, err := k.Run(); err != nil {
@@ -57,7 +52,7 @@ func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
 		s := Series{Name: prof.Name}
 		for _, m := range memsMiB {
 			total := conventional.SyncToolstackOverhead +
-				buildTime(rc, m, false) +
+				buildTime(rc, m) +
 				prof.GuestBootTime(uint64(m)<<20)
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, total.Seconds())
@@ -67,16 +62,13 @@ func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
 	return r
 }
 
-// DefaultAsyncMems are the Figure 6 memory sizes in MiB.
-var DefaultAsyncMems = []int{64, 128, 256, 512, 1024, 2048}
+// asyncMems are the Figure 6 memory sizes in MiB.
+var asyncMems = []int{64, 128, 256, 512, 1024, 2048}
 
 // Fig6BootAsync regenerates Figure 6: with the parallel (asynchronous)
 // toolstack the per-VM startup is isolated — Mirage boots in well under
 // 50 ms while Linux guest startup grows with memory.
-func Fig6BootAsync(memsMiB []int) *Result {
-	if memsMiB == nil {
-		memsMiB = DefaultAsyncMems
-	}
+func Fig6BootAsync() *Result {
 	r := &Result{
 		ID:     "fig6",
 		Title:  "VM startup with an asynchronous toolstack",
@@ -93,7 +85,7 @@ func Fig6BootAsync(memsMiB []int) *Result {
 			name = "linux-pv"
 		}
 		s := Series{Name: name}
-		for _, m := range memsMiB {
+		for _, m := range asyncMems {
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, prof.GuestBootTime(uint64(m)<<20).Seconds())
 		}
@@ -103,9 +95,10 @@ func Fig6BootAsync(memsMiB []int) *Result {
 }
 
 // AblationToolstack compares synchronous vs parallel domain construction
-// time for a batch of simultaneous creations (the design choice behind
-// Figures 5 vs 6).
-func AblationToolstack(rc core.Config, n int, memMiB int) *Result {
+// time for a batch of four simultaneous 256 MiB creations (the design choice
+// behind Figures 5 vs 6).
+func AblationToolstack(rc core.Config) *Result {
+	const n, memMiB = 4, 256
 	run := func(parallel bool) float64 {
 		k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
 		h := hypervisor.NewHost(k, 1)

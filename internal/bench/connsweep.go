@@ -35,46 +35,46 @@ const csTimeWait = 60 * time.Second
 // per-frame bridge cost is never saturated (a handshake is ~5 bridge
 // traversals, so a 40µs gap keeps dom0 around 25% busy on handshakes).
 type csConfig struct {
-	steps       []int // cumulative target populations
-	nClients    int
-	nReplicas   int
-	connGap     time.Duration
-	closeGap    time.Duration
-	plateau     time.Duration // hold after each ramp before the barrier
-	settle      time.Duration // ramp-end to probe start
-	probeReqs   int
-	think       time.Duration
-	handlerCost time.Duration
+	steps     []int // cumulative target populations
+	nClients  int
+	nReplicas int
+	connGap   time.Duration
+	closeGap  time.Duration
+	plateau   time.Duration // hold after each ramp before the barrier
+	settle    time.Duration // ramp-end to probe start
+	probeReqs int
+	think     time.Duration
 }
+
+// csHandlerCost is each replica's per-request work, at both sizes.
+const csHandlerCost = 200 * time.Microsecond
 
 func csConf(quick bool) csConfig {
 	if quick {
 		return csConfig{
-			steps:       []int{500, 2000},
-			nClients:    4,
-			nReplicas:   2,
-			connGap:     200 * time.Microsecond,
-			closeGap:    200 * time.Microsecond,
-			plateau:     300 * time.Millisecond,
-			settle:      50 * time.Millisecond,
-			probeReqs:   15,
-			think:       500 * time.Microsecond,
-			handlerCost: 200 * time.Microsecond,
+			steps:     []int{500, 2000},
+			nClients:  4,
+			nReplicas: 2,
+			connGap:   200 * time.Microsecond,
+			closeGap:  200 * time.Microsecond,
+			plateau:   300 * time.Millisecond,
+			settle:    50 * time.Millisecond,
+			probeReqs: 15,
+			think:     500 * time.Microsecond,
 		}
 	}
 	// Full sweep: 64 clients × 15625 conns = 1M. Each client stays under
 	// the 16384-port ephemeral range, so exhaustion never gates the ramp.
 	return csConfig{
-		steps:       []int{10_000, 100_000, 1_000_000},
-		nClients:    64,
-		nReplicas:   8,
-		connGap:     40 * time.Microsecond,
-		closeGap:    40 * time.Microsecond,
-		plateau:     600 * time.Millisecond,
-		settle:      100 * time.Millisecond,
-		probeReqs:   40,
-		think:       time.Millisecond,
-		handlerCost: 200 * time.Microsecond,
+		steps:     []int{10_000, 100_000, 1_000_000},
+		nClients:  64,
+		nReplicas: 8,
+		connGap:   40 * time.Microsecond,
+		closeGap:  40 * time.Microsecond,
+		plateau:   600 * time.Millisecond,
+		settle:    100 * time.Millisecond,
+		probeReqs: 40,
+		think:     time.Millisecond,
 	}
 }
 
@@ -259,7 +259,7 @@ func ConnSweep(rc core.Config, seed int64, quick bool, memStats bool) *Result {
 	// hash, so each replica's demultiplexer owns its shard of the
 	// connection space and no per-flow state accumulates in the balancer.
 	stacks := make([]*tcp.Stack, cfg.nReplicas)
-	webMain := fleet.WebMain(cfg.handlerCost, []byte("<html>parked</html>"), 0)
+	webMain := fleet.WebMain(csHandlerCost, []byte("<html>parked</html>"), 0)
 	f := fleet.New(pl, fleet.Spec{
 		Name:   "conn",
 		Build:  build.WebAppliance(),

@@ -153,11 +153,8 @@ func mirageDNSThroughput(rc core.Config, zoneEntries int, memo bool, queries int
 // ordering comparisons saved. Both strategies must produce identical wire
 // output; the ~20% speedup in the paper came from the cheap length-first
 // comparison.
-func AblationDNSCompression(answers int) *Result {
-	if answers == 0 {
-		answers = 20
-	}
-	m := CompressionWorkload(answers)
+func AblationDNSCompression() *Result {
+	m := CompressionWorkload()
 	tree := dns.NewTreeCompressor()
 	enc1, err1 := dns.EncodeMessage(m, tree)
 	hash := dns.NewHashCompressor()
@@ -184,11 +181,11 @@ func AblationDNSCompression(answers int) *Result {
 }
 
 // CompressionWorkload builds the message the label-compression ablation
-// encodes, and dns's BenchmarkDNSLabelCompression times: many answers
-// sharing suffixes, as a zone transfer would.
-func CompressionWorkload(answers int) dns.Message {
+// encodes, and dns's BenchmarkDNSLabelCompression times: 20 answers sharing
+// suffixes, as a zone transfer would.
+func CompressionWorkload() dns.Message {
 	m := dns.Message{ID: 1, Flags: dns.FlagResponse}
-	for i := 0; i < answers; i++ {
+	for i := 0; i < 20; i++ {
 		m.Answers = append(m.Answers, dns.RR{
 			Name: fmt.Sprintf("host-%04d.sub.bench.local", i),
 			Type: dns.TypeA, Class: dns.ClassIN, TTL: 60, Data: "10.0.0.1",

@@ -267,7 +267,7 @@ func zeroCopyEchoRate(rc core.Config, rounds int, copyRX bool) (float64, int) {
 	pl.Deploy(core.Unikernel{
 		Build: build.Config{Name: "pinger", Roots: []string{"udp"}},
 		Main: func(env *core.Env) int {
-			return loadgen.Closed(env, 1, rounds, loadgen.Echo(serverIP, 9000, payload), &t)
+			return loadgen.Closed(env, 1, rounds, loadgen.Echo(serverIP, payload), &t)
 		},
 	}, core.DeployOpts{Net: &netstack.Config{MAC: core.MAC(2), IP: clientIP, Netmask: benchMask}})
 

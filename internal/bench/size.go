@@ -114,11 +114,12 @@ func Table1Facilities() string {
 // AblationSeal measures the cost of the seal hypercall at boot and
 // verifies the post-seal policy (§2.3.3): one hypercall, W^X frozen.
 func AblationSeal(rc core.Config) *Result {
-	measure := func(seal bool) (time.Duration, int) {
+	measure := func(seal bool) (time.Duration, int64) {
 		k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
 		h := hypervisor.NewHost(k, 1)
+		refused := k.Metrics().Counter("hv_seal_refusals_total")
+		before := refused.Value() // one registry serves every experiment of the run
 		var boot time.Duration
-		attempts := 0
 		k.Spawn("toolstack", func(p *sim.Proc) {
 			d := h.Create(p, hypervisor.Config{Name: "g", Memory: 32 << 20})
 			d.PT.Map(0x1000, hypervisor.PageR|hypervisor.PageX)
@@ -130,14 +131,13 @@ func AblationSeal(rc core.Config) *Result {
 				}
 				// Attempt a code-injection mapping; it must be refused.
 				d.PT.Map(0x9000, hypervisor.PageR|hypervisor.PageW|hypervisor.PageX)
-				attempts = d.PT.Attempts()
 			}
 			boot = p.Now().Sub(t0)
 		})
 		if _, err := k.Run(); err != nil {
 			panic(err)
 		}
-		return boot, attempts
+		return boot, refused.Value() - before
 	}
 	sealed, attempts := measure(true)
 	unsealed, _ := measure(false)

@@ -67,17 +67,17 @@ type JitterStats struct {
 // conventional OSs add syscall-return and scheduler queueing delays.
 // Returned series are CDFs: X = jitter in ms, Y = cumulative fraction.
 func Fig7bJitter(n int) (*Result, []JitterStats) {
+	const wakeCost = 300 * time.Nanosecond // a dispatch, on every target
 	type target struct {
-		name     string
-		wakeCost time.Duration
-		os       *conventional.OSParams
+		name string
+		os   *conventional.OSParams
 	}
 	lnative := conventional.LinuxNative()
 	lpv := conventional.LinuxPV()
 	targets := []target{
-		{name: "mirage", wakeCost: 300 * time.Nanosecond},
-		{name: "linux-native", wakeCost: 300 * time.Nanosecond, os: &lnative},
-		{name: "linux-pv", wakeCost: 300 * time.Nanosecond, os: &lpv},
+		{name: "mirage"},
+		{name: "linux-native", os: &lnative},
+		{name: "linux-pv", os: &lpv},
 	}
 	r := &Result{
 		ID:     "fig7b",
@@ -103,7 +103,7 @@ func Fig7bJitter(n int) (*Result, []JitterStats) {
 			if cpuFree > start {
 				start = cpuFree
 			}
-			cpuFree = start + int64(tg.wakeCost)
+			cpuFree = start + int64(wakeCost)
 			j := time.Duration(start - d)
 			if tg.os != nil {
 				j += conventional.JitterSample(*tg.os, rng)

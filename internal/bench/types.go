@@ -108,8 +108,8 @@ func lookup(s Series, x float64) (float64, bool) {
 	return 0, false
 }
 
-// get returns the series with the given name (for tests).
-func (r *Result) get(name string) *Series {
+// Get returns the series with the given name, or nil.
+func (r *Result) Get(name string) *Series {
 	for i := range r.Series {
 		if r.Series[i].Name == name {
 			return &r.Series[i]
@@ -117,6 +117,3 @@ func (r *Result) get(name string) *Series {
 	}
 	return nil
 }
-
-// Get exposes series lookup to external tests and tools.
-func (r *Result) Get(name string) *Series { return r.get(name) }

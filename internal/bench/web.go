@@ -6,9 +6,9 @@ import (
 	"repro/internal/conventional"
 )
 
-// DefaultSessionRates are the Figure 12 x-axis offered loads (sessions/s);
+// sessionRates are the Figure 12 x-axis offered loads (sessions/s);
 // each session is 10 requests: 9 GETs of the last 100 tweets and 1 POST.
-var DefaultSessionRates = []int{5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+var sessionRates = []int{5, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
 
 // fig12ReplyRate runs a deterministic queueing simulation of the httperf
 // workload: sessions arrive at a fixed rate for `window`; their requests
@@ -58,10 +58,7 @@ func fig12ReplyRate(w conventional.WebProfile, sessionsPerSec int, window time.D
 // Fig12DynWeb regenerates Figure 12: reply rate against offered session
 // rate for the Mirage "Twitter-like" appliance (B-tree backed) and the
 // Linux nginx+fastCGI+web.py appliance.
-func Fig12DynWeb(rates []int) *Result {
-	if rates == nil {
-		rates = DefaultSessionRates
-	}
+func Fig12DynWeb() *Result {
 	r := &Result{
 		ID:     "fig12",
 		Title:  "Dynamic web appliance: reply rate vs offered sessions",
@@ -74,7 +71,7 @@ func Fig12DynWeb(rates []int) *Result {
 	const window = 10 * time.Second
 	for _, w := range []conventional.WebProfile{conventional.MirageDynWeb(), conventional.LinuxDynWeb()} {
 		s := Series{Name: w.Name}
-		for _, rate := range rates {
+		for _, rate := range sessionRates {
 			s.X = append(s.X, float64(rate))
 			s.Y = append(s.Y, fig12ReplyRate(w, rate, window))
 		}

@@ -38,7 +38,7 @@ func withGuestSSD(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ss
 			Name:   "guest",
 			Memory: 64 << 20,
 			Entry: func(d *hypervisor.Domain, p *sim.Proc) int {
-				vm, err := pvboot.Boot(d, p, pvboot.Options{})
+				vm, err := pvboot.Boot(d, p, pvboot.Options{BinarySize: 256 << 10})
 				if err != nil {
 					t.Errorf("boot: %v", err)
 					return 1

@@ -12,7 +12,7 @@ import (
 // no compression. Unlike the simulated metrics, these sub-benchmarks measure
 // real CPU time — the difference is purely algorithmic.
 func BenchmarkDNSLabelCompression(b *testing.B) {
-	msg := bench.CompressionWorkload(20)
+	msg := bench.CompressionWorkload()
 	for _, c := range []struct {
 		name string
 		comp func() dns.Compressor

@@ -25,7 +25,7 @@ func init() {
 		}})
 	Register(Experiment{ID: "fig6", Title: "VM startup, asynchronous toolstack",
 		Run: func(o Options) (Output, error) {
-			return results(bench.Fig6BootAsync(nil))
+			return results(bench.Fig6BootAsync())
 		}})
 	Register(Experiment{ID: "fig7a", Title: "Thread construction time",
 		Params: []string{"quick"},
@@ -118,7 +118,7 @@ func init() {
 		}})
 	Register(Experiment{ID: "fig12", Title: "Dynamic web appliance",
 		Run: func(o Options) (Output, error) {
-			return results(bench.Fig12DynWeb(nil))
+			return results(bench.Fig12DynWeb())
 		}})
 	Register(Experiment{ID: "fig13", Title: "Static page serving",
 		Run: func(o Options) (Output, error) {
@@ -146,8 +146,8 @@ func init() {
 			return results(
 				bench.AblationSeal(o.Config),
 				bench.AblationVchan(o.Config),
-				bench.AblationDNSCompression(0),
-				bench.AblationToolstack(o.Config, 4, 256),
+				bench.AblationDNSCompression(),
+				bench.AblationToolstack(o.Config),
 				bench.AblationZeroCopy(o.Config, n))
 		}})
 	Register(Experiment{ID: "scalesweep", Title: "Autoscaled fleet vs fixed appliance",

@@ -154,24 +154,6 @@ const (
 	drainTimeout = 10 * time.Second // force retirement of a stuck drain
 )
 
-func (s *Spec) defaults() {
-	if s.Min <= 0 {
-		s.Min = 1
-	}
-	if s.Max < s.Min {
-		s.Max = s.Min
-	}
-	if s.ScaleUpConns <= 0 {
-		s.ScaleUpConns = 4
-	}
-	if s.Interval <= 0 {
-		s.Interval = 250 * time.Millisecond
-	}
-	if s.ProbeInterval <= 0 {
-		s.ProbeInterval = 100 * time.Millisecond
-	}
-}
-
 // Fleet is the dom0-side controller: it owns the balancer, the replica set
 // and the control loop that summons, drains, retires and replaces.
 type Fleet struct {
@@ -208,7 +190,9 @@ var LatencyBounds = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 500
 // New creates the balancer, summons Min replicas and starts the probe and
 // control loops. Call before Platform.Run/RunFor.
 func New(pl *core.Platform, spec Spec) *Fleet {
-	spec.defaults()
+	if spec.Max < spec.Min { // -replicas-max may sit below -replicas-min
+		spec.Max = spec.Min
+	}
 	k := pl.K
 	f := &Fleet{
 		pl:   pl,

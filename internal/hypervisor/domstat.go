@@ -51,10 +51,8 @@ func (h *Host) DomStats() []DomStat {
 		for _, pt := range d.ports {
 			st.Notifs += pt.Sends + pt.Receives
 		}
-		if d.Pool != nil {
-			st.PoolPages = d.Pool.InUse
-			st.PoolBytes = st.PoolPages * cstruct.PageSize
-		}
+		st.PoolPages = d.Pool.InUse
+		st.PoolBytes = st.PoolPages * cstruct.PageSize
 		if d.ThreadStats != nil {
 			st.Threads, st.Wakes = d.ThreadStats()
 		}

@@ -123,21 +123,15 @@ const (
 // new I/O mappings that are non-executable and do not replace existing
 // entries.
 type PageTable struct {
-	pages    map[uint64]PageFlags
-	sealed   bool
-	attempts int          // post-seal modification attempts refused
-	refusedC *obs.Counter // optional registry mirror, wired by Host.build
+	pages   map[uint64]PageFlags
+	sealed  bool
+	refused *obs.Counter // post-seal modification attempts refused
 }
 
-// NewPageTable returns an empty page table.
-func NewPageTable() *PageTable { return &PageTable{pages: map[uint64]PageFlags{}} }
-
-// Attempts returns how many post-seal modifications were refused.
-func (pt *PageTable) Attempts() int { return pt.attempts }
-
-func (pt *PageTable) refuse() {
-	pt.attempts++
-	pt.refusedC.Inc()
+// NewPageTable returns an empty page table that counts each refused
+// post-seal modification on refused.
+func NewPageTable(refused *obs.Counter) *PageTable {
+	return &PageTable{pages: map[uint64]PageFlags{}, refused: refused}
 }
 
 // Sealed reports whether the seal hypercall has been issued.
@@ -149,7 +143,7 @@ func (pt *PageTable) Map(page uint64, f PageFlags) error {
 	if pt.sealed {
 		_, exists := pt.pages[page]
 		if f&PageIO == 0 || f&PageX != 0 || exists {
-			pt.refuse()
+			pt.refused.Inc()
 			return fmt.Errorf("hypervisor: page table sealed (page %#x flags %b)", page, f)
 		}
 	}
@@ -164,7 +158,7 @@ func (pt *PageTable) Unmap(page uint64) error {
 		return fmt.Errorf("hypervisor: unmap of unmapped page %#x", page)
 	}
 	if pt.sealed && f&PageIO == 0 {
-		pt.refuse()
+		pt.refused.Inc()
 		return fmt.Errorf("hypervisor: page table sealed")
 	}
 	delete(pt.pages, page)
@@ -316,7 +310,7 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 		Name:     cfg.Name,
 		MemBytes: cfg.Memory,
 		Grants:   grant.NewTable(),
-		PT:       NewPageTable(),
+		PT:       NewPageTable(h.mxSealRefused),
 		Pool:     cstruct.NewPool(),
 	}
 	pidx := cfg.PCPU
@@ -340,7 +334,6 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 
 	h.mxDomains.Inc()
 	m := h.K.Metrics()
-	d.PT.refusedC = h.mxSealRefused
 	wireGrantHooks(d.K, d, m)
 	tr := h.K.Trace()
 	tr.NameProcess(d.ID, cfg.Name)

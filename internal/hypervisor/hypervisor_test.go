@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -117,7 +118,7 @@ func TestEventChannelDelivery(t *testing.T) {
 }
 
 func TestSealEnforcesWxorX(t *testing.T) {
-	pt := NewPageTable()
+	pt := NewPageTable(new(obs.Counter))
 	pt.Map(0x1000, PageR|PageX)       // text
 	pt.Map(0x2000, PageR|PageW)       // data
 	pt.Map(0x3000, PageR|PageW|PageX) // violation
@@ -131,7 +132,8 @@ func TestSealEnforcesWxorX(t *testing.T) {
 }
 
 func TestSealedTableRefusesModification(t *testing.T) {
-	pt := NewPageTable()
+	refused := new(obs.Counter)
+	pt := NewPageTable(refused)
 	pt.Map(0x1000, PageR|PageX)
 	pt.Map(0x2000, PageR|PageW)
 	if err := pt.Seal(); err != nil {
@@ -146,13 +148,13 @@ func TestSealedTableRefusesModification(t *testing.T) {
 	if err := pt.Unmap(0x1000); err == nil {
 		t.Error("sealed table allowed unmapping text")
 	}
-	if pt.Attempts() != 3 {
-		t.Errorf("Attempts = %d, want 3", pt.Attempts())
+	if refused.Value() != 3 {
+		t.Errorf("refusals counted = %d, want 3", refused.Value())
 	}
 }
 
 func TestSealedTableAllowsFreshNonExecIOMappings(t *testing.T) {
-	pt := NewPageTable()
+	pt := NewPageTable(new(obs.Counter))
 	pt.Map(0x1000, PageR|PageX)
 	if err := pt.Seal(); err != nil {
 		t.Fatal(err)
@@ -205,7 +207,7 @@ func TestSignalReadyAndWaitReady(t *testing.T) {
 // Property: seal succeeds iff no page is W+X, for arbitrary page tables.
 func TestPropSealIffWxorX(t *testing.T) {
 	f := func(flags []uint8) bool {
-		pt := NewPageTable()
+		pt := NewPageTable(new(obs.Counter))
 		hasWX := false
 		for i, fl := range flags {
 			f := PageFlags(fl) & (PageR | PageW | PageX)

@@ -84,9 +84,9 @@ func Query(dst ipv4.Addr, name func(i int) string) Transport {
 		})
 }
 
-// Echo sends payload from port local to dst's UDP echo port, 7.
-func Echo(dst ipv4.Addr, local uint16, payload []byte) Transport {
-	return udp(dst, 7, local, func(int) []byte { return payload }, nil)
+// Echo sends payload from port 9000 to dst's UDP echo port, 7.
+func Echo(dst ipv4.Addr, payload []byte) Transport {
+	return udp(dst, 7, 9000, func(int) []byte { return payload }, nil)
 }
 
 // Ping sends ICMP echo request i, with sequence number i, to dst.

@@ -61,7 +61,7 @@ func closedLoop(t *testing.T, w, n int) {
 
 	var tl Tally
 	outstanding, peak := 0, 0
-	echo := Echo(serverIP, 9000, make([]byte, 64))
+	echo := Echo(serverIP, make([]byte, 64))
 	counted := func(env *core.Env, answer func()) func(int) {
 		send := echo(env, func() {
 			outstanding--

@@ -56,7 +56,7 @@ func (r *rig) spawnGuest(t *testing.T, name string, mac ethernet.MAC, dom0 *hype
 			Name:   name,
 			Memory: 64 << 20,
 			Entry: func(d *hypervisor.Domain, p *sim.Proc) int {
-				vm, err := pvboot.Boot(d, p, pvboot.Options{})
+				vm, err := pvboot.Boot(d, p, pvboot.Options{BinarySize: 256 << 10})
 				if err != nil {
 					t.Errorf("boot %s: %v", name, err)
 					return 1

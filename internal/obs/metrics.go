@@ -17,52 +17,29 @@ type Label struct {
 // L builds a Label.
 func L(k, v string) Label { return Label{Key: k, Val: v} }
 
-// Counter is a monotonically increasing int64. Methods are nil-safe so
-// instrumented code can run without a registry.
+// Counter is a monotonically increasing int64.
 type Counter struct{ v int64 }
 
 // Inc adds one.
 func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n.
-func (c *Counter) Add(n int64) {
-	if c != nil {
-		c.v += n
-	}
-}
+func (c *Counter) Add(n int64) { c.v += n }
 
 // Value returns the current count.
-func (c *Counter) Value() int64 {
-	if c == nil {
-		return 0
-	}
-	return c.v
-}
+func (c *Counter) Value() int64 { return c.v }
 
-// Gauge is a point-in-time float64 (nil-safe, see Counter).
+// Gauge is a point-in-time float64.
 type Gauge struct{ v float64 }
 
 // Set replaces the value.
-func (g *Gauge) Set(v float64) {
-	if g != nil {
-		g.v = v
-	}
-}
+func (g *Gauge) Set(v float64) { g.v = v }
 
 // Add shifts the value by d.
-func (g *Gauge) Add(d float64) {
-	if g != nil {
-		g.v += d
-	}
-}
+func (g *Gauge) Add(d float64) { g.v += d }
 
 // Value returns the current value.
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return g.v
-}
+func (g *Gauge) Value() float64 { return g.v }
 
 // Histogram counts observations into fixed upper-bound buckets (the last
 // bucket is implicitly +Inf). Bounds are fixed at creation, which keeps
@@ -76,21 +53,13 @@ type Histogram struct {
 
 // Observe records one sample.
 func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
 	h.counts[sort.SearchFloat64s(h.bounds, v)]++
 	h.count++
 	h.sum += v
 }
 
 // Count returns the number of samples.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count
-}
+func (h *Histogram) Count() int64 { return h.count }
 
 // QuantileFromBuckets estimates the q-quantile (0..1) of a histogram by
 // linear interpolation within the bucket that crosses the target rank;
@@ -141,15 +110,11 @@ func QuantileFromBuckets(bounds []float64, counts []int64, total int64, q float6
 // Buckets returns the histogram's bounds and per-bucket counts (the last
 // count is the +Inf overflow). The returned slices are copies.
 func (h *Histogram) Buckets() (bounds []float64, counts []int64) {
-	if h == nil {
-		return nil, nil
-	}
 	return append([]float64(nil), h.bounds...), append([]int64(nil), h.counts...)
 }
 
-// Registry memoizes metrics by name + sorted labels. A nil Registry hands
-// out nil metrics, which no-op. Hot paths resolve a series once and cache
-// the pointer.
+// Registry memoizes metrics by name + sorted labels. Hot paths resolve a
+// series once and cache the pointer.
 type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -191,9 +156,6 @@ func metricID(name string, labels []Label) string {
 // Counter returns (creating if needed) the counter for name+labels.
 // Resolve once and cache the pointer on hot paths.
 func (r *Registry) Counter(name string, labels ...Label) *Counter {
-	if r == nil {
-		return nil
-	}
 	id := metricID(name, labels)
 	c := r.counters[id]
 	if c == nil {
@@ -205,9 +167,6 @@ func (r *Registry) Counter(name string, labels ...Label) *Counter {
 
 // Gauge returns (creating if needed) the gauge for name+labels.
 func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
 	id := metricID(name, labels)
 	g := r.gauges[id]
 	if g == nil {
@@ -221,9 +180,6 @@ func (r *Registry) Gauge(name string, labels ...Label) *Gauge {
 // bounds are ascending upper bounds; they must match on every call for the
 // same series (first call wins).
 func (r *Registry) Histogram(name string, bounds []float64, labels ...Label) *Histogram {
-	if r == nil {
-		return nil
-	}
 	id := metricID(name, labels)
 	h := r.hists[id]
 	if h == nil {
@@ -270,9 +226,6 @@ type Snapshot struct {
 // Snapshot captures every metric, sorted by ID.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	if r == nil {
-		return s
-	}
 	for id, c := range r.counters {
 		s.Rows = append(s.Rows, Row{ID: id, Kind: "counter", N: c.Value()})
 	}

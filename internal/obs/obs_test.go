@@ -129,18 +129,3 @@ func TestSnapshotSum(t *testing.T) {
 		t.Errorf("Sum(idle) = %d, want 2", got)
 	}
 }
-
-func TestNilSafety(t *testing.T) {
-	var tr *Tracer
-	tr.Instant(1, "a", "b", 0, 0) // must not panic
-	if tr.Enabled() || tr.Len() != 0 {
-		t.Error("nil tracer not inert")
-	}
-	var r *Registry
-	r.Counter("x").Inc()
-	r.Gauge("y").Set(1)
-	r.Histogram("z", nil).Observe(1)
-	if r.Counter("x").Value() != 0 {
-		t.Error("nil registry not inert")
-	}
-}

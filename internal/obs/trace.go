@@ -57,9 +57,9 @@ type Event struct {
 // DefaultCap is the tracer's default event capacity.
 const DefaultCap = 1 << 18
 
-// Tracer is a bounded in-memory buffer of virtual-time events. A nil or
-// disabled Tracer is safe to use and records nothing; hot paths should
-// guard emission with Enabled() to skip argument construction.
+// Tracer is a bounded in-memory buffer of virtual-time events. A disabled
+// Tracer records nothing; hot paths should guard emission with Enabled() to
+// skip argument construction.
 //
 // For sharded simulation a root tracer hands out per-shard views via
 // Shard(): each view appends to its own buffer, name metadata is funneled
@@ -92,11 +92,8 @@ func NewTracer(cap int) *Tracer {
 // Enable turns event recording on.
 func (t *Tracer) Enable() { t.enabled = true }
 
-// Enabled reports whether Add calls will record. Safe on nil.
+// Enabled reports whether Add calls will record.
 func (t *Tracer) Enabled() bool {
-	if t == nil {
-		return false
-	}
 	if t.parent != nil {
 		return t.parent.enabled
 	}
@@ -116,9 +113,6 @@ func (t *Tracer) root() *Tracer {
 // WriteJSON on the root. Views share the root's enablement, timestamp base
 // and name metadata. Idempotent per index.
 func (t *Tracer) Shard(i int) *Tracer {
-	if t == nil {
-		return nil
-	}
 	r := t.root()
 	for len(r.shards) <= i {
 		r.shards = append(r.shards, nil)
@@ -134,9 +128,6 @@ func (t *Tracer) Shard(i int) *Tracer {
 // tracer with Rebase so sequential simulations lay out sequentially on one
 // Perfetto timeline instead of overlapping at t=0.
 func (t *Tracer) Rebase() {
-	if t == nil {
-		return
-	}
 	r := t.root()
 	max, has := r.maxTS, len(r.events) > 0
 	for _, s := range r.shards {
@@ -156,17 +147,11 @@ func (t *Tracer) Rebase() {
 
 // NameProcess records a metadata name for a pid (domain).
 func (t *Tracer) NameProcess(pid int, name string) {
-	if t == nil {
-		return
-	}
 	t.root().pids[pid] = name
 }
 
 // NameThread records a metadata name for a tid within a pid.
 func (t *Tracer) NameThread(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
 	r := t.root()
 	m := r.tids[pid]
 	if m == nil {
@@ -230,9 +215,6 @@ func (t *Tracer) FlowEnd(ts Time, cat, name string, pid, tid int, flow uint64, a
 
 // Len returns the number of recorded events (on a root: across all shards).
 func (t *Tracer) Len() int {
-	if t == nil {
-		return 0
-	}
 	n := len(t.events)
 	for _, s := range t.shards {
 		if s != nil {
@@ -244,9 +226,6 @@ func (t *Tracer) Len() int {
 
 // Dropped returns how many events were discarded once the buffer filled.
 func (t *Tracer) Dropped() int {
-	if t == nil {
-		return 0
-	}
 	n := t.dropped
 	for _, s := range t.shards {
 		if s != nil {

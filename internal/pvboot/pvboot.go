@@ -61,9 +61,6 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 	if opts.Resume {
 		initCost = resumeInitCost
 	}
-	if opts.BinarySize == 0 {
-		opts.BinarySize = 256 << 10
-	}
 	k := d.K
 	tr := k.Trace()
 	initStart := k.Now()

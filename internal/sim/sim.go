@@ -851,9 +851,10 @@ func (c *CPU) BusyTime() time.Duration { return c.busy }
 // occupies the CPU starts late; the gap accumulates here).
 func (c *CPU) QueueWait() time.Duration { return c.qwait }
 
-// reserve books d of CPU time and returns the completion instant without
-// blocking. Exposed for asynchronous cost accounting (e.g. device models).
-func (c *CPU) reserve(d time.Duration) Time {
+// Reserve books d of CPU time asynchronously and returns the virtual instant
+// at which that work completes. Use it for device/backend cost accounting
+// where no proc should block.
+func (c *CPU) Reserve(d time.Duration) Time {
 	start := c.k.now
 	if c.freeAt > start {
 		start = c.freeAt
@@ -867,11 +868,6 @@ func (c *CPU) reserve(d time.Duration) Time {
 	}
 	return end
 }
-
-// Reserve books d of CPU time asynchronously and returns the virtual instant
-// at which that work completes. Use it for device/backend cost accounting
-// where no proc should block.
-func (c *CPU) Reserve(d time.Duration) Time { return c.reserve(d) }
 
 // Use consumes d of CPU time on c, parking p until the work completes.
 func (p *Proc) Use(c *CPU, d time.Duration) {
@@ -888,7 +884,7 @@ func (p *Proc) ArmUse(c *CPU, d time.Duration) bool {
 	if d <= 0 {
 		return false
 	}
-	p.k.At(c.reserve(d), p.wake)
+	p.k.At(c.Reserve(d), p.wake)
 	p.beginPark("sleep")
 	return true
 }
