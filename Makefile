@@ -58,11 +58,11 @@ race: build
 # the six examples, benchmark) run in every mode they have
 # at quick sizes (cmd/reach/run.sh, ~3 min); then every function under
 # internal/ that none of them called must be on cmd/reach/keep.txt with a
-# reason, and every line there must still name such a function. It also
-# prints how many statements under internal/ no entry point executed. Then
+# reason, and every line there must still name such a function. Then
 # cmd/reach type-checks the module, tests included (~2 s): a struct field
 # under internal/ that no code outside tests reads fails the same way,
-# unless listed.
+# unless listed. Every number it measures is rewritten into BENCH_reach.json,
+# whatever the verdict: commit the file and read its diff.
 reach: build
 	@GO="$(GO)" bash cmd/reach/run.sh /tmp/reach
 	@$(GO) tool covdata textfmt -i /tmp/reach/cov -o /tmp/reach/cov.txt

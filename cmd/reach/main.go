@@ -2,11 +2,12 @@
 // `go tool covdata func` report of every entry point (stdin) against the
 // committed keep-list and fails when a function under internal/ that no
 // entry point ever called is not listed, or when a listed one is stale. It
-// also reads the `go tool covdata textfmt` profile of the same runs and
-// prints how many statements under internal/ none of them executed. Then it
 // type-checks the module, tests included, and fails the same way on a struct
 // field under internal/ that no code outside _test.go files reads
 // (fields.go): a field only assertions read is state kept for them alone.
+// Every number it measures on the way, from the report, the `go tool covdata
+// textfmt` profile of the same runs and the tree, is rewritten into
+// BENCH_reach.json (ledger) whatever the verdict: its diff shows what moved.
 //
 // A keep-list line is "<package dir> <function or field> <reason>". The
 // function is spelled as covdata prints it (Encode, MAC.String,
@@ -20,11 +21,16 @@
 package main
 
 import (
+	"bytes"
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"io"
+	"io/fs"
 	"os"
 	"path"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
@@ -69,14 +75,11 @@ func parseFunc(report string) (called map[string]bool) {
 
 // check names every never-called function (or unread field: main enters the
 // fields in called too) missing from the keep-list and every keep-list entry
-// that is not one, and counts them.
-func check(keep map[string]string, called map[string]bool) (never int, problems []string) {
+// that is not one.
+func check(keep map[string]string, called map[string]bool) (problems []string) {
 	for key, hit := range called {
-		if !hit {
-			never++
-			if keep[key] == "" {
-				problems = append(problems, "unlisted: "+key+" is never called or read outside tests: delete it, or list it with a reason")
-			}
+		if !hit && keep[key] == "" {
+			problems = append(problems, "unlisted: "+key+" is never called or read outside tests: delete it, or list it with a reason")
 		}
 	}
 	for key := range keep {
@@ -85,14 +88,29 @@ func check(keep map[string]string, called map[string]bool) (never int, problems 
 		}
 	}
 	sort.Strings(problems)
-	return never, problems
+	return problems
 }
 
-// statements reads a `go tool covdata textfmt` profile: how many of the
-// statements under internal/ no run executed, and how many there are. A
-// block that several binaries or runs report counts once, at its largest
-// count.
-func statements(profile string) (never, total int) {
+// ledger is BENCH_reach.json, the one home of every number `make reach`
+// measures. Coverage comes from the cover runs; Source from the tree alone,
+// so tier-1 recomputes it. A per-package key is "<measure> <dir>".
+type ledger struct {
+	Coverage map[string]int `json:"coverage"`
+	Source   map[string]int `json:"source"`
+}
+
+// coverage measures the cover runs: the functions under internal/ and those
+// never called (from the covdata func report), and the statements and those
+// never executed, in total and per package dir, from a `go tool covdata
+// textfmt` profile. A block that several binaries or runs report counts
+// once, at its largest count.
+func coverage(called map[string]bool, profile string) map[string]int {
+	l := map[string]int{"functions": len(called), "functions_never_called": 0}
+	for _, hit := range called {
+		if !hit {
+			l["functions_never_called"]++
+		}
+	}
 	count := map[string]int{} // "file:range" -> largest count
 	size := map[string]int{}  // "file:range" -> statements in the block
 	for _, line := range strings.Split(profile, "\n") {
@@ -109,55 +127,63 @@ func statements(profile string) (never, total int) {
 		count[f[0]] = max(count[f[0]], c)
 	}
 	for block, n := range size {
-		total += n
+		file, _, _ := strings.Cut(strings.TrimPrefix(block, "repro/"), ":")
+		never := 0
 		if count[block] == 0 {
-			never += n
+			never = n
+		}
+		for _, key := range []string{"", " " + path.Dir(file)} {
+			l["statements"+key] += n
+			l["statements_never_executed"+key] += never
 		}
 	}
-	return never, total
+	return l
 }
 
-// floor is the statement line `make reach` prints.
-func floor(never, total int) string {
-	return fmt.Sprintf("%d of %d statements under internal/ never executed (%.1f %%)", never, total, 100*float64(never)/float64(total))
-}
-
-// fieldLine is `make reach`'s field line: the walk's fields, the exported
-// ones among them and those only tests read.
-func fieldLine(walk map[string]int) string {
-	exported, tests := 0, 0
-	for key, w := range walk {
-		if ast.IsExported(key[strings.LastIndexAny(key, ". ")+1:]) {
-			exported++
-		}
-		if w == testRead {
-			tests++
-		}
-	}
-	return fmt.Sprintf("%d struct fields under internal/, %d exported, 0 unread outside the keep-list, %d read only by tests", len(walk), exported, tests)
-}
-
-// reasonKinds are the keep-list reasons by kind (the part before any colon),
-// in the order summary prints them.
+// reasonKinds are the keep-list reasons by kind (the part before any colon).
 var reasonKinds = []string{"paper", "safety", "pinned", "test-reference", "debug"}
 
-// summary counts the keep-list by reason kind, the function lines and then
-// the lines naming a field the walk knows.
-func summary(keep map[string]string, walk map[string]int) string {
-	n := map[string]int{}
+// source measures the tree: the struct fields the walk found, the exported
+// ones and those only tests read; the keep-list by reason kind, function
+// lines and field lines apart; and the non-test Go lines outside
+// root/benchmark, in total and per directory, as `find . -name '*.go' !
+// -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l` counts
+// them.
+func source(root string, keep map[string]string, walk map[string]int) (map[string]int, error) {
+	l := map[string]int{"fields": len(walk), "fields_exported": 0, "fields_test_only": 0, "lines": 0}
+	for key, w := range walk {
+		if ast.IsExported(key[strings.LastIndexAny(key, ". ")+1:]) {
+			l["fields_exported"]++
+		}
+		if w == testRead {
+			l["fields_test_only"]++
+		}
+	}
+	for _, kind := range reasonKinds {
+		l["keep_functions "+kind], l["keep_fields "+kind] = 0, 0
+	}
 	for key, reason := range keep {
 		kind, _, _ := strings.Cut(reason, ":")
 		if _, field := walk[key]; field {
-			kind = "field " + kind
+			l["keep_fields "+kind]++
+		} else {
+			l["keep_functions "+kind]++
 		}
-		n[kind]++
 	}
-	var funcs, fields []string
-	for _, kind := range reasonKinds {
-		funcs = append(funcs, fmt.Sprintf("%s %d", kind, n[kind]))
-		fields = append(fields, fmt.Sprintf("%s %d", kind, n["field "+kind]))
-	}
-	return "keep-list: " + strings.Join(funcs, ", ") + "; fields: " + strings.Join(fields, ", ")
+	err := filepath.WalkDir(root, func(p string, e fs.DirEntry, err error) error {
+		if err != nil || p == filepath.Join(root, "benchmark") {
+			return cmp.Or(err, filepath.SkipDir)
+		}
+		if e.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		b, err := os.ReadFile(p)
+		dir, _ := filepath.Rel(root, filepath.Dir(p))
+		l["lines"] += bytes.Count(b, []byte("\n"))
+		l["lines "+filepath.ToSlash(dir)] += bytes.Count(b, []byte("\n"))
+		return err
+	})
+	return l, err
 }
 
 func main() {
@@ -168,35 +194,40 @@ func main() {
 	text, err := os.ReadFile(os.Args[1])
 	profile, err2 := os.ReadFile(os.Args[2])
 	report, err3 := io.ReadAll(os.Stdin)
-	if err != nil || err2 != nil || err3 != nil {
-		fmt.Fprintln(os.Stderr, "reach:", err, err2, err3)
+	committed, err4 := os.ReadFile("BENCH_reach.json")
+	var was ledger
+	if err := cmp.Or(err, err2, err3, err4, json.Unmarshal(committed, &was)); err != nil {
+		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
 	keep, problems := parseKeep(string(text))
 	called := parseFunc(string(report))
-	unrun, stmts := statements(string(profile))
-	if len(called) == 0 || stmts == 0 {
-		problems = append(problems, "the coverage report names no function or statement under internal/: the cover build recorded nothing")
-	}
 	walk, err := walkFields(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
-	funcs, who := len(called), map[int]int{}
+	now := ledger{Coverage: coverage(called, string(profile))}
+	if now.Coverage["functions"] == 0 || now.Coverage["statements"] == 0 {
+		problems = append(problems, "the coverage report names no function or statement under internal/: the cover build recorded nothing")
+		now.Coverage = was.Coverage // what was measured last stands
+	}
+	if now.Source, err = source(".", keep, walk); err == nil {
+		out, _ := json.MarshalIndent(now, "", "  ")
+		err = os.WriteFile("BENCH_reach.json", append(out, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "reach:", err)
+		os.Exit(2)
+	}
 	for key, w := range walk {
 		called[key] = w == read // a field only tests read, or none, stands as a function never called
-		who[w]++
 	}
-	never, more := check(keep, called)
-	for _, p := range append(problems, more...) {
+	problems = append(problems, check(keep, called)...)
+	for _, p := range problems {
 		fmt.Println("reach:", p)
 	}
-	if len(problems)+len(more) > 0 {
+	if len(problems) > 0 {
 		os.Exit(1)
 	}
-	fmt.Printf("reach: %d of %d functions in internal/ are never called by any entry point; each is on the keep-list\n", never-who[unread]-who[testRead], funcs)
-	fmt.Println("reach:", floor(unrun, stmts))
-	fmt.Println("reach:", fieldLine(walk))
-	fmt.Println("reach:", summary(keep, walk))
 }

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"cmp"
+	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -8,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -19,7 +22,7 @@ const root = "../.." // the module root, from cmd/reach
 // `go tool covdata func` report, so tier-1 holds the gate's logic without a
 // cover build: one never-called function off the list and one listed
 // function that is called now must both fail, each by name. A canned
-// `go tool covdata textfmt` profile gives the statement line.
+// `go tool covdata textfmt` profile gives the ledger's coverage part.
 func TestGateNamesUnlistedAndStale(t *testing.T) {
 	const report = `repro/cmd/repro/main.go:35:			main			80.0%
 repro/internal/arp/arp.go:95:			*Handler.Lookup		0.0%
@@ -39,21 +42,32 @@ internal/sim Time.String debug:stringer
 		t.Fatalf("well-formed keep-list rejected: %q", problems)
 	}
 	called := parseFunc(report)
-	never, got := check(keep, called)
+	got := check(keep, called)
 	want := []string{
 		"stale: internal/arp *Handler.Input is listed but is called or read now, or is gone",
 		"unlisted: internal/dns Encode is never called or read outside tests: delete it, or list it with a reason",
 	}
-	if never != 3 || strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Errorf("never-called = %d, want 3 (a generic method called through one instantiation is called)\nproblems:\n%s\nwant:\n%s",
-			never, strings.Join(got, "\n"), strings.Join(want, "\n"))
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
 	}
-	if got, want := summary(keep, map[string]int{"internal/arp *Handler.Input": read}), "keep-list: paper 1, safety 0, pinned 0, test-reference 0, debug 1; fields: paper 1, safety 0, pinned 0, test-reference 0, debug 0"; got != want {
-		t.Errorf("summary = %q, want %q", got, want)
+	// The keep-list by reason: a line naming a field the walk knows is a
+	// field line. (The line counts here are the fixture module's.)
+	src, err := source("testdata/fieldmod", keep, map[string]int{"internal/arp *Handler.Input": read})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantKeep := map[string]int{"keep_functions paper": 1, "keep_functions debug": 1, "keep_fields paper": 1}
+	for _, kind := range reasonKinds {
+		for _, key := range []string{"keep_functions " + kind, "keep_fields " + kind} {
+			if src[key] != wantKeep[key] {
+				t.Errorf("%q = %d, want %d", key, src[key], wantKeep[key])
+			}
+		}
 	}
 
 	// Two binaries report the first block: it ran once, so it counts once,
-	// as executed. Blocks outside internal/ are not counted.
+	// as executed. Blocks outside internal/ are not counted. A generic
+	// method called through one instantiation is called.
 	const profile = `mode: set
 repro/cmd/repro/main.go:35.13,40.2 4 0
 repro/internal/arp/arp.go:95.42,97.2 2 0
@@ -62,13 +76,19 @@ repro/internal/arp/arp.go:95.42,97.2 2 1
 repro/internal/fifo/fifo.go:24.30,26.2 1 0
 repro/internal/sim/sim.go:39.31,41.2 2 0
 `
-	if got, want := floor(statements(profile)), "3 of 10 statements under internal/ never executed (30.0 %)"; got != want {
-		t.Errorf("statement line = %q, want %q", got, want)
+	wantCov := map[string]int{
+		"functions": 5, "functions_never_called": 3,
+		"statements": 10, "statements internal/arp": 7, "statements internal/fifo": 1, "statements internal/sim": 2,
+		"statements_never_executed": 3, "statements_never_executed internal/arp": 0,
+		"statements_never_executed internal/fifo": 1, "statements_never_executed internal/sim": 2,
+	}
+	if d := moved(wantCov, coverage(called, profile)); len(d) != 0 {
+		t.Errorf("coverage part, want -> got:\n%s", strings.Join(d, "\n"))
 	}
 
 	// A deleted function is stale too.
 	keep, _ = parseKeep("internal/arp *Handler.Gone paper:Table1\ninternal/dns Encode paper:Table1\n")
-	_, got = check(keep, called)
+	got = check(keep, called)
 	if !strings.Contains(strings.Join(got, "\n"), "stale: internal/arp *Handler.Gone ") {
 		t.Errorf("internal/arp *Handler.Gone not reported stale in %q", got)
 	}
@@ -89,7 +109,10 @@ repro/internal/sim/sim.go:39.31,41.2 2 0
 // holds its keep-list against it the way main does: a write-only field
 // fails, a field read only by a test fails unless listed, a stale field line
 // fails, and a tagged field, the fields of a map key and a listed one pass.
-// The field line counts the exported ones and the test-only ones.
+// The fixture's BENCH_reach.json holds its source part, the way
+// TestLedgerHoldsTheTree holds the module's: the file passes as committed,
+// and a line added to a copy of the fixture, or a keep-list line dropped,
+// fails naming each key that moved.
 func TestFieldGate(t *testing.T) {
 	walk, err := walkFields("testdata/fieldmod")
 	if err != nil {
@@ -103,23 +126,98 @@ func TestFieldGate(t *testing.T) {
 	if fmt.Sprint(walk) != fmt.Sprint(want) {
 		t.Errorf("fields by reader (0 none, 1 tests only, 2 other code):\n%v\nwant:\n%v", walk, want)
 	}
-	if got, want := fieldLine(walk), "9 struct fields under internal/, 6 exported, 0 unread outside the keep-list, 2 read only by tests"; got != want {
-		t.Errorf("field line = %q, want %q", got, want)
-	}
 	keep, _ := parseKeep("internal/p T.Kept paper:Fig14\ninternal/p T.Stale paper:Fig14\ninternal/p T.TestListed test-reference\n")
 	called := map[string]bool{}
 	for key, who := range walk {
 		called[key] = who == read
 	}
-	never, got := check(keep, called)
+	got := check(keep, called)
 	wantProblems := []string{
 		"stale: internal/p T.Stale is listed but is called or read now, or is gone",
 		"unlisted: internal/p T.TestOnly is never called or read outside tests: delete it, or list it with a reason",
 		"unlisted: internal/p T.WriteOnly is never called or read outside tests: delete it, or list it with a reason",
 	}
-	if never != 4 || strings.Join(got, "\n") != strings.Join(wantProblems, "\n") {
-		t.Errorf("unread = %d, want 4; problems:\n%s\nwant:\n%s", never, strings.Join(got, "\n"), strings.Join(wantProblems, "\n"))
+	if strings.Join(got, "\n") != strings.Join(wantProblems, "\n") {
+		t.Errorf("problems:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantProblems, "\n"))
 	}
+
+	if d := drift(t, "testdata/fieldmod", keep, walk); len(d) != 0 {
+		t.Errorf("the fixture's BENCH_reach.json, committed -> recomputed:\n%s", strings.Join(d, "\n"))
+	}
+	dir := t.TempDir()
+	for _, name := range []string{"go.mod", "BENCH_reach.json", "internal/p/p.go", "internal/p/p_test.go"} {
+		b, err := os.ReadFile(filepath.Join("testdata/fieldmod", name))
+		if name == "internal/p/p.go" {
+			b = append(b, "// one more line\n"...)
+		}
+		if err == nil {
+			err = os.MkdirAll(filepath.Join(dir, filepath.Dir(name)), 0o755)
+		}
+		if err := cmp.Or(err, os.WriteFile(filepath.Join(dir, name), b, 0o644)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	delete(keep, "internal/p T.Kept")
+	got = drift(t, dir, keep, walk)
+	wantDrift := []string{`"keep_fields paper" 2 -> 1`, `"lines internal/p" 26 -> 27`, `"lines" 26 -> 27`}
+	if strings.Join(got, "\n") != strings.Join(wantDrift, "\n") {
+		t.Errorf("drift:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(wantDrift, "\n"))
+	}
+}
+
+// TestLedgerHoldsTheTree recomputes the source part of the committed
+// BENCH_reach.json (the field walk, the keep-list by reason and the line
+// counts, ~2 s) and fails naming each key whose value differs. The coverage
+// part needs the cover runs: `make reach` rewrites the whole file.
+func TestLedgerHoldsTheTree(t *testing.T) {
+	text, err := os.ReadFile("keep.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	keep, _ := parseKeep(string(text))
+	walk, err := walkFields(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range drift(t, root, keep, walk) {
+		t.Errorf("BENCH_reach.json: %s: run `make reach` and commit the file", d)
+	}
+}
+
+// drift recomputes the source part of the ledger at dir and names each key
+// whose committed value differs, as committed -> recomputed.
+func drift(t *testing.T, dir string, keep map[string]string, walk map[string]int) []string {
+	t.Helper()
+	var l ledger
+	b, err := os.ReadFile(filepath.Join(dir, "BENCH_reach.json"))
+	if err == nil {
+		err = json.Unmarshal(b, &l)
+	}
+	src, err2 := source(dir, keep, walk)
+	if err := cmp.Or(err, err2); err != nil {
+		t.Fatal(err)
+	}
+	return moved(l.Source, src)
+}
+
+// moved names every key whose value differs between two versions of a part
+// of the ledger, a key only one of them holds included.
+func moved(was, now map[string]int) (diff []string) {
+	show := func(m map[string]int, k string) string {
+		if v, ok := m[k]; ok {
+			return strconv.Itoa(v)
+		}
+		return "none"
+	}
+	for _, m := range []map[string]int{was, now} {
+		for k := range m {
+			if a, b := show(was, k), show(now, k); a != b {
+				diff = append(diff, fmt.Sprintf("%q %s -> %s", k, a, b))
+			}
+		}
+	}
+	slices.Sort(diff)
+	return slices.Compact(diff)
 }
 
 // pkgIndex is what go/parser says a package directory declares, in the

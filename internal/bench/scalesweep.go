@@ -84,10 +84,8 @@ func deploySweepClients(pl *core.Platform, phases []swPhase) []loadgen.Tally {
 		var plan []loadgen.Launch
 		base := swWarmup
 		for p, ph := range phases {
-			total := ph.sessPerSec * int(ph.dur/time.Second)
-			if rem := ph.dur % time.Second; rem != 0 {
-				total += ph.sessPerSec * int(rem) / int(time.Second)
-			}
+			// In time.Duration: sessPerSec × ns overflows a 32-bit int.
+			total := int(time.Duration(ph.sessPerSec) * ph.dur / time.Second)
 			gap := ph.dur / time.Duration(total)
 			for j := idx; j < total; j += swClients {
 				ln := loadgen.Launch{At: base + time.Duration(j)*gap, End: base + ph.dur, T: &stats[p]}

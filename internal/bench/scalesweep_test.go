@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -25,6 +26,13 @@ func scaleSweep(rc core.Config) *Result {
 
 func TestScaleSweep(t *testing.T) {
 	r := scaleSweep(core.Config{})
+	// Each quick phase launches sessPerSec × 1.5 s sessions, and all of
+	// them complete.
+	for p, want := range []string{"ok=15 fail=0", "ok=60 fail=0", "ok=135 fail=0"} {
+		if !strings.Contains(r.Notes[1+p], "fleet sessions "+want) {
+			t.Errorf("phase %d: note %q, want fleet sessions %s", p, r.Notes[1+p], want)
+		}
+	}
 
 	reps := r.Get("fleet replicas")
 	if reps == nil || len(reps.Y) == 0 {

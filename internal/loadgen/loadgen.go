@@ -35,14 +35,15 @@ type Tally struct {
 }
 
 // Pct returns the q-quantile latency in whole µs (nearest rank), 0 when
-// empty.
+// empty. The rank's product is rounded on its own (float64), so no host
+// fuses it into the add.
 func (t *Tally) Pct(q float64) float64 {
 	if len(t.Lats) == 0 {
 		return 0
 	}
 	s := slices.Clone(t.Lats)
 	slices.Sort(s)
-	return float64(s[min(max(int(q*float64(len(s))+0.5)-1, 0), len(s)-1)].Microseconds())
+	return float64(s[min(max(int(float64(q*float64(len(s)))+0.5)-1, 0), len(s)-1)].Microseconds())
 }
 
 // Until runs fn at the guest's virtual instant at, or now if that has

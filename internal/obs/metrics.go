@@ -81,7 +81,9 @@ func QuantileFromBuckets(bounds []float64, counts []int64, total int64, q float6
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(total)
+	// Each product is rounded on its own (float64), so no host fuses it
+	// into an add and the estimate is the same on every architecture.
+	rank := float64(q * float64(total))
 	var cum int64
 	for i, c := range counts {
 		if c <= 0 {
@@ -100,7 +102,7 @@ func QuantileFromBuckets(bounds []float64, counts []int64, total int64, q float6
 			}
 			hi := bounds[i]
 			frac := (rank - float64(cum)) / float64(c)
-			return lo + frac*(hi-lo)
+			return lo + float64(frac*(hi-lo))
 		}
 		cum += c
 	}
