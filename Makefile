@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all check fmt vet staticcheck build test fuzz race reach golden trace connsweep-full
+.PHONY: all check fmt vet staticcheck build test fuzz race reach portable golden trace connsweep-full
 
 all: check
 
@@ -8,7 +8,7 @@ all: check
 # cmd/golden/invocations.txt with its committed golden, and
 # internal/bench's TestSteadyStateAllocations holds the fast path's per-op
 # allocation budgets.
-check: fmt vet staticcheck build test fuzz race reach
+check: fmt vet staticcheck build test fuzz race reach portable
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -67,6 +67,17 @@ reach: build
 	@GO="$(GO)" bash cmd/reach/run.sh /tmp/reach
 	@$(GO) tool covdata textfmt -i /tmp/reach/cov -o /tmp/reach/cov.txt
 	@$(GO) tool covdata func -i /tmp/reach/cov | $(GO) run ./cmd/reach cmd/reach/keep.txt /tmp/reach/cov.txt
+
+# Outputs are a function of the inputs, not of the host: the goldens hold
+# on a 32-bit build and with FMA switched off, and an arm64 build fuses no
+# multiply-add in internal/ (read from the compiler's listing, which the
+# build cache replays; nothing runs on arm64). Like reach, outside go test.
+portable: build
+	GOARCH=386 $(GO) test -count=1 ./cmd/golden
+	GODEBUG=cpu.fma=off $(GO) test -count=1 ./cmd/golden
+	@if GOARCH=arm64 $(GO) build -gcflags='repro/internal/...=-S' ./internal/... 2>&1 | grep -E '\b(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\b'; then \
+		echo "portable: fused multiply-adds in internal/ on arm64"; exit 1; \
+	fi
 
 # Rewrites cmd/golden/testdata and BENCH_{scalesweep,racksweep,kvsweep}.json
 # from the tree, after a change that moves an output on purpose.

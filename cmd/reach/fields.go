@@ -21,15 +21,24 @@ const (
 	read
 )
 
-// module imports the module's own packages from their non-test files, each
-// checked once, and the standard library from source.
+// module is the module at root, parsed and type-checked once: every source
+// rule reads it. Its packages import each other from their non-test files,
+// each checked once, and the standard library from source.
 type module struct {
 	path     string
 	fset     *token.FileSet
 	std      types.Importer
+	files    []file                    // every .go file, in walk order
 	lib      map[string][]*ast.File    // dir -> its non-test files
-	pkgs     map[string][]*ast.File    // "dir package" -> its files, tests included if loaded
 	imported map[string]*types.Package // import path -> lib, checked once
+}
+
+// file is one .go file of the module.
+type file struct {
+	*ast.File
+	dir  string      // its directory, relative to the module root
+	test bool        // a _test.go file
+	info *types.Info // what its package's check recorded; nil when the build constraints leave the file out
 }
 
 func (m *module) Import(path string) (*types.Package, error) {
@@ -43,9 +52,24 @@ func (m *module) Import(path string) (*types.Package, error) {
 	return m.imported[path], nil
 }
 
-// loadModule parses every package of the module at root, with its _test.go
-// files when tests is set; testdata and dot directories are skipped.
-func loadModule(root string, tests bool) (*module, error) {
+// dirOf is the directory of a package of the module, imported
+// ("repro/internal/sim") or checked with its tests ("internal/sim sim"), and
+// "" for a package from outside it.
+func (m *module) dirOf(p *types.Package) string {
+	if dir, ok := strings.CutPrefix(p.Path(), m.path+"/"); ok {
+		return dir
+	}
+	if dir, _, ok := strings.Cut(p.Path(), " "); ok {
+		return dir
+	}
+	return ""
+}
+
+// loadModule parses every .go file of the module at root, testdata and dot
+// directories skipped, and type-checks each package with its _test.go files
+// under the path "dir package". A file the build constraints leave out
+// (//go:build race) is parsed but not checked.
+func loadModule(root string) (*module, error) {
 	mod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		return nil, err
@@ -58,9 +82,9 @@ func loadModule(root string, tests bool) (*module, error) {
 		fset:     fset,
 		std:      importer.ForCompiler(fset, "source", nil),
 		lib:      map[string][]*ast.File{},
-		pkgs:     map[string][]*ast.File{},
 		imported: map[string]*types.Package{},
 	}
+	pkgs := map[string][]int{} // "dir package" -> its files, as indices into m.files
 	err = filepath.WalkDir(root, func(path string, e fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -68,8 +92,7 @@ func loadModule(root string, tests bool) (*module, error) {
 		if e.IsDir() && path != root && (e.Name() == "testdata" || strings.HasPrefix(e.Name(), ".")) {
 			return filepath.SkipDir
 		}
-		test := strings.HasSuffix(path, "_test.go")
-		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); !ok || (test && !tests) {
+		if e.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
@@ -77,74 +100,76 @@ func loadModule(root string, tests bool) (*module, error) {
 			return err
 		}
 		dir, _ := filepath.Rel(root, filepath.Dir(path))
-		m.pkgs[dir+" "+f.Name.Name] = append(m.pkgs[dir+" "+f.Name.Name], f)
-		if !test {
-			m.lib[dir] = append(m.lib[dir], f)
+		fl := file{File: f, dir: filepath.ToSlash(dir), test: strings.HasSuffix(path, "_test.go")}
+		if ok, _ := build.Default.MatchFile(filepath.Dir(path), e.Name()); ok {
+			pkgs[fl.dir+" "+f.Name.Name] = append(pkgs[fl.dir+" "+f.Name.Name], len(m.files))
+			if !fl.test {
+				m.lib[fl.dir] = append(m.lib[fl.dir], f)
+			}
 		}
+		m.files = append(m.files, fl)
 		return nil
 	})
-	return m, err
-}
-
-// check type-checks m.pkgs[key] under the path key, recording what the
-// walks read.
-func (m *module) check(key string) (*types.Info, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-	}
-	_, err := (&types.Config{Importer: m}).Check(key, m.fset, m.pkgs[key], info)
-	return info, err
-}
-
-// walkFields type-checks every package of the module at root, tests
-// included, and reports each struct field a non-test file under root/internal
-// declares — "dir T.F", or "dir file.go:line F" in an unnamed struct — by
-// what reads it. A read is a selector anywhere but as the target of an
-// assignment or inc/dec (x.f[k] = v writes f when f is a map or array), an ==
-// or != of the struct that holds it, that struct as a map key, or a struct
-// tag. Embedded fields are not counted.
-func walkFields(root string) (map[string]int, error) {
-	m, err := loadModule(root, true)
 	if err != nil {
 		return nil, err
 	}
-	fset := m.fset
-	names, reads := map[token.Position]string{}, map[token.Position]int{}
-	for key, files := range m.pkgs {
-		info, err := m.check(key)
-		if err != nil {
+	for key, idx := range pkgs {
+		info := &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+		}
+		files := make([]*ast.File, len(idx))
+		for i, j := range idx {
+			files[i] = m.files[j].File
+		}
+		if _, err := (&types.Config{Importer: m}).Check(key, fset, files, info); err != nil {
 			return nil, err
 		}
-		dir, _, _ := strings.Cut(key, " ")
-		for _, f := range files {
-			test := strings.HasSuffix(fset.File(f.Pos()).Name(), "_test.go")
-			use := func(v *types.Var) {
-				p := fset.Position(v.Origin().Pos())
-				if test {
-					reads[p] = max(reads[p], testRead)
-				} else {
-					reads[p] = read
-				}
-			}
-			declare := func(id *ast.Ident, typ string, tagged bool) {
-				names[fset.Position(id.Pos())] = dir + " " + typ + id.Name
-				if tagged {
-					reads[fset.Position(id.Pos())] = read
-				}
-			}
-			if test || !strings.HasPrefix(dir, "internal/") {
-				declare = nil
-			}
-			walkFile(fset, f, info, use, declare)
+		for _, j := range idx {
+			m.files[j].info = info
 		}
+	}
+	return m, nil
+}
+
+// walkFields reports each struct field a non-test file under m's internal/
+// declares — "dir T.F", or "dir file.go:line F" in an unnamed struct — by
+// what reads it, tests included. A read is a selector anywhere but as the
+// target of an assignment or inc/dec (x.f[k] = v writes f when f is a map or
+// array), an == or != of the struct that holds it, that struct as a map key,
+// or a struct tag. Embedded fields are not counted.
+func walkFields(m *module) map[string]int {
+	fset := m.fset
+	names, reads := map[token.Position]string{}, map[token.Position]int{}
+	for _, f := range m.files {
+		if f.info == nil {
+			continue
+		}
+		use := func(v *types.Var) {
+			p := fset.Position(v.Origin().Pos())
+			if f.test {
+				reads[p] = max(reads[p], testRead)
+			} else {
+				reads[p] = read
+			}
+		}
+		declare := func(id *ast.Ident, typ string, tagged bool) {
+			names[fset.Position(id.Pos())] = f.dir + " " + typ + id.Name
+			if tagged {
+				reads[fset.Position(id.Pos())] = read
+			}
+		}
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			declare = nil
+		}
+		walkFile(fset, f.File, f.info, use, declare)
 	}
 	fields := map[string]int{}
 	for p, name := range names {
 		fields[name] = reads[p]
 	}
-	return fields, nil
+	return fields
 }
 
 // walkFile calls use for every field f reads and, unless it is nil, declare

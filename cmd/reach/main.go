@@ -202,11 +202,12 @@ func main() {
 	}
 	keep, problems := parseKeep(string(text))
 	called := parseFunc(string(report))
-	walk, err := walkFields(".")
+	m, err := loadModule(".")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "reach:", err)
 		os.Exit(2)
 	}
+	walk := walkFields(m)
 	now := ledger{Coverage: coverage(called, string(profile))}
 	if now.Coverage["functions"] == 0 || now.Coverage["statements"] == 0 {
 		problems = append(problems, "the coverage report names no function or statement under internal/: the cover build recorded nothing")

@@ -5,18 +5,46 @@ import (
 	"encoding/json"
 	"fmt"
 	"go/ast"
-	"go/parser"
 	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
 const root = "../.." // the module root, from cmd/reach
+
+// tree is the module, loaded and type-checked once for the whole test
+// binary: every source rule reads this one load.
+var tree struct {
+	once sync.Once
+	m    *module
+	err  error
+}
+
+func loadTree(t *testing.T) *module {
+	t.Helper()
+	tree.once.Do(func() { tree.m, tree.err = loadModule(root) })
+	if tree.err != nil {
+		t.Fatal(tree.err)
+	}
+	return tree.m
+}
+
+// loadFixture loads one of the fixture modules under testdata.
+func loadFixture(t *testing.T, dir string) *module {
+	t.Helper()
+	m, err := loadModule(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 // TestGateNamesUnlistedAndStale runs the comparison step on a canned
 // `go tool covdata func` report, so tier-1 holds the gate's logic without a
@@ -114,10 +142,7 @@ repro/internal/sim/sim.go:39.31,41.2 2 0
 // and a line added to a copy of the fixture, or a keep-list line dropped,
 // fails naming each key that moved.
 func TestFieldGate(t *testing.T) {
-	walk, err := walkFields("testdata/fieldmod")
-	if err != nil {
-		t.Fatal(err)
-	}
+	walk := walkFields(loadFixture(t, "testdata/fieldmod"))
 	want := map[string]int{
 		"internal/p T.WriteOnly": unread, "internal/p T.Kept": unread, "internal/p T.TestOnly": testRead,
 		"internal/p T.TestListed": testRead, "internal/p T.Tagged": read, "internal/p T.Stale": read, "internal/p T.hits": read,
@@ -167,7 +192,7 @@ func TestFieldGate(t *testing.T) {
 
 // TestLedgerHoldsTheTree recomputes the source part of the committed
 // BENCH_reach.json (the field walk, the keep-list by reason and the line
-// counts, ~2 s) and fails naming each key whose value differs. The coverage
+// counts) and fails naming each key whose value differs. The coverage
 // part needs the cover runs: `make reach` rewrites the whole file.
 func TestLedgerHoldsTheTree(t *testing.T) {
 	text, err := os.ReadFile("keep.txt")
@@ -175,11 +200,7 @@ func TestLedgerHoldsTheTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	keep, _ := parseKeep(string(text))
-	walk, err := walkFields(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, d := range drift(t, root, keep, walk) {
+	for _, d := range drift(t, root, keep, walkFields(loadTree(t))) {
 		t.Errorf("BENCH_reach.json: %s: run `make reach` and commit the file", d)
 	}
 }
@@ -220,128 +241,75 @@ func moved(was, now map[string]int) (diff []string) {
 	return slices.Compact(diff)
 }
 
-// pkgIndex is what go/parser says a package directory declares, in the
-// spellings the keep-list and the pinned list use.
-type pkgIndex struct {
-	funcs   map[string]bool            // as covdata prints them: Encode, MAC.String, *Handler.Cached
-	top     map[string]bool            // package-level funcs, types, consts, vars
-	members map[string]map[string]bool // type -> its methods and fields
-}
-
-// recvBase unwraps a receiver type to its name: *T, T, *T[K], T[K, V].
-func recvBase(e ast.Expr) (name string, star, generic bool) {
-	if s, ok := e.(*ast.StarExpr); ok {
-		e, star = s.X, true
-	}
-	switch x := e.(type) {
-	case *ast.IndexExpr:
-		e, generic = x.X, true
-	case *ast.IndexListExpr:
-		e, generic = x.X, true
-	}
-	return e.(*ast.Ident).Name, star, generic
-}
-
-func indexDir(t *testing.T, dir string) *pkgIndex {
-	t.Helper()
-	ix := &pkgIndex{funcs: map[string]bool{}, top: map[string]bool{}, members: map[string]map[string]bool{}}
-	member := func(typ, name string) {
-		if ix.members[typ] == nil {
-			ix.members[typ] = map[string]bool{}
-		}
-		ix.members[typ][name] = true
-	}
-	pkgs, err := parser.ParseDir(token.NewFileSet(), filepath.Join(root, dir), func(fi os.FileInfo) bool {
-		return !strings.HasSuffix(fi.Name(), "_test.go")
-	}, 0)
-	if err != nil {
-		t.Fatalf("%s: %v", dir, err)
-	}
-	for _, pkg := range pkgs {
-		for _, f := range pkg.Files {
-			for _, d := range f.Decls {
-				switch d := d.(type) {
-				case *ast.FuncDecl:
-					if d.Recv == nil {
-						ix.funcs[d.Name.Name], ix.top[d.Name.Name] = true, true
-						continue
-					}
-					typ, star, generic := recvBase(d.Recv.List[0].Type)
-					member(typ, d.Name.Name)
-					switch {
-					case generic: // covdata drops a generic receiver
-						ix.funcs[d.Name.Name] = true
-					case star:
-						ix.funcs["*"+typ+"."+d.Name.Name] = true
-					default:
-						ix.funcs[typ+"."+d.Name.Name] = true
-					}
-				case *ast.GenDecl:
-					for _, s := range d.Specs {
-						switch s := s.(type) {
-						case *ast.ValueSpec:
-							for _, n := range s.Names {
-								ix.top[n.Name] = true
-							}
-						case *ast.TypeSpec:
-							ix.top[s.Name.Name] = true
-							var fields *ast.FieldList
-							switch tt := s.Type.(type) {
-							case *ast.StructType:
-								fields = tt.Fields
-							case *ast.InterfaceType:
-								fields = tt.Methods
-							}
-							if fields != nil {
-								for _, fl := range fields.List {
-									for _, n := range fl.Names {
-										member(s.Name.Name, n.Name)
-									}
-								}
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-	return ix
-}
-
-// moduleSources walks every non-test file of the module (go/parser only):
-// which module packages each directory imports, and which string literals
-// internal/ holds (metric ids and CPU names are pinned as strings).
-func moduleSources(t *testing.T) (imports map[string][]string, literals map[string]bool) {
-	t.Helper()
-	literals = map[string]bool{}
-	imports = map[string][]string{} // directory -> module packages it imports
-	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, 0)
-		if err != nil {
-			return err
-		}
-		from := strings.TrimPrefix(filepath.Dir(path), root+"/")
-		for _, im := range f.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, "repro/") {
-				imports[from] = append(imports[from], strings.TrimPrefix(p, "repro/"))
-			}
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			if l, ok := n.(*ast.BasicLit); ok && l.Kind == token.STRING && strings.HasPrefix(path, root+"/internal/") {
-				s, _ := strconv.Unquote(l.Value)
-				literals[s] = true
-			}
-			return true
-		})
+// named is the defined type pkg declares as name, or nil.
+func named(pkg *types.Package, name string) *types.Named {
+	tn, _ := pkg.Scope().Lookup(name).(*types.TypeName)
+	if tn == nil {
 		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
-	return imports, literals
+	t, _ := tn.Type().(*types.Named)
+	return t
+}
+
+// member is the field or method t declares as name, not one promoted
+// through an embedded field, or a method of its interface; nil if none.
+func member(t *types.Named, name string) types.Object {
+	if t == nil {
+		return nil
+	}
+	obj, index, _ := types.LookupFieldOrMethod(t, true, t.Obj().Pkg(), name)
+	if v, ok := obj.(*types.Var); len(index) != 1 || ok && v.Embedded() {
+		return nil
+	}
+	return obj
+}
+
+// declares reports whether pkg declares name as covdata and the keep-list
+// spell it: a function (Encode), a method by its receiver (MAC.String,
+// *Handler.Cached; a method of a generic type by its bare name) or a field
+// (T.F).
+func declares(pkg *types.Package, name string) bool {
+	typ, name, dotted := strings.Cut(name, ".")
+	if !dotted {
+		if _, ok := pkg.Scope().Lookup(typ).(*types.Func); ok {
+			return true
+		}
+		for _, n := range pkg.Scope().Names() {
+			if t := named(pkg, n); t != nil && t.TypeParams().Len() > 0 && member(t, typ) != nil {
+				return true
+			}
+		}
+		return false
+	}
+	base, star := strings.CutPrefix(typ, "*")
+	t := named(pkg, base)
+	obj := member(t, name)
+	if !star {
+		return obj != nil
+	}
+	fn, ok := obj.(*types.Func)
+	if !ok || t.TypeParams().Len() > 0 { // covdata drops a generic receiver
+		return false
+	}
+	_, ptr := fn.Type().(*types.Signature).Recv().Type().(*types.Pointer)
+	return ptr
+}
+
+// moduleImports is which module packages each directory's non-test files
+// import.
+func moduleImports(m *module) map[string][]string {
+	imports := map[string][]string{}
+	for _, f := range m.files {
+		if f.test {
+			continue
+		}
+		for _, im := range f.Imports {
+			if p, _ := strconv.Unquote(im.Path.Value); strings.HasPrefix(p, m.path+"/") {
+				imports[f.dir] = append(imports[f.dir], strings.TrimPrefix(p, m.path+"/"))
+			}
+		}
+	}
+	return imports
 }
 
 // linkedFrom is every module package the given directories import, directly
@@ -367,38 +335,12 @@ func linkedFrom(imports map[string][]string, dirs ...string) map[string]bool {
 // dns, so the appliance links no storage library (Table 2's point: an
 // appliance carries only the libraries it uses).
 func TestDNSApplianceLinksNoStorage(t *testing.T) {
-	imports, _ := moduleSources(t)
-	linked := linkedFrom(imports, "examples/dnsserver")
+	linked := linkedFrom(moduleImports(loadTree(t)), "examples/dnsserver")
 	if !linked["internal/dns"] {
 		t.Fatal("examples/dnsserver does not import internal/dns: the import walk is broken")
 	}
 	if linked["internal/storage"] {
 		t.Error("examples/dnsserver imports internal/storage, directly or through another package")
-	}
-}
-
-// TestOneTimerOrder: no package under internal/, tests included, imports
-// container/heap. Scheduled work has one order, the kernel's event queue
-// (an lwt Sleep is one kernel event), so a private priority queue would
-// bring a second tie rule with it.
-func TestOneTimerOrder(t *testing.T) {
-	err := filepath.WalkDir(root+"/internal", func(path string, e os.DirEntry, err error) error {
-		if err != nil || e.IsDir() || !strings.HasSuffix(path, ".go") {
-			return err
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.ImportsOnly)
-		if err != nil {
-			return err
-		}
-		for _, im := range f.Imports {
-			if p, _ := strconv.Unquote(im.Path.Value); p == "container/heap" {
-				t.Errorf("%s imports container/heap; schedule on the kernel instead", strings.TrimPrefix(path, root+"/"))
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -410,7 +352,7 @@ var retiredIDs = map[string]string{
 	"sim_cluster_late_deliveries_total": "exact W-wide epochs deliver every cross-shard send on time; a late one panics",
 }
 
-// TestKeepListAndPinnedSurface walks the sources (go/parser only): every
+// TestKeepListAndPinnedSurface reads the type-checked tree: every
 // keep-list line names a function or field that exists and gives a reason
 // from the fixed set, every package under internal/ is imported, directly or
 // through other packages, by a non-test file outside internal/ (the cover build
@@ -428,12 +370,13 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 	for _, p := range problems {
 		t.Error(p)
 	}
-	index := map[string]*pkgIndex{}
-	dir := func(d string) *pkgIndex {
-		if index[d] == nil {
-			index[d] = indexDir(t, d)
+	mod := loadTree(t)
+	dir := func(d string) *types.Package {
+		if len(mod.lib[d]) == 0 {
+			t.Fatalf("%s: no such package", d)
 		}
-		return index[d]
+		pkg, _ := mod.Import(mod.path + "/" + d)
+		return pkg
 	}
 	for key := range keep {
 		d, fn, _ := strings.Cut(key, " ")
@@ -441,13 +384,25 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 			t.Errorf("keep-list: %s: not a package under internal/", key)
 			continue
 		}
-		typ, field, _ := strings.Cut(fn, ".")
-		if ix := dir(d); !ix.funcs[fn] && !ix.members[typ][field] {
+		if !declares(dir(d), fn) {
 			t.Errorf("keep-list: %s: no such function or field in %s", key, d)
 		}
 	}
 
-	imports, literals := moduleSources(t)
+	imports := moduleImports(mod)
+	literals := map[string]bool{} // metric ids and CPU names are pinned as strings
+	for _, f := range mod.files {
+		if f.test || !strings.HasPrefix(f.dir, "internal/") {
+			continue
+		}
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			if l, ok := n.(*ast.BasicLit); ok && l.Kind == token.STRING {
+				s, _ := strconv.Unquote(l.Value)
+				literals[s] = true
+			}
+			return true
+		})
+	}
 
 	readme, err := os.ReadFile(filepath.Join(root, "benchmark/README.md"))
 	if err != nil {
@@ -460,9 +415,11 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 	if next := strings.Index(section, "\n## "); next >= 0 {
 		section = section[:next]
 	}
-	internal, err := os.ReadDir(filepath.Join(root, "internal"))
-	if err != nil {
-		t.Fatal(err)
+	var internal []string // every package dir under internal/
+	for _, f := range mod.files {
+		if strings.HasPrefix(f.dir, "internal/") && !slices.Contains(internal, f.dir) {
+			internal = append(internal, f.dir)
+		}
 	}
 	var entries []string
 	for d := range imports {
@@ -471,15 +428,16 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 		}
 	}
 	linked := linkedFrom(imports, entries...)
-	for _, e := range internal {
-		if d := "internal/" + e.Name(); !linked[d] {
+	for _, d := range internal {
+		if !linked[d] {
 			t.Errorf("%s: no entry point imports it, so no cover build can measure it: give it one, or delete it", d)
 		}
 	}
 	anyMember := func(name string) bool {
-		for _, e := range internal {
-			for _, m := range dir("internal/" + e.Name()).members {
-				if m[name] {
+		for _, d := range internal {
+			pkg := dir(d)
+			for _, n := range pkg.Scope().Names() {
+				if member(named(pkg, n), name) != nil {
 					return true
 				}
 			}
@@ -534,21 +492,21 @@ func TestKeepListAndPinnedSurface(t *testing.T) {
 				switch mm, cm := method.FindStringSubmatch(tk), composed.FindStringSubmatch(tk); {
 				case mm != nil:
 					cur = mm[1] + mm[2]
-					if !ix.members[cur][mm[3]] {
+					if member(named(ix, cur), mm[3]) == nil {
 						t.Errorf("pinned: %s.%s has no method or field %s", pkg, cur, mm[3])
 					}
 				case cm != nil:
 					cur = cm[1]
 					for _, f := range strings.Split(cm[2], ", ") {
-						if !ix.members[cur][f] {
+						if member(named(ix, cur), f) == nil {
 							t.Errorf("pinned: %s.%s has no field %s", pkg, cur, f)
 						}
 					}
 				case strings.HasPrefix(tk, "."):
-					if !ix.members[cur][tk[1:]] {
+					if member(named(ix, cur), tk[1:]) == nil {
 						t.Errorf("pinned: %s.%s has no method or field %s", pkg, cur, tk[1:])
 					}
-				case !ix.top[tk]:
+				case ix.Scope().Lookup(tk) == nil:
 					t.Errorf("pinned: package %s declares no %s", pkg, tk)
 				}
 			}

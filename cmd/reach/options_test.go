@@ -30,11 +30,7 @@ var oneValueExceptions = map[string]string{
 // oneValueExceptions. A listed field that takes two values now fails as
 // stale.
 func TestOptionsTakeTwoValues(t *testing.T) {
-	problems, err := oneValueFields(root, oneValueExceptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range problems {
+	for _, p := range oneValueFields(loadTree(t), oneValueExceptions) {
 		t.Error(p)
 	}
 }
@@ -46,13 +42,10 @@ func TestOptionsTakeTwoValues(t *testing.T) {
 // a listed one-value field, a field a test sets to a second value and every
 // kind of write that is not a constant pass.
 func TestOneValueCheck(t *testing.T) {
-	got, err := oneValueFields("testdata/optmod", map[string]string{
+	got := oneValueFields(loadFixture(t, "testdata/optmod"), map[string]string{
 		"internal/dns Server.Gone": "a field that is no longer declared",
 		"internal/dns Server.Wire": "a field the encoder puts on the wire",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []string{
 		"internal/dns Limits.Zero takes only the value 0: make it a constant, or list it in oneValueExceptions with a reason",
 		"internal/dns Server.Kind takes only the value 1: make it a constant, or list it in oneValueExceptions with a reason",
@@ -73,10 +66,10 @@ type values struct {
 	varies bool
 }
 
-// oneValueFields type-checks every package of the module at root, tests
-// included, and reports each field of a named struct a non-test file under
-// root/internal declares whose writes all give it one constant, unless
-// exceptions lists it, and each listed field that is not such a field.
+// oneValueFields reports each field of a named struct a non-test file under
+// m's internal/ declares whose writes in the whole module, tests included,
+// all give it one constant, unless exceptions lists it, and each listed field
+// that is not such a field.
 //
 // A composite-literal element gives its field its constant value; a literal
 // that leaves a field out gives it the zero value; x.F = v gives F the
@@ -84,52 +77,43 @@ type values struct {
 // not a constant, op= and ++/--, &x.F (also taken implicitly by a call of a
 // pointer method on x.F), a range assignment, and a write through x.F
 // (x.F.G = v, x.F[i] = v, x.F[a:b], &x.F.G).
-func oneValueFields(root string, exceptions map[string]string) ([]string, error) {
-	m, err := loadModule(root, true)
-	if err != nil {
-		return nil, err
-	}
+func oneValueFields(m *module, exceptions map[string]string) []string {
 	names := map[token.Pos]string{}
-	for dir, files := range m.lib {
-		if !strings.HasPrefix(dir, "internal/") {
+	for _, f := range m.files {
+		if f.test || f.info == nil || !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				if ts, ok := n.(*ast.TypeSpec); ok {
-					if st, ok := ts.Type.(*ast.StructType); ok {
-						for _, fl := range st.Fields.List {
-							for _, id := range fl.Names {
-								names[id.Pos()] = dir + " " + ts.Name.Name + "." + id.Name
-							}
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			if ts, ok := n.(*ast.TypeSpec); ok {
+				if st, ok := ts.Type.(*ast.StructType); ok {
+					for _, fl := range st.Fields.List {
+						for _, id := range fl.Names {
+							names[id.Pos()] = f.dir + " " + ts.Name.Name + "." + id.Name
 						}
 					}
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	writes := map[token.Pos]*values{}
-	for key, files := range m.pkgs {
-		info, err := m.check(key)
-		if err != nil {
-			return nil, err
+	for _, f := range m.files {
+		if f.info == nil {
+			continue
 		}
-		for _, f := range files {
-			walkWrites(info, f, func(v *types.Var, e ast.Expr) {
-				w := writes[v.Origin().Pos()]
-				if w == nil {
-					w = &values{consts: map[string]string{}}
-					writes[v.Origin().Pos()] = w
-				}
-				exact, shown, ok := constantOf(info, v, e)
-				if !ok {
-					w.varies = true
-					return
-				}
-				w.consts[exact] = shown
-			})
-		}
+		walkWrites(f.info, f.File, func(v *types.Var, e ast.Expr) {
+			w := writes[v.Origin().Pos()]
+			if w == nil {
+				w = &values{consts: map[string]string{}}
+				writes[v.Origin().Pos()] = w
+			}
+			exact, shown, ok := constantOf(f.info, v, e)
+			if !ok {
+				w.varies = true
+				return
+			}
+			w.consts[exact] = shown
+		})
 	}
 	var one []string
 	found := map[string]bool{}
@@ -153,7 +137,7 @@ func oneValueFields(root string, exceptions map[string]string) ([]string, error)
 	}
 	sort.Strings(one)
 	sort.Strings(stale)
-	return append(one, stale...), nil
+	return append(one, stale...)
 }
 
 // walkWrites calls write for every write of a struct field in f, with the

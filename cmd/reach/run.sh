@@ -27,6 +27,7 @@ bad "$b/repro" -loss 2
 bad "$b/repro" -experiment fig6,nosuch
 bad "$b/repro" -experiment fig6,scalesweep -quick -lb-policy bogus
 bad "$b/repro" -experiment fig6 -pcpus -3
+bad "$b/repro" -experiment fig8 -quick -loss 0.01 # fig8 builds no platform from the run flags
 bad "$b/mirage" boot -loss 0.1
 bad "$b/mirage" build -trace "$t/build.trace"
 q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -memstats

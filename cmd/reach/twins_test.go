@@ -29,11 +29,7 @@ var twinExceptions = map[string]string{
 // also counts something is a different event. A listed field that is no
 // longer bumped beside a counter fails as stale.
 func TestOneHomePerCount(t *testing.T) {
-	problems, err := countTwins(root, twinExceptions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range problems {
+	for _, p := range countTwins(loadTree(t), twinExceptions) {
 		t.Error(p)
 	}
 }
@@ -43,13 +39,10 @@ func TestOneHomePerCount(t *testing.T) {
 // counter fail, each by name, a listed one passes, and a listed field bumped
 // apart from any counter fails as stale.
 func TestTwinCheck(t *testing.T) {
-	got, err := countTwins("testdata/twinmod", map[string]string{
+	got := countTwins(loadFixture(t, "testdata/twinmod"), map[string]string{
 		"internal/p Stats.Listed": "a count the fixture keeps",
 		"internal/p Stats.Apart":  "a count no longer bumped beside a counter",
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := []string{
 		"testdata/twinmod/internal/p/p.go:16:2: internal/p Stats.Sent is bumped beside a registry counter: read the counter instead, and delete the field",
 		"testdata/twinmod/internal/p/p.go:19:2: internal/p Stats.recvd is bumped beside a registry counter: read the counter instead, and delete the field",
@@ -60,52 +53,42 @@ func TestTwinCheck(t *testing.T) {
 	}
 }
 
-// countTwins type-checks the non-test files of the module at root through
-// fields.go's loadModule and reports, sorted, each field a statement under
-// root/internal bumps beside a registry counter, unless exceptions lists
-// it, then each listed field that is not such a field.
-func countTwins(root string, exceptions map[string]string) ([]string, error) {
-	m, err := loadModule(root, false)
-	if err != nil {
-		return nil, err
-	}
+// countTwins reports, sorted, each field a non-test statement under m's
+// internal/ bumps beside a registry counter, unless exceptions lists it, then
+// each listed field that is not such a field.
+func countTwins(m *module, exceptions map[string]string) []string {
 	counter := "*" + m.path + "/internal/obs.Counter"
 	var twins, stale []string
 	found := map[string]bool{}
-	for key, files := range m.pkgs {
-		if !strings.HasPrefix(key, "internal/") {
+	for _, f := range m.files {
+		if f.test || f.info == nil || !strings.HasPrefix(f.dir, "internal/") {
 			continue
 		}
-		info, err := m.check(key)
-		if err != nil {
-			return nil, err
-		}
-		for _, f := range files {
-			ast.Inspect(f, func(n ast.Node) bool {
-				var list []ast.Stmt
-				switch n := n.(type) {
-				case *ast.BlockStmt:
-					list = n.List
-				case *ast.CaseClause:
-					list = n.Body
-				case *ast.CommClause:
-					list = n.Body
+		info := f.info
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			var list []ast.Stmt
+			switch n := n.(type) {
+			case *ast.BlockStmt:
+				list = n.List
+			case *ast.CaseClause:
+				list = n.Body
+			case *ast.CommClause:
+				list = n.Body
+			}
+			beside := func(i int) bool { return i >= 0 && i < len(list) && countsOn(info, list[i], counter) }
+			for i, s := range list {
+				field := bumpedField(m, info, s)
+				if field == "" || !beside(i-1) && !beside(i+1) {
+					continue
 				}
-				beside := func(i int) bool { return i >= 0 && i < len(list) && countsOn(info, list[i], counter) }
-				for i, s := range list {
-					field := bumpedField(info, s, m.path)
-					if field == "" || !beside(i-1) && !beside(i+1) {
-						continue
-					}
-					found[field] = true
-					if exceptions[field] == "" {
-						twins = append(twins, fmt.Sprintf("%s: %s is bumped beside a registry counter: read the counter instead, and delete the field",
-							m.fset.Position(s.Pos()), field))
-					}
+				found[field] = true
+				if exceptions[field] == "" {
+					twins = append(twins, fmt.Sprintf("%s: %s is bumped beside a registry counter: read the counter instead, and delete the field",
+						m.fset.Position(s.Pos()), field))
 				}
-				return true
-			})
-		}
+			}
+			return true
+		})
 	}
 	for field := range exceptions {
 		if !found[field] {
@@ -114,12 +97,12 @@ func countTwins(root string, exceptions map[string]string) ([]string, error) {
 	}
 	sort.Strings(twins)
 	sort.Strings(stale)
-	return append(twins, stale...), nil
+	return append(twins, stale...)
 }
 
 // bumpedField names the struct field s increments with ++ or +=, as
-// "dir T.F", or returns "". mod is the module path.
-func bumpedField(info *types.Info, s ast.Stmt, mod string) string {
+// "dir T.F", or returns "".
+func bumpedField(m *module, info *types.Info, s ast.Stmt) string {
 	var x ast.Expr
 	switch s := s.(type) {
 	case *ast.IncDecStmt:
@@ -147,8 +130,7 @@ func bumpedField(info *types.Info, s ast.Stmt, mod string) string {
 	if !ok {
 		return ""
 	}
-	dir, _, _ := strings.Cut(strings.TrimPrefix(sl.Obj().Pkg().Path(), mod+"/"), " ") // "dir pkg" under its own check
-	return dir + " " + named.Obj().Name() + "." + sl.Obj().Name()
+	return m.dirOf(sl.Obj().Pkg()) + " " + named.Obj().Name() + "." + sl.Obj().Name()
 }
 
 // countsOn reports whether s is a call of Inc or Add on a value of type

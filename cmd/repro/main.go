@@ -12,7 +12,7 @@
 //	repro -experiment fig10 -trace t.json   # Chrome trace of the run
 //	repro -experiment fig10 -metrics        # dump the metrics registry
 //	repro -experiment losssweep             # TCP goodput under frame loss
-//	repro -loss 0.01 -jitter 500us ...      # impair every virtual bridge
+//	repro -experiment ping -loss 0.01 -jitter 500us   # impair every virtual bridge (-list: who takes it)
 //	repro -experiment scalesweep -replicas-max 4 -lb-policy least-conns
 //	repro -experiment scalesweep -json BENCH_scalesweep.json
 //	repro -experiment scalesweep -domstat   # per-domain accounting (virtual xentop)
@@ -54,7 +54,8 @@ func main() {
 	// the experiments build shares its tracer and registry, so one trace file
 	// and one dump cover the run end to end, and its impairment applies to
 	// every bridge. Some experiments (e.g. ping) assert loss-free completion
-	// and abort under aggressive impairment — that is the point.
+	// and abort under aggressive impairment — that is the point. An
+	// experiment that would ignore a platform run flag is refused instead.
 	cfg, err := run.Config()
 	usage(err)
 	exps, err := experiments.Select(*which)
@@ -68,6 +69,7 @@ func main() {
 		}
 		return
 	}
+	usage(experiments.CheckRunFlags(exps, cfg))
 
 	opts.Config = cfg
 	stopProfile, err := profile.Start()

@@ -1,6 +1,8 @@
 package conventional
 
 import (
+	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 	"time"
@@ -129,5 +131,39 @@ func TestWebThroughputScaling(t *testing.T) {
 	mg := MirageStaticWeb()
 	if 6*mg.Throughput(1) <= ap.Throughput(6) {
 		t.Error("6 unikernels do not beat 6-vCPU Apache")
+	}
+}
+
+// TestScaledCorrectlyRounded proves each n^e of the scaled table correctly
+// rounded, in exact arithmetic: with e = p/q, n^p must lie strictly between
+// the q-th powers of the midpoints from the literal to its two neighbouring
+// float64s (0.72 is 18/25).
+func TestScaledCorrectlyRounded(t *testing.T) {
+	ratio := map[float64][2]int64{0.72: {18, 25}, 1: {1, 1}}
+	power := func(x *big.Rat, k int64) *big.Rat {
+		out := big.NewRat(1, 1)
+		for range k {
+			out.Mul(out, x)
+		}
+		return out
+	}
+	mid := func(a, b float64) *big.Rat {
+		m := new(big.Rat).SetFloat64(a)
+		return m.Add(m, new(big.Rat).SetFloat64(b)).Quo(m, big.NewRat(2, 1))
+	}
+	for e, row := range scaled {
+		pq, ok := ratio[e]
+		if !ok {
+			t.Errorf("exponent %v: no exact ratio to check it against", e)
+			continue
+		}
+		for n, v := range row {
+			want := power(new(big.Rat).SetInt64(int64(n)), pq[0])
+			lo := power(mid(math.Nextafter(v, math.Inf(-1)), v), pq[1])
+			hi := power(mid(v, math.Nextafter(v, math.Inf(1))), pq[1])
+			if lo.Cmp(want) >= 0 || want.Cmp(hi) >= 0 {
+				t.Errorf("%d^%v = %v is not correctly rounded", n, e, v)
+			}
+		}
 	}
 }

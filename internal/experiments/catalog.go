@@ -52,7 +52,7 @@ func init() {
 			return out, nil
 		}})
 	Register(Experiment{ID: "ping", Title: "ICMP flood-ping latency",
-		Params: []string{"quick"},
+		Params: append([]string{"quick"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			n := 100_000
 			if o.Quick {
@@ -70,7 +70,7 @@ func init() {
 			return results(bench.Fig8TCP(o.Config, bytes))
 		}})
 	Register(Experiment{ID: "losssweep", Title: "TCP goodput under frame loss",
-		Params: []string{"quick"},
+		Params: []string{"quick", "pcpus"}, // each row sets its own bridge impairment
 		Run: func(o Options) (Output, error) {
 			bytes := 4 << 20
 			if o.Quick {
@@ -79,7 +79,7 @@ func init() {
 			return results(bench.LossSweep(o.Config, bytes, nil))
 		}})
 	Register(Experiment{ID: "fig9", Title: "Sequential block read throughput",
-		Params: []string{"quick"},
+		Params: append([]string{"quick"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			sizes, reqs := bench.DefaultBlockSizes, 1024
 			if o.Quick {
@@ -88,7 +88,7 @@ func init() {
 			return results(bench.Fig9BlockRead(o.Config, sizes, reqs))
 		}})
 	Register(Experiment{ID: "kvsweep", Title: "Durable KV appliance vs queue depth",
-		Params: []string{"quick", "seed", "value-bytes", "read-pct", "qd-max"},
+		Params: append([]string{"quick", "seed", "value-bytes", "read-pct", "qd-max"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			return results(bench.KVSweep(o.Config, bench.KVSweepConfig{
 				Seed:       o.Seed,
@@ -99,7 +99,7 @@ func init() {
 			}))
 		}})
 	Register(Experiment{ID: "fig10", Title: "DNS throughput vs zone size",
-		Params: []string{"quick"},
+		Params: append([]string{"quick"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			zones, queries := bench.DefaultZoneSizes, 50_000
 			if o.Quick {
@@ -137,7 +137,7 @@ func init() {
 			return results(bench.Table2Sizes())
 		}})
 	Register(Experiment{ID: "ablations", Title: "Design-choice ablations",
-		Params: []string{"quick"},
+		Params: append([]string{"quick"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			n := 5000
 			if o.Quick {
@@ -151,7 +151,7 @@ func init() {
 				bench.AblationZeroCopy(o.Config, n))
 		}})
 	Register(Experiment{ID: "scalesweep", Title: "Autoscaled fleet vs fixed appliance",
-		Params: []string{"quick", "seed", "replicas-min", "replicas-max", "lb-policy", "domstat"},
+		Params: append([]string{"quick", "seed", "replicas-min", "replicas-max", "lb-policy", "domstat"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			seed := o.Seed
 			if seed == 0 {
@@ -172,7 +172,7 @@ func init() {
 			return out, nil
 		}})
 	Register(Experiment{ID: "connsweep", Title: "Million-connection parked population sweep",
-		Params: []string{"quick", "seed", "memstats"},
+		Params: append([]string{"quick", "seed", "memstats"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			seed := o.Seed
 			if seed == 0 {
@@ -181,7 +181,7 @@ func init() {
 			return results(bench.ConnSweep(o.Config, seed, o.Quick, o.MemStats))
 		}})
 	Register(Experiment{ID: "racksweep", Title: "Multi-host rack: live migration and whole-host failure",
-		Params: []string{"quick", "seed"},
+		Params: append([]string{"quick", "seed"}, platformFlags...),
 		Run: func(o Options) (Output, error) {
 			seed := o.Seed
 			if seed == 0 {

@@ -70,8 +70,9 @@ func (o Output) Text() string {
 
 // Experiment is one registered experiment. Run must be deterministic for a
 // fixed Options value. Params names the declared knobs (see params.go)
-// the experiment honours beyond ignoring them — `repro -list` prints them,
-// so usage is self-describing.
+// the experiment honours beyond ignoring them, and the platform run flags
+// (run.go) it takes — `repro -list` prints them, so usage is
+// self-describing.
 type Experiment struct {
 	ID     string
 	Title  string

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"flag"
+	"slices"
 
 	"repro/internal/fleet"
 )
@@ -66,15 +67,16 @@ var params = []Param{
 		func(o *Options) *bool { return &o.MemStats }),
 }
 
-// knownParam reports whether name is a declared knob (Register uses it to
-// reject experiments naming parameters that do not exist).
+// knownParam reports whether name is a declared knob or a platform run
+// flag (Register uses it to reject experiments naming parameters that do not
+// exist).
 func knownParam(name string) bool {
 	for _, p := range params {
 		if p.Name == name {
 			return true
 		}
 	}
-	return false
+	return slices.Contains(platformFlags, name)
 }
 
 // BindFlags registers every declared parameter on fs and returns the

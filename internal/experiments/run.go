@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -50,6 +51,41 @@ func BindRunFlags(fs *flag.FlagSet, names ...string) *Run {
 		}
 	}
 	return r
+}
+
+// platformFlags are the run flags that reach an experiment only through
+// the platforms it builds from Options.Config. An experiment names the ones
+// it honours in its Params; CheckRunFlags refuses the rest.
+var platformFlags = []string{"pcpus", "loss", "dup", "reorder", "jitter"}
+
+// sets reports whether cfg sets the platform run flag name.
+func sets(cfg core.Config, name string) bool {
+	switch name {
+	case "pcpus":
+		return cfg.PCPUs > 1
+	case "loss":
+		return cfg.Faults.Drop != 0
+	case "dup":
+		return cfg.Faults.Dup != 0
+	case "reorder":
+		return cfg.Faults.Reorder != 0
+	default: // "jitter"
+		return cfg.Faults.Jitter != 0
+	}
+}
+
+// CheckRunFlags refuses a platform run flag cfg sets that a selected
+// experiment ignores, naming the experiment and the flag in one line, so a
+// run never drops one without a word.
+func CheckRunFlags(exps []Experiment, cfg core.Config) error {
+	for _, e := range exps {
+		for _, f := range platformFlags {
+			if sets(cfg, f) && !slices.Contains(e.Params, f) {
+				return fmt.Errorf("experiment %s ignores -%s (repro -list names the run flags each experiment takes)", e.ID, f)
+			}
+		}
+	}
+	return nil
 }
 
 // Config checks the parsed flags and completes the run's configuration: the

@@ -138,3 +138,35 @@ func TestBindRunFlagsSubset(t *testing.T) {
 	}()
 	BindRunFlags(flag.NewFlagSet("t", flag.ContinueOnError), "no-such-flag")
 }
+
+// TestIgnoredRunFlagsRefused: a platform run flag that a selected experiment
+// ignores is refused in one line naming the experiment and the flag; the
+// defaults, and flags every selected experiment takes, pass.
+func TestIgnoredRunFlagsRefused(t *testing.T) {
+	for _, c := range []struct{ list, args, err string }{
+		{"fig8", "", ""},
+		{"fig8", "-pcpus 1 -loss 0 -jitter 0s", ""},
+		{"ping,scalesweep", "-pcpus 4 -loss 0.01 -dup 0.01 -reorder 0.01 -jitter 200us", ""},
+		{"losssweep", "-pcpus 4", ""},
+		{"fig8", "-loss 0.01", "experiment fig8 ignores -loss"},
+		{"losssweep", "-jitter 200us", "experiment losssweep ignores -jitter"},
+		{"scalesweep,fig6", "-pcpus 2", "experiment fig6 ignores -pcpus"},
+		{"all", "-dup 0.5", "experiment fig5 ignores -dup"},
+		{"ablations,table2", "-reorder 0.1", "experiment table2 ignores -reorder"},
+	} {
+		fs := flag.NewFlagSet("t", flag.ContinueOnError)
+		r := BindRunFlags(fs, platformFlags...)
+		if err := fs.Parse(strings.Fields(c.args)); err != nil {
+			t.Fatalf("%q: parse: %v", c.args, err)
+		}
+		cfg, err := r.Config()
+		exps, err2 := Select(c.list)
+		if err != nil || err2 != nil {
+			t.Fatalf("%s %q: %v, %v", c.list, c.args, err, err2)
+		}
+		err = CheckRunFlags(exps, cfg)
+		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || strings.Contains(err.Error(), "\n")) {
+			t.Errorf("%s %q: error %v, want one line naming %q", c.list, c.args, err, c.err)
+		}
+	}
+}
