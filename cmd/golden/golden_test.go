@@ -244,14 +244,20 @@ func TestParseListRejectsMalformedLines(t *testing.T) {
 	}
 }
 
-// TestListCoversEveryExperiment: a new experiment gets its quick goldens.
+// TestListCoversEveryExperiment: a new experiment gets its quick goldens,
+// with the registry dump and the trace when it takes -trace (builds a
+// kernel).
 func TestListCoversEveryExperiment(t *testing.T) {
 	_, invs, err := load()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, id := range experiments.IDs() {
-		want := invocation{id, strings.Fields(fmt.Sprintf("repro -experiment %s -quick -json %[1]s.json -metrics -trace %[1]s.trace", id))}
+	for _, e := range experiments.All() {
+		line := fmt.Sprintf("repro -experiment %s -quick -json %[1]s.json", e.ID)
+		if slices.Contains(e.Params, "trace") {
+			line += fmt.Sprintf(" -metrics -trace %s.trace", e.ID)
+		}
+		want := invocation{e.ID, strings.Fields(line)}
 		if !slices.ContainsFunc(invs, func(inv invocation) bool { return inv.String() == want.String() }) {
 			t.Errorf("invocations.txt lacks %q", want)
 		}

@@ -28,9 +28,15 @@ bad "$b/repro" -experiment fig6,nosuch
 bad "$b/repro" -experiment fig6,scalesweep -quick -lb-policy bogus
 bad "$b/repro" -experiment fig6 -pcpus -3
 bad "$b/repro" -experiment fig8 -quick -loss 0.01 # fig8 builds no platform from the run flags
+bad "$b/repro" -experiment kvsweep -quick -value-bytes 999 # out of the knob's range
+bad "$b/repro" -experiment fig10 -quick -seed 7 # a knob fig10 does not take
+bad "$b/repro" -experiment fig6 -trace "$t/fig6.trace" # fig6 builds no kernel to trace
+bad "$b/repro" -experiment scalesweep -quick -replicas-min 3 -replicas-max 2
+bad "$b/repro" -experiment fig10 -quick -metrics-format prom # no -metrics: no dump to format
 bad "$b/mirage" boot -loss 0.1
 bad "$b/mirage" build -trace "$t/build.trace"
-q "$b/repro" -quick -json "$t/a.json" -metrics -trace "$t/a.trace" -domstat -memstats
+q "$b/repro" -quick -json "$t/a.json"
+q "$b/repro" -experiment connsweep -quick -memstats
 q "$b/repro" -experiment fig10 -quick -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
 q "$b/repro" -experiment fig7a # full size: past the 5 M live window, threads terminate (Heap.Release)
 q "$b/repro" -experiment scalesweep -pcpus 4 -replicas-max 8 # full size: fills a TX ring and an accept backlog

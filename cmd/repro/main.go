@@ -22,8 +22,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -31,55 +33,43 @@ import (
 )
 
 func main() {
-	which := flag.String("experiment", "all", "comma-separated experiment ids, or 'all'")
-	list := flag.Bool("list", false, "list experiments and exit")
-	jsonOut := flag.String("json", "", "write the structured results (id -> series) as JSON to this file")
-	// Every experiment knob (-quick, -seed, -replicas-min, ...) comes from
-	// the registry's parameter declarations, and the run flags and the
-	// profile pair from theirs; nothing is hand-registered here.
-	run := experiments.BindRunFlags(flag.CommandLine, "pcpus",
-		"loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format")
-	expOpts := experiments.BindFlags(flag.CommandLine)
-	profile := experiments.BindProfileFlags(flag.CommandLine)
-	flag.Parse()
-
-	// A bad invocation is refused with status 2 before anything runs.
-	usage := func(err error) {
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "repro: %v\n", err)
-			os.Exit(2)
-		}
+	// Every flag (-experiment, -quick, the run flags, each experiment knob,
+	// the profile pair) is declared in internal/experiments, which also
+	// checks the command line whole: a bad invocation is refused with one
+	// line and status 2 before anything runs.
+	fs := flag.NewFlagSet("repro", flag.ContinueOnError)
+	fs.SetOutput(io.Discard) // a refusal is one line, not the flag list
+	inv, err := experiments.ParseInvocation(fs, os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		fs.SetOutput(os.Stderr)
+		fs.PrintDefaults()
+		return
 	}
-	// One configuration for the whole invocation: every platform and kernel
-	// the experiments build shares its tracer and registry, so one trace file
-	// and one dump cover the run end to end, and its impairment applies to
-	// every bridge. Some experiments (e.g. ping) assert loss-free completion
-	// and abort under aggressive impairment — that is the point. An
-	// experiment that would ignore a platform run flag is refused instead.
-	cfg, err := run.Config()
-	usage(err)
-	exps, err := experiments.Select(*which)
-	usage(err)
-	opts, err := expOpts()
-	usage(err)
-
-	if *list {
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
+		os.Exit(2)
+	}
+	if inv.List {
 		for _, e := range experiments.All() {
 			fmt.Println(e.ListLine())
 		}
 		return
 	}
-	usage(experiments.CheckRunFlags(exps, cfg))
 
-	opts.Config = cfg
-	stopProfile, err := profile.Start()
+	// One configuration for the whole invocation: every platform and kernel
+	// the experiments build shares its tracer and registry, so one trace file
+	// and one dump cover the run end to end, and its impairment applies to
+	// every bridge. Some experiments (e.g. ping) assert loss-free completion
+	// and abort under aggressive impairment — that is the point.
+	opts, run, cfg := inv.Options, inv.Run, inv.Options.Config
+	stopProfile, err := inv.Profile.Start()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "repro: %v\n", err)
 		os.Exit(1)
 	}
 
 	structured := map[string]any{}
-	for _, e := range exps {
+	for _, e := range inv.Experiments {
 		start := time.Now()
 		out, err := e.Run(opts)
 		elapsed := time.Since(start)
@@ -102,16 +92,16 @@ func main() {
 		os.Exit(1)
 	}
 
-	if *jsonOut != "" {
+	if inv.JSON != "" {
 		data, err := json.MarshalIndent(structured, "", "  ")
 		if err == nil {
-			err = os.WriteFile(*jsonOut, append(data, '\n'), 0o644)
+			err = os.WriteFile(inv.JSON, append(data, '\n'), 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "json: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Fprintf(os.Stderr, "results written to %s\n", *jsonOut)
+		fmt.Fprintf(os.Stderr, "results written to %s\n", inv.JSON)
 	}
 	if run.Metrics {
 		if run.MetricsFormat == "prom" {

@@ -349,7 +349,7 @@ func TestFig7aCrossValidation(t *testing.T) {
 }
 
 func TestKVSweepShape(t *testing.T) {
-	r := KVSweep(core.Config{}, KVSweepConfig{Quick: true})
+	r := KVSweep(core.Config{}, KVSweepConfig{Seed: 42, Quick: true, ValueBytes: 128, ReadPct: 50, QDMax: 64})
 	direct, buffered := r.Get("direct"), r.Get("buffered")
 	if direct == nil || buffered == nil {
 		t.Fatal("missing series")

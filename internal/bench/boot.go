@@ -48,11 +48,15 @@ func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
 			"paper: Mirage matches minimal Linux, just under half of Debian+Apache2",
 		},
 	}
+	builds := make([]time.Duration, len(memsMiB)) // the same for every profile
+	for i, m := range memsMiB {
+		builds[i] = buildTime(rc, m)
+	}
 	for _, prof := range profiles {
 		s := Series{Name: prof.Name}
-		for _, m := range memsMiB {
+		for i, m := range memsMiB {
 			total := conventional.SyncToolstackOverhead +
-				buildTime(rc, m) +
+				builds[i] +
 				prof.GuestBootTime(uint64(m)<<20)
 			s.X = append(s.X, float64(m))
 			s.Y = append(s.Y, total.Seconds())

@@ -14,13 +14,14 @@ import (
 	"repro/internal/storage"
 )
 
-// KVSweepConfig are the kvsweep knobs. Zero values select defaults.
+// KVSweepConfig are the kvsweep knobs, taken as given: internal/experiments
+// declares their defaults and ranges and passes checked values.
 type KVSweepConfig struct {
 	Seed       int64
 	Quick      bool
-	ValueBytes int // record value size (default 128, capped by the B-tree limit)
-	ReadPct    int // read share of the timed mix (default 50, capped at 95)
-	QDMax      int // deepest queue depth swept (default 64)
+	ValueBytes int // record value size, at most the B-tree's value limit
+	ReadPct    int // read share of the timed mix
+	QDMax      int // deepest queue depth swept
 }
 
 const (
@@ -60,36 +61,6 @@ type kvRunStats struct {
 // serialized management CPU per chunk and un-merges the flush, so the
 // curves separate as depth grows.
 func KVSweep(rc core.Config, cfg KVSweepConfig) *Result {
-	if cfg.Seed == 0 {
-		cfg.Seed = 42
-	}
-	if cfg.ValueBytes == 0 {
-		cfg.ValueBytes = 128
-	}
-	if cfg.ValueBytes < 1 {
-		cfg.ValueBytes = 1
-	}
-	if cfg.ValueBytes > 256 {
-		cfg.ValueBytes = 256 // the B-tree's value limit; checkpoints fold values in
-	}
-	if cfg.ReadPct == 0 {
-		cfg.ReadPct = 50
-	}
-	if cfg.ReadPct < 0 {
-		cfg.ReadPct = 0
-	}
-	if cfg.ReadPct > 95 {
-		cfg.ReadPct = 95 // a pure-read mix never touches the device
-	}
-	if cfg.QDMax == 0 {
-		cfg.QDMax = 64
-	}
-	if cfg.QDMax < 1 {
-		cfg.QDMax = 1
-	}
-	if cfg.QDMax > 512 {
-		cfg.QDMax = 512
-	}
 	nkeys, ops := 384, 4096
 	if cfg.Quick {
 		nkeys, ops = 128, 1024

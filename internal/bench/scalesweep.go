@@ -161,14 +161,12 @@ func scalesweepRun(rc core.Config, seed int64, minR, maxR int, policy fleet.Poli
 // the autoscaled run's final domstat table (per-domain vCPU time, runqueue
 // wait, notifications, pool usage).
 func ScaleSweepDomStat(rc core.Config, seed int64, quick bool, minR, maxR int, policy fleet.Policy) (*Result, string) {
-	if minR <= 0 {
-		minR = 1
-	}
-	if maxR <= 0 {
+	if maxR == 0 { // the size default, raised to minR
 		maxR = 4
 		if quick {
 			maxR = 3
 		}
+		maxR = max(maxR, minR)
 	}
 	phases := swPhases(quick)
 	handlerCost := time.Millisecond

@@ -5,8 +5,15 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/fleet"
 )
+
+// size is an experiment's workload size: full, or quick at -quick.
+func size[T any](o Options, full, quick T) T {
+	if o.Quick {
+		return quick
+	}
+	return full
+}
 
 // results wraps plain bench results in an Output.
 func results(rs ...*bench.Result) (Output, error) {
@@ -15,35 +22,21 @@ func results(rs ...*bench.Result) (Output, error) {
 
 func init() {
 	Register(Experiment{ID: "fig5", Title: "Boot time, synchronous toolstack",
-		Params: []string{"quick"},
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			mems := bench.DefaultBootMems
-			if o.Quick {
-				mems = []int{64, 512, 3072}
-			}
-			return results(bench.Fig5BootTime(o.Config, mems))
+			return results(bench.Fig5BootTime(o.Config, size(o, bench.DefaultBootMems, []int{64, 512, 3072})))
 		}})
 	Register(Experiment{ID: "fig6", Title: "VM startup, asynchronous toolstack",
 		Run: func(o Options) (Output, error) {
 			return results(bench.Fig6BootAsync())
 		}})
 	Register(Experiment{ID: "fig7a", Title: "Thread construction time",
-		Params: []string{"quick"},
 		Run: func(o Options) (Output, error) {
-			counts := bench.DefaultThreadCounts
-			if o.Quick {
-				counts = []int{1_000_000, 5_000_000}
-			}
-			return results(bench.Fig7aThreads(counts))
+			return results(bench.Fig7aThreads(size(o, bench.DefaultThreadCounts, []int{1_000_000, 5_000_000})))
 		}})
 	Register(Experiment{ID: "fig7b", Title: "Wakeup jitter CDF",
-		Params: []string{"quick"},
 		Run: func(o Options) (Output, error) {
-			n := 1_000_000
-			if o.Quick {
-				n = 200_000
-			}
-			r, stats := bench.Fig7bJitter(n)
+			r, stats := bench.Fig7bJitter(size(o, 1_000_000, 200_000))
 			out := Output{Results: []*bench.Result{r}}
 			for _, s := range stats {
 				out.Extra = append(out.Extra, fmt.Sprintf(
@@ -52,43 +45,28 @@ func init() {
 			return out, nil
 		}})
 	Register(Experiment{ID: "ping", Title: "ICMP flood-ping latency",
-		Params: append([]string{"quick"}, platformFlags...),
+		Params: platformRunFlags,
 		Run: func(o Options) (Output, error) {
-			n := 100_000
-			if o.Quick {
-				n = 5_000
-			}
-			return results(bench.PingLatency(o.Config, n))
+			return results(bench.PingLatency(o.Config, size(o, 100_000, 5_000)))
 		}})
 	Register(Experiment{ID: "fig8", Title: "TCP throughput table",
-		Params: []string{"quick"},
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			bytes := 16 << 20
-			if o.Quick {
-				bytes = 2 << 20
-			}
-			return results(bench.Fig8TCP(o.Config, bytes))
+			return results(bench.Fig8TCP(o.Config, size(o, 16<<20, 2<<20)))
 		}})
 	Register(Experiment{ID: "losssweep", Title: "TCP goodput under frame loss",
-		Params: []string{"quick", "pcpus"}, // each row sets its own bridge impairment
+		Params: append([]string{"pcpus"}, kernelFlags...), // each row sets its own bridge impairment
 		Run: func(o Options) (Output, error) {
-			bytes := 4 << 20
-			if o.Quick {
-				bytes = 1 << 20
-			}
-			return results(bench.LossSweep(o.Config, bytes, nil))
+			return results(bench.LossSweep(o.Config, size(o, 4<<20, 1<<20), nil))
 		}})
 	Register(Experiment{ID: "fig9", Title: "Sequential block read throughput",
-		Params: append([]string{"quick"}, platformFlags...),
+		Params: platformRunFlags,
 		Run: func(o Options) (Output, error) {
-			sizes, reqs := bench.DefaultBlockSizes, 1024
-			if o.Quick {
-				sizes, reqs = []int{4, 64, 1024, 4096}, 256
-			}
-			return results(bench.Fig9BlockRead(o.Config, sizes, reqs))
+			return results(bench.Fig9BlockRead(o.Config,
+				size(o, bench.DefaultBlockSizes, []int{4, 64, 1024, 4096}), size(o, 1024, 256)))
 		}})
 	Register(Experiment{ID: "kvsweep", Title: "Durable KV appliance vs queue depth",
-		Params: append([]string{"quick", "seed", "value-bytes", "read-pct", "qd-max"}, platformFlags...),
+		Params: append([]string{"seed", "value-bytes", "read-pct", "qd-max"}, platformRunFlags...),
 		Run: func(o Options) (Output, error) {
 			return results(bench.KVSweep(o.Config, bench.KVSweepConfig{
 				Seed:       o.Seed,
@@ -99,22 +77,14 @@ func init() {
 			}))
 		}})
 	Register(Experiment{ID: "fig10", Title: "DNS throughput vs zone size",
-		Params: append([]string{"quick"}, platformFlags...),
+		Params: platformRunFlags,
 		Run: func(o Options) (Output, error) {
-			zones, queries := bench.DefaultZoneSizes, 50_000
-			if o.Quick {
-				zones, queries = []int{100, 1000, 10000}, 5_000
-			}
-			return results(bench.Fig10DNS(o.Config, zones, queries))
+			return results(bench.Fig10DNS(o.Config,
+				size(o, bench.DefaultZoneSizes, []int{100, 1000, 10000}), size(o, 50_000, 5_000)))
 		}})
 	Register(Experiment{ID: "fig11", Title: "OpenFlow controller throughput",
-		Params: []string{"quick"},
 		Run: func(o Options) (Output, error) {
-			n := 200_000
-			if o.Quick {
-				n = 50_000
-			}
-			return results(bench.Fig11OpenFlow(n))
+			return results(bench.Fig11OpenFlow(size(o, 200_000, 50_000)))
 		}})
 	Register(Experiment{ID: "fig12", Title: "Dynamic web appliance",
 		Run: func(o Options) (Output, error) {
@@ -136,35 +106,22 @@ func init() {
 		Run: func(o Options) (Output, error) {
 			return results(bench.Table2Sizes())
 		}})
+	// The seal, vchan and toolstack rows run bare kernels, which take no
+	// sharding or impairment.
 	Register(Experiment{ID: "ablations", Title: "Design-choice ablations",
-		Params: append([]string{"quick"}, platformFlags...),
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			n := 5000
-			if o.Quick {
-				n = 1000
-			}
 			return results(
 				bench.AblationSeal(o.Config),
 				bench.AblationVchan(o.Config),
 				bench.AblationDNSCompression(),
 				bench.AblationToolstack(o.Config),
-				bench.AblationZeroCopy(o.Config, n))
+				bench.AblationZeroCopy(o.Config, size(o, 5000, 1000)))
 		}})
 	Register(Experiment{ID: "scalesweep", Title: "Autoscaled fleet vs fixed appliance",
-		Params: append([]string{"quick", "seed", "replicas-min", "replicas-max", "lb-policy", "domstat"}, platformFlags...),
+		Params: append([]string{"seed", "replicas-min", "replicas-max", "lb-policy", "domstat"}, platformRunFlags...),
 		Run: func(o Options) (Output, error) {
-			seed := o.Seed
-			if seed == 0 {
-				seed = 42
-			}
-			policy := fleet.RoundRobin
-			if o.LBPolicy != "" {
-				var err error
-				if policy, err = fleet.ParsePolicy(o.LBPolicy); err != nil {
-					return Output{}, err
-				}
-			}
-			r, domstat := bench.ScaleSweepDomStat(o.Config, seed, o.Quick, o.ReplicasMin, o.ReplicasMax, policy)
+			r, domstat := bench.ScaleSweepDomStat(o.Config, o.Seed, o.Quick, o.ReplicasMin, o.ReplicasMax, o.LBPolicy)
 			out := Output{Results: []*bench.Result{r}}
 			if o.DomStat {
 				out.Extra = append(out.Extra, strings.TrimRight(domstat, "\n"))
@@ -172,21 +129,13 @@ func init() {
 			return out, nil
 		}})
 	Register(Experiment{ID: "connsweep", Title: "Million-connection parked population sweep",
-		Params: append([]string{"quick", "seed", "memstats"}, platformFlags...),
+		Params: append([]string{"seed", "memstats"}, platformRunFlags...),
 		Run: func(o Options) (Output, error) {
-			seed := o.Seed
-			if seed == 0 {
-				seed = 42
-			}
-			return results(bench.ConnSweep(o.Config, seed, o.Quick, o.MemStats))
+			return results(bench.ConnSweep(o.Config, o.Seed, o.Quick, o.MemStats))
 		}})
 	Register(Experiment{ID: "racksweep", Title: "Multi-host rack: live migration and whole-host failure",
-		Params: append([]string{"quick", "seed"}, platformFlags...),
+		Params: append([]string{"seed"}, platformRunFlags...),
 		Run: func(o Options) (Output, error) {
-			seed := o.Seed
-			if seed == 0 {
-				seed = 42
-			}
-			return results(bench.RackSweep(o.Config, seed, o.Quick))
+			return results(bench.RackSweep(o.Config, o.Seed, o.Quick))
 		}})
 }

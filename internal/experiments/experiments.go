@@ -6,6 +6,7 @@
 package experiments
 
 import (
+	"flag"
 	"fmt"
 	"slices"
 	"sort"
@@ -13,24 +14,25 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/core"
+	"repro/internal/fleet"
 )
 
-// Options carries the CLI knobs an experiment may honour. Zero values mean
-// "use the experiment's default", so cmd/repro can pass its flag set
-// straight through.
+// Options carries the values an experiment runs with. The knobs hold what
+// their declarations (params.go) checked, defaults included, so an
+// experiment uses them as they are; Params names the ones it reads.
 type Options struct {
 	// Config is how the run is configured (sharding, bridge impairment,
 	// tracer and registry): every platform and bare kernel an experiment
 	// builds is built from it. The zero value is the plain serial run.
 	Config core.Config
 
-	Quick bool
+	Quick bool // -quick, for the whole invocation: reduced workload sizes
 	Seed  int64
 
 	// Fleet experiments (scalesweep).
 	ReplicasMin int
-	ReplicasMax int
-	LBPolicy    string // round-robin | least-conns | hash (also rr | lc | h)
+	ReplicasMax int // 0: the sweep's size default, raised to ReplicasMin
+	LBPolicy    fleet.Policy
 
 	// Storage experiments (kvsweep).
 	ValueBytes int
@@ -46,6 +48,49 @@ type Options struct {
 	// numbers are host-dependent: default output stays byte-comparable
 	// across machines and runs.
 	MemStats bool
+}
+
+// Invocation is one checked repro command line.
+type Invocation struct {
+	Experiments []Experiment
+	Options     Options // its Config is the run's configuration
+	Run         *Run    // where the run's trace and registry dump go
+	Profile     *Profile
+	List        bool   // -list: print the catalogue instead of running
+	JSON        string // -json: file the structured results go to
+}
+
+// ParseInvocation declares repro's flags on fs, parses args into them and
+// checks the command line whole before anything runs: a value out of its
+// declared range, an unknown experiment id anywhere in the -experiment list,
+// -replicas-max below -replicas-min, -metrics-format without -metrics, and
+// a knob or run flag that a selected experiment does not take are each
+// refused with a one-line message naming the flag. -experiment, -list, -json, -quick and the profile pair are the
+// invocation's own and hold for every experiment.
+func ParseInvocation(fs *flag.FlagSet, args []string) (inv Invocation, err error) {
+	which := fs.String("experiment", "all", "comma-separated experiment ids, or 'all'")
+	fs.BoolVar(&inv.List, "list", false, "list experiments and exit")
+	fs.StringVar(&inv.JSON, "json", "", "write the structured results (id -> series) as JSON to this file")
+	o := &inv.Options
+	fs.BoolVar(&o.Quick, "quick", false, "reduced workload sizes")
+	inv.Run = BindRunFlags(fs, platformRunFlags...)
+	for _, p := range params {
+		p.bind(fs, o)
+	}
+	inv.Profile = BindProfileFlags(fs)
+	if err = fs.Parse(args); err != nil {
+		return inv, err
+	}
+	if o.ReplicasMax != 0 && o.ReplicasMax < o.ReplicasMin {
+		return inv, fmt.Errorf("-replicas-max %d is below -replicas-min %d", o.ReplicasMax, o.ReplicasMin)
+	}
+	if inv.Experiments, err = Select(*which); err != nil {
+		return inv, err
+	}
+	if o.Config, err = inv.Run.Config(); err != nil || inv.List {
+		return inv, err
+	}
+	return inv, checkParams(fs, inv.Experiments)
 }
 
 // Output is one experiment's product: structured results (what -json
@@ -69,10 +114,10 @@ func (o Output) Text() string {
 }
 
 // Experiment is one registered experiment. Run must be deterministic for a
-// fixed Options value. Params names the declared knobs (see params.go)
-// the experiment honours beyond ignoring them, and the platform run flags
-// (run.go) it takes — `repro -list` prints them, so usage is
-// self-describing.
+// fixed Options value. Params names the declared knobs (params.go) and the
+// run flags (run.go) the experiment takes; `repro -list` prints them, so
+// usage is self-describing, and repro refuses any other set to other than
+// its default.
 type Experiment struct {
 	ID     string
 	Title  string

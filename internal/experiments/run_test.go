@@ -7,13 +7,15 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/netback"
 )
 
 // TestRunFlags: the run flags parse into the configuration value they name,
-// and input no run can honour is refused — by Config, before anything runs —
-// with a message that names the flag.
+// and input no run can honour is refused — a value out of range when the
+// flag is parsed, a -metrics-format with no dump by Config, before anything
+// runs — with a message that names the flag.
 func TestRunFlags(t *testing.T) {
 	all := []string{"pcpus", "loss", "dup", "reorder", "jitter", "trace", "metrics", "metrics-format"}
 	for _, c := range []struct {
@@ -29,8 +31,8 @@ func TestRunFlags(t *testing.T) {
 		{args: "-metrics-format text", want: core.Config{PCPUs: 1}},
 		{args: "-trace t.json", want: core.Config{PCPUs: 1}},
 
-		{args: "-pcpus 0", err: "-pcpus 0"},
-		{args: "-pcpus -3", err: "-pcpus -3"},
+		{args: "-pcpus 0", err: `"0" for flag -pcpus`},
+		{args: "-pcpus -3", err: `"-3" for flag -pcpus`},
 		{args: "-loss 1.5", err: "-loss"},
 		{args: "-loss -0.1", err: "-loss"},
 		{args: "-loss NaN", err: "-loss"},
@@ -39,15 +41,16 @@ func TestRunFlags(t *testing.T) {
 		{args: "-jitter -1ms", err: "-jitter"},
 		{args: "-metrics -metrics-format json", err: "-metrics-format"},
 		{args: "-metrics-format yaml", err: "-metrics-format"}, // refused even when no dump was asked for
+		{args: "-metrics-format prom", err: "-metrics-format prom without -metrics"},
 	} {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
 		r := BindRunFlags(fs, all...)
-		if err := fs.Parse(strings.Fields(c.args)); err != nil {
-			t.Errorf("%q: parse: %v", c.args, err)
-			continue
+		err := fs.Parse(strings.Fields(c.args))
+		var cfg core.Config
+		if err == nil {
+			cfg, err = r.Config()
 		}
-		cfg, err := r.Config()
 		if c.err != "" {
 			if err == nil || !strings.Contains(err.Error(), c.err) || strings.Contains(err.Error(), "\n") {
 				t.Errorf("%q: error %v, want one line naming %q", c.args, err, c.err)
@@ -67,53 +70,6 @@ func TestRunFlags(t *testing.T) {
 		cfg.Trace, cfg.Metrics = nil, nil
 		if cfg != c.want {
 			t.Errorf("%q: config %+v, want %+v", c.args, cfg, c.want)
-		}
-	}
-}
-
-// TestBadIdsAndKnobsRefused: an id list naming an unknown experiment and a
-// knob value no experiment can honour are refused whole, by a message that
-// names the bad value, before anything runs — not after the valid part of
-// the invocation has run.
-func TestBadIdsAndKnobsRefused(t *testing.T) {
-	for _, c := range []struct {
-		list string
-		want string // ids selected, in order
-		err  string // substring of the refusal; "" = accepted
-	}{
-		{list: "fig6", want: "fig6"},
-		{list: "fig6, fig5", want: "fig5,fig6"}, // registration order
-		{list: "fig6,nosuch", err: `"nosuch"`},
-		{list: "", err: `""`},
-	} {
-		exps, err := Select(c.list)
-		var got []string
-		for _, e := range exps {
-			got = append(got, e.ID)
-		}
-		if c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) ||
-			c.err == "" && (err != nil || strings.Join(got, ",") != c.want) {
-			t.Errorf("Select(%q) = %v, %v; want %q, error naming %s", c.list, got, err, c.want, c.err)
-		}
-	}
-	if exps, err := Select("all"); err != nil || len(exps) != len(All()) {
-		t.Errorf("Select(all) = %d experiments, %v; want %d", len(exps), err, len(All()))
-	}
-
-	for _, c := range []struct{ args, err string }{
-		{"-lb-policy hash", ""},
-		{"-lb-policy lc -quick", ""},
-		{"-lb-policy bogus", "bogus"},
-	} {
-		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		fs.SetOutput(io.Discard)
-		opts := BindFlags(fs)
-		if err := fs.Parse(strings.Fields(c.args)); err != nil {
-			t.Fatalf("%q: parse: %v", c.args, err)
-		}
-		_, err := opts()
-		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err)) {
-			t.Errorf("%q: error %v, want %q", c.args, err, c.err)
 		}
 	}
 }
@@ -139,34 +95,102 @@ func TestBindRunFlagsSubset(t *testing.T) {
 	BindRunFlags(flag.NewFlagSet("t", flag.ContinueOnError), "no-such-flag")
 }
 
-// TestIgnoredRunFlagsRefused: a platform run flag that a selected experiment
-// ignores is refused in one line naming the experiment and the flag; the
-// defaults, and flags every selected experiment takes, pass.
-func TestIgnoredRunFlagsRefused(t *testing.T) {
-	for _, c := range []struct{ list, args, err string }{
-		{"fig8", "", ""},
-		{"fig8", "-pcpus 1 -loss 0 -jitter 0s", ""},
-		{"ping,scalesweep", "-pcpus 4 -loss 0.01 -dup 0.01 -reorder 0.01 -jitter 200us", ""},
-		{"losssweep", "-pcpus 4", ""},
-		{"fig8", "-loss 0.01", "experiment fig8 ignores -loss"},
-		{"losssweep", "-jitter 200us", "experiment losssweep ignores -jitter"},
-		{"scalesweep,fig6", "-pcpus 2", "experiment fig6 ignores -pcpus"},
-		{"all", "-dup 0.5", "experiment fig5 ignores -dup"},
-		{"ablations,table2", "-reorder 0.1", "experiment table2 ignores -reorder"},
-	} {
+// invocationCase is one repro command line and what ParseInvocation must
+// make of it.
+type invocationCase struct {
+	args []string
+	ids  string // the experiments selected, in order ("all": every one)
+	err  string // substring of the one-line refusal; "" = accepted
+}
+
+// checkInvocations parses each case whole, as repro does before anything
+// runs: a refusal is one line naming the bad value, and an accepted line
+// selects the experiments it names.
+func checkInvocations(t *testing.T, cases []invocationCase) {
+	t.Helper()
+	for _, c := range cases {
 		fs := flag.NewFlagSet("t", flag.ContinueOnError)
-		r := BindRunFlags(fs, platformFlags...)
-		if err := fs.Parse(strings.Fields(c.args)); err != nil {
-			t.Fatalf("%q: parse: %v", c.args, err)
+		fs.SetOutput(io.Discard)
+		inv, err := ParseInvocation(fs, c.args)
+		if c.err != "" {
+			if err == nil || !strings.Contains(err.Error(), c.err) || strings.Contains(err.Error(), "\n") {
+				t.Errorf("%q: error %v, want one line naming %q", c.args, err, c.err)
+			}
+			continue
 		}
-		cfg, err := r.Config()
-		exps, err2 := Select(c.list)
-		if err != nil || err2 != nil {
-			t.Fatalf("%s %q: %v, %v", c.list, c.args, err, err2)
+		var ids []string
+		for _, e := range inv.Experiments {
+			ids = append(ids, e.ID)
 		}
-		err = CheckRunFlags(exps, cfg)
-		if c.err == "" && err != nil || c.err != "" && (err == nil || !strings.Contains(err.Error(), c.err) || strings.Contains(err.Error(), "\n")) {
-			t.Errorf("%s %q: error %v, want one line naming %q", c.list, c.args, err, c.err)
+		if err != nil || strings.Join(ids, ",") != c.ids && !(c.ids == "all" && len(ids) == len(All())) {
+			t.Errorf("%q: selected %v, error %v; want %s", c.args, ids, err, c.ids)
 		}
+	}
+}
+
+// TestBadIdsAndKnobsRefused: an unknown id anywhere in the -experiment list
+// and a knob value outside its declared range are refused when the command
+// line is parsed; a value inside the range, the declared defaults, and the
+// invocation's own flags pass.
+func TestBadIdsAndKnobsRefused(t *testing.T) {
+	f := strings.Fields
+	checkInvocations(t, []invocationCase{
+		{args: f("-experiment fig6"), ids: "fig6"},
+		{args: []string{"-experiment", "fig6, fig5"}, ids: "fig5,fig6"}, // registration order
+		{args: f("-quick -json x"), ids: "all"},
+		{args: f("-list -seed 7"), ids: "all"},
+		{args: f("-experiment kvsweep -quick -read-pct 0 -qd-max 1"), ids: "kvsweep"},
+		{args: f("-experiment scalesweep -seed 7 -lb-policy hash"), ids: "scalesweep"},
+		{args: f("-experiment scalesweep -lb-policy lc -quick -replicas-min 3"), ids: "scalesweep"},
+
+		{args: f("-experiment fig6,nosuch"), err: `"nosuch"`},
+		{args: []string{"-experiment", ""}, err: `""`},
+		{args: f("-experiment scalesweep -lb-policy bogus"), err: "bogus"},
+		{args: f("-experiment kvsweep -read-pct 96"), err: "-read-pct"},
+		{args: f("-experiment kvsweep -value-bytes 0"), err: "-value-bytes"},
+		{args: f("-experiment kvsweep -value-bytes 257"), err: "-value-bytes"},
+		{args: f("-experiment kvsweep -qd-max 513"), err: "-qd-max"},
+		{args: f("-experiment scalesweep -replicas-min 0"), err: "-replicas-min"},
+		{args: f("-experiment scalesweep -replicas-min 3 -replicas-max 2"), err: "-replicas-max 2 is below -replicas-min 3"},
+	})
+}
+
+// TestIgnoredRunFlagsRefused: a knob or run flag set, away from its default,
+// for a selected experiment that does not take it is refused in one line
+// naming the experiment and the flag; flags every selected experiment takes,
+// and flags left at their default, pass.
+func TestIgnoredRunFlagsRefused(t *testing.T) {
+	f := strings.Fields
+	checkInvocations(t, []invocationCase{
+		{args: f("-experiment fig8 -loss 0"), ids: "fig8"},
+		{args: f("-experiment fig8 -pcpus 1 -loss 0 -jitter 0s -metrics-format text"), ids: "fig8"},
+		{args: f("-experiment ping,scalesweep -pcpus 4 -loss 0.01 -dup 0.01 -reorder 0.01 -jitter 200us"), ids: "ping,scalesweep"},
+		{args: f("-experiment losssweep -pcpus 4 -trace t"), ids: "losssweep"},
+
+		{args: f("-experiment fig10 -seed 7"), err: "experiment fig10 ignores -seed"},
+		{args: f("-experiment fig10 -quick -seed 7 -replicas-max 3 -value-bytes 9 -domstat -memstats"), err: "experiment fig10 ignores -domstat"},
+		{args: f("-experiment fig6 -trace t"), err: "experiment fig6 ignores -trace"},
+		{args: f("-experiment fig6 -metrics"), err: "experiment fig6 ignores -metrics"},
+		{args: f("-experiment ablations -loss 0.01"), err: "experiment ablations ignores -loss"},
+		{args: f("-experiment fig8 -loss 0.01"), err: "experiment fig8 ignores -loss"},
+		{args: f("-experiment losssweep -jitter 200us"), err: "experiment losssweep ignores -jitter"},
+		{args: f("-experiment scalesweep,fig6 -pcpus 2"), err: "experiment fig6 ignores -pcpus"},
+		{args: f("-dup 0.5"), err: "experiment fig5 ignores -dup"},
+		{args: f("-experiment ablations,table2 -reorder 0.1"), err: "experiment table2 ignores -reorder"},
+	})
+}
+
+// TestInvocations: a knob's declared default and range hold all the way to
+// the run: -read-pct 0 parses to a 0 % mix, not the default, and the sweep
+// prints it as one.
+func TestInvocations(t *testing.T) {
+	inv, err := ParseInvocation(flag.NewFlagSet("t", flag.ContinueOnError), strings.Fields("-experiment kvsweep -quick -read-pct 0 -qd-max 1"))
+	o := inv.Options
+	if err != nil || o.ReadPct != 0 || o.ValueBytes != 128 || o.QDMax != 1 || o.Seed != 42 || !o.Quick {
+		t.Fatalf("kvsweep -read-pct 0: %+v, %v", o, err)
+	}
+	r := bench.KVSweep(o.Config, bench.KVSweepConfig{Seed: o.Seed, Quick: o.Quick, ValueBytes: o.ValueBytes, ReadPct: o.ReadPct, QDMax: o.QDMax})
+	if !strings.Contains(r.Format(), "0% reads") || strings.Contains(r.Format(), "50% reads") {
+		t.Errorf("kvsweep -read-pct 0 prints:\n%s", r.Format())
 	}
 }

@@ -127,7 +127,7 @@ type Spec struct {
 	LBIP    ipv4.Addr
 	MACBase byte
 
-	Min, Max int
+	Min, Max int // the replica bounds, Min <= Max
 	Policy   Policy
 
 	// Hosts, when set, spreads replicas across these platform hosts
@@ -190,9 +190,6 @@ var LatencyBounds = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 500
 // New creates the balancer, summons Min replicas and starts the probe and
 // control loops. Call before Platform.Run/RunFor.
 func New(pl *core.Platform, spec Spec) *Fleet {
-	if spec.Max < spec.Min { // -replicas-max may sit below -replicas-min
-		spec.Max = spec.Min
-	}
 	k := pl.K
 	f := &Fleet{
 		pl:   pl,
