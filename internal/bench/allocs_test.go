@@ -52,9 +52,9 @@ func TestSteadyStateAllocations(t *testing.T) {
 		{"DNSServe", 18.48, dnsServe},
 		{"BlockWrite", 3.005, blockWrite},
 		{"KVSet", 5.52, kvSet},
-		{"TCPStream", 543.38, tcpStream},
+		{"TCPStream", 363.11, tcpStream},
 		{"TCPBulk", 1553.02, tcpBulk},
-		{"HTTPRequest", 23.05, httpRequest},
+		{"HTTPRequest", 21.05, httpRequest},
 	} {
 		got, err := allocsPerOp(sc.run)
 		if err != nil {

@@ -2,7 +2,9 @@
 // byte buffers — the Go analogue of Mirage's camlp4 `cstruct` extension
 // (paper §3.4): typed accessors over externally allocated I/O pages, with
 // zero-copy sub-view slicing and page recycling once every view of a page
-// has been released.
+// has been released. A view leaves the network stack at tcp.Conn.Read: the
+// application is lent the received payload's bytes in the page netback
+// filled, and the page returns to the pool at its next Read, Close or Abort.
 //
 // In Mirage, sub-views are garbage-collected and the underlying page
 // returns to the free pool when the GC drops the last view. Go has no

@@ -72,6 +72,27 @@ func TestCompressionShrinksAndStaysParseable(t *testing.T) {
 	}
 }
 
+// TestEncodedMessagesHoldNoSpareCapacity: an encoded message is exactly its
+// length, in one allocation, so the memo's answers and a load generator's
+// pre-encoded queries each pin their own bytes, not a 512-byte buffer.
+func TestEncodedMessagesHoldNoSpareCapacity(t *testing.T) {
+	resp := mustEncode(t, Message{
+		ID:        1,
+		Flags:     FlagResponse | FlagAuthoritative,
+		Questions: []Question{{Name: "host-1.example.org", Type: TypeA, Class: ClassIN}},
+		Answers:   []RR{{Name: "host-1.example.org", Type: TypeA, Class: ClassIN, TTL: 300, Data: "10.0.0.1"}},
+	}, NewTreeCompressor())
+	q := EncodeQuery(1, "host-1.example.org", TypeA)
+	for name, b := range map[string][]byte{"EncodeMessage": resp, "EncodeQuery": q} {
+		if cap(b) != len(b) {
+			t.Errorf("%s: len %d, cap %d, want equal", name, len(b), cap(b))
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { EncodeQuery(1, "host-1.example.org", TypeA) }); n != 1 {
+		t.Errorf("EncodeQuery: %v allocations, want 1", n)
+	}
+}
+
 func TestCompressionPointerLoopRejected(t *testing.T) {
 	// 12-byte header + a name that points at itself.
 	b := make([]byte, 16)

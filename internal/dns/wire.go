@@ -278,9 +278,13 @@ func parseA(s string) (o [4]byte, ok bool) {
 // EncodeMessage serialises a message using the given label-compression
 // strategy (nil disables compression). It fails on a record whose Data is
 // not what its type requires — an A record that is not a dotted quad —
-// rather than put a made-up value on the wire.
+// rather than put a made-up value on the wire. The message is built in a
+// 512-byte stack buffer (the classic UDP limit) and returned in one
+// allocation of exactly its length, so a kept message (the memo's answers, a
+// load generator's queries) pins no spare capacity.
 func EncodeMessage(m Message, comp Compressor) ([]byte, error) {
-	b := make([]byte, 12, 512)
+	var scratch [512]byte
+	b := scratch[:12]
 	put16 := func(i int, v uint16) { b[i], b[i+1] = byte(v>>8), byte(v) }
 	put16(0, m.ID)
 	put16(2, m.Flags)
@@ -301,7 +305,9 @@ func EncodeMessage(m Message, comp Compressor) ([]byte, error) {
 			}
 		}
 	}
-	return b, nil
+	out := make([]byte, len(b))
+	copy(out, b)
+	return out, nil
 }
 
 func append16(b []byte, v uint16) []byte { return append(b, byte(v>>8), byte(v)) }

@@ -444,27 +444,32 @@ const spanLayerHTTPD = 3
 // available; resolves nil on EOF or malformed input.
 func (sc *servedConn) readRequest() *lwt.Promise[*Request] {
 	sc.out = lwt.NewPromise[*Request](sc.srv.S)
-	sc.parse()
+	sc.parse(sc.buf)
 	return sc.out
 }
 
-// parse resolves sc.out from the buffered bytes, or reads more.
-func (sc *servedConn) parse() {
-	if req, n, err := tryParseRequest(sc.buf); err != nil {
+// parse resolves sc.out from b, or reads more. b is the buffered bytes, or
+// the bytes a Read just lent when nothing was buffered: those are valid only
+// until the next Read, so whatever parse leaves unparsed it copies into
+// sc.buf, the connection's own buffer, reused from request to request. A
+// parsed Request shares no bytes with b.
+func (sc *servedConn) parse(b []byte) {
+	req, n, err := tryParseRequest(b)
+	switch {
+	case err != nil:
 		sc.out.Resolve(nil)
-		return
-	} else if req != nil {
-		sc.buf = sc.buf[n:]
+	case req != nil:
+		sc.buf = append(sc.buf[:0], b[n:]...)
 		sc.out.Resolve(req)
-		return
+	default:
+		sc.buf = append(sc.buf[:0], b...)
+		sc.rd = sc.c.Read(64 << 10)
+		lwt.Always(sc.rd, sc.onRead)
 	}
-	sc.rd = sc.c.Read(64 << 10)
-	lwt.Always(sc.rd, sc.onRead)
 }
 
-// read takes a completed Read into the buffer. An empty buffer keeps the
-// slice Read returned: that is the reader's own copy or a capped reslice of
-// a sent chunk, so a later append cannot write into anyone else's bytes.
+// read takes a completed Read: parsed in place when nothing is buffered,
+// appended to the buffer otherwise.
 func (sc *servedConn) read() {
 	rd := sc.rd
 	sc.rd = nil
@@ -477,12 +482,11 @@ func (sc *servedConn) read() {
 		sc.out.Resolve(nil) // EOF
 		return
 	}
-	if len(sc.buf) == 0 {
-		sc.buf = data
-	} else {
+	if len(sc.buf) > 0 {
 		sc.buf = append(sc.buf, data...)
+		data = sc.buf
 	}
-	sc.parse()
+	sc.parse(data)
 }
 
 // A message may make its reader buffer at most a header section of
@@ -635,33 +639,38 @@ func (cl *Client) Do(req *Request, then func(*Response)) {
 			then(nil)
 			return
 		}
-		cl.read(then)
+		cl.read(cl.buf, then)
 	})
 }
 
-// read accumulates bytes until one complete response is buffered.
-func (cl *Client) read(then func(*Response)) {
-	if resp, n, err := ParseResponse(cl.buf); err != nil {
+// read calls then with the response in b (the buffered bytes, or a fresh
+// Read's), or reads more. As in servedConn.parse, b may be bytes a Read
+// lent, so whatever is left unparsed is copied into cl.buf, which the client
+// reuses.
+func (cl *Client) read(b []byte, then func(*Response)) {
+	resp, n, err := ParseResponse(b)
+	switch {
+	case err != nil:
 		then(nil)
-		return
-	} else if resp != nil {
-		cl.buf = cl.buf[n:]
+	case resp != nil:
+		cl.buf = append(cl.buf[:0], b[n:]...)
 		then(resp)
-		return
+	default:
+		cl.buf = append(cl.buf[:0], b...)
+		rd := cl.c.Read(64 << 10)
+		lwt.Always(rd, func() {
+			if rd.Failed() != nil || len(rd.Value()) == 0 {
+				then(nil)
+				return
+			}
+			data := rd.Value()
+			if len(cl.buf) > 0 {
+				cl.buf = append(cl.buf, data...)
+				data = cl.buf
+			}
+			cl.read(data, then)
+		})
 	}
-	rd := cl.c.Read(64 << 10)
-	lwt.Always(rd, func() {
-		if rd.Failed() != nil || len(rd.Value()) == 0 {
-			then(nil)
-			return
-		}
-		if len(cl.buf) == 0 {
-			cl.buf = rd.Value() // as servedConn.read keeps it
-		} else {
-			cl.buf = append(cl.buf, rd.Value()...)
-		}
-		cl.read(then)
-	})
 }
 
 // Session runs one keep-alive session (the httperf session of §4.4) on st

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cstruct"
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
 	"repro/internal/sim"
@@ -12,7 +13,9 @@ import (
 )
 
 // twoStacks wires two TCP stacks, a (10.0.0.1) and b (10.0.0.2), over an
-// in-memory pipe (as in the tcp package tests).
+// in-memory pipe. Each segment is encoded into a page of the receiver's pool
+// on arrival and parsed back, as a frame off the wire is, so a read is lent
+// a receive page that the next arrival may reuse once it is returned.
 func twoStacks() (k *sim.Kernel, sa *lwt.Scheduler, sta *tcp.Stack, sb *lwt.Scheduler, stb *tcp.Stack) {
 	k = sim.NewKernel(9)
 	mk := func(name string, ip ipv4.Addr) (*lwt.Scheduler, *tcp.Stack, *sim.Signal) {
@@ -26,9 +29,18 @@ func twoStacks() (k *sim.Kernel, sa *lwt.Scheduler, sta *tcp.Stack, sb *lwt.Sche
 	sa, sta, sigA := mk("client", ipA)
 	sb, stb, sigB := mk("server", ipB)
 	pipe := func(from *tcp.Stack, to *tcp.Stack, sig *sim.Signal) {
+		pool := cstruct.NewPool()
 		from.Output = func(dst ipv4.Addr, seg tcp.Segment) {
 			k.After(200*time.Microsecond, func() {
-				to.Input(from.LocalIP, seg)
+				page := pool.Get()
+				body := page.Sub(0, seg.WireLen())
+				page.Release()
+				tcp.Encode(body, from.LocalIP, dst, seg)
+				in, err := tcp.Parse(from.LocalIP, dst, body)
+				if err != nil {
+					panic(err)
+				}
+				to.Input(from.LocalIP, in)
 				sig.Set()
 			})
 		}

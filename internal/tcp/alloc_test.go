@@ -23,6 +23,7 @@ type rxRig struct {
 	c    *Conn
 	peer ipv4.Addr
 	pool *cstruct.Pool
+	page []byte // the page the last injected segment was encoded into
 
 	seq     uint32 // next sequence number the peer sends
 	payload []byte
@@ -83,6 +84,7 @@ func (r *rxRig) inject(seg Segment) {
 		seg.WndScale = -1
 	}
 	page := r.pool.Get()
+	r.page = page.Bytes()
 	body := page.Sub(0, seg.WireLen())
 	page.Release()
 	Encode(body, r.peer, r.st.LocalIP, seg)
@@ -97,6 +99,12 @@ func (r *rxRig) run(t *testing.T, d time.Duration) {
 	if _, err := r.k.RunFor(d); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// push delivers the peer's next in-order data segment, carrying p.
+func (r *rxRig) push(p []byte) {
+	r.inject(Segment{Seq: r.seq, Ack: r.c.sndNxt, Flags: FlagACK, Payload: p})
+	r.seq += uint32(len(p))
 }
 
 // ack delivers a pure ACK from the peer up to (not including) seq ack.
@@ -186,10 +194,10 @@ func TestLossRecoveryRFCCases(t *testing.T) {
 }
 
 // TestReceiveSegmentAllocations: an in-order MSS segment that finds a Read
-// already pending costs the receiving side two allocations — the promise of
-// the Read the application issues next and the copy out of the receive page
-// — and nothing for the receive chain, the reader queue, the promise's
-// continuation or the ACK flush.
+// already pending costs the receiving side one allocation — the promise of
+// the Read the application issues next — and nothing for the bytes (lent in
+// place), the receive chain, the reader queue, the promise's continuation or
+// the ACK flush.
 func TestReceiveSegmentAllocations(t *testing.T) {
 	r := newRxRig(t)
 	// The application: one closure and one variable for every read, so the
@@ -219,10 +227,10 @@ func TestReceiveSegmentAllocations(t *testing.T) {
 	if r.acks-acks < 5*segs/2 {
 		t.Errorf("stack sent %d ACKs for %d segments, want one per two", r.acks-acks, 5*segs)
 	}
-	// Two per segment, plus the timing wheel's own event when the burst's
+	// One per segment, plus the timing wheel's own event when the burst's
 	// first delayed-ACK timer wakes it from idle.
-	if perBurst > 2*segs+1 {
-		t.Errorf("%d received segments allocate %v objects, want <= 2 each (the Read promise and the copy-out)", segs, perBurst)
+	if perBurst > segs+1 {
+		t.Errorf("%d received segments allocate %v objects, want <= 1 each (the Read promise)", segs, perBurst)
 	}
 	if r.pool.FreePages() == 0 {
 		t.Error("no receive page went back to the pool")

@@ -66,7 +66,8 @@ type pendingRead struct {
 
 // rcvChunk is one in-order span of received payload. When view is non-nil
 // the bytes alias a pooled receive page kept alive by that view; the page
-// reference is dropped once the application has consumed the chunk.
+// reference is dropped once the application has consumed the chunk, or
+// moves to Conn.lent when a Read lends the chunk's last bytes.
 type rcvChunk struct {
 	data []byte
 	view *cstruct.View
@@ -139,6 +140,10 @@ type Conn struct {
 
 	readers fifo.Queue[pendingRead]
 	writers fifo.Queue[pendingWrite]
+	// lent holds the receive page of the bytes the last Read resolved with
+	// in place; it returns to the pool at the reader's next Read, Close or
+	// Abort (see Read).
+	lent *cstruct.View
 
 	connectP *lwt.Promise[*Conn]
 	doneP    *lwt.Promise[struct{}]
@@ -431,8 +436,14 @@ func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 }
 
 // Read resolves with up to max bytes as soon as data is available, with an
-// empty slice at EOF (peer closed), or fails after a reset.
+// empty slice at EOF (peer closed), or fails after a reset. The bytes are
+// lent, not copied, when they lie in one received segment: they are a view
+// of the receive page and stay valid until the caller's next Read, Close or
+// Abort on this connection, which return the page to the domain's pool. A
+// caller that keeps them longer copies them (Mirage's contract for a read
+// buffer, mirrored by Write's and shared with bufio.Reader.ReadSlice).
 func (c *Conn) Read(max int) *lwt.Promise[[]byte] {
+	c.returnLent()
 	pr := lwt.NewPromise[[]byte](c.st.S)
 	if max <= 0 {
 		// An empty slice means EOF; a read that can carry no bytes must not
@@ -443,6 +454,16 @@ func (c *Conn) Read(max int) *lwt.Promise[[]byte] {
 	c.readers.Push(pendingRead{max: max, pr: pr})
 	c.wakeReaders()
 	return pr
+}
+
+// returnLent drops the page reference the last Read lent, if any. Only the
+// reader's own calls reach it: a teardown the peer starts leaves the page
+// lent, because the callback of the Read that took it may still be queued.
+func (c *Conn) returnLent() {
+	if c.lent != nil {
+		c.lent.Release()
+		c.lent = nil
+	}
 }
 
 func (c *Conn) wakeReaders() {
@@ -472,11 +493,12 @@ func (c *Conn) wakeReaders() {
 	}
 }
 
-// takeRcv consumes up to max buffered bytes. A heap-backed chunk that fits
-// entirely is handed to the application without a copy; page-backed chunks
-// are copied here — the application boundary — and their page references
-// released (the §3.4.1 discipline: the page stays pinned only while the
-// stack still holds unconsumed bytes).
+// takeRcv consumes up to max buffered bytes, charging them to the receive
+// window. Bytes that lie in the head chunk are returned in place, with no
+// copy — the §3.4.1 discipline: the application reads a view of the page
+// netback filled. A page-backed chunk's page stays pinned in c.lent until
+// the reader's next call (see Read); a second read resolved while a page is
+// lent, and a read that spans chunks, get a copy.
 func (c *Conn) takeRcv(max int) []byte {
 	n := c.rcvLen
 	if n > max {
@@ -484,8 +506,18 @@ func (c *Conn) takeRcv(max int) []byte {
 	}
 	first := c.rcvChain.At(0)
 	c.rcvLen -= n
-	if first.view == nil && len(first.data) == n {
-		return c.rcvChain.Pop().data
+	if len(first.data) >= n && (first.view == nil || c.lent == nil) {
+		out := first.data[:n:n]
+		if first.view != nil {
+			c.lent = first.view
+			if n < len(first.data) {
+				c.lent.Retain() // the rest of the chunk keeps its own reference
+			} else {
+				first.view = nil // the reference moves to c.lent
+			}
+		}
+		c.consumeRcv(n)
+		return out
 	}
 	src := first.data
 	out := make([]byte, n)
@@ -514,6 +546,7 @@ func (c *Conn) consumeRcv(want int) int {
 
 // Close queues a FIN after buffered data drains (active/passive close).
 func (c *Conn) Close() {
+	c.returnLent()
 	if c.finQueued || c.err != nil {
 		return
 	}
@@ -529,6 +562,7 @@ func (c *Conn) Close() {
 
 // Abort sends RST and tears the connection down.
 func (c *Conn) Abort() {
+	c.returnLent()
 	if c.state != StateClosed {
 		c.send(FlagRST|FlagACK, c.sndNxt, nil, false)
 	}

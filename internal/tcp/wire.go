@@ -135,7 +135,8 @@ func Encode(v *cstruct.View, src, dst ipv4.Addr, s Segment) int {
 // Parse decodes a segment, verifying the checksum, and releases v. The
 // payload is NOT copied: it stays a sub-view of the receive page (held via
 // Segment.view), and the reassembly path keeps that view retained until the
-// application consumes the bytes — only the out-of-order map copies.
+// application has read the bytes, which Conn.Read lends it in place — only
+// the out-of-order map copies.
 func Parse(src, dst ipv4.Addr, v *cstruct.View) (Segment, error) {
 	defer v.Release()
 	if v.Len() < HeaderLen {
