@@ -54,7 +54,7 @@ func TestSteadyStateAllocations(t *testing.T) {
 		{"KVSet", 5.52, kvSet},
 		{"TCPStream", 363.11, tcpStream},
 		{"TCPBulk", 1553.02, tcpBulk},
-		{"HTTPRequest", 21.05, httpRequest},
+		{"HTTPRequest", 16.05, httpRequest},
 	} {
 		got, err := allocsPerOp(sc.run)
 		if err != nil {

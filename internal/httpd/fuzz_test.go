@@ -10,7 +10,8 @@ import (
 
 // hostileLengths are messages whose body no buffer should hold or no parser
 // here can frame: each once cut the buffer out of bounds, left the reader
-// buffering until the peer closed, or read a body as the next request.
+// buffering until the peer closed, read a body as the next request, or
+// framed the body by whichever of two differing lengths came last.
 var hostileLengths = []struct {
 	name     string
 	response bool // parse with ParseResponse, else tryParseRequest
@@ -24,11 +25,13 @@ var hostileLengths = []struct {
 	{"response/negative", true, "HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n", true},
 	{"response/max-int64", true, "HTTP/1.1 200 OK\r\nContent-Length: 9223372036854775807\r\n\r\n", true},
 	{"response/not-a-number", true, "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n", true},
+	{"request/two-lengths", false, "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde", true},
+	{"response/two-lengths", true, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 0\r\n\r\nhello", true},
 }
 
 // TestHostileContentLength: a negative or unparsable length, one above
-// maxBody, and a Transfer-Encoding are errors; a length up to maxBody beyond
-// the buffered bytes asks for more data; none panics.
+// maxBody, two that differ, and a Transfer-Encoding are errors; a length up
+// to maxBody beyond the buffered bytes asks for more data; none panics.
 func TestHostileContentLength(t *testing.T) {
 	for _, tc := range hostileLengths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -55,13 +58,18 @@ func fuzzSeeds(f *testing.F) {
 	for _, tc := range hostileLengths {
 		f.Add([]byte(tc.msg))
 	}
-	f.Add(EncodeRequest(&Request{Method: "POST", Path: "/x", Headers: map[string]string{"Host": "a"}, Body: []byte("hello")}))
-	f.Add((&Response{Status: 404, Headers: map[string]string{"X-Test": "1"}, Body: []byte("missing")}).Encode())
+	f.Add(EncodeRequest(&Request{Method: "POST", Path: "/x", Close: true, Body: []byte("hello")}))
+	f.Add((&Response{Status: 404, Body: []byte("missing")}).Encode())
 	f.Add([]byte("GET /a b HTTP/1.1\r\ncontent-LENGTH:  3 \r\nHost: x\r\nhost: y\r\n\r\nabcdef"))
+	f.Add([]byte("GET / HTTP/1.0\r\nConnection: Keep-Alive\r\nContent-Length: 1\r\ncontent-length: 1\r\n\r\na"))
+	// strings.ToLower maps U+212A to k and U+0130 to i, so the reference
+	// reads these as keep-alive and Transfer-Encoding.
+	f.Add([]byte("GET / HTTP/1.0\r\nConnection: \u212aeep-al\u0130ve\r\n\r\n"))
+	f.Add([]byte("POST / HTTP/1.1\r\nTransfer-Encod\u0130ng: x\r\n\r\n"))
 }
 
 // sameParse fails t unless a parser's result matches the reference's —
-// every field, the Headers map, the bytes consumed and whether it erred —
+// every field, the bytes consumed and whether it erred —
 // or the parser refused a message the reference framed and refusedFraming
 // says why.
 func sameParse(t *testing.T, b []byte, got any, n int, err error, want any, wantN int, wantErr error) {
@@ -75,8 +83,8 @@ func sameParse(t *testing.T, b []byte, got any, n int, err error, want any, want
 }
 
 // refusedFraming reports whether b's header section declares a body only the
-// reference would frame: a Transfer-Encoding, or a Content-Length above
-// maxBody.
+// reference would frame: a Transfer-Encoding, two Content-Length values that
+// differ, or a Content-Length above maxBody.
 func refusedFraming(b []byte) bool {
 	head := strings.Index(string(b), "\r\n\r\n")
 	if head < 0 {
@@ -85,7 +93,11 @@ func refusedFraming(b []byte) bool {
 	h := map[string]string{}
 	for _, l := range strings.Split(string(b[:head]), "\r\n")[1:] {
 		if i := strings.IndexByte(l, ':'); i >= 0 {
-			h[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
+			k, v := strings.ToLower(strings.TrimSpace(l[:i])), strings.TrimSpace(l[i+1:])
+			if old, ok := h[k]; ok && k == "content-length" && old != v {
+				return true
+			}
+			h[k] = v
 		}
 	}
 	if _, ok := h["transfer-encoding"]; ok {
@@ -97,7 +109,7 @@ func refusedFraming(b []byte) bool {
 
 // FuzzParseRequest: the request parser matches the reference, never panics,
 // consumes no more than it was given, and what it accepts EncodeRequest
-// writes back as the same method, path and body.
+// writes back as the same method, path, Close and body.
 func FuzzParseRequest(f *testing.F) {
 	fuzzSeeds(f)
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -115,7 +127,7 @@ func FuzzParseRequest(f *testing.F) {
 		if err != nil || back == nil || m != len(enc) {
 			t.Fatalf("re-encoded request does not parse whole (%d of %d bytes): %v\n%q", m, len(enc), err, enc)
 		}
-		if back.Method != req.Method || back.Path != req.Path || !bytes.Equal(back.Body, req.Body) {
+		if back.Method != req.Method || back.Path != req.Path || back.Close != req.Close || !bytes.Equal(back.Body, req.Body) {
 			t.Fatalf("round trip changed the request: %+v -> %+v", req, back)
 		}
 	})
@@ -148,22 +160,17 @@ func FuzzParseResponse(f *testing.F) {
 }
 
 // FuzzEncode: both encoders write the reference's bytes for any method,
-// path, status and body with at most one header (with two or more the
-// reference's order is the map's).
+// path, status, body and Close.
 func FuzzEncode(f *testing.F) {
-	f.Add("GET", "/item/0042", 200, make([]byte, 512), "", "")
-	f.Add("POST", "/x", 404, []byte("hello"), "X-Test", "1")
-	f.Add("", "", -7, []byte(nil), "Content-Length", "9")
-	f.Fuzz(func(t *testing.T, method, path string, status int, body []byte, key, value string) {
-		var h map[string]string
-		if key != "" {
-			h = map[string]string{key: value}
-		}
-		req := &Request{Method: method, Path: path, Headers: h, Body: body}
+	f.Add("GET", "/item/0042", 200, make([]byte, 512), false)
+	f.Add("POST", "/x", 404, []byte("hello"), true)
+	f.Add("", "", -7, []byte(nil), false)
+	f.Fuzz(func(t *testing.T, method, path string, status int, body []byte, close bool) {
+		req := &Request{Method: method, Path: path, Close: close, Body: body}
 		if got, want := EncodeRequest(req), refEncodeRequest(req); !bytes.Equal(got, want) {
 			t.Fatalf("EncodeRequest = %q, reference %q", got, want)
 		}
-		resp := &Response{Status: status, Headers: h, Body: body}
+		resp := &Response{Status: status, Body: body}
 		if got, want := resp.Encode(), refEncodeResponse(resp); !bytes.Equal(got, want) {
 			t.Fatalf("Encode = %q, reference %q", got, want)
 		}

@@ -2,16 +2,19 @@
 // clean-slate TCP stack (paper Table 1, §4.4): request parsing from the
 // byte stream, keep-alive connections, and Content-Length bodies. Like
 // everything in a unikernel it is a library linked with the application;
-// the handler runs in the same address space with no userspace copy.
+// the handler runs in the same address space with no userspace copy. The
+// parsers act on Content-Length, Transfer-Encoding (refused) and Connection
+// (Request.Close), and skip every other header where it lies.
 package httpd
 
 import (
 	"bytes"
 	"fmt"
-	"slices"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/ipv4"
 	"repro/internal/lwt"
@@ -22,27 +25,21 @@ import (
 
 // Request is a parsed HTTP request.
 type Request struct {
-	Method  string
-	Path    string
-	Proto   string
-	Headers map[string]string
-	Body    []byte
+	Method string
+	Path   string
+	// Close ends the connection after the response: Connection: close on
+	// HTTP/1.1, no Connection: keep-alive on HTTP/1.0.
+	Close bool
+	Body  []byte
 }
 
 // KeepAlive reports whether the connection should persist.
-func (r *Request) KeepAlive() bool {
-	c := strings.ToLower(r.Headers["connection"])
-	if r.Proto == "HTTP/1.0" {
-		return c == "keep-alive"
-	}
-	return c != "close"
-}
+func (r *Request) KeepAlive() bool { return !r.Close }
 
 // Response is an HTTP response.
 type Response struct {
-	Status  int
-	Headers map[string]string
-	Body    []byte
+	Status int
+	Body   []byte
 }
 
 // statusText covers the statuses the appliances use.
@@ -56,44 +53,38 @@ func (r *Response) Encode() []byte {
 	if txt == "" {
 		txt = "Status"
 	}
-	b := make([]byte, 0, len("HTTP/1.1 ")+maxIntLen+1+len(txt)+2+encodedLen(r.Headers, r.Body))
+	b := make([]byte, 0, len("HTTP/1.1 ")+maxIntLen+1+len(txt)+2+encodedLen(false, r.Body))
 	b = append(b, "HTTP/1.1 "...)
 	b = strconv.AppendInt(b, int64(r.Status), 10)
 	b = append(b, ' ')
 	b = append(b, txt...)
 	b = append(b, "\r\n"...)
-	return appendMessage(b, r.Headers, r.Body)
+	return appendMessage(b, false, r.Body)
 }
 
 // maxIntLen is the longest decimal int, sign included.
 const maxIntLen = 20
 
-// encodedLen bounds what appendMessage adds for these headers and body.
-func encodedLen(h map[string]string, body []byte) int {
-	n := len("Content-Length: ") + maxIntLen + 2 + 2 + len(body)
-	for k, v := range h {
-		n += len(k) + 2 + len(v) + 2
+const connClose = "Connection: close\r\n"
+
+// encodedLen bounds what appendMessage adds.
+func encodedLen(closing bool, body []byte) int {
+	n := len("Content-Length: \r\n\r\n") + maxIntLen + len(body)
+	if closing {
+		n += len(connClose)
 	}
 	return n
 }
 
 // appendMessage appends everything after the request or status line: the
-// Content-Length header, the other headers sorted by key (so a message
-// encodes to the same bytes every time), the blank line and the body.
-func appendMessage(b []byte, h map[string]string, body []byte) []byte {
+// Content-Length header, Connection: close if closing, the blank line and
+// the body.
+func appendMessage(b []byte, closing bool, body []byte) []byte {
 	b = append(b, "Content-Length: "...)
 	b = strconv.AppendInt(b, int64(len(body)), 10)
 	b = append(b, "\r\n"...)
-	var keys []string
-	for k := range h {
-		keys = append(keys, k)
-	}
-	slices.Sort(keys)
-	for _, k := range keys {
-		b = append(b, k...)
-		b = append(b, ": "...)
-		b = append(b, h[k]...)
-		b = append(b, "\r\n"...)
+	if closing {
+		b = append(b, connClose...)
 	}
 	b = append(b, "\r\n"...)
 	return append(b, body...)
@@ -497,12 +488,11 @@ const (
 	maxBody   = 1 << 20
 )
 
-var crlfcrlf = []byte("\r\n\r\n")
+var crlf, crlfcrlf = []byte("\r\n"), []byte("\r\n\r\n")
 
 // tryParseRequest parses a complete request from b, returning (req, bytes
-// consumed). It returns (nil, 0, nil) when more data is needed. The header
-// section is converted to a string once; method, path, protocol and every
-// header key and value are substrings of it.
+// consumed). It returns (nil, 0, nil) when more data is needed. Only the
+// request line becomes a string; method and path are substrings of it.
 func tryParseRequest(b []byte) (*Request, int, error) {
 	head := bytes.Index(b, crlfcrlf)
 	if head < 0 {
@@ -511,109 +501,116 @@ func tryParseRequest(b []byte) (*Request, int, error) {
 		}
 		return nil, 0, nil
 	}
-	line, rest, more := strings.Cut(string(b[:head]), "\r\n")
+	start, fields, _ := bytes.Cut(b[:head], crlf)
+	line := string(start)
 	method, tail, ok1 := strings.Cut(line, " ")
 	path, proto, ok2 := strings.Cut(tail, " ")
 	if !ok1 || !ok2 || !strings.HasPrefix(proto, "HTTP/") {
 		return nil, 0, fmt.Errorf("httpd: bad request line %q", line)
 	}
-	req := &Request{Method: method, Path: path, Proto: proto, Headers: map[string]string{}}
-	for more {
-		var l string
-		l, rest, more = strings.Cut(rest, "\r\n")
-		i := strings.IndexByte(l, ':')
-		if i < 0 {
-			return nil, 0, fmt.Errorf("httpd: bad header %q", l)
-		}
-		req.Headers[headerKey(l[:i])] = strings.TrimSpace(l[i+1:])
-	}
-	total, err := messageEnd(b, head, req.Headers)
+	total, conn, err := frame(b, head, fields, true)
 	if err != nil || total == 0 {
 		return nil, 0, err // malformed, or need the rest of the body
 	}
-	req.Body = append([]byte(nil), b[head+4:total]...)
-	return req, total, nil
+	closing := lowerIs(conn, "close") || proto == "HTTP/1.0" && !lowerIs(conn, "keep-alive")
+	return &Request{Method: method, Path: path, Close: closing, Body: append([]byte(nil), b[head+4:total]...)}, total, nil
 }
 
-// headerKey is a header name as the Headers maps key it: trimmed and lower
-// case. Content-Length, the one header every message carries, is spelled by
-// a constant rather than lowered into a new string.
-func headerKey(name string) string {
-	name = strings.TrimSpace(name)
-	if strings.EqualFold(name, "content-length") {
-		return "content-length"
-	}
-	return strings.ToLower(name)
-}
-
-// messageEnd is where a message whose header section ends at head (the
-// index of its blank line) ends in b, given its headers h: 0 while b does
-// not yet hold the whole body. Only Content-Length bodies are framed: a
-// Transfer-Encoding, or a length that is negative, not a number or above
-// maxBody, is an error. The comparison cannot overflow, so no length a peer
-// sends can cut b out of bounds.
-func messageEnd(b []byte, head int, h map[string]string) (int, error) {
-	if te, ok := h["transfer-encoding"]; ok {
-		return 0, fmt.Errorf("httpd: transfer-encoding %q not supported", te)
-	}
-	start, n := head+4, 0
-	if cl := h["content-length"]; cl != "" {
-		var err error
-		if n, err = strconv.Atoi(cl); err != nil || n < 0 || n > maxBody {
-			return 0, fmt.Errorf("httpd: bad content-length %q", cl)
+// frame scans, in place, the header lines (fields) of a message whose header
+// section ends at head in b, and returns where the message ends (0 while b
+// lacks some of the body) and the last Connection value. strict refuses a
+// line with no colon. Only Content-Length bodies are framed: a
+// Transfer-Encoding, two lengths that differ (RFC 9112 §6.3), or a length
+// that is negative, not a number or above maxBody, is an error. The
+// comparison cannot overflow, so no length can cut b out of bounds.
+func frame(b []byte, head int, fields []byte, strict bool) (total int, conn []byte, err error) {
+	var length []byte
+	hasLength := false
+	for len(fields) > 0 {
+		var l []byte
+		l, fields, _ = bytes.Cut(fields, crlf)
+		i := bytes.IndexByte(l, ':')
+		if i < 0 {
+			if strict {
+				return 0, nil, fmt.Errorf("httpd: bad header %q", l)
+			}
+			continue
+		}
+		name, value := bytes.TrimSpace(l[:i]), bytes.TrimSpace(l[i+1:])
+		switch {
+		case lowerIs(name, "content-length"):
+			if hasLength && !bytes.Equal(length, value) {
+				return 0, nil, fmt.Errorf("httpd: content-length %q and %q differ", length, value)
+			}
+			length, hasLength = value, true
+		case lowerIs(name, "transfer-encoding"):
+			return 0, nil, fmt.Errorf("httpd: transfer-encoding %q not supported", value)
+		case lowerIs(name, "connection"):
+			conn = value
 		}
 	}
-	if n > len(b)-start {
-		return 0, nil
+	n := 0
+	if len(length) > 0 {
+		// string(length) does not escape Atoi, so it is not allocated.
+		if n, err = strconv.Atoi(string(length)); err != nil || n < 0 || n > maxBody {
+			return 0, nil, fmt.Errorf("httpd: bad content-length %q", length)
+		}
 	}
-	return start + n, nil
+	if n > len(b)-head-4 {
+		return 0, nil, nil
+	}
+	return head + 4 + n, conn, nil
+}
+
+// lowerIs reports whether strings.ToLower(string(b)) == s for an ASCII
+// lower-case s (so U+0130 matches i, U+212A k), without building the string.
+func lowerIs(b []byte, s string) bool {
+	for _, c := range s {
+		r, n := utf8.DecodeRune(b)
+		if unicode.ToLower(r) != c {
+			return false
+		}
+		b = b[n:]
+	}
+	return len(b) == 0
 }
 
 // --- Client ---
 
 // EncodeRequest serialises a request into one allocation.
 func EncodeRequest(r *Request) []byte {
-	b := make([]byte, 0, len(r.Method)+1+len(r.Path)+len(" HTTP/1.1\r\n")+encodedLen(r.Headers, r.Body))
+	b := make([]byte, 0, len(r.Method)+1+len(r.Path)+len(" HTTP/1.1\r\n")+encodedLen(r.Close, r.Body))
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Path...)
 	b = append(b, " HTTP/1.1\r\n"...)
-	return appendMessage(b, r.Headers, r.Body)
+	return appendMessage(b, r.Close, r.Body)
 }
 
 // ParseResponse parses one complete response from b, returning the
 // response and bytes consumed. (nil, 0, nil) means more data is needed —
 // the incremental contract clients drive their read loops with. It mirrors
-// tryParseRequest for the client side.
+// tryParseRequest for the client side, and reads the status from the bytes.
 func ParseResponse(b []byte) (*Response, int, error) {
 	head := bytes.Index(b, crlfcrlf)
 	if head < 0 {
 		return nil, 0, nil
 	}
-	line, rest, more := strings.Cut(string(b[:head]), "\r\n")
-	_, tail, ok := strings.Cut(line, " ")
+	line, fields, _ := bytes.Cut(b[:head], crlf)
+	_, tail, ok := bytes.Cut(line, []byte(" "))
 	if !ok {
 		return nil, 0, fmt.Errorf("httpd: bad status line %q", line)
 	}
-	code, _, _ := strings.Cut(tail, " ")
-	status, err := strconv.Atoi(code)
+	code, _, _ := bytes.Cut(tail, []byte(" "))
+	status, err := strconv.Atoi(string(code))
 	if err != nil {
 		return nil, 0, fmt.Errorf("httpd: bad status %q", code)
 	}
-	resp := &Response{Status: status, Headers: map[string]string{}}
-	for more {
-		var l string
-		l, rest, more = strings.Cut(rest, "\r\n")
-		if i := strings.IndexByte(l, ':'); i >= 0 {
-			resp.Headers[headerKey(l[:i])] = strings.TrimSpace(l[i+1:])
-		}
-	}
-	total, err := messageEnd(b, head, resp.Headers)
+	total, _, err := frame(b, head, fields, false)
 	if err != nil || total == 0 {
 		return nil, 0, err
 	}
-	resp.Body = append([]byte(nil), b[head+4:total]...)
-	return resp, total, nil
+	return &Response{Status: status, Body: append([]byte(nil), b[head+4:total]...)}, total, nil
 }
 
 // Client issues requests one at a time over an established keep-alive

@@ -7,8 +7,10 @@ import (
 )
 
 // The reference codecs: the fmt/strings.Split implementations the copy-free
-// ones replaced, kept unchanged but for their names. The fuzz targets hold
-// tryParseRequest, ParseResponse, EncodeRequest and Response.Encode to them.
+// ones replaced, kept unchanged but for their names and for the headers
+// they parse into a local map, of which Request keeps only Close. The fuzz
+// targets hold tryParseRequest, ParseResponse, EncodeRequest and
+// Response.Encode to them.
 
 func refTryParseRequest(b []byte) (*Request, int, error) {
 	head := strings.Index(string(b), "\r\n\r\n")
@@ -23,15 +25,22 @@ func refTryParseRequest(b []byte) (*Request, int, error) {
 	if len(parts) != 3 || !strings.HasPrefix(parts[2], "HTTP/") {
 		return nil, 0, fmt.Errorf("httpd: bad request line %q", lines[0])
 	}
-	req := &Request{Method: parts[0], Path: parts[1], Proto: parts[2], Headers: map[string]string{}}
+	req := &Request{Method: parts[0], Path: parts[1]}
+	h := map[string]string{}
 	for _, l := range lines[1:] {
 		i := strings.IndexByte(l, ':')
 		if i < 0 {
 			return nil, 0, fmt.Errorf("httpd: bad header %q", l)
 		}
-		req.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
+		h[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
 	}
-	total, err := refMessageEnd(b, head, req.Headers["content-length"])
+	c := strings.ToLower(h["connection"])
+	if parts[2] == "HTTP/1.0" {
+		req.Close = c != "keep-alive"
+	} else {
+		req.Close = c == "close"
+	}
+	total, err := refMessageEnd(b, head, h["content-length"])
 	if err != nil || total == 0 {
 		return nil, 0, err // malformed, or need the rest of the body
 	}
@@ -57,8 +66,8 @@ func refEncodeRequest(r *Request) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s %s HTTP/1.1\r\n", r.Method, r.Path)
 	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	for k, v := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
+	if r.Close {
+		b.WriteString("Connection: close\r\n")
 	}
 	b.WriteString("\r\n")
 	return append([]byte(b.String()), r.Body...)
@@ -78,15 +87,16 @@ func refParseResponse(b []byte) (*Response, int, error) {
 	if err != nil {
 		return nil, 0, fmt.Errorf("httpd: bad status %q", parts[1])
 	}
-	resp := &Response{Status: status, Headers: map[string]string{}}
+	resp := &Response{Status: status}
+	h := map[string]string{}
 	for _, l := range lines[1:] {
 		i := strings.IndexByte(l, ':')
 		if i < 0 {
 			continue
 		}
-		resp.Headers[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
+		h[strings.ToLower(strings.TrimSpace(l[:i]))] = strings.TrimSpace(l[i+1:])
 	}
-	total, err := refMessageEnd(b, head, resp.Headers["content-length"])
+	total, err := refMessageEnd(b, head, h["content-length"])
 	if err != nil || total == 0 {
 		return nil, 0, err
 	}
@@ -102,9 +112,6 @@ func refEncodeResponse(r *Response) []byte {
 	var b strings.Builder
 	fmt.Fprintf(&b, "HTTP/1.1 %d %s\r\n", r.Status, txt)
 	fmt.Fprintf(&b, "Content-Length: %d\r\n", len(r.Body))
-	for k, v := range r.Headers {
-		fmt.Fprintf(&b, "%s: %s\r\n", k, v)
-	}
 	b.WriteString("\r\n")
 	return append([]byte(b.String()), r.Body...)
 }

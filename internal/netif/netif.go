@@ -51,12 +51,16 @@ type Netif struct {
 
 	recv func(*cstruct.View, uint64)
 
-	nextID     uint16
-	txInflight map[uint16][]txFrag
+	// Ring ids index these tables, and each ring keeps a free list of its
+	// ids, as Linux netfront does: a request in the ring holds at most one
+	// id, so ring.Slots of them never run out.
+	txInflight [ring.Slots]txFrame
+	txFreeIDs  []uint16
 	txQueue    fifo.Queue[[]txFrag] // waiting for ring slots
 	tfFree     [][]txFrag           // retired fragment slices recycled by enqueue
 	doneIDs    []uint16             // completion-drain scratch, reused across wakes
-	rxPosted   map[uint16]rxPost
+	rxPosted   [ring.Slots]rxPost
+	rxFreeIDs  []uint16
 
 	// Stats live on the kernel's metrics registry; see Attach.
 	mxTx       *obs.Counter
@@ -71,9 +75,35 @@ type txFrag struct {
 	span uint64 // trace id on a frame's first fragment, 0 elsewhere
 }
 
+// txFrame is a frame in flight under one id: its fragments, and how many of
+// their responses, which all carry that id, are still to come. The id is
+// free while pending is 0.
+type txFrame struct {
+	frags   []txFrag
+	pending int
+}
+
+// rxPost is a posted receive buffer; the id is free while page is nil.
 type rxPost struct {
 	gref grant.Ref
 	page *cstruct.View
+}
+
+// allIDs is a full free list of ring ids, the lowest popped first.
+func allIDs() []uint16 {
+	ids := make([]uint16, ring.Slots)
+	for i := range ids {
+		ids[i] = uint16(ring.Slots - 1 - i)
+	}
+	return ids
+}
+
+// popID takes an id off a free list.
+func popID(free *[]uint16) uint16 {
+	ids := *free
+	id := ids[len(ids)-1]
+	*free = ids[:len(ids)-1]
+	return id
 }
 
 // Attach creates and connects a network interface for vm on bridge b, with
@@ -86,14 +116,14 @@ func Attach(vm *pvboot.VM, b *netback.Bridge, dom0 *hypervisor.Domain, st *xenst
 	txPage := d.Pool.Get()
 	rxPage := d.Pool.Get()
 	n := &Netif{
-		vm:         vm,
-		mac:        mac,
-		txFront:    ring.NewFront(txPage),
-		rxFront:    ring.NewFront(rxPage),
-		txPage:     txPage,
-		rxPage:     rxPage,
-		txInflight: map[uint16][]txFrag{},
-		rxPosted:   map[uint16]rxPost{},
+		vm:        vm,
+		mac:       mac,
+		txFront:   ring.NewFront(txPage),
+		rxFront:   ring.NewFront(rxPage),
+		txPage:    txPage,
+		rxPage:    rxPage,
+		txFreeIDs: allIDs(),
+		rxFreeIDs: allIDs(),
 	}
 	k := vm.S.K
 	m := k.Metrics()
@@ -147,11 +177,10 @@ func (n *Netif) SetReceiver(fn func(*cstruct.View, uint64)) { n.recv = fn }
 
 // fillRx keeps rxSlots buffers posted.
 func (n *Netif) fillRx() {
-	for len(n.rxPosted) < rxSlots && n.rxFront.Free() > 0 {
+	for ring.Slots-len(n.rxFreeIDs) < rxSlots && n.rxFront.Free() > 0 {
 		page := n.vm.Dom.Pool.Get()
 		gref := n.vm.Dom.Grants.Grant(page, false)
-		n.nextID++
-		id := n.nextID
+		id := popID(&n.rxFreeIDs)
 		n.rxPosted[id] = rxPost{gref, page}
 		n.rxFront.PushRequest(func(s *cstruct.View) { netback.EncodeRxReq(s, uint32(gref), id) })
 	}
@@ -229,9 +258,8 @@ func (n *Netif) getFrags(ln int) []txFrag {
 
 // stageTx writes a frame's requests into ring slots (unpublished).
 func (n *Netif) stageTx(tf []txFrag) {
-	n.nextID++
-	id := n.nextID
-	n.txInflight[id] = tf
+	id := popID(&n.txFreeIDs)
+	n.txInflight[id] = txFrame{tf, len(tf)}
 	for i := range tf {
 		f := &tf[i]
 		n.txFront.PushRequest(func(s *cstruct.View) {
@@ -275,7 +303,8 @@ func (n *Netif) OnEvent() {
 func (n *Netif) drainCompletions() {
 	// TX completions: release grants and fragment views. Multi-fragment
 	// frames complete with one response per fragment sharing an id; the
-	// inflight-map lookup dedups them.
+	// frame is released, and its id freed, at the last of them. An id that
+	// is not in flight is ignored.
 	n.doneIDs = n.doneIDs[:0]
 	for n.txFront.PopResponse(func(s *cstruct.View) {
 		id, _ := netback.DecodeTxRsp(s)
@@ -283,16 +312,21 @@ func (n *Netif) drainCompletions() {
 	}) {
 	}
 	for _, id := range n.doneIDs {
-		tf, ok := n.txInflight[id]
-		if !ok {
+		if int(id) >= len(n.txInflight) || n.txInflight[id].pending == 0 {
 			continue
 		}
+		fr := &n.txInflight[id]
+		if fr.pending--; fr.pending > 0 {
+			continue
+		}
+		tf := fr.frags
 		for i := range tf {
 			n.vm.Dom.Grants.End(tf[i].gref)
 			tf[i].view.Release()
 			tf[i] = txFrag{}
 		}
-		delete(n.txInflight, id)
+		*fr = txFrame{}
+		n.txFreeIDs = append(n.txFreeIDs, id)
 		n.tfFree = append(n.tfFree, tf[:0])
 	}
 	// Drain queued frames into freed slots, publishing once for the batch.
@@ -313,11 +347,12 @@ func (n *Netif) drainCompletions() {
 		if !n.rxFront.PopResponse(func(s *cstruct.View) { id, length, filled, span = netback.DecodeRxRsp(s) }) {
 			break
 		}
-		post, ok := n.rxPosted[id]
-		if !ok {
+		if int(id) >= len(n.rxPosted) || n.rxPosted[id].page == nil {
 			continue
 		}
-		delete(n.rxPosted, id)
+		post := n.rxPosted[id]
+		n.rxPosted[id] = rxPost{}
+		n.rxFreeIDs = append(n.rxFreeIDs, id)
 		n.vm.Dom.Grants.End(post.gref)
 		if !filled { // the backend could not use the buffer: re-post it
 			post.page.Release()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cstruct"
 	"repro/internal/ethernet"
+	"repro/internal/grant"
 	"repro/internal/hypervisor"
 	"repro/internal/lwt"
 	"repro/internal/netback"
@@ -196,6 +197,60 @@ func TestFrameStraddlingTwoBackendWakeups(t *testing.T) {
 	}
 }
 
+// TestMultiFragmentFramesShareOneID: a burst of three-fragment frames, more
+// than the TX ring holds, so some wait in the queue and reuse the ids of
+// completed frames. Every frame arrives whole and in order, and once the
+// last fragment response of each frame is in, every grant has ended and
+// every page is back in the pool.
+func TestMultiFragmentFramesShareOneID(t *testing.T) {
+	const frames = 40
+	r := newRig()
+	var got []string
+	r.k.Spawn("setup", func(tp *sim.Proc) {
+		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
+		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			n.SetReceiver(func(v *cstruct.View, _ uint64) {
+				got = append(got, v.String(14, v.Len()-14))
+				v.Release()
+			})
+			return vm.Main(p, vm.S.Sleep(300*time.Millisecond))
+		})
+		r.spawnGuest(t, "sender", macA, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
+			p.Sleep(50 * time.Millisecond)
+			granted := vm.Dom.Grants.Active()
+			for i := 0; i < frames; i++ {
+				hdr, a, b := vm.Dom.Pool.Get(), vm.Dom.Pool.Get(), vm.Dom.Pool.Get()
+				hdr.PutBytes(0, frame(macB, macA, ""))
+				a.PutBytes(0, []byte(fmt.Sprintf("frame %02d ", i)))
+				b.PutBytes(0, []byte("tail"))
+				n.Send(hdr.Sub(0, 14), a.Sub(0, 9), b.Sub(0, 4))
+				hdr.Release()
+				a.Release()
+				b.Release()
+			}
+			vm.Main(p, vm.S.Sleep(100*time.Millisecond))
+			if a := vm.Dom.Grants.Active(); a != granted {
+				t.Errorf("%d grants active after the burst, want %d", a, granted)
+			}
+			if vm.Dom.Pool.InUse != 2+rxSlots {
+				t.Errorf("pool InUse = %d after the burst, want %d", vm.Dom.Pool.InUse, 2+rxSlots)
+			}
+			return 0
+		})
+	})
+	if _, err := r.k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != frames {
+		t.Fatalf("received %d frames, want %d", len(got), frames)
+	}
+	for i, g := range got {
+		if want := fmt.Sprintf("frame %02d tail", i); g != want {
+			t.Errorf("frame %d reads %q, want %q", i, g, want)
+		}
+	}
+}
+
 func TestTxCompletionsReleasePagesToPool(t *testing.T) {
 	r := newRig()
 	r.k.Spawn("setup", func(tp *sim.Proc) {
@@ -371,18 +426,19 @@ func TestRevokedRxGrantSlotComesBack(t *testing.T) {
 	got := 0
 	var rx *Netif
 	var rxVM *pvboot.VM
-	revoked := uint16(0)
+	var revoked grant.Ref
 	granted := 0 // the receiver's grants before the revocation: ring pages and posted buffers
 	r.k.Spawn("setup", func(tp *sim.Proc) {
 		dom0 := r.h.Create(tp, hypervisor.Config{Name: "dom0", Memory: 128 << 20})
 		r.spawnGuest(t, "receiver", macB, dom0, func(vm *pvboot.VM, n *Netif, p *sim.Proc) int {
 			rx, rxVM, granted = n, vm, vm.Dom.Grants.Active()
-			for id := range n.rxPosted {
-				if revoked == 0 || id < revoked {
-					revoked = id
+			for _, post := range n.rxPosted {
+				if post.page != nil {
+					revoked = post.gref
+					break
 				}
 			}
-			if err := vm.Dom.Grants.End(n.rxPosted[revoked].gref); err != nil {
+			if err := vm.Dom.Grants.End(revoked); err != nil {
 				t.Errorf("revoke: %v", err)
 			}
 			n.SetReceiver(func(v *cstruct.View, _ uint64) {
@@ -410,9 +466,16 @@ func TestRevokedRxGrantSlotComesBack(t *testing.T) {
 	if got != frames-1 {
 		t.Errorf("delivered %d of %d frames, want all but the one on the revoked slot", got, frames)
 	}
-	if _, stale := rx.rxPosted[revoked]; stale || len(rx.rxPosted) != rxSlots {
-		t.Errorf("revoked post %d still outstanding %v, %d posted; want it answered and %d posted",
-			revoked, stale, len(rx.rxPosted), rxSlots)
+	stale, posted := false, 0
+	for _, post := range rx.rxPosted {
+		if post.page != nil {
+			posted++
+			stale = stale || post.gref == revoked
+		}
+	}
+	if stale || posted != rxSlots {
+		t.Errorf("revoked grant %d still posted %v, %d posted; want it answered and %d posted",
+			revoked, stale, posted, rxSlots)
 	}
 	if a := rxVM.Dom.Grants.Active(); a != granted {
 		t.Errorf("%d grants active, want %d", a, granted)
