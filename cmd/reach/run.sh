@@ -30,7 +30,7 @@ bad "$b/repro" -experiment fig6 -pcpus -3
 bad "$b/repro" -experiment fig8 -quick -loss 0.01 # fig8 builds no platform from the run flags
 bad "$b/repro" -experiment kvsweep -quick -value-bytes 999 # out of the knob's range
 bad "$b/repro" -experiment fig10 -quick -seed 7 # a knob fig10 does not take
-bad "$b/repro" -experiment fig6 -trace "$t/fig6.trace" # fig6 builds no kernel to trace
+bad "$b/repro" -experiment fig7a -trace "$t/fig7a.trace" # fig7a builds no kernel to trace
 bad "$b/repro" -experiment scalesweep -quick -replicas-min 3 -replicas-max 2
 bad "$b/repro" -experiment fig10 -quick -metrics-format prom # no -metrics: no dump to format
 bad "$b/mirage" boot -loss 0.1

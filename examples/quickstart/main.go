@@ -84,7 +84,7 @@ func main() {
 	for _, l := range d.ConsoleLines() {
 		fmt.Println(" ", l)
 	}
-	fmt.Printf("\nboot-to-ready: %v (paper: sub-50ms guest start on an async toolstack)\n", d.BootTime())
+	fmt.Printf("\nboot-to-ready: %v (domain build + guest start-of-day, synchronous toolstack)\n", d.BootTime())
 	ops := pl.K.Metrics().Snapshot()
 	op := func(name string) int64 { return ops.Sum("grant_ops_total", obs.L("dom", d.Name), obs.L("op", name)) }
 	fmt.Printf("grant ops: %d grants, %d maps, %d copies; page pool: %d pages allocated, %d in use\n",

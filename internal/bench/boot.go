@@ -3,41 +3,61 @@ package bench
 import (
 	"time"
 
+	"repro/internal/build"
 	"repro/internal/conventional"
 	"repro/internal/core"
 	"repro/internal/hypervisor"
-	"repro/internal/sim"
+	"repro/internal/ipv4"
+	"repro/internal/netstack"
 )
 
 // DefaultBootMems are the Figure 5 memory sizes in MiB.
 var DefaultBootMems = []int{8, 16, 32, 64, 128, 256, 512, 1024, 2048, 3072}
 
-// buildTime measures domain-construction time for a memory size on a fresh
-// host using the real toolstack path.
-func buildTime(rc core.Config, memMiB int) time.Duration {
-	k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
-	h := hypervisor.NewHost(k, 1)
-	var elapsed time.Duration
-	k.Spawn("toolstack", func(p *sim.Proc) {
-		t0 := p.Now()
-		h.Create(p, hypervisor.Config{Name: "guest", Memory: uint64(memMiB) << 20})
-		elapsed = p.Now().Sub(t0)
-	})
-	if _, err := k.Run(); err != nil {
-		panic(err)
+// bootDomains deploys n appliances of memMiB each on a fresh platform, on
+// the synchronous toolstack or the parallel one, and returns the deployments
+// once every one has booted and exited. Each appliance has a netfront and
+// signals readiness as the first act of its main, so its boot-to-ready is
+// the real domain build plus the real guest start-of-day: pvboot, the seal
+// hypercall and the device handshake.
+func bootDomains(rc core.Config, n, memMiB int, parallel bool) []*core.Deployment {
+	rn := newRun(rc, "boot", 1)
+	deps := make([]*core.Deployment, n)
+	for i := range deps {
+		deps[i] = rn.pl.Deploy(core.Unikernel{
+			Build:  build.Config{Name: "guest", Roots: []string{"udp"}},
+			Memory: uint64(memMiB) << 20,
+			Main: func(env *core.Env) int {
+				env.VM.Dom.SignalReady()
+				return 0
+			},
+		}, core.DeployOpts{
+			ParallelToolstack: parallel,
+			Net: &netstack.Config{
+				MAC: core.MAC(byte(1 + i)), IP: ipv4.AddrFrom4(10, 0, 0, byte(1+i)), Netmask: benchMask,
+			},
+		})
 	}
-	return elapsed
+	rn.settle(time.Minute)
+	return deps
+}
+
+// bootEach boots one appliance per memory size and returns the sizes, as
+// a figure's x axis, beside their domains.
+func bootEach(rc core.Config, mems []int, parallel bool) (xs []float64, doms []*hypervisor.Domain) {
+	for _, m := range mems {
+		xs = append(xs, float64(m))
+		doms = append(doms, bootDomains(rc, 1, m, parallel)[0].Domain)
+	}
+	return xs, doms
 }
 
 // Fig5BootTime regenerates Figure 5: total boot time (stock synchronous
-// toolstack + domain build + guest boot to first UDP packet) against
-// memory size for Mirage, a minimal Linux PV kernel, and Debian+Apache2.
+// toolstack + domain build + guest boot to ready) against memory size for
+// Mirage, a minimal Linux PV kernel, and Debian+Apache2.
+// Mirage is a real appliance booted on the platform; the Linux guests add
+// their boot profile to the same measured build.
 func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
-	profiles := []conventional.BootProfile{
-		conventional.DebianApacheBoot(),
-		conventional.MinimalLinuxBoot(),
-		conventional.MirageBoot(),
-	}
 	r := &Result{
 		ID:     "fig5",
 		Title:  "Domain boot time, synchronous toolstack",
@@ -48,21 +68,19 @@ func Fig5BootTime(rc core.Config, memsMiB []int) *Result {
 			"paper: Mirage matches minimal Linux, just under half of Debian+Apache2",
 		},
 	}
-	builds := make([]time.Duration, len(memsMiB)) // the same for every profile
-	for i, m := range memsMiB {
-		builds[i] = buildTime(rc, m)
+	xs, doms := bootEach(rc, memsMiB, false)
+	linux := func(prof conventional.BootProfile) column {
+		return column{prof.Name, func(i int) float64 {
+			d := doms[i]
+			return (conventional.SyncToolstackOverhead + d.CreatedAt.Sub(d.BuildStart) + prof.GuestBootTime(d.MemBytes)).Seconds()
+		}}
 	}
-	for _, prof := range profiles {
-		s := Series{Name: prof.Name}
-		for i, m := range memsMiB {
-			total := conventional.SyncToolstackOverhead +
-				builds[i] +
-				prof.GuestBootTime(uint64(m)<<20)
-			s.X = append(s.X, float64(m))
-			s.Y = append(s.Y, total.Seconds())
-		}
-		r.Series = append(r.Series, s)
-	}
+	r.addSeries(xs,
+		linux(conventional.DebianApacheBoot()),
+		linux(conventional.MinimalLinuxBoot()),
+		column{"mirage", func(i int) float64 {
+			return (conventional.SyncToolstackOverhead + doms[i].BootTime()).Seconds()
+		}})
 	return r
 }
 
@@ -71,8 +89,9 @@ var asyncMems = []int{64, 128, 256, 512, 1024, 2048}
 
 // Fig6BootAsync regenerates Figure 6: with the parallel (asynchronous)
 // toolstack the per-VM startup is isolated — Mirage boots in well under
-// 50 ms while Linux guest startup grows with memory.
-func Fig6BootAsync() *Result {
+// 50 ms while Linux guest startup grows with memory. Mirage is a real
+// appliance's start-of-day, from built to ready, on the platform.
+func Fig6BootAsync(rc core.Config) *Result {
 	r := &Result{
 		ID:     "fig6",
 		Title:  "VM startup with an asynchronous toolstack",
@@ -83,47 +102,27 @@ func Fig6BootAsync() *Result {
 			"paper: Mirage boots in under 50 ms",
 		},
 	}
-	for _, prof := range []conventional.BootProfile{conventional.MinimalLinuxBoot(), conventional.MirageBoot()} {
-		name := prof.Name
-		if name == "linux-pv-minimal" {
-			name = "linux-pv"
-		}
-		s := Series{Name: name}
-		for _, m := range asyncMems {
-			s.X = append(s.X, float64(m))
-			s.Y = append(s.Y, prof.GuestBootTime(uint64(m)<<20).Seconds())
-		}
-		r.Series = append(r.Series, s)
-	}
+	xs, doms := bootEach(rc, asyncMems, true)
+	minimal := conventional.MinimalLinuxBoot()
+	r.addSeries(xs,
+		column{"linux-pv", func(i int) float64 { return minimal.GuestBootTime(doms[i].MemBytes).Seconds() }},
+		column{"mirage", func(i int) float64 { return doms[i].BootedAt.Sub(doms[i].CreatedAt).Seconds() }})
 	return r
 }
 
 // AblationToolstack compares synchronous vs parallel domain construction
 // time for a batch of four simultaneous 256 MiB creations (the design choice
-// behind Figures 5 vs 6).
+// behind Figures 5 vs 6): from the first build's start to the last domain
+// built.
 func AblationToolstack(rc core.Config) *Result {
 	const n, memMiB = 4, 256
 	run := func(parallel bool) float64 {
-		k := sim.NewKernelObs(1, rc.Trace, rc.Metrics)
-		h := hypervisor.NewHost(k, 1)
-		var last sim.Time
-		for i := 0; i < n; i++ {
-			k.Spawn("creator", func(p *sim.Proc) {
-				cfg := hypervisor.Config{Name: "g", Memory: uint64(memMiB) << 20}
-				if parallel {
-					h.CreateParallel(p, cfg)
-				} else {
-					h.Create(p, cfg)
-				}
-				if p.Now() > last {
-					last = p.Now()
-				}
-			})
+		deps := bootDomains(rc, n, memMiB, parallel)
+		first, last := deps[0].Domain.BuildStart, deps[0].Domain.CreatedAt
+		for _, dep := range deps[1:] {
+			first, last = min(first, dep.Domain.BuildStart), max(last, dep.Domain.CreatedAt)
 		}
-		if _, err := k.Run(); err != nil {
-			panic(err)
-		}
-		return last.Seconds()
+		return last.Sub(first).Seconds()
 	}
 	r := &Result{
 		ID:     "ablation-toolstack",

@@ -52,14 +52,15 @@ type BootService struct {
 	Cost time.Duration
 }
 
-// BootProfile describes a guest's boot work after the domain is built.
+// BootProfile describes a Linux guest's boot work after the domain is built.
 type BootProfile struct {
 	Name     string
 	Services []BootService
-	// PerMiB adds memory-proportional kernel initialisation (struct page
-	// setup and zeroing grow with the reservation).
-	PerMiB time.Duration
 }
+
+// bootPerMiB adds memory-proportional kernel initialisation to every Linux
+// boot (struct page setup and zeroing grow with the reservation).
+const bootPerMiB = 95 * time.Microsecond
 
 // GuestBootTime returns boot-to-ready time for a memory reservation.
 func (b BootProfile) GuestBootTime(memBytes uint64) time.Duration {
@@ -67,7 +68,7 @@ func (b BootProfile) GuestBootTime(memBytes uint64) time.Duration {
 	for _, s := range b.Services {
 		t += s.Cost
 	}
-	return t + time.Duration(memBytes>>20)*b.PerMiB
+	return t + time.Duration(memBytes>>20)*bootPerMiB
 }
 
 // MinimalLinuxBoot is the initrd-only kernel of §4.1.1 ("time-to-userspace"
@@ -80,7 +81,6 @@ func MinimalLinuxBoot() BootProfile {
 			{"kernel-init", 160 * time.Millisecond},
 			{"initrd+ifconfig", 60 * time.Millisecond},
 		},
-		PerMiB: 95 * time.Microsecond,
 	}
 }
 
@@ -97,17 +97,6 @@ func DebianApacheBoot() BootProfile {
 			{"rsyslog+cron+ssh", 240 * time.Millisecond},
 			{"apache2", 340 * time.Millisecond},
 		},
-		PerMiB: 95 * time.Microsecond,
-	}
-}
-
-// MirageBoot is the unikernel guest-side start of day (domain build time is
-// accounted by the hypervisor toolstack, not here).
-func MirageBoot() BootProfile {
-	return BootProfile{
-		Name:     "mirage",
-		Services: []BootService{{"pvboot+runtime", 25 * time.Millisecond}},
-		PerMiB:   2 * time.Microsecond, // page-table walk over a pre-built space
 	}
 }
 

@@ -10,16 +10,15 @@ import (
 	"repro/internal/openflow"
 )
 
+// TestBootProfilesOrdering: the minimal Linux guest boots faster than the
+// Debian+Apache2 one. Mirage has no profile here: its boot is a real
+// appliance's, and bench's TestFig6Shape holds it under 50 ms.
 func TestBootProfilesOrdering(t *testing.T) {
 	mem := uint64(512 << 20)
-	mirage := MirageBoot().GuestBootTime(mem)
 	minimal := MinimalLinuxBoot().GuestBootTime(mem)
 	apache := DebianApacheBoot().GuestBootTime(mem)
-	if !(mirage < minimal && minimal < apache) {
-		t.Errorf("boot ordering: mirage=%v minimal=%v apache=%v", mirage, minimal, apache)
-	}
-	if mirage > 50*time.Millisecond {
-		t.Errorf("mirage guest boot = %v, paper says under 50ms", mirage)
+	if minimal >= apache {
+		t.Errorf("boot ordering: minimal=%v apache=%v", minimal, apache)
 	}
 }
 

@@ -27,8 +27,9 @@ func init() {
 			return results(bench.Fig5BootTime(o.Config, size(o, bench.DefaultBootMems, []int{64, 512, 3072})))
 		}})
 	Register(Experiment{ID: "fig6", Title: "VM startup, asynchronous toolstack",
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			return results(bench.Fig6BootAsync())
+			return results(bench.Fig6BootAsync(o.Config))
 		}})
 	Register(Experiment{ID: "fig7a", Title: "Thread construction time",
 		Run: func(o Options) (Output, error) {
@@ -106,8 +107,8 @@ func init() {
 		Run: func(o Options) (Output, error) {
 			return results(bench.Table2Sizes())
 		}})
-	// The seal, vchan and toolstack rows run bare kernels, which take no
-	// sharding or impairment.
+	// The seal and vchan rows run bare kernels and the toolstack row boots
+	// appliances on unsharded platforms: none takes sharding or impairment.
 	Register(Experiment{ID: "ablations", Title: "Design-choice ablations",
 		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {

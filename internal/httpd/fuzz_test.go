@@ -8,10 +8,10 @@ import (
 	"testing"
 )
 
-// hostileLengths are messages whose body no buffer should hold or no parser
-// here can frame: each once cut the buffer out of bounds, left the reader
-// buffering until the peer closed, read a body as the next request, or
-// framed the body by whichever of two differing lengths came last.
+// hostileLengths are messages whose head or body no buffer should hold or no
+// parser here can frame: each once cut the buffer out of bounds, left the
+// reader buffering until the peer closed, read a body as the next request,
+// or framed the body by whichever of two differing lengths came last.
 var hostileLengths = []struct {
 	name     string
 	response bool // parse with ParseResponse, else tryParseRequest
@@ -27,11 +27,13 @@ var hostileLengths = []struct {
 	{"response/not-a-number", true, "HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n", true},
 	{"request/two-lengths", false, "POST / HTTP/1.1\r\nContent-Length: 3\r\nContent-Length: 5\r\n\r\nabcde", true},
 	{"response/two-lengths", true, "HTTP/1.1 200 OK\r\nContent-Length: 5\r\ncontent-length: 0\r\n\r\nhello", true},
+	{"response/endless-header", true, "HTTP/1.1 200 OK\r\n" + strings.Repeat("X-Pad: y\r\n", maxHeader/10), true},
 }
 
 // TestHostileContentLength: a negative or unparsable length, one above
-// maxBody, two that differ, and a Transfer-Encoding are errors; a length up
-// to maxBody beyond the buffered bytes asks for more data; none panics.
+// maxBody, two that differ, a Transfer-Encoding, and a header section past
+// maxHeader with no blank line are errors; a length up to maxBody beyond the
+// buffered bytes asks for more data; none panics.
 func TestHostileContentLength(t *testing.T) {
 	for _, tc := range hostileLengths {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,13 +84,15 @@ func sameParse(t *testing.T, b []byte, got any, n int, err error, want any, want
 	}
 }
 
-// refusedFraming reports whether b's header section declares a body only the
-// reference would frame: a Transfer-Encoding, two Content-Length values that
-// differ, or a Content-Length above maxBody.
+// refusedFraming reports whether b is a message only the reference would
+// frame or await: a header section past maxHeader with no blank line (the
+// reference response parser has no bound), or one that declares a
+// Transfer-Encoding, two Content-Length values that differ, or a
+// Content-Length above maxBody.
 func refusedFraming(b []byte) bool {
 	head := strings.Index(string(b), "\r\n\r\n")
 	if head < 0 {
-		return false
+		return len(b) > maxHeader
 	}
 	h := map[string]string{}
 	for _, l := range strings.Split(string(b[:head]), "\r\n")[1:] {

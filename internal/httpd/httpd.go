@@ -490,16 +490,24 @@ const (
 
 var crlf, crlfcrlf = []byte("\r\n"), []byte("\r\n\r\n")
 
+// headEnd returns where the blank line that ends b's header section starts,
+// or -1 while b holds no blank line yet. Past maxHeader bytes with none the
+// message is refused: requests and responses share this one bound.
+func headEnd(b []byte) (int, error) {
+	head := bytes.Index(b, crlfcrlf)
+	if head < 0 && len(b) > maxHeader {
+		return -1, fmt.Errorf("httpd: header section too large")
+	}
+	return head, nil
+}
+
 // tryParseRequest parses a complete request from b, returning (req, bytes
 // consumed). It returns (nil, 0, nil) when more data is needed. Only the
 // request line becomes a string; method and path are substrings of it.
 func tryParseRequest(b []byte) (*Request, int, error) {
-	head := bytes.Index(b, crlfcrlf)
+	head, err := headEnd(b)
 	if head < 0 {
-		if len(b) > maxHeader {
-			return nil, 0, fmt.Errorf("httpd: header section too large")
-		}
-		return nil, 0, nil
+		return nil, 0, err
 	}
 	start, fields, _ := bytes.Cut(b[:head], crlf)
 	line := string(start)
@@ -590,11 +598,12 @@ func EncodeRequest(r *Request) []byte {
 // ParseResponse parses one complete response from b, returning the
 // response and bytes consumed. (nil, 0, nil) means more data is needed —
 // the incremental contract clients drive their read loops with. It mirrors
-// tryParseRequest for the client side, and reads the status from the bytes.
+// tryParseRequest for the client side, with the same maxHeader and maxBody
+// refusals, and reads the status from the bytes.
 func ParseResponse(b []byte) (*Response, int, error) {
-	head := bytes.Index(b, crlfcrlf)
+	head, err := headEnd(b)
 	if head < 0 {
-		return nil, 0, nil
+		return nil, 0, err
 	}
 	line, fields, _ := bytes.Cut(b[:head], crlf)
 	_, tail, ok := bytes.Cut(line, []byte(" "))

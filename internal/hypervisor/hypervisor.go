@@ -262,11 +262,12 @@ type Domain struct {
 
 	ports []*Port
 
-	CreatedAt sim.Time // when the toolstack finished building the domain
-	BootedAt  sim.Time // when guest code signalled readiness (SignalReady)
-	Dead      bool
-	ExitCode  int
-	Reason    ShutdownReason
+	BuildStart sim.Time // when the toolstack began constructing the domain
+	CreatedAt  sim.Time // when the toolstack finished building the domain
+	BootedAt   sim.Time // when guest code signalled readiness (SignalReady)
+	Dead       bool
+	ExitCode   int
+	Reason     ShutdownReason
 
 	// ThreadStats, when set, reports the guest's threading activity
 	// (lwt threads created, timer wakes) for DomStats. The hypervisor
@@ -305,13 +306,14 @@ func (h *Host) build(p *sim.Proc, cpu *sim.CPU, cfg Config) *Domain {
 	p.Use(cpu, cost)
 	h.nextID++
 	d := &Domain{
-		Host:     h,
-		ID:       h.nextID,
-		Name:     cfg.Name,
-		MemBytes: cfg.Memory,
-		Grants:   grant.NewTable(),
-		PT:       NewPageTable(h.mxSealRefused),
-		Pool:     cstruct.NewPool(),
+		Host:       h,
+		ID:         h.nextID,
+		Name:       cfg.Name,
+		MemBytes:   cfg.Memory,
+		Grants:     grant.NewTable(),
+		PT:         NewPageTable(h.mxSealRefused),
+		Pool:       cstruct.NewPool(),
+		BuildStart: buildStart,
 	}
 	pidx := cfg.PCPU
 	if pidx < 0 || pidx >= len(h.PCPUs) {
@@ -441,9 +443,10 @@ func (d *Domain) WaitReady(p *sim.Proc) {
 	p.Wait(d.ready)
 }
 
-// BootTime is the elapsed virtual time from the start of domain
-// construction to readiness. It is only meaningful after SignalReady.
-func (d *Domain) BootTime() time.Duration { return d.BootedAt.Sub(0) }
+// BootTime is the elapsed virtual time from BuildStart to readiness: domain
+// build plus guest start-of-day, split at CreatedAt. It is only meaningful
+// after SignalReady.
+func (d *Domain) BootTime() time.Duration { return d.BootedAt.Sub(d.BuildStart) }
 
 // OnShutdown registers a lifecycle hook invoked (in registration order)
 // when the domain shuts down, whatever the reason. This is the primitive a

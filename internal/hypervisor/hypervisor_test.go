@@ -204,6 +204,37 @@ func TestSignalReadyAndWaitReady(t *testing.T) {
 	}
 }
 
+// TestBootTimeStartsAtBuild: a domain whose construction begins late counts
+// its boot from that instant, not from virtual time zero. BootTime is the
+// build plus the guest's own start-of-day, and it splits at CreatedAt.
+func TestBootTimeStartsAtBuild(t *testing.T) {
+	const delay, guestWork = 300 * time.Millisecond, 7 * time.Millisecond
+	k, h := newHost(t)
+	var d *Domain
+	k.Spawn("toolstack", func(p *sim.Proc) {
+		p.Sleep(delay)
+		d = h.Create(p, Config{Name: "g", Memory: 64 << 20, Entry: func(d *Domain, gp *sim.Proc) int {
+			gp.Sleep(guestWork)
+			d.SignalReady()
+			return 0
+		}})
+	})
+	if _, err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	build := buildBase + 64*buildPerMiB
+	if got := d.CreatedAt.Duration(); got != delay+build {
+		t.Errorf("CreatedAt = %v, want delay %v + build %v", got, delay, build)
+	}
+	if got := d.BootedAt.Sub(d.CreatedAt); got != guestWork {
+		t.Errorf("guest start-of-day = %v, want %v", got, guestWork)
+	}
+	if got := d.BootTime(); got != build+guestWork {
+		t.Errorf("BootTime = %v, want build %v + guest work %v (the %v before construction excluded)",
+			got, build, guestWork, delay)
+	}
+}
+
 // Property: seal succeeds iff no page is W+X, for arbitrary page tables.
 func TestPropSealIffWxorX(t *testing.T) {
 	f := func(flags []uint8) bool {
