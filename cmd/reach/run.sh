@@ -21,7 +21,7 @@ while read -r name cmd; do
 	(cd "$t" && q "$b"/$cmd)
 done <cmd/golden/invocations.txt
 # What no golden holds: usage errors, -memstats, profiles, the full-size
-# fig7a and sharded fleet, and the benchmark.
+# sharded fleet, and the benchmark.
 bad "$b/repro" -experiment no-such-experiment
 bad "$b/repro" -loss 2
 bad "$b/repro" -experiment fig6,nosuch
@@ -30,7 +30,7 @@ bad "$b/repro" -experiment fig6 -pcpus -3
 bad "$b/repro" -experiment fig8 -quick -loss 0.01 # fig8 builds no platform from the run flags
 bad "$b/repro" -experiment kvsweep -quick -value-bytes 999 # out of the knob's range
 bad "$b/repro" -experiment fig10 -quick -seed 7 # a knob fig10 does not take
-bad "$b/repro" -experiment fig7a -trace "$t/fig7a.trace" # fig7a builds no kernel to trace
+bad "$b/repro" -experiment fig11 -trace "$t/fig11.trace" # fig11 builds no kernel to trace
 bad "$b/repro" -experiment scalesweep -quick -replicas-min 3 -replicas-max 2
 bad "$b/repro" -experiment fig10 -quick -metrics-format prom # no -metrics: no dump to format
 bad "$b/mirage" boot -loss 0.1
@@ -38,6 +38,5 @@ bad "$b/mirage" build -trace "$t/build.trace"
 q "$b/repro" -quick -json "$t/a.json"
 q "$b/repro" -experiment connsweep -quick -memstats
 q "$b/repro" -experiment fig10 -quick -cpuprofile "$t/cpu.pb" -memprofile "$t/mem.pb"
-q "$b/repro" -experiment fig7a # full size: past the 5 M live window, threads terminate (Heap.Release)
 q "$b/repro" -experiment scalesweep -pcpus 4 -replicas-max 8 # full size: fills a TX ring and an accept backlog
 q "$b/benchmark" -reps 1 -layers -traced -out "$t/bench_out"

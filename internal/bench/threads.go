@@ -1,28 +1,34 @@
 package bench
 
 import (
-	"math/rand"
+	"runtime"
 	"sort"
 	"time"
 
 	"repro/internal/conventional"
+	"repro/internal/core"
+	"repro/internal/lwt"
 	"repro/internal/mem"
+	"repro/internal/sim"
 )
 
 // DefaultThreadCounts are the Figure 7a x-axis values (paper: up to 20 M;
 // scale down for quick runs with the counts argument).
 var DefaultThreadCounts = []int{1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000}
 
-// threadRecordBytes matches the lwt thread footprint.
-const threadRecordBytes = 96
-
 // Fig7aThreads regenerates Figure 7a: time to construct n parallel
-// sleeping threads under the four memory systems. Thread records are
-// heap-allocated, so the cost is dominated by the garbage collector; the
-// specialised extent-backed address space wins, the malloc-backed heaps
-// pay chunk tracking, and the conventional OSs add (PV-inflated) syscalls
-// on heap growth.
-func Fig7aThreads(counts []int) *Result {
+// sleeping threads under the four memory systems. Each column runs the
+// paper's loop on an lwt scheduler with one vCPU: n Sleeps of 0.5–1.5 s
+// created in one synchronous pass, each promise charging its record to the
+// column's heap. The time is the vCPU's busy time: n × PerThread plus the
+// heap cost the pass accrued, dominated by the garbage collector; the
+// extent-backed address space wins, the malloc-backed heaps pay chunk
+// tracking, and the conventional OSs add (PV-inflated) syscalls on heap
+// growth. A cooperative thread cannot run before the creating loop yields,
+// so none ends during construction and the sleep durations do not enter
+// the measurement: the run stops once construction is booked, and the
+// queued sleepers go with the kernel, unpopped.
+func Fig7aThreads(rc core.Config, counts []int) *Result {
 	r := &Result{
 		ID:     "fig7a",
 		Title:  "Thread construction time",
@@ -32,22 +38,26 @@ func Fig7aThreads(counts []int) *Result {
 			"ordering: linux-pv slowest, then linux-native, mirage-malloc, mirage-extent fastest",
 		},
 	}
-	// Threads sleep 0.5-1.5s and terminate, so the live set is bounded:
-	// at the observed creation rates roughly this many threads coexist.
-	const liveWindow = 5_000_000
 	for _, cfg := range conventional.ThreadConfigs() {
 		s := Series{Name: cfg.Name}
 		for _, n := range counts {
-			h := mem.NewHeap(cfg.Heap)
-			for i := 0; i < n; i++ {
-				h.Alloc(threadRecordBytes)
-				if i >= liveWindow {
-					h.Release(threadRecordBytes) // an earlier thread terminates
+			runtime.GC() // free the last run's queued sleepers before this run queues its own
+			k := sim.NewKernelObs(7, rc.Trace, rc.Metrics)
+			sched := lwt.NewScheduler(k)
+			sched.Heap = mem.NewHeap(cfg.Heap)
+			sched.CPU = k.NewCPU("vcpu")
+			k.Spawn("main", func(p *sim.Proc) {
+				for i := 0; i < n; i++ {
+					sched.Sleep(500*time.Millisecond + time.Duration(k.Rand().Int63n(int64(time.Second))))
 				}
+				sched.CPU.Reserve(time.Duration(n)*cfg.PerThread + sched.Heap.Drain())
+				k.Stop()
+			})
+			if _, err := k.Run(); err != nil {
+				panic(err)
 			}
-			total := h.Cost + time.Duration(n)*cfg.PerThread
 			s.X = append(s.X, float64(n)/1e6)
-			s.Y = append(s.Y, total.Seconds())
+			s.Y = append(s.Y, sched.CPU.BusyTime().Seconds())
 		}
 		r.Series = append(r.Series, s)
 	}
@@ -62,23 +72,11 @@ type JitterStats struct {
 }
 
 // Fig7bJitter regenerates Figure 7b: the CDF of timer-wakeup jitter for n
-// parallel threads sleeping 1–4 s. The unikernel's jitter is only dispatch
-// queueing (threads due at the same instant serialise on the vCPU); the
-// conventional OSs add syscall-return and scheduler queueing delays.
+// parallel threads sleeping 1–4 s. One lwt run records each thread's wake
+// instant minus its due instant: the unikernel's column. Each conventional
+// OS adds its syscall-return and scheduler-queueing delay to the same wakes.
 // Returned series are CDFs: X = jitter in ms, Y = cumulative fraction.
-func Fig7bJitter(n int) (*Result, []JitterStats) {
-	const wakeCost = 300 * time.Nanosecond // a dispatch, on every target
-	type target struct {
-		name string
-		os   *conventional.OSParams
-	}
-	lnative := conventional.LinuxNative()
-	lpv := conventional.LinuxPV()
-	targets := []target{
-		{name: "mirage"},
-		{name: "linux-native", os: &lnative},
-		{name: "linux-pv", os: &lpv},
-	}
+func Fig7bJitter(rc core.Config, n int) (*Result, []JitterStats) {
 	r := &Result{
 		ID:     "fig7b",
 		Title:  "Wakeup jitter CDF, threads sleeping 1-4s",
@@ -86,46 +84,46 @@ func Fig7bJitter(n int) (*Result, []JitterStats) {
 		YLabel: "cumulative fraction",
 		Notes:  []string{"paper: Mirage gives lower and more predictable latency"},
 	}
-	var stats []JitterStats
-	for ti, tg := range targets {
-		rng := rand.New(rand.NewSource(int64(1000 + ti)))
-		// Due times for n sleepers, uniform in [1s, 4s).
-		due := make([]int64, n)
-		for i := range due {
-			due[i] = int64(time.Second) + rng.Int63n(int64(3*time.Second))
+	k := sim.NewKernelObs(7, rc.Trace, rc.Metrics)
+	sched := lwt.NewScheduler(k)
+	late := make([]time.Duration, n)
+	k.Spawn("main", func(p *sim.Proc) {
+		ws := make([]lwt.Waiter, n)
+		for i := range ws {
+			d := time.Second + time.Duration(k.Rand().Int63n(int64(3*time.Second)))
+			due := k.Now().Add(d)
+			ws[i] = sched.Sleep(d)
+			lwt.Always(ws[i], func() { late[i] = k.Now().Sub(due) })
 		}
-		sort.Slice(due, func(i, j int) bool { return due[i] < due[j] })
-		// Dispatch queue: wakes serialise on the vCPU at wakeCost each.
-		jitters := make([]time.Duration, n)
-		cpuFree := int64(0)
-		for i, d := range due {
-			start := d
-			if cpuFree > start {
-				start = cpuFree
+		if err := sched.Run(p, lwt.Join(sched, ws...)); err != nil {
+			panic(err)
+		}
+	})
+	if _, err := k.Run(); err != nil {
+		panic(err)
+	}
+	var stats []JitterStats
+	lnative, lpv := conventional.LinuxNative(), conventional.LinuxPV()
+	for _, prof := range []*conventional.OSParams{nil, &lnative, &lpv} {
+		name, jitters := "mirage", append([]time.Duration(nil), late...)
+		if prof != nil {
+			name = prof.Name
+			for i := range jitters {
+				jitters[i] += conventional.JitterSample(*prof, k.Rand())
 			}
-			cpuFree = start + int64(wakeCost)
-			j := time.Duration(start - d)
-			if tg.os != nil {
-				j += conventional.JitterSample(*tg.os, rng)
-			}
-			jitters[i] = j
 		}
 		sort.Slice(jitters, func(i, j int) bool { return jitters[i] < jitters[j] })
-		st := JitterStats{
-			Name: tg.name,
+		stats = append(stats, JitterStats{
+			Name: name,
 			P50:  jitters[n/2],
 			P90:  jitters[n*9/10],
 			P99:  jitters[n*99/100],
 			Max:  jitters[n-1],
-		}
-		stats = append(stats, st)
+		})
 		// CDF sampled at fixed fractions.
-		s := Series{Name: tg.name}
+		s := Series{Name: name}
 		for _, frac := range []float64{0.10, 0.25, 0.50, 0.75, 0.90, 0.99, 1.0} {
-			idx := int(frac*float64(n)) - 1
-			if idx < 0 {
-				idx = 0
-			}
+			idx := max(int(frac*float64(n))-1, 0)
 			s.X = append(s.X, float64(jitters[idx])/1e6)
 			s.Y = append(s.Y, frac)
 		}

@@ -32,12 +32,14 @@ func init() {
 			return results(bench.Fig6BootAsync(o.Config))
 		}})
 	Register(Experiment{ID: "fig7a", Title: "Thread construction time",
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			return results(bench.Fig7aThreads(size(o, bench.DefaultThreadCounts, []int{1_000_000, 5_000_000})))
+			return results(bench.Fig7aThreads(o.Config, size(o, bench.DefaultThreadCounts, []int{1_000_000, 5_000_000})))
 		}})
 	Register(Experiment{ID: "fig7b", Title: "Wakeup jitter CDF",
+		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {
-			r, stats := bench.Fig7bJitter(size(o, 1_000_000, 200_000))
+			r, stats := bench.Fig7bJitter(o.Config, size(o, 1_000_000, 200_000))
 			out := Output{Results: []*bench.Result{r}}
 			for _, s := range stats {
 				out.Extra = append(out.Extra, fmt.Sprintf(

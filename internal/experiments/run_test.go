@@ -169,8 +169,8 @@ func TestIgnoredRunFlagsRefused(t *testing.T) {
 
 		{args: f("-experiment fig10 -seed 7"), err: "experiment fig10 ignores -seed"},
 		{args: f("-experiment fig10 -quick -seed 7 -replicas-max 3 -value-bytes 9 -domstat -memstats"), err: "experiment fig10 ignores -domstat"},
-		{args: f("-experiment fig7a -trace t"), err: "experiment fig7a ignores -trace"},
-		{args: f("-experiment fig7a -metrics"), err: "experiment fig7a ignores -metrics"},
+		{args: f("-experiment fig11 -trace t"), err: "experiment fig11 ignores -trace"},
+		{args: f("-experiment fig11 -metrics"), err: "experiment fig11 ignores -metrics"},
 		{args: f("-experiment ablations -loss 0.01"), err: "experiment ablations ignores -loss"},
 		{args: f("-experiment fig8 -loss 0.01"), err: "experiment fig8 ignores -loss"},
 		{args: f("-experiment losssweep -jitter 200us"), err: "experiment losssweep ignores -jitter"},

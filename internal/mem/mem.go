@@ -154,7 +154,6 @@ type Heap struct {
 	minorUsed int
 	majorUsed int
 	majorCap  int
-	liveMajor int
 
 	// Cost is the accrued, un-drained virtual CPU cost.
 	Cost time.Duration
@@ -186,15 +185,6 @@ func (h *Heap) Alloc(n int) {
 	}
 }
 
-// Release marks n bytes of major-heap data dead (they are reclaimed by the
-// next major collection).
-func (h *Heap) Release(n int) {
-	h.liveMajor -= n
-	if h.liveMajor < 0 {
-		h.liveMajor = 0
-	}
-}
-
 func (h *Heap) minorCollect() {
 	h.MinorGCs++
 	// Scan the whole minor heap; copy survivors into the major heap.
@@ -203,7 +193,6 @@ func (h *Heap) minorCollect() {
 	h.Cost += time.Duration(survivors/1024+1) * copyCost
 	h.ensureMajor(survivors)
 	h.majorUsed += survivors
-	h.liveMajor += survivors
 	h.minorUsed = 0
 	h.maybeMajorCollect()
 }
@@ -229,15 +218,15 @@ func (h *Heap) maybeMajorCollect() {
 		return
 	}
 	h.MajorGCs++
-	// Mark: scan live data. Sweep/compact: copy a fraction of it.
-	h.Cost += time.Duration(h.liveMajor/1024+1) * scanCost
-	h.Cost += time.Duration(h.liveMajor/4096+1) * copyCost
+	// Mark: scan the major heap, all of it live. Sweep/compact: copy a
+	// fraction of it.
+	h.Cost += time.Duration(h.majorUsed/1024+1) * scanCost
+	h.Cost += time.Duration(h.majorUsed/4096+1) * copyCost
 	if h.cfg.Backend == GrowMalloc {
 		// The collector walks its chunk table (the "page table" a
 		// userspace GC keeps when the heap is not contiguous, §3.3).
 		h.Cost += time.Duration(h.chunks) * h.cfg.ChunkTrackCost
 	}
-	h.majorUsed = h.liveMajor
 }
 
 // Drain returns and clears the accrued cost; callers charge it to a vCPU.

@@ -92,19 +92,6 @@ func TestHeapDrainClearsCost(t *testing.T) {
 	}
 }
 
-func TestHeapMajorCollectReclaimsDeadData(t *testing.T) {
-	cfg := DefaultHeapConfig()
-	cfg.MinorSize = 64 << 10
-	h := NewHeap(cfg)
-	for h.MajorGCs == 0 {
-		h.Release(h.liveMajor) // everything promoted so far dies
-		h.Alloc(cfg.MinorSize)
-	}
-	if promoted := int(float64(cfg.MinorSize) * survivalRate); h.majorUsed > promoted {
-		t.Errorf("major heap holds %d bytes after a major GC, want at most the last promotion's %d", h.majorUsed, promoted)
-	}
-}
-
 // Property: heap cost is monotonically non-decreasing under allocation.
 func TestPropHeapCostMonotone(t *testing.T) {
 	f := func(sizes []uint16) bool {
