@@ -52,9 +52,10 @@ func TestSteadyStateAllocations(t *testing.T) {
 		{"DNSServe", 18.48, dnsServe},
 		{"BlockWrite", 3.005, blockWrite},
 		{"KVSet", 5.52, kvSet},
-		{"TCPStream", 363.11, tcpStream},
-		{"TCPBulk", 1553.02, tcpBulk},
-		{"HTTPRequest", 16.05, httpRequest},
+		{"TCPStream", 362.80, tcpStream},
+		{"TCPBulk", 1550.03, tcpBulk},
+		{"HTTPRequest", 15.00, httpRequest},
+		{"TCPConnCycle", 30.02, tcpConnCycle},
 	} {
 		got, err := allocsPerOp(sc.run)
 		if err != nil {
@@ -246,6 +247,104 @@ func httpRequest(n int) error {
 	})
 	if err == nil && answered != n {
 		err = fmt.Errorf("answered %d/%d requests", answered, n)
+	}
+	return err
+}
+
+// tcpConnCycle: one op is one short connection between two unikernel guests
+// over the full device path: connect, a 512 B request, a 512 B response,
+// close. The client closes first, so its connections wait out TIME_WAIT
+// while the next ones open; the server closes on the client's FIN.
+func tcpConnCycle(n int) error {
+	const size = 512
+	req, resp := make([]byte, size), make([]byte, size)
+	cycles := 0
+	err := pair(43, core.Unikernel{
+		Build: build.Config{Name: "responder", Roots: []string{"tcp"}},
+		Main: func(env *core.Env) int {
+			l, err := env.Net.TCP.Listen(7000)
+			if err != nil {
+				return 1
+			}
+			var serve func(c *tcp.Conn)
+			serve = func(c *tcp.Conn) {
+				got := 0
+				var read func()
+				read = func() {
+					rd := c.Read(size)
+					lwt.Always(rd, func() {
+						if rd.Failed() != nil {
+							return
+						}
+						if len(rd.Value()) == 0 {
+							c.Close()
+							return
+						}
+						if got += len(rd.Value()); got == size {
+							c.Write(resp)
+						}
+						read()
+					})
+				}
+				read()
+			}
+			var next func()
+			next = func() {
+				acc := l.Accept()
+				lwt.Always(acc, func() {
+					if acc.Failed() == nil {
+						serve(acc.Value())
+						next()
+					}
+				})
+			}
+			next()
+			return env.VM.Main(env.P, env.VM.S.Sleep(time.Hour))
+		},
+	}, core.Unikernel{
+		Build: build.Config{Name: "requester", Roots: []string{"tcp"}},
+		Main: func(env *core.Env) int {
+			env.P.Sleep(2 * time.Second)
+			done := lwt.NewPromise[struct{}](env.VM.S)
+			var cycle func()
+			cycle = func() {
+				if cycles == n {
+					done.Resolve(struct{}{})
+					return
+				}
+				conn := env.Net.TCP.Connect(pairServer, 7000)
+				lwt.Always(conn, func() {
+					if conn.Failed() != nil {
+						return // cycles stops short of n
+					}
+					c := conn.Value()
+					c.Write(req)
+					got := 0
+					var read func()
+					read = func() {
+						rd := c.Read(size)
+						lwt.Always(rd, func() {
+							if rd.Failed() != nil || len(rd.Value()) == 0 {
+								return
+							}
+							if got += len(rd.Value()); got < size {
+								read()
+								return
+							}
+							c.Close()
+							cycles++
+							cycle()
+						})
+					}
+					read()
+				})
+			}
+			cycle()
+			return env.VM.Main(env.P, done)
+		},
+	})
+	if err == nil && cycles != n {
+		err = fmt.Errorf("completed %d/%d connections", cycles, n)
 	}
 	return err
 }

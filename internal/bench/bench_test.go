@@ -241,11 +241,11 @@ func TestFig12Shape(t *testing.T) {
 	mir, lin := r.Get("mirage-dyn"), r.Get("linux-nginx-webpy")
 	// Mirage linear up to ~80 sessions/s: reply rate at 70 ~= 700 req/s.
 	at := func(s *Series, x float64) float64 {
-		y, ok := lookup(*s, x)
-		if !ok {
+		ys := pointsAt(*s, x)
+		if len(ys) == 0 {
 			t.Fatalf("missing x=%v", x)
 		}
-		return y
+		return ys[0]
 	}
 	if y := at(mir, 70); y < 650 || y > 750 {
 		t.Errorf("mirage at 70 sessions/s = %.0f replies/s, want ~700 (linear)", y)
@@ -403,5 +403,25 @@ func TestLossSweepCompletes(t *testing.T) {
 		if y <= 0 {
 			t.Errorf("rate %v: non-positive goodput %.3f", g.X[i], y)
 		}
+	}
+}
+
+// TestFormatPrintsEveryPoint: a series that holds the same X more than once
+// (a CDF whose samples are all equal) prints one row per point, so the
+// table reaches the last Y; a series with fewer points at that X prints "-"
+// in the extra rows.
+func TestFormatPrintsEveryPoint(t *testing.T) {
+	r := Result{ID: "t", Title: "repeated x", XLabel: "ms", YLabel: "fraction", Series: []Series{
+		{Name: "flat", X: []float64{0, 0, 0}, Y: []float64{0.5, 0.9, 1}},
+		{Name: "spread", X: []float64{0, 2}, Y: []float64{0.4, 1}},
+	}}
+	want := "== t: repeated x ==\n" +
+		"              ms                   flat                 spread   [fraction]\n" +
+		"               0                    0.5                    0.4\n" +
+		"               0                    0.9                      -\n" +
+		"               0                      1                      -\n" +
+		"               2                      -                      1\n"
+	if got := r.Format(); got != want {
+		t.Errorf("Format:\n%s\nwant:\n%s", got, want)
 	}
 }

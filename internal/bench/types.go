@@ -60,17 +60,26 @@ func (r *Result) Format() string {
 		fmt.Fprintf(&b, " %22s", s.Name)
 	}
 	fmt.Fprintf(&b, "   [%s]\n", r.YLabel)
+	// An X a series holds more than once (a CDF's flat stretch) gets one row
+	// per point, the series' points at that X in their order.
+	ys := make([][]float64, len(r.Series))
 	for _, x := range xvals {
-		fmt.Fprintf(&b, "%16.6g", x)
-		for _, s := range r.Series {
-			y, ok := lookup(s, x)
-			if ok {
-				fmt.Fprintf(&b, " %22.6g", y)
-			} else {
-				fmt.Fprintf(&b, " %22s", "-")
-			}
+		rows := 0
+		for i, s := range r.Series {
+			ys[i] = pointsAt(s, x)
+			rows = max(rows, len(ys[i]))
 		}
-		b.WriteByte('\n')
+		for row := 0; row < rows; row++ {
+			fmt.Fprintf(&b, "%16.6g", x)
+			for _, y := range ys {
+				if row < len(y) {
+					fmt.Fprintf(&b, " %22.6g", y[row])
+				} else {
+					fmt.Fprintf(&b, " %22s", "-")
+				}
+			}
+			b.WriteByte('\n')
+		}
 	}
 	for _, n := range r.Notes {
 		fmt.Fprintf(&b, "note: %s\n", n)
@@ -99,13 +108,15 @@ func metricsAppendix(k *sim.Kernel, before obs.Snapshot, prefixes ...string) []s
 	return snap.Lines()
 }
 
-func lookup(s Series, x float64) (float64, bool) {
+// pointsAt returns the series' Y values at x, in series order.
+func pointsAt(s Series, x float64) []float64 {
+	var ys []float64
 	for i, sx := range s.X {
 		if sx == x {
-			return s.Y[i], true
+			ys = append(ys, s.Y[i])
 		}
 	}
-	return 0, false
+	return ys
 }
 
 // Get returns the series with the given name, or nil.

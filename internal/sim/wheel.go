@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"repro/internal/obs"
 )
@@ -235,10 +236,14 @@ func (w *Wheel) rearm() {
 	}
 	ft := Time(w.nextTick()) * wheelTick
 	if w.armed == 0 || ft < w.armed {
-		w.k.At(ft, w.onTick)
+		w.k.AtArg(ft, fireWheelTick, w, 0)
 		w.armed = ft
 	}
 }
+
+// fireWheelTick is the kernel event rearm queues, carrying its wheel: built
+// once, so arming the next tick allocates nothing.
+func fireWheelTick(w any, _ uint64) { w.(*Wheel).onTick() }
 
 func (w *Wheel) onTick() {
 	w.armed = 0
@@ -292,6 +297,18 @@ func (w *Wheel) cascade(t int64) {
 	}
 }
 
+// fireOrder orders a firing batch by (deadline, key, seq). seq is unique,
+// so the order is total.
+func fireOrder(a, b *Timer) int {
+	if c := cmp.Compare(a.deadline, b.deadline); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.key, b.key); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // fire runs the level-0 slot due at tick t in (deadline, key, seq) order.
 // The batch is detached before any callback runs, so a callback cancelling
 // or rescheduling a sibling timer in the same slot takes effect (the
@@ -312,16 +329,7 @@ func (w *Wheel) fire(t int64) {
 		buf = append(buf, head)
 		head = next
 	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := buf[i], buf[j]
-		if a.deadline != b.deadline {
-			return a.deadline < b.deadline
-		}
-		if a.key != b.key {
-			return a.key < b.key
-		}
-		return a.seq < b.seq
-	})
+	slices.SortFunc(buf, fireOrder)
 	for _, tm := range buf {
 		seqs = append(seqs, tm.seq)
 	}

@@ -181,8 +181,8 @@ func TestLossRecoveryRFCCases(t *testing.T) {
 			timeouts := r.st.mxTimeouts.Value()
 			rto := r.c.rto
 			r.run(t, rto+rto/2) // past the timeout, short of the backed-off one
-			if repaired != len(holes) || r.c.inflight.Len() != 0 {
-				t.Errorf("%d of %d holes retransmitted, %d segments unacknowledged", repaired, len(holes), r.c.inflight.Len())
+			if inflight, _ := queued(r.c); repaired != len(holes) || inflight != 0 {
+				t.Errorf("%d of %d holes retransmitted, %d segments unacknowledged", repaired, len(holes), inflight)
 			}
 			if n := r.st.mxTimeouts.Value() - timeouts; n != 1 {
 				t.Errorf("%d timeouts, want 1", n)
@@ -245,6 +245,7 @@ func TestSameInstantEventsAllocateNothing(t *testing.T) {
 	acks := r.acks
 	const runs = 100
 	n := testing.AllocsPerRun(runs, func() {
+		r.c.use() // the idle connection takes its I/O part back from the stack
 		r.c.scheduleDelayedAck()
 		r.c.scheduleAckFlush()
 		r.c.scheduleSend()
@@ -256,7 +257,7 @@ func TestSameInstantEventsAllocateNothing(t *testing.T) {
 	if got := r.acks - acks; got != runs+1 {
 		t.Errorf("%d ACK flushes fired over %d cycles, want one each", got, runs+1)
 	}
-	if r.c.delAckTimer.Pending() {
+	if r.c.io != nil && r.c.io.delAckTimer.Pending() {
 		t.Error("the ACK flush left the delayed-ACK timer armed")
 	}
 }

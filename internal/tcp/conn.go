@@ -79,31 +79,23 @@ type pendingWrite struct {
 	n    int // bytes already buffered
 }
 
-// Conn is one TCP connection.
+// Conn is one TCP connection: the part it keeps for its whole life. It is
+// sized for a million parked connections (a parked keep-alive connection is
+// this struct and its pending Read), so what only a connection with I/O to
+// do needs, its queues, its two deferred flushes and its three timers, is a
+// connIO the connection holds only while it is busy (see connIO).
 type Conn struct {
-	st  *Stack
-	key connKey
-
-	state State
-
-	// Send sequence space.
-	iss, sndUna, sndNxt uint32
-	// The FIN flags sit in the padding after the sequence numbers, keeping
-	// Conn in its 704 B size class beside its two sim.Flush fields.
-	finQueued, finSent, finRcvd bool
-	sndWnd                      int
-	sndWL1, sndWL2              uint32 // seq/ack of the segment last used to update sndWnd
-	peerWndScale                int    // -1 until negotiated
-	mss                         int
-	sendq                       sendQueue // accepted, not yet segmented (see sendq.go)
-	inflight                    fifo.Queue[inflightSeg]
-	sendAt                      sim.Flush // trySend deferred to the end of the instant
-
-	// Zero-window persist (RFC 1122 §4.2.2.17).
-	persistBackoff time.Duration
-	persistTimer   sim.Timer
-
+	st       *Stack
+	io       *connIO   // nil while the connection is idle; see use and settle
 	listener *Listener // listener this conn was accepted on (nil for active opens)
+	// lent holds the receive page of the bytes the last Read resolved with
+	// in place; it returns to the pool at the reader's next Read, Close or
+	// Abort (see Read).
+	lent     *cstruct.View
+	connectP *lwt.Promise[*Conn]
+	doneP    *lwt.Promise[struct{}]
+	err      error
+	readers  fifo.Queue[pendingRead]
 
 	// span is the causal-tracing trace id this connection carries (0 =
 	// untraced). Active opens inherit it from Stack.NextSpan; passive opens
@@ -112,42 +104,142 @@ type Conn struct {
 	// domains without touching wire bytes.
 	span uint64
 
-	// Congestion control (New Reno).
+	state State
+
+	// Send window, congestion control (New Reno) and the RTT estimate
+	// (Jacobson, with Karn's rule) behind the RTO.
+	sndWnd         int
+	peerWndScale   int // -1 until negotiated
+	mss            int
 	cwnd, ssthresh int
 	dupAcks        int
-	recover        uint32
-	fastRecovery   bool
-	rtoRecovery    bool // a timeout's holes below recover are being repaired
+	srtt, rttvar   time.Duration
+	rto            time.Duration
 
-	// RTT estimation / RTO (Jacobson/Karn). All per-connection timers live
-	// on the kernel's hierarchical timing wheel: arming or moving one is an
-	// O(1) slot relink, and a million pending timers put a handful of wheel
-	// events — not a million entries — on the kernel event heap. The RTO
-	// timer doubles as the TIME_WAIT timer (the RTO is disarmed for good by
-	// then); onTimerRTO dispatches on state.
-	srtt, rttvar, rto time.Duration
-	rtoTimer          sim.Timer
-
-	// Receive sequence space.
-	irs, rcvNxt  uint32
+	// Receive side.
 	myWndScale   int
-	rcvChain     fifo.Queue[rcvChunk] // in-order payload spans awaiting the application
-	rcvLen       int                  // total bytes across rcvChain
-	ooo          map[uint32][]byte    // allocated lazily on first out-of-order segment
+	rcvLen       int // total bytes across the receive chain
 	segsSinceAck int
-	delAckTimer  sim.Timer
-	ackFlushAt   sim.Flush // the ACK deferred to the end of the instant
 
-	readers fifo.Queue[pendingRead]
-	writers fifo.Queue[pendingWrite]
-	// lent holds the receive page of the bytes the last Read resolved with
-	// in place; it returns to the pool at the reader's next Read, Close or
-	// Abort (see Read).
-	lent *cstruct.View
+	key connKey
 
-	connectP *lwt.Promise[*Conn]
-	doneP    *lwt.Promise[struct{}]
-	err      error
+	// Send and receive sequence spaces.
+	iss, sndUna, sndNxt uint32
+	sndWL1, sndWL2      uint32 // seq/ack of the segment last used to update sndWnd
+	recover             uint32
+	irs, rcvNxt         uint32
+
+	finQueued, finSent, finRcvd bool
+	fastRecovery                bool
+	rtoRecovery                 bool // a timeout's holes below recover are being repaired
+}
+
+// connIO is the part of a connection that only I/O needs. A connection
+// takes one from its stack's free list when it has something to send, time
+// or answer (use), and hands it back at the end of the call or event that
+// left all of it empty and nothing armed (settle): an established connection
+// waiting for its peer holds none. A part is recycled whole. Its timer and
+// flush callbacks are bound once, when it is first allocated, and its queues
+// are drained, not reset, so their arrays keep their capacity from one
+// connection to the next; taking one from the free list allocates nothing.
+type connIO struct {
+	c *Conn // the connection holding this part
+
+	sendq    sendQueue // accepted, not yet segmented (see sendq.go)
+	inflight fifo.Queue[inflightSeg]
+	writers  fifo.Queue[pendingWrite]
+	sendAt   sim.Flush // trySend deferred to the end of the instant
+
+	rcvChain   fifo.Queue[rcvChunk] // in-order payload spans awaiting the application
+	ooo        map[uint32][]byte    // allocated lazily on first out-of-order segment
+	ackFlushAt sim.Flush            // the ACK deferred to the end of the instant
+
+	// Zero-window persist (RFC 1122 §4.2.2.17).
+	persistBackoff time.Duration
+
+	// All per-connection timers live on the kernel's hierarchical timing
+	// wheel: arming or moving one is an O(1) slot relink, and a million
+	// pending timers put a handful of wheel events — not a million entries —
+	// on the kernel event heap. The RTO timer doubles as the TIME_WAIT timer
+	// (the RTO is disarmed for good by then); onTimerRTO dispatches on state.
+	rtoTimer, delAckTimer, persistTimer sim.Timer
+	// The timers' callbacks, bound to this part once.
+	onRTO, onDelAck, onPersist func()
+}
+
+func newConnIO() *connIO {
+	io := &connIO{}
+	io.onRTO = io.fireRTO
+	io.onDelAck = io.fireDelAck
+	io.onPersist = io.firePersist
+	io.sendAt.Init(func(owner any) {
+		c := owner.(*connIO).c
+		c.trySend()
+		c.settle()
+	}, io)
+	io.ackFlushAt.Init(func(owner any) {
+		c := owner.(*connIO).c
+		if c.state != StateClosed {
+			c.sendAck()
+		}
+		c.settle()
+	}, io)
+	return io
+}
+
+func (io *connIO) fireRTO() {
+	c := io.c
+	c.onTimerRTO()
+	c.settle()
+}
+
+func (io *connIO) fireDelAck() {
+	c := io.c
+	if c.state != StateClosed {
+		c.sendAck()
+	}
+	c.settle()
+}
+
+func (io *connIO) firePersist() {
+	c := io.c
+	if c.state != StateClosed {
+		c.onPersist()
+	}
+	c.settle()
+}
+
+// armed reports whether a timer or a flush of the part is pending.
+func (io *connIO) armed() bool {
+	return io.rtoTimer.Pending() || io.delAckTimer.Pending() || io.persistTimer.Pending() ||
+		io.sendAt.Pending() || io.ackFlushAt.Pending()
+}
+
+// idle reports whether the part holds nothing its connection still needs:
+// every queue empty, no persist backoff in progress, nothing armed.
+func (io *connIO) idle() bool {
+	return io.sendq.Len() == 0 && io.inflight.Len() == 0 && io.writers.Len() == 0 &&
+		io.rcvChain.Len() == 0 && len(io.ooo) == 0 && io.persistBackoff == 0 && !io.armed()
+}
+
+// use returns the connection's I/O part, taking one from the stack first if
+// the connection holds none.
+func (c *Conn) use() *connIO {
+	if c.io == nil {
+		c.io = c.st.getIO(c)
+	}
+	return c.io
+}
+
+// settle hands the connection's I/O part back to the stack if it is idle.
+// Every call and event that may have used the part ends with it; nothing
+// releases the part in the middle of one, so code between use and settle
+// holds it throughout.
+func (c *Conn) settle() {
+	if io := c.io; io != nil && io.idle() {
+		c.io = nil
+		c.st.putIO(io)
+	}
 }
 
 // State returns the connection state.
@@ -190,7 +282,7 @@ func (c *Conn) TraceID() uint64 { return c.span }
 
 func newConn(st *Stack, key connKey) *Conn {
 	p := st.Params
-	c := &Conn{
+	return &Conn{
 		st:           st,
 		key:          key,
 		mss:          p.MSS,
@@ -201,19 +293,6 @@ func newConn(st *Stack, key connKey) *Conn {
 		peerWndScale: -1,
 		myWndScale:   wndScale,
 	}
-	// Wheel timers carry the connection 4-tuple as their ordering key, so
-	// same-tick timers across connections fire in deterministic peer order.
-	tk := key.timerKey()
-	c.rtoTimer.Init(tk, c.onTimerRTO)
-	c.delAckTimer.Init(tk, c.onTimerDelAck)
-	c.persistTimer.Init(tk, c.onTimerPersist)
-	c.ackFlushAt.Init(func(owner any) {
-		if c := owner.(*Conn); c.state != StateClosed {
-			c.sendAck()
-		}
-	}, c)
-	c.sendAt.Init(func(owner any) { owner.(*Conn).trySend() }, c)
-	return c
 }
 
 // onTimerRTO fires the retransmission timer — or, once the connection has
@@ -225,21 +304,9 @@ func (c *Conn) onTimerRTO() {
 	case StateTimeWait:
 		c.teardown(nil)
 	default:
-		if c.inflight.Len() > 0 {
+		if c.io.inflight.Len() > 0 {
 			c.onTimeout()
 		}
-	}
-}
-
-func (c *Conn) onTimerDelAck() {
-	if c.state != StateClosed {
-		c.sendAck()
-	}
-}
-
-func (c *Conn) onTimerPersist() {
-	if c.state != StateClosed {
-		c.onPersist()
 	}
 }
 
@@ -288,8 +355,10 @@ func (c *Conn) send(flags uint8, seq uint32, payload []byte, syn bool) {
 
 func (c *Conn) sendAck() {
 	c.segsSinceAck = 0
-	c.delAckTimer.Cancel() // any explicit ACK supersedes a delayed one
-	c.ackFlushAt.Cancel()  // and a pending same-instant flush
+	if io := c.io; io != nil {
+		io.delAckTimer.Cancel() // any explicit ACK supersedes a delayed one
+		io.ackFlushAt.Cancel()  // and a pending same-instant flush
+	}
 	c.send(FlagACK, c.sndNxt, nil, false)
 }
 
@@ -300,18 +369,18 @@ func (c *Conn) sendAck() {
 // segments arriving at distinct instants this is indistinguishable from an
 // immediate ACK.
 func (c *Conn) scheduleAckFlush() {
-	if k := c.st.S.K; !c.ackFlushAt.Pending() {
-		c.ackFlushAt.Arm(k, k.Now())
+	if k := c.st.S.K; !c.io.ackFlushAt.Pending() {
+		c.io.ackFlushAt.Arm(k, k.Now())
 	}
 }
 
 // scheduleDelayedAck arms the delayed-ACK timer (every-second-segment
 // immediate ACK is handled by the caller).
 func (c *Conn) scheduleDelayedAck() {
-	if c.delAckTimer.Pending() {
+	if c.io.delAckTimer.Pending() {
 		return
 	}
-	c.st.wheel.Schedule(&c.delAckTimer, c.st.S.K.Now().Add(delayedAck))
+	c.st.wheel.Schedule(&c.io.delAckTimer, c.st.S.K.Now().Add(delayedAck))
 }
 
 // flightSize returns bytes in flight.
@@ -334,7 +403,8 @@ func (c *Conn) usableWindow() int {
 // send queue: capped reslices of the writers' own slices, with no copy
 // except for the segment that straddles two separate writes.
 func (c *Conn) trySend() {
-	c.sendAt.Cancel() // this call is the flush; pending deferred sends are stale
+	io := c.io
+	io.sendAt.Cancel() // this call is the flush; pending deferred sends are stale
 	if c.state != StateEstablished && c.state != StateCloseWait &&
 		c.state != StateFinWait1 && c.state != StateClosing && c.state != StateLastAck {
 		return
@@ -343,22 +413,22 @@ func (c *Conn) trySend() {
 	for {
 		c.drainWriters()
 		progress := false
-		for c.sendq.Len() > 0 {
+		for io.sendq.Len() > 0 {
 			avail := c.usableWindow()
 			if avail <= 0 {
 				break
 			}
-			n := c.sendq.Len()
+			n := io.sendq.Len()
 			if n > c.mss {
 				n = c.mss
 			}
 			if n > avail {
 				n = avail
 			}
-			data := c.sendq.cut(n)
-			c.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
+			data := io.sendq.cut(n)
+			io.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 			flags := uint8(FlagACK)
-			if c.sendq.Len() == 0 && c.writers.Len() == 0 {
+			if io.sendq.Len() == 0 && io.writers.Len() == 0 {
 				flags |= FlagPSH
 			}
 			c.send(flags, c.sndNxt, data, false)
@@ -369,9 +439,9 @@ func (c *Conn) trySend() {
 			break
 		}
 	}
-	if c.finQueued && !c.finSent && c.sendq.Len() == 0 && c.usableWindow() > 0 {
+	if c.finQueued && !c.finSent && io.sendq.Len() == 0 && c.usableWindow() > 0 {
 		c.finSent = true
-		c.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
+		io.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
 		c.send(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.sndNxt++
 		sent = true
@@ -387,15 +457,16 @@ func (c *Conn) trySend() {
 // segment is cut (the write-coalescing half of §3.4.1 batching).
 func (c *Conn) scheduleSend() {
 	k := c.st.S.K
-	c.sendAt.Arm(k, k.Now())
+	c.io.sendAt.Arm(k, k.Now())
 }
 
 // drainWriters moves queued user writes into the send queue as space
 // frees, resolving their promises once fully buffered.
 func (c *Conn) drainWriters() {
-	for c.writers.Len() > 0 {
-		w := c.writers.At(0)
-		space := sndBuf - c.sendq.Len()
+	io := c.io
+	for io.writers.Len() > 0 {
+		w := io.writers.At(0)
+		space := sndBuf - io.sendq.Len()
 		if space <= 0 {
 			return
 		}
@@ -403,10 +474,10 @@ func (c *Conn) drainWriters() {
 		if take > space {
 			take = space
 		}
-		c.sendq.write(w.data[w.n : w.n+take])
+		io.sendq.write(w.data[w.n : w.n+take])
 		w.n += take
 		if w.n == len(w.data) {
-			done := c.writers.Pop()
+			done := io.writers.Pop()
 			done.pr.Resolve(done.n)
 		}
 	}
@@ -429,9 +500,9 @@ func (c *Conn) Write(data []byte) *lwt.Promise[int] {
 		pr.Fail(errors.New("tcp: write after close"))
 		return pr
 	}
-	c.writers.Push(pendingWrite{data: data, pr: pr})
+	c.use().writers.Push(pendingWrite{data: data, pr: pr})
 	c.drainWriters()
-	c.scheduleSend()
+	c.scheduleSend() // the deferred send keeps the I/O part busy: no settle
 	return pr
 }
 
@@ -453,6 +524,7 @@ func (c *Conn) Read(max int) *lwt.Promise[[]byte] {
 	}
 	c.readers.Push(pendingRead{max: max, pr: pr})
 	c.wakeReaders()
+	c.settle()
 	return pr
 }
 
@@ -504,7 +576,7 @@ func (c *Conn) takeRcv(max int) []byte {
 	if n > max {
 		n = max
 	}
-	first := c.rcvChain.At(0)
+	first := c.io.rcvChain.At(0)
 	c.rcvLen -= n
 	if len(first.data) >= n && (first.view == nil || c.lent == nil) {
 		out := first.data[:n:n]
@@ -523,7 +595,7 @@ func (c *Conn) takeRcv(max int) []byte {
 	out := make([]byte, n)
 	copy(out, src) // adjacent to make, from a plain variable: the bytes this writes are not zeroed first
 	for got := c.consumeRcv(n); got < n; {
-		copy(out[got:], c.rcvChain.At(0).data)
+		copy(out[got:], c.io.rcvChain.At(0).data)
 		got += c.consumeRcv(n - got)
 	}
 	return out
@@ -533,7 +605,7 @@ func (c *Conn) takeRcv(max int) []byte {
 // chain — the whole chunk, page reference included, once none of it is left
 // — and returns how many it dropped.
 func (c *Conn) consumeRcv(want int) int {
-	ch := c.rcvChain.At(0)
+	ch := c.io.rcvChain.At(0)
 	if want < len(ch.data) {
 		ch.data = ch.data[want:]
 		return want
@@ -541,7 +613,7 @@ func (c *Conn) consumeRcv(want int) int {
 	if ch.view != nil {
 		ch.view.Release()
 	}
-	return len(c.rcvChain.Pop().data)
+	return len(c.io.rcvChain.Pop().data)
 }
 
 // Close queues a FIN after buffered data drains (active/passive close).
@@ -557,7 +629,9 @@ func (c *Conn) Close() {
 	case StateCloseWait:
 		c.setState(StateLastAck)
 	}
+	c.use()
 	c.trySend()
+	c.settle()
 }
 
 // Abort sends RST and tears the connection down.
@@ -567,6 +641,7 @@ func (c *Conn) Abort() {
 		c.send(FlagRST|FlagACK, c.sndNxt, nil, false)
 	}
 	c.teardown(ErrReset)
+	c.settle()
 }
 
 // Done resolves once the connection reaches Closed (including TIME_WAIT
@@ -591,19 +666,22 @@ func (c *Conn) teardown(err error) {
 	}
 	c.setState(StateClosed)
 	c.err = err
-	// Unlink every wheel timer: O(1) each, nothing lingers on the wheel.
-	c.rtoTimer.Cancel()
-	c.delAckTimer.Cancel()
-	c.persistTimer.Cancel()
-	c.ackFlushAt.Cancel()
-	c.sendAt.Cancel()
-	// Unconsumed receive data still pins pages; let them go.
-	for c.rcvChain.Len() > 0 {
-		if v := c.rcvChain.Pop().view; v != nil {
-			v.Release()
+	io := c.io
+	if io != nil {
+		// Unlink every wheel timer: O(1) each, nothing lingers on the wheel.
+		io.rtoTimer.Cancel()
+		io.delAckTimer.Cancel()
+		io.persistTimer.Cancel()
+		io.ackFlushAt.Cancel()
+		io.sendAt.Cancel()
+		// Unconsumed receive data still pins pages; let them go.
+		for io.rcvChain.Len() > 0 {
+			if v := io.rcvChain.Pop().view; v != nil {
+				v.Release()
+			}
 		}
+		io.drainBuffers()
 	}
-	c.rcvChain.Reset()
 	c.rcvLen = 0
 	c.st.remove(c.key)
 	if c.doneP != nil && !c.doneP.Completed() {
@@ -620,85 +698,108 @@ func (c *Conn) teardown(err error) {
 		}
 	}
 	c.readers.Reset()
-	for c.writers.Len() > 0 {
-		c.writers.Pop().pr.Fail(fmt.Errorf("tcp: connection closed"))
+	if io != nil {
+		for io.writers.Len() > 0 {
+			io.writers.Pop().pr.Fail(fmt.Errorf("tcp: connection closed"))
+		}
 	}
-	c.writers.Reset()
+	// The part is idle now; the call or event that tore the connection
+	// down hands it back when it settles.
+}
+
+// drainBuffers empties the send queue, the retransmission queue and the
+// reassembly map, keeping their arrays for the part's next connection, and
+// ends any persist backoff: nothing is left to send.
+func (io *connIO) drainBuffers() {
+	io.sendq.drain()
+	io.dropInflight()
+	clear(io.ooo)
+	io.persistBackoff = 0
+}
+
+// dropInflight empties the retransmission queue, keeping its array.
+func (io *connIO) dropInflight() {
+	for io.inflight.Len() > 0 {
+		io.inflight.Pop()
+	}
 }
 
 // --- Timers ---
 
 func (c *Conn) armRTO() {
-	c.st.wheel.Schedule(&c.rtoTimer, c.st.S.K.Now().Add(c.rto))
+	c.st.wheel.Schedule(&c.io.rtoTimer, c.st.S.K.Now().Add(c.rto))
 }
 
-func (c *Conn) disarmRTO() { c.rtoTimer.Cancel() }
+func (c *Conn) disarmRTO() { c.io.rtoTimer.Cancel() }
 
 // maybeArmPersist starts the zero-window probe timer when data (or a FIN)
 // is pending but the peer's window forbids sending and nothing is in
 // flight to arm an RTO. Without it, a lost window-update ACK leaves the
 // sender stalled forever (RFC 1122 §4.2.2.17).
 func (c *Conn) maybeArmPersist() {
-	if c.persistTimer.Pending() || c.state == StateClosed {
+	io := c.io
+	if io.persistTimer.Pending() || c.state == StateClosed {
 		return
 	}
-	pending := c.sendq.Len() > 0 || (c.finQueued && !c.finSent)
-	if !pending || c.inflight.Len() > 0 || c.usableWindow() > 0 {
+	pending := io.sendq.Len() > 0 || (c.finQueued && !c.finSent)
+	if !pending || io.inflight.Len() > 0 || c.usableWindow() > 0 {
 		return
 	}
-	if c.persistBackoff == 0 {
-		c.persistBackoff = c.rto
+	if io.persistBackoff == 0 {
+		io.persistBackoff = c.rto
 	}
 	c.armPersist()
 }
 
 func (c *Conn) armPersist() {
-	c.st.wheel.Schedule(&c.persistTimer, c.st.S.K.Now().Add(c.persistBackoff))
+	io := c.io
+	c.st.wheel.Schedule(&io.persistTimer, c.st.S.K.Now().Add(io.persistBackoff))
 }
 
 // onPersist fires the persist timer: if the window is still closed it
 // forces one byte (or the queued FIN) past it so the peer must answer
 // with its current window, then backs off and re-arms.
 func (c *Conn) onPersist() {
+	io := c.io
 	if c.sndWnd > 0 {
 		// The window reopened while the timer was pending; the normal
 		// send path owns any inflight probe again.
-		if c.inflight.Len() > 0 {
+		if io.inflight.Len() > 0 {
 			c.armRTO()
 		}
 		c.trySend()
 		return
 	}
-	if c.inflight.Len() == 0 && c.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
+	if io.inflight.Len() == 0 && io.sendq.Len() == 0 && (!c.finQueued || c.finSent) {
 		return // nothing left to probe for
 	}
 	c.st.mxPersistProbes.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "persist-probe", c.st.TracePid, 0,
-			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("backoff_us", int64(c.persistBackoff.Microseconds())))...)
+			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("backoff_us", int64(io.persistBackoff.Microseconds())))...)
 	}
 	switch {
-	case c.inflight.Len() > 0:
+	case io.inflight.Len() > 0:
 		// A previous probe is still unacknowledged: resend it.
 		c.retransmitFirst()
-	case c.sendq.Len() > 0:
+	case io.sendq.Len() > 0:
 		// Window probe: one byte past the advertised window.
-		data := c.sendq.cut(1)
-		c.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
+		data := io.sendq.cut(1)
+		io.inflight.Push(inflightSeg{seq: c.sndNxt, data: data, sentAt: c.st.S.K.Now()})
 		c.send(FlagACK|FlagPSH, c.sndNxt, data, false)
 		c.sndNxt++
 	default: // queued FIN blocked by the window
 		c.finSent = true
-		c.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
+		io.inflight.Push(inflightSeg{seq: c.sndNxt, fin: true, sentAt: c.st.S.K.Now()})
 		c.send(FlagFIN|FlagACK, c.sndNxt, nil, false)
 		c.sndNxt++
 	}
-	c.persistBackoff *= 2
-	if c.persistBackoff < c.rto {
-		c.persistBackoff = c.rto
+	io.persistBackoff *= 2
+	if io.persistBackoff < c.rto {
+		io.persistBackoff = c.rto
 	}
-	if c.persistBackoff > maxRTO {
-		c.persistBackoff = maxRTO
+	if io.persistBackoff > maxRTO {
+		io.persistBackoff = maxRTO
 	}
 	c.armPersist()
 }
@@ -727,15 +828,16 @@ func (c *Conn) onTimeout() {
 }
 
 func (c *Conn) retransmitFirst() {
-	if c.inflight.Len() == 0 {
+	io := c.io
+	if io.inflight.Len() == 0 {
 		return
 	}
 	c.st.mxRetransmits.Inc()
 	if tr := c.st.tr; tr.Enabled() {
 		tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "retransmit", c.st.TracePid, 0,
-			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("seq", int64(c.inflight.At(0).seq)))...)
+			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("seq", int64(io.inflight.At(0).seq)))...)
 	}
-	seg := c.inflight.At(0)
+	seg := io.inflight.At(0)
 	seg.rexmit = true
 	switch {
 	case seg.syn && c.state == StateSynSent:

@@ -159,7 +159,9 @@ func (st *Stack) acceptCookie(l *Listener, src ipv4.Addr, seg Segment) bool {
 	}
 	l.deliver(c)
 	if len(seg.Payload) > 0 || seg.Flags&FlagFIN != 0 {
+		c.use()
 		c.inputData(seg)
+		c.settle()
 	} else {
 		seg.releaseView()
 	}

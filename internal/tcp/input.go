@@ -6,24 +6,31 @@ package tcp
 import "repro/internal/obs"
 
 // input consumes seg: every path either hands the payload view on to the
-// receive chain or releases it.
+// receive chain or releases it. A segment other than an RST may have to be
+// queued, timed or answered, so the connection takes its I/O part for it,
+// and hands the part back if the segment left it idle.
 func (c *Conn) input(seg Segment) {
 	if seg.Flags&FlagRST != 0 {
 		seg.releaseView()
 		c.inputRst(seg)
+		c.settle()
 		return
 	}
+	if c.state == StateClosed {
+		seg.releaseView() // late segment; ignore
+		return
+	}
+	c.use()
 	switch c.state {
 	case StateSynSent:
 		seg.releaseView() // payload on SYN|ACK is not supported
 		c.inputSynSent(seg)
 	case StateSynRcvd:
 		c.inputSynRcvd(seg)
-	case StateClosed:
-		seg.releaseView() // late segment; ignore
 	default:
 		c.inputData(seg)
 	}
+	c.settle()
 }
 
 // inputRst validates an RST against the receive window (RFC 5961 §3.2)
@@ -71,7 +78,7 @@ func (c *Conn) inputSynSent(seg Segment) {
 	c.irs = seg.Seq
 	c.rcvNxt = seg.Seq + 1
 	c.sndUna = seg.Ack
-	c.inflight.Reset()
+	c.io.dropInflight()
 	c.disarmRTO()
 	c.negotiate(seg)
 	c.setState(StateEstablished)
@@ -94,7 +101,7 @@ func (c *Conn) inputSynRcvd(seg Segment) {
 		return
 	}
 	c.sndUna = seg.Ack
-	c.inflight.Reset()
+	c.io.dropInflight()
 	c.disarmRTO()
 	c.setState(StateEstablished)
 	if l := c.listener; l != nil {
@@ -157,7 +164,7 @@ func (c *Conn) processAck(seg Segment) {
 		c.sndWnd = newWnd
 		c.sndWL1, c.sndWL2 = seg.Seq, ack
 		if wndChanged && newWnd > 0 {
-			c.persistBackoff = 0 // a reopened window resets probe backoff
+			c.io.persistBackoff = 0 // a reopened window resets probe backoff
 			// A reopened window may unblock stalled data.
 			defer c.trySend()
 		}
@@ -173,11 +180,11 @@ func (c *Conn) processAck(seg Segment) {
 		// be timed across the whole wait for its repair.
 		var newest inflightSeg
 		popped, rexmit := false, false
-		for c.inflight.Len() > 0 {
-			if s := c.inflight.At(0); !seqLEQ(s.seq+s.seqLen(), ack) {
+		for c.io.inflight.Len() > 0 {
+			if s := c.io.inflight.At(0); !seqLEQ(s.seq+s.seqLen(), ack) {
 				break
 			}
-			newest = c.inflight.Pop()
+			newest = c.io.inflight.Pop()
 			popped, rexmit = true, rexmit || newest.rexmit
 		}
 		if popped && !rexmit {
@@ -217,7 +224,7 @@ func (c *Conn) processAck(seg Segment) {
 				c.cwnd += max2(c.mss*acked/c.cwnd, 1) // congestion avoidance
 			}
 		}
-		if c.inflight.Len() > 0 {
+		if c.io.inflight.Len() > 0 {
 			c.armRTO()
 		} else {
 			c.disarmRTO()
@@ -226,7 +233,7 @@ func (c *Conn) processAck(seg Segment) {
 		c.trySend()
 
 	case ack == c.sndUna && len(seg.Payload) == 0 && seg.Flags&(FlagSYN|FlagFIN) == 0 &&
-		c.inflight.Len() > 0 && !wndChanged:
+		c.io.inflight.Len() > 0 && !wndChanged:
 		// Duplicate ACK (RFC 5681: same ack, no data, unchanged window).
 		c.dupAcks++
 		if c.fastRecovery {
@@ -264,7 +271,7 @@ func (c *Conn) onAllAcked() {
 }
 
 func (c *Conn) processPayload(seg Segment) {
-	p := c.st.Params
+	p, io := c.st.Params, c.io
 	switch {
 	case seg.Seq == c.rcvNxt:
 		if c.rcvLen+len(seg.Payload) > p.RcvBuf+p.MSS {
@@ -275,17 +282,17 @@ func (c *Conn) processPayload(seg Segment) {
 		}
 		// Zero-copy enqueue: the chain takes ownership of the payload
 		// view (or aliases the heap slice on direct-injection paths).
-		c.rcvChain.Push(rcvChunk{data: seg.Payload, view: seg.view})
+		io.rcvChain.Push(rcvChunk{data: seg.Payload, view: seg.view})
 		c.rcvLen += len(seg.Payload)
 		c.rcvNxt += uint32(len(seg.Payload))
 		// Pull any contiguous out-of-order segments in.
 		for {
-			data, ok := c.ooo[c.rcvNxt]
+			data, ok := io.ooo[c.rcvNxt]
 			if !ok {
 				break
 			}
-			delete(c.ooo, c.rcvNxt)
-			c.rcvChain.Push(rcvChunk{data: data})
+			delete(io.ooo, c.rcvNxt)
+			io.rcvChain.Push(rcvChunk{data: data})
 			c.rcvLen += len(data)
 			c.rcvNxt += uint32(len(data))
 		}
@@ -304,11 +311,11 @@ func (c *Conn) processPayload(seg Segment) {
 		// receive page's useful life) and send an immediate duplicate ACK
 		// to trigger the sender's fast retransmit. Never batched: fast
 		// retransmit counts individual duplicate ACKs.
-		if _, dup := c.ooo[seg.Seq]; !dup && len(c.ooo) < 256 {
-			if c.ooo == nil {
-				c.ooo = map[uint32][]byte{}
+		if _, dup := io.ooo[seg.Seq]; !dup && len(io.ooo) < 256 {
+			if io.ooo == nil {
+				io.ooo = map[uint32][]byte{}
 			}
-			c.ooo[seg.Seq] = append([]byte(nil), seg.Payload...)
+			io.ooo[seg.Seq] = append([]byte(nil), seg.Payload...)
 		}
 		seg.releaseView()
 		c.sendAck()
@@ -352,12 +359,12 @@ func (c *Conn) processFin(seg Segment) {
 // enterTimeWait starts the 2MSL linger on the (now permanently idle) RTO
 // timer slot and releases every buffer the connection still holds: both
 // FINs are acked, so nothing can be retransmitted or received in order —
-// a lingering connection costs its struct and one wheel timer, not pooled
-// pages or send-buffer bytes.
+// a lingering connection costs its struct and its I/O part with empty
+// queues, not pooled pages or send-buffer bytes.
 func (c *Conn) enterTimeWait() {
 	c.setState(StateTimeWait)
 	c.releaseBuffers()
-	c.st.wheel.Schedule(&c.rtoTimer, c.st.S.K.Now().Add(c.st.Params.TimeWait))
+	c.st.wheel.Schedule(&c.io.rtoTimer, c.st.S.K.Now().Add(c.st.Params.TimeWait))
 }
 
 // releaseBuffers drops send-side state, the out-of-order map and pooled
@@ -365,11 +372,10 @@ func (c *Conn) enterTimeWait() {
 // readable: page-backed chunks are copied to the heap so their pages can
 // go back to the pool immediately instead of after 2MSL.
 func (c *Conn) releaseBuffers() {
-	c.sendq = sendQueue{}
-	c.inflight.Reset()
-	c.ooo = nil
-	for i := 0; i < c.rcvChain.Len(); i++ {
-		if ch := c.rcvChain.At(i); ch.view != nil {
+	io := c.io
+	io.drainBuffers()
+	for i := 0; i < io.rcvChain.Len(); i++ {
+		if ch := io.rcvChain.At(i); ch.view != nil {
 			ch.data = append([]byte(nil), ch.data...)
 			ch.view.Release()
 			ch.view = nil

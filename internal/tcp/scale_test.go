@@ -355,7 +355,9 @@ func TestPortReuseAfterTimeWait(t *testing.T) {
 // TestTimeWaitReleasesBuffers: a connection parked in TIME_WAIT must not
 // pin its send buffer, retransmission queue or reassembly map — at a
 // million parked connections those are the difference between kilobytes
-// and gigabytes.
+// and gigabytes. It keeps its I/O part, whose RTO timer counts the 2MSL
+// wait, with every queue drained: the queues' arrays stay, empty, for the
+// part's next connection.
 func TestTimeWaitReleasesBuffers(t *testing.T) {
 	k := sim.NewKernel(1)
 	a, b, _ := newPair(k, time.Millisecond)
@@ -382,9 +384,13 @@ func TestTimeWaitReleasesBuffers(t *testing.T) {
 	if c.State() != StateTimeWait {
 		t.Fatalf("client state = %v, want TimeWait", c.State())
 	}
-	if c.sendq.chunks.Cap() != 0 || c.sendq.Len() != 0 || c.inflight.Cap() != 0 || c.ooo != nil {
-		t.Errorf("TIME_WAIT retains buffers: send queue %d chunk slots / %d bytes, inflight=%d slots, ooo=%d",
-			c.sendq.chunks.Cap(), c.sendq.Len(), c.inflight.Cap(), len(c.ooo))
+	io := c.io
+	if io == nil || !io.rtoTimer.Pending() {
+		t.Fatal("TIME_WAIT connection holds no I/O part with its 2MSL timer armed")
+	}
+	if io.sendq.chunks.Len() != 0 || io.sendq.Len() != 0 || io.inflight.Len() != 0 || len(io.ooo) != 0 {
+		t.Errorf("TIME_WAIT retains buffers: send queue %d chunks / %d bytes, inflight=%d, ooo=%d",
+			io.sendq.chunks.Len(), io.sendq.Len(), io.inflight.Len(), len(io.ooo))
 	}
 }
 

@@ -73,3 +73,11 @@ func (q *sendQueue) dropDrained() {
 	q.chunks.Pop()
 	q.off = 0
 }
+
+// drain empties the queue, keeping its chunk array.
+func (q *sendQueue) drain() {
+	for q.chunks.Len() > 0 {
+		q.chunks.Pop()
+	}
+	q.off, q.n = 0, 0
+}

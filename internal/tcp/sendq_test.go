@@ -164,9 +164,9 @@ func TestBulkSendAllocationBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	runtime.ReadMemStats(&after)
-	if acked != total || conn.sendq.Len() != 0 || conn.inflight.Len() != 0 {
+	if inflight, unsent := queued(conn); acked != total || unsent != 0 || inflight != 0 {
 		t.Fatalf("peer acknowledged %d of %d bytes; sender holds %d queued bytes, %d segments",
-			acked, total, conn.sendq.Len(), conn.inflight.Len())
+			acked, total, unsent, inflight)
 	}
 	ratio := float64(after.TotalAlloc-before.TotalAlloc) / total
 	t.Logf("sender allocated %.3f × the payload", ratio)

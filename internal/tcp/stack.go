@@ -77,6 +77,9 @@ type Stack struct {
 	isn       uint32
 	wheel     *sim.Wheel // per-shard timing wheel carrying all conn timers
 	secret    uint64     // SYN-cookie hash key (deterministic per stack)
+	// ioFree holds idle connections' I/O parts for reuse, last in first
+	// out, never more of them than ioKeep allows.
+	ioFree []*connIO
 
 	// TracePid attributes this stack's trace events to a domain's process
 	// row; the netstack layer sets it after boot (0 = host).
@@ -143,7 +146,58 @@ func NewStack(s *lwt.Scheduler, local ipv4.Addr, params Params) *Stack {
 	return st
 }
 
-func (st *Stack) remove(k connKey) { delete(st.conns, k) }
+func (st *Stack) remove(k connKey) {
+	delete(st.conns, k)
+	st.trimIO()
+}
+
+// ioKeep bounds the free list: one part per live connection, and one per
+// listener for the next connection it accepts. A mass close therefore
+// hands the parts' memory back, and a server whose connections come one at
+// a time still reuses the part of the last one.
+func (st *Stack) ioKeep() int { return len(st.conns) + len(st.listeners) }
+
+// trimIO leaves the free parts past ioKeep to the collector.
+func (st *Stack) trimIO() {
+	if n := st.ioKeep(); len(st.ioFree) > n {
+		clear(st.ioFree[n:])
+		st.ioFree = st.ioFree[:n]
+	}
+}
+
+// getIO lends c an I/O part: the one last handed back if there is one, keyed
+// to c's timers, or a new one.
+func (st *Stack) getIO(c *Conn) *connIO {
+	var io *connIO
+	if n := len(st.ioFree) - 1; n >= 0 {
+		io = st.ioFree[n]
+		st.ioFree[n] = nil
+		st.ioFree = st.ioFree[:n]
+	} else {
+		io = newConnIO()
+	}
+	io.c = c
+	// Wheel timers carry the connection 4-tuple as their ordering key, so
+	// same-tick timers across connections fire in deterministic peer order.
+	tk := c.key.timerKey()
+	io.rtoTimer.Init(tk, io.onRTO)
+	io.delAckTimer.Init(tk, io.onDelAck)
+	io.persistTimer.Init(tk, io.onPersist)
+	return io
+}
+
+// putIO takes back an idle I/O part. One with a timer or a flush still armed
+// would fire for the next connection to take it, so that is refused loudly.
+// Past ioKeep parts the part is left to the collector.
+func (st *Stack) putIO(io *connIO) {
+	if io.armed() {
+		panic("tcp: I/O part released with a timer or flush armed")
+	}
+	io.c = nil
+	if len(st.ioFree) < st.ioKeep() {
+		st.ioFree = append(st.ioFree, io)
+	}
+}
 
 // Conns returns the number of live connections.
 func (st *Stack) Conns() int { return len(st.conns) }
@@ -236,7 +290,7 @@ func (st *Stack) accept(l *Listener, src ipv4.Addr, seg Segment) {
 	c.sndNxt = c.iss + 1
 	c.negotiate(seg)
 	st.conns[key] = c
-	c.inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
+	c.use().inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
 	c.send(FlagSYN|FlagACK, c.iss, nil, true)
 	c.armRTO()
 }
@@ -279,7 +333,7 @@ func (st *Stack) Connect(dst ipv4.Addr, port uint16) *lwt.Promise[*Conn] {
 	c.sndNxt = c.iss + 1
 	c.connectP = pr
 	st.conns[key] = c
-	c.inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
+	c.use().inflight.Push(inflightSeg{seq: c.iss, syn: true, sentAt: st.S.K.Now()})
 	c.send(FlagSYN, c.iss, nil, true)
 	c.armRTO()
 	return pr
@@ -325,6 +379,7 @@ func (l *Listener) Close() {
 	}
 	l.closed = true
 	delete(l.st.listeners, l.port)
+	l.st.trimIO()
 	for l.waiters.Len() > 0 {
 		l.waiters.Pop().Fail(ErrListenerClosed)
 	}

@@ -234,8 +234,8 @@ func TestRetransmitQueueDrainsAfterRecovery(t *testing.T) {
 	if !bytes.Equal(got, payload) {
 		t.Fatal("payload corrupted")
 	}
-	if c.inflight.Len() != 0 || c.sendq.Len() != 0 {
-		t.Errorf("sender left %d inflight segs, %d buffered bytes", c.inflight.Len(), c.sendq.Len())
+	if inflight, unsent := queued(c); inflight != 0 || unsent != 0 {
+		t.Errorf("sender left %d inflight segs, %d buffered bytes", inflight, unsent)
 	}
 	if c.st.mxRetransmits.Value() == 0 {
 		t.Error("lossy link produced no retransmissions")
