@@ -6,6 +6,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
@@ -77,6 +78,50 @@ func TestSingleThreadDesign(t *testing.T) {
 	}
 	if want := "internal/sim Spawn"; len(spawns) != 1 || spawns[0] != want {
 		t.Errorf("go statements under internal/: %q, want only %q", spawns, want)
+	}
+}
+
+// bareKernels are the files outside internal/sim and internal/core that
+// may build a kernel of their own with sim.NewKernelObs, each with its
+// reason.
+var bareKernels = map[string]string{
+	"internal/bench/net.go": "fig8 wires two bare tcp.Stacks together until it runs its pairs on the platform (ROADMAP item 5 (c))",
+}
+
+// TestOneWayToBuildASimulation walks the source: an experiment builds its
+// simulation through core.Config.NewPlatform, so outside internal/sim,
+// internal/core and tests nothing calls sim.NewKernelObs but the files of
+// bareKernels. A bare kernel takes the run's trace and registry and
+// ignores everything else a core.Config carries. An exception whose file no
+// longer calls it is stale.
+func TestOneWayToBuildASimulation(t *testing.T) {
+	m := loadTree(t)
+	want := m.path + "/internal/sim.NewKernelObs"
+	used := map[string]bool{}
+	for _, f := range m.files {
+		if f.test || f.info == nil || f.dir == "internal/sim" || f.dir == "internal/core" {
+			continue
+		}
+		name := f.dir + "/" + filepath.Base(m.fset.Position(f.Package).Filename)
+		ast.Inspect(f.File, func(n ast.Node) bool {
+			c, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			if fn := callee(f.info, c); fn != nil && fn.FullName() == want {
+				if _, ok := bareKernels[name]; ok {
+					used[name] = true
+				} else {
+					t.Errorf("%s: builds a bare kernel with sim.NewKernelObs; deploy on a platform from core.Config.NewPlatform", m.fset.Position(c.Pos()))
+				}
+			}
+			return true
+		})
+	}
+	for name, why := range bareKernels {
+		if !used[name] {
+			t.Errorf("bareKernels lists %s (%s), which no longer calls sim.NewKernelObs: remove the exception", name, why)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/build"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -25,6 +26,15 @@ type platformRun struct {
 func newRun(rc core.Config, id string, seed int64) *platformRun {
 	pl := rc.NewPlatform(seed)
 	return &platformRun{id: id, pl: pl, before: pl.K.Metrics().Snapshot()}
+}
+
+// deploy deploys an appliance named name that links roots and whose main
+// runs fn and exits 0.
+func (r *platformRun) deploy(name string, fn func(env *core.Env), roots ...string) {
+	r.pl.Deploy(core.Unikernel{
+		Build: build.Config{Name: name, Roots: roots},
+		Main:  func(env *core.Env) int { fn(env); return 0 },
+	}, core.DeployOpts{})
 }
 
 // runTo drives the platform to the absolute virtual instant at.

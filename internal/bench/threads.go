@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/lwt"
 	"repro/internal/mem"
-	"repro/internal/sim"
 )
 
 // DefaultThreadCounts are the Figure 7a x-axis values (paper: up to 20 M;
@@ -17,17 +16,18 @@ import (
 var DefaultThreadCounts = []int{1_000_000, 2_000_000, 5_000_000, 10_000_000, 20_000_000}
 
 // Fig7aThreads regenerates Figure 7a: time to construct n parallel
-// sleeping threads under the four memory systems. Each column runs the
-// paper's loop on an lwt scheduler with one vCPU: n Sleeps of 0.5–1.5 s
-// created in one synchronous pass, each promise charging its record to the
-// column's heap. The time is the vCPU's busy time: n × PerThread plus the
-// heap cost the pass accrued, dominated by the garbage collector; the
-// extent-backed address space wins, the malloc-backed heaps pay chunk
-// tracking, and the conventional OSs add (PV-inflated) syscalls on heap
-// growth. A cooperative thread cannot run before the creating loop yields,
-// so none ends during construction and the sleep durations do not enter
-// the measurement: the run stops once construction is booked, and the
-// queued sleepers go with the kernel, unpopped.
+// sleeping threads under the four memory systems. Each column deploys one
+// appliance whose main runs the paper's loop on its domain's lwt scheduler:
+// n Sleeps of 0.5–1.5 s created in one synchronous pass, each promise
+// charging its record to the column's heap. The time is what construction
+// adds to the vCPU's busy time: n × PerThread plus the heap cost the pass
+// accrued, dominated by the garbage collector; the extent-backed address
+// space wins, the malloc-backed heaps pay chunk tracking, and the
+// conventional OSs add (PV-inflated) syscalls on heap growth. A cooperative
+// thread cannot run before the creating loop yields, so none ends during
+// construction and the sleep durations do not enter the measurement: main
+// stops the run once construction is booked, and the queued sleepers go
+// with the platform, unpopped.
 func Fig7aThreads(rc core.Config, counts []int) *Result {
 	r := &Result{
 		ID:     "fig7a",
@@ -42,22 +42,22 @@ func Fig7aThreads(rc core.Config, counts []int) *Result {
 		s := Series{Name: cfg.Name}
 		for _, n := range counts {
 			runtime.GC() // free the last run's queued sleepers before this run queues its own
-			k := sim.NewKernelObs(7, rc.Trace, rc.Metrics)
-			sched := lwt.NewScheduler(k)
-			sched.Heap = mem.NewHeap(cfg.Heap)
-			sched.CPU = k.NewCPU("vcpu")
-			k.Spawn("main", func(p *sim.Proc) {
+			var busy time.Duration
+			rn := newRun(rc, "fig7a", 7)
+			rn.deploy("threads", func(env *core.Env) {
+				sched, k := env.VM.S, env.VM.Dom.K
+				sched.Heap = mem.NewHeap(cfg.Heap)
+				start := sched.CPU.BusyTime() // start-of-day's share
 				for i := 0; i < n; i++ {
 					sched.Sleep(500*time.Millisecond + time.Duration(k.Rand().Int63n(int64(time.Second))))
 				}
 				sched.CPU.Reserve(time.Duration(n)*cfg.PerThread + sched.Heap.Drain())
+				busy = sched.CPU.BusyTime() - start
 				k.Stop()
 			})
-			if _, err := k.Run(); err != nil {
-				panic(err)
-			}
+			rn.settle(time.Minute)
 			s.X = append(s.X, float64(n)/1e6)
-			s.Y = append(s.Y, sched.CPU.BusyTime().Seconds())
+			s.Y = append(s.Y, busy.Seconds())
 		}
 		r.Series = append(r.Series, s)
 	}
@@ -72,8 +72,9 @@ type JitterStats struct {
 }
 
 // Fig7bJitter regenerates Figure 7b: the CDF of timer-wakeup jitter for n
-// parallel threads sleeping 1–4 s. One lwt run records each thread's wake
-// instant minus its due instant: the unikernel's column. Each conventional
+// parallel threads sleeping 1–4 s. One appliance's main records, on its
+// domain's lwt scheduler, each thread's wake instant minus its due instant:
+// the unikernel's column. Each conventional
 // OS adds its syscall-return and scheduler-queueing delay to the same wakes.
 // Returned series are CDFs: X = jitter in ms, Y = cumulative fraction.
 func Fig7bJitter(rc core.Config, n int) (*Result, []JitterStats) {
@@ -84,10 +85,11 @@ func Fig7bJitter(rc core.Config, n int) (*Result, []JitterStats) {
 		YLabel: "cumulative fraction",
 		Notes:  []string{"paper: Mirage gives lower and more predictable latency"},
 	}
-	k := sim.NewKernelObs(7, rc.Trace, rc.Metrics)
-	sched := lwt.NewScheduler(k)
+	rn := newRun(rc, "fig7b", 7)
+	k := rn.pl.K
 	late := make([]time.Duration, n)
-	k.Spawn("main", func(p *sim.Proc) {
+	rn.deploy("threads", func(env *core.Env) {
+		sched := env.VM.S
 		ws := make([]lwt.Waiter, n)
 		for i := range ws {
 			d := time.Second + time.Duration(k.Rand().Int63n(int64(3*time.Second)))
@@ -95,13 +97,11 @@ func Fig7bJitter(rc core.Config, n int) (*Result, []JitterStats) {
 			ws[i] = sched.Sleep(d)
 			lwt.Always(ws[i], func() { late[i] = k.Now().Sub(due) })
 		}
-		if err := sched.Run(p, lwt.Join(sched, ws...)); err != nil {
+		if err := sched.Run(env.P, lwt.Join(sched, ws...)); err != nil {
 			panic(err)
 		}
 	})
-	if _, err := k.Run(); err != nil {
-		panic(err)
-	}
+	rn.settle(time.Minute)
 	var stats []JitterStats
 	lnative, lpv := conventional.LinuxNative(), conventional.LinuxPV()
 	for _, prof := range []*conventional.OSParams{nil, &lnative, &lpv} {

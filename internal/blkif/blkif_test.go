@@ -29,7 +29,7 @@ func withGuest(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc) int) 
 func withGuestSSD(t *testing.T, fn func(b *Blkif, vm *pvboot.VM, p *sim.Proc, ssd *blkback.SSD) int) (*sim.Kernel, *blkback.SSD) {
 	t.Helper()
 	k := sim.NewKernel(11)
-	h := hypervisor.NewHost(k, 2)
+	h := hypervisor.NewHost(k, 2, "")
 	ssd := blkback.NewSSDNamed(k, "")
 	st := xenstore.New()
 	k.Spawn("setup", func(tp *sim.Proc) {

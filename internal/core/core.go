@@ -84,8 +84,9 @@ func (s *Site) Alive() bool { return !s.down }
 // metrics go. It is the one route configuration takes into the system: a CLI
 // builds one value from its flags (experiments.BindRunFlags) and hands it to
 // the experiments in experiments.Options, and an experiment builds every
-// platform with NewPlatform and every bare kernel with sim.NewKernelObs from
-// it. Nothing is ambient, so platforms built from different values may run
+// platform with NewPlatform from it (fig8, the one experiment left with a
+// bare kernel, hands its trace and registry to sim.NewKernelObs). Nothing
+// is ambient, so platforms built from different values may run
 // side by side in one process. The zero value is one kernel, no impairment,
 // and a fresh disabled tracer and fresh registry per platform.
 type Config struct {
@@ -162,7 +163,7 @@ func (c Config) NewPlatform(seed int64) *Platform {
 func (pl *Platform) addSite(name, prefix string, npcpus int) *Site {
 	k := pl.K
 	s := &Site{Name: name, Index: len(pl.sites)}
-	s.Host = hypervisor.NewHostNamed(k, npcpus, prefix)
+	s.Host = hypervisor.NewHost(k, npcpus, prefix)
 	s.Bridge = netback.NewBridgeNamed(k, prefix)
 	s.Bridge.SetFaults(pl.faults)
 	s.SSD = blkback.NewSSDNamed(k, prefix)
@@ -306,7 +307,6 @@ func (pl *Platform) Deploy(u Unikernel, opts DeployOpts) *Deployment {
 	entry := func(d *hypervisor.Domain, p *sim.Proc) int {
 		vm, err := pvboot.Boot(d, p, pvboot.Options{
 			BinarySize: uint64(img.SizeKB) << 10,
-			Seal:       true,
 			Resume:     opts.Resume,
 		})
 		if err != nil {

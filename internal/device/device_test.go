@@ -39,7 +39,7 @@ func (b *fakeBE) Connect(guest *hypervisor.Domain, rings map[string]*cstruct.Vie
 
 func TestConnectHandshake(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := hypervisor.NewHost(k, 1)
+	h := hypervisor.NewHost(k, 1, "")
 	st := xenstore.New()
 	var guest, dom0 *hypervisor.Domain
 	k.Spawn("setup", func(p *sim.Proc) {
@@ -94,7 +94,7 @@ func TestConnectHandshake(t *testing.T) {
 
 func TestConnectKindMismatch(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := hypervisor.NewHost(k, 1)
+	h := hypervisor.NewHost(k, 1, "")
 	st := xenstore.New()
 	var guest, dom0 *hypervisor.Domain
 	k.Spawn("setup", func(p *sim.Proc) {

@@ -109,8 +109,8 @@ func init() {
 		Run: func(o Options) (Output, error) {
 			return results(bench.Table2Sizes())
 		}})
-	// The seal and vchan rows run bare kernels and the toolstack row boots
-	// appliances on unsharded platforms: none takes sharding or impairment.
+	// The seal, vchan and toolstack rows boot domains on unsharded platforms
+	// and put no frame on a bridge: none takes sharding or impairment.
 	Register(Experiment{ID: "ablations", Title: "Design-choice ablations",
 		Params: kernelFlags,
 		Run: func(o Options) (Output, error) {

@@ -22,8 +22,8 @@ import (
 // experiment uses them as they are; Params names the ones it reads.
 type Options struct {
 	// Config is how the run is configured (sharding, bridge impairment,
-	// tracer and registry): every platform and bare kernel an experiment
-	// builds is built from it. The zero value is the plain serial run.
+	// tracer and registry): every platform an experiment builds, and
+	// fig8's bare kernel, is built from it. The zero value is the plain serial run.
 	Config core.Config
 
 	Quick bool // -quick, for the whole invocation: reduced workload sizes

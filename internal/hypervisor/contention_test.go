@@ -12,7 +12,7 @@ import (
 func TestPinnedDomainsContendForPCPU(t *testing.T) {
 	run := func(pin bool) time.Duration {
 		k := sim.NewKernel(1)
-		h := NewHost(k, 2)
+		h := NewHost(k, 2, "")
 		var last sim.Time
 		k.Spawn("toolstack", func(p *sim.Proc) {
 			for i := 0; i < 2; i++ {
@@ -51,7 +51,7 @@ func TestPinnedDomainsContendForPCPU(t *testing.T) {
 // TestConsoleTimestamps: console lines carry virtual-time stamps in order.
 func TestConsoleTimestamps(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, 1)
+	h := NewHost(k, 1, "")
 	k.Spawn("toolstack", func(p *sim.Proc) {
 		h.Create(p, Config{
 			Name: "g", Memory: 32 << 20,
@@ -78,7 +78,7 @@ func TestConsoleTimestamps(t *testing.T) {
 // TestShutdownReasonRecorded: crash shutdowns carry their reason.
 func TestShutdownReasonRecorded(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := NewHost(k, 1)
+	h := NewHost(k, 1, "")
 	k.Spawn("toolstack", func(p *sim.Proc) {
 		d := h.Create(p, Config{Name: "g", Memory: 32 << 20})
 		d.Shutdown(139, ShutdownCrash)

@@ -57,13 +57,11 @@ type Host struct {
 
 // NewHost creates a host with ncpu physical CPUs plus a dom0 control CPU.
 // On a sharded kernel each pCPU is homed on the shard that will execute
-// guests pinned to it; dom0's CPU stays on the host shard.
-func NewHost(k *sim.Kernel, ncpu int) *Host { return NewHostNamed(k, ncpu, "") }
-
-// NewHostNamed is NewHost with a CPU-name prefix, so the per-CPU gauges of
-// a multi-host platform (internal/datacenter) stay distinguishable; an
-// empty prefix keeps the historical single-host names.
-func NewHostNamed(k *sim.Kernel, ncpu int, prefix string) *Host {
+// guests pinned to it; dom0's CPU stays on the host shard. The CPU names
+// take prefix, so the per-CPU gauges of a multi-host platform
+// (internal/datacenter) stay distinguishable; an empty prefix keeps the
+// historical single-host names.
+func NewHost(k *sim.Kernel, ncpu int, prefix string) *Host {
 	if prefix != "" {
 		prefix += "-"
 	}

@@ -12,7 +12,7 @@ import (
 func newHost(t *testing.T) (*sim.Kernel, *Host) {
 	t.Helper()
 	k := sim.NewKernel(1)
-	return k, NewHost(k, 2)
+	return k, NewHost(k, 2, "")
 }
 
 func TestDomainBuildTimeScalesWithMemory(t *testing.T) {
@@ -292,7 +292,7 @@ func TestGuestsAreNeverHomedOnShardZero(t *testing.T) {
 	entry := func(*Domain, *sim.Proc) int { return 0 }
 	for _, shards := range []int{2, 3, 5} {
 		c := sim.NewClusterObs(1, shards, time.Microsecond, nil, nil)
-		h := NewHost(c.Kernel(0), 4)
+		h := NewHost(c.Kernel(0), 4, "")
 		rows := []struct {
 			name   string
 			cfg    Config

@@ -29,7 +29,7 @@ func newRig() *rig {
 	k := sim.NewKernel(42)
 	return &rig{
 		k:      k,
-		h:      hypervisor.NewHost(k, 4),
+		h:      hypervisor.NewHost(k, 4, ""),
 		bridge: netback.NewBridgeNamed(k, ""),
 		st:     xenstore.New(),
 	}

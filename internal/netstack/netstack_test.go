@@ -37,7 +37,7 @@ func newRig(t *testing.T) *rig {
 	r := &rig{
 		t:      t,
 		k:      k,
-		h:      hypervisor.NewHost(k, 4),
+		h:      hypervisor.NewHost(k, 4, ""),
 		bridge: netback.NewBridgeNamed(k, ""),
 		st:     xenstore.New(),
 	}
@@ -60,7 +60,7 @@ func (r *rig) guest(name string, cfg Config, body func(st *Stack, p *sim.Proc) i
 			Name:   name,
 			Memory: 64 << 20,
 			Entry: func(d *hypervisor.Domain, p *sim.Proc) int {
-				vm, err := pvboot.Boot(d, p, pvboot.Options{BinarySize: 256 << 10, Seal: true})
+				vm, err := pvboot.Boot(d, p, pvboot.Options{BinarySize: 256 << 10})
 				if err != nil {
 					r.t.Errorf("%s: boot: %v", name, err)
 					return 1

@@ -1,8 +1,8 @@
 // Package pvboot provides start-of-day support for a unikernel guest
 // (paper §3.2): it initialises a VM with one virtual CPU and event
 // channels, lays out the single 64-bit address space, installs W^X page
-// permissions, optionally issues the seal hypercall (§2.3.3), and hands
-// control to an entry function running over the lwt scheduler.
+// permissions, issues the seal hypercall (§2.3.3), and hands control to an
+// entry function running over the lwt scheduler.
 //
 // Unlike a conventional OS there are no processes and no preemptive
 // threads: the VM is either executing OCaml-analogue code or blocked on
@@ -27,8 +27,6 @@ type Options struct {
 	// BinarySize is the unikernel image size (text+data) in bytes; it
 	// determines the layout and part of the boot cost.
 	BinarySize uint64
-	// Seal issues the seal hypercall after page tables are installed.
-	Seal bool
 	// Resume marks start-of-day after live migration: runtime state was
 	// carried over in the snapshot, so the runtime-init cost shrinks to
 	// the reconnect work (event channels, device handshakes).
@@ -55,7 +53,8 @@ const (
 
 // Boot performs start-of-day initialisation for domain d in proc p and
 // returns the VM handle. The domain's page tables are populated with the
-// W^X layout of Figure 2 before any application code runs.
+// W^X layout of Figure 2 and sealed before any application code runs; a
+// layout the seal hypercall refuses fails the boot.
 func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 	initCost := defaultInitCost
 	if opts.Resume {
@@ -100,10 +99,8 @@ func Boot(d *hypervisor.Domain, p *sim.Proc, opts Options) (*VM, error) {
 		tr.Instant(obs.Time(k.Now()), "boot", "pagetables-installed", d.ID, 0,
 			obs.Int("regions", int64(len(entries))))
 	}
-	if opts.Seal {
-		if err := d.Seal(p); err != nil {
-			return nil, fmt.Errorf("pvboot: %w", err)
-		}
+	if err := d.Seal(p); err != nil {
+		return nil, fmt.Errorf("pvboot: %w", err)
 	}
 
 	s := lwt.NewScheduler(d.K)

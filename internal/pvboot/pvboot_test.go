@@ -18,7 +18,7 @@ const binarySize = 256 << 10
 func boot(t *testing.T, opts Options, fn func(vm *VM, p *sim.Proc)) *hypervisor.Domain {
 	t.Helper()
 	k := sim.NewKernel(1)
-	h := hypervisor.NewHost(k, 1)
+	h := hypervisor.NewHost(k, 1, "")
 	var dom *hypervisor.Domain
 	k.Spawn("toolstack", func(tp *sim.Proc) {
 		dom = h.Create(tp, hypervisor.Config{
@@ -57,32 +57,36 @@ func TestBootProducesWorkingVM(t *testing.T) {
 	})
 }
 
+// TestBootInstallsWxorXPageTable: the default boot seals, and the seal
+// hypercall is the W^X oracle: it fails the boot unless no installed entry
+// is both writable and executable.
 func TestBootInstallsWxorXPageTable(t *testing.T) {
 	d := boot(t, Options{}, func(vm *VM, p *sim.Proc) {})
-	// The page table's own seal check is the W^X oracle: it succeeds iff
-	// no installed entry is both writable and executable.
-	if err := d.PT.Seal(); err != nil {
-		t.Errorf("boot-time page table violates W^X: %v", err)
+	if d.ExitCode != 0 || !d.PT.Sealed() {
+		t.Errorf("boot exit %d, sealed %v: want a sealed W^X page table", d.ExitCode, d.PT.Sealed())
+	}
+	if n := d.Host.K.Metrics().Counter("hv_seals_total").Value(); n != 1 {
+		t.Errorf("hv_seals_total = %d, want the one seal hypercall of start-of-day", n)
 	}
 }
 
 func TestBootWithSealFreezesPageTable(t *testing.T) {
-	d := boot(t, Options{Seal: true}, func(vm *VM, p *sim.Proc) {
+	d := boot(t, Options{}, func(vm *VM, p *sim.Proc) {
 		if !vm.Dom.PT.Sealed() {
-			t.Error("VM not sealed after Boot with Seal option")
+			t.Error("VM not sealed after Boot")
 		}
 		// Code-injection attempt: map a writable+executable page.
 		if err := vm.Dom.PT.Map(0xdead000, hypervisor.PageR|hypervisor.PageW|hypervisor.PageX); err == nil {
 			t.Error("sealed VM accepted an executable mapping")
 		}
 	})
-	if d.Host.K.Metrics().Counter("hv_seal_refusals_total").Value() == 0 {
-		t.Error("refused attempts not counted")
+	if n := d.Host.K.Metrics().Counter("hv_seal_refusals_total").Value(); n != 1 {
+		t.Errorf("hv_seal_refusals_total = %d, want the one refused attempt", n)
 	}
 }
 
 func TestSealedVMStillMapsIOPages(t *testing.T) {
-	boot(t, Options{Seal: true}, func(vm *VM, p *sim.Proc) {
+	boot(t, Options{}, func(vm *VM, p *sim.Proc) {
 		// I/O is unaffected by sealing (§2.3.3): fresh non-exec I/O
 		// mappings are allowed.
 		addr := vm.Layout.IOData.Base + 0x1000
@@ -127,7 +131,7 @@ func (*testError) Error() string { return "test failure" }
 
 func TestWatchPortDeliversDeviceEvents(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := hypervisor.NewHost(k, 1)
+	h := hypervisor.NewHost(k, 1, "")
 	k.Spawn("toolstack", func(tp *sim.Proc) {
 		backendDom := h.Create(tp, hypervisor.Config{Name: "dom0-backend", Memory: 32 << 20})
 		h.Create(tp, hypervisor.Config{
@@ -166,7 +170,7 @@ func TestWatchPortDeliversDeviceEvents(t *testing.T) {
 
 func TestBootFailsOnTinyMemory(t *testing.T) {
 	k := sim.NewKernel(1)
-	h := hypervisor.NewHost(k, 1)
+	h := hypervisor.NewHost(k, 1, "")
 	k.Spawn("toolstack", func(tp *sim.Proc) {
 		h.Create(tp, hypervisor.Config{
 			Name:   "tiny",

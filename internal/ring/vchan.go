@@ -26,21 +26,24 @@ type byteRing struct {
 func (r *byteRing) used() int  { return int(r.prod - r.cons) }
 func (r *byteRing) space() int { return len(r.buf) - r.used() }
 
+// put copies as much of b as fits into the ring, wrapping at its end: at
+// most two copies.
 func (r *byteRing) put(b []byte) int {
 	n := min(len(b), r.space())
-	for i := 0; i < n; i++ {
-		r.buf[int(r.prod)%len(r.buf)] = b[i]
-		r.prod++
-	}
+	at := int(r.prod % uint32(len(r.buf)))
+	c := copy(r.buf[at:], b[:n])
+	copy(r.buf, b[c:n])
+	r.prod += uint32(n)
 	return n
 }
 
+// get copies up to len(b) queued bytes out of the ring: at most two copies.
 func (r *byteRing) get(b []byte) int {
 	n := min(len(b), r.used())
-	for i := 0; i < n; i++ {
-		b[i] = r.buf[int(r.cons)%len(r.buf)]
-		r.cons++
-	}
+	at := int(r.cons % uint32(len(r.buf)))
+	c := copy(b[:n], r.buf[at:])
+	copy(b[c:n], r.buf)
+	r.cons += uint32(n)
 	return n
 }
 
@@ -136,11 +139,4 @@ func (e *VchanEnd) Close() {
 	e.rx.closed = true
 	e.notify(e.peer.canRead)
 	e.notify(e.peer.canSend)
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -92,7 +92,7 @@ type Conn struct {
 	// in place; it returns to the pool at the reader's next Read, Close or
 	// Abort (see Read).
 	lent     *cstruct.View
-	connectP *lwt.Promise[*Conn]
+	connectP *lwt.Promise[*Conn] // a pending Connect: nil once it resolves or fails
 	doneP    *lwt.Promise[struct{}]
 	err      error
 	readers  fifo.Queue[pendingRead]
@@ -687,8 +687,9 @@ func (c *Conn) teardown(err error) {
 	if c.doneP != nil && !c.doneP.Completed() {
 		c.doneP.Resolve(struct{}{})
 	}
-	if c.connectP != nil && !c.connectP.Completed() {
-		c.connectP.Fail(err)
+	if pr := c.connectP; pr != nil { // still in SynSent: the connect is pending
+		c.connectP = nil
+		pr.Fail(err)
 	}
 	for c.readers.Len() > 0 {
 		if r := c.readers.Pop(); err != nil {
@@ -813,7 +814,7 @@ func (c *Conn) onTimeout() {
 			c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("rto_us", int64(c.rto.Microseconds())))...)
 	}
 	flight := c.flightSize()
-	c.ssthresh = max2(flight/2, 2*c.mss)
+	c.ssthresh = max(flight/2, 2*c.mss)
 	c.cwnd = c.mss
 	c.fastRecovery = false
 	c.rtoRecovery = true
@@ -876,11 +877,4 @@ func (c *Conn) sampleRTT(sentAt sim.Time) {
 		rto = maxRTO
 	}
 	c.rto = rto
-}
-
-func max2(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -30,6 +30,18 @@ func TestConnCoreSize(t *testing.T) {
 	}
 }
 
+// TestEstablishedClientHoldsNoConnectPromise: the handshake hands the
+// Connect promise its connection and lets go of it, so a parked client
+// does not keep the resolved promise for its whole life.
+func TestEstablishedClientHoldsNoConnectPromise(t *testing.T) {
+	k := sim.NewKernel(1)
+	a, b, _ := newPair(k, time.Millisecond)
+	c, _ := establish(t, k, a, b)
+	if c.connectP != nil {
+		t.Error("an established client connection still holds its Connect promise")
+	}
+}
+
 // TestParkedConnHoldsNoIO: an established pair with a Read pending on the
 // server holds no I/O part on either end once the handshake's timers have
 // run; a Write takes one back on the client at once, the segment it sends

@@ -83,8 +83,9 @@ func (c *Conn) inputSynSent(seg Segment) {
 	c.negotiate(seg)
 	c.setState(StateEstablished)
 	c.sendAck()
-	if c.connectP != nil {
-		c.connectP.Resolve(c)
+	if pr := c.connectP; pr != nil {
+		c.connectP = nil // an established connection holds no Connect promise
+		pr.Resolve(c)
 	}
 	c.trySend()
 }
@@ -195,7 +196,7 @@ func (c *Conn) processAck(seg Segment) {
 				// Partial ACK (New Reno): retransmit the next hole,
 				// deflate by the acked amount.
 				c.retransmitFirst()
-				c.cwnd = max2(c.cwnd-acked+c.mss, c.mss)
+				c.cwnd = max(c.cwnd-acked+c.mss, c.mss)
 			} else {
 				// Full ACK: leave recovery.
 				c.fastRecovery = false
@@ -221,7 +222,7 @@ func (c *Conn) processAck(seg Segment) {
 				}
 				c.cwnd += inc
 			} else {
-				c.cwnd += max2(c.mss*acked/c.cwnd, 1) // congestion avoidance
+				c.cwnd += max(c.mss*acked/c.cwnd, 1) // congestion avoidance
 			}
 		}
 		if c.io.inflight.Len() > 0 {
@@ -246,7 +247,7 @@ func (c *Conn) processAck(seg Segment) {
 				tr.Instant(obs.Time(c.st.S.K.Now()), "tcp", "fast-retransmit", c.st.TracePid, 0,
 					c.spanArgs(obs.Int("port", int64(c.key.localPort)), obs.Int("seq", int64(c.sndUna)))...)
 			}
-			c.ssthresh = max2(c.flightSize()/2, 2*c.mss)
+			c.ssthresh = max(c.flightSize()/2, 2*c.mss)
 			c.recover = c.sndNxt
 			c.retransmitFirst()
 			c.cwnd = c.ssthresh + 3*c.mss
